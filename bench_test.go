@@ -1,9 +1,9 @@
 package thinunison_test
 
 // One benchmark per evaluation artifact of the paper (see the experiment
-// index in DESIGN.md). Each benchmark regenerates its artifact once per
-// iteration and reports the domain metric (rounds to stabilization) via
-// b.ReportMetric alongside the usual ns/op:
+// index in the internal/experiments package doc). Each benchmark regenerates
+// its artifact once per iteration and reports the domain metric (rounds to
+// stabilization) via b.ReportMetric alongside the usual ns/op:
 //
 //	go test -bench=. -benchmem
 //

@@ -1,14 +1,14 @@
 // Command experiments regenerates the paper's evaluation artifacts — Table
 // 1, Figures 1 and 2, and the empirical validations of Theorems 1.1, 1.3,
-// 1.4, 3.1 and Corollary 1.2 (see DESIGN.md for the experiment index):
+// 1.4, 3.1 and Corollary 1.2 (the internal/experiments package doc holds the
+// experiment index):
 //
 //	experiments                # run everything
 //	experiments -run E1        # a single experiment
 //	experiments -quick         # trimmed sweeps (seconds instead of minutes)
 //
 // Each experiment prints one or more tables and an OK/FAILED verdict; the
-// process exits non-zero if any verdict failed. The measured numbers are
-// recorded against the paper's bounds in EXPERIMENTS.md.
+// process exits non-zero if any verdict failed.
 package main
 
 import (

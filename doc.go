@@ -19,7 +19,8 @@
 //   - the failed reset-based AU attempt of Appendix A together with its
 //     Figure 2 live-lock, for comparison;
 //   - a full experiment harness regenerating every table and figure of the
-//     paper (see DESIGN.md and EXPERIMENTS.md);
+//     paper (internal/experiments indexes them; cmd/experiments -run
+//     regenerates any subset);
 //   - a parallel scenario-campaign subsystem (internal/campaign, driven by
 //     cmd/campaign) sweeping graph family × size × diameter bound ×
 //     scheduler × fault model × algorithm on a worker pool with
@@ -108,9 +109,13 @@
 // semantics), sharded (Options.Parallelism, multi-core single runs),
 // frontier-sparse (Options.Frontier, near-quiescent workloads),
 // word-parallel (Options.WordParallel, dense batch evaluation), and
-// topology churn (Options.Churn) — the modes compose freely and all
-// produce byte-identical trajectories for equal seeds, which is what the
-// differential guards in CI pin.
+// topology churn (Options.Churn). In internal/sim the modes are not separate
+// code paths but plugs of one step loop — the activation source (A_t or
+// A_t ∩ frontier), the lanes (one inline, or one per shard on the worker
+// pool) and the evaluator (scalar δ or the word kernel) — so they compose
+// freely and all produce byte-identical trajectories for equal seeds. A
+// dense scalar reference stepper in the sim tests scores every combination,
+// and the differential guards in CI pin the same at campaign level.
 //
 // The root package is a high-level facade; the implementation lives in the
 // internal packages (internal/core is AlgAU itself). Quick start:

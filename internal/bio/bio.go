@@ -9,7 +9,7 @@
 // tolerance story is about: arbitrary corruption of cell states at arbitrary
 // times (self-stabilization recovers), and topology perturbations within the
 // D-bounded-diameter family (the graph class the algorithms are designed
-// for). See DESIGN.md for the substitution note.
+// for).
 package bio
 
 import (

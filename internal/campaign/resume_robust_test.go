@@ -181,7 +181,11 @@ func TestKillResumeWithScenarioTimeout(t *testing.T) {
 	ctx, kill := context.WithCancel(context.Background())
 	emitted := 0
 	var appendErr error
-	(&campaign.Runner{Workers: 2, OnRecord: func(rec campaign.Record) {
+	// One worker: with more, the index-order reorder buffer can hold every
+	// remaining scenario finished before the second OnRecord fires, so the
+	// kill would land after the campaign completed. Serially at most one
+	// scenario can complete past the kill.
+	(&campaign.Runner{Workers: 1, OnRecord: func(rec campaign.Record) {
 		if err := log.Append(rec); err != nil && appendErr == nil {
 			appendErr = err
 		}

@@ -1,9 +1,24 @@
 // Package experiments regenerates every evaluation artifact of the paper:
 // Table 1, Figure 1, Figure 2, and the empirical validations of Theorems
-// 1.1, 1.3, 1.4, 3.1 and Corollary 1.2 (experiments T1, F1, F2, E1–E8 in
-// DESIGN.md). The cmd/experiments binary prints these tables; the root
-// bench_test.go wraps each one in a testing.B benchmark; EXPERIMENTS.md
-// records the measured numbers against the paper's bounds.
+// 1.1, 1.3, 1.4, 3.1 and Corollary 1.2. The experiment index:
+//
+//	T1  Table 1: transition types of AlgAU
+//	F1  Figure 1: AlgAU state diagram
+//	F2  Figure 2: live-lock of the reset-based attempt (Appendix A)
+//	E1  Thm 1.1: AlgAU uses O(D) states and stabilizes in O(D^3) rounds
+//	E2  Thm 1.3: AlgLE stabilizes in O(D log n) synchronous rounds
+//	E3  Thm 1.4: AlgMIS stabilizes in O((D + log n) log n) rounds
+//	E4  Cor 1.2: the synchronizer lifts AlgLE/AlgMIS to asynchrony
+//	E5  Thm 3.1: Restart exits concurrently within O(D)
+//	E6  Sec. 5: AlgAU vs the min-rule unison baseline
+//	E7  transient-fault recovery on the cellular substrate (internal/bio)
+//	E8  the biological pulse-coordination scenario
+//	E9  ablation: why k = 3D+2, fault propagation, cautious FA
+//	V1  model checking: Thm 1.1 on small instances, the Appendix A live-lock
+//
+// The cmd/experiments binary prints these tables with an OK/FAILED verdict
+// each (cmd/experiments -run E1 selects one); the root bench_test.go wraps
+// each one in a testing.B benchmark.
 package experiments
 
 import (

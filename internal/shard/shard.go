@@ -33,7 +33,6 @@ import (
 
 	"thinunison/internal/failpoint"
 	"thinunison/internal/graph"
-	"thinunison/internal/sa"
 )
 
 // Partition is a contiguous node partition of a graph into P shards.
@@ -182,22 +181,6 @@ func (pt *Partition) Interior(v int) bool { return pt.interior[v] }
 // Boundary returns the ascending list of boundary nodes of shard s (nodes
 // with at least one cross-shard edge). The slice is owned by the partition.
 func (pt *Partition) Boundary(s int) []int { return pt.boundary[s] }
-
-// PlaneSlabs carves one bit-plane slab per shard: slab s has
-// sa.PlaneWords(hi−lo) words for the shard's node range [lo, hi), with bit i
-// of the slab addressing node lo+i. Each slab is a separate allocation, so
-// parallel workers read-modify-write their own cache lines even though shard
-// bounds are not 64-aligned — sharing one graph-wide plane would race on the
-// boundary words. The word-parallel engines use the slabs for the per-step
-// goodness plane; call again after a repartition (the bounds move).
-func (pt *Partition) PlaneSlabs() [][]uint64 {
-	slabs := make([][]uint64, pt.P())
-	for s := range slabs {
-		lo, hi := pt.Range(s)
-		slabs[s] = make([]uint64, sa.PlaneWords(hi-lo))
-	}
-	return slabs
-}
 
 // ChurnRepartitionDivisor tunes the threshold-triggered repartition of the
 // sharded engines: a full repartition runs once the accumulated churn

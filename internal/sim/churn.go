@@ -263,7 +263,8 @@ func (cr *churnRuntime) stageRandomFlip(n int) {
 	cr.stageOp(ChurnOp{Kind: ChurnFlip, U: u, V: v})
 }
 
-// step stages and commits the churn due at the boundary of engine step t.
+// applyChurn stages and commits the churn due at the boundary of the
+// engine's current step.
 func (e *Engine) applyChurn() error {
 	cr := e.churn
 	for cr.next < len(cr.spec.Events) && cr.spec.Events[cr.next].Step <= e.step {
@@ -380,8 +381,8 @@ func (e *Engine) ApplyDelta(d *graph.Delta) ([]graph.EdgeChange, error) {
 			topo.RewireEdge(c.U, c.V, c.Added)
 		}
 	}
-	if e.par != nil {
-		e.par.rewire(e, touched)
+	if e.part != nil {
+		e.rewire(touched)
 	}
 	return changes, nil
 }
@@ -393,18 +394,18 @@ func (e *Engine) ApplyDelta(d *graph.Delta) ([]graph.EdgeChange, error) {
 // which case the frontier bitset migrates to the new layout and a
 // ShardedObserver's per-shard counters are re-attached (AttachShards
 // re-buckets and recounts).
-func (pr *parRuntime) rewire(e *Engine, touched []int) {
-	next, rebuilt := pr.part.RewireAfterChurn(&pr.churnAccum, touched)
+func (e *Engine) rewire(touched []int) {
+	next, rebuilt := e.part.RewireAfterChurn(&e.churnAccum, touched)
 	if !rebuilt {
 		return
 	}
 	e.mx.Repartitions.Add(1)
-	pr.part = next
+	e.setPartition(next)
 	if e.fr != nil {
 		e.fr.set = e.fr.set.Rebuild(next.Starts(), next.ShardIndex())
 	}
-	if pr.shObs != nil {
-		pr.shObs.AttachShards(next.ShardIndex(), next.P())
+	if e.shObs != nil {
+		e.shObs.AttachShards(next.ShardIndex(), next.P())
 	}
 	if e.wr != nil {
 		// The goodness slabs are laid out per shard; re-carve them for the

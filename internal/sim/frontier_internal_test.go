@@ -6,6 +6,7 @@ import (
 
 	"thinunison/internal/core"
 	"thinunison/internal/graph"
+	"thinunison/internal/sa"
 	"thinunison/internal/sched"
 )
 
@@ -50,7 +51,7 @@ func TestFrontierSettledOracle(t *testing.T) {
 		n := g.N()
 		settledOracle := make([]bool, n) // all dirty initially
 		prev := e.Config().Clone()
-		sig := e.signal.Clone()
+		sig := sa.NewSignal(au.NumStates())
 		for step := 0; step < 150; step++ {
 			if step == 75 {
 				for _, v := range e.InjectFaults(5) {

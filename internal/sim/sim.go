@@ -10,18 +10,27 @@
 // receive each node state change so stabilization predicates are maintained
 // in O(|A_t|·Δ) per step rather than rescanned over the whole graph.
 //
-// Large single runs shard across cores: Options.Parallelism >= 1 partitions
-// the graph into contiguous node shards (internal/shard) and fans each
-// step's staging over a persistent worker pool, with transition coin tosses
-// drawn from counter-based per-(step, node) streams so a sharded run is
-// byte-identical to a sequential run of the same seed at any worker count.
+// Every execution mode runs one step loop (step.go) with three plugs:
 //
-// Near-quiescent runs go frontier-sparse: Options.Frontier maintains a
-// per-node settled flag (δ on the current signal is certified a coin-free
-// self-loop by the algorithm's sa.SelfLooper capability) and skips settled
-// activated nodes wholesale, so a step costs O(|A_t ∩ frontier|·Δ) rather
-// than O(|A_t|·Δ) while staying byte-identical to the dense run at every
-// parallelism.
+//   - Activation source. Dense engines evaluate A_t; frontier-sparse
+//     engines (Options.Frontier) evaluate only A_t ∩ frontier, where the
+//     frontier holds the nodes whose δ on the current signal is not yet
+//     certified a coin-free self-loop (the algorithm's sa.SelfLooper
+//     capability), so a step costs O(|A_t ∩ frontier|·Δ).
+//   - Lanes. The classic engine has one lane over the whole graph; a
+//     sharded engine (Options.Parallelism >= 1) has one lane per contiguous
+//     shard of internal/shard, staged concurrently on a persistent worker
+//     pool when there are two or more. Sharded lanes draw coin tosses from
+//     counter-based per-(step, node) streams, so a sharded run is
+//     byte-identical at any worker count; the classic lane draws from the
+//     engine's single rng in ascending activation order.
+//   - Evaluator. The scalar δ, or the algorithm's word kernel
+//     (Options.WordParallel, see word.go), which also maintains a goodness
+//     plane that certifies full-refresh steps.
+//
+// The modes compose freely and stay byte-identical to one another for
+// equal seeds; the dense scalar reference stepper in the package tests
+// scores every combination against the paper's step rule.
 //
 // The topology itself may churn mid-run: Options.Churn applies scripted or
 // stochastic graph.Delta mutations at step boundaries (cells die, divide
@@ -44,7 +53,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"thinunison/internal/failpoint"
 	"thinunison/internal/frontier"
@@ -142,8 +150,6 @@ type Engine struct {
 	rng   *rand.Rand
 
 	cfg     sa.Config
-	scratch sa.Config // per-step new states of the activated set
-	signal  sa.Signal
 	step    int
 	tracker *sched.RoundTracker
 	hooks   []Hook
@@ -153,7 +159,25 @@ type Engine struct {
 	faultBuf      []int // reusable permutation buffer for InjectFaults
 	actBuf        []int // canonicalization buffer for unsorted activation lists
 
-	par    *parRuntime         // sharded-execution runtime; nil in classic mode
+	// lanes are the step loop's staging units (see step.go): one over the
+	// whole graph in classic mode, one per shard of part when sharded. The
+	// pool and its phase bodies (built once, so steady steps allocate no
+	// closures) exist only with two or more lanes; a single lane always
+	// runs inline on the calling goroutine. Each lane's tallies are written
+	// by one worker per phase and summed by the coordinator after the pool
+	// barrier, so counter aggregation costs O(P) adds per step.
+	lanes   []lane
+	part    *shard.Partition // nil in classic mode
+	pool    *shard.Pool
+	stageFn func(s int)
+	applyFn func(s int)
+	shObs   ShardedObserver // obs, when sharded and it supports concurrent interior delivery
+
+	// churnAccum is the accumulated topology-churn weight since the last
+	// (re)partition; crossing the repartition threshold triggers a full
+	// rebuild (see rewire).
+	churnAccum int
+
 	fr     *frontierRuntime    // frontier-sparse runtime; nil in dense mode
 	churn  *churnRuntime       // topology-churn driver; nil when Options.Churn is off
 	wr     *wordRuntime        // word-parallel runtime; nil in scalar mode
@@ -169,7 +193,7 @@ type Engine struct {
 	seed   int64           // Options.Seed, retained for checkpointing
 
 	// stepAct/stepEval/stepChg are the current step's tallies, filled by the
-	// step bodies and flushed into mx (and the tracer sample) once per step.
+	// step loop and flushed into mx (and the tracer sample) once per step.
 	stepAct  int
 	stepEval int
 	stepChg  int
@@ -195,43 +219,6 @@ type frontierRuntime struct {
 	lastAllBut int
 }
 
-// parRuntime holds the sharded-execution state of an engine: the partition,
-// the persistent worker pool, per-shard staging buffers and per-worker
-// scratch (signal, reseedable rng). See Options.Parallelism.
-type parRuntime struct {
-	part *shard.Partition
-	pool *shard.Pool
-	seed int64
-
-	acts    [][]int           // per-shard activation views for the current step
-	actBufs [][]int           // backing buffers for acts when bucketing is needed
-	res     [][]sa.State      // per-shard staged next states, aligned with acts
-	seqs    []*randx.Seq      // per-worker reseedable coin-toss sources
-	coins   []*randx.Counting // per-worker draw counters wrapping seqs
-	rngs    []*rand.Rand      // per-worker rand.Rand over the counted seqs
-	sigs    []sa.Signal       // per-worker signal scratch
-
-	// chg and stl are per-shard tallies (changes applied by applyInterior,
-	// settle-promotions certified by stage). Each slot is written by one
-	// worker during its phase and summed by the coordinator after the pool
-	// phase completes — the pool's channel handoffs order the accesses — so
-	// counter aggregation costs O(P) adds per step, not per-node atomics.
-	chg []uint64
-	stl []uint64
-
-	shObs ShardedObserver // obs, when it supports concurrent interior delivery
-
-	// churnAccum is the accumulated topology-churn weight since the last
-	// (re)partition; crossing the repartition threshold triggers a full
-	// rebuild (see rewire).
-	churnAccum int
-
-	// stage and applyInterior are the per-phase worker bodies, built once at
-	// construction so the steady step loop allocates no closures.
-	stage         func(s int)
-	applyInterior func(s int)
-}
-
 // Options configures an Engine.
 type Options struct {
 	// Initial is the adversarially chosen initial configuration C0.
@@ -249,8 +236,9 @@ type Options struct {
 
 	// Parallelism selects the sharded execution mode. P >= 1 partitions the
 	// graph into P contiguous shards (clamped to the node count) and runs
-	// each step's activation set across a persistent worker pool; call Close
-	// when done with the engine to release the workers.
+	// each step's activation set across a persistent worker pool (a single
+	// shard runs inline, with no pool); call Close when done with the engine
+	// to release the workers.
 	//
 	// Sharded runs are byte-identical for equal seeds at ANY P: transition
 	// coin tosses come from counter-based per-(step, node) streams
@@ -376,8 +364,6 @@ func New(g *graph.Graph, alg sa.Algorithm, opts Options) (*Engine, error) {
 		sched:   s,
 		rng:     rng,
 		cfg:     cfg,
-		scratch: make(sa.Config, 0, g.N()),
-		signal:  sa.NewSignal(alg.NumStates()),
 		tracker: sched.NewRoundTracker(g.N()),
 		mx:      opts.Metrics,
 		tracer:  opts.Trace,
@@ -395,90 +381,40 @@ func New(g *graph.Graph, alg sa.Algorithm, opts Options) (*Engine, error) {
 			}
 		}
 	}
+	// Classic mode runs one lane drawing coins from the shared rng; sharded
+	// mode one lane per shard, each with a reseedable per-(step, node) stream.
+	var part *shard.Partition
 	if opts.Parallelism >= 1 {
-		part := shard.NewPartition(g, opts.Parallelism)
-		p := part.P()
-		pr := &parRuntime{
-			part:    part,
-			pool:    shard.NewPool(p),
-			seed:    opts.Seed,
-			acts:    make([][]int, p),
-			actBufs: make([][]int, p),
-			res:     make([][]sa.State, p),
-			seqs:    make([]*randx.Seq, p),
-			coins:   make([]*randx.Counting, p),
-			rngs:    make([]*rand.Rand, p),
-			sigs:    make([]sa.Signal, p),
-			chg:     make([]uint64, p),
-			stl:     make([]uint64, p),
+		part = shard.NewPartition(g, opts.Parallelism)
+		e.lanes = make([]lane, part.P())
+	} else {
+		e.lanes = make([]lane, 1)
+	}
+	for s := range e.lanes {
+		l := &e.lanes[s]
+		l.sig = sa.NewSignal(alg.NumStates())
+		l.rng = rng
+		if part != nil {
+			l.seq = &randx.Seq{}
+			l.coin = randx.NewCounting(l.seq)
+			l.rng = rand.New(l.coin)
 		}
-		for i := 0; i < p; i++ {
-			pr.seqs[i] = &randx.Seq{}
-			pr.coins[i] = randx.NewCounting(pr.seqs[i])
-			pr.rngs[i] = rand.New(pr.coins[i])
-			pr.sigs[i] = sa.NewSignal(alg.NumStates())
+	}
+	e.setPartition(part)
+	if len(e.lanes) > 1 {
+		// The phase bodies read e.step and the lanes directly; both are
+		// written only by the coordinator between pool phases, and the
+		// pool's channel handoffs order those writes.
+		e.pool = shard.NewPool(len(e.lanes))
+		e.stageFn = func(s int) { e.stage(&e.lanes[s]) }
+		e.applyFn = func(s int) {
+			l := &e.lanes[s]
+			l.chg = e.applyLane(l, applyInterior, e.shObs)
 		}
-		// The worker bodies read e.step and the staged buffers directly;
-		// both are written only by the coordinator between pool phases, and
-		// the pool's channel handoffs order those writes.
-		pr.stage = func(s int) {
-			acts := pr.acts[s]
-			res := pr.res[s][:0]
-			rng, seq := pr.rngs[s], pr.seqs[s]
-			sig := &pr.sigs[s]
-			var settles uint64
-			if fr := e.fr; fr != nil {
-				for _, v := range acts {
-					seq.Reseed(randx.NodeSeed(pr.seed, e.step, v))
-					e.SignalOf(v, sig)
-					q, settled := fr.evalNode(e, v, sig, rng)
-					res = append(res, q)
-					if settled {
-						// Settle-clear: only v's own (in-shard) bit is
-						// touched, and any invalidation by a changing
-						// neighbor happens in a later phase, so sets always
-						// win over clears.
-						fr.set.Remove(v)
-						settles++
-					}
-				}
-			} else {
-				for _, v := range acts {
-					seq.Reseed(randx.NodeSeed(pr.seed, e.step, v))
-					e.SignalOf(v, sig)
-					res = append(res, e.alg.Transition(e.cfg[v], *sig, rng))
-				}
-			}
-			pr.res[s] = res
-			pr.stl[s] = settles
-		}
-		pr.applyInterior = func(s int) {
-			fr := e.fr
-			var changes uint64
-			for i, v := range pr.acts[s] {
-				if !pr.part.Interior(v) {
-					continue
-				}
-				if q := pr.res[s][i]; q != e.cfg[v] {
-					e.cfg[v] = q
-					changes++
-					if fr != nil {
-						// An interior node's whole neighborhood lives in its
-						// owner shard, so these dirty bits never race.
-						fr.invalidate(e.g, v)
-					}
-					if pr.shObs != nil {
-						pr.shObs.Apply(v, q)
-					}
-				}
-			}
-			pr.chg[s] = changes
-		}
-		e.par = pr
 	}
 	if e.fr != nil {
-		if e.par != nil {
-			e.fr.set = frontier.NewSharded(g.N(), e.par.part.Starts(), e.par.part.ShardIndex())
+		if part != nil {
+			e.fr.set = frontier.NewSharded(g.N(), part.Starts(), part.ShardIndex())
 		} else {
 			e.fr.set = frontier.New(g.N())
 		}
@@ -523,11 +459,25 @@ func (fr *frontierRuntime) invalidate(g *graph.Graph, v int) {
 	}
 }
 
+// setPartition installs the engine's partition (nil in classic mode) and
+// re-ranges the lanes onto its shards.
+func (e *Engine) setPartition(part *shard.Partition) {
+	e.part = part
+	for s := range e.lanes {
+		l := &e.lanes[s]
+		if part == nil {
+			l.lo, l.hi = 0, e.g.N()
+		} else {
+			l.lo, l.hi = part.Range(s)
+		}
+	}
+}
+
 // Close releases the worker goroutines of a sharded engine (Parallelism >=
-// 1). It is idempotent and a no-op for classic sequential engines.
+// 2). It is idempotent and a no-op for single-lane engines.
 func (e *Engine) Close() {
-	if e.par != nil {
-		e.par.pool.Close()
+	if e.pool != nil {
+		e.pool.Close()
 	}
 }
 
@@ -539,10 +489,10 @@ func (e *Engine) AddHook(h Hook) { e.hooks = append(e.hooks, h) }
 // configuration — construct it from Config(), e.g. core.NewGoodMonitor.
 //
 // On a sharded engine (Options.Parallelism >= 1), an observer implementing
-// ShardedObserver is attached to the engine's partition and receives
-// interior-node changes concurrently during the merge phase; plain
-// observers force the merge through the coordinator in canonical ascending
-// node order.
+// ShardedObserver is attached to the engine's partition and, with two or
+// more shards, receives interior-node changes concurrently during the merge
+// phase; plain observers force the merge through the coordinator in
+// canonical ascending node order.
 func (e *Engine) Observe(o ConfigObserver) {
 	e.obs = o
 	e.wObs = nil
@@ -553,13 +503,10 @@ func (e *Engine) Observe(o ConfigObserver) {
 	if wb, ok := o.(WordBatchObserver); ok {
 		e.wBatch = wb
 	}
-	if e.par == nil {
-		return
-	}
-	e.par.shObs = nil
-	if so, ok := o.(ShardedObserver); ok {
-		so.AttachShards(e.par.part.ShardIndex(), e.par.part.P())
-		e.par.shObs = so
+	e.shObs = nil
+	if so, ok := o.(ShardedObserver); ok && e.part != nil {
+		so.AttachShards(e.part.ShardIndex(), e.part.P())
+		e.shObs = so
 	}
 }
 
@@ -582,13 +529,7 @@ func (e *Engine) SetState(v int, q sa.State) error {
 	if q < 0 || q >= e.alg.NumStates() {
 		return fmt.Errorf("sim: state %d out of range", q)
 	}
-	e.cfg[v] = q
-	if e.wr != nil {
-		e.wr.noteWrite(v, q)
-	}
-	if e.fr != nil {
-		e.fr.invalidate(e.g, v)
-	}
+	e.write(v, q)
 	if e.obs != nil {
 		e.obs.Apply(v, q)
 	}
@@ -607,13 +548,7 @@ func (e *Engine) SetState(v int, q sa.State) error {
 func (e *Engine) InjectFaults(count int) []int {
 	hit := randx.PartialShuffle(&e.faultBuf, e.g.N(), count, e.rng)
 	for _, v := range hit {
-		e.cfg[v] = e.rng.Intn(e.alg.NumStates())
-		if e.wr != nil {
-			e.wr.noteWrite(v, e.cfg[v])
-		}
-		if e.fr != nil {
-			e.fr.invalidate(e.g, v)
-		}
+		e.write(v, e.rng.Intn(e.alg.NumStates()))
 		if e.obs != nil {
 			e.obs.Apply(v, e.cfg[v])
 		}
@@ -621,64 +556,6 @@ func (e *Engine) InjectFaults(count int) []int {
 	e.mx.Faults.Add(uint64(len(hit)))
 	e.flushCoins()
 	return hit
-}
-
-// Step executes one step: it queries the scheduler for A_t, computes the
-// signal of each activated node under C_t, applies δ simultaneously, and
-// advances to C_{t+1}.
-//
-// The hot path is allocation-free: new states of the activation set are
-// staged in reusable scratch (no O(n) configuration copy per step) and
-// written back only after every activated node has read C_t, preserving the
-// paper's simultaneous-update semantics. On a sharded engine the staging
-// fans out across the worker pool; see Options.Parallelism.
-func (e *Engine) Step() error {
-	if failpoint.Armed() {
-		if err := e.evalFailpoints(); err != nil {
-			return err
-		}
-	}
-	if e.churn != nil {
-		// Step-boundary churn: mutate the topology before this step's
-		// activation set is drawn, so the step runs on the new graph.
-		if err := e.applyChurn(); err != nil {
-			return fmt.Errorf("sim: churn at step %d: %w", e.step, err)
-		}
-	}
-	e.stepChg = 0
-	if e.fr != nil {
-		e.stepFrontier()
-	} else {
-		activated := canonActivations(e.sched.Activations(e.step, e.g.N()), &e.actBuf)
-		e.stepAct, e.stepEval = len(activated), len(activated)
-		switch {
-		case e.wr != nil && e.par != nil:
-			e.stepShardedWord(activated, -1)
-		case e.wr != nil:
-			e.stepSequentialWord(activated)
-		case e.par != nil:
-			e.stepSharded(activated)
-		default:
-			e.stepSequential(activated)
-		}
-		e.tracker.Observe(activated)
-		e.lastActivated = activated
-	}
-	if e.wr != nil && e.wObs != nil {
-		// Delivered after every apply of the step, so a later Apply (fault
-		// injection, churn) supersedes the verdict at the observer.
-		e.wObs.NoteWordStep(e.wr.certified)
-	}
-	e.step++
-	if err := e.flushStats(); err != nil {
-		return err
-	}
-	for _, h := range e.hooks {
-		if err := h(e); err != nil {
-			return fmt.Errorf("sim: hook at step %d: %w", e.step, err)
-		}
-	}
-	return nil
 }
 
 // flushStats folds the completed step's tallies into the metric set and, if
@@ -723,18 +600,19 @@ func (e *Engine) flushStats() error {
 }
 
 // flushCoins drains the rng draw counters (the classic stream plus every
-// sharded worker stream) into the CoinDraws counter: O(P) per flush.
+// sharded lane stream) into the CoinDraws counter: O(P) per flush.
 func (e *Engine) flushCoins() {
 	if e.coin != nil {
 		if n := e.coin.Take(); n != 0 {
 			e.mx.CoinDraws.Add(n)
 		}
 	}
-	if e.par != nil {
-		for _, c := range e.par.coins {
-			if n := c.Take(); n != 0 {
-				e.mx.CoinDraws.Add(n)
-			}
+	if e.part == nil {
+		return // the classic lane draws from e.coin's stream
+	}
+	for s := range e.lanes {
+		if n := e.lanes[s].coin.Take(); n != 0 {
+			e.mx.CoinDraws.Add(n)
 		}
 	}
 }
@@ -744,325 +622,6 @@ func (e *Engine) Metrics() *obs.Metrics { return e.mx }
 
 // Tracer returns the attached step tracer, or nil.
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
-
-// stepFrontier is the frontier-sparse step body: the scheduler's activation
-// set is intersected with the dirty frontier — via the scheduler's
-// SparseActivator fast path when it has one, by scanning the activation
-// list otherwise — and only the surviving nodes are evaluated. Settled
-// activated nodes are skipped wholesale; round tracking still counts the
-// full A_t, summarized in O(1) when the sparse path reports it as V or
-// V \ {v} instead of a list.
-func (e *Engine) stepFrontier() {
-	fr := e.fr
-	n := e.g.N()
-	// The frontier occupancy before any of this step's settle-clears: the
-	// word path certifies its goodness plane only when the step evaluated
-	// the entire frontier (settled nodes' plane bits are valid by the
-	// settled invariant; unevaluated frontier nodes' are not).
-	frBefore := fr.set.Len()
-	var eval []int
-	fr.lastFull, fr.lastAllBut = false, -1
-	if sp, ok := e.sched.(sched.SparseActivator); ok {
-		raw, cov := sp.SparseActivations(e.step, n, fr.set)
-		eval = canonActivations(raw, &e.actBuf)
-		switch {
-		case cov.Full:
-			e.tracker.ObserveFull()
-			fr.lastFull = true
-			e.lastActivated = nil
-			e.stepAct = n
-		case cov.AllBut >= 0:
-			e.tracker.ObserveAllBut(cov.AllBut)
-			fr.lastAllBut = cov.AllBut
-			e.lastActivated = nil
-			e.stepAct = n - 1
-		default:
-			e.tracker.Observe(cov.List)
-			e.lastActivated = cov.List
-			e.stepAct = len(cov.List)
-		}
-	} else {
-		activated := canonActivations(e.sched.Activations(e.step, n), &e.actBuf)
-		buf := fr.evalBuf[:0]
-		for _, v := range activated {
-			if fr.set.Contains(v) {
-				buf = append(buf, v)
-			}
-		}
-		fr.evalBuf = buf
-		eval = buf
-		e.tracker.Observe(activated)
-		e.lastActivated = activated
-		e.stepAct = len(activated)
-	}
-	e.stepEval = len(eval)
-	switch {
-	case e.wr != nil && e.par != nil:
-		e.stepShardedWord(eval, frBefore)
-	case e.wr != nil:
-		e.stepSequentialFrontierWord(eval, frBefore)
-	case e.par != nil:
-		e.stepShardedFrontier(eval)
-	default:
-		e.stepSequentialFrontier(eval)
-	}
-}
-
-// stepSequentialFrontier stages the evaluation set's new states against C_t
-// (settle-certifying no-op nodes on the way), then applies the changes in
-// ascending node order, invalidating each changed node's neighborhood.
-func (e *Engine) stepSequentialFrontier(eval []int) {
-	fr := e.fr
-	e.scratch = e.scratch[:0]
-	var settles uint64
-	for _, v := range eval {
-		e.SignalOf(v, &e.signal)
-		q, settled := fr.evalNode(e, v, &e.signal, e.rng)
-		e.scratch = append(e.scratch, q)
-		if settled {
-			// Clears happen strictly before the apply loop's invalidation
-			// sets, so a neighbor changing in this same step re-dirties v.
-			fr.set.Remove(v)
-			settles++
-		}
-	}
-	if settles != 0 {
-		e.mx.Settled.Add(settles)
-	}
-	for i, v := range eval {
-		q := e.scratch[i]
-		if q == e.cfg[v] {
-			continue
-		}
-		e.cfg[v] = q
-		e.stepChg++
-		fr.invalidate(e.g, v)
-		if e.obs != nil {
-			e.obs.Apply(v, q)
-		}
-	}
-}
-
-// stepShardedFrontier is stepSharded over the evaluation set: staging
-// settle-clears own-shard bits, the interior merge invalidates own-shard
-// neighborhoods concurrently, and boundary updates invalidate cross-shard
-// through the coordinator.
-func (e *Engine) stepShardedFrontier(eval []int) {
-	pr := e.par
-	fr := e.fr
-	p := pr.part.P()
-
-	if len(eval) == e.g.N() {
-		// Every node is dirty and activated (the first steps of a run):
-		// the canonical full set buckets into the partition's contiguous
-		// ranges — alias them instead of copying.
-		for s := 0; s < p; s++ {
-			lo, hi := pr.part.Range(s)
-			pr.acts[s] = eval[lo:hi]
-		}
-	} else {
-		for s := 0; s < p; s++ {
-			pr.actBufs[s] = pr.actBufs[s][:0]
-		}
-		for _, v := range eval {
-			s := pr.part.ShardOf(v)
-			pr.actBufs[s] = append(pr.actBufs[s], v)
-		}
-		copy(pr.acts, pr.actBufs)
-	}
-
-	pr.pool.Run(pr.stage)
-	e.sumSettles()
-
-	if e.obs != nil && pr.shObs == nil {
-		// Order-sensitive observer: sequential canonical merge (shards
-		// ascend and buckets ascend within shards).
-		for s := 0; s < p; s++ {
-			for i, v := range pr.acts[s] {
-				if q := pr.res[s][i]; q != e.cfg[v] {
-					e.cfg[v] = q
-					e.stepChg++
-					fr.invalidate(e.g, v)
-					e.obs.Apply(v, q)
-				}
-			}
-		}
-		return
-	}
-
-	pr.pool.Run(pr.applyInterior)
-	e.sumInteriorChanges()
-	var boundary uint64
-	for s := 0; s < p; s++ {
-		for i, v := range pr.acts[s] {
-			if pr.part.Interior(v) {
-				continue
-			}
-			if q := pr.res[s][i]; q != e.cfg[v] {
-				e.cfg[v] = q
-				e.stepChg++
-				boundary++
-				fr.invalidate(e.g, v)
-				if e.obs != nil {
-					e.obs.Apply(v, q)
-				}
-			}
-		}
-	}
-	if boundary != 0 {
-		e.mx.BoundaryApplies.Add(boundary)
-	}
-}
-
-// sumSettles folds the per-shard settle tallies written by the stage phase
-// into the Settled counter (O(P)).
-func (e *Engine) sumSettles() {
-	var stl uint64
-	for _, n := range e.par.stl {
-		stl += n
-	}
-	if stl != 0 {
-		e.mx.Settled.Add(stl)
-	}
-}
-
-// sumInteriorChanges folds the per-shard change tallies written by the
-// applyInterior phase into the step's change count (O(P)).
-func (e *Engine) sumInteriorChanges() {
-	var chg uint64
-	for _, n := range e.par.chg {
-		chg += n
-	}
-	e.stepChg += int(chg)
-}
-
-// canonActivations returns the activation set in canonical form: strictly
-// ascending node order, each node at most once. The built-in schedulers
-// already emit canonical sets and pass through untouched; scripted or
-// custom schedulers with unsorted or duplicated lists are copied, sorted
-// and deduplicated into buf. The ConfigObserver ordering contract and the
-// sharded engines' deterministic merge are both anchored on this
-// canonicalization (the engine previously applied updates in raw
-// activation-list order, leaking scheduler quirks — duplicate activations
-// double-applied a node's transition — into observer deliveries).
-func canonActivations(activated []int, buf *[]int) []int {
-	canonical := true
-	for i := 1; i < len(activated); i++ {
-		if activated[i] <= activated[i-1] {
-			canonical = false
-			break
-		}
-	}
-	if canonical {
-		return activated
-	}
-	b := append((*buf)[:0], activated...)
-	sort.Ints(b)
-	k := 0
-	for _, v := range b {
-		if k == 0 || v != b[k-1] {
-			b[k] = v
-			k++
-		}
-	}
-	*buf = b[:k]
-	return *buf
-}
-
-// stepSequential is the classic single-threaded step body: stage the
-// activation set's new states against C_t, then apply them in ascending
-// node order, feeding the observer.
-func (e *Engine) stepSequential(activated []int) {
-	e.scratch = e.scratch[:0]
-	for _, v := range activated {
-		e.SignalOf(v, &e.signal)
-		e.scratch = append(e.scratch, e.alg.Transition(e.cfg[v], e.signal, e.rng))
-	}
-	for i, v := range activated {
-		q := e.scratch[i]
-		if q == e.cfg[v] {
-			continue
-		}
-		e.cfg[v] = q
-		e.stepChg++
-		if e.obs != nil {
-			e.obs.Apply(v, q)
-		}
-	}
-}
-
-// stepSharded is the sharded step body: bucket the activation set by owner
-// shard, stage every shard's new states concurrently against the immutable
-// C_t (coin tosses from per-(step, node) streams, so the result is
-// independent of worker count and interleaving), then merge.
-//
-// The merge applies interior-node updates concurrently — an interior node's
-// whole neighborhood lives in its owner shard, so those writes (and a
-// ShardedObserver's counters) never race — and routes boundary-node updates
-// through the coordinator. With a plain order-sensitive observer the whole
-// merge runs on the coordinator in canonical ascending node order instead.
-func (e *Engine) stepSharded(activated []int) {
-	pr := e.par
-	p := pr.part.P()
-
-	if len(activated) == e.g.N() {
-		// Synchronous step: the canonical full set buckets into the
-		// partition's contiguous ranges — alias them instead of copying.
-		for s := 0; s < p; s++ {
-			lo, hi := pr.part.Range(s)
-			pr.acts[s] = activated[lo:hi]
-		}
-	} else {
-		for s := 0; s < p; s++ {
-			pr.actBufs[s] = pr.actBufs[s][:0]
-		}
-		for _, v := range activated {
-			s := pr.part.ShardOf(v)
-			pr.actBufs[s] = append(pr.actBufs[s], v)
-		}
-		copy(pr.acts, pr.actBufs)
-	}
-
-	pr.pool.Run(pr.stage)
-
-	if e.obs != nil && pr.shObs == nil {
-		// Order-sensitive observer: sequential canonical merge. Shards
-		// ascend and buckets ascend within shards, so this is ascending
-		// node order.
-		for s := 0; s < p; s++ {
-			for i, v := range pr.acts[s] {
-				if q := pr.res[s][i]; q != e.cfg[v] {
-					e.cfg[v] = q
-					e.stepChg++
-					e.obs.Apply(v, q)
-				}
-			}
-		}
-		return
-	}
-
-	pr.pool.Run(pr.applyInterior)
-	e.sumInteriorChanges()
-	var boundary uint64
-	for s := 0; s < p; s++ {
-		for i, v := range pr.acts[s] {
-			if pr.part.Interior(v) {
-				continue
-			}
-			if q := pr.res[s][i]; q != e.cfg[v] {
-				e.cfg[v] = q
-				e.stepChg++
-				boundary++
-				if e.obs != nil {
-					e.obs.Apply(v, q)
-				}
-			}
-		}
-	}
-	if boundary != 0 {
-		e.mx.BoundaryApplies.Add(boundary)
-	}
-}
 
 // SignalOf computes the signal of node v under the current configuration
 // into sig (which is reset first).
@@ -1074,7 +633,7 @@ func (e *Engine) SignalOf(v int, sig *sa.Signal) {
 	}
 }
 
-// Step returns the number of steps executed so far (the current time t).
+// StepCount returns the number of steps executed so far (the current time t).
 func (e *Engine) StepCount() int { return e.step }
 
 // Rounds returns the number of completed rounds R(i) <= current time.

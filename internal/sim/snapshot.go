@@ -91,8 +91,8 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 
 	// Mode flags.
 	p := 0
-	if e.par != nil {
-		p = e.par.part.P()
+	if e.part != nil {
+		p = e.part.P()
 	}
 	enc.Bool(e.fr != nil)
 	enc.Int(p)
@@ -102,18 +102,18 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 	if e.fr != nil {
 		enc.Ints(e.fr.set.AppendTo(nil))
 	}
-	if e.par != nil {
-		enc.Ints(e.par.part.Starts())
-		enc.Int(e.par.churnAccum)
+	if e.part != nil {
+		enc.Ints(e.part.Starts())
+		enc.Int(e.churnAccum)
 	}
 	if e.wr != nil {
 		// The goodness slabs are serialized raw: stale bits of unevaluated
 		// frontier nodes are trajectory-visible through certification, so
 		// they cannot be rebuilt from the configuration. Self-words can.
 		enc.Bool(e.wr.certified)
-		enc.Int(len(e.wr.slabs))
-		for _, slab := range e.wr.slabs {
-			enc.U64s(slab)
+		enc.Int(len(e.lanes))
+		for s := range e.lanes {
+			enc.U64s(e.lanes[s].slab)
 		}
 	}
 	if e.churn != nil {
@@ -299,7 +299,7 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 	}
 	e.tracker = tracker
 
-	if e.par != nil {
+	if e.part != nil {
 		// The saved partition bounds are NOT derivable from the restored
 		// graph: a mid-run repartition reflects churn history. Rebuild the
 		// classification tables under the saved bounds.
@@ -307,17 +307,17 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 		if err != nil {
 			return nil, nil, fmt.Errorf("sim: snapshot partition: %w", err)
 		}
-		if part.P() != e.par.part.P() {
-			return nil, nil, fmt.Errorf("sim: snapshot partition has %d shards, engine built %d", part.P(), e.par.part.P())
+		if part.P() != e.part.P() {
+			return nil, nil, fmt.Errorf("sim: snapshot partition has %d shards, engine built %d", part.P(), e.part.P())
 		}
-		e.par.part = part
-		e.par.churnAccum = churnAccum
+		e.setPartition(part)
+		e.churnAccum = churnAccum
 	}
 	if e.fr != nil {
 		// New filled the frontier (fresh runs start all-dirty); rebuild it
 		// to hold exactly the saved members under the restored partition.
-		if e.par != nil {
-			e.fr.set = frontier.NewSharded(n, e.par.part.Starts(), e.par.part.ShardIndex())
+		if e.part != nil {
+			e.fr.set = frontier.NewSharded(n, e.part.Starts(), e.part.ShardIndex())
 		} else {
 			e.fr.set = frontier.New(n)
 		}
@@ -334,14 +334,14 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 		// from the configuration, which is stricter than the per-eval
 		// invariant allows for unevaluated frontier nodes).
 		e.wr.rebuildSlabs(e)
-		if len(slabs) != len(e.wr.slabs) {
-			return nil, nil, fmt.Errorf("sim: snapshot has %d word slabs, engine carved %d", len(slabs), len(e.wr.slabs))
+		if len(slabs) != len(e.lanes) {
+			return nil, nil, fmt.Errorf("sim: snapshot has %d word slabs, engine carved %d", len(slabs), len(e.lanes))
 		}
 		for s, slab := range slabs {
-			if len(slab) != len(e.wr.slabs[s]) {
-				return nil, nil, fmt.Errorf("sim: snapshot word slab %d has %d words, engine carved %d", s, len(slab), len(e.wr.slabs[s]))
+			if len(slab) != len(e.lanes[s].slab) {
+				return nil, nil, fmt.Errorf("sim: snapshot word slab %d has %d words, engine carved %d", s, len(slab), len(e.lanes[s].slab))
 			}
-			copy(e.wr.slabs[s], slab)
+			copy(e.lanes[s].slab, slab)
 		}
 		e.wr.certified = certified
 	}
@@ -537,4 +537,3 @@ func (c *churnCheckpoint) restoreInto(cr *churnRuntime) error {
 	}
 	return nil
 }
-
