@@ -69,13 +69,14 @@
 //     with the full stack attached (the obs series of BENCH_hotpath.json,
 //     gated by hotpathbench -obs-gate);
 //   - a word-parallel hot path (sim.Options.WordParallel, syncsim.WordEngine,
-//     campaign -word): node state lives in bit planes (sa.Planes, one
-//     uint64 plane per state, struct-of-arrays), neighborhood signals come
-//     from a batched CSR OR-scan (sa.BuildSignals), and a precompiled
-//     transition table (core.AU.Kernel) evaluates 64 nodes' transitions and
-//     goodness per word pass with math/bits intrinsics; certified full
-//     steps feed the GoodMonitor one batched apply instead of n per-node
-//     updates. Word-parallel runs are byte-identical to scalar runs
+//     campaign -word): the hot state is one one-hot self-word per node plus
+//     a goodness slab per lane (sa.Planes, one uint64 plane per state, is
+//     only the pack/inspect format), neighborhood signals come from a
+//     batched CSR OR-scan (sa.BuildSignals), and a precompiled transition
+//     table (core.AU.Kernel) evaluates 64 nodes' transitions and goodness
+//     per word pass with math/bits intrinsics; certified full steps feed the
+//     GoodMonitor one plain batch (a raw-mirror refresh) instead of n
+//     per-node updates. Word-parallel runs are byte-identical to scalar runs
 //     (the engine differentials and the cmd/campaign -plane-check guard
 //     enforce it), the dense steady step stays 0 allocs/op, and the
 //     word/scalar speedup at n = 10^5 is gated by hotpathbench -plane-gate

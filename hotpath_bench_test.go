@@ -101,8 +101,8 @@ func BenchmarkHotPathFrontierRecovery(b *testing.B) {
 // series (the full n=10^5 pair lives in cmd/hotpathbench): the dense steady
 // step with and without bit-planed batch evaluation. The word variant
 // replaces the per-node sense/transition loop with a CSR OR-scan plus one
-// fused EvalGood pass and answers the stabilization check from the cached
-// word verdict; both sides must report 0 allocs/op, and cmd/hotpathbench
+// fused EvalGood pass and feeds the monitor one certified batch per step;
+// both sides must report 0 allocs/op, and cmd/hotpathbench
 // -plane-gate enforces the word/scalar speedup at n=10^5.
 func BenchmarkHotPathWordSteadyStep(b *testing.B) {
 	const n = 10000

@@ -12,10 +12,10 @@ import (
 func TestAUFormula(t *testing.T) {
 	cases := []struct{ k, want int }{
 		{1, 560},
-		{5, 8000},      // D = 1
-		{8, 31220},     // D = 2
-		{11, 80360},    // D = 3
-		{20, 480500},   // D = 6, the churn-margined bio-churn clock
+		{5, 8000},    // D = 1
+		{8, 31220},   // D = 2
+		{11, 80360},  // D = 3
+		{20, 480500}, // D = 6, the churn-margined bio-churn clock
 		{100, 60000500},
 	}
 	for _, c := range cases {
@@ -28,8 +28,8 @@ func TestAUFormula(t *testing.T) {
 // TestTaskFormula pins the Theorem 1.3/1.4 budget 3000(D + log n)log n + 5000.
 func TestTaskFormula(t *testing.T) {
 	cases := []struct{ d, n, want int }{
-		{3, 2, 17000},   // log2(2) = 1
-		{3, 16, 89000},  // log2(16) = 4
+		{3, 2, 17000},  // log2(2) = 1
+		{3, 16, 89000}, // log2(16) = 4
 		{1, 1024, 335000},
 	}
 	for _, c := range cases {
@@ -42,8 +42,8 @@ func TestTaskFormula(t *testing.T) {
 // TestSynchronizerFormula pins the Corollary 1.2 allowance 80k³.
 func TestSynchronizerFormula(t *testing.T) {
 	cases := []struct{ d, want int }{
-		{1, 80 * 125},    // k = 5
-		{3, 80 * 1331},   // k = 11
+		{1, 80 * 125},  // k = 5
+		{3, 80 * 1331}, // k = 11
 	}
 	for _, c := range cases {
 		if got := budget.Synchronizer(c.d); got != c.want {

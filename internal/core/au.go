@@ -205,12 +205,6 @@ func (a *AU) Kernel() sa.WordEval {
 	return a.kern
 }
 
-// WordEval returns the concrete word evaluator (nil when |Q| > 64); the
-// in-package monitors use it for word-parallel good-node passes.
-func (a *AU) WordEval() *wordEval {
-	return a.kern
-}
-
 // Psi exposes the outwards operator of the instance's level algebra.
 func (a *AU) Psi(l Level, j int) (Level, bool) { return a.ls.Psi(l, j) }
 

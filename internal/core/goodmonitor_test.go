@@ -1,19 +1,25 @@
 package core_test
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
 	"thinunison/internal/core"
 	"thinunison/internal/graph"
+	"thinunison/internal/sa"
 	"thinunison/internal/sched"
 	"thinunison/internal/sim"
+	"thinunison/internal/snapshot"
 )
 
 // TestGoodMonitorMatchesGraphGood cross-checks the incremental stabilization
 // monitor against the full-scan predicate after every engine step, transient
-// fault burst, and single-node corruption, across graph families and
-// schedulers. This is the correctness anchor of the O(|A_t|·Δ) hot path.
+// fault burst, and single-node corruption, across graph families, schedulers
+// and diameter bounds D ∈ {1, 4, 6} (|Q| = 18, 54, 78: the monitor's
+// per-state tables below and above 64 states, and adjacency across the seam
+// of the φ-cycle at every k). This is the correctness anchor of the
+// O(|A_t|·Δ) hot path.
 func TestGoodMonitorMatchesGraphGood(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	graphs := map[string]*graph.Graph{}
@@ -37,40 +43,41 @@ func TestGoodMonitorMatchesGraphGood(t *testing.T) {
 				return sched.NewRandomSubset(0.4, 8, rand.New(rand.NewSource(5)))
 			},
 		} {
-			s := mk()
-			t.Run(name+"/"+s.Name(), func(t *testing.T) {
-				au, err := core.NewAU(4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng, err := sim.New(g, au, sim.Options{Scheduler: s, Seed: 77})
-				if err != nil {
-					t.Fatal(err)
-				}
-				mon := core.NewGoodMonitor(au, g, eng.Config())
-				eng.Observe(mon)
-				check := func(at string) {
-					t.Helper()
-					if got, want := mon.Good(), au.GraphGood(g, eng.Config()); got != want {
-						t.Fatalf("%s: monitor Good()=%v, GraphGood=%v (bad=%d)",
-							at, got, want, mon.BadNodes())
-					}
-				}
-				check("initial")
-				for i := 0; i < 400; i++ {
-					if err := eng.Step(); err != nil {
+			t.Run(name+"/"+mk().Name(), func(t *testing.T) {
+				for _, d := range []int{1, 4, 6} {
+					au, err := core.NewAU(d)
+					if err != nil {
 						t.Fatal(err)
 					}
-					check("step")
-					switch i {
-					case 150:
-						eng.InjectFaults(3)
-						check("burst")
-					case 250:
-						if err := eng.SetState(0, au.MustState(core.Turn{Level: 2, Faulty: true})); err != nil {
+					eng, err := sim.New(g, au, sim.Options{Scheduler: mk(), Seed: 77})
+					if err != nil {
+						t.Fatal(err)
+					}
+					mon := core.NewGoodMonitor(au, g, eng.Config())
+					eng.Observe(mon)
+					check := func(at string) {
+						t.Helper()
+						if got, want := mon.Good(), au.GraphGood(g, eng.Config()); got != want {
+							t.Fatalf("D=%d %s: monitor Good()=%v, GraphGood=%v (bad=%d)",
+								d, at, got, want, mon.BadNodes())
+						}
+					}
+					check("initial")
+					for i := 0; i < 400; i++ {
+						if err := eng.Step(); err != nil {
 							t.Fatal(err)
 						}
-						check("set-state")
+						check("step")
+						switch i {
+						case 150:
+							eng.InjectFaults(3)
+							check("burst")
+						case 250:
+							if err := eng.SetState(0, au.MustState(core.Turn{Level: 2, Faulty: true})); err != nil {
+								t.Fatal(err)
+							}
+							check("set-state")
+						}
 					}
 				}
 			})
@@ -113,10 +120,10 @@ func TestGoodMonitorReset(t *testing.T) {
 }
 
 // TestGoodMonitorAdaptiveRegimes pins the deferred→incremental life cycle:
-// the monitor starts deferred (witness scans), schedules its promotion on
-// the first good verdict, and must stay exact across every interleaving of
-// verdicts and changes around the promotion point — in particular a fault
-// burst landing between the clean scan and the lazy promotion recount.
+// the monitor starts deferred (witness scans), promotes on the first good
+// verdict — the clean scan itself, with no recount — and must stay exact
+// across every interleaving of verdicts and changes around the promotion
+// point, in particular a fault burst landing right after it.
 func TestGoodMonitorAdaptiveRegimes(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g, err := graph.BoundedDiameter(40, 3, rng)
@@ -135,23 +142,36 @@ func TestGoodMonitorAdaptiveRegimes(t *testing.T) {
 	eng.Observe(mon)
 
 	// Run to the first good verdict (deferred regime throughout).
-	for i := 0; i < 10_000 && !mon.Good(); i++ {
+	good := mon.Good()
+	if good {
+		t.Fatal("random initial configuration is already good; pick another seed")
+	}
+	if got := mon.BadNodesFast(); got != -1 {
+		t.Fatalf("deferred monitor BadNodesFast() = %d, want -1", got)
+	}
+	for i := 0; i < 10_000 && !good; i++ {
 		if err := eng.Step(); err != nil {
 			t.Fatal(err)
 		}
+		good = mon.Good()
 	}
-	if !mon.Good() {
+	if !good {
 		t.Fatal("did not stabilize")
 	}
+	// Promotion is immediate: the verdict that first returned true left the
+	// counters live (and all zero).
+	if got := mon.BadNodesFast(); got != 0 {
+		t.Fatalf("BadNodesFast() right after the first good verdict = %d, want 0", got)
+	}
 
-	// Corrupt between the clean scan and the promotion recount: the next
-	// verdict must see the faults.
+	// Corrupt right after the promotion: the next verdict must see the
+	// faults through the counters alone.
 	eng.InjectFaults(6)
 	if got, want := mon.Good(), au.GraphGood(g, eng.Config()); got != want {
 		t.Fatalf("promotion-point fault burst: Good()=%v, GraphGood=%v", got, want)
 	}
 
-	// Recover under the (now incremental) monitor; verdicts stay exact.
+	// Recover under the incremental monitor; verdicts stay exact.
 	for i := 0; i < 10_000; i++ {
 		if err := eng.Step(); err != nil {
 			t.Fatal(err)
@@ -168,5 +188,160 @@ func TestGoodMonitorAdaptiveRegimes(t *testing.T) {
 	}
 	if got, want := mon.BadNodes(), 0; got != want {
 		t.Fatalf("BadNodes after recovery = %d", got)
+	}
+}
+
+// toggleEdges stages ops random edge toggles on the delta (insert if absent,
+// delete if present), commits them in ONE batch, and fans the committed
+// changes out to the monitors exactly the way sim.ApplyDelta does: the graph
+// mutates first, then each RewireEdge is delivered.
+func toggleEdges(t *testing.T, g *graph.Graph, rng *rand.Rand, ops int, mons ...*core.GoodMonitor) {
+	t.Helper()
+	delta := graph.NewDelta(g)
+	for i := 0; i < ops; i++ {
+		u, v := rng.Intn(g.N()), rng.Intn(g.N())
+		if u == v {
+			continue
+		}
+		var err error
+		if delta.HasEdge(u, v) {
+			err = delta.DeleteEdge(u, v)
+		} else {
+			err = delta.InsertEdge(u, v)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	changes, _ := delta.Apply()
+	for _, c := range changes {
+		for _, mon := range mons {
+			mon.RewireEdge(c.U, c.V, c.Added)
+		}
+	}
+}
+
+// TestGoodMonitorCheckpointRegimes round-trips CheckpointState/RestoreState
+// in both regimes — deferred (with a populated witness cache) and
+// incremental — and verifies the restored monitor is behaviorally
+// indistinguishable: byte-identical re-checkpoint, matching BadNodes, and
+// matching verdicts against the full-scan oracle through a post-restore
+// churn + Apply continuation.
+func TestGoodMonitorCheckpointRegimes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g, err := graph.RandomConnected(14, 0.3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	au, err := core.NewAU(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	able := au.MustState(core.Turn{Level: 1})
+
+	goodCfg := func() sa.Config {
+		cfg := make(sa.Config, g.N())
+		for v := range cfg {
+			cfg[v] = able
+		}
+		return cfg
+	}
+
+	roundTrip := func(t *testing.T, mon *core.GoodMonitor) *core.GoodMonitor {
+		t.Helper()
+		state := mon.CheckpointState()
+		restored := core.NewGoodMonitor(au, g, goodCfg())
+		if err := restored.RestoreState(state); err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		if !bytes.Equal(restored.CheckpointState(), state) {
+			t.Fatal("re-checkpoint of restored monitor is not byte-identical")
+		}
+		if got, want := restored.BadNodes(), mon.BadNodes(); got != want {
+			t.Fatalf("restored BadNodes()=%d, original=%d", got, want)
+		}
+		return restored
+	}
+
+	// A continuation both monitors run in lockstep after the round-trip:
+	// churn, then random state changes through Apply, then verdicts — all
+	// against the oracle.
+	continuation := func(t *testing.T, a, b *core.GoodMonitor, cfg sa.Config, seed int64) {
+		t.Helper()
+		r := rand.New(rand.NewSource(seed))
+		toggleEdges(t, g, r, 3, a, b)
+		for i := 0; i < 2; i++ {
+			v := r.Intn(g.N())
+			cfg[v] = r.Intn(au.NumStates())
+			a.Apply(v, cfg[v])
+			b.Apply(v, cfg[v])
+		}
+		want := au.GraphGood(g, cfg)
+		if got := a.Good(); got != want {
+			t.Fatalf("original continuation: Good()=%v, GraphGood=%v", got, want)
+		}
+		if got := b.Good(); got != want {
+			t.Fatalf("restored continuation: Good()=%v, GraphGood=%v", got, want)
+		}
+	}
+
+	t.Run("deferred", func(t *testing.T) {
+		r := rand.New(rand.NewSource(5))
+		cfg := make(sa.Config, g.N())
+		for v := range cfg {
+			cfg[v] = r.Intn(au.NumStates())
+		}
+		mon := core.NewGoodMonitor(au, g, cfg)
+		if mon.Good() {
+			t.Skip("random config happened to be good; pick another seed")
+		}
+		// The failed verdict populated the witness cache; it must survive the
+		// round-trip in its exact order.
+		restored := roundTrip(t, mon)
+		continuation(t, mon, restored, cfg, 51)
+	})
+
+	t.Run("incremental", func(t *testing.T) {
+		cfg := goodCfg()
+		mon := core.NewGoodMonitor(au, g, cfg)
+		if !mon.Good() || mon.BadNodesFast() != 0 {
+			t.Fatal("uniform able configuration did not promote the monitor")
+		}
+		for i := 0; i < 4; i++ {
+			v := rng.Intn(g.N())
+			cfg[v] = rng.Intn(au.NumStates())
+			mon.Apply(v, cfg[v])
+		}
+		restored := roundTrip(t, mon)
+		continuation(t, mon, restored, cfg, 52)
+	})
+}
+
+// TestGoodMonitorRestoreRejectsBadState: a monitor snapshot whose raw mirror
+// holds a state outside [0, |Q|) must fail to restore with an error — the
+// per-state tables would otherwise be indexed out of range.
+func TestGoodMonitorRestoreRejectsBadState(t *testing.T) {
+	g, err := graph.Cycle(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	au, err := core.NewAU(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int{-1, au.NumStates()} {
+		var e snapshot.Enc
+		e.IntsFunc(g.N(), func(v int) int {
+			if v == 3 {
+				return bad
+			}
+			return 0
+		})
+		e.Bool(false)
+		e.Ints(nil)
+		mon := core.NewGoodMonitor(au, g, make(sa.Config, g.N()))
+		if err := mon.RestoreState(e.Bytes()); err == nil {
+			t.Fatalf("state %d restored without error", bad)
+		}
 	}
 }

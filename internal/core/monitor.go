@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"thinunison/internal/graph"
 	"thinunison/internal/obs"
@@ -114,25 +113,28 @@ func (m *Monitor) Check(cfg sa.Config) error {
 // rarely rescan.
 const maxWitnesses = 8
 
-// GoodMonitor tracks the AlgAU stabilization predicate GraphGood, adapting
-// its strategy to the regime:
+// GoodMonitor tracks the AlgAU stabilization predicate GraphGood in one of
+// two regimes:
 //
-//   - During churn (from construction until the graph first turns good) it
-//     runs *deferred*: Apply is a single raw-state store (no decode, no
-//     neighbor walk), and Good() answers by checking a small cache of
-//     known-bad witnesses in O(Δ) — falling back to an early-exit scan only
-//     when every witness has healed. While the graph is bad this is as
-//     cheap as the full-scan predicate's short circuit, without the
-//     counter-maintenance overhead that used to make the incremental
-//     monitor a net loss on stabilization sweeps (0.77–0.92x vs full scan).
-//   - On the first good verdict it *promotes* to incremental: per-node
-//     violation counters — unprotected incident edges and faulty neighbors —
-//     plus a not-good node count, maintained in O(deg v) per change, make
-//     every further check O(1) (O(P) sharded). The promotion recount itself
-//     is lazy — it runs on the Good() call after the one that turned good,
-//     so a run that stops at stabilization never pays it. Fault bursts into
-//     a stabilized run are exactly the regime where the counters win by
-//     orders of magnitude (see the recovery series of BENCH_hotpath.json).
+//   - From construction until the graph first turns good it runs
+//     *deferred*: Apply is a single raw-state store (no neighbor walk), and
+//     Good() answers by checking a small cache of known-bad witnesses in
+//     O(Δ) — falling back to an early-exit scan only when every witness has
+//     healed. While the graph is bad this is as cheap as the full-scan
+//     predicate's short circuit, without the counter-maintenance overhead
+//     that used to make the incremental monitor a net loss on stabilization
+//     sweeps (0.77–0.92x vs full scan).
+//   - The scan that first finds no bad node *promotes* it to incremental:
+//     per-node violation counters — unprotected incident edges and faulty
+//     neighbors — plus a not-good node count, maintained in O(deg v) per
+//     change, make every further check O(1) (O(P) sharded). The promotion
+//     is free: a good graph has every counter at zero, and zero is where the
+//     deferred regime leaves them. Fault bursts into a stabilized run are
+//     exactly the regime where the counters win by orders of magnitude (see
+//     the recovery series of BENCH_hotpath.json).
+//
+// The only per-node state besides the counters is the raw configuration
+// mirror; a node's level and faulty flag are looked up in per-state tables.
 //
 // It implements sim.ConfigObserver: register it on an engine with
 // Engine.Observe and it sees every node state change (steps, SetState,
@@ -144,48 +146,32 @@ const maxWitnesses = 8
 // concurrently — every slot touched when an interior node changes belongs
 // to that node's shard — and Good combines the per-shard counts in O(P).
 type GoodMonitor struct {
-	au *AU
-	g  *graph.Graph
+	g *graph.Graph
 
-	raw []sa.State // mirror of the configuration (deferred-regime state)
+	raw []sa.State // mirror of the configuration
 
-	level  []Level // current level λ_v per node (incremental regime)
-	faulty []bool  // current faulty flag per node (incremental regime)
+	// Per-state tables, O(|Q|): the position of q's level on the φ-cycle
+	// (Levels.Index) and whether q is a faulty turn. Two levels are adjacent
+	// when their positions differ by 0, ±1 or ±(order−1).
+	posOf    []int32
+	faultyOf []bool
+	order    int32
 
-	deferred  bool  // true until the promotion recount has run
-	promote   bool  // the graph turned good; recount on the next Good()
+	deferred  bool  // true until a scan first finds the graph good
 	witnesses []int // recently observed bad nodes (deferred mode only)
 
+	// Incremental-regime counters; all zero while deferred.
 	unprot  []int32 // number of unprotected incident edges per node
 	fnbrs   []int32 // number of faulty neighbors per node
 	bad     []int   // not-good node counts; one slot per shard (one total when unsharded)
 	shardOf []int32 // owner-shard table from AttachShards; nil when unsharded
-
-	// wordOK caches a word-parallel engine's per-step goodness verdict (see
-	// NoteWordStep): true asserts the current configuration is graph-good,
-	// letting Good() answer O(1) without touching counters or scanning.
-	// Every Apply / RewireEdge / Reset clears it (atomically — sharded
-	// engines deliver interior Applies concurrently); scalar engines never
-	// set it, so the flag is dead weight of one uncontended store there.
-	wordOK atomic.Bool
-
-	// stale marks the incremental counters out of date after a batched word
-	// apply (ApplyWordBatch): on the certified steady path the monitor takes
-	// the whole step's changes as one raw-mirror pass and skips the O(deg)
-	// per-node goodness bookkeeping — the word verdict answers Good() — so
-	// the counters lag until the next scalar touch resyncs them. Only
-	// sequential engines batch (sharded merges keep per-node Applies), so
-	// stale is coordinator-private and needs no atomicity.
-	stale bool
 
 	mx *obs.Metrics // nil unless Instrument attached a metric set
 }
 
 // Instrument attaches a metric set: the monitor counts its regime
 // promotions (deferred → incremental) and classifies applied transitions by
-// turn shape (AA/AF/FA). Transition classification costs two turn decodes
-// per Apply in the deferred regime — uninstrumented monitors keep the
-// single-store fast path.
+// turn shape (AA/AF/FA).
 func (m *GoodMonitor) Instrument(mx *obs.Metrics) { m.mx = mx }
 
 // countTransition classifies a turn change by shape into the metric set.
@@ -203,100 +189,54 @@ func (m *GoodMonitor) countTransition(oldF, newF bool) {
 }
 
 // NewGoodMonitor returns a monitor initialized from cfg. It starts in the
-// deferred regime (an O(n) raw copy, no decode, no counter scan); the
-// incremental counters are built once, when the graph first turns good.
+// deferred regime: an O(n) raw copy plus the O(|Q|) per-state tables, no
+// counter scan.
 func NewGoodMonitor(au *AU, g *graph.Graph, cfg sa.Config) *GoodMonitor {
-	n := g.N()
+	n, nq := g.N(), au.NumStates()
 	m := &GoodMonitor{
-		au:       au,
 		g:        g,
 		raw:      make([]sa.State, n),
-		level:    make([]Level, n),
-		faulty:   make([]bool, n),
+		posOf:    make([]int32, nq),
+		faultyOf: make([]bool, nq),
+		order:    int32(au.ls.Order()),
 		unprot:   make([]int32, n),
 		fnbrs:    make([]int32, n),
 		bad:      make([]int, 1),
 		deferred: true,
 	}
+	for q := range m.posOf {
+		t := au.Turn(q)
+		m.posOf[q] = int32(au.ls.Index(t.Level))
+		m.faultyOf[q] = t.Faulty
+	}
 	copy(m.raw, cfg)
 	return m
 }
 
-// NoteWordStep implements sim.WordVerdictObserver: a word-parallel engine
-// reports, after each step's applies, whether its fused goodness plane
-// certified the configuration graph-good (certified == true asserts every
-// node is good post-step; false asserts nothing). The verdict is cached so
-// Good() answers O(1) on the certified steady path — fed by the kernel's
-// popcount-style plane instead of counters or scans — and any later Apply,
-// RewireEdge or Reset clears the cache, falling back to the regular regimes.
-// A certified verdict agrees with GraphGood by construction, so verdict
-// sequences (and hence the promotion step, a trajectory-pinned counter) are
-// identical to scalar runs.
-func (m *GoodMonitor) NoteWordStep(certified bool) {
-	m.wordOK.Store(certified)
+// adjacent reports whether the levels at φ-cycle positions a and b are
+// adjacent (Levels.Adjacent).
+func (m *GoodMonitor) adjacent(a, b int32) bool {
+	d := a - b
+	if d < 0 {
+		d = -d
+	}
+	return d <= 1 || d == m.order-1
 }
 
 // ApplyWordBatch implements sim.WordBatchObserver: a word-parallel engine
 // delivers a certified step's changed nodes as one batch — cfg is the
 // engine's post-step configuration — instead of per-node Apply calls. The
-// pre-apply configuration was graph-good and complete, so by the closure
-// property the post-step one is too; the monitor therefore only refreshes
-// its raw mirror and classifies the transitions (by the same turn-shape rule
-// as Apply, aggregated into three atomic adds), deferring the counter
-// bookkeeping: the incremental counters go stale and resync lazily on the
-// next scalar touch. Transition totals, verdicts and the promotion step stay
-// byte-identical to a scalar run feeding the same changes through Apply.
+// pre-step configuration was certified graph-good, so by Lem. 2.10 the
+// post-step one is too: every counter is zero before and after, every node
+// is able on both sides, and each change is an AA transition. In either
+// regime the batch therefore only refreshes the raw mirror and tallies the
+// transitions. Uncertified changes must go through Apply.
 func (m *GoodMonitor) ApplyWordBatch(changed []int, cfg sa.Config) {
-	if m.mx != nil {
-		// Faulty turns occupy the dense suffix 2k..4k−3, so the turn-shape
-		// classification of countTransition reduces to two threshold tests.
-		order := 2 * m.au.ls.k
-		var aa, af, fa uint64
-		for _, v := range changed {
-			oldF, newF := m.raw[v] >= order, cfg[v] >= order
-			switch {
-			case !oldF && !newF:
-				aa++
-			case !oldF:
-				af++
-			case !newF:
-				fa++
-			}
-			m.raw[v] = cfg[v]
-		}
-		if aa != 0 {
-			m.mx.TransAA.Add(aa)
-		}
-		if af != 0 {
-			m.mx.TransAF.Add(af)
-		}
-		if fa != 0 {
-			m.mx.TransFA.Add(fa)
-		}
-	} else {
-		for _, v := range changed {
-			m.raw[v] = cfg[v]
-		}
+	for _, v := range changed {
+		m.raw[v] = cfg[v]
 	}
-	if !m.deferred {
-		m.stale = true
-	}
-}
-
-// resync rebuilds the incremental counters from the raw mirror after batched
-// word applies left them stale — the same O(n·Δ) pass as a promotion, paid
-// once per word-to-scalar regime transition.
-func (m *GoodMonitor) resync() {
-	m.decode()
-	m.recount()
-}
-
-// decode rebuilds the per-node turn decode from the raw mirror.
-func (m *GoodMonitor) decode() {
-	for v, q := range m.raw {
-		t := m.au.Turn(q)
-		m.level[v] = t.Level
-		m.faulty[v] = t.Faulty
+	if m.mx != nil && len(changed) != 0 {
+		m.mx.TransAA.Add(uint64(len(changed)))
 	}
 }
 
@@ -311,14 +251,7 @@ func (m *GoodMonitor) AttachShards(shardOf []int32, nshards int) {
 	m.shardOf = shardOf
 	m.bad = make([]int, nshards)
 	if !m.deferred {
-		if m.stale {
-			// After a batched word apply the turn mirror (level/faulty) lags
-			// the raw mirror; recounting from it would rebuild the per-shard
-			// counts against stale turns. Resync decodes from raw first.
-			m.resync()
-		} else {
-			m.recount()
-		}
+		m.recount()
 	}
 }
 
@@ -332,33 +265,30 @@ func (m *GoodMonitor) shard(v int) int {
 
 // Reset reloads the monitor from cfg. Use it when the configuration was
 // rewritten wholesale outside the monitor's view. The current regime is
-// kept: an incremental monitor rebuilds its counters, a deferred one only
-// refreshes its turn mirror (and drops its witnesses).
+// kept: an incremental monitor rebuilds its counters, a deferred one drops
+// its witnesses.
 func (m *GoodMonitor) Reset(cfg sa.Config) {
 	copy(m.raw, cfg)
-	m.wordOK.Store(false)
 	m.witnesses = m.witnesses[:0]
-	m.promote = false
 	if !m.deferred {
-		m.decode()
 		m.recount()
 	}
 }
 
 // recount rebuilds the violation counters and per-shard bad counts from the
-// turn mirror — the one full O(n·Δ) pass of a promotion.
+// raw mirror in one O(n·Δ) pass, for a counter layout that changed under an
+// incremental monitor (Reset, AttachShards, RestoreState).
 func (m *GoodMonitor) recount() {
-	m.stale = false
-	for s := range m.bad {
-		m.bad[s] = 0
-	}
+	clear(m.bad)
 	for v := 0; v < m.g.N(); v++ {
+		pv := m.posOf[m.raw[v]]
 		var unprot, fnbrs int32
 		for _, u := range m.g.Neighbors(v) {
-			if !m.au.ls.Adjacent(m.level[v], m.level[u]) {
+			qu := m.raw[u]
+			if !m.adjacent(pv, m.posOf[qu]) {
 				unprot++
 			}
-			if m.faulty[u] {
+			if m.faultyOf[qu] {
 				fnbrs++
 			}
 		}
@@ -373,19 +303,32 @@ func (m *GoodMonitor) recount() {
 // nodeGood mirrors AU.NodeGood over the counters: able, all incident edges
 // protected, no faulty neighbor. Valid only in the incremental regime.
 func (m *GoodMonitor) nodeGood(v int) bool {
-	return !m.faulty[v] && m.unprot[v] == 0 && m.fnbrs[v] == 0
+	return !m.faultyOf[m.raw[v]] && m.unprot[v] == 0 && m.fnbrs[v] == 0
+}
+
+// rebucket moves node v between its shard's good and not-good tallies when
+// its counter-derived goodness differs from wasGood.
+func (m *GoodMonitor) rebucket(v int, wasGood bool) {
+	if good := m.nodeGood(v); good != wasGood {
+		if good {
+			m.bad[m.shard(v)]--
+		} else {
+			m.bad[m.shard(v)]++
+		}
+	}
 }
 
 // nodeGoodScan re-derives NodeGood from the raw mirror in O(deg v),
 // without counters — the deferred regime's primitive.
 func (m *GoodMonitor) nodeGoodScan(v int) bool {
-	tv := m.au.Turn(m.raw[v])
-	if tv.Faulty {
+	qv := m.raw[v]
+	if m.faultyOf[qv] {
 		return false
 	}
+	pv := m.posOf[qv]
 	for _, u := range m.g.Neighbors(v) {
-		tu := m.au.Turn(m.raw[u])
-		if tu.Faulty || !m.au.ls.Adjacent(tv.Level, tu.Level) {
+		qu := m.raw[u]
+		if m.faultyOf[qu] || !m.adjacent(pv, m.posOf[qu]) {
 			return false
 		}
 	}
@@ -399,34 +342,21 @@ func (m *GoodMonitor) nodeGoodScan(v int) bool {
 // final configuration, so simultaneous updates may be fed one node at a
 // time.
 func (m *GoodMonitor) Apply(v int, q sa.State) {
-	m.wordOK.Store(false)
-	if m.deferred {
-		if m.mx != nil {
-			was, now := m.au.Turn(m.raw[v]), m.au.Turn(q)
-			if was != now {
-				m.countTransition(was.Faulty, now.Faulty)
-			}
-		}
-		m.raw[v] = q
+	old := m.raw[v]
+	if old == q {
 		return
 	}
-	if m.stale {
-		m.resync()
-	}
-	// Keep the raw mirror current through the incremental regime too: it is
-	// the baseline ApplyWordBatch classifies against and resyncs from, so it
-	// must track every state change, not just deferred-regime ones.
-	m.raw[v] = q
-	t := m.au.Turn(q)
-	oldL, oldF := m.level[v], m.faulty[v]
-	newL, newF := t.Level, t.Faulty
-	if newL == oldL && newF == oldF {
-		return
-	}
+	oldF, newF := m.faultyOf[old], m.faultyOf[q]
 	if m.mx != nil {
 		m.countTransition(oldF, newF)
 	}
+	if m.deferred {
+		m.raw[v] = q
+		return
+	}
 	vWasGood := m.nodeGood(v)
+	m.raw[v] = q
+	oldP, newP := m.posOf[old], m.posOf[q]
 	var fdelta int32
 	if oldF != newF {
 		if newF {
@@ -439,35 +369,21 @@ func (m *GoodMonitor) Apply(v int, q sa.State) {
 	for _, u := range m.g.Neighbors(v) {
 		uWasGood := m.nodeGood(u)
 		m.fnbrs[u] += fdelta
-		if newL != oldL {
-			oldP := m.au.ls.Adjacent(oldL, m.level[u])
-			newP := m.au.ls.Adjacent(newL, m.level[u])
-			if oldP && !newP {
+		if newP != oldP {
+			pu := m.posOf[m.raw[u]]
+			oldA, newA := m.adjacent(oldP, pu), m.adjacent(newP, pu)
+			if oldA && !newA {
 				m.unprot[u]++
 				dunprot++
-			} else if !oldP && newP {
+			} else if !oldA && newA {
 				m.unprot[u]--
 				dunprot--
 			}
 		}
-		if uGood := m.nodeGood(u); uGood != uWasGood {
-			if uGood {
-				m.bad[m.shard(u)]--
-			} else {
-				m.bad[m.shard(u)]++
-			}
-		}
+		m.rebucket(u, uWasGood)
 	}
-	m.level[v] = newL
-	m.faulty[v] = newF
 	m.unprot[v] += dunprot
-	if vGood := m.nodeGood(v); vGood != vWasGood {
-		if vGood {
-			m.bad[m.shard(v)]--
-		} else {
-			m.bad[m.shard(v)]++
-		}
-	}
+	m.rebucket(v, vWasGood)
 }
 
 // RewireEdge implements sim.TopologyObserver: the undirected edge (u, v)
@@ -483,19 +399,7 @@ func (m *GoodMonitor) Apply(v int, q sa.State) {
 // churn only there), so the per-shard bad slots of a sharded monitor may be
 // touched for both endpoints even when they live in different shards.
 func (m *GoodMonitor) RewireEdge(u, v int, added bool) {
-	m.wordOK.Store(false)
 	if m.deferred {
-		return
-	}
-	if m.stale {
-		// The counters lag a batched word apply, and the pending lazy resync
-		// recounts against the graph's CURRENT adjacency — which already
-		// includes this edge change (deltas commit before the rewire
-		// notifications fan out). Patching here would double-count the edge:
-		// once now, once in the recount. Worse, resyncing eagerly would
-		// incorporate the whole committed batch and then let the remaining
-		// RewireEdge deliveries of the same batch double-patch their edges.
-		// So a stale monitor must leave churn entirely to the resync.
 		return
 	}
 	uWasGood, vWasGood := m.nodeGood(u), m.nodeGood(v)
@@ -503,30 +407,19 @@ func (m *GoodMonitor) RewireEdge(u, v int, added bool) {
 	if !added {
 		d = -1
 	}
-	if !m.au.ls.Adjacent(m.level[u], m.level[v]) {
+	qu, qv := m.raw[u], m.raw[v]
+	if !m.adjacent(m.posOf[qu], m.posOf[qv]) {
 		m.unprot[u] += d
 		m.unprot[v] += d
 	}
-	if m.faulty[v] {
+	if m.faultyOf[qv] {
 		m.fnbrs[u] += d
 	}
-	if m.faulty[u] {
+	if m.faultyOf[qu] {
 		m.fnbrs[v] += d
 	}
-	if uGood := m.nodeGood(u); uGood != uWasGood {
-		if uGood {
-			m.bad[m.shard(u)]--
-		} else {
-			m.bad[m.shard(u)]++
-		}
-	}
-	if vGood := m.nodeGood(v); vGood != vWasGood {
-		if vGood {
-			m.bad[m.shard(v)]--
-		} else {
-			m.bad[m.shard(v)]++
-		}
-	}
+	m.rebucket(u, uWasGood)
+	m.rebucket(v, vWasGood)
 }
 
 // Good reports whether the graph is good (every node good) — the AlgAU
@@ -536,32 +429,8 @@ func (m *GoodMonitor) RewireEdge(u, v int, added bool) {
 // scans — with early exit, refilling the witness cache — when all of them
 // have healed; the scan that finds no bad node is the promotion point.
 func (m *GoodMonitor) Good() bool {
-	if m.wordOK.Load() {
-		// The word engine certified the configuration good (NoteWordStep).
-		// A deferred monitor must still walk the exact promotion protocol of
-		// goodDeferred — first good verdict schedules the promotion, the
-		// next call performs it — because MonitorPromotions is a trajectory
-		// counter pinned across modes by the differential suites.
-		if m.deferred {
-			if m.promote {
-				m.promote = false
-				m.deferred = false
-				if m.mx != nil {
-					m.mx.MonitorPromotions.Add(1)
-				}
-				m.decode()
-				m.recount()
-			} else {
-				m.promote = true
-			}
-		}
-		return true
-	}
 	if m.deferred {
 		return m.goodDeferred()
-	}
-	if m.stale {
-		m.resync()
 	}
 	for _, b := range m.bad {
 		if b != 0 {
@@ -574,24 +443,6 @@ func (m *GoodMonitor) Good() bool {
 // goodDeferred is the deferred-regime Good: witness check, then early-exit
 // scan, then promotion when the scan comes up clean.
 func (m *GoodMonitor) goodDeferred() bool {
-	if m.promote {
-		// The previous check found the graph good; build the incremental
-		// counters now (concurrency-safe: Good runs on the coordinator
-		// between steps, never during a sharded merge).
-		m.promote = false
-		m.deferred = false
-		if m.mx != nil {
-			m.mx.MonitorPromotions.Add(1)
-		}
-		m.decode()
-		m.recount()
-		for _, b := range m.bad {
-			if b != 0 {
-				return false
-			}
-		}
-		return true
-	}
 	keep := m.witnesses[:0]
 	for _, w := range m.witnesses {
 		if !m.nodeGoodScan(w) {
@@ -623,12 +474,15 @@ func (m *GoodMonitor) goodDeferred() bool {
 	if len(m.witnesses) > 0 {
 		return false
 	}
-	// The graph is good: schedule the promotion to the incremental regime.
-	// By Lem. 2.10 a good graph stays good, so from here on the counters pay
-	// for themselves — every later check (and every fault-burst recovery)
-	// is O(1) instead of a rescan. The recount itself runs on the next
-	// call, so a run that stops at stabilization never pays it.
-	m.promote = true
+	// The graph is good: promote to the incremental regime. Every counter
+	// of a good graph is zero, which is what the deferred regime left them
+	// at, so nothing is recounted. By Lem. 2.10 a good graph stays good, so
+	// from here on the counters pay for themselves — every later check (and
+	// every fault-burst recovery) is O(1) instead of a rescan.
+	m.deferred = false
+	if m.mx != nil {
+		m.mx.MonitorPromotions.Add(1)
+	}
 	return true
 }
 
@@ -637,21 +491,14 @@ func (m *GoodMonitor) goodDeferred() bool {
 // Deferred regime: a full O(n·Δ) recount — this is an oracle-priced
 // diagnostic there, not a hot-path primitive.
 func (m *GoodMonitor) BadNodes() int {
-	if m.deferred {
-		total := 0
-		for v := 0; v < m.g.N(); v++ {
-			if !m.nodeGoodScan(v) {
-				total++
-			}
-		}
-		return total
-	}
-	if m.stale {
-		m.resync()
+	if !m.deferred {
+		return m.BadNodesFast()
 	}
 	total := 0
-	for _, b := range m.bad {
-		total += b
+	for v := 0; v < m.g.N(); v++ {
+		if !m.nodeGoodScan(v) {
+			total++
+		}
 	}
 	return total
 }
@@ -659,15 +506,10 @@ func (m *GoodMonitor) BadNodes() int {
 // BadNodesFast returns the not-good node count when it is cheap — the O(P)
 // per-shard combine of the incremental regime — and -1 in the deferred
 // regime, where an exact count would cost a full rescan. Step tracers use
-// it to enrich sampled snapshots without perturbing the hot path. After
-// batched word applies the first call resyncs the counters (amortized
-// across the sampling interval).
+// it to enrich sampled snapshots without perturbing the hot path.
 func (m *GoodMonitor) BadNodesFast() int {
 	if m.deferred {
 		return -1
-	}
-	if m.stale {
-		m.resync()
 	}
 	total := 0
 	for _, b := range m.bad {
@@ -677,53 +519,45 @@ func (m *GoodMonitor) BadNodesFast() int {
 }
 
 // CheckpointState serializes the monitor for a step-boundary snapshot: the
-// raw configuration mirror, the regime flags (deferred / pending promotion /
-// stale word-batch counters / cached word verdict) and the deferred-regime
-// witness cache in its exact order. The derived incremental state — turn
-// mirror, violation counters, per-shard bad counts — is deliberately NOT
-// serialized: it is a pure function of (raw, current adjacency, shard
-// attachment) and is rebuilt on restore, which both shrinks snapshots and
-// makes a round-trip a cross-check of the incremental maintenance.
+// raw configuration mirror, the regime flag and the deferred-regime witness
+// cache in its exact order. The incremental counters — violation counts and
+// per-shard bad counts — are deliberately NOT serialized: they are a pure
+// function of (raw, current adjacency, shard attachment) and are rebuilt on
+// restore, which both shrinks snapshots and makes a round-trip a
+// cross-check of the incremental maintenance.
 func (m *GoodMonitor) CheckpointState() []byte {
 	var e snapshot.Enc
 	e.IntsFunc(len(m.raw), func(v int) int { return int(m.raw[v]) })
 	e.Bool(m.deferred)
-	e.Bool(m.promote)
-	e.Bool(m.stale)
-	e.Bool(m.wordOK.Load())
 	e.Ints(m.witnesses)
 	return e.Bytes()
 }
 
 // RestoreState restores a CheckpointState payload into a freshly constructed
-// monitor for the same algorithm and (restored) graph. An incremental-regime
-// monitor rebuilds its counters from the raw mirror against the current
-// adjacency; the stale flag is preserved so the verdict and resync behavior
-// of the restored run replays the saved one's exactly.
+// monitor for the same algorithm and (restored) graph, whose counters are
+// still all zero. An incremental-regime monitor rebuilds its counters from
+// the raw mirror against the current adjacency.
 func (m *GoodMonitor) RestoreState(data []byte) error {
 	d := snapshot.NewDec(data)
 	if n := d.Int(); n != len(m.raw) && d.Err() == nil {
 		return fmt.Errorf("core: monitor snapshot for %d nodes restored into %d", n, len(m.raw))
 	}
 	for v := range m.raw {
-		m.raw[v] = sa.State(d.Int())
+		q := d.Int()
+		if (q < 0 || q >= len(m.posOf)) && d.Err() == nil {
+			return fmt.Errorf("core: monitor snapshot state %d of node %d out of range [0,%d)", q, v, len(m.posOf))
+		}
+		m.raw[v] = sa.State(q)
 	}
-	deferred, promote, stale, wordOK := d.Bool(), d.Bool(), d.Bool(), d.Bool()
+	deferred := d.Bool()
 	witnesses := d.Ints()
 	if err := d.Done(); err != nil {
 		return err
 	}
 	m.deferred = deferred
-	m.promote = promote
 	m.witnesses = witnesses
-	m.wordOK.Store(wordOK)
 	if !m.deferred {
-		m.resync()
+		m.recount()
 	}
-	// resync clears stale; reinstate the saved flag afterwards. A restored
-	// stale monitor has exact counters already, so the extra lazy resync it
-	// will run on its next touch is idempotent — and keeping the flag keeps
-	// CheckpointState round-trips byte-identical.
-	m.stale = stale
 	return nil
 }

@@ -157,9 +157,9 @@ func (t *auTable) classifyWord(q sa.State, sw uint64) (TransitionType, sa.State)
 
 // goodWord is the good-node predicate over a one-word inclusive-neighborhood
 // signal: the node is able, senses no faulty turn, and every sensed level is
-// adjacent to its own (i.e. all incident edges are protected). It is what
-// the word regime of GoodMonitor evaluates 64-nodes-per-pass from self-words
-// instead of maintaining per-edge violation counters.
+// adjacent to its own (i.e. all incident edges are protected). EvalGood
+// falls back to it for nodes off the protected-able fast path when it writes
+// the goodness plane a word engine certifies its steps with.
 func (t *auTable) goodWord(q sa.State, sw uint64) bool {
 	return q < t.order && sw>>uint(t.order) == 0 && sw&t.ableW&^t.adjW[q] == 0
 }
@@ -315,21 +315,4 @@ func (w *wordEval) EvalGood(cur []sa.State, sws []uint64, next []sa.State, good 
 		// Force the tail bits good so all-ones means an all-good batch.
 		good[len(cur)>>6] = acc | ^uint64(0)<<uint(rem)
 	}
-}
-
-// Good reports the good-node predicate for state q under the one-word
-// inclusive-neighborhood signal sw (see auTable.goodWord).
-func (w *wordEval) Good(q sa.State, sw uint64) bool { return w.t.goodWord(q, sw) }
-
-// CountBad evaluates the good-node predicate over a batch and returns the
-// number of bad slots; monitors use it for popcount-style violation tallies.
-func (w *wordEval) CountBad(cur []sa.State, sws []uint64) int {
-	t := w.t
-	bad := 0
-	for i, q := range cur {
-		if !t.goodWord(q, sws[i]) {
-			bad++
-		}
-	}
-	return bad
 }

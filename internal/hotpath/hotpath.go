@@ -157,15 +157,16 @@ func SteadyStepTraced(n int) func(b *testing.B) {
 // Stabilize measures one full AlgAU stabilization from a random adversarial
 // configuration on an n-node instance under the synchronous scheduler. The
 // mode selects the whole hot-path generation: Incremental is today's stack
-// (frontier-sparse execution plus the adaptive GoodMonitor, which defers
-// its counter build until the graph first turns good), FullScan is the
-// legacy stack (dense execution, GraphGood rescan per step). Both walk
-// byte-identical trajectories — same rounds/op — so the ratio is pure
-// bookkeeping cost. This scenario is the incremental machinery's worst
-// case: under the synchronous schedule almost every node changes every
-// step, which is exactly why the monitor defers and the engine certifies
-// settled nodes inline instead of maintaining counters through the churn
-// (the pre-adaptive monitor lost 8–23% here).
+// (frontier-sparse execution plus the two-regime GoodMonitor, which runs
+// witness scans until the graph first turns good and only then switches to
+// its counters), FullScan is the legacy stack (dense execution, GraphGood
+// rescan per step). Both walk byte-identical trajectories — same rounds/op —
+// so the ratio is pure bookkeeping cost. This scenario is the incremental
+// machinery's worst case: under the synchronous schedule almost every node
+// changes every step, so there is little quiescence for the frontier to skip
+// and the monitor's witness scan can at best match the full scan's early
+// exit; the committed artifact has the incremental side slower (0.84x at
+// n = 10^3, 0.93x at n = 10^4).
 func Stabilize(n int, mode Mode) func(b *testing.B) {
 	return func(b *testing.B) {
 		g, au, err := buildInstance(n, 1)
@@ -473,10 +474,11 @@ func WordName(scenario string, n int, word bool) string {
 // side replaces the per-node sense/transition loop with the batched CSR
 // OR-scan plus one fused EvalGood pass, and because the synchronous schedule
 // activates every node, each step certifies the goodness plane, so the
-// monitor answers mon.Good() from the O(1) cached word verdict instead of
-// its counters. Both sides must show 0 allocs/op and walk byte-identical
-// trajectories (the engine differentials enforce the latter); cmd/hotpathbench
-// -plane-gate enforces the speedup ratio.
+// monitor takes the step's changes as one batch that only refreshes its raw
+// mirror, and mon.Good() reads its all-zero counters in O(1). Both sides
+// must show 0 allocs/op and walk byte-identical trajectories (the engine
+// differentials enforce the latter); cmd/hotpathbench -plane-gate enforces
+// the speedup ratio.
 func WordSteadyStep(n int, word bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		g, au, err := buildInstance(n, 1)

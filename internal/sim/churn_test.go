@@ -36,11 +36,14 @@ func churnSpec() *sim.ChurnSpec {
 
 // TestChurnDifferential is the churn half of the differential harness: under
 // mid-run topology churn, every execution mode — classic dense, frontier-
-// sparse, sharded at P ∈ {1, 2, 3, 8}, and sharded frontier — must walk the
-// configuration trajectory of the classic dense engine byte for byte, while
-// the incremental GoodMonitor verdict matches the full-scan GraphGood oracle
-// at every step. AlgAU ignores rng, so classic and sharded modes coincide
-// exactly; churn draws from its own stream, so it cannot skew any of them.
+// sparse, sharded at P ∈ {1, 2, 3, 8}, sharded frontier, and word-parallel
+// dense or frontier at P ∈ {0, 1, 3} — must walk the configuration
+// trajectory of the classic dense engine byte for byte, while the GoodMonitor
+// verdict matches the full-scan GraphGood oracle at every step. The word
+// cells feed the monitor certified batches interleaved with churn rewires
+// and the fault burst. AlgAU ignores rng, so classic and sharded modes
+// coincide exactly; churn draws from its own stream, so it cannot skew any
+// of them.
 func TestChurnDifferential(t *testing.T) {
 	const seed = 7
 	au, err := core.NewAU(4)
@@ -58,14 +61,19 @@ func TestChurnDifferential(t *testing.T) {
 				name     string
 				par      int
 				frontier bool
+				word     bool
 			}
 			modes := []mode{
-				{"dense", 0, false},
-				{"frontier", 0, true},
-				{"sharded-p1", 1, false},
-				{"sharded-p3", 3, false},
-				{"sharded-frontier-p2", 2, true},
-				{"sharded-frontier-p8", 8, true},
+				{"dense", 0, false, false},
+				{"frontier", 0, true, false},
+				{"sharded-p1", 1, false, false},
+				{"sharded-p3", 3, false, false},
+				{"sharded-frontier-p2", 2, true, false},
+				{"sharded-frontier-p8", 8, true, false},
+				{"word", 0, false, true},
+				{"word-frontier", 0, true, true},
+				{"word-p1", 1, false, true},
+				{"word-frontier-p3", 3, true, true},
 			}
 			engines := make([]*sim.Engine, len(modes))
 			monitors := make([]*core.GoodMonitor, len(modes))
@@ -73,16 +81,20 @@ func TestChurnDifferential(t *testing.T) {
 			for i, m := range modes {
 				g := cloneGraph(t, base)
 				e, err := sim.New(g, au, sim.Options{
-					Scheduler:   mk(),
-					Seed:        seed,
-					Parallelism: m.par,
-					Frontier:    m.frontier,
-					Churn:       churnSpec(),
+					Scheduler:    mk(),
+					Seed:         seed,
+					Parallelism:  m.par,
+					Frontier:     m.frontier,
+					WordParallel: m.word,
+					Churn:        churnSpec(),
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer e.Close()
+				if e.WordActive() != m.word {
+					t.Fatalf("%s: WordActive()=%v", m.name, e.WordActive())
+				}
 				mon := core.NewGoodMonitor(au, g, e.Config())
 				e.Observe(mon)
 				engines[i], monitors[i], graphs[i] = e, mon, g
@@ -252,8 +264,8 @@ func TestApplyDeltaMonitorRepair(t *testing.T) {
 	if _, err := e.RunUntil(func(*sim.Engine) bool { return mon.Good() }, 10_000); err != nil {
 		t.Fatal(err)
 	}
-	if !mon.Good() { // second call runs the promotion recount
-		t.Fatal("stabilized instance not good")
+	if mon.BadNodesFast() != 0 { // the first good verdict promoted the monitor
+		t.Fatal("stabilized monitor did not switch to its counters")
 	}
 	check := func(ctx string) {
 		t.Helper()

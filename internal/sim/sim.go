@@ -178,11 +178,10 @@ type Engine struct {
 	// rebuild (see rewire).
 	churnAccum int
 
-	fr     *frontierRuntime    // frontier-sparse runtime; nil in dense mode
-	churn  *churnRuntime       // topology-churn driver; nil when Options.Churn is off
-	wr     *wordRuntime        // word-parallel runtime; nil in scalar mode
-	wObs   WordVerdictObserver // obs, when it consumes per-step word verdicts
-	wBatch WordBatchObserver   // obs, when it additionally takes batched applies
+	fr     *frontierRuntime  // frontier-sparse runtime; nil in dense mode
+	churn  *churnRuntime     // topology-churn runtime; nil when Options.Churn is off
+	wr     *wordRuntime      // word-parallel runtime; nil in scalar mode
+	wBatch WordBatchObserver // obs, when it takes certified steps as one batch
 
 	// mx is the engine's metric set — always non-nil (allocated at New when
 	// Options.Metrics is nil) so every update site is an unconditional
@@ -284,9 +283,10 @@ type Options struct {
 	// with or without churn — which the differential suites and the campaign
 	// -plane-check guard enforce.
 	//
-	// The fused goodness plane additionally certifies full-refresh steps
-	// (see WordVerdictObserver), so an attached core.GoodMonitor answers
-	// Good() in O(1) on the steady path instead of scanning.
+	// The fused goodness plane additionally certifies full-refresh steps,
+	// and a sequential engine hands a certified step's changes to a
+	// WordBatchObserver such as core.GoodMonitor in one call (see word.go)
+	// instead of n per-node Apply calls.
 	//
 	// The option is silently ignored (scalar execution) when the algorithm
 	// does not implement sa.WordKernel or Kernel() returns nil (|Q| > 64).
@@ -495,14 +495,7 @@ func (e *Engine) AddHook(h Hook) { e.hooks = append(e.hooks, h) }
 // canonical ascending node order.
 func (e *Engine) Observe(o ConfigObserver) {
 	e.obs = o
-	e.wObs = nil
-	e.wBatch = nil
-	if wo, ok := o.(WordVerdictObserver); ok {
-		e.wObs = wo
-	}
-	if wb, ok := o.(WordBatchObserver); ok {
-		e.wBatch = wb
-	}
+	e.wBatch, _ = o.(WordBatchObserver)
 	e.shObs = nil
 	if so, ok := o.(ShardedObserver); ok && e.part != nil {
 		so.AttachShards(e.part.ShardIndex(), e.part.P())

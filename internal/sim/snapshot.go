@@ -110,7 +110,6 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 		// The goodness slabs are serialized raw: stale bits of unevaluated
 		// frontier nodes are trajectory-visible through certification, so
 		// they cannot be rebuilt from the configuration. Self-words can.
-		enc.Bool(e.wr.certified)
 		enc.Int(len(e.lanes))
 		for s := range e.lanes {
 			enc.U64s(e.lanes[s].slab)
@@ -209,10 +208,8 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 		starts = d.Ints()
 		churnAccum = d.Int()
 	}
-	var certified bool
 	var slabs [][]uint64
 	if hasWord {
-		certified = d.Bool()
 		slabs = make([][]uint64, 0, 8)
 		nslabs := d.Int()
 		if d.Err() == nil && (nslabs < 0 || nslabs > n+1) {
@@ -343,7 +340,6 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 			}
 			copy(e.lanes[s].slab, slab)
 		}
-		e.wr.certified = certified
 	}
 	if churnState != nil {
 		if err := churnState.restoreInto(e.churn); err != nil {

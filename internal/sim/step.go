@@ -97,10 +97,9 @@ func (e *Engine) Step() error {
 	}
 	eval := e.activate()
 	e.stepChg = 0
-	// A scalar step with nothing to evaluate has nothing to stage or apply
-	// (most round-robin steps on a settling frontier); a word step still
-	// certifies and delivers its verdict.
-	if len(eval) > 0 || e.wr != nil {
+	// A step with nothing to evaluate has nothing to stage or apply (most
+	// round-robin steps on a settling frontier).
+	if len(eval) > 0 {
 		if e.pool != nil {
 			e.bucket(eval)
 			e.pool.Run(e.stageFn)
@@ -110,15 +109,6 @@ func (e *Engine) Step() error {
 		}
 		certified := e.wr != nil && len(eval) == refresh && e.slabsAllOnes()
 		e.stepChg = e.apply(certified)
-		if e.wr != nil {
-			e.wr.certified = certified
-			if e.wObs != nil {
-				// Delivered after every apply of the step, so a later Apply
-				// (fault injection, churn) supersedes the verdict at the
-				// observer.
-				e.wObs.NoteWordStep(certified)
-			}
-		}
 	}
 	e.step++
 	if err := e.flushStats(); err != nil {

@@ -16,43 +16,27 @@ import (
 // scalar runs in every mode (dense/frontier, any Parallelism, churn), which
 // the differential suites enforce.
 //
-// The kernel's fused goodness plane (WordEval.EvalGood) additionally powers
-// an O(n/64) per-step stabilization verdict: when a step provably refreshed
-// the goodness bit of every node whose signal may have drifted — a full
-// dense activation, or a frontier step that evaluated the entire frontier —
-// and the plane reads all-ones, the configuration at the start of the step
-// was graph-good. Since an all-good configuration stays good under any set
-// of fired transitions (AF needs an unprotected or inward-faulty sense, FA
-// needs a faulty node, and AA's Λ ⊆ {ℓ, φℓ} guard preserves pairwise
-// adjacency), the verdict extends to the post-step configuration and is
-// handed to the observer via WordVerdictObserver.NoteWordStep, letting
-// core.GoodMonitor answer Good() from a cached bit instead of a scan.
+// The kernel's fused goodness plane (WordEval.EvalGood) additionally
+// certifies steps in O(n/64): when a step provably refreshed the goodness bit
+// of every node whose signal may have drifted — a full dense activation, or a
+// frontier step that evaluated the entire frontier — and the plane reads
+// all-ones, the configuration at the start of the step was graph-good. Since
+// an all-good configuration stays good under any set of fired transitions
+// (AF needs an unprotected or inward-faulty sense, FA needs a faulty node,
+// and AA's Λ ⊆ {ℓ, φℓ} guard preserves pairwise adjacency), the post-step
+// configuration is good too, and a single-lane engine hands the step's
+// changes to a WordBatchObserver in one call.
 
-// WordVerdictObserver is an optional ConfigObserver extension consuming the
-// word engine's per-step goodness verdict. After every word-parallel step the
-// engine calls NoteWordStep(certified): certified == true asserts that every
-// node satisfies the algorithm's local legitimacy predicate in the post-step
-// configuration (derived from the kernel's goodness plane plus the
-// transition-closure argument above); false makes no claim either way.
-// Any Apply delivered after a NoteWordStep supersedes its verdict.
-type WordVerdictObserver interface {
-	ConfigObserver
-	NoteWordStep(certified bool)
-}
-
-// WordBatchObserver is an optional WordVerdictObserver extension taking a
-// certified step's changes as one batch. When the pre-apply configuration
-// was certified graph-good (and hence, by closure, the post-step one is
-// too), a sequential word engine skips the per-node Apply stream — whose
-// O(deg) bookkeeping dominates steady steps where every clock ticks — and
-// delivers the changed nodes plus the post-step configuration in a single
-// call, followed by the usual NoteWordStep(true). The observer must absorb
-// the batch equivalently to the per-node stream (core.GoodMonitor refreshes
-// its mirror and transition counters and lets its goodness counters go
-// stale until the next scalar touch). Uncertified steps always use the
-// per-node stream.
+// WordBatchObserver is an optional ConfigObserver extension taking a
+// certified step's changes as one batch. A sequential word engine skips the
+// per-node Apply stream of a certified step — whose O(deg) bookkeeping
+// dominates steady steps where every clock ticks — and delivers the changed
+// nodes plus the post-step configuration in a single call. The observer
+// receives certified steps only: both the pre- and post-step configurations
+// are graph-good (core.GoodMonitor therefore only refreshes its mirror and
+// transition counters). Uncertified steps always use the per-node stream.
 type WordBatchObserver interface {
-	WordVerdictObserver
+	ConfigObserver
 	ApplyWordBatch(changed []int, cfg sa.Config)
 }
 
@@ -71,9 +55,6 @@ type wordRuntime struct {
 
 	self []uint64 // self[v] = 1 << cfg[v]
 	sws  []uint64 // node-indexed sense-word scratch of the contiguous path
-
-	// certified is the completed step's verdict (see WordVerdictObserver).
-	certified bool
 }
 
 // newWordRuntime builds the word runtime for an engine whose algorithm

@@ -66,9 +66,9 @@ func TestWordMatchesScalarTrajectories(t *testing.T) {
 
 // TestWordMonitorParity checks that a GoodMonitor on a word engine tracks
 // exactly the same verdicts and trajectory counters as one on a scalar
-// engine — including MonitorPromotions, whose timing the word verdict cache
-// must replicate bit for bit — across stabilization, a fault burst, and
-// re-stabilization.
+// engine — including MonitorPromotions and the AA/AF/FA transition tallies,
+// which the word engine's certified batches must reproduce exactly — across
+// stabilization, a fault burst, and re-stabilization.
 func TestWordMonitorParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g, err := graph.BoundedDiameter(80, 3, rng)

@@ -30,7 +30,11 @@ import (
 // prefix and an exact-EOF check after the last section, so any corruption of
 // a stored snapshot — bit rot, torn writes, truncation, trailing garbage —
 // is detected at Read instead of silently restoring a wrong run state.
-const Version = 2
+//
+// Version 3 dropped the word runtime's per-step verdict from the engine
+// section and shrank the GoodMonitor section to (raw mirror, deferred flag,
+// witnesses).
+const Version = 3
 
 // magic identifies a snapshot stream ("ThinUnison SNAPshot").
 var magic = [8]byte{'T', 'U', 'S', 'N', 'A', 'P', '0', '1'}
