@@ -39,7 +39,8 @@ type Engine[S comparable] struct {
 	// so metric updates are unconditional. tracer is attached via Trace.
 	mx       *obs.Metrics
 	tracer   *obs.Tracer
-	coin     *randx.Counting // rng draw counter; nil if unavailable
+	src      *randx.Source   // the rng stream, checkpointed by its state
+	coin     *randx.Counting // draw tally over src
 	seed     int64           // construction seed, retained for checkpointing
 	traceErr error           // first sink error of the attached tracer
 }
@@ -58,23 +59,20 @@ func New[S comparable](g *graph.Graph, step syncsim.StepFunc[S], initial []S, s 
 	}
 	states := make([]S, len(initial))
 	copy(states, initial)
-	// The draw-counting wrapper is a Source64 pass-through, so the stream —
-	// and therefore the run — is byte-identical to an unwrapped engine.
-	src := rand.NewSource(seed)
-	var coin *randx.Counting
-	if s64, ok := src.(rand.Source64); ok {
-		coin = randx.NewCounting(s64)
-		src = coin
-	}
+	// A randx.Source draws what rand.NewSource draws, and a checkpoint saves
+	// its state; the counting wrapper is a pass-through tallying the draws.
+	src := randx.NewSource(seed)
+	coin := randx.NewCounting(src)
 	return &Engine[S]{
 		g:       g,
 		step:    step,
 		sch:     s,
 		states:  states,
 		scratch: make([]S, 0, g.N()),
-		rng:     rand.New(src),
+		rng:     rand.New(coin),
 		tracker: sched.NewRoundTracker(g.N()),
 		mx:      &obs.Metrics{},
+		src:     src,
 		coin:    coin,
 		seed:    seed,
 	}, nil
@@ -127,10 +125,8 @@ func (e *Engine[S]) Step() {
 	m.Activated.Add(uint64(len(activated)))
 	m.Evaluated.Add(uint64(len(activated)))
 	m.Changes.Add(uint64(len(e.changed)))
-	if e.coin != nil {
-		if n := e.coin.Take(); n != 0 {
-			m.CoinDraws.Add(n)
-		}
+	if n := e.coin.Take(); n != 0 {
+		m.CoinDraws.Add(n)
 	}
 	if e.tracer != nil {
 		err := e.tracer.Observe(obs.Sample{
@@ -225,10 +221,8 @@ func (e *Engine[S]) InjectFaults(count int, random func(rng *rand.Rand) S) []int
 		e.states[v] = random(e.rng)
 	}
 	e.mx.Faults.Add(uint64(len(hit)))
-	if e.coin != nil {
-		if n := e.coin.Take(); n != 0 {
-			e.mx.CoinDraws.Add(n)
-		}
+	if n := e.coin.Take(); n != 0 {
+		e.mx.CoinDraws.Add(n)
 	}
 	return hit
 }

@@ -6,6 +6,7 @@ import (
 
 	"thinunison/internal/graph"
 	"thinunison/internal/obs"
+	"thinunison/internal/randx"
 	"thinunison/internal/sched"
 	"thinunison/internal/snapshot"
 	"thinunison/internal/syncsim"
@@ -35,9 +36,6 @@ type RestoreOptions[S comparable] struct {
 // caller-provided extra sections. Call it between steps, on the goroutine
 // driving the engine.
 func (e *Engine[S]) SaveState(w io.Writer, encode syncsim.StateEncoder[S], extras ...snapshot.Section) error {
-	if e.coin == nil {
-		return fmt.Errorf("asyncsim: engine rng source is not checkpointable")
-	}
 	var enc snapshot.Enc
 	n := e.g.N()
 	enc.Int(n)
@@ -50,7 +48,7 @@ func (e *Engine[S]) SaveState(w io.Writer, encode syncsim.StateEncoder[S], extra
 	for _, s := range e.states {
 		encode(&enc, s)
 	}
-	enc.U64(e.coin.Total())
+	enc.U64s(e.src.State())
 	enc.U64(e.coin.Pending())
 	enc.Ints(e.faultBuf)
 	enc.Blob(e.tracker.CheckpointState())
@@ -72,9 +70,8 @@ func (e *Engine[S]) SaveState(w io.Writer, encode syncsim.StateEncoder[S], extra
 }
 
 // Restore reads a checkpoint written by SaveState and rebuilds the engine:
-// same topology, same configuration, rng and scheduler streams
-// fast-forwarded to their saved cursors. The returned extras map holds the
-// caller sections.
+// same topology, same configuration, rng and scheduler streams set to their
+// saved states. The returned extras map holds the caller sections.
 func Restore[S comparable](r io.Reader, decode syncsim.StateDecoder[S], opts RestoreOptions[S]) (*Engine[S], map[string][]byte, error) {
 	if opts.Step == nil {
 		return nil, nil, fmt.Errorf("asyncsim: restore needs a step function")
@@ -111,7 +108,7 @@ func Restore[S comparable](r io.Reader, decode syncsim.StateDecoder[S], opts Res
 	for i := range states {
 		states[i] = decode(d)
 	}
-	coinTotal := d.U64()
+	coinState := d.U64s()
 	coinPending := d.U64()
 	faultBuf := d.Ints()
 	trackerState := d.Blob()
@@ -132,7 +129,13 @@ func Restore[S comparable](r io.Reader, decode syncsim.StateDecoder[S], opts Res
 	if err != nil {
 		return nil, nil, err
 	}
-	e.coin.FastForward(coinTotal, coinPending)
+	if err := e.src.SetState(coinState); err != nil {
+		return nil, nil, fmt.Errorf("asyncsim: snapshot rng: %w", err)
+	}
+	e.coin.SetPending(coinPending)
+	if err := randx.CheckPerm(faultBuf, n); err != nil {
+		return nil, nil, fmt.Errorf("asyncsim: snapshot fault buffer: %w", err)
+	}
 	e.stepNum = stepNum
 	e.faultBuf = faultBuf
 	tracker, err := sched.RestoreRoundTracker(n, trackerState)

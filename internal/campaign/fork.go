@@ -109,7 +109,7 @@ func forkFuture(data []byte, meta forkMeta, future int) (Record, error) {
 	rec.Budget = budget.AU(au.K())
 
 	// The perturbation: every future draws its victims from the restored
-	// rng cursor, so future f's burst is a deterministic function of
+	// rng state, so future f's burst is a deterministic function of
 	// (snapshot, f) — reruns of the same fork are byte-identical.
 	eng.InjectFaults(faults)
 	good := func(e *sim.Engine) bool { return au.GraphGood(e.Graph(), e.Config()) }

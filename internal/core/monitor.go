@@ -539,20 +539,29 @@ func (m *GoodMonitor) CheckpointState() []byte {
 // the raw mirror against the current adjacency.
 func (m *GoodMonitor) RestoreState(data []byte) error {
 	d := snapshot.NewDec(data)
-	if n := d.Int(); n != len(m.raw) && d.Err() == nil {
-		return fmt.Errorf("core: monitor snapshot for %d nodes restored into %d", n, len(m.raw))
-	}
-	for v := range m.raw {
-		q := d.Int()
-		if (q < 0 || q >= len(m.posOf)) && d.Err() == nil {
-			return fmt.Errorf("core: monitor snapshot state %d of node %d out of range [0,%d)", q, v, len(m.posOf))
+	bad := -1 // first node whose saved state is out of range
+	n := d.IntsFunc(func(v, q int) {
+		if v < len(m.raw) && q >= 0 && q < len(m.posOf) {
+			m.raw[v] = sa.State(q)
+		} else if bad < 0 {
+			bad = v
 		}
-		m.raw[v] = sa.State(q)
-	}
+	})
 	deferred := d.Bool()
 	witnesses := d.Ints()
 	if err := d.Done(); err != nil {
 		return err
+	}
+	if n != len(m.raw) {
+		return fmt.Errorf("core: monitor snapshot for %d nodes restored into %d", n, len(m.raw))
+	}
+	if bad >= 0 {
+		return fmt.Errorf("core: monitor snapshot state of node %d out of range [0,%d)", bad, len(m.posOf))
+	}
+	for _, w := range witnesses {
+		if w < 0 || w >= len(m.raw) {
+			return fmt.Errorf("core: monitor snapshot witness %d out of range [0,%d)", w, len(m.raw))
+		}
 	}
 	m.deferred = deferred
 	m.witnesses = witnesses

@@ -1,10 +1,15 @@
 // Package randx holds small allocation-conscious randomness helpers shared
 // by the simulation engines: a partial Fisher–Yates shuffle for fault
-// sampling and the counter-based per-node random streams that make sharded
-// execution order-invariant (see internal/shard).
+// sampling, the counter-based per-node random streams that make sharded
+// execution order-invariant (see internal/shard), and Source, math/rand's
+// generator with a state that checkpoints save and set directly, at a cost
+// independent of how long the stream has run (see source.go).
 package randx
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // splitMix64 is the splitmix64 finalizer: a cheap invertible avalanche that
 // turns a structured counter into a well-mixed 64-bit word. It is the mixing
@@ -64,9 +69,8 @@ func (s *Seq) Int63() int64 { return int64(s.Uint64() >> 1) }
 // the coordinator drains them with Take once per step, turning per-draw
 // bookkeeping into an O(P) flush.
 type Counting struct {
-	src   rand.Source64
-	n     uint64
-	total uint64 // lifetime draws, never reset — the stream cursor
+	src rand.Source64
+	n   uint64
 }
 
 // NewCounting returns a counting wrapper around src.
@@ -75,14 +79,12 @@ func NewCounting(src rand.Source64) *Counting { return &Counting{src: src} }
 // Uint64 implements rand.Source64.
 func (c *Counting) Uint64() uint64 {
 	c.n++
-	c.total++
 	return c.src.Uint64()
 }
 
 // Int63 implements rand.Source.
 func (c *Counting) Int63() int64 {
 	c.n++
-	c.total++
 	return c.src.Int63()
 }
 
@@ -96,29 +98,12 @@ func (c *Counting) Take() uint64 {
 	return n
 }
 
-// Total returns the lifetime draw count: the stream cursor. Unlike the
-// Take-drained per-step tally, it never resets, so it identifies the exact
-// position of the wrapped source within its stream. Every draw routed
-// through the wrapper — Int63 or Uint64 alike — advances the wrapped source
-// by exactly one internal step (math/rand's generators derive Int63 from the
-// same single advance), which is what makes FastForward exact.
-func (c *Counting) Total() uint64 { return c.total }
-
 // Pending returns the draws since the last Take without resetting them.
 func (c *Counting) Pending() uint64 { return c.n }
 
-// FastForward advances the wrapped source by total draws and sets the
-// cursor accordingly, leaving pending un-Taken draws at pending. It is the
-// restore half of checkpointing: recreate the source from its seed, fast
-// forward to the saved Total, and every subsequent draw reproduces the
-// original stream exactly — no reaching into the generator's internal state.
-func (c *Counting) FastForward(total, pending uint64) {
-	for i := uint64(0); i < total; i++ {
-		c.src.Uint64()
-	}
-	c.total = total
-	c.n = pending
-}
+// SetPending sets the draws since the last Take: the tally half of a
+// checkpoint, whose generator half is the wrapped source's own state.
+func (c *Counting) SetPending(n uint64) { c.n = n }
 
 // PartialShuffle maintains *buf as a permutation of 0..n-1 and runs the
 // first count swaps of a Fisher–Yates pass over it, returning the count
@@ -149,4 +134,24 @@ func PartialShuffle(buf *[]int, n, count int, rng *rand.Rand) []int {
 		b[i], b[j] = b[j], b[i]
 	}
 	return b[:count]
+}
+
+// CheckPerm returns an error unless p is empty or a permutation of [0, n).
+// Restores check saved PartialShuffle buffers and scheduler permutations
+// with it: both are trusted as permutations once the run continues.
+func CheckPerm(p []int, n int) error {
+	if len(p) == 0 {
+		return nil
+	}
+	if len(p) != n {
+		return fmt.Errorf("randx: %d-element permutation of [0, %d)", len(p), n)
+	}
+	seen := make([]bool, n)
+	for _, v := range p {
+		if v < 0 || v >= n || seen[v] {
+			return fmt.Errorf("randx: element %d repeats or leaves [0, %d): not a permutation", v, n)
+		}
+		seen[v] = true
+	}
+	return nil
 }

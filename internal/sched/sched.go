@@ -164,10 +164,10 @@ type RandomSubset struct {
 	last   []int
 	buf    []int
 
-	// seed/coin are set by NewRandomSubsetSeeded only: the internally owned
-	// counted source that makes the scheduler checkpointable.
+	// seed/src are set by NewRandomSubsetSeeded only: the internally owned
+	// source whose saved state makes the scheduler checkpointable.
 	seed int64
-	coin *randx.Counting
+	src  *randx.Source
 }
 
 // NewRandomSubset returns a random-subset scheduler with inclusion
@@ -181,15 +181,15 @@ func NewRandomSubset(p float64, maxGap int, rng *rand.Rand) *RandomSubset {
 }
 
 // NewRandomSubsetSeeded is the checkpointable variant of NewRandomSubset:
-// the scheduler owns its rng (seeded from seed, draw-counted so checkpoints
-// can record the exact stream position). The counting wrapper is a
-// pass-through, so the activation sequence is byte-identical to
+// the scheduler owns its rng, a randx.Source seeded from seed whose state
+// checkpoints record. The source draws what rand.NewSource draws, so the
+// activation sequence is byte-identical to
 // NewRandomSubset(p, maxGap, rand.New(rand.NewSource(seed))).
 func NewRandomSubsetSeeded(p float64, maxGap int, seed int64) *RandomSubset {
 	s := NewRandomSubset(p, maxGap, nil)
 	s.seed = seed
-	s.coin = randx.NewCounting(rand.NewSource(seed).(rand.Source64))
-	s.rng = rand.New(s.coin)
+	s.src = randx.NewSource(seed)
+	s.rng = rand.New(s.src)
 	return s
 }
 
@@ -221,15 +221,14 @@ func (s *RandomSubset) Activations(t int, n int) []int {
 func (s *RandomSubset) Name() string { return fmt.Sprintf("random-subset(p=%.2f)", s.p) }
 
 // CheckpointState implements Checkpointer for seeded schedulers: it records
-// the rng stream cursor and the per-node starvation gaps.
+// the rng state and the per-node starvation gaps.
 func (s *RandomSubset) CheckpointState() ([]byte, error) {
-	if s.coin == nil {
+	if s.src == nil {
 		return nil, fmt.Errorf("sched: random-subset built around an external rng is not checkpointable; use NewRandomSubsetSeeded")
 	}
 	var e snapshot.Enc
 	e.I64(s.seed)
-	e.U64(s.coin.Total())
-	e.U64(s.coin.Pending())
+	e.U64s(s.src.State())
 	e.Ints(s.last)
 	return e.Bytes(), nil
 }
@@ -237,12 +236,12 @@ func (s *RandomSubset) CheckpointState() ([]byte, error) {
 // RestoreState implements Checkpointer; the receiver must come from
 // NewRandomSubsetSeeded with the same seed as the saved scheduler.
 func (s *RandomSubset) RestoreState(data []byte) error {
-	if s.coin == nil {
+	if s.src == nil {
 		return fmt.Errorf("sched: random-subset built around an external rng is not restorable; use NewRandomSubsetSeeded")
 	}
 	d := snapshot.NewDec(data)
 	seed := d.I64()
-	total, pending := d.U64(), d.U64()
+	state := d.U64s()
 	last := d.Ints()
 	if err := d.Done(); err != nil {
 		return err
@@ -250,7 +249,9 @@ func (s *RandomSubset) RestoreState(data []byte) error {
 	if seed != s.seed {
 		return fmt.Errorf("sched: random-subset snapshot for seed %d restored into seed %d", seed, s.seed)
 	}
-	s.coin.FastForward(total, pending)
+	if err := s.src.SetState(state); err != nil {
+		return fmt.Errorf("sched: random-subset snapshot: %w", err)
+	}
 	s.last = last
 	return nil
 }
@@ -370,10 +371,10 @@ type Permuted struct {
 	perm []int
 	buf  [1]int
 
-	// seed/coin are set by NewPermutedSeeded only: the internally owned
-	// counted source that makes the scheduler checkpointable.
+	// seed/src are set by NewPermutedSeeded only: the internally owned
+	// source whose saved state makes the scheduler checkpointable.
 	seed int64
-	coin *randx.Counting
+	src  *randx.Source
 }
 
 // NewPermuted returns the per-round random permutation scheduler.
@@ -383,7 +384,7 @@ func NewPermuted(rng *rand.Rand) *Permuted { return &Permuted{rng: rng} }
 // shared by the unisonsim checkpoint path and campaign fork mode. A
 // snapshot's runmeta section records only (name, seed); every consumer must
 // rebuild the scheduler through this one mapping, or the restored
-// scheduler's stream will not line up with the checkpointed cursor. The
+// scheduler's parameters will not match the checkpointed ones. The
 // stochastic entries use the seeded constructors, so everything ByName
 // returns is checkpointable.
 func ByName(name string, seed int64) (Scheduler, error) {
@@ -404,13 +405,13 @@ func ByName(name string, seed int64) (Scheduler, error) {
 }
 
 // NewPermutedSeeded is the checkpointable variant of NewPermuted: the
-// scheduler owns its rng (seeded from seed, draw-counted so checkpoints can
-// record the exact stream position). The counting wrapper is a pass-through,
-// so the activation sequence is byte-identical to
+// scheduler owns its rng, a randx.Source seeded from seed whose state
+// checkpoints record. The source draws what rand.NewSource draws, so the
+// activation sequence is byte-identical to
 // NewPermuted(rand.New(rand.NewSource(seed))).
 func NewPermutedSeeded(seed int64) *Permuted {
-	s := &Permuted{seed: seed, coin: randx.NewCounting(rand.NewSource(seed).(rand.Source64))}
-	s.rng = rand.New(s.coin)
+	s := &Permuted{seed: seed, src: randx.NewSource(seed)}
+	s.rng = rand.New(s.src)
 	return s
 }
 
@@ -442,15 +443,14 @@ func (s *Permuted) reshuffle() {
 func (s *Permuted) Name() string { return "permuted" }
 
 // CheckpointState implements Checkpointer for seeded schedulers: it records
-// the rng stream cursor and the current mid-cycle permutation.
+// the rng state and the current mid-cycle permutation.
 func (s *Permuted) CheckpointState() ([]byte, error) {
-	if s.coin == nil {
+	if s.src == nil {
 		return nil, fmt.Errorf("sched: permuted built around an external rng is not checkpointable; use NewPermutedSeeded")
 	}
 	var e snapshot.Enc
 	e.I64(s.seed)
-	e.U64(s.coin.Total())
-	e.U64(s.coin.Pending())
+	e.U64s(s.src.State())
 	e.Ints(s.perm)
 	return e.Bytes(), nil
 }
@@ -458,12 +458,12 @@ func (s *Permuted) CheckpointState() ([]byte, error) {
 // RestoreState implements Checkpointer; the receiver must come from
 // NewPermutedSeeded with the same seed as the saved scheduler.
 func (s *Permuted) RestoreState(data []byte) error {
-	if s.coin == nil {
+	if s.src == nil {
 		return fmt.Errorf("sched: permuted built around an external rng is not restorable; use NewPermutedSeeded")
 	}
 	d := snapshot.NewDec(data)
 	seed := d.I64()
-	total, pending := d.U64(), d.U64()
+	state := d.U64s()
 	perm := d.Ints()
 	if err := d.Done(); err != nil {
 		return err
@@ -471,7 +471,12 @@ func (s *Permuted) RestoreState(data []byte) error {
 	if seed != s.seed {
 		return fmt.Errorf("sched: permuted snapshot for seed %d restored into seed %d", seed, s.seed)
 	}
-	s.coin.FastForward(total, pending)
+	if err := randx.CheckPerm(perm, len(perm)); err != nil {
+		return fmt.Errorf("sched: permuted snapshot: %w", err)
+	}
+	if err := s.src.SetState(state); err != nil {
+		return fmt.Errorf("sched: permuted snapshot: %w", err)
+	}
 	s.perm = perm
 	return nil
 }
@@ -648,6 +653,9 @@ func RestoreRoundTracker(n int, data []byte) (*RoundTracker, error) {
 	}
 	if got != n || len(boundary) != boundaryWindow {
 		return nil, fmt.Errorf("sched: corrupt tracker snapshot (%d stamps, %d boundaries)", got, len(boundary))
+	}
+	if t.rounds < 0 || t.pending < -1 || t.pending >= n {
+		return nil, fmt.Errorf("sched: corrupt tracker snapshot (rounds %d, pending node %d of %d)", t.rounds, t.pending, n)
 	}
 	copy(t.boundary, boundary)
 	return t, nil

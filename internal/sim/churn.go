@@ -146,11 +146,11 @@ type churnRuntime struct {
 	spec    ChurnSpec
 	delta   *graph.Delta
 	rng     *rand.Rand
-	coin    *randx.Counting // draw cursor of the stochastic stream, for checkpointing
-	next    int             // index of the next unapplied scripted event
-	events  int             // stochastic events fired so far
-	victims []int           // crash victims of the last stochastic event, revived next
-	skipped int             // ops cancelled by the admissibility guards
+	src     *randx.Source // the stochastic stream, checkpointed by its state
+	next    int           // index of the next unapplied scripted event
+	events  int           // stochastic events fired so far
+	victims []int         // crash victims of the last stochastic event, revived next
+	skipped int           // ops cancelled by the admissibility guards
 }
 
 func newChurnRuntime(g *graph.Graph, spec ChurnSpec) (*churnRuntime, error) {
@@ -161,15 +161,14 @@ func newChurnRuntime(g *graph.Graph, spec ChurnSpec) (*churnRuntime, error) {
 	copy(events, spec.Events)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Step < events[j].Step })
 	spec.Events = events
-	// The counting wrapper is a pass-through, so a counted churn stream is
-	// byte-identical to the uncounted one; the cursor lets a checkpoint
-	// restore the stream by fast-forwarding a fresh source (see snapshot.go).
-	coin := randx.NewCounting(rand.NewSource(spec.Seed).(rand.Source64))
+	// A randx.Source draws what rand.NewSource draws, and a checkpoint saves
+	// and sets its state (see snapshot.go).
+	src := randx.NewSource(spec.Seed)
 	return &churnRuntime{
 		spec:  spec,
 		delta: graph.NewDelta(g),
-		rng:   rand.New(coin),
-		coin:  coin,
+		rng:   rand.New(src),
+		src:   src,
 	}, nil
 }
 

@@ -42,7 +42,7 @@
 // Every mode combination is checkpointable: Engine.SaveState serializes the
 // full run state at a step boundary (configuration, churned topology,
 // frontier bitset, partition bounds, word slabs, round tracker, rng stream
-// cursors, churn bookkeeping, scheduler position) and Restore rebuilds an
+// states, churn bookkeeping, scheduler position) and Restore rebuilds an
 // engine in a fresh process that continues the run byte-identically — run K
 // steps, snapshot, restore, run K more ≡ an uninterrupted 2K-step run, in
 // every mode × parallelism × churn cell. See snapshot.go; the campaign
@@ -188,7 +188,8 @@ type Engine struct {
 	// branch-free atomic add. tracer is nil unless Options.Trace attached one.
 	mx     *obs.Metrics
 	tracer *obs.Tracer
-	coin   *randx.Counting // classic-mode rng draw counter; nil if unavailable
+	src    *randx.Source   // the classic rng stream, checkpointed by its state
+	coin   *randx.Counting // draw tally over src
 	seed   int64           // Options.Seed, retained for checkpointing
 
 	// stepAct/stepEval/stepChg are the current step's tallies, filled by the
@@ -334,16 +335,12 @@ func New(g *graph.Graph, alg sa.Algorithm, opts Options) (*Engine, error) {
 	if s == nil {
 		s = sched.NewSynchronous()
 	}
-	// Count rng draws by wrapping the source; the wrapper is a pass-through
-	// (and still a Source64), so the produced stream — and therefore the
-	// run — is byte-identical to an unwrapped engine.
-	src := rand.NewSource(opts.Seed)
-	var coin *randx.Counting
-	if s64, ok := src.(rand.Source64); ok {
-		coin = randx.NewCounting(s64)
-		src = coin
-	}
-	rng := rand.New(src)
+	// The classic stream is a randx.Source: it draws what rand.NewSource
+	// draws, and a checkpoint saves its state. The counting wrapper is a
+	// pass-through that tallies the draws for the CoinDraws counter.
+	src := randx.NewSource(opts.Seed)
+	coin := randx.NewCounting(src)
+	rng := rand.New(coin)
 	cfg := opts.Initial
 	if cfg == nil {
 		cfg = sa.Random(g.N(), alg.NumStates(), rng)
@@ -367,6 +364,7 @@ func New(g *graph.Graph, alg sa.Algorithm, opts Options) (*Engine, error) {
 		tracker: sched.NewRoundTracker(g.N()),
 		mx:      opts.Metrics,
 		tracer:  opts.Trace,
+		src:     src,
 		coin:    coin,
 		seed:    opts.Seed,
 	}
@@ -595,10 +593,8 @@ func (e *Engine) flushStats() error {
 // flushCoins drains the rng draw counters (the classic stream plus every
 // sharded lane stream) into the CoinDraws counter: O(P) per flush.
 func (e *Engine) flushCoins() {
-	if e.coin != nil {
-		if n := e.coin.Take(); n != 0 {
-			e.mx.CoinDraws.Add(n)
-		}
+	if n := e.coin.Take(); n != 0 {
+		e.mx.CoinDraws.Add(n)
 	}
 	if e.part == nil {
 		return // the classic lane draws from e.coin's stream

@@ -7,6 +7,7 @@ import (
 	"thinunison/internal/frontier"
 	"thinunison/internal/graph"
 	"thinunison/internal/obs"
+	"thinunison/internal/randx"
 	"thinunison/internal/sa"
 	"thinunison/internal/sched"
 	"thinunison/internal/shard"
@@ -21,13 +22,15 @@ import (
 // execution mode (dense/frontier/word, any Parallelism, with or without
 // churn). The campaign -restore-check differential enforces the contract.
 //
-// The serialization strategy avoids reaching into generator internals:
-// every rng the trajectory depends on is wrapped in a randx.Counting
-// pass-through, so a checkpoint stores only (seed, draw cursor) and restore
-// fast-forwards a fresh source. Derived state that is a pure function of
-// the serialized state (self-words, partition classification tables,
-// signal scratch) is rebuilt rather than stored — the rebuild doubles as a
-// cross-check that the primary state round-tripped.
+// Every rng the trajectory depends on and a checkpoint must carry — the
+// classic coin stream, the churn stream, a seeded scheduler's stream — is a
+// randx.Source, so a checkpoint stores each generator's state (607 words and
+// two indices) and restore sets it: the cost does not grow with the number
+// of draws since the seed. Sharded lanes need nothing: their streams are
+// reseeded per (step, node) from the run seed. Derived state that is a pure
+// function of the serialized state (self-words, partition classification
+// tables, signal scratch) is rebuilt rather than stored — the rebuild
+// doubles as a cross-check that the primary state round-tripped.
 
 // engineSection is the section name of the engine's own state inside the
 // snapshot container; caller extras must use different names.
@@ -59,11 +62,8 @@ type RestoreOptions struct {
 // caller-provided extra sections (e.g. a core.GoodMonitor's CheckpointState
 // under its own name). It must be called between steps, on the goroutine
 // driving the engine — the same discipline as SetState — so the staged
-// scratch is empty and every draw cursor sits at a step boundary.
+// scratch is empty and every rng stream sits at a step boundary.
 func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
-	if e.coin == nil {
-		return fmt.Errorf("sim: engine rng source is not checkpointable")
-	}
 	var enc snapshot.Enc
 
 	// Identity and position.
@@ -80,9 +80,9 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 	enc.Ints(offsets)
 	enc.Ints(neighbors)
 
-	// Configuration and the classic rng stream cursor.
+	// Configuration and the classic rng stream with its untallied draws.
 	enc.IntsFunc(n, func(i int) int { return int(e.cfg[i]) })
-	enc.U64(e.coin.Total())
+	enc.U64s(e.src.State())
 	enc.U64(e.coin.Pending())
 	enc.Ints(e.faultBuf)
 
@@ -141,12 +141,12 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 }
 
 // Restore reads a checkpoint written by SaveState and rebuilds the engine:
-// same algorithm, same topology, same configuration, every draw cursor
-// fast-forwarded to its saved position. The returned extras map holds the
-// caller sections passed to SaveState (the engine's own section removed), so
-// callers can rebuild observers — e.g. a core.GoodMonitor from the restored
-// configuration plus its saved CheckpointState — and re-register them via
-// Observe before stepping.
+// same algorithm, same topology, same configuration, every rng stream set to
+// its saved state. The returned extras map holds the caller sections passed
+// to SaveState (the engine's own section removed), so callers can rebuild
+// observers — e.g. a core.GoodMonitor from the restored configuration plus
+// its saved CheckpointState — and re-register them via Observe before
+// stepping.
 func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[string][]byte, error) {
 	sections, err := snapshot.Read(r)
 	if err != nil {
@@ -188,7 +188,7 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 	if got != n && d.Err() == nil {
 		return nil, nil, fmt.Errorf("sim: snapshot configuration has %d states for %d nodes", got, n)
 	}
-	coinTotal := d.U64()
+	coinState := d.U64s()
 	coinPending := d.U64()
 	faultBuf := d.Ints()
 	trackerState := d.Blob()
@@ -283,10 +283,13 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 		return nil, nil, fmt.Errorf("sim: snapshot is word-parallel but algorithm offers no kernel")
 	}
 
-	// Rewind every stream to its saved cursor. New drew nothing (Initial
-	// was non-nil), so the fresh coin sits at position 0 as FastForward
-	// requires.
-	e.coin.FastForward(coinTotal, coinPending)
+	if err := e.src.SetState(coinState); err != nil {
+		return nil, nil, fmt.Errorf("sim: snapshot rng: %w", err)
+	}
+	e.coin.SetPending(coinPending)
+	if err := randx.CheckPerm(faultBuf, n); err != nil {
+		return nil, nil, fmt.Errorf("sim: snapshot fault buffer: %w", err)
+	}
 	e.step = step
 	e.faultBuf = faultBuf
 
@@ -419,15 +422,14 @@ type churnCheckpoint struct {
 	events  int
 	skipped int
 	victims []int
-	total   uint64
-	pending uint64
+	src     []uint64
 	applied int
 	crashed []graph.NodeID
 	saved   [][]graph.NodeID
 }
 
 // encodeChurn serializes the churn driver: the spec (so restore needs no
-// out-of-band copy), the stochastic stream cursor, and the pending-revive /
+// out-of-band copy), the stochastic stream's state, and the pending-revive /
 // crash bookkeeping. The staged delta must be empty — checkpoints happen at
 // step boundaries, after applyChurn committed everything due.
 func encodeChurn(enc *snapshot.Enc, cr *churnRuntime) error {
@@ -457,8 +459,7 @@ func encodeChurn(enc *snapshot.Enc, cr *churnRuntime) error {
 	enc.Int(cr.events)
 	enc.Int(cr.skipped)
 	enc.Ints(cr.victims)
-	enc.U64(cr.coin.Total())
-	enc.U64(cr.coin.Pending())
+	enc.U64s(cr.src.State())
 
 	crashed, saved := cr.delta.CheckpointCrashes()
 	enc.Int(cr.delta.Applied())
@@ -499,8 +500,7 @@ func decodeChurn(d *snapshot.Dec) (*churnCheckpoint, error) {
 	c.events = d.Int()
 	c.skipped = d.Int()
 	c.victims = d.Ints()
-	c.total = d.U64()
-	c.pending = d.U64()
+	c.src = d.U64s()
 
 	c.applied = d.Int()
 	c.crashed = d.Ints()
@@ -518,7 +518,7 @@ func decodeChurn(d *snapshot.Dec) (*churnCheckpoint, error) {
 }
 
 // restoreInto rewinds a freshly constructed churn runtime (built by New from
-// the decoded spec) to the checkpointed cursors.
+// the decoded spec) to the checkpointed cursors and stream state.
 func (c *churnCheckpoint) restoreInto(cr *churnRuntime) error {
 	if cr == nil {
 		return fmt.Errorf("sim: snapshot has churn state but engine built no churn runtime")
@@ -527,7 +527,9 @@ func (c *churnCheckpoint) restoreInto(cr *churnRuntime) error {
 	cr.events = c.events
 	cr.skipped = c.skipped
 	cr.victims = append(cr.victims[:0], c.victims...)
-	cr.coin.FastForward(c.total, c.pending)
+	if err := cr.src.SetState(c.src); err != nil {
+		return fmt.Errorf("sim: snapshot churn rng: %w", err)
+	}
 	if err := cr.delta.RestoreCrashes(c.crashed, c.saved, c.applied); err != nil {
 		return fmt.Errorf("sim: snapshot churn crashes: %w", err)
 	}

@@ -15,10 +15,11 @@ import (
 
 // TestSnapshotLargeGraphUnderASecond pins the checkpoint cost envelope: a
 // 10^5-node engine must SaveState and Restore in under a second combined
-// (the serialization is flat copies of CSR arrays, configuration ints, and
-// plane words — nothing per-edge beyond the CSR itself). The bound is
-// relaxed under the race detector, whose instrumentation taxes every word
-// copy.
+// (the serialization is one varint-delta pass over the CSR arrays and the
+// configuration, flat copies of plane words, and a fixed-size state per rng
+// stream — nothing per-edge beyond the CSR itself, and nothing that grows
+// with the step count). The bound is relaxed under the race detector, whose
+// instrumentation taxes every word copy.
 func TestSnapshotLargeGraphUnderASecond(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10^5-node instance; skipped with -short")
@@ -76,10 +77,10 @@ func TestSnapshotLargeGraphUnderASecond(t *testing.T) {
 }
 
 // TestSteadyStepZeroAllocsCheckpointArmed: arming a run for checkpointing —
-// the draw-counted engine coin, a seeded (checkpointable) scheduler, a
-// tracer holding a snapshot reference — must not cost the steady step its
-// zero-allocation property. Checkpoint bookkeeping is all in the
-// pass-through Counting wrappers, so the step path is unchanged.
+// the engine's randx.Source coin stream, a seeded (checkpointable)
+// scheduler, a tracer holding a snapshot reference — must not cost the
+// steady step its zero-allocation property. A checkpoint reads the
+// generator states only when it is saved, so the step path is unchanged.
 func TestSteadyStepZeroAllocsCheckpointArmed(t *testing.T) {
 	au, err := core.NewAU(3)
 	if err != nil {

@@ -33,7 +33,19 @@ type restoreMode struct {
 	frontier bool
 	word     bool
 	churn    bool
+
+	// pastWindow drives the engine and churn rng streams past the 607 draws
+	// of their seeded window before the checkpoint, so both restore from a
+	// state deep in the generator: a burst of pastWindowFaults faults before
+	// every step draws at least 2·pastWindowFaults engine values (victims
+	// and their states), and pastWindowFaults churn flips every step draw at
+	// least two churn values each — over the 40 steps before the checkpoint,
+	// at least 800 and 780 draws.
+	pastWindow bool
 }
+
+// pastWindowFaults is the per-step fault burst of the pastWindow cells.
+const pastWindowFaults = 10
 
 func restoreModes() []restoreMode {
 	return []restoreMode{
@@ -46,6 +58,7 @@ func restoreModes() []restoreMode {
 		{name: "dense-churn", churn: true},
 		{name: "frontier-churn", frontier: true, churn: true},
 		{name: "word-churn-p3", par: 3, word: true, churn: true},
+		{name: "dense-churn-past-window", pastWindow: true},
 	}
 }
 
@@ -54,7 +67,8 @@ func restoreModes() []restoreMode {
 // uninterrupted 2K-step run byte for byte (configurations, rounds, churn
 // counters, trajectory metrics, monitor verdicts), in every execution mode
 // and under every checkpointable scheduler. A fault burst after the restore
-// point additionally pins the rng cursor and the fault-permutation buffer.
+// point additionally pins the restored rng state and the fault-permutation
+// buffer.
 func TestRestoreDifferential(t *testing.T) {
 	const (
 		seed = 21
@@ -76,6 +90,9 @@ func TestRestoreDifferential(t *testing.T) {
 				if m.churn {
 					churn = churnSpec()
 				}
+				if m.pastWindow {
+					churn = &sim.ChurnSpec{Period: 1, Flips: pastWindowFaults, Seed: 99, KeepConnected: true}
+				}
 				g := cloneGraph(t, base)
 				ref, err := sim.New(g, au, sim.Options{
 					Scheduler:    mk(),
@@ -93,6 +110,9 @@ func TestRestoreDifferential(t *testing.T) {
 				ref.Observe(mon)
 
 				for i := 0; i < k; i++ {
+					if m.pastWindow {
+						ref.InjectFaults(pastWindowFaults)
+					}
 					if err := ref.Step(); err != nil {
 						t.Fatalf("reference step %d: %v", i, err)
 					}
@@ -132,7 +152,7 @@ func TestRestoreDifferential(t *testing.T) {
 				}
 
 				// Continue both runs in lockstep, with a fault burst in the
-				// middle to exercise the restored rng cursor and fault buffer.
+				// middle to exercise the restored rng state and fault buffer.
 				for i := 0; i < k; i++ {
 					if i == k/2 {
 						hitA := append([]int(nil), ref.InjectFaults(5)...)

@@ -3,7 +3,9 @@ package snapshot_test
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"thinunison/internal/snapshot"
@@ -253,6 +255,69 @@ func TestDecStickyErrors(t *testing.T) {
 	}
 }
 
+// TestIntsVarintExtremes: varint-delta sequences round-trip the extremes of
+// int, where the deltas between neighbors wrap around and decoding must
+// wrap back, through both Ints and IntsFunc.
+func TestIntsVarintExtremes(t *testing.T) {
+	alternating := make([]int, 64)
+	for i := range alternating {
+		alternating[i] = math.MaxInt64
+		if i%2 == 1 {
+			alternating[i] = math.MinInt64
+		}
+	}
+	for _, v := range [][]int{
+		{},
+		{math.MinInt64},
+		{math.MaxInt64},
+		{0, math.MinInt64, math.MaxInt64, 0, -1, 1},
+		alternating,
+		{math.MinInt64, math.MinInt64 + 1, math.MaxInt64 - 1, math.MaxInt64},
+	} {
+		var e snapshot.Enc
+		e.Ints(v)
+		e.IntsFunc(len(v), func(i int) int { return v[i] })
+		d := snapshot.NewDec(e.Bytes())
+		if got := d.Ints(); !slices.Equal(got, v) {
+			t.Fatalf("Ints round trip: %v, want %v", got, v)
+		}
+		var got []int
+		if n := d.IntsFunc(func(i, x int) { got = append(got, x) }); n != len(v) || !slices.Equal(got, v) {
+			t.Fatalf("IntsFunc round trip: %d elements %v, want %v", n, got, v)
+		}
+		if err := d.Done(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestIntsRejectsBadVarints: a sequence whose varints run past the payload
+// or encode more than 64 bits fails loudly, through Ints and IntsFunc.
+func TestIntsRejectsBadVarints(t *testing.T) {
+	seq := func(n int, body ...byte) []byte {
+		var e snapshot.Enc
+		e.Int(n)
+		return append(e.Bytes(), body...)
+	}
+	cases := map[string][]byte{
+		"truncated mid-varint":   seq(1, 0x80),
+		"truncated before last":  seq(2, 0x02),
+		"eleven-byte varint":     seq(1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01),
+		"tenth byte over 64 bit": seq(1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02),
+		"length past payload":    seq(3, 0x00, 0x00),
+	}
+	for name, data := range cases {
+		d := snapshot.NewDec(data)
+		if v := d.Ints(); v != nil || d.Err() == nil {
+			t.Fatalf("%s: Ints returned %v, err %v", name, v, d.Err())
+		}
+		d = snapshot.NewDec(data)
+		if n := d.IntsFunc(func(int, int) {}); n != 0 || d.Err() == nil {
+			t.Fatalf("%s: IntsFunc returned %d, err %v", name, n, d.Err())
+		}
+	}
+}
+
 // FuzzContainerRead: arbitrary bytes must never panic the reader; valid
 // containers must round-trip.
 func FuzzContainerRead(f *testing.F) {
@@ -301,28 +366,44 @@ func FuzzDec(f *testing.F) {
 	e.Blob([]byte("x"))
 	f.Add(e.Bytes())
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
+	// Varint sequences at the Ints and IntsFunc getters: cut mid-element,
+	// and with an element over 64 bits.
+	for _, getter := range []int{5, 8} {
+		for _, bad := range [][]byte{
+			{0x80},
+			{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02},
+			{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+		} {
+			var e snapshot.Enc
+			for i := 0; i < getter; i++ {
+				fuzzGetters[i].put(&e)
+			}
+			e.Int(1)
+			f.Add(append(e.Bytes(), bad...))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := snapshot.NewDec(data)
-		for i := 0; i < 16 && d.Err() == nil; i++ {
-			switch i % 8 {
-			case 0:
-				d.U64()
-			case 1:
-				d.I64()
-			case 2:
-				d.Int()
-			case 3:
-				d.Bool()
-			case 4:
-				d.U64s()
-			case 5:
-				d.Ints()
-			case 6:
-				d.Int32s()
-			case 7:
-				d.Blob()
-			}
+		for i := 0; i < 2*len(fuzzGetters) && d.Err() == nil; i++ {
+			fuzzGetters[i%len(fuzzGetters)].get(d)
 		}
 		_ = d.Done()
 	})
+}
+
+// fuzzGetters is FuzzDec's getter sequence, each with a writer of a valid
+// (empty or zero) value for building seeds that reach a given getter.
+var fuzzGetters = []struct {
+	get func(*snapshot.Dec)
+	put func(*snapshot.Enc)
+}{
+	{func(d *snapshot.Dec) { d.U64() }, func(e *snapshot.Enc) { e.U64(0) }},
+	{func(d *snapshot.Dec) { d.I64() }, func(e *snapshot.Enc) { e.I64(0) }},
+	{func(d *snapshot.Dec) { d.Int() }, func(e *snapshot.Enc) { e.Int(0) }},
+	{func(d *snapshot.Dec) { d.Bool() }, func(e *snapshot.Enc) { e.Bool(false) }},
+	{func(d *snapshot.Dec) { d.U64s() }, func(e *snapshot.Enc) { e.U64s(nil) }},
+	{func(d *snapshot.Dec) { d.Ints() }, func(e *snapshot.Enc) { e.Ints(nil) }},
+	{func(d *snapshot.Dec) { d.Int32s() }, func(e *snapshot.Enc) { e.Int32s(nil) }},
+	{func(d *snapshot.Dec) { d.Blob() }, func(e *snapshot.Enc) { e.Blob(nil) }},
+	{func(d *snapshot.Dec) { d.IntsFunc(func(int, int) {}) }, func(e *snapshot.Enc) { e.IntsFunc(0, nil) }},
 }

@@ -7,6 +7,7 @@ import (
 	"thinunison/internal/frontier"
 	"thinunison/internal/graph"
 	"thinunison/internal/obs"
+	"thinunison/internal/randx"
 	"thinunison/internal/shard"
 	"thinunison/internal/snapshot"
 )
@@ -46,9 +47,6 @@ type RestoreOptions[S comparable] struct {
 // caller-provided extra sections. Call it between rounds, on the goroutine
 // driving the engine.
 func (e *Engine[S]) SaveState(w io.Writer, encode StateEncoder[S], extras ...snapshot.Section) error {
-	if e.coin == nil {
-		return fmt.Errorf("syncsim: engine rng source is not checkpointable")
-	}
 	var enc snapshot.Enc
 	n := e.g.N()
 	enc.Int(n)
@@ -61,7 +59,7 @@ func (e *Engine[S]) SaveState(w io.Writer, encode StateEncoder[S], extras ...sna
 	for _, s := range e.states {
 		encode(&enc, s)
 	}
-	enc.U64(e.coin.Total())
+	enc.U64s(e.src.State())
 	enc.U64(e.coin.Pending())
 	enc.Ints(e.faultBuf)
 
@@ -86,8 +84,8 @@ func (e *Engine[S]) SaveState(w io.Writer, encode StateEncoder[S], extras ...sna
 }
 
 // Restore reads a checkpoint written by SaveState and rebuilds the engine
-// around the supplied step function, fast-forwarding the rng stream to its
-// saved cursor. The returned extras map holds the caller sections.
+// around the supplied step function, setting the rng stream to its saved
+// state. The returned extras map holds the caller sections.
 func Restore[S comparable](r io.Reader, decode StateDecoder[S], opts RestoreOptions[S]) (*Engine[S], map[string][]byte, error) {
 	if opts.Step == nil {
 		return nil, nil, fmt.Errorf("syncsim: restore needs a step function")
@@ -124,7 +122,7 @@ func Restore[S comparable](r io.Reader, decode StateDecoder[S], opts RestoreOpti
 	for i := range states {
 		states[i] = decode(d)
 	}
-	coinTotal := d.U64()
+	coinState := d.U64s()
 	coinPending := d.U64()
 	faultBuf := d.Ints()
 	p := d.Int()
@@ -185,7 +183,13 @@ func Restore[S comparable](r io.Reader, decode StateDecoder[S], opts RestoreOpti
 			e.fr.set.Add(v)
 		}
 	}
-	e.coin.FastForward(coinTotal, coinPending)
+	if err := e.src.SetState(coinState); err != nil {
+		return nil, nil, fmt.Errorf("syncsim: snapshot rng: %w", err)
+	}
+	e.coin.SetPending(coinPending)
+	if err := randx.CheckPerm(faultBuf, n); err != nil {
+		return nil, nil, fmt.Errorf("syncsim: snapshot fault buffer: %w", err)
+	}
 	e.round = round
 	e.faultBuf = faultBuf
 	e.mx.Add(obs.SnapshotFromWords([obs.SnapshotWords]uint64(mwords)))

@@ -60,7 +60,8 @@ type Engine[S comparable] struct {
 	// so metric updates are unconditional. tracer is attached via Trace.
 	mx       *obs.Metrics
 	tracer   *obs.Tracer
-	coin     *randx.Counting // classic-mode rng draw counter; nil if unavailable
+	src      *randx.Source   // the classic rng stream, checkpointed by its state
+	coin     *randx.Counting // draw tally over src
 	seed     int64           // construction seed, retained for checkpointing
 	traceErr error           // first sink error of the attached tracer
 }
@@ -122,21 +123,18 @@ func New[S comparable](g *graph.Graph, step StepFunc[S], initial []S, seed int64
 	}
 	states := make([]S, len(initial))
 	copy(states, initial)
-	// The draw-counting wrapper is a Source64 pass-through, so the stream —
-	// and therefore the run — is byte-identical to an unwrapped engine.
-	src := rand.NewSource(seed)
-	var coin *randx.Counting
-	if s64, ok := src.(rand.Source64); ok {
-		coin = randx.NewCounting(s64)
-		src = coin
-	}
+	// A randx.Source draws what rand.NewSource draws, and a checkpoint saves
+	// its state; the counting wrapper is a pass-through tallying the draws.
+	src := randx.NewSource(seed)
+	coin := randx.NewCounting(src)
 	return &Engine[S]{
 		g:      g,
 		step:   step,
 		states: states,
 		next:   make([]S, len(initial)),
-		rng:    rand.New(src),
+		rng:    rand.New(coin),
 		mx:     &obs.Metrics{},
+		src:    src,
 		coin:   coin,
 		seed:   seed,
 	}, nil
@@ -432,10 +430,8 @@ func (e *Engine[S]) flushRound(act, eval, chg int) {
 
 // flushCoins drains the rng draw counters into CoinDraws (O(P)).
 func (e *Engine[S]) flushCoins() {
-	if e.coin != nil {
-		if n := e.coin.Take(); n != 0 {
-			e.mx.CoinDraws.Add(n)
-		}
+	if n := e.coin.Take(); n != 0 {
+		e.mx.CoinDraws.Add(n)
 	}
 	if e.par != nil {
 		for _, c := range e.par.coins {
