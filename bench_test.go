@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"thinunison/internal/asyncsim"
 	"thinunison/internal/baseline"
 	"thinunison/internal/bio"
 	"thinunison/internal/core"
@@ -28,7 +29,6 @@ import (
 	"thinunison/internal/sa"
 	"thinunison/internal/sched"
 	"thinunison/internal/sim"
-	"thinunison/internal/syncsim"
 )
 
 // BenchmarkTable1Enumeration is T1: the exhaustive Table 1 conformance
@@ -159,11 +159,11 @@ func BenchmarkLEStabilization(b *testing.B) {
 		for v := range initial {
 			initial[v] = alg.RandomState(rng)
 		}
-		eng, err := syncsim.New(g, alg.Step, initial, rng.Int63())
+		eng, err := asyncsim.New(g, alg.Step, initial, nil, rng.Int63())
 		if err != nil {
 			return 0, false
 		}
-		return eng.RunUntil(func(e *syncsim.Engine[restart.State[le.State]]) bool {
+		return eng.RunUntil(func(e *asyncsim.Engine[restart.State[le.State]]) bool {
 			return le.Stable(e.States())
 		}, budget)
 	})
@@ -180,11 +180,11 @@ func BenchmarkMISStabilization(b *testing.B) {
 		for v := range initial {
 			initial[v] = alg.RandomState(rng)
 		}
-		eng, err := syncsim.New(g, alg.Step, initial, rng.Int63())
+		eng, err := asyncsim.New(g, alg.Step, initial, nil, rng.Int63())
 		if err != nil {
 			return 0, false
 		}
-		return eng.RunUntil(func(e *syncsim.Engine[restart.State[mis.State]]) bool {
+		return eng.RunUntil(func(e *asyncsim.Engine[restart.State[mis.State]]) bool {
 			return mis.Stable(g, e.States())
 		}, budget)
 	})
@@ -261,13 +261,13 @@ func BenchmarkRestart(b *testing.B) {
 					}
 				}
 				initial[0] = restart.State[int]{InRestart: true}
-				eng, err := syncsim.New(g, mod.Step, initial, int64(i))
+				eng, err := asyncsim.New(g, mod.Step, initial, nil, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
 				exited := false
 				for r := 1; r <= 6*d+4; r++ {
-					eng.Round()
+					eng.Step()
 					all := true
 					for v := 0; v < g.N(); v++ {
 						if eng.State(v).InRestart {

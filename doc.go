@@ -37,27 +37,27 @@
 //     counter-based per-(step, node) coin-toss streams making sharded runs
 //     byte-identical to sequential runs at any worker count — enforced by a
 //     differential test harness and the cmd/campaign -shard-check guard;
-//   - an event-driven frontier-sparse mode (sim.Options.Frontier,
-//     syncsim.EnableFrontier, on by default in campaigns): the engines keep
-//     a per-node settled flag — δ on the node's current signal is certified
-//     a coin-free self-loop (sa.SelfLooper) — invalidated in O(deg v) when
-//     a neighborhood changes, so a near-quiescent step costs O(|frontier|)
-//     instead of Θ(n) while staying byte-identical to dense runs at every
-//     parallelism (the frontier differential harness and the cmd/campaign
-//     -frontier-check guard enforce it; see the frontier series of
-//     BENCH_hotpath.json for the quiescent-regime speedups);
-//   - live topology churn (graph.Delta, sim.Options.Churn,
-//     Engine.ApplyDelta on all three engines): the graph mutates mid-run at
-//     step boundaries — edge flips, cell crash/revive, scripted or
-//     stochastic with connectivity and diameter-drift guards — through one
-//     amortized in-place CSR re-compaction, with every incremental layer
-//     repaired in the same motion (frontier re-seeding, O(1) GoodMonitor
-//     counter repair via sim.TopologyObserver, shard boundary
-//     re-classification with threshold-triggered repartition). Churn runs
-//     stay byte-identical across execution modes (the bio-churn preset and
-//     the cmd/campaign -churn-check guard enforce it), and internal/mc
-//     proves re-stabilization after every single-edge flip exhaustively on
-//     n <= 4 instances;
+//   - an event-driven frontier-sparse mode for AlgAU (sim.Options.Frontier,
+//     on by default in campaigns): the engine keeps a per-node settled flag
+//     — δ on the node's current signal is certified a coin-free self-loop
+//     (sa.SelfLooper) — invalidated in O(deg v) when a neighborhood changes,
+//     so a near-quiescent step costs O(|frontier|) instead of Θ(n) while
+//     staying byte-identical to dense runs at every parallelism (the
+//     frontier differential harness and the cmd/campaign -frontier-check
+//     guard enforce it; see the frontier series of BENCH_hotpath.json for
+//     the quiescent-regime speedups);
+//   - live topology churn (graph.Delta, sim.Options.Churn, Engine.ApplyDelta
+//     on both engines, sim and asyncsim): the graph mutates mid-run at step
+//     boundaries — edge flips, cell crash/revive, scripted or stochastic
+//     with connectivity and diameter-drift guards — through one amortized
+//     in-place CSR re-compaction, with every incremental layer repaired in
+//     the same motion (frontier re-seeding, O(1) GoodMonitor counter repair
+//     via sim.TopologyObserver, shard boundary re-classification with
+//     threshold-triggered repartition). Churn runs stay byte-identical
+//     across execution modes (the bio-churn preset and the cmd/campaign
+//     -churn-check guard enforce it), and internal/mc proves
+//     re-stabilization after every single-edge flip exhaustively on n <= 4
+//     instances;
 //   - zero-allocation engine telemetry (internal/obs, a std-lib-only leaf
 //     shared by every engine): struct-of-atomics counter sets, sampled step
 //     tracing keyed by the deterministic step number (so attaching a tracer
@@ -68,20 +68,20 @@
 //     the equivalent cmd/unisonsim flags; the steady step stays 0 allocs/op
 //     with the full stack attached (the obs series of BENCH_hotpath.json,
 //     gated by hotpathbench -obs-gate);
-//   - a word-parallel hot path (sim.Options.WordParallel, syncsim.WordEngine,
-//     campaign -word): the hot state is one one-hot self-word per node plus
-//     a goodness slab per lane (sa.Planes, one uint64 plane per state, is
-//     only the pack/inspect format), neighborhood signals come from a
-//     batched CSR OR-scan (sa.BuildSignals), and a precompiled transition
-//     table (core.AU.Kernel) evaluates 64 nodes' transitions and goodness
-//     per word pass with math/bits intrinsics; certified full steps feed the
+//   - a word-parallel hot path (sim.Options.WordParallel, campaign -word):
+//     the hot state is one one-hot self-word per node plus a goodness slab
+//     per lane (sa.Planes, one uint64 plane per state, is only the
+//     pack/inspect format), neighborhood signals come from a batched CSR
+//     OR-scan (sa.BuildSignals), and a precompiled transition table
+//     (core.AU.Kernel) evaluates 64 nodes' transitions and goodness per word
+//     pass with math/bits intrinsics; certified full steps feed the
 //     GoodMonitor one plain batch (a raw-mirror refresh) instead of n
 //     per-node updates. Word-parallel runs are byte-identical to scalar runs
 //     (the engine differentials and the cmd/campaign -plane-check guard
 //     enforce it), the dense steady step stays 0 allocs/op, and the
 //     word/scalar speedup at n = 10^5 is gated by hotpathbench -plane-gate
-//     (the word series of BENCH_hotpath.json); algorithms without a
-//     one-word kernel (|Q| > 64, coin-driven variants) fall back to scalar;
+//     (the word series of BENCH_hotpath.json); algorithms without a one-word
+//     kernel (|Q| > 64, coin-driven variants) fall back to scalar;
 //   - a self-stabilizing harness (internal/failpoint, a std-lib-only leaf):
 //     deterministic seeded fault injection at named sites (disarmed cost: one
 //     atomic load, 0 allocs) drives panic-isolated campaign workers with

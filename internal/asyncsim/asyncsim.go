@@ -1,13 +1,27 @@
 // Package asyncsim executes procedural SA algorithms (node programs over
-// arbitrary comparable state types) under the asynchronous adversarial
-// schedulers of package sched, mirroring the step semantics of package sim:
-// at step t every activated node senses the configuration C_t (the set of
-// distinct states in its inclusive neighborhood) and all activated nodes
-// update simultaneously.
+// arbitrary comparable state types, syncsim.StepFunc) under the schedulers
+// of package sched, mirroring the step semantics of package sim: at step t
+// every activated node senses the configuration C_t (the set of distinct
+// states in its inclusive neighborhood) and all activated nodes update
+// simultaneously.
 //
-// It is the asynchronous counterpart of package syncsim and the execution
-// substrate for the synchronizer of Corollary 1.2, whose product states are
-// structs rather than dense integers.
+// It is the one engine for these programs. AlgMIS and AlgLE of Sec. 3 run
+// under the synchronous schedule — the nil scheduler, A_t = V, where steps
+// and rounds coincide — and the Corollary 1.2 synchronizer runs them under
+// any fair scheduler through product states that are structs rather than
+// dense integers.
+//
+// Every step runs one loop (step.go) with two plugs:
+//
+//   - Coin source. NewParallel with p = 0 (and New) draws every coin from
+//     the engine's single rng in ascending activation order; p >= 1 draws
+//     node v's coins at step t from a counter-based stream seeded by
+//     randx.NodeSeed(seed, t, v), so the run is byte-identical at every
+//     p >= 1 (under the synchronous scheduler these are per-(round, node)
+//     streams).
+//   - Lanes. p <= 1 stages A_t in one inline lane; p >= 2 splits it over
+//     one lane per contiguous shard of internal/shard, staged concurrently
+//     on a persistent worker pool.
 package asyncsim
 
 import (
@@ -18,36 +32,61 @@ import (
 	"thinunison/internal/obs"
 	"thinunison/internal/randx"
 	"thinunison/internal/sched"
+	"thinunison/internal/shard"
 	"thinunison/internal/syncsim"
 )
 
-// Engine drives one asynchronous execution of a node program.
+// Engine drives one execution of a node program.
 type Engine[S comparable] struct {
 	g        *graph.Graph
 	step     syncsim.StepFunc[S]
 	sch      sched.Scheduler
 	states   []S
-	scratch  []S // per-step new states of the activated set
-	rng      *rand.Rand
 	stepNum  int
 	tracker  *sched.RoundTracker
-	buf      []S
-	changed  []int // nodes whose state changed in the last step
+	actBuf   []int // canonicalization buffer for unsorted activation lists
+	changed  []int // nodes whose state changed in the last step, ascending
 	faultBuf []int // reusable permutation buffer for InjectFaults
+
+	// lanes are the step loop's staging units: one at p <= 1, one per shard
+	// at p >= 2. part is the node partition at p >= 1 (nil at p = 0); the
+	// pool and its stage body exist only with two or more lanes.
+	lanes   []lane[S]
+	part    *shard.Partition
+	pool    *shard.Pool
+	stageFn func(s int)
+
+	// churnAccum is the accumulated topology-churn weight since the last
+	// (re)partition; see ApplyDelta.
+	churnAccum int
 
 	// mx is always non-nil (allocated at New; replaceable via Instrument)
 	// so metric updates are unconditional. tracer is attached via Trace.
 	mx       *obs.Metrics
 	tracer   *obs.Tracer
-	src      *randx.Source   // the rng stream, checkpointed by its state
+	rng      *rand.Rand      // the shared stream: p = 0 coins and fault draws
+	src      *randx.Source   // rng's source, checkpointed by its state
 	coin     *randx.Counting // draw tally over src
 	seed     int64           // construction seed, retained for checkpointing
 	traceErr error           // first sink error of the attached tracer
 }
 
 // New returns an engine with the given initial configuration and scheduler
-// (nil means synchronous).
+// (nil means synchronous), drawing every coin from one shared stream. It is
+// NewParallel with p = 0.
 func New[S comparable](g *graph.Graph, step syncsim.StepFunc[S], initial []S, s sched.Scheduler, seed int64) (*Engine[S], error) {
+	return NewParallel(g, step, initial, s, seed, 0)
+}
+
+// NewParallel returns an engine whose steps run on p lanes (see the package
+// doc): p = 0 is the shared-stream engine of New; p >= 1 draws coins from
+// per-(step, node) streams, so runs are byte-identical for equal seeds at
+// ANY p >= 1, and p >= 2 partitions the graph into p contiguous shards
+// (clamped to the node count) whose lanes stage concurrently. The step
+// function must then be safe for concurrent calls (pure up to its rng
+// argument, as the MIS/LE programs are). Call Close when done with the
+// engine to release the workers.
+func NewParallel[S comparable](g *graph.Graph, step syncsim.StepFunc[S], initial []S, s sched.Scheduler, seed int64, p int) (*Engine[S], error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -63,19 +102,51 @@ func New[S comparable](g *graph.Graph, step syncsim.StepFunc[S], initial []S, s 
 	// its state; the counting wrapper is a pass-through tallying the draws.
 	src := randx.NewSource(seed)
 	coin := randx.NewCounting(src)
-	return &Engine[S]{
+	e := &Engine[S]{
 		g:       g,
 		step:    step,
 		sch:     s,
 		states:  states,
-		scratch: make([]S, 0, g.N()),
-		rng:     rand.New(coin),
 		tracker: sched.NewRoundTracker(g.N()),
 		mx:      &obs.Metrics{},
+		rng:     rand.New(coin),
 		src:     src,
 		coin:    coin,
 		seed:    seed,
-	}, nil
+	}
+	lanes := 1
+	if p >= 1 {
+		e.part = shard.NewPartition(g, p)
+		if p >= 2 {
+			lanes = e.part.P()
+		}
+	}
+	e.lanes = make([]lane[S], lanes)
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		l.rng = e.rng
+		if p >= 1 {
+			l.seq = &randx.Seq{}
+			l.coin = randx.NewCounting(l.seq)
+			l.rng = rand.New(l.coin)
+		}
+	}
+	if lanes > 1 {
+		// The stage body reads e.stepNum, e.states and the lanes directly;
+		// all are written only by the coordinator between pool phases, and
+		// the pool's channel handoffs order those writes.
+		e.pool = shard.NewPool(lanes)
+		e.stageFn = func(s int) { e.stage(&e.lanes[s]) }
+	}
+	return e, nil
+}
+
+// Close releases the worker goroutines of an engine with two or more lanes.
+// It is idempotent and a no-op for single-lane engines.
+func (e *Engine[S]) Close() {
+	if e.pool != nil {
+		e.pool.Close()
+	}
 }
 
 // Instrument replaces the engine's metric set with mx (call before the
@@ -99,90 +170,33 @@ func (e *Engine[S]) TraceErr() error { return e.traceErr }
 // Graph returns the underlying graph.
 func (e *Engine[S]) Graph() *graph.Graph { return e.g }
 
-// Step executes one asynchronous step. New states of the activated set are
-// staged in a reusable scratch slice — no O(n) configuration copy per step —
-// and written back only after every activated node has sensed C_t,
-// preserving the simultaneous-update semantics. Nodes whose state actually
-// changed are recorded for Changed.
-func (e *Engine[S]) Step() {
-	activated := e.sch.Activations(e.stepNum, e.g.N())
-	e.scratch = e.scratch[:0]
-	for _, v := range activated {
-		e.scratch = append(e.scratch, e.step(e.states[v], e.sense(v), e.rng))
-	}
-	e.changed = e.changed[:0]
-	for i, v := range activated {
-		if e.scratch[i] != e.states[v] {
-			e.states[v] = e.scratch[i]
-			e.changed = append(e.changed, v)
-		}
-	}
-	e.tracker.Observe(activated)
-	e.stepNum++
-	m := e.mx
-	m.Steps.Add(1)
-	m.Rounds.Store(uint64(e.tracker.Rounds()))
-	m.Activated.Add(uint64(len(activated)))
-	m.Evaluated.Add(uint64(len(activated)))
-	m.Changes.Add(uint64(len(e.changed)))
-	if n := e.coin.Take(); n != 0 {
-		m.CoinDraws.Add(n)
-	}
-	if e.tracer != nil {
-		err := e.tracer.Observe(obs.Sample{
-			Step:        int64(e.stepNum),
-			Round:       int64(e.tracker.Rounds()),
-			Activated:   int64(len(activated)),
-			Evaluated:   int64(len(activated)),
-			Changes:     int64(len(e.changed)),
-			Frontier:    -1,
-			Violations:  -1,
-			ClockSpread: -1,
-		})
-		if err != nil && e.traceErr == nil {
-			e.traceErr = err
-		}
-	}
-}
-
-func (e *Engine[S]) sense(v int) []S {
-	e.buf = e.buf[:0]
-	e.buf = append(e.buf, e.states[v])
-	for _, u := range e.g.Neighbors(v) {
-		s := e.states[u]
-		dup := false
-		for _, t := range e.buf {
-			if t == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			e.buf = append(e.buf, s)
-		}
-	}
-	return e.buf
-}
-
 // ApplyDelta commits a topology mutation batch between steps: the delta
 // (which must wrap the engine's own graph) is compacted in place and the
 // touched endpoints returned, so callers can recheck dirty-set stability
-// over the affected neighborhoods. The asynchronous engine keeps no
-// topology-derived incremental state of its own, so no further repair is
-// needed; like SetState it must run between steps, on the driving
-// goroutine.
+// (syncsim.Checker.Recheck) over the affected neighborhoods. A partitioned
+// engine (p >= 1) re-classifies the endpoints, or repartitions outright
+// once the accumulated churn weight crosses the threshold; the partition
+// is layout only, so the run stays byte-identical at every p >= 1. Like
+// SetState it must run between steps, on the driving goroutine.
 func (e *Engine[S]) ApplyDelta(d *graph.Delta) ([]int, error) {
 	if d.Graph() != e.g {
 		return nil, fmt.Errorf("asyncsim: delta wraps a different graph")
 	}
 	_, touched := d.Apply()
+	if e.part != nil {
+		if next, rebuilt := e.part.RewireAfterChurn(&e.churnAccum, touched); rebuilt {
+			e.mx.Repartitions.Add(1)
+			e.part = next
+		}
+	}
 	return touched, nil
 }
 
 // Rounds returns the number of completed rounds (round operator ϱ).
 func (e *Engine[S]) Rounds() int { return e.tracker.Rounds() }
 
-// Steps returns the number of steps executed.
+// Steps returns the number of steps executed; under the synchronous
+// scheduler steps and rounds coincide.
 func (e *Engine[S]) Steps() int { return e.stepNum }
 
 // State returns the current state of node v.
@@ -201,9 +215,9 @@ func (e *Engine[S]) States() []S {
 // allocation-free.
 func (e *Engine[S]) View() []S { return e.states }
 
-// Changed returns the nodes whose state changed in the most recent Step.
-// The slice is owned by the engine and valid until the next Step. It is the
-// dirty set that incremental stability checks recheck.
+// Changed returns the nodes whose state changed in the most recent Step, in
+// ascending order. The slice is owned by the engine and valid until the
+// next Step. It is the dirty set that incremental stability checks recheck.
 func (e *Engine[S]) Changed() []int { return e.changed }
 
 // SetState overwrites node v's state (transient fault injection).
@@ -212,18 +226,17 @@ func (e *Engine[S]) SetState(v int, s S) { e.states[v] = s }
 // InjectFaults corrupts count distinct random nodes (clamped to [0, n]) to
 // states drawn from random, returning the affected nodes. It models a burst
 // of transient faults mid-execution; self-stabilization guarantees recovery.
-// The victims are drawn by a partial Fisher–Yates shuffle over a reusable
-// buffer, so repeated bursts allocate nothing; the returned slice is owned
-// by the engine and valid until the next call.
+// The victims and their states come from the shared stream at every p, by a
+// partial Fisher–Yates shuffle over a reusable buffer, so repeated bursts
+// allocate nothing; the returned slice is owned by the engine and valid
+// until the next call.
 func (e *Engine[S]) InjectFaults(count int, random func(rng *rand.Rand) S) []int {
 	hit := randx.PartialShuffle(&e.faultBuf, e.g.N(), count, e.rng)
 	for _, v := range hit {
 		e.states[v] = random(e.rng)
 	}
 	e.mx.Faults.Add(uint64(len(hit)))
-	if n := e.coin.Take(); n != 0 {
-		e.mx.CoinDraws.Add(n)
-	}
+	e.flushCoins()
 	return hit
 }
 

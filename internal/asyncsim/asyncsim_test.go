@@ -2,6 +2,7 @@ package asyncsim_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"thinunison/internal/asyncsim"
@@ -31,33 +32,38 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestDefaultSchedulerIsSynchronous: nil scheduler behaves synchronously,
-// matching the syncsim engine round for round.
+// TestDefaultSchedulerIsSynchronous: a nil scheduler behaves as the
+// synchronous one (A_t = V), step for step: OR-gossip spreads exactly one
+// hop per step, matching an engine built with sched.NewSynchronous, and
+// every step closes a round.
 func TestDefaultSchedulerIsSynchronous(t *testing.T) {
 	g, err := graph.Path(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	init := []bool{true, false, false, false, false}
-	async, err := asyncsim.New(g, orStep, init, nil, 1)
+	def, err := asyncsim.New(g, orStep, init, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sync, err := syncsim.New(g, orStep, init, 1)
+	sync, err := asyncsim.New(g, orStep, init, sched.NewSynchronous(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		async.Step()
-		sync.Round()
+		def.Step()
+		sync.Step()
 		for v := 0; v < g.N(); v++ {
-			if async.State(v) != sync.State(v) {
-				t.Fatalf("step %d node %d: async %v != sync %v", i, v, async.State(v), sync.State(v))
+			if def.State(v) != sync.State(v) {
+				t.Fatalf("step %d node %d: nil scheduler %v != synchronous %v", i, v, def.State(v), sync.State(v))
+			}
+			if want := v <= i+1; def.State(v) != want {
+				t.Fatalf("step %d node %d: %v, want %v", i, v, def.State(v), want)
 			}
 		}
 	}
-	if async.Rounds() != 4 || async.Steps() != 4 {
-		t.Errorf("Rounds=%d Steps=%d", async.Rounds(), async.Steps())
+	if def.Rounds() != 4 || def.Steps() != 4 {
+		t.Errorf("Rounds=%d Steps=%d", def.Rounds(), def.Steps())
 	}
 }
 
@@ -140,5 +146,39 @@ func TestChangedTracksActualStateChanges(t *testing.T) {
 	}
 	if view := eng.View(); !view[1] || view[2] || view[3] {
 		t.Fatalf("view = %v, want [true true false false]", view)
+	}
+}
+
+// TestUnsortedActivationsAreCanonicalized: a scheduler emitting an unsorted,
+// duplicated A_t must step exactly like its canonical form — no coin drawn
+// twice for one node, Changed ascending and duplicate-free — at every p.
+func TestUnsortedActivationsAreCanonicalized(t *testing.T) {
+	g, err := graph.Cycle(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every activation draws, and node v's draw decides its next state.
+	step := func(self int, _ []int, rng *rand.Rand) int { return self + 1 + rng.Intn(4) }
+	for _, p := range []int{0, 1, 2} {
+		var engines [2]*asyncsim.Engine[int]
+		for i, script := range [][][]int{{{2, 0, 0}, {3, 1}}, {{0, 2}, {1, 3}}} {
+			e, err := asyncsim.NewParallel(g, step, make([]int, g.N()), sched.NewScripted(script, true), 7, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			engines[i] = e
+		}
+		messy, canon := engines[0], engines[1]
+		for i := 0; i < 8; i++ {
+			messy.Step()
+			canon.Step()
+			if !slices.Equal(messy.View(), canon.View()) {
+				t.Fatalf("p=%d step %d: unsorted script diverged from its canonical form: %v vs %v", p, i, messy.View(), canon.View())
+			}
+			if !slices.Equal(messy.Changed(), canon.Changed()) {
+				t.Fatalf("p=%d step %d: Changed = %v, canonical %v", p, i, messy.Changed(), canon.Changed())
+			}
+		}
 	}
 }

@@ -8,8 +8,9 @@ import (
 	"thinunison/internal/graph"
 )
 
-// TestInjectFaultsClamps mirrors the syncsim clamp test on the asynchronous
-// engine: negative counts inject nothing and oversized counts clamp to n.
+// TestInjectFaultsClamps covers the degenerate counts the campaign fault
+// specs can produce: negative counts inject nothing, oversized counts clamp
+// to n, and the corrupted nodes are distinct.
 func TestInjectFaultsClamps(t *testing.T) {
 	g, err := graph.Cycle(6)
 	if err != nil {
@@ -25,8 +26,21 @@ func TestInjectFaultsClamps(t *testing.T) {
 	if hit := eng.InjectFaults(-1, random); len(hit) != 0 {
 		t.Errorf("negative count injected %d faults", len(hit))
 	}
-	if hit := eng.InjectFaults(1000, random); len(hit) != 6 {
+	for _, s := range eng.States() {
+		if s != 0 {
+			t.Error("negative count mutated state")
+		}
+	}
+	hit := eng.InjectFaults(1000, random)
+	if len(hit) != 6 {
 		t.Errorf("oversized count hit %d nodes, want 6", len(hit))
+	}
+	seen := map[int]bool{}
+	for _, v := range hit {
+		if seen[v] {
+			t.Errorf("node %d corrupted twice in one burst", v)
+		}
+		seen[v] = true
 	}
 	for _, s := range eng.States() {
 		if s == 0 {

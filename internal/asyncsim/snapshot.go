@@ -8,16 +8,22 @@ import (
 	"thinunison/internal/obs"
 	"thinunison/internal/randx"
 	"thinunison/internal/sched"
+	"thinunison/internal/shard"
 	"thinunison/internal/snapshot"
 	"thinunison/internal/syncsim"
 )
 
-// Checkpoint/restore for the asynchronous generic engine, mirroring the
-// contracts of internal/sim and internal/syncsim: save at a step boundary,
-// restore with the same node program and a freshly constructed scheduler of
-// the same recipe, and the continuation is byte-identical to the
-// uninterrupted run. Stateful schedulers must implement sched.Checkpointer
-// (use the seeded constructors).
+// Checkpoint/restore for the engine, mirroring the contract of internal/sim:
+// save at a step boundary, restore with the same node program and a freshly
+// constructed scheduler of the same recipe, and the continuation is
+// byte-identical to the uninterrupted run at every p. Stateful schedulers
+// must implement sched.Checkpointer (use the seeded constructors).
+//
+// State types are arbitrary comparables the engine cannot introspect, so
+// callers supply a syncsim.StateEncoder/StateDecoder pair that must
+// round-trip exactly (decode(encode(s)) == s). Lane streams need nothing:
+// they are reseeded per (step, node) from the run seed. The partition
+// bounds are saved because churn may have repartitioned the graph.
 
 const engineSection = "asyncsim"
 
@@ -52,6 +58,15 @@ func (e *Engine[S]) SaveState(w io.Writer, encode syncsim.StateEncoder[S], extra
 	enc.U64(e.coin.Pending())
 	enc.Ints(e.faultBuf)
 	enc.Blob(e.tracker.CheckpointState())
+	p := 0
+	if e.part != nil {
+		p = e.part.P()
+	}
+	enc.Int(p)
+	if e.part != nil {
+		enc.Ints(e.part.Starts())
+		enc.Int(e.churnAccum)
+	}
 	if cp, ok := e.sch.(sched.Checkpointer); ok {
 		state, err := cp.CheckpointState()
 		if err != nil {
@@ -70,8 +85,9 @@ func (e *Engine[S]) SaveState(w io.Writer, encode syncsim.StateEncoder[S], extra
 }
 
 // Restore reads a checkpoint written by SaveState and rebuilds the engine:
-// same topology, same configuration, rng and scheduler streams set to their
-// saved states. The returned extras map holds the caller sections.
+// same topology, configuration, p and partition, rng and scheduler streams
+// set to their saved states. The returned extras map holds the caller
+// sections. Close the engine when done, as for NewParallel.
 func Restore[S comparable](r io.Reader, decode syncsim.StateDecoder[S], opts RestoreOptions[S]) (*Engine[S], map[string][]byte, error) {
 	if opts.Step == nil {
 		return nil, nil, fmt.Errorf("asyncsim: restore needs a step function")
@@ -112,6 +128,13 @@ func Restore[S comparable](r io.Reader, decode syncsim.StateDecoder[S], opts Res
 	coinPending := d.U64()
 	faultBuf := d.Ints()
 	trackerState := d.Blob()
+	p := d.Int()
+	var starts []int
+	churnAccum := 0
+	if p >= 1 {
+		starts = d.Ints()
+		churnAccum = d.Int()
+	}
 	hasSched := d.Bool()
 	var schedState []byte
 	if hasSched {
@@ -125,9 +148,28 @@ func Restore[S comparable](r io.Reader, decode syncsim.StateDecoder[S], opts Res
 		return nil, nil, fmt.Errorf("asyncsim: snapshot engine section: %w", err)
 	}
 
-	e, err := New(g, opts.Step, states, opts.Scheduler, seed)
+	e, err := NewParallel(g, opts.Step, states, opts.Scheduler, seed, p)
 	if err != nil {
 		return nil, nil, err
+	}
+	ok = false
+	defer func() {
+		if !ok {
+			e.Close()
+		}
+	}()
+	if e.part != nil {
+		// The saved bounds are not derivable from the restored graph: a
+		// mid-run repartition reflects churn history.
+		part, err := shard.NewPartitionFromStarts(g, starts)
+		if err != nil {
+			return nil, nil, fmt.Errorf("asyncsim: snapshot partition: %w", err)
+		}
+		if part.P() != e.part.P() {
+			return nil, nil, fmt.Errorf("asyncsim: snapshot partition has %d shards, engine built %d", part.P(), e.part.P())
+		}
+		e.part = part
+		e.churnAccum = churnAccum
 	}
 	if err := e.src.SetState(coinState); err != nil {
 		return nil, nil, fmt.Errorf("asyncsim: snapshot rng: %w", err)
@@ -155,5 +197,6 @@ func Restore[S comparable](r io.Reader, decode syncsim.StateDecoder[S], opts Res
 	e.mx.Add(obs.SnapshotFromWords([obs.SnapshotWords]uint64(mwords)))
 
 	delete(sections, engineSection)
+	ok = true
 	return e, sections, nil
 }

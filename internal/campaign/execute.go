@@ -579,7 +579,7 @@ func leTask(d int, rec *Record) task[le.State] {
 }
 
 // runSyncTask drives a synchronous program (plain AlgMIS/AlgLE) under the
-// synchronous schedule.
+// synchronous schedule, on as many lanes as the AU engines get.
 func runSyncTask[S comparable](ctx context.Context, sc Scenario, g *graph.Graph, d int, rng *rand.Rand, rec *Record, t task[S], mx *obs.Metrics, tracer *obs.Tracer) {
 	if t.step == nil {
 		return // constructor already failed the record
@@ -592,63 +592,20 @@ func runSyncTask[S comparable](ctx context.Context, sc Scenario, g *graph.Graph,
 	for v := range initial {
 		initial[v] = t.random(rng)
 	}
-	eng, err := syncsim.NewParallel(g, t.step, initial, rng.Int63(), sc.intraParallelism())
+	eng, err := asyncsim.NewParallel(g, t.step, initial, nil, rng.Int63(), sc.intraParallelism())
 	if err != nil {
 		rec.fail(err)
 		return
 	}
 	defer eng.Close()
-	eng.Instrument(mx)
-	eng.Trace(tracer)
-	// Sink errors in the sync engine are sticky, not propagated through the
-	// run loop; surface the first one on the record at exit.
-	defer func() {
-		if err := eng.TraceErr(); err != nil {
-			rec.fail(err)
-		}
-	}()
-	roundBudget := budget.Task(d, g.N())
-	rec.Budget = roundBudget
-
 	// Dirty-set stability: after each round only the changed nodes and their
 	// neighbors are rechecked; the verdict itself is O(1). The engine's View
 	// avoids the per-check configuration copy.
 	chk := syncsim.NewChecker(g, func(v int) (bool, int) {
 		return t.eval(g, eng.View(), v)
 	})
-	cancelled := false
-	stable := pollingCond(ctx, &cancelled, sc.N, func() bool {
-		chk.Recheck(eng.Changed())
-		return t.stable(chk)
-	})
-	rounds, ok := eng.RunUntil(func(*syncsim.Engine[restart.State[S]]) bool { return stable() }, roundBudget)
-	rec.Rounds, rec.Steps = rounds, eng.Steps()
-	if cancelled {
-		rec.fail(errCancelled)
-		return
-	}
-	if !ok {
-		rec.fail(fmt.Errorf("%s did not stabilize within %d rounds", sc.Algorithm, roundBudget))
-		return
-	}
-	rec.OK = true
-
-	for burst := 0; burst < faultBursts(sc.Faults); burst++ {
-		chk.Recheck(eng.InjectFaults(sc.Faults.Count, t.random))
-		recovery, ok := eng.RunUntil(func(*syncsim.Engine[restart.State[S]]) bool { return stable() }, roundBudget)
-		rec.Steps = eng.Steps()
-		if recovery > rec.RecoveryRounds {
-			rec.RecoveryRounds = recovery
-		}
-		if cancelled {
-			rec.fail(errCancelled)
-			return
-		}
-		if !ok {
-			rec.fail(fmt.Errorf("%s did not recover from burst %d within %d rounds", sc.Algorithm, burst, roundBudget))
-			return
-		}
-	}
+	driveTask(ctx, sc, rec, eng, mx, tracer, budget.Task(d, g.N()),
+		chk.Recheck, func() bool { return t.stable(chk) }, t.random)
 }
 
 // runAsyncTask drives a synchronous program through the Corollary 1.2
@@ -683,28 +640,41 @@ func runAsyncTask[S comparable](ctx context.Context, sc Scenario, g *graph.Graph
 		rec.fail(err)
 		return
 	}
-	eng.Instrument(mx)
-	eng.Trace(tracer)
-	defer func() {
-		if err := eng.TraceErr(); err != nil {
-			rec.fail(err)
-		}
-	}()
-	roundBudget := asyncTaskBudget(d, g.N())
-	rec.Budget = roundBudget
-
 	// Dirty-set stability over the π(Cur) projection of the synchronizer
 	// product states; only changed nodes are re-projected and rechecked, so
 	// the per-step check allocates nothing.
 	prj := syncsim.NewProjected(g, eng.View,
 		func(st synchronizer.State[restart.State[S]]) restart.State[S] { return st.Cur },
 		func(pi []restart.State[S], v int) (bool, int) { return t.eval(g, pi, v) })
+	driveTask(ctx, sc, rec, eng, mx, tracer, asyncTaskBudget(d, g.N()),
+		prj.Update, func() bool { return t.stable(prj.Checker()) }, randomState)
+}
+
+// driveTask is the loop both task drivers share: step eng until the task is
+// stable, then through each of the scenario's fault bursts until it is
+// stable again, each phase within roundBudget rounds. recheck feeds a dirty
+// set to the stability state — the engine's Changed after a step, the
+// victims after a burst — and stable reads its O(1) verdict; random draws
+// a corrupted state.
+func driveTask[S comparable](ctx context.Context, sc Scenario, rec *Record, eng *asyncsim.Engine[S], mx *obs.Metrics, tracer *obs.Tracer,
+	roundBudget int, recheck func(changed []int), stable func() bool, random func(*rand.Rand) S) {
+	eng.Instrument(mx)
+	eng.Trace(tracer)
+	// Sink errors in the engine are sticky, not propagated through the run
+	// loop; surface the first one on the record at exit.
+	defer func() {
+		if err := eng.TraceErr(); err != nil {
+			rec.fail(err)
+		}
+	}()
+	rec.Budget = roundBudget
 	cancelled := false
-	stable := pollingCond(ctx, &cancelled, sc.N, func() bool {
-		prj.Update(eng.Changed())
-		return t.stable(prj.Checker())
+	poll := pollingCond(ctx, &cancelled, sc.N, func() bool {
+		recheck(eng.Changed())
+		return stable()
 	})
-	rounds, ok := eng.RunUntil(func(*asyncsim.Engine[synchronizer.State[restart.State[S]]]) bool { return stable() }, roundBudget)
+	until := func(*asyncsim.Engine[S]) bool { return poll() }
+	rounds, ok := eng.RunUntil(until, roundBudget)
 	rec.Rounds, rec.Steps = rounds, eng.Steps()
 	if cancelled {
 		rec.fail(errCancelled)
@@ -717,8 +687,8 @@ func runAsyncTask[S comparable](ctx context.Context, sc Scenario, g *graph.Graph
 	rec.OK = true
 
 	for burst := 0; burst < faultBursts(sc.Faults); burst++ {
-		prj.Update(eng.InjectFaults(sc.Faults.Count, randomState))
-		recovery, ok := eng.RunUntil(func(*asyncsim.Engine[synchronizer.State[restart.State[S]]]) bool { return stable() }, roundBudget)
+		recheck(eng.InjectFaults(sc.Faults.Count, random))
+		recovery, ok := eng.RunUntil(until, roundBudget)
 		rec.Steps = eng.Steps()
 		if recovery > rec.RecoveryRounds {
 			rec.RecoveryRounds = recovery

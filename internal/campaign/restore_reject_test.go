@@ -13,7 +13,6 @@ import (
 	"thinunison/internal/sched"
 	"thinunison/internal/sim"
 	"thinunison/internal/snapshot"
-	"thinunison/internal/syncsim"
 )
 
 // splitFields cuts a section payload into its encoded fields, one per
@@ -92,8 +91,8 @@ func inBlob(layout string, i int, edit fieldEdit) fieldEdit {
 // TestRestoreRejectsInconsistentState: a CRC-valid snapshot with one
 // inconsistent field must fail to restore with an error, not restore and
 // then index out of range or misbehave on the next step or fault burst.
-// Each case rewrites one field of a valid snapshot of the sim, syncsim or
-// asyncsim engine and writes the container back through snapshot.Write, so
+// Each case rewrites one field of a valid snapshot of the sim or asyncsim
+// engine (the latter at p = 0 and p = 2) and writes the container back through snapshot.Write, so
 // the checksums hold and only the field's own validation can catch it.
 func TestRestoreRejectsInconsistentState(t *testing.T) {
 	const n = 12
@@ -120,6 +119,7 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 		tracker       int
 		sched         int
 		rng           int
+		starts        int
 		snap          []byte
 		restore       func(data []byte) error
 	}
@@ -142,7 +142,7 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 	}
 	engines = append(engines, engine{
 		name: "sim", section: "engine", layout: "iiiiiIIIUiIBbibbbBU",
-		faultBuf: 10, tracker: 11, sched: 17, rng: 8, snap: bytes.Clone(buf.Bytes()),
+		faultBuf: 10, tracker: 11, sched: 17, rng: 8, starts: -1, snap: bytes.Clone(buf.Bytes()),
 		restore: func(data []byte) error {
 			e, _, err := sim.Restore(bytes.NewReader(data), au, sim.RestoreOptions{Scheduler: mkSched()})
 			if err == nil {
@@ -152,51 +152,40 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 		},
 	})
 
-	ye, err := syncsim.New(g, step, make([]int, n), 1)
-	if err != nil {
-		t.Fatal(err)
+	// The asyncsim engine at p = 0 (one lane, shared coin stream) and at
+	// p = 2 (two shards, whose bounds and churn weight are saved).
+	for _, p := range []int{0, 2} {
+		ae, err := asyncsim.NewParallel(g, step, make([]int, n), mkSched(), 1, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ae.Close()
+		for i := 0; i < 5; i++ {
+			ae.Step()
+		}
+		ae.InjectFaults(3, randomState)
+		buf.Reset()
+		if err := ae.SaveState(&buf, encode); err != nil {
+			t.Fatal(err)
+		}
+		eng := engine{
+			name: "asyncsim", section: "asyncsim", layout: "iiiiII" + strings.Repeat("i", n) + "UiIBibBU",
+			faultBuf: n + 8, tracker: n + 9, sched: n + 12, rng: n + 6, starts: -1, snap: bytes.Clone(buf.Bytes()),
+			restore: func(data []byte) error {
+				e, _, err := asyncsim.Restore(bytes.NewReader(data), decode, asyncsim.RestoreOptions[int]{Step: step, Scheduler: mkSched()})
+				if err == nil {
+					e.Close()
+				}
+				return err
+			},
+		}
+		if p == 2 {
+			eng.name = "asyncsim-p2"
+			eng.layout = "iiiiII" + strings.Repeat("i", n) + "UiIBiIibBU"
+			eng.starts, eng.sched = n+11, n+14
+		}
+		engines = append(engines, eng)
 	}
-	defer ye.Close()
-	for i := 0; i < 5; i++ {
-		ye.Round()
-	}
-	ye.InjectFaults(3, randomState)
-	buf.Reset()
-	if err := ye.SaveState(&buf, encode); err != nil {
-		t.Fatal(err)
-	}
-	engines = append(engines, engine{
-		name: "syncsim", section: "syncsim", layout: "iiiiII" + strings.Repeat("i", n) + "UiIibU",
-		faultBuf: n + 8, tracker: -1, sched: -1, rng: n + 6, snap: bytes.Clone(buf.Bytes()),
-		restore: func(data []byte) error {
-			e, _, err := syncsim.Restore(bytes.NewReader(data), decode, syncsim.RestoreOptions[int]{Step: step})
-			if err == nil {
-				e.Close()
-			}
-			return err
-		},
-	})
-
-	ae, err := asyncsim.New(g, step, make([]int, n), mkSched(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		ae.Step()
-	}
-	ae.InjectFaults(3, randomState)
-	buf.Reset()
-	if err := ae.SaveState(&buf, encode); err != nil {
-		t.Fatal(err)
-	}
-	engines = append(engines, engine{
-		name: "asyncsim", section: "asyncsim", layout: "iiiiII" + strings.Repeat("i", n) + "UiIBbBU",
-		faultBuf: n + 8, tracker: n + 9, sched: n + 11, rng: n + 6, snap: bytes.Clone(buf.Bytes()),
-		restore: func(data []byte) error {
-			_, _, err := asyncsim.Restore(bytes.NewReader(data), decode, asyncsim.RestoreOptions[int]{Step: step, Scheduler: mkSched()})
-			return err
-		},
-	})
 
 	// Layouts of the nested blobs: the round tracker and the Permuted
 	// scheduler.
@@ -233,6 +222,12 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 				edit{"scheduler rng tap out of range", eng.sched, inBlob(permLayout, 1, editWords(badTap))},
 				edit{"permutation with a duplicate", eng.sched, inBlob(permLayout, 2, editInts(func(p []int) []int { p[0] = p[1]; return p }))},
 				edit{"permutation node out of range", eng.sched, inBlob(permLayout, 2, editInts(func(p []int) []int { p[0] = len(p); return p }))},
+			)
+		}
+		if eng.starts >= 0 {
+			edits = append(edits,
+				edit{"partition bound past n", eng.starts, editInts(func(p []int) []int { p[1] = n + 1; return p })},
+				edit{"partition with a wrong shard count", eng.starts, editInts(func([]int) []int { return []int{0, 4, 8, n} })},
 			)
 		}
 		for _, c := range edits {

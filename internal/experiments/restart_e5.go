@@ -3,9 +3,9 @@ package experiments
 import (
 	"math/rand"
 
+	"thinunison/internal/asyncsim"
 	"thinunison/internal/graph"
 	"thinunison/internal/restart"
-	"thinunison/internal/syncsim"
 )
 
 // restartCounter is the trivial wrapped algorithm used by the E5 trials.
@@ -35,14 +35,14 @@ func restartTrial(g *graph.Graph, d int, rng *rand.Rand) (exitRound int, concurr
 	}
 	initial[rng.Intn(g.N())] = restart.State[restartCounter]{InRestart: true, Pos: rng.Intn(2*d + 1)}
 
-	eng, err := syncsim.New(g, mod.Step, initial, rng.Int63())
+	eng, err := asyncsim.New(g, mod.Step, initial, nil, rng.Int63())
 	if err != nil {
 		return -1, false
 	}
 	budget := 6*d + 4
 	for r := 1; r <= budget; r++ {
 		prev := eng.States()
-		eng.Round()
+		eng.Step()
 		cur := eng.States()
 		all := true
 		for v := range cur {

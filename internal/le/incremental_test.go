@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"thinunison/internal/asyncsim"
 	"thinunison/internal/graph"
 	"thinunison/internal/le"
 	"thinunison/internal/restart"
@@ -28,7 +29,7 @@ func TestLocalStableMatchesStable(t *testing.T) {
 		for v := range initial {
 			initial[v] = alg.RandomState(rng)
 		}
-		eng, err := syncsim.New(g, alg.Step, initial, int64(n))
+		eng, err := asyncsim.New(g, alg.Step, initial, nil, int64(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func TestLocalStableMatchesStable(t *testing.T) {
 		}
 		check("initial")
 		for r := 0; r < 400; r++ {
-			eng.Round()
+			eng.Step()
 			chk.Recheck(eng.Changed())
 			check("step")
 			if r == 200 {

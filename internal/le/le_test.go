@@ -5,10 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"thinunison/internal/asyncsim"
 	"thinunison/internal/graph"
 	"thinunison/internal/le"
 	"thinunison/internal/restart"
-	"thinunison/internal/syncsim"
 )
 
 func mustAlg(t *testing.T, d int) *le.Alg {
@@ -81,11 +81,11 @@ func TestLEFromFreshStart(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/trial%d", name, trial), func(t *testing.T) {
 				d := maxInt(1, g.Diameter())
 				a := mustAlg(t, d)
-				eng, err := syncsim.New(g, a.Step, freshStates(a, g.N()), int64(trial*7+1))
+				eng, err := asyncsim.New(g, a.Step, freshStates(a, g.N()), nil, int64(trial*7+1))
 				if err != nil {
 					t.Fatal(err)
 				}
-				rounds, ok := eng.RunUntil(func(e *syncsim.Engine[restart.State[le.State]]) bool {
+				rounds, ok := eng.RunUntil(func(e *asyncsim.Engine[restart.State[le.State]]) bool {
 					return le.Stable(e.States())
 				}, budget(g, d))
 				if !ok {
@@ -95,7 +95,7 @@ func TestLEFromFreshStart(t *testing.T) {
 				leader := le.Leaders(eng.States())
 				// Closure: same single leader, forever (run several epochs).
 				for r := 0; r < 50*(d+1); r++ {
-					eng.Round()
+					eng.Step()
 				}
 				if !le.Stable(eng.States()) {
 					t.Fatal("leader election destabilized")
@@ -121,11 +121,11 @@ func TestLESelfStabilizes(t *testing.T) {
 				for v := range initial {
 					initial[v] = a.RandomState(rng)
 				}
-				eng, err := syncsim.New(g, a.Step, initial, int64(trial+50))
+				eng, err := asyncsim.New(g, a.Step, initial, nil, int64(trial+50))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, ok := eng.RunUntil(func(e *syncsim.Engine[restart.State[le.State]]) bool {
+				if _, ok := eng.RunUntil(func(e *asyncsim.Engine[restart.State[le.State]]) bool {
 					return le.Stable(e.States())
 				}, budget(g, d)); !ok {
 					t.Fatalf("trial %d: no stable leader within budget; leaders=%v",
@@ -150,14 +150,14 @@ func TestLEDetectsZeroLeaders(t *testing.T) {
 	for v := range initial {
 		initial[v] = restart.State[le.State]{Alg: le.State{Stage: le.Verify, Round: 0}}
 	}
-	eng, err := syncsim.New(g, a.Step, initial, 5)
+	eng, err := asyncsim.New(g, a.Step, initial, nil, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Detection must occur by the end of the first full epoch.
 	sawRestart := false
 	for r := 0; r < 3*(d+2) && !sawRestart; r++ {
-		eng.Round()
+		eng.Step()
 		for v := 0; v < g.N(); v++ {
 			if eng.State(v).InRestart {
 				sawRestart = true
@@ -167,7 +167,7 @@ func TestLEDetectsZeroLeaders(t *testing.T) {
 	if !sawRestart {
 		t.Fatal("zero-leader configuration not detected within an epoch")
 	}
-	if _, ok := eng.RunUntil(func(e *syncsim.Engine[restart.State[le.State]]) bool {
+	if _, ok := eng.RunUntil(func(e *asyncsim.Engine[restart.State[le.State]]) bool {
 		return le.Stable(e.States())
 	}, budget(g, d)); !ok {
 		t.Fatal("no re-election after detection")
@@ -189,11 +189,11 @@ func TestLEDetectsTwoLeaders(t *testing.T) {
 	}
 	initial[0].Alg.Leader = true
 	initial[4].Alg.Leader = true
-	eng, err := syncsim.New(g, a.Step, initial, 21)
+	eng, err := asyncsim.New(g, a.Step, initial, nil, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := eng.RunUntil(func(e *syncsim.Engine[restart.State[le.State]]) bool {
+	if _, ok := eng.RunUntil(func(e *asyncsim.Engine[restart.State[le.State]]) bool {
 		return le.Stable(e.States())
 	}, budget(g, d)); !ok {
 		t.Fatalf("two-leader configuration not corrected; leaders=%v", le.Leaders(eng.States()))
@@ -209,11 +209,11 @@ func TestLERecoversFromMidRunCorruption(t *testing.T) {
 	}
 	d := maxInt(1, g.Diameter())
 	a := mustAlg(t, d)
-	eng, err := syncsim.New(g, a.Step, freshStates(a, g.N()), 2)
+	eng, err := asyncsim.New(g, a.Step, freshStates(a, g.N()), nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := eng.RunUntil(func(e *syncsim.Engine[restart.State[le.State]]) bool {
+	if _, ok := eng.RunUntil(func(e *asyncsim.Engine[restart.State[le.State]]) bool {
 		return le.Stable(e.States())
 	}, budget(g, d)); !ok {
 		t.Fatal("initial stabilization failed")
@@ -222,7 +222,7 @@ func TestLERecoversFromMidRunCorruption(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			eng.SetState(rng.Intn(g.N()), a.RandomState(rng))
 		}
-		if _, ok := eng.RunUntil(func(e *syncsim.Engine[restart.State[le.State]]) bool {
+		if _, ok := eng.RunUntil(func(e *asyncsim.Engine[restart.State[le.State]]) bool {
 			return le.Stable(e.States())
 		}, budget(g, d)); !ok {
 			t.Fatalf("burst %d: no recovery", burst)

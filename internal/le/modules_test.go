@@ -4,10 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"thinunison/internal/asyncsim"
 	"thinunison/internal/graph"
 	"thinunison/internal/le"
 	"thinunison/internal/restart"
-	"thinunison/internal/syncsim"
 )
 
 // TestAtLeastOneCandidateSurvives pins the Elect module's key invariant
@@ -22,12 +22,12 @@ func TestAtLeastOneCandidateSurvives(t *testing.T) {
 	}
 	d := g.Diameter()
 	a := mustAlg(t, d)
-	eng, err := syncsim.New(g, a.Step, freshStates(a, g.N()), 31)
+	eng, err := asyncsim.New(g, a.Step, freshStates(a, g.N()), nil, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 1500; round++ {
-		eng.Round()
+		eng.Step()
 		candidates, inCompute, inRestart := 0, 0, 0
 		for v := 0; v < g.N(); v++ {
 			s := eng.State(v)
@@ -59,12 +59,12 @@ func TestLockstepEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := mustAlg(t, g.Diameter())
-	eng, err := syncsim.New(g, a.Step, freshStates(a, g.N()), 5)
+	eng, err := asyncsim.New(g, a.Step, freshStates(a, g.N()), nil, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 1000; round++ {
-		eng.Round()
+		eng.Step()
 		// Skip rounds touched by a Restart (entry floods over several
 		// rounds by design; lockstep applies to normal operation).
 		anyRestart := false
@@ -99,11 +99,11 @@ func TestLeaderIsUniformishOverSeeds(t *testing.T) {
 	winners := map[int]int{}
 	const seeds = 50
 	for seed := int64(0); seed < seeds; seed++ {
-		eng, err := syncsim.New(g, a.Step, freshStates(a, g.N()), seed)
+		eng, err := asyncsim.New(g, a.Step, freshStates(a, g.N()), nil, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := eng.RunUntil(func(e *syncsim.Engine[restart.State[le.State]]) bool {
+		if _, ok := eng.RunUntil(func(e *asyncsim.Engine[restart.State[le.State]]) bool {
 			return le.Stable(e.States())
 		}, budget(g, 1)); !ok {
 			t.Fatalf("seed %d: no stable leader", seed)
@@ -126,18 +126,18 @@ func TestVerificationKeepsAuditing(t *testing.T) {
 	}
 	d := g.Diameter()
 	a := mustAlg(t, d)
-	eng, err := syncsim.New(g, a.Step, freshStates(a, g.N()), 77)
+	eng, err := asyncsim.New(g, a.Step, freshStates(a, g.N()), nil, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := eng.RunUntil(func(e *syncsim.Engine[restart.State[le.State]]) bool {
+	if _, ok := eng.RunUntil(func(e *asyncsim.Engine[restart.State[le.State]]) bool {
 		return le.Stable(e.States())
 	}, budget(g, d)); !ok {
 		t.Fatal("no stable leader")
 	}
 	seenRounds := map[int]bool{}
 	for i := 0; i < 5*(d+1); i++ {
-		eng.Round()
+		eng.Step()
 		s := eng.State(0)
 		if s.InRestart || s.Alg.Stage != le.Verify {
 			t.Fatal("left the verification stage after stabilization")

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"thinunison/internal/asyncsim"
 	"thinunison/internal/graph"
 	"thinunison/internal/mis"
 	"thinunison/internal/restart"
@@ -30,7 +31,7 @@ func TestLocalStableMatchesStable(t *testing.T) {
 		for v := range initial {
 			initial[v] = alg.RandomState(rng)
 		}
-		eng, err := syncsim.New(g, alg.Step, initial, int64(n))
+		eng, err := asyncsim.New(g, alg.Step, initial, nil, int64(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +46,7 @@ func TestLocalStableMatchesStable(t *testing.T) {
 		}
 		check("initial")
 		for r := 0; r < 300; r++ {
-			eng.Round()
+			eng.Step()
 			chk.Recheck(eng.Changed())
 			check("step")
 			if r == 120 {

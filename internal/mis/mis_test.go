@@ -5,10 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"thinunison/internal/asyncsim"
 	"thinunison/internal/graph"
 	"thinunison/internal/mis"
 	"thinunison/internal/restart"
-	"thinunison/internal/syncsim"
 )
 
 func mustAlg(t *testing.T, d int) *mis.Alg {
@@ -90,11 +90,11 @@ func TestMISFromFreshStart(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/trial%d", name, trial), func(t *testing.T) {
 				d := max(1, g.Diameter())
 				a := mustAlg(t, d)
-				eng, err := syncsim.New(g, a.Step, freshStates(a, g.N()), int64(trial))
+				eng, err := asyncsim.New(g, a.Step, freshStates(a, g.N()), nil, int64(trial))
 				if err != nil {
 					t.Fatal(err)
 				}
-				rounds, ok := eng.RunUntil(func(e *syncsim.Engine[restart.State[mis.State]]) bool {
+				rounds, ok := eng.RunUntil(func(e *asyncsim.Engine[restart.State[mis.State]]) bool {
 					return mis.Stable(g, e.States())
 				}, budget(g, d))
 				if !ok {
@@ -103,7 +103,7 @@ func TestMISFromFreshStart(t *testing.T) {
 				// Closure: the output must stay a fixed MIS.
 				in0 := fmt.Sprint(mis.InSet(eng.States()))
 				for r := 0; r < 200; r++ {
-					eng.Round()
+					eng.Step()
 				}
 				if !mis.Stable(g, eng.States()) {
 					t.Error("MIS output destabilized")
@@ -131,11 +131,11 @@ func TestMISSelfStabilizes(t *testing.T) {
 				for v := range initial {
 					initial[v] = a.RandomState(rng)
 				}
-				eng, err := syncsim.New(g, a.Step, initial, int64(100+trial))
+				eng, err := asyncsim.New(g, a.Step, initial, nil, int64(100+trial))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, ok := eng.RunUntil(func(e *syncsim.Engine[restart.State[mis.State]]) bool {
+				if _, ok := eng.RunUntil(func(e *asyncsim.Engine[restart.State[mis.State]]) bool {
 					return mis.Stable(g, e.States())
 				}, budget(g, d)); !ok {
 					t.Fatalf("trial %d: no stable MIS within budget", trial)
@@ -175,13 +175,13 @@ func TestMISDetectsPlantedFaults(t *testing.T) {
 	}
 	for name, initial := range cases {
 		t.Run(name, func(t *testing.T) {
-			eng, err := syncsim.New(g, a.Step, initial, 9)
+			eng, err := asyncsim.New(g, a.Step, initial, nil, 9)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sawRestart := false
 			for r := 0; r < budget(g, d); r++ {
-				eng.Round()
+				eng.Step()
 				for v := 0; v < g.N(); v++ {
 					if eng.State(v).InRestart {
 						sawRestart = true
@@ -209,11 +209,11 @@ func TestMISRecoversFromMidRunCorruption(t *testing.T) {
 	}
 	d := g.Diameter()
 	a := mustAlg(t, d)
-	eng, err := syncsim.New(g, a.Step, freshStates(a, g.N()), 17)
+	eng, err := asyncsim.New(g, a.Step, freshStates(a, g.N()), nil, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := eng.RunUntil(func(e *syncsim.Engine[restart.State[mis.State]]) bool {
+	if _, ok := eng.RunUntil(func(e *asyncsim.Engine[restart.State[mis.State]]) bool {
 		return mis.Stable(g, e.States())
 	}, budget(g, d)); !ok {
 		t.Fatal("initial stabilization failed")
@@ -223,7 +223,7 @@ func TestMISRecoversFromMidRunCorruption(t *testing.T) {
 		for i := 0; i < g.N()/3+1; i++ {
 			eng.SetState(rng.Intn(g.N()), a.RandomState(rng))
 		}
-		if _, ok := eng.RunUntil(func(e *syncsim.Engine[restart.State[mis.State]]) bool {
+		if _, ok := eng.RunUntil(func(e *asyncsim.Engine[restart.State[mis.State]]) bool {
 			return mis.Stable(g, e.States())
 		}, budget(g, d)); !ok {
 			t.Fatalf("burst %d: no recovery within budget", burst)

@@ -3,10 +3,10 @@ package mis_test
 import (
 	"testing"
 
+	"thinunison/internal/asyncsim"
 	"thinunison/internal/graph"
 	"thinunison/internal/mis"
 	"thinunison/internal/restart"
-	"thinunison/internal/syncsim"
 )
 
 // TestPhaseBoundariesConcurrent pins Corollary 3.6 and Obs. 3.3/3.4: in an
@@ -23,14 +23,14 @@ func TestPhaseBoundariesConcurrent(t *testing.T) {
 	}
 	d := g.Diameter()
 	a := mustAlg(t, d)
-	eng, err := syncsim.New(g, a.Step, freshStates(a, g.N()), 13)
+	eng, err := asyncsim.New(g, a.Step, freshStates(a, g.N()), nil, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prevSteps := make([]int, g.N())
 	resets := 0
 	for round := 0; round < 600; round++ {
-		eng.Round()
+		eng.Step()
 		states := eng.States()
 		inRestart := false
 		for _, s := range states {
@@ -87,11 +87,11 @@ func TestCompetitionFairness(t *testing.T) {
 	winners := map[int]int{}
 	const seeds = 60
 	for seed := int64(0); seed < seeds; seed++ {
-		eng, err := syncsim.New(g, a.Step, freshStates(a, g.N()), seed)
+		eng, err := asyncsim.New(g, a.Step, freshStates(a, g.N()), nil, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := eng.RunUntil(func(e *syncsim.Engine[restart.State[mis.State]]) bool {
+		if _, ok := eng.RunUntil(func(e *asyncsim.Engine[restart.State[mis.State]]) bool {
 			return mis.Stable(g, e.States())
 		}, budget(g, 1)); !ok {
 			t.Fatalf("seed %d: no stable MIS", seed)
@@ -117,13 +117,13 @@ func TestDecidedSetMonotoneWithinRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := mustAlg(t, g.Diameter())
-	eng, err := syncsim.New(g, a.Step, freshStates(a, g.N()), 99)
+	eng, err := asyncsim.New(g, a.Step, freshStates(a, g.N()), nil, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
 	decided := make([]bool, g.N())
 	for round := 0; round < 800; round++ {
-		eng.Round()
+		eng.Step()
 		anyRestart := false
 		for v := 0; v < g.N(); v++ {
 			if eng.State(v).InRestart {

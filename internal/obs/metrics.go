@@ -3,7 +3,7 @@
 // (the flight recorder), and a debug HTTP endpoint (expvar + pprof).
 //
 // The package is deliberately a leaf: it depends only on the standard
-// library so every engine layer (core, sim, syncsim, asyncsim, campaign)
+// library so every engine layer (core, sim, asyncsim, campaign)
 // can import it. Two properties are load-bearing:
 //
 //   - Zero allocations on the hot path. Counter updates are single atomic

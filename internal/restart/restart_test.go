@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"thinunison/internal/asyncsim"
 	"thinunison/internal/graph"
 	"thinunison/internal/restart"
-	"thinunison/internal/syncsim"
 )
 
 // trivial wrapped algorithm: a saturating counter that never detects faults.
@@ -38,9 +38,9 @@ func TestModuleValidation(t *testing.T) {
 	}
 }
 
-func runEngine(t *testing.T, g *graph.Graph, mod *restart.Module[counter], initial []restart.State[counter]) *syncsim.Engine[restart.State[counter]] {
+func runEngine(t *testing.T, g *graph.Graph, mod *restart.Module[counter], initial []restart.State[counter]) *asyncsim.Engine[restart.State[counter]] {
 	t.Helper()
-	eng, err := syncsim.New(g, mod.Step, initial, 7)
+	eng, err := asyncsim.New(g, mod.Step, initial, nil, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestTheorem31(t *testing.T) {
 				concurrentExit := false
 				for r := 0; r < budget && !concurrentExit; r++ {
 					prev := eng.States()
-					eng.Round()
+					eng.Step()
 					cur := eng.States()
 					all := true
 					for v := range cur {
@@ -135,7 +135,7 @@ func TestRestartFlood(t *testing.T) {
 	initial[0] = mod.Enter()
 	eng := runEngine(t, g, mod, initial)
 	for r := 0; r < d; r++ {
-		eng.Round()
+		eng.Step()
 	}
 	for v, s := range eng.States() {
 		if !s.InRestart {
@@ -155,7 +155,7 @@ func TestNoSpuriousRestart(t *testing.T) {
 	initial := make([]restart.State[counter], g.N())
 	eng := runEngine(t, g, mod, initial)
 	for r := 0; r < 50; r++ {
-		eng.Round()
+		eng.Step()
 	}
 	for v, s := range eng.States() {
 		if s.InRestart {
@@ -191,13 +191,13 @@ func TestDetectionTriggersGlobalReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	initial := make([]restart.State[counter], g.N())
-	eng, err := syncsim.New(g, mod.Step, initial, 3)
+	eng, err := asyncsim.New(g, mod.Step, initial, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Run long enough for detection (at N=5) plus a full restart cycle.
 	for r := 0; r < 5+4*d+3; r++ {
-		eng.Round()
+		eng.Step()
 	}
 	// After the reset every counter restarted from 0: all values must be
 	// well below 5 + rounds and equal across nodes (concurrent exit).

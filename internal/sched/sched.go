@@ -12,6 +12,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"thinunison/internal/randx"
 	"thinunison/internal/snapshot"
@@ -29,6 +30,37 @@ type Scheduler interface {
 
 	// Name returns a short identifier for reports.
 	Name() string
+}
+
+// Canonical returns the activation set in canonical form: strictly
+// ascending node order, each node at most once. The built-in schedulers
+// already emit canonical sets and pass through untouched; scripted or
+// custom schedulers with unsorted or duplicated lists are copied, sorted
+// and deduplicated into buf. Both engines step the canonical set, so a
+// duplicated activation cannot apply (or draw coins for) a node twice, and
+// observers and the sharded lanes' merge see ascending node order.
+func Canonical(activated []int, buf *[]int) []int {
+	canonical := true
+	for i := 1; i < len(activated); i++ {
+		if activated[i] <= activated[i-1] {
+			canonical = false
+			break
+		}
+	}
+	if canonical {
+		return activated
+	}
+	b := append((*buf)[:0], activated...)
+	sort.Ints(b)
+	k := 0
+	for _, v := range b {
+		if k == 0 || v != b[k-1] {
+			b[k] = v
+			k++
+		}
+	}
+	*buf = b[:k]
+	return *buf
 }
 
 // Frontier is the read-only view of a frontier-sparse engine's dirty set

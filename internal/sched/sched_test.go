@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -185,5 +186,27 @@ func TestRoundTrackerProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCanonical pins the activation-set canonicalization both engines step:
+// canonical lists pass through without a copy, anything else is sorted and
+// deduplicated into the buffer.
+func TestCanonical(t *testing.T) {
+	var buf []int
+	in := []int{0, 2, 5}
+	if got := sched.Canonical(in, &buf); &got[0] != &in[0] {
+		t.Errorf("canonical list %v was copied", in)
+	}
+	for _, c := range []struct{ in, want []int }{
+		{[]int{2, 0, 0}, []int{0, 2}},
+		{[]int{3, 1}, []int{1, 3}},
+		{[]int{4, 4, 4}, []int{4}},
+		{[]int{1, 1, 2}, []int{1, 2}},
+	} {
+		got := sched.Canonical(c.in, &buf)
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("Canonical(%v) = %v, want %v", c.in, got, c.want)
+		}
 	}
 }

@@ -117,6 +117,13 @@ func NewPartitionFromStarts(g *graph.Graph, starts []int) (*Partition, error) {
 	if p < 1 || starts[0] != 0 || starts[p] != n {
 		return nil, fmt.Errorf("shard: bad shard bounds %v for %d nodes", starts, n)
 	}
+	// Check every bound before filling the tables: one bound past n in the
+	// middle would otherwise index out of range before its shard is reached.
+	for s := 0; s < p; s++ {
+		if starts[s+1] <= starts[s] {
+			return nil, fmt.Errorf("shard: empty or unordered shard %d in bounds %v", s, starts)
+		}
+	}
 	pt := &Partition{
 		g:        g,
 		starts:   make([]int, p+1),
@@ -126,9 +133,6 @@ func NewPartitionFromStarts(g *graph.Graph, starts []int) (*Partition, error) {
 	}
 	copy(pt.starts, starts)
 	for s := 0; s < p; s++ {
-		if starts[s+1] <= starts[s] {
-			return nil, fmt.Errorf("shard: empty or unordered shard %d in bounds %v", s, starts)
-		}
 		for v := starts[s]; v < starts[s+1]; v++ {
 			pt.shardOf[v] = int32(s)
 		}

@@ -113,7 +113,7 @@ func TestFrontierSettledOracle(t *testing.T) {
 // the oracle's settled flags.
 func oracleEvaluated(mirror sched.Scheduler, t, n int, settled []bool) []int {
 	var buf []int
-	acts := canonActivations(mirror.Activations(t, n), &buf)
+	acts := sched.Canonical(mirror.Activations(t, n), &buf)
 	var out []int
 	for _, v := range acts {
 		if !settled[v] {

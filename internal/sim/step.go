@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"thinunison/internal/failpoint"
 	"thinunison/internal/randx"
@@ -15,7 +14,8 @@ import (
 // or sharded, dense or frontier-sparse, scalar or word-parallel — runs the
 // same four phases, differing only in three plugs:
 //
-//   - activation source (activate): A_t canonicalized, or A_t ∩ frontier;
+//   - activation source (activate): A_t canonicalized (sched.Canonical), or
+//     A_t ∩ frontier;
 //   - lanes (bucket): one lane over the whole graph in classic mode, one lane
 //     per shard when sharded, staged concurrently on the worker pool when
 //     there are two or more;
@@ -136,7 +136,7 @@ func (e *Engine) activate() []int {
 	var eval []int
 	if sp, ok := e.sched.(sched.SparseActivator); ok && fr != nil {
 		raw, cov := sp.SparseActivations(e.step, n, fr.set)
-		eval = canonActivations(raw, &e.actBuf)
+		eval = sched.Canonical(raw, &e.actBuf)
 		switch {
 		case cov.Full:
 			e.tracker.ObserveFull()
@@ -154,7 +154,7 @@ func (e *Engine) activate() []int {
 			e.stepAct = len(cov.List)
 		}
 	} else {
-		activated := canonActivations(e.sched.Activations(e.step, n), &e.actBuf)
+		activated := sched.Canonical(e.sched.Activations(e.step, n), &e.actBuf)
 		e.tracker.Observe(activated)
 		e.lastActivated = activated
 		e.stepAct = len(activated)
@@ -172,39 +172,6 @@ func (e *Engine) activate() []int {
 	}
 	e.stepEval = len(eval)
 	return eval
-}
-
-// canonActivations returns the activation set in canonical form: strictly
-// ascending node order, each node at most once. The built-in schedulers
-// already emit canonical sets and pass through untouched; scripted or
-// custom schedulers with unsorted or duplicated lists are copied, sorted
-// and deduplicated into buf. The ConfigObserver ordering contract and the
-// sharded engines' deterministic merge are both anchored on this
-// canonicalization (the engine previously applied updates in raw
-// activation-list order, leaking scheduler quirks — duplicate activations
-// double-applied a node's transition — into observer deliveries).
-func canonActivations(activated []int, buf *[]int) []int {
-	canonical := true
-	for i := 1; i < len(activated); i++ {
-		if activated[i] <= activated[i-1] {
-			canonical = false
-			break
-		}
-	}
-	if canonical {
-		return activated
-	}
-	b := append((*buf)[:0], activated...)
-	sort.Ints(b)
-	k := 0
-	for _, v := range b {
-		if k == 0 || v != b[k-1] {
-			b[k] = v
-			k++
-		}
-	}
-	*buf = b[:k]
-	return *buf
 }
 
 // bucket splits the evaluation list across two or more lanes (a single lane

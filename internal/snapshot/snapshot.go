@@ -43,7 +43,11 @@ import (
 // Version 4 stores every checkpointed rng stream as its generator state
 // (randx.Source) instead of a (seed, draw count) cursor, and encodes
 // Ints/IntsFunc sequences as zigzag varint deltas instead of 8-byte words.
-const Version = 4
+//
+// Version 5 retired the "syncsim" engine section: procedural programs run
+// on the asyncsim engine at every p, so its section gained p and, at
+// p >= 1, the shard starts and the churn weight.
+const Version = 5
 
 // magic identifies a snapshot stream ("ThinUnison SNAPshot").
 var magic = [8]byte{'T', 'U', 'S', 'N', 'A', 'P', '0', '1'}

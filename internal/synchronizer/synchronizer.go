@@ -98,7 +98,7 @@ func (sy *Synchronizer[S]) Step(self State[S], sensed []State[S], rng *rand.Rand
 		}
 		piSensed = append(piSensed, r)
 	}
-	// Self first (v itself is at (Cur, Prev, ν)), preserving the syncsim
+	// Self first (v itself is at (Cur, Prev, ν)), preserving the engine's
 	// convention that sensed[0] is the node's own state.
 	addUnique(self.Cur)
 	for _, s := range sensed {

@@ -13,7 +13,6 @@ import (
 	"thinunison/internal/restart"
 	"thinunison/internal/sched"
 	"thinunison/internal/synchronizer"
-	"thinunison/internal/syncsim"
 )
 
 // orGossip is a deterministic synchronous Π: each node's bit becomes the OR
@@ -69,12 +68,12 @@ func TestLockstepSimulation(t *testing.T) {
 				const pulses = 12
 				ref := make([][]bool, pulses+1)
 				ref[0] = append([]bool(nil), bits...)
-				refEng, err := syncsim.New(g, orGossip, bits, 1)
+				refEng, err := asyncsim.New(g, orGossip, bits, nil, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i := 1; i <= pulses; i++ {
-					refEng.Round()
+					refEng.Step()
 					ref[i] = refEng.States()
 				}
 

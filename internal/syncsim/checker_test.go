@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"thinunison/internal/asyncsim"
 	"thinunison/internal/graph"
 	"thinunison/internal/syncsim"
 )
@@ -27,7 +28,7 @@ func TestCheckerMatchesFullScan(t *testing.T) {
 	for v := range initial {
 		initial[v] = rng.Intn(10)
 	}
-	eng, err := syncsim.New(g, step, initial, 3)
+	eng, err := asyncsim.New(g, step, initial, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestCheckerMatchesFullScan(t *testing.T) {
 	}
 	chk := syncsim.NewChecker(g, eval)
 	for r := 0; r < 30; r++ {
-		eng.Round()
+		eng.Step()
 		chk.Recheck(eng.Changed())
 		wantOK, wantSum := true, 0
 		for v := 0; v < g.N(); v++ {

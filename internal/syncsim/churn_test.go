@@ -5,63 +5,81 @@ import (
 	"reflect"
 	"testing"
 
+	"thinunison/internal/asyncsim"
 	"thinunison/internal/graph"
-	"thinunison/internal/syncsim"
 )
 
+// gossip adopts the maximum value it senses, flipping a cosmetic coin when
+// it does, so evaluations consume randomness exactly while a new maximum
+// spreads.
+type gossip struct {
+	Val  int
+	Coin bool
+}
+
+func gossipStep(self gossip, sensed []gossip, rng *rand.Rand) gossip {
+	m := self.Val
+	for _, u := range sensed {
+		if u.Val > m {
+			m = u.Val
+		}
+	}
+	if m > self.Val {
+		return gossip{Val: m, Coin: rng.Intn(2) == 1}
+	}
+	return self
+}
+
+func gossipGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	g, err := graph.BoundedDiameter(72, 4, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func gossipInitial(n int, seed int64) []gossip {
+	rng := rand.New(rand.NewSource(seed))
+	init := make([]gossip, n)
+	for v := range init {
+		init[v] = gossip{Val: rng.Intn(1000)}
+	}
+	return init
+}
+
 // TestSyncsimApplyDeltaDifferential: mid-run topology churn must keep every
-// execution mode — dense, frontier-sparse, sharded, sharded frontier — on
-// the byte-identical trajectory of the dense sequential engine, through
-// re-classification and threshold repartitions alike. The gossip program's
-// frontier genuinely drains between perturbations, so this also exercises
-// churn-driven re-dirtying of settled nodes (a deleted edge can lower the
-// reachable maximum of a whole region; a stale settled flag would freeze
-// it).
+// sharded synchronous engine (p = 3, 8) on the byte-identical trajectory of
+// the single-lane one (p = 1) — all draw from the same per-(round, node)
+// streams — through the partition's re-classifications and threshold
+// repartitions alike. Each engine works its own graph copy with its own
+// delta; the op stream is shared.
 func TestSyncsimApplyDeltaDifferential(t *testing.T) {
 	base := gossipGraph(t)
 	init := gossipInitial(base.N(), 5)
 	type eng struct {
-		name string
-		g    *graph.Graph
-		e    *syncsim.Engine[gossip]
-		d    *graph.Delta
+		p int
+		g *graph.Graph
+		e *asyncsim.Engine[gossip]
+		d *graph.Delta
 	}
-	// The gossip program consumes rng, so classic engines (p = 0, shared
-	// stream) and sharded engines (p >= 1, per-(round, node) streams) form
-	// two separate equivalence classes; within each, every mode must match
-	// its reference byte for byte. refOf[i] is the class reference index.
-	refOf := []int{0, 0, 2, 2, 2}
 	var engines []*eng
-	for _, m := range []struct {
-		name     string
-		p        int
-		frontier bool
-	}{
-		{"dense", 0, false},
-		{"frontier", 0, true},
-		{"sharded-p1", 1, false},
-		{"sharded-p3", 3, false},
-		{"sharded-frontier-p8", 8, true},
-	} {
+	for _, p := range []int{1, 3, 8} {
 		g, err := graph.New(base.N(), base.Edges())
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := syncsim.NewParallel(g, gossipStep, init, 9, m.p)
+		e, err := asyncsim.NewParallel(g, gossipStep, init, nil, 9, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		if m.frontier {
-			e.EnableFrontier(gossipSettled)
-		}
-		engines = append(engines, &eng{name: m.name, g: g, e: e, d: graph.NewDelta(g)})
+		engines = append(engines, &eng{p: p, g: g, e: e, d: graph.NewDelta(g)})
 	}
+	ref := engines[0]
 	rng := rand.New(rand.NewSource(77))
 	for round := 0; round < 120; round++ {
 		if round%10 == 5 {
-			// One guarded random flip, identical across engines (each works
-			// its own graph copy with its own delta; the op stream is shared).
 			u, v := rng.Intn(base.N()), rng.Intn(base.N()-1)
 			if v >= u {
 				v++
@@ -80,7 +98,7 @@ func TestSyncsimApplyDeltaDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				if _, err := en.e.ApplyDelta(en.d); err != nil {
-					t.Fatalf("%s: %v", en.name, err)
+					t.Fatalf("p=%d: %v", en.p, err)
 				}
 			}
 		}
@@ -90,24 +108,25 @@ func TestSyncsimApplyDeltaDifferential(t *testing.T) {
 			}
 		}
 		for _, en := range engines {
-			en.e.Round()
+			en.e.Step()
 		}
-		for i, en := range engines {
-			ref := engines[refOf[i]]
-			if en == ref {
-				continue
-			}
+		for _, en := range engines[1:] {
 			if en.g.M() != ref.g.M() {
-				t.Fatalf("round %d: %s at m=%d, %s at m=%d", round, en.name, en.g.M(), ref.name, ref.g.M())
+				t.Fatalf("round %d: p=%d at m=%d, p=1 at m=%d", round, en.p, en.g.M(), ref.g.M())
 			}
 			if !reflect.DeepEqual(en.e.View(), ref.e.View()) {
-				t.Fatalf("round %d: %s diverged from %s", round, en.name, ref.name)
+				t.Fatalf("round %d: p=%d diverged from p=1", round, en.p)
 			}
 			got := append([]int{}, en.e.Changed()...)
 			want := append([]int{}, ref.e.Changed()...)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d: %s Changed=%v, %s=%v", round, en.name, got, ref.name, want)
+				t.Fatalf("round %d: p=%d Changed=%v, p=1 %v", round, en.p, got, want)
 			}
+		}
+	}
+	for _, en := range engines[1:] {
+		if en.e.Metrics().Repartitions.Load() == 0 {
+			t.Errorf("p=%d: churn never crossed the repartition threshold", en.p)
 		}
 	}
 }
@@ -116,7 +135,7 @@ func TestSyncsimApplyDeltaDifferential(t *testing.T) {
 func TestSyncsimApplyDeltaForeignGraph(t *testing.T) {
 	g := gossipGraph(t)
 	other := gossipGraph(t)
-	e, err := syncsim.New(g, gossipStep, gossipInitial(g.N(), 1), 2)
+	e, err := asyncsim.New(g, gossipStep, gossipInitial(g.N(), 1), nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,18 +4,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"thinunison/internal/asyncsim"
 	"thinunison/internal/graph"
-	"thinunison/internal/syncsim"
 )
 
-func newIntEngine(t *testing.T, n int) *syncsim.Engine[int] {
+func newIntEngine(t *testing.T, n int) *asyncsim.Engine[int] {
 	t.Helper()
 	g, err := graph.Path(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	step := func(self int, _ []int, _ *rand.Rand) int { return self }
-	eng, err := syncsim.New(g, step, make([]int, n), 1)
+	eng, err := asyncsim.New(g, step, make([]int, n), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +23,9 @@ func newIntEngine(t *testing.T, n int) *syncsim.Engine[int] {
 }
 
 // TestInjectFaultsClamps covers the degenerate counts the campaign fault
-// specs can produce: negative counts inject nothing, oversized counts clamp
-// to n, and the corrupted nodes are distinct.
+// specs can produce on a synchronous engine: negative counts inject
+// nothing, oversized counts clamp to n, and the corrupted nodes are
+// distinct.
 func TestInjectFaultsClamps(t *testing.T) {
 	random := func(rng *rand.Rand) int { return 1 + rng.Intn(9) }
 
@@ -53,17 +54,5 @@ func TestInjectFaultsClamps(t *testing.T) {
 		if s == 0 {
 			t.Error("full-network burst left a node uncorrupted")
 		}
-	}
-}
-
-// TestStepsMatchesRounds pins the synchronous steps==rounds identity the
-// generic campaign driver relies on.
-func TestStepsMatchesRounds(t *testing.T) {
-	eng := newIntEngine(t, 4)
-	for i := 0; i < 5; i++ {
-		eng.Round()
-	}
-	if eng.Steps() != eng.Rounds() || eng.Steps() != 5 {
-		t.Errorf("Steps() = %d, Rounds() = %d, want both 5", eng.Steps(), eng.Rounds())
 	}
 }

@@ -1,10 +1,17 @@
 package syncsim_test
 
+// These tests pin the coin-source and lane plugs of asyncsim.NewParallel
+// under the synchronous schedule (the nil scheduler, where steps are
+// rounds): every p >= 1 draws from the same per-(round, node) streams, so
+// sharding must not change a byte of the run, and p = 0 is the
+// shared-stream engine of asyncsim.New.
+
 import (
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"thinunison/internal/asyncsim"
 	"thinunison/internal/graph"
 	"thinunison/internal/le"
 	"thinunison/internal/mis"
@@ -32,9 +39,10 @@ func diffGraphs(t *testing.T) map[string]*graph.Graph {
 	return gs
 }
 
-// runDifferential drives a sharded engine at P=1 against P ∈ {2, 3, 8} with
-// identical seeds and fault bursts, asserting byte-identical configurations,
-// identical Changed dirty sets and identical round counts after every round.
+// runDifferential drives a synchronous engine at P=1 against P ∈ {2, 3, 8}
+// with identical seeds and fault bursts, asserting byte-identical
+// configurations, identical Changed dirty sets and identical round counts
+// after every round.
 func runDifferential[S comparable](
 	t *testing.T, name string, g *graph.Graph,
 	step syncsim.StepFunc[S], random func(*rand.Rand) S, seed int64, rounds int,
@@ -45,15 +53,15 @@ func runDifferential[S comparable](
 	for v := range initial {
 		initial[v] = random(initRNG)
 	}
-	ref, err := syncsim.NewParallel(g, step, initial, seed, 1)
+	ref, err := asyncsim.NewParallel(g, step, initial, nil, seed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Close()
 	ps := []int{2, 3, 8}
-	var engines []*syncsim.Engine[S]
+	var engines []*asyncsim.Engine[S]
 	for _, p := range ps {
-		e, err := syncsim.NewParallel(g, step, initial, seed, p)
+		e, err := asyncsim.NewParallel(g, step, initial, nil, seed, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,9 +75,9 @@ func runDifferential[S comparable](
 				e.InjectFaults(6, random)
 			}
 		}
-		ref.Round()
+		ref.Step()
 		for i, e := range engines {
-			e.Round()
+			e.Step()
 			if !reflect.DeepEqual(ref.View(), e.View()) {
 				t.Fatalf("%s: round %d: P=%d configuration diverged from P=1", name, r, ps[i])
 			}
@@ -133,13 +141,13 @@ func TestShardedChangedAscending(t *testing.T) {
 	for v := range initial {
 		initial[v] = alg.RandomState(initRNG)
 	}
-	eng, err := syncsim.NewParallel(g, alg.Step, initial, 4, 5)
+	eng, err := asyncsim.NewParallel(g, alg.Step, initial, nil, 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	for r := 0; r < 40; r++ {
-		eng.Round()
+		eng.Step()
 		last := -1
 		for _, v := range eng.Changed() {
 			if v <= last {
@@ -166,18 +174,18 @@ func TestParallelZeroIsClassic(t *testing.T) {
 	for v := range initial {
 		initial[v] = alg.RandomState(initRNG)
 	}
-	a, err := syncsim.New(g, alg.Step, initial, 9)
+	a, err := asyncsim.New(g, alg.Step, initial, nil, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := syncsim.NewParallel(g, alg.Step, initial, 9, 0)
+	b, err := asyncsim.NewParallel(g, alg.Step, initial, nil, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
 	for r := 0; r < 60; r++ {
-		a.Round()
-		b.Round()
+		a.Step()
+		b.Step()
 		if !reflect.DeepEqual(a.View(), b.View()) {
 			t.Fatalf("round %d: NewParallel(0) diverged from New", r)
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"thinunison/internal/asyncsim"
 	"thinunison/internal/graph"
 	"thinunison/internal/snapshot"
 	"thinunison/internal/syncsim"
@@ -12,26 +13,17 @@ import (
 
 // noisyClock is an rng-consuming program: advance to one past the minimum
 // sensed value, jittered by a coin toss. It never quiesces, so it exercises
-// the shared rng stream (classic) and the per-(round, node) streams
-// (sharded) on every round — exactly what the checkpoint must rewind.
+// the shared rng stream (p = 0) and the per-(round, node) streams (p >= 1)
+// on every round — exactly what the checkpoint must rewind.
 func noisyClock(self int, sensed []int, rng *rand.Rand) int {
 	next := syncsim.MinSensed(sensed, func(v int) int { return v }) + 1 + rng.Intn(2)
 	return next % 1024
 }
 
-// orProgram converges (a true value floods the graph) and is coin-free, so
-// it runs frontier-sparse with an exact settled certifier.
-func orProgram(self bool, sensed []bool, _ *rand.Rand) bool {
-	return syncsim.Sensed(sensed, func(b bool) bool { return b })
-}
-
-func orSettled(self bool, sensed []bool) bool {
-	return orProgram(self, sensed, nil) == self
-}
-
-// TestSyncsimRestoreDifferential: run K rounds, snapshot, restore, run K
-// more — byte-identical to the uninterrupted run, at every parallelism,
-// with a fault burst after the restore point pinning the rng cursor.
+// TestSyncsimRestoreDifferential: run K rounds of a synchronous engine,
+// snapshot, restore, run K more — byte-identical to the uninterrupted run,
+// at every parallelism, with a fault burst after the restore point pinning
+// the rng cursor.
 func TestSyncsimRestoreDifferential(t *testing.T) {
 	const (
 		seed = 31
@@ -52,19 +44,19 @@ func TestSyncsimRestoreDifferential(t *testing.T) {
 	randomState := func(rng *rand.Rand) int { return rng.Intn(1024) }
 
 	for _, p := range []int{0, 1, 3, 8} {
-		ref, err := syncsim.NewParallel(g, noisyClock, initial, seed, p)
+		ref, err := asyncsim.NewParallel(g, noisyClock, initial, nil, seed, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer ref.Close()
 		for i := 0; i < k; i++ {
-			ref.Round()
+			ref.Step()
 		}
 		var buf bytes.Buffer
 		if err := ref.SaveState(&buf, encode); err != nil {
 			t.Fatalf("p=%d: save: %v", p, err)
 		}
-		restored, _, err := syncsim.Restore(bytes.NewReader(buf.Bytes()), decode, syncsim.RestoreOptions[int]{Step: noisyClock})
+		restored, _, err := asyncsim.Restore(bytes.NewReader(buf.Bytes()), decode, asyncsim.RestoreOptions[int]{Step: noisyClock})
 		if err != nil {
 			t.Fatalf("p=%d: restore: %v", p, err)
 		}
@@ -82,8 +74,8 @@ func TestSyncsimRestoreDifferential(t *testing.T) {
 					}
 				}
 			}
-			ref.Round()
-			restored.Round()
+			ref.Step()
+			restored.Step()
 			a, b := ref.View(), restored.View()
 			for v := range a {
 				if a[v] != b[v] {
@@ -91,77 +83,5 @@ func TestSyncsimRestoreDifferential(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSyncsimRestoreFrontier: a frontier-sparse snapshot round-trips the
-// dirty set — the restored engine must evaluate exactly the nodes the
-// uninterrupted run evaluates, converging to the same fixed point.
-func TestSyncsimRestoreFrontier(t *testing.T) {
-	g, err := graph.Grid(6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	initial := make([]bool, g.N())
-	initial[7] = true
-	encode := func(e *snapshot.Enc, s bool) { e.Bool(s) }
-	decode := func(d *snapshot.Dec) bool { return d.Bool() }
-
-	for _, p := range []int{0, 2} {
-		ref, err := syncsim.NewParallel(g, orProgram, initial, 5, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ref.Close()
-		ref.EnableFrontier(orSettled)
-		for i := 0; i < 3; i++ {
-			ref.Round()
-		}
-		var buf bytes.Buffer
-		if err := ref.SaveState(&buf, encode); err != nil {
-			t.Fatal(err)
-		}
-		restored, _, err := syncsim.Restore(bytes.NewReader(buf.Bytes()), decode, syncsim.RestoreOptions[bool]{
-			Step:    orProgram,
-			Settled: orSettled,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer restored.Close()
-		if restored.FrontierLen() != ref.FrontierLen() {
-			t.Fatalf("p=%d: restored frontier %d, reference %d", p, restored.FrontierLen(), ref.FrontierLen())
-		}
-		for i := 0; i < 12; i++ {
-			ref.Round()
-			restored.Round()
-			if restored.FrontierLen() != ref.FrontierLen() {
-				t.Fatalf("p=%d: round %d: frontier occupancy diverged", p, i)
-			}
-			a, b := ref.View(), restored.View()
-			for v := range a {
-				if a[v] != b[v] {
-					t.Fatalf("p=%d: round %d: node %d diverged", p, i, v)
-				}
-			}
-		}
-		// Everything flooded true: the frontier must drain identically.
-		if got := restored.FrontierLen(); got != 0 {
-			t.Fatalf("p=%d: frontier not drained: %d", p, got)
-		}
-	}
-
-	// A frontier snapshot without a certifier must be refused.
-	ref, err := syncsim.New(g, orProgram, initial, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.EnableFrontier(orSettled)
-	var buf bytes.Buffer
-	if err := ref.SaveState(&buf, encode); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := syncsim.Restore(bytes.NewReader(buf.Bytes()), decode, syncsim.RestoreOptions[bool]{Step: orProgram}); err == nil {
-		t.Fatal("restore accepted a frontier snapshot without a settled certifier")
 	}
 }

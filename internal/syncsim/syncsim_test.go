@@ -1,9 +1,14 @@
 package syncsim_test
 
+// These tests pin the synchronous schedule of the program model — one hop
+// per round, set-broadcast sensing, steps == rounds — on asyncsim.Engine
+// with its nil (synchronous) scheduler, the engine every program runs on.
+
 import (
 	"math/rand"
 	"testing"
 
+	"thinunison/internal/asyncsim"
 	"thinunison/internal/graph"
 	"thinunison/internal/syncsim"
 )
@@ -12,20 +17,24 @@ func orStep(self bool, sensed []bool, _ *rand.Rand) bool {
 	return syncsim.Sensed(sensed, func(b bool) bool { return b })
 }
 
+// TestNewValidation: a synchronous engine refuses a wrong-length initial
+// configuration and a disconnected graph, single-lane and sharded alike.
 func TestNewValidation(t *testing.T) {
 	g, err := graph.Path(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := syncsim.New(g, orStep, []bool{true}, 1); err == nil {
-		t.Error("wrong-length initial should fail")
-	}
 	disc, err := graph.New(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := syncsim.New(disc, orStep, []bool{false, false}, 1); err == nil {
-		t.Error("disconnected graph should fail")
+	for _, p := range []int{0, 2} {
+		if _, err := asyncsim.NewParallel(g, orStep, []bool{true}, nil, 1, p); err == nil {
+			t.Errorf("p=%d: wrong-length initial should fail", p)
+		}
+		if _, err := asyncsim.NewParallel(disc, orStep, []bool{false, false}, nil, 1, p); err == nil {
+			t.Errorf("p=%d: disconnected graph should fail", p)
+		}
 	}
 }
 
@@ -35,12 +44,12 @@ func TestSynchronousSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := syncsim.New(g, orStep, []bool{true, false, false, false, false}, 1)
+	eng, err := asyncsim.New(g, orStep, []bool{true, false, false, false, false}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 1; round <= 4; round++ {
-		eng.Round()
+		eng.Step()
 		for v := 0; v < 5; v++ {
 			want := v <= round
 			if got := eng.State(v); got != want {
@@ -56,8 +65,8 @@ func TestSynchronousSemantics(t *testing.T) {
 	}
 }
 
-// dedupProbe records the sensed multiset size to verify set semantics: a
-// node with many same-state neighbors senses one state.
+// TestSetSemanticsDeduplication records the sensed set size to verify set
+// semantics: a node with many same-state neighbors senses one state.
 func TestSetSemanticsDeduplication(t *testing.T) {
 	g, err := graph.Star(6) // center 0 with 5 identical leaves
 	if err != nil {
@@ -71,11 +80,11 @@ func TestSetSemanticsDeduplication(t *testing.T) {
 		return self
 	}
 	initial := []int{99, 7, 7, 7, 7, 7}
-	eng, err := syncsim.New(g, step, initial, 1)
+	eng, err := asyncsim.New(g, step, initial, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Round()
+	eng.Step()
 	if observed != 2 { // {99, 7}: five leaves dedupe into one sensed state
 		t.Errorf("center sensed %d states, want 2 (set-broadcast semantics)", observed)
 	}
@@ -86,15 +95,15 @@ func TestRunUntilAndSetState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := syncsim.New(g, orStep, []bool{false, false, false, false}, 1)
+	eng, err := asyncsim.New(g, orStep, []bool{false, false, false, false}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := eng.RunUntil(func(e *syncsim.Engine[bool]) bool { return e.State(2) }, 5); ok {
+	if _, ok := eng.RunUntil(func(e *asyncsim.Engine[bool]) bool { return e.State(2) }, 5); ok {
 		t.Error("all-false OR should never turn true")
 	}
 	eng.SetState(0, true)
-	r, ok := eng.RunUntil(func(e *syncsim.Engine[bool]) bool { return e.State(2) }, 5)
+	r, ok := eng.RunUntil(func(e *asyncsim.Engine[bool]) bool { return e.State(2) }, 5)
 	if !ok || r != 2 {
 		t.Errorf("RunUntil = (%d, %v), want (2, true)", r, ok)
 	}
@@ -122,8 +131,8 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	coin := func(self int, _ []int, rng *rand.Rand) int { return rng.Intn(100) }
-	mk := func() *syncsim.Engine[int] {
-		e, err := syncsim.New(g, coin, make([]int, 5), 99)
+	mk := func() *asyncsim.Engine[int] {
+		e, err := asyncsim.New(g, coin, make([]int, 5), nil, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,8 +140,8 @@ func TestDeterminism(t *testing.T) {
 	}
 	a, b := mk(), mk()
 	for i := 0; i < 20; i++ {
-		a.Round()
-		b.Round()
+		a.Step()
+		b.Step()
 	}
 	for v := 0; v < 5; v++ {
 		if a.State(v) != b.State(v) {
@@ -150,8 +159,8 @@ func TestInjectFaultsDeterministic(t *testing.T) {
 	}
 	step := func(self int, _ []int, _ *rand.Rand) int { return self }
 	random := func(rng *rand.Rand) int { return rng.Intn(5) }
-	mk := func() *syncsim.Engine[int] {
-		e, err := syncsim.New(g, step, make([]int, g.N()), 13)
+	mk := func() *asyncsim.Engine[int] {
+		e, err := asyncsim.New(g, step, make([]int, g.N()), nil, 13)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,5 +183,25 @@ func TestInjectFaultsDeterministic(t *testing.T) {
 				t.Fatalf("burst %d: states diverged at node %d", burst, v)
 			}
 		}
+	}
+}
+
+// TestStepsMatchesRounds pins the synchronous steps == rounds identity the
+// campaign task driver's round budgets rely on.
+func TestStepsMatchesRounds(t *testing.T) {
+	g, err := graph.Path(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(self int, _ []int, _ *rand.Rand) int { return self }
+	eng, err := asyncsim.New(g, step, make([]int, g.N()), nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		eng.Step()
+	}
+	if eng.Steps() != eng.Rounds() || eng.Steps() != 5 {
+		t.Errorf("Steps() = %d, Rounds() = %d, want both 5", eng.Steps(), eng.Rounds())
 	}
 }

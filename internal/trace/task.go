@@ -6,12 +6,12 @@ import (
 	"io"
 	"strconv"
 
+	"thinunison/internal/asyncsim"
 	"thinunison/internal/graph"
 	"thinunison/internal/le"
 	"thinunison/internal/mis"
 	"thinunison/internal/obs"
 	"thinunison/internal/restart"
-	"thinunison/internal/syncsim"
 )
 
 // TaskSample is one recorded round of a procedural task execution (AlgMIS,
@@ -32,7 +32,7 @@ type TaskSample struct {
 	Weight int
 }
 
-// TaskRecorder samples a procedural syncsim execution once per completed
+// TaskRecorder samples a procedural asyncsim execution once per completed
 // round — the MIS/LE counterpart of the AU Recorder, sharing its round-edge
 // gate (obs.RoundGate). Use NewMISRecorder / NewLERecorder for the paper's
 // tasks, or the generic constructor for custom evaluators.
@@ -110,9 +110,9 @@ func (r *TaskRecorder[S]) Observe(round, step int, states []restart.State[S], ch
 	r.samples = append(r.samples, s)
 }
 
-// ObserveSync samples a synchronous engine's current round (call after each
-// Round, or from a RunUntil condition).
-func (r *TaskRecorder[S]) ObserveSync(e *syncsim.Engine[restart.State[S]]) {
+// ObserveSync samples the current round of an engine under the synchronous
+// scheduler (call after each Step, or from a RunUntil condition).
+func (r *TaskRecorder[S]) ObserveSync(e *asyncsim.Engine[restart.State[S]]) {
 	r.Observe(e.Rounds(), e.Steps(), e.View(), len(e.Changed()))
 }
 

@@ -231,14 +231,14 @@ func SolveMIS(g *Graph, opts ...Option) (MISResult, error) {
 		for v := range initial {
 			initial[v] = alg.RandomState(rng)
 		}
-		eng, err := syncsim.New(g, alg.Step, initial, o.seed)
+		eng, err := asyncsim.New(g, alg.Step, initial, nil, o.seed)
 		if err != nil {
 			return MISResult{}, err
 		}
 		chk := syncsim.NewChecker(g, func(v int) (bool, int) {
 			return mis.LocalStable(g, eng.View(), v), 0
 		})
-		rounds, ok := eng.RunUntil(func(e *syncsim.Engine[restart.State[mis.State]]) bool {
+		rounds, ok := eng.RunUntil(func(e *asyncsim.Engine[restart.State[mis.State]]) bool {
 			chk.Recheck(e.Changed())
 			return chk.AllOK()
 		}, roundBudget)
@@ -314,14 +314,14 @@ func SolveLeaderElection(g *Graph, opts ...Option) (LEResult, error) {
 		for v := range initial {
 			initial[v] = alg.RandomState(rng)
 		}
-		eng, err := syncsim.New(g, alg.Step, initial, o.seed)
+		eng, err := asyncsim.New(g, alg.Step, initial, nil, o.seed)
 		if err != nil {
 			return LEResult{}, err
 		}
 		chk := syncsim.NewChecker(g, func(v int) (bool, int) {
 			return leEval(eng.View()[v])
 		})
-		rounds, ok := eng.RunUntil(func(e *syncsim.Engine[restart.State[le.State]]) bool {
+		rounds, ok := eng.RunUntil(func(e *asyncsim.Engine[restart.State[le.State]]) bool {
 			chk.Recheck(e.Changed())
 			return chk.AllOK() && chk.Sum() == 1
 		}, roundBudget)
