@@ -14,18 +14,17 @@
 // -timing off (the default), output is byte-identical for equal seeds, so
 // campaign runs can serve as regression golden files.
 //
-// Large scenarios shard their engines across an intra-run worker pool (see
-// internal/shard); -parallelism forces the mode, and -shard-check runs the
-// preset as a divergence guard, failing if a sharded record at P=8 differs
-// from the P=1 record of the same seed. AU scenarios run frontier-sparse by
-// default (settled nodes are skipped until their neighborhood changes);
-// -frontier forces the mode on or off, and -frontier-check runs the preset
-// as a dense-vs-frontier divergence guard. -word opts AU scenarios into
+// -parallelism picks the engines' coin source: positive values draw
+// per-(step, node) streams, negative values the shared stream, and 0 picks
+// by scenario size. AU scenarios run frontier-sparse by default (settled
+// nodes are skipped until their neighborhood changes); -frontier forces the
+// mode on or off, and -frontier-check runs the preset as a
+// dense-vs-frontier divergence guard. -word opts AU scenarios into
 // word-parallel (bit-planed batch) transition evaluation, and -plane-check
 // runs the preset as a scalar-vs-word divergence guard. -restore-check runs
-// the checkpoint/restore differential instead: every engine mode ×
-// parallelism × churn combination is run uninterrupted and checkpointed at
-// the halfway step, and the guard fails unless the restored continuation is
+// the checkpoint/restore differential instead: every engine mode × coin
+// source × churn combination is run uninterrupted and checkpointed at the
+// halfway step, and the guard fails unless the restored continuation is
 // byte-identical to the uninterrupted run. -daemon-check runs the preset
 // both in-process and through an in-process unisond on a unix socket and
 // fails unless the streamed records are byte-identical — the guard that
@@ -115,16 +114,8 @@ func divergenceCheck(scenarios []campaign.Scenario, name, labelA, labelB string,
 	return 0
 }
 
-// shardCheck is the sharded-vs-sequential divergence guard: forced shard
-// counts 1 and 8 must agree.
-func shardCheck(scenarios []campaign.Scenario) int {
-	return divergenceCheck(scenarios, "shard-check", "P=1", "P=8",
-		func(sc *campaign.Scenario) { sc.Parallelism = 1 },
-		func(sc *campaign.Scenario) { sc.Parallelism = 8 })
-}
-
 // frontierCheck is the frontier-vs-dense divergence guard: forced frontier
-// and dense execution must agree (at whatever parallelism the scenarios
+// and dense execution must agree (with whatever coin source the scenarios
 // carry — combine with -parallelism to pin it).
 func frontierCheck(scenarios []campaign.Scenario) int {
 	return divergenceCheck(scenarios, "frontier-check", "dense", "frontier",
@@ -133,9 +124,9 @@ func frontierCheck(scenarios []campaign.Scenario) int {
 }
 
 // planeCheck is the word-parallel differential guard: forced scalar and
-// word-parallel execution must agree byte for byte (at whatever parallelism
-// and frontier mode the scenarios carry — combine with -parallelism and
-// -frontier to pin them). Scenarios whose algorithm offers no word kernel
+// word-parallel execution must agree byte for byte (with whatever coin
+// source and frontier mode the scenarios carry — combine with -parallelism
+// and -frontier to pin them). Scenarios whose algorithm offers no word kernel
 // fall back to scalar on both sides, so the pair degenerates to a replay
 // check there.
 func planeCheck(scenarios []campaign.Scenario) int {
@@ -223,19 +214,18 @@ func daemonCheck(preset string, seed int64, workers int) int {
 }
 
 // churnCheck is the topology-churn differential guard: every scenario runs
-// once dense on the classic sequential engine (P=1 sharded semantics) and
-// once frontier-sparse sharded at P=8, with the GoodMonitor full-scan
-// oracle enabled on both sides — so a divergence in either the trajectory
-// (records differ) or the incremental stabilization verdict (oracle fails
-// the record) turns the guard red. Run it on the bio-churn preset, whose
-// scenarios actually mutate topology mid-run.
+// once dense and once frontier-sparse, both with per-node coin streams
+// (P=1) and the GoodMonitor full-scan oracle enabled — so a divergence in
+// either the trajectory (records differ) or the incremental stabilization
+// verdict (oracle fails the record) turns the guard red. Run it on the
+// bio-churn preset, whose scenarios actually mutate topology mid-run.
 func churnCheck(scenarios []campaign.Scenario) int {
 	for i := range scenarios {
 		scenarios[i].MonitorOracle = true
 	}
-	return divergenceCheck(scenarios, "churn-check", "dense-P1", "frontier-P8",
+	return divergenceCheck(scenarios, "churn-check", "dense-P1", "frontier-P1",
 		func(sc *campaign.Scenario) { sc.Frontier = -1; sc.Parallelism = 1 },
-		func(sc *campaign.Scenario) { sc.Frontier = 1; sc.Parallelism = 8 })
+		func(sc *campaign.Scenario) { sc.Frontier = 1; sc.Parallelism = 1 })
 }
 
 func main() {
@@ -254,13 +244,12 @@ func run() int {
 		timing  = flag.Bool("timing", false, "include wall_ms in records (breaks byte-for-byte reproducibility)")
 		quiet   = flag.Bool("quiet", false, "suppress the aggregate table on stderr")
 		timeout = flag.Duration("timeout", 0, "abort the campaign after this duration (0 = none)")
-		par     = flag.Int("parallelism", 0, "intra-run engine parallelism: >0 forces sharded engines with that worker count, <0 forces the classic sequential engines, 0 decides by scenario size")
+		par     = flag.Int("parallelism", 0, "engine coin source: any value >0 draws per-(step, node) coin streams (all positive values are interchangeable), <0 forces the shared stream, 0 picks per-node streams from campaign.ShardThreshold nodes; the sign shows in the records of coin-driven programs (MIS, LE)")
 		front   = flag.Int("frontier", 0, "frontier-sparse AU execution: >0 forces it on, <0 forces dense execution, 0 auto-enables (records are identical either way)")
-		check   = flag.Bool("shard-check", false, "divergence guard: run every scenario sharded at P=1 and P=8 and fail if any record differs, instead of a normal campaign")
 		fcheck  = flag.Bool("frontier-check", false, "divergence guard: run every scenario dense and frontier-sparse and fail if any record differs, instead of a normal campaign")
-		ccheck  = flag.Bool("churn-check", false, "churn differential guard: run every scenario dense-P1 and frontier-P8 with the GoodMonitor full-scan oracle and fail on any divergence, instead of a normal campaign (pair with -preset bio-churn)")
+		ccheck  = flag.Bool("churn-check", false, "churn differential guard: run every scenario dense and frontier-sparse, both at P=1, with the GoodMonitor full-scan oracle and fail on any divergence, instead of a normal campaign (pair with -preset bio-churn)")
 		pcheck  = flag.Bool("plane-check", false, "word-parallel differential guard: run every scenario scalar and word-parallel and fail if any record differs, instead of a normal campaign")
-		rcheck  = flag.Bool("restore-check", false, "checkpoint differential guard: for every engine mode x parallelism x churn combination, fail unless a run checkpointed and restored at the halfway step is byte-identical to an uninterrupted run (ignores -preset)")
+		rcheck  = flag.Bool("restore-check", false, "checkpoint differential guard: for every engine mode x coin source x churn combination, fail unless a run checkpointed and restored at the halfway step is byte-identical to an uninterrupted run (ignores -preset)")
 		dcheck  = flag.Bool("daemon-check", false, "remote-vs-local differential guard: run the preset in-process and through an in-process unisond on a unix socket and fail unless the streamed records are byte-identical, instead of a normal campaign")
 		fork    = flag.String("fork", "", "fork mode: restore this unisonsim checkpoint into -fork-futures perturbed continuations (future f suffers f+1 transient faults) and emit one record per future (ignores -preset)")
 		futures = flag.Int("fork-futures", 8, "number of alternative futures -fork runs")
@@ -351,9 +340,6 @@ func run() int {
 			return 1
 		}
 		return 0
-	}
-	if *check {
-		return shardCheck(scenarios)
 	}
 	if *fcheck {
 		return frontierCheck(scenarios)

@@ -2,11 +2,10 @@
 // BENCH_hotpath.json perf artifact: step throughput and allocation counts on
 // scale-sweep-sized AlgAU instances, stabilization and fault-storm recovery
 // wall times, the speedup of the incremental stabilization monitor over the
-// pre-incremental full-graph rescan, the shard-scaling series (one run
-// sharded over P ∈ {1, 2, 4, 8} workers at 10^5 nodes; -big adds 10^6), and
-// the frontier series (dense vs frontier-sparse execution on the quiescent
-// steady step and on post-fault recovery; -frontier-gate fails the run if
-// the quiescent speedup regresses below the given ratio), and the obs series
+// pre-incremental full-graph rescan, the frontier series (dense vs
+// frontier-sparse execution on the quiescent steady step and on post-fault
+// recovery; -frontier-gate fails the run if the quiescent speedup regresses
+// below the given ratio), the obs series
 // (steady step untraced vs fully traced — counters, instrumented monitor,
 // flight ring, sampled sink; -obs-gate fails the run if tracing allocates or
 // exceeds the given overhead ratio), and the word series (dense steady step
@@ -47,18 +46,6 @@ type speedup struct {
 	IncrementalNs float64 `json:"incremental_ns_per_op"`
 	FullScanNs    float64 `json:"fullscan_ns_per_op"`
 	Speedup       float64 `json:"speedup"`
-}
-
-// shardPoint is one point of the shard-scaling series: a sharded scenario at
-// worker count P, with its speedup over the P=1 run of the same scenario.
-// The series is meaningful on multi-core hardware (see num_cpu): on a single
-// core it degenerates to an overhead measurement of the fan-out machinery.
-type shardPoint struct {
-	Scenario    string  `json:"scenario"`
-	N           int     `json:"n"`
-	P           int     `json:"p"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	SpeedupVsP1 float64 `json:"speedup_vs_p1"`
 }
 
 // frontierPoint is one dense/frontier pair of the frontier series: the same
@@ -110,7 +97,6 @@ type artifact struct {
 	NumCPU         int             `json:"num_cpu"`
 	Benchmarks     []entry         `json:"benchmarks"`
 	Speedups       []speedup       `json:"speedups"`
-	ShardScaling   []shardPoint    `json:"shard_scaling"`
 	FrontierSeries []frontierPoint `json:"frontier_series"`
 	// ChurnSeries is the topology-churn recovery pair: one crash → drift →
 	// revive cycle per op (see hotpath.ChurnRecovery), frontier-sparse
@@ -148,8 +134,7 @@ func measure(name string, n, iters int, fn func(b *testing.B)) entry {
 
 func main() {
 	out := flag.String("out", "BENCH_hotpath.json", "output path for the JSON artifact")
-	quick := flag.Bool("quick", false, "skip the slowest (n=10000 full-scan) measurements and shrink the shard series")
-	big := flag.Bool("big", false, "extend the shard-scaling series to a 10^6-node instance")
+	quick := flag.Bool("quick", false, "skip the slowest (n=10000 full-scan) measurements and shrink the iteration counts")
 	gate := flag.Float64("frontier-gate", 0, "fail (exit 1) if the quiescent-steady-step frontier speedup at the largest measured n falls below this ratio (0 disables); CI uses 10 to catch a regression back to Θ(n) steps")
 	obsGate := flag.Float64("obs-gate", 0, "fail (exit 1) if full tracing allocates on the steady step, or slows the largest measured n down by more than this ratio (0 disables); CI uses 1.5")
 	planeGate := flag.Float64("plane-gate", 0, "fail (exit 1) if word-parallel execution allocates on the dense steady step, or its speedup over scalar at the largest measured n falls below this ratio (0 disables); CI uses 3")
@@ -211,42 +196,6 @@ func main() {
 		// ~n nodes per round-robin step and takes seconds per burst.
 		record("recovery", 10000, 1, func(m hotpath.Mode) func(b *testing.B) {
 			return hotpath.Recovery(10000, faults, m)
-		})
-	}
-
-	// Shard-scaling series: the same scenario at P ∈ {1, 2, 4, 8} shards,
-	// P=1 as the baseline. Sharded runs are byte-identical at every P, so
-	// the curve isolates wall-time scaling. -big extends the steady-step
-	// series to a 10^6-node instance.
-	shardSeries := func(scenario string, n, iters int, fn func(p int) func(b *testing.B)) {
-		var base float64
-		for _, p := range []int{1, 2, 4, 8} {
-			e := measure(hotpath.ShardName(scenario, n, p), n, iters, fn(p))
-			if p == 1 {
-				base = e.NsPerOp
-			}
-			a.ShardScaling = append(a.ShardScaling, shardPoint{
-				Scenario:    scenario,
-				N:           n,
-				P:           p,
-				NsPerOp:     e.NsPerOp,
-				SpeedupVsP1: base / e.NsPerOp,
-			})
-		}
-	}
-	steadyIters, stabIters := 50, 3
-	if *quick {
-		steadyIters, stabIters = 10, 1
-	}
-	shardSeries("steady-step-sharded", 100000, steadyIters, func(p int) func(b *testing.B) {
-		return hotpath.ShardedSteadyStep(100000, p)
-	})
-	shardSeries("stabilize-sharded", 100000, stabIters, func(p int) func(b *testing.B) {
-		return hotpath.ShardedStabilize(100000, p)
-	})
-	if *big {
-		shardSeries("steady-step-sharded", 1000000, 5, func(p int) func(b *testing.B) {
-			return hotpath.ShardedSteadyStep(1000000, p)
 		})
 	}
 

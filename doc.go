@@ -31,18 +31,18 @@
 //     per-step full-graph rescans, the graph substrate uses a CSR adjacency
 //     layout, and the steady step loop performs zero allocations (see
 //     BENCH_hotpath.json, regenerated by cmd/hotpathbench);
-//   - a sharded multi-core mode for single large runs (internal/shard): the
-//     graph is partitioned into contiguous shards with a boundary/interior
-//     split and each step fans out over a persistent worker pool, with
-//     counter-based per-(step, node) coin-toss streams making sharded runs
-//     byte-identical to sequential runs at any worker count — enforced by a
-//     differential test harness and the cmd/campaign -shard-check guard;
+//   - two coin sources for randomized programs (sim.Options.Parallelism,
+//     asyncsim.NewParallel): the engine's single rng stream drawn in
+//     ascending activation order, or counter-based per-(step, node) streams
+//     (randx.NodeSeed) that do not depend on execution order. Campaigns pick
+//     per-node streams from campaign.ShardThreshold nodes; AlgAU draws no
+//     coins, so its runs are the same under both;
 //   - an event-driven frontier-sparse mode for AlgAU (sim.Options.Frontier,
 //     on by default in campaigns): the engine keeps a per-node settled flag
 //     — δ on the node's current signal is certified a coin-free self-loop
 //     (sa.SelfLooper) — invalidated in O(deg v) when a neighborhood changes,
 //     so a near-quiescent step costs O(|frontier|) instead of Θ(n) while
-//     staying byte-identical to dense runs at every parallelism (the
+//     staying byte-identical to dense runs with either coin source (the
 //     frontier differential harness and the cmd/campaign -frontier-check
 //     guard enforce it; see the frontier series of BENCH_hotpath.json for
 //     the quiescent-regime speedups);
@@ -52,8 +52,7 @@
 //     with connectivity and diameter-drift guards — through one amortized
 //     in-place CSR re-compaction, with every incremental layer repaired in
 //     the same motion (frontier re-seeding, O(1) GoodMonitor counter repair
-//     via sim.TopologyObserver, shard boundary re-classification with
-//     threshold-triggered repartition). Churn runs stay byte-identical
+//     via sim.TopologyObserver). Churn runs stay byte-identical
 //     across execution modes (the bio-churn preset and the cmd/campaign
 //     -churn-check guard enforce it), and internal/mc proves
 //     re-stabilization after every single-edge flip exhaustively on n <= 4
@@ -69,8 +68,8 @@
 //     with the full stack attached (the obs series of BENCH_hotpath.json,
 //     gated by hotpathbench -obs-gate);
 //   - a word-parallel hot path (sim.Options.WordParallel, campaign -word):
-//     the hot state is one one-hot self-word per node plus a goodness slab
-//     per lane (sa.Planes, one uint64 plane per state, is only the
+//     the hot state is one one-hot self-word per node plus one goodness
+//     plane (sa.Planes, one uint64 plane per state, is only the
 //     pack/inspect format), neighborhood signals come from a batched CSR
 //     OR-scan (sa.BuildSignals), and a precompiled transition table
 //     (core.AU.Kernel) evaluates 64 nodes' transitions and goodness per word
@@ -106,15 +105,16 @@
 //     to an uninterrupted one (the cmd/campaign -daemon-check guard and the
 //     kill-and-restart tests pin it).
 //
-// The engine-mode matrix, then, is: classic sequential (the reference
-// semantics), sharded (Options.Parallelism, multi-core single runs),
+// The engine-mode matrix, then, is: dense (the reference semantics),
 // frontier-sparse (Options.Frontier, near-quiescent workloads),
-// word-parallel (Options.WordParallel, dense batch evaluation), and
-// topology churn (Options.Churn). In internal/sim the modes are not separate
-// code paths but plugs of one step loop — the activation source (A_t or
-// A_t ∩ frontier), the lanes (one inline, or one per shard on the worker
-// pool) and the evaluator (scalar δ or the word kernel) — so they compose
-// freely and all produce byte-identical trajectories for equal seeds. A
+// word-parallel (Options.WordParallel, dense batch evaluation) and topology
+// churn (Options.Churn), each with either coin source (Options.Parallelism).
+// Every run executes on one goroutine; parallelism comes from running many
+// scenarios at once. In internal/sim the modes are not separate code paths
+// but plugs of one step loop — the activation source (A_t or
+// A_t ∩ frontier), the coin source and the evaluator (scalar δ or the word
+// kernel) — so they compose freely and, for a given coin source, all
+// produce byte-identical trajectories for equal seeds. A
 // dense scalar reference stepper in the sim tests scores every combination,
 // and the differential guards in CI pin the same at campaign level.
 //

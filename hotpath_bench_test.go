@@ -55,17 +55,6 @@ func BenchmarkHotPathStabilize(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathShardedSteadyStep is the in-tree slice of the shard-
-// scaling series (the full n=10^5 curve lives in cmd/hotpathbench): one
-// sharded engine step at worker counts P ∈ {1, 2, 4, 8}. P=1 runs the same
-// semantics inline, so sub-benchmark ratios show the fan-out win directly.
-func BenchmarkHotPathShardedSteadyStep(b *testing.B) {
-	const n = 10000
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("n=%d/p=%d", n, p), hotpath.ShardedSteadyStep(n, p))
-	}
-}
-
 func BenchmarkHotPathRecovery(b *testing.B) {
 	const faults = 16
 	for _, n := range []int{1000, 10000} {

@@ -11,17 +11,12 @@
 // any fair scheduler through product states that are structs rather than
 // dense integers.
 //
-// Every step runs one loop (step.go) with two plugs:
-//
-//   - Coin source. NewParallel with p = 0 (and New) draws every coin from
-//     the engine's single rng in ascending activation order; p >= 1 draws
-//     node v's coins at step t from a counter-based stream seeded by
-//     randx.NodeSeed(seed, t, v), so the run is byte-identical at every
-//     p >= 1 (under the synchronous scheduler these are per-(round, node)
-//     streams).
-//   - Lanes. p <= 1 stages A_t in one inline lane; p >= 2 splits it over
-//     one lane per contiguous shard of internal/shard, staged concurrently
-//     on a persistent worker pool.
+// Every step runs one loop (step.go) with one plug, the coin source:
+// NewParallel with p = 0 (and New) draws every coin from the engine's single
+// rng in ascending activation order; p >= 1 draws node v's coins at step t
+// from a counter-based stream seeded by randx.NodeSeed(seed, t, v) (under
+// the synchronous scheduler these are per-(round, node) streams). Every
+// positive p means what 1 means.
 package asyncsim
 
 import (
@@ -32,7 +27,6 @@ import (
 	"thinunison/internal/obs"
 	"thinunison/internal/randx"
 	"thinunison/internal/sched"
-	"thinunison/internal/shard"
 	"thinunison/internal/syncsim"
 )
 
@@ -47,18 +41,15 @@ type Engine[S comparable] struct {
 	actBuf   []int // canonicalization buffer for unsorted activation lists
 	changed  []int // nodes whose state changed in the last step, ascending
 	faultBuf []int // reusable permutation buffer for InjectFaults
+	res      []S   // staged next states, aligned with the step's A_t
+	sensed   []S   // sense scratch
 
-	// lanes are the step loop's staging units: one at p <= 1, one per shard
-	// at p >= 2. part is the node partition at p >= 1 (nil at p = 0); the
-	// pool and its stage body exist only with two or more lanes.
-	lanes   []lane[S]
-	part    *shard.Partition
-	pool    *shard.Pool
-	stageFn func(s int)
-
-	// churnAccum is the accumulated topology-churn weight since the last
-	// (re)partition; see ApplyDelta.
-	churnAccum int
+	// Coin source of the step function: coinRng is rng (the shared stream,
+	// nodeSeq nil), or a stream over nodeSeq reseeded per (step, node),
+	// whose draws nodeCoin counts.
+	coinRng  *rand.Rand
+	nodeSeq  *randx.Seq
+	nodeCoin *randx.Counting
 
 	// mx is always non-nil (allocated at New; replaceable via Instrument)
 	// so metric updates are unconditional. tracer is attached via Trace.
@@ -78,14 +69,10 @@ func New[S comparable](g *graph.Graph, step syncsim.StepFunc[S], initial []S, s 
 	return NewParallel(g, step, initial, s, seed, 0)
 }
 
-// NewParallel returns an engine whose steps run on p lanes (see the package
-// doc): p = 0 is the shared-stream engine of New; p >= 1 draws coins from
-// per-(step, node) streams, so runs are byte-identical for equal seeds at
-// ANY p >= 1, and p >= 2 partitions the graph into p contiguous shards
-// (clamped to the node count) whose lanes stage concurrently. The step
-// function must then be safe for concurrent calls (pure up to its rng
-// argument, as the MIS/LE programs are). Call Close when done with the
-// engine to release the workers.
+// NewParallel returns an engine with the coin source p selects (see the
+// package doc): p = 0 is the shared-stream engine of New; any p >= 1 draws
+// coins from per-(step, node) streams, so runs are byte-identical for equal
+// seeds at every p >= 1.
 func NewParallel[S comparable](g *graph.Graph, step syncsim.StepFunc[S], initial []S, s sched.Scheduler, seed int64, p int) (*Engine[S], error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -114,39 +101,13 @@ func NewParallel[S comparable](g *graph.Graph, step syncsim.StepFunc[S], initial
 		coin:    coin,
 		seed:    seed,
 	}
-	lanes := 1
+	e.coinRng = e.rng
 	if p >= 1 {
-		e.part = shard.NewPartition(g, p)
-		if p >= 2 {
-			lanes = e.part.P()
-		}
-	}
-	e.lanes = make([]lane[S], lanes)
-	for i := range e.lanes {
-		l := &e.lanes[i]
-		l.rng = e.rng
-		if p >= 1 {
-			l.seq = &randx.Seq{}
-			l.coin = randx.NewCounting(l.seq)
-			l.rng = rand.New(l.coin)
-		}
-	}
-	if lanes > 1 {
-		// The stage body reads e.stepNum, e.states and the lanes directly;
-		// all are written only by the coordinator between pool phases, and
-		// the pool's channel handoffs order those writes.
-		e.pool = shard.NewPool(lanes)
-		e.stageFn = func(s int) { e.stage(&e.lanes[s]) }
+		e.nodeSeq = &randx.Seq{}
+		e.nodeCoin = randx.NewCounting(e.nodeSeq)
+		e.coinRng = rand.New(e.nodeCoin)
 	}
 	return e, nil
-}
-
-// Close releases the worker goroutines of an engine with two or more lanes.
-// It is idempotent and a no-op for single-lane engines.
-func (e *Engine[S]) Close() {
-	if e.pool != nil {
-		e.pool.Close()
-	}
 }
 
 // Instrument replaces the engine's metric set with mx (call before the
@@ -173,22 +134,13 @@ func (e *Engine[S]) Graph() *graph.Graph { return e.g }
 // ApplyDelta commits a topology mutation batch between steps: the delta
 // (which must wrap the engine's own graph) is compacted in place and the
 // touched endpoints returned, so callers can recheck dirty-set stability
-// (syncsim.Checker.Recheck) over the affected neighborhoods. A partitioned
-// engine (p >= 1) re-classifies the endpoints, or repartitions outright
-// once the accumulated churn weight crosses the threshold; the partition
-// is layout only, so the run stays byte-identical at every p >= 1. Like
-// SetState it must run between steps, on the driving goroutine.
+// (syncsim.Checker.Recheck) over the affected neighborhoods. Like SetState
+// it must run between steps, on the driving goroutine.
 func (e *Engine[S]) ApplyDelta(d *graph.Delta) ([]int, error) {
 	if d.Graph() != e.g {
 		return nil, fmt.Errorf("asyncsim: delta wraps a different graph")
 	}
 	_, touched := d.Apply()
-	if e.part != nil {
-		if next, rebuilt := e.part.RewireAfterChurn(&e.churnAccum, touched); rebuilt {
-			e.mx.Repartitions.Add(1)
-			e.part = next
-		}
-	}
 	return touched, nil
 }
 

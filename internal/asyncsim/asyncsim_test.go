@@ -166,7 +166,6 @@ func TestUnsortedActivationsAreCanonicalized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer e.Close()
 			engines[i] = e
 		}
 		messy, canon := engines[0], engines[1]

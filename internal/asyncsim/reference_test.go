@@ -184,11 +184,12 @@ func refSchedulers() map[string]func() sched.Scheduler {
 }
 
 // TestLatticeMatchesReference runs the engine in every cell of
-// {p ∈ 0,1,3,8} × {synchronous, round-robin, laggard, seeded random-subset}
+// {p ∈ 0,1,8} × {synchronous, round-robin, laggard, seeded random-subset}
 // × {AlgMIS, AlgLE, jitterStep} against the reference stepper with
 // the matching coin source (the shared stream at p = 0, per-(step, node)
-// streams at p >= 1). After every step the configuration, Changed, Rounds,
-// Steps and the metric snapshot must match; one fault burst and one
+// streams at p >= 1; p = 8 pins that positive values are interchangeable).
+// After every step the configuration, Changed, Rounds, Steps and the metric
+// snapshot must match; one fault burst and one
 // SaveState/Restore (the run continues on the restored engine) fall
 // mid-run.
 func TestLatticeMatchesReference(t *testing.T) {
@@ -219,7 +220,7 @@ func latticeProgram[S comparable](t *testing.T, prog string, g *graph.Graph, ste
 	}
 	codec := &internCodec[S]{ids: map[S]int{}}
 	for sname, mk := range refSchedulers() {
-		for _, p := range []int{0, 1, 3, 8} {
+		for _, p := range []int{0, 1, 8} {
 			name := fmt.Sprintf("%s/%s/p=%d", prog, sname, p)
 			coins := sharedCoins(seed)
 			if p >= 1 {
@@ -242,7 +243,6 @@ func latticeProgram[S comparable](t *testing.T, prog string, g *graph.Graph, ste
 					if err := e.SaveState(&buf, codec.encode); err != nil {
 						t.Fatalf("%s: save: %v", name, err)
 					}
-					e.Close()
 					e, _, err = asyncsim.Restore(bytes.NewReader(buf.Bytes()), codec.decode,
 						asyncsim.RestoreOptions[S]{Step: step, Scheduler: mk()})
 					if err != nil {
@@ -263,7 +263,6 @@ func latticeProgram[S comparable](t *testing.T, prog string, g *graph.Graph, ste
 					t.Fatalf("%s: step %d: metrics %+v, reference %+v", name, i, e.Metrics().Snapshot(), ref.mx.Snapshot())
 				}
 			}
-			e.Close()
 		}
 	}
 }

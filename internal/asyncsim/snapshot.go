@@ -8,7 +8,6 @@ import (
 	"thinunison/internal/obs"
 	"thinunison/internal/randx"
 	"thinunison/internal/sched"
-	"thinunison/internal/shard"
 	"thinunison/internal/snapshot"
 	"thinunison/internal/syncsim"
 )
@@ -21,9 +20,8 @@ import (
 //
 // State types are arbitrary comparables the engine cannot introspect, so
 // callers supply a syncsim.StateEncoder/StateDecoder pair that must
-// round-trip exactly (decode(encode(s)) == s). Lane streams need nothing:
-// they are reseeded per (step, node) from the run seed. The partition
-// bounds are saved because churn may have repartitioned the graph.
+// round-trip exactly (decode(encode(s)) == s). Per-node coin streams need
+// nothing: they are reseeded per (step, node) from the run seed.
 
 const engineSection = "asyncsim"
 
@@ -58,15 +56,7 @@ func (e *Engine[S]) SaveState(w io.Writer, encode syncsim.StateEncoder[S], extra
 	enc.U64(e.coin.Pending())
 	enc.Ints(e.faultBuf)
 	enc.Blob(e.tracker.CheckpointState())
-	p := 0
-	if e.part != nil {
-		p = e.part.P()
-	}
-	enc.Int(p)
-	if e.part != nil {
-		enc.Ints(e.part.Starts())
-		enc.Int(e.churnAccum)
-	}
+	enc.Bool(e.nodeSeq != nil)
 	if cp, ok := e.sch.(sched.Checkpointer); ok {
 		state, err := cp.CheckpointState()
 		if err != nil {
@@ -85,9 +75,9 @@ func (e *Engine[S]) SaveState(w io.Writer, encode syncsim.StateEncoder[S], extra
 }
 
 // Restore reads a checkpoint written by SaveState and rebuilds the engine:
-// same topology, configuration, p and partition, rng and scheduler streams
+// same topology, configuration and coin source, rng and scheduler streams
 // set to their saved states. The returned extras map holds the caller
-// sections. Close the engine when done, as for NewParallel.
+// sections.
 func Restore[S comparable](r io.Reader, decode syncsim.StateDecoder[S], opts RestoreOptions[S]) (*Engine[S], map[string][]byte, error) {
 	if opts.Step == nil {
 		return nil, nil, fmt.Errorf("asyncsim: restore needs a step function")
@@ -128,13 +118,7 @@ func Restore[S comparable](r io.Reader, decode syncsim.StateDecoder[S], opts Res
 	coinPending := d.U64()
 	faultBuf := d.Ints()
 	trackerState := d.Blob()
-	p := d.Int()
-	var starts []int
-	churnAccum := 0
-	if p >= 1 {
-		starts = d.Ints()
-		churnAccum = d.Int()
-	}
+	nodeCoins := d.Bool()
 	hasSched := d.Bool()
 	var schedState []byte
 	if hasSched {
@@ -148,28 +132,13 @@ func Restore[S comparable](r io.Reader, decode syncsim.StateDecoder[S], opts Res
 		return nil, nil, fmt.Errorf("asyncsim: snapshot engine section: %w", err)
 	}
 
+	p := 0
+	if nodeCoins {
+		p = 1
+	}
 	e, err := NewParallel(g, opts.Step, states, opts.Scheduler, seed, p)
 	if err != nil {
 		return nil, nil, err
-	}
-	ok = false
-	defer func() {
-		if !ok {
-			e.Close()
-		}
-	}()
-	if e.part != nil {
-		// The saved bounds are not derivable from the restored graph: a
-		// mid-run repartition reflects churn history.
-		part, err := shard.NewPartitionFromStarts(g, starts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("asyncsim: snapshot partition: %w", err)
-		}
-		if part.P() != e.part.P() {
-			return nil, nil, fmt.Errorf("asyncsim: snapshot partition has %d shards, engine built %d", part.P(), e.part.P())
-		}
-		e.part = part
-		e.churnAccum = churnAccum
 	}
 	if err := e.src.SetState(coinState); err != nil {
 		return nil, nil, fmt.Errorf("asyncsim: snapshot rng: %w", err)
@@ -186,8 +155,8 @@ func Restore[S comparable](r io.Reader, decode syncsim.StateDecoder[S], opts Res
 	}
 	e.tracker = tracker
 	if hasSched {
-		cp, okc := e.sch.(sched.Checkpointer)
-		if !okc {
+		cp, ok := e.sch.(sched.Checkpointer)
+		if !ok {
 			return nil, nil, fmt.Errorf("asyncsim: snapshot has scheduler state but scheduler %T is not a sched.Checkpointer", e.sch)
 		}
 		if err := cp.RestoreState(schedState); err != nil {
@@ -197,6 +166,5 @@ func Restore[S comparable](r io.Reader, decode syncsim.StateDecoder[S], opts Res
 	e.mx.Add(obs.SnapshotFromWords([obs.SnapshotWords]uint64(mwords)))
 
 	delete(sections, engineSection)
-	ok = true
 	return e, sections, nil
 }

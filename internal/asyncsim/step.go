@@ -1,8 +1,6 @@
 package asyncsim
 
 import (
-	"math/rand"
-
 	"thinunison/internal/obs"
 	"thinunison/internal/randx"
 	"thinunison/internal/sched"
@@ -10,57 +8,34 @@ import (
 
 // This file is the engine's single step loop. Every p runs the same three
 // phases — draw the canonical A_t, stage it against C_t, apply — differing
-// only in the two plugs of the package doc: the coin source each lane
-// draws from, and whether A_t is staged in one inline lane or split over
-// the shards and staged concurrently on the worker pool. Staging reads
-// only C_t and the apply phase then writes C_{t+1}, so the paper's
-// simultaneous-update semantics hold by construction.
-
-// lane is one staging unit of the step loop: the activated nodes of its
-// node range plus every per-lane scratch buffer. A lane is touched by
-// exactly one goroutine per phase, so its buffers need no synchronization.
-type lane[S comparable] struct {
-	bucket []int // this step's activated nodes in the lane's range, ascending
-	buf    []int // backing store of bucket when A_t must be split
-	res    []S   // staged next states, aligned with bucket
-	sensed []S   // sense scratch
-
-	// Coin source. At p = 0 the lane draws from the engine's shared rng in
-	// activation order (seq and coin nil); at p >= 1 it reseeds seq per
-	// (step, node), so results are independent of the lane count, and coin
-	// counts the draws.
-	rng  *rand.Rand
-	seq  *randx.Seq
-	coin *randx.Counting
-}
+// only in the coin source of the package doc. Staging reads only C_t and the
+// apply phase then writes C_{t+1}, so the paper's simultaneous-update
+// semantics hold by construction.
 
 // Step executes one step: it queries the scheduler for A_t, lets every
 // activated node sense C_t and stage its next state, then applies the
 // staged states simultaneously. Nodes whose state actually changed are
 // recorded for Changed, in ascending order.
 //
-// The steady step is allocation-free: new states are staged in per-lane
+// The steady step is allocation-free: new states are staged in reusable
 // scratch (no O(n) configuration copy per step) and written back only after
 // every activated node has sensed C_t.
 func (e *Engine[S]) Step() {
 	act := sched.Canonical(e.sch.Activations(e.stepNum, e.g.N()), &e.actBuf)
-	if e.pool != nil {
-		e.bucket(act)
-		e.pool.Run(e.stageFn)
-	} else {
-		e.lanes[0].bucket = act
-		e.stage(&e.lanes[0])
+	res := e.res[:0]
+	for _, v := range act {
+		if e.nodeSeq != nil {
+			e.nodeSeq.Reseed(randx.NodeSeed(e.seed, e.stepNum, v))
+		}
+		res = append(res, e.step(e.states[v], e.sense(v), e.coinRng))
 	}
-	// Lanes ascend and so do buckets within them, so applying them in turn
-	// records Changed in ascending node order.
+	e.res = res
+	// A_t ascends, so applying it in order records Changed ascending.
 	e.changed = e.changed[:0]
-	for i := range e.lanes {
-		l := &e.lanes[i]
-		for j, v := range l.bucket {
-			if q := l.res[j]; q != e.states[v] {
-				e.states[v] = q
-				e.changed = append(e.changed, v)
-			}
+	for j, v := range act {
+		if q := res[j]; q != e.states[v] {
+			e.states[v] = q
+			e.changed = append(e.changed, v)
 		}
 	}
 	e.tracker.Observe(act)
@@ -68,45 +43,11 @@ func (e *Engine[S]) Step() {
 	e.flushStep(len(act))
 }
 
-// bucket splits A_t across the lanes: the canonical full set aliases the
-// shards' contiguous ranges; any other set is distributed by owner shard,
-// ascending within each bucket.
-func (e *Engine[S]) bucket(act []int) {
-	if len(act) == e.g.N() {
-		for s := range e.lanes {
-			lo, hi := e.part.Range(s)
-			e.lanes[s].bucket = act[lo:hi]
-		}
-		return
-	}
-	for s := range e.lanes {
-		e.lanes[s].buf = e.lanes[s].buf[:0]
-	}
-	for _, v := range act {
-		l := &e.lanes[e.part.ShardOf(v)]
-		l.buf = append(l.buf, v)
-	}
-	for s := range e.lanes {
-		e.lanes[s].bucket = e.lanes[s].buf
-	}
-}
-
-// stage evaluates lane l's bucket against the immutable C_t into l.res.
-func (e *Engine[S]) stage(l *lane[S]) {
-	res := l.res[:0]
-	for _, v := range l.bucket {
-		if l.seq != nil {
-			l.seq.Reseed(randx.NodeSeed(e.seed, e.stepNum, v))
-		}
-		res = append(res, e.step(e.states[v], e.sense(l, v), l.rng))
-	}
-	l.res = res
-}
-
 // sense returns the deduplicated state set of N+(v), self first and then
-// neighbors by first occurrence in ascending ID order, in lane l's scratch.
-func (e *Engine[S]) sense(l *lane[S], v int) []S {
-	b := append(l.sensed[:0], e.states[v])
+// neighbors by first occurrence in ascending ID order, in the engine's
+// scratch.
+func (e *Engine[S]) sense(v int) []S {
+	b := append(e.sensed[:0], e.states[v])
 	for _, u := range e.g.Neighbors(v) {
 		s := e.states[u]
 		dup := false
@@ -120,7 +61,7 @@ func (e *Engine[S]) sense(l *lane[S], v int) []S {
 			b = append(b, s)
 		}
 	}
-	l.sensed = b
+	e.sensed = b
 	return b
 }
 
@@ -153,16 +94,14 @@ func (e *Engine[S]) flushStep(act int) {
 }
 
 // flushCoins drains the draw tallies — the shared stream and, at p >= 1,
-// every lane's stream — into CoinDraws (O(lanes)).
+// the per-node streams — into CoinDraws.
 func (e *Engine[S]) flushCoins() {
 	if n := e.coin.Take(); n != 0 {
 		e.mx.CoinDraws.Add(n)
 	}
-	for i := range e.lanes {
-		if c := e.lanes[i].coin; c != nil {
-			if n := c.Take(); n != 0 {
-				e.mx.CoinDraws.Add(n)
-			}
+	if e.nodeCoin != nil {
+		if n := e.nodeCoin.Take(); n != 0 {
+			e.mx.CoinDraws.Add(n)
 		}
 	}
 }

@@ -183,7 +183,7 @@ func (n *Network) Phases() []int {
 // topology change is a transient disruption the clock recovers from, not a
 // restart. Each attempt stages its rewiring in a graph.Delta, commits it
 // through the engine's churn path (sim.Engine.ApplyDelta, which repairs the
-// frontier, observers and shard classification in the same motion), checks
+// frontier and observers in the same motion), checks
 // the exact diameter, and backs an inadmissible attempt out with the
 // inverse batch. If no admissible rewiring is found in a bounded number of
 // attempts, the topology is left unchanged (ok=false).

@@ -243,14 +243,15 @@ type Scenario struct {
 	// configuration, coin tosses, scheduler); it is derived from the
 	// campaign seed and Index, so equal campaigns replay byte-identically.
 	Seed int64
-	// Parallelism selects the intra-run execution mode of the AU/MIS/LE
-	// engines: > 0 forces sharded execution with that worker count, < 0
-	// forces the classic sequential engines, and 0 (the default) decides
-	// automatically — scenarios with N >= ShardThreshold nodes run sharded,
-	// sized to the runner's idle capacity. Sharded results are
-	// byte-identical at any positive worker count and the automatic
-	// sharded-vs-classic decision depends only on the scenario, so records
-	// stay machine-independent either way.
+	// Parallelism selects the coin source of the AU/MIS/LE engines (see
+	// sim.Options.Parallelism). Positive values are interchangeable: each
+	// draws node v's coins at step t from a per-(step, node) stream. A
+	// negative value forces the engine's shared stream. Zero (the default)
+	// picks by size: per-node streams when N >= ShardThreshold, the shared
+	// stream below it. The choice depends only on the scenario, so records
+	// stay machine-independent, but the sign shows in the records of
+	// coin-driven programs (MIS, LE); AlgAU draws no coins, so its records
+	// are the same under either source.
 	Parallelism int
 	// Frontier selects the AU engine's frontier-sparse execution mode:
 	// > 0 forces it on, < 0 forces dense execution, and 0 (the default)
@@ -295,46 +296,25 @@ type Scenario struct {
 	// "campaign: watchdog:" error, which the runner's retry policy treats
 	// as transient. Zero disables the watchdog.
 	Watchdog time.Duration
-	// intraHint is the runner's idle-capacity suggestion for automatic
-	// intra-run parallelism (workers left over when there are fewer
-	// scenarios than pool workers). It sizes the shard pool but never
-	// changes record bytes.
-	intraHint int
 }
 
 // frontierEnabled resolves the scenario's effective frontier mode.
 func (sc Scenario) frontierEnabled() bool { return sc.Frontier >= 0 }
 
-// ShardThreshold is the node count from which Execute runs a scenario's
-// engines sharded by default: below it per-step work is too small to
-// amortize the fan-out, above it a single run saturates multiple cores.
-// The decision is a pure function of the scenario, never of the machine.
+// ShardThreshold is the node count from which Execute draws a scenario's
+// coins from per-(step, node) streams by default (Scenario.Parallelism 0).
+// The name dates from the sharded engines, for which those streams made
+// every worker count byte-identical; the rule is kept so records stay the
+// same. It is a pure function of the scenario, never of the machine.
 const ShardThreshold = 50_000
 
-// maxIntraParallelism caps automatic intra-run sharding; beyond ~8 workers
-// the sequential merge and pool wake-up dominate a step's critical path.
-const maxIntraParallelism = 8
-
-// intraParallelism resolves the scenario's effective engine parallelism
-// (0 = classic sequential engines).
-func (sc Scenario) intraParallelism() int {
-	switch {
-	case sc.Parallelism > 0:
-		return sc.Parallelism
-	case sc.Parallelism < 0:
-		return 0
-	case sc.N >= ShardThreshold:
-		p := sc.intraHint
-		if p < 1 {
-			p = 1
-		}
-		if p > maxIntraParallelism {
-			p = maxIntraParallelism
-		}
-		return p
-	default:
-		return 0
+// coinSource resolves the engines' Parallelism argument from the scenario:
+// 1 for per-(step, node) coin streams, 0 for the shared stream.
+func (sc Scenario) coinSource() int {
+	if sc.Parallelism > 0 || sc.Parallelism == 0 && sc.N >= ShardThreshold {
+		return 1
 	}
+	return 0
 }
 
 // Matrix is a declarative scenario matrix. Expand crosses all dimensions and

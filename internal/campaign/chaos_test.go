@@ -14,8 +14,9 @@ import (
 )
 
 // chaosScenarios is the mixed workload of the chaos tests: the resume set
-// plus a sharded (Parallelism 2) and a word+frontier AU scenario, so the
-// shard/worker and demotion sites have something to bite.
+// plus a per-node-coin (Parallelism 2) and a word+frontier AU scenario, so
+// the demotion sites have something to bite. ChaosCheck fails if any armed
+// site is never evaluated, so the workload must reach every one.
 func chaosScenarios(seed int64) []campaign.Scenario {
 	base := []campaign.Scenario{
 		{Family: graph.FamilyCycle, N: 10, Scheduler: campaign.Synchronous, Algorithm: campaign.AlgAU},

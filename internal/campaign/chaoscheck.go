@@ -44,9 +44,6 @@ func chaosSites() []failpoint.ChaosSite {
 		{Site: failpoint.CampaignWorker, Kind: failpoint.FailPanic, Count: 3, Window: 24},
 		// A couple of engine runs abort mid-flight with an injected error.
 		{Site: failpoint.SimStep, Kind: failpoint.FailError, Count: 2, Window: 4000},
-		// One shard worker panics mid-barrier (pool survives; the run is
-		// quarantined by ExecuteIsolated and retried).
-		{Site: failpoint.ShardWorker, Kind: failpoint.FailPanic, Count: 1, Window: 64},
 		// A frontier run trips its (injected) invariant and demotes to the
 		// dense path — byte-transparent, so the record must not change.
 		{Site: failpoint.SimFrontierInvariant, Kind: failpoint.FailError, Count: 2, Window: 2000},
@@ -60,8 +57,8 @@ func chaosSites() []failpoint.ChaosSite {
 
 // ChaosCheck is the self-stabilization differential for the harness itself:
 // the campaign runs once undisturbed, then again under a seeded fault
-// schedule — worker panics, injected engine errors, a shard-worker panic, an
-// invariant demotion, stalls cut down by the watchdog, torn JSONL writes —
+// schedule — worker panics, injected engine errors, an invariant demotion,
+// stalls cut down by the watchdog, torn JSONL writes —
 // with a kill at the halfway record and a resume, and the surviving JSONL
 // must parse to canonical records byte-identical to the undisturbed run.
 // Transient faults with deterministic retries converge to the exact same
@@ -178,9 +175,16 @@ func ChaosCheck(w io.Writer, scenarios []Scenario, opts ChaosOptions) int {
 	}
 
 	// The check must actually have checked something: a schedule that never
-	// fired (e.g. sites renamed away) would pass vacuously.
+	// fired would pass vacuously, and so would a site the scenarios never
+	// reach (e.g. renamed away, or only on a path the preset does not take),
+	// so every armed site must have been evaluated.
 	if schedule.Fired() == 0 {
 		return fail("schedule", fmt.Errorf("no failpoint ever fired — vacuous chaos run"))
+	}
+	for _, cs := range chaosSites() {
+		if schedule.Evals(cs.Site) == 0 {
+			return fail("schedule", fmt.Errorf("armed site %s was never evaluated — its firings could not happen", cs.Site))
+		}
 	}
 
 	// Verdict: the chaos file's canonical records must byte-match the

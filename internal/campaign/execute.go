@@ -49,12 +49,11 @@ const exactDiameterLimit = 512
 // to call concurrently for distinct scenarios: every run builds its own
 // graph, engine, scheduler and rng from the scenario seed.
 //
-// Execute chooses between run-level and intra-run parallelism: scenarios at
-// or above ShardThreshold nodes run their AU/MIS/LE engines sharded across
-// an intra-run worker pool (sized by the runner's idle capacity, overridden
-// by Scenario.Parallelism), while smaller scenarios rely on the runner's
-// run-level fan-out alone. The synchronized sync-mis/sync-le drivers always
-// run sequentially — their per-step activation sets are too small to shard.
+// Each run executes on one goroutine; parallelism comes from the runner's
+// run-level fan-out. Scenario.Parallelism picks only the coin source of the
+// AU/MIS/LE engines (per-node streams at or above ShardThreshold nodes by
+// default); the synchronized sync-mis/sync-le drivers always draw from the
+// shared stream.
 //
 // AU engines additionally run frontier-sparse by default (settled nodes are
 // skipped until their neighborhood changes; see sim.Options.Frontier),
@@ -377,7 +376,7 @@ func runAU(ctx context.Context, sc Scenario, g *graph.Graph, d int, rng *rand.Ra
 	eng, err := sim.New(g, au, sim.Options{
 		Scheduler:    scheduler,
 		Seed:         rng.Int63(),
-		Parallelism:  sc.intraParallelism(),
+		Parallelism:  sc.coinSource(),
 		Frontier:     sc.frontierEnabled(),
 		WordParallel: sc.WordParallel,
 		Churn:        churn,
@@ -388,7 +387,6 @@ func runAU(ctx context.Context, sc Scenario, g *graph.Graph, d int, rng *rand.Ra
 		rec.fail(err)
 		return
 	}
-	defer eng.Close()
 	roundBudget := budget.AU(au.K())
 	rec.Budget = roundBudget
 	defer func() {
@@ -579,7 +577,7 @@ func leTask(d int, rec *Record) task[le.State] {
 }
 
 // runSyncTask drives a synchronous program (plain AlgMIS/AlgLE) under the
-// synchronous schedule, on as many lanes as the AU engines get.
+// synchronous schedule, with the coin source the AU engines get.
 func runSyncTask[S comparable](ctx context.Context, sc Scenario, g *graph.Graph, d int, rng *rand.Rand, rec *Record, t task[S], mx *obs.Metrics, tracer *obs.Tracer) {
 	if t.step == nil {
 		return // constructor already failed the record
@@ -592,12 +590,11 @@ func runSyncTask[S comparable](ctx context.Context, sc Scenario, g *graph.Graph,
 	for v := range initial {
 		initial[v] = t.random(rng)
 	}
-	eng, err := asyncsim.NewParallel(g, t.step, initial, nil, rng.Int63(), sc.intraParallelism())
+	eng, err := asyncsim.NewParallel(g, t.step, initial, nil, rng.Int63(), sc.coinSource())
 	if err != nil {
 		rec.fail(err)
 		return
 	}
-	defer eng.Close()
 	// Dirty-set stability: after each round only the changed nodes and their
 	// neighbors are rechecked; the verdict itself is O(1). The engine's View
 	// avoids the per-check configuration copy.

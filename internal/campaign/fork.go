@@ -87,7 +87,6 @@ func forkFuture(data []byte, meta forkMeta, future int) (Record, error) {
 	if err != nil {
 		return Record{}, err
 	}
-	defer eng.Close()
 
 	g := eng.Graph()
 	faults := future + 1

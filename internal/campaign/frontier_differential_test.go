@@ -80,8 +80,8 @@ func TestDifferentialFrontierPresets(t *testing.T) {
 		}
 		scs := frontierDifferentialScenarios(t, preset, cap)
 		for _, sc := range scs {
-			// P = -1 is the classic sequential engine (shared rng stream);
-			// P >= 1 are the sharded engines (per-(step, node) streams).
+			// P = -1 draws from the shared rng stream; P >= 1 from
+			// per-(step, node) streams.
 			for _, p := range []int{-1, 1, 2, 8} {
 				dense := frontierRecordBytes(t, sc, -1, p)
 				front := frontierRecordBytes(t, sc, 1, p)

@@ -7,15 +7,14 @@ import (
 
 	"thinunison/internal/failpoint"
 	"thinunison/internal/obs"
-	"thinunison/internal/shard"
 )
 
 // ExecuteIsolated runs Execute with panic isolation: a panic anywhere in the
-// scenario (engine bug, shard worker, injected fault) is recovered and
-// quarantined into a failed Record instead of killing the campaign worker,
-// so one pathological scenario can never take the whole campaign down. The
-// quarantined record is classified transient (Record.Transient), making it
-// eligible for the runner's retry/backoff policy.
+// scenario (engine bug, injected fault) is recovered and quarantined into a
+// failed Record instead of killing the campaign worker, so one pathological
+// scenario can never take the whole campaign down. The quarantined record is
+// classified transient (Record.Transient), making it eligible for the
+// runner's retry/backoff policy.
 //
 // The campaign/worker failpoint site fires here, before the scenario runs,
 // so chaos schedules can kill arbitrary scenarios mid-campaign.
@@ -38,14 +37,7 @@ func ExecuteIsolated(ctx context.Context, sc Scenario) (rec Record) {
 func quarantined(sc Scenario, v any) Record {
 	rec := newRecord(sc)
 	msg := fmt.Sprintf("%s%v", panicPrefix, v)
-	injected := false
-	switch pv := v.(type) {
-	case failpoint.Fire:
-		injected = true
-	case shard.PoolPanic:
-		_, injected = pv.Value.(failpoint.Fire)
-	}
-	if !injected {
+	if _, injected := v.(failpoint.Fire); !injected {
 		// Real panic: carry a trimmed stack so the bug is diagnosable from
 		// the JSONL alone. Injected ones are diagnosed by the schedule.
 		stack := debug.Stack()

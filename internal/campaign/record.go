@@ -69,10 +69,9 @@ type Record struct {
 	// Engine is the run's engine-telemetry snapshot (obs.Metrics counter
 	// catalog), populated by Execute. The Runner strips it unless its
 	// EngineMetrics option is on: several counters are mode-dependent
-	// (frontier evaluations, shard boundary traffic, coin draws), so
-	// keeping them would break the byte-identity guarantees across
-	// execution modes that the differential suites pin. It never appears
-	// in CSV output.
+	// (frontier evaluations, coin draws, word steps), so keeping them would
+	// break the byte-identity guarantees across execution modes that the
+	// differential suites pin. It never appears in CSV output.
 	Engine *obs.Snapshot `json:"engine,omitempty"`
 
 	// OK reports whether the run stabilized (and recovered from every fault
@@ -90,7 +89,7 @@ type Record struct {
 // time zeroed and the engine block cut down to its trajectory counters
 // (obs.Snapshot.Trajectory). The differential suites and the cmd/campaign
 // -*-check modes diff this form, so execution modes may differ in how they
-// worked (evaluations, coin draws, shard traffic) but never in what
+// worked (evaluations, coin draws, word steps) but never in what
 // happened — trajectory-counter divergence fails the diff like any other
 // field.
 func (r Record) Canonical() Record {

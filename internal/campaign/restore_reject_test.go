@@ -92,8 +92,9 @@ func inBlob(layout string, i int, edit fieldEdit) fieldEdit {
 // inconsistent field must fail to restore with an error, not restore and
 // then index out of range or misbehave on the next step or fault burst.
 // Each case rewrites one field of a valid snapshot of the sim or asyncsim
-// engine (the latter at p = 0 and p = 2) and writes the container back through snapshot.Write, so
-// the checksums hold and only the field's own validation can catch it.
+// engine (the latter with each coin source, p = 0 and p = 2) and writes the
+// container back through snapshot.Write, so the checksums hold and only the
+// field's own validation can catch it.
 func TestRestoreRejectsInconsistentState(t *testing.T) {
 	const n = 12
 	g, err := graph.Cycle(n)
@@ -114,12 +115,11 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 	// and takes a fault burst (building the fault buffer) before it saves.
 	type engine struct {
 		name, section string
-		layout        string // of a dense, classic, churn-free run over n int states
+		layout        string // of a dense, shared-stream, churn-free run over n int states
 		faultBuf      int    // field indices into layout; -1 when absent
 		tracker       int
 		sched         int
 		rng           int
-		starts        int
 		snap          []byte
 		restore       func(data []byte) error
 	}
@@ -129,7 +129,6 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer se.Close()
 	for i := 0; i < 5; i++ {
 		if err := se.Step(); err != nil {
 			t.Fatal(err)
@@ -141,25 +140,21 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 		t.Fatal(err)
 	}
 	engines = append(engines, engine{
-		name: "sim", section: "engine", layout: "iiiiiIIIUiIBbibbbBU",
-		faultBuf: 10, tracker: 11, sched: 17, rng: 8, starts: -1, snap: bytes.Clone(buf.Bytes()),
+		name: "sim", section: "engine", layout: "iiiiiIIIUiIBbbbbbBU",
+		faultBuf: 10, tracker: 11, sched: 17, rng: 8, snap: bytes.Clone(buf.Bytes()),
 		restore: func(data []byte) error {
-			e, _, err := sim.Restore(bytes.NewReader(data), au, sim.RestoreOptions{Scheduler: mkSched()})
-			if err == nil {
-				e.Close()
-			}
+			_, _, err := sim.Restore(bytes.NewReader(data), au, sim.RestoreOptions{Scheduler: mkSched()})
 			return err
 		},
 	})
 
-	// The asyncsim engine at p = 0 (one lane, shared coin stream) and at
-	// p = 2 (two shards, whose bounds and churn weight are saved).
+	// The asyncsim engine at p = 0 (shared coin stream) and at p = 2
+	// (per-(step, node) coin streams); the two differ only in one flag.
 	for _, p := range []int{0, 2} {
 		ae, err := asyncsim.NewParallel(g, step, make([]int, n), mkSched(), 1, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer ae.Close()
 		for i := 0; i < 5; i++ {
 			ae.Step()
 		}
@@ -169,20 +164,15 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := engine{
-			name: "asyncsim", section: "asyncsim", layout: "iiiiII" + strings.Repeat("i", n) + "UiIBibBU",
-			faultBuf: n + 8, tracker: n + 9, sched: n + 12, rng: n + 6, starts: -1, snap: bytes.Clone(buf.Bytes()),
+			name: "asyncsim", section: "asyncsim", layout: "iiiiII" + strings.Repeat("i", n) + "UiIBbbBU",
+			faultBuf: n + 8, tracker: n + 9, sched: n + 12, rng: n + 6, snap: bytes.Clone(buf.Bytes()),
 			restore: func(data []byte) error {
-				e, _, err := asyncsim.Restore(bytes.NewReader(data), decode, asyncsim.RestoreOptions[int]{Step: step, Scheduler: mkSched()})
-				if err == nil {
-					e.Close()
-				}
+				_, _, err := asyncsim.Restore(bytes.NewReader(data), decode, asyncsim.RestoreOptions[int]{Step: step, Scheduler: mkSched()})
 				return err
 			},
 		}
 		if p == 2 {
 			eng.name = "asyncsim-p2"
-			eng.layout = "iiiiII" + strings.Repeat("i", n) + "UiIBiIibBU"
-			eng.starts, eng.sched = n+11, n+14
 		}
 		engines = append(engines, eng)
 	}
@@ -222,12 +212,6 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 				edit{"scheduler rng tap out of range", eng.sched, inBlob(permLayout, 1, editWords(badTap))},
 				edit{"permutation with a duplicate", eng.sched, inBlob(permLayout, 2, editInts(func(p []int) []int { p[0] = p[1]; return p }))},
 				edit{"permutation node out of range", eng.sched, inBlob(permLayout, 2, editInts(func(p []int) []int { p[0] = len(p); return p }))},
-			)
-		}
-		if eng.starts >= 0 {
-			edits = append(edits,
-				edit{"partition bound past n", eng.starts, editInts(func(p []int) []int { p[1] = n + 1; return p })},
-				edit{"partition with a wrong shard count", eng.starts, editInts(func([]int) []int { return []int{0, 4, 8, n} })},
 			)
 		}
 		for _, c := range edits {

@@ -15,9 +15,9 @@ import (
 )
 
 // This file is the campaign-level restore differential: the CI guard behind
-// `cmd/campaign -restore-check`, sitting next to -shard-check / -frontier-check
-// / -plane-check in the determinism battery. For every engine mode
-// (dense / frontier / word) × parallelism × churn combination it runs the
+// `cmd/campaign -restore-check`, sitting next to -frontier-check /
+// -churn-check / -plane-check in the determinism battery. For every engine
+// mode (dense / frontier / word) × coin source × churn combination it runs the
 // same seeded AU workload twice — once uninterrupted for 2K steps, once
 // checkpointed at step K via Engine.SaveState and continued in a freshly
 // restored engine — and fails unless the two trajectories are identical
@@ -29,7 +29,7 @@ import (
 // restoreCheckCase is one cell of the restore-check matrix.
 type restoreCheckCase struct {
 	mode  string // dense | frontier | word
-	p     int    // sharded parallelism (1, 2, 8)
+	p     int    // coin source: 0 shared stream, 1 per-(step, node) streams
 	churn bool
 }
 
@@ -41,12 +41,13 @@ func (c restoreCheckCase) String() string {
 	return fmt.Sprintf("%s p=%d churn=%s", c.mode, c.p, churn)
 }
 
-// restoreCheckCases enumerates the full matrix the acceptance contract
-// names: dense/frontier/word × P ∈ {1, 2, 8} × churn off/on.
+// restoreCheckCases enumerates the full matrix: dense/frontier/word × coin
+// source P ∈ {0, 1} × churn off/on. P = 0 is the engine unisonsim
+// -checkpoint writes and campaign -fork restores.
 func restoreCheckCases() []restoreCheckCase {
 	var cases []restoreCheckCase
 	for _, mode := range []string{"dense", "frontier", "word"} {
-		for _, p := range []int{1, 2, 8} {
+		for _, p := range []int{0, 1} {
 			for _, churn := range []bool{false, true} {
 				cases = append(cases, restoreCheckCase{mode: mode, p: p, churn: churn})
 			}
@@ -123,7 +124,6 @@ func restoreCheckOne(au *core.AU, c restoreCheckCase, n, d, k int, seed int64) e
 	if err != nil {
 		return err
 	}
-	defer ref.Close()
 	refDigest := fnv.New64a()
 	for i := 0; i < 2*k; i++ {
 		if err := ref.Step(); err != nil {
@@ -141,17 +141,14 @@ func restoreCheckOne(au *core.AU, c restoreCheckCase, n, d, k int, seed int64) e
 	twinDigest := fnv.New64a()
 	for i := 0; i < k; i++ {
 		if err := twin.Step(); err != nil {
-			twin.Close()
 			return fmt.Errorf("twin step %d: %w", i, err)
 		}
 		digestStep(twinDigest, twin)
 	}
 	var snap bytes.Buffer
 	if err := twin.SaveState(&snap); err != nil {
-		twin.Close()
 		return fmt.Errorf("save at step %d: %w", k, err)
 	}
-	twin.Close()
 
 	restored, _, err := sim.Restore(bytes.NewReader(snap.Bytes()), au, sim.RestoreOptions{
 		Scheduler: sched.NewRandomSubsetSeeded(0.5, 12, seed+1),
@@ -159,7 +156,6 @@ func restoreCheckOne(au *core.AU, c restoreCheckCase, n, d, k int, seed int64) e
 	if err != nil {
 		return fmt.Errorf("restore: %w", err)
 	}
-	defer restored.Close()
 	for i := 0; i < k; i++ {
 		if err := restored.Step(); err != nil {
 			return fmt.Errorf("restored step %d: %w", k+i, err)

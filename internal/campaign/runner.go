@@ -31,9 +31,9 @@ type Runner struct {
 	OnRecord func(Record)
 	// EngineMetrics keeps each record's engine-telemetry block
 	// (Record.Engine). Off by default: several engine counters are
-	// mode-dependent (frontier evaluations, shard boundary traffic, coin
-	// draws), so emitting them would break the byte-identity guarantee
-	// above whenever execution modes differ.
+	// mode-dependent (frontier evaluations, coin draws, word steps), so
+	// emitting them would break the byte-identity guarantee above whenever
+	// execution modes differ.
 	EngineMetrics bool
 	// Obs, when set, accumulates every run's engine counters into one
 	// campaign-wide metric set (typically published on /debug/vars). The
@@ -82,21 +82,13 @@ func (p RetryPolicy) delay(attempt int) time.Duration {
 // in-flight ones to abort, and returns the records completed so far together
 // with ctx.Err().
 func (r *Runner) Run(ctx context.Context, scenarios []Scenario) ([]Record, error) {
-	capacity := r.Workers
-	if capacity <= 0 {
-		capacity = runtime.NumCPU()
+	workers := r.Workers
+	if workers <= 0 {
+		workers = runtime.NumCPU()
 	}
-	workers := capacity
 	if workers > len(scenarios) && len(scenarios) > 0 {
 		workers = len(scenarios)
 	}
-
-	// Idle-capacity hint for intra-run sharding, from the pre-clamp
-	// capacity: with fewer scenarios than capacity the leftover cores would
-	// sit idle, so each large run may shard its engines over its share of
-	// them (Execute applies the ShardThreshold rule; the hint only sizes
-	// the shard pools and never changes record bytes).
-	intraHint := idleShare(capacity, len(scenarios))
 
 	jobs := make(chan Scenario)
 	results := make(chan Record)
@@ -119,7 +111,6 @@ func (r *Runner) Run(ctx context.Context, scenarios []Scenario) ([]Record, error
 	go func() {
 		defer close(jobs)
 		for _, sc := range scenarios {
-			sc.intraHint = intraHint
 			// Check cancellation before offering the job: when both channel
 			// operations are ready, select picks randomly, which would let a
 			// cancelled campaign keep dispatching.
@@ -298,16 +289,6 @@ func (r *Runner) executeWithRetry(ctx context.Context, sc Scenario) Record {
 		rec = next
 	}
 	return rec
-}
-
-// idleShare returns each run's share of the pool capacity left idle by the
-// run-level fan-out: capacity/scenarios when there are fewer scenarios than
-// capacity, else 1.
-func idleShare(capacity, scenarios int) int {
-	if scenarios > 0 && capacity > scenarios {
-		return capacity / scenarios
-	}
-	return 1
 }
 
 // RunMatrix expands the matrix with the given campaign seed and runs it.

@@ -2,46 +2,26 @@ package campaign
 
 import "testing"
 
-// TestIdleShare pins the idle-capacity hint: the pre-clamp pool capacity is
-// split across scenarios when runs are scarce (the regression here was
-// computing the hint from the already-clamped worker count, which made it
-// constant 1 and automatic intra-run sharding single-shard forever).
-func TestIdleShare(t *testing.T) {
-	cases := []struct{ capacity, scenarios, want int }{
-		{16, 4, 4},
-		{16, 1, 16},
-		{8, 8, 1},
-		{4, 16, 1},
-		{3, 2, 1},
-		{7, 2, 3},
-		{5, 0, 1},
-	}
-	for _, c := range cases {
-		if got := idleShare(c.capacity, c.scenarios); got != c.want {
-			t.Errorf("idleShare(%d, %d) = %d, want %d", c.capacity, c.scenarios, got, c.want)
-		}
-	}
-}
-
-// TestIntraParallelismPolicy pins the scenario-side resolution: forced
-// values win, the threshold gates automatic sharding, and the hint is
-// clamped to [1, maxIntraParallelism].
+// TestIntraParallelismPolicy pins the coin-source resolution of
+// Scenario.Parallelism: positive values are interchangeable and give
+// per-(step, node) streams, a negative value forces the shared stream, and
+// zero picks by size — the shared stream just below ShardThreshold,
+// per-node streams at it.
 func TestIntraParallelismPolicy(t *testing.T) {
 	cases := []struct {
 		name string
 		sc   Scenario
 		want int
 	}{
-		{"forced sharded", Scenario{N: 10, Parallelism: 5}, 5},
-		{"forced classic", Scenario{N: ShardThreshold, Parallelism: -1}, 0},
-		{"small auto", Scenario{N: ShardThreshold - 1, intraHint: 8}, 0},
-		{"large auto no hint", Scenario{N: ShardThreshold}, 1},
-		{"large auto hinted", Scenario{N: ShardThreshold, intraHint: 4}, 4},
-		{"large auto hint capped", Scenario{N: ShardThreshold, intraHint: 64}, maxIntraParallelism},
+		{"forced one", Scenario{N: 10, Parallelism: 1}, 1},
+		{"forced five", Scenario{N: 10, Parallelism: 5}, 1},
+		{"forced shared", Scenario{N: ShardThreshold, Parallelism: -1}, 0},
+		{"auto below threshold", Scenario{N: ShardThreshold - 1}, 0},
+		{"auto at threshold", Scenario{N: ShardThreshold}, 1},
 	}
 	for _, c := range cases {
-		if got := c.sc.intraParallelism(); got != c.want {
-			t.Errorf("%s: intraParallelism() = %d, want %d", c.name, got, c.want)
+		if got := c.sc.coinSource(); got != c.want {
+			t.Errorf("%s: coinSource() = %d, want %d", c.name, got, c.want)
 		}
 	}
 }

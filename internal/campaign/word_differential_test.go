@@ -44,9 +44,9 @@ func TestDifferentialWordPresets(t *testing.T) {
 		scs := frontierDifferentialScenarios(t, preset, cap)
 		for _, sc := range scs {
 			for _, mode := range []struct{ frontier, p int }{
-				{-1, -1}, // classic sequential, dense
-				{1, -1},  // classic sequential, frontier-sparse
-				{-1, 2},  // sharded, dense
+				{-1, -1}, // shared stream, dense
+				{1, -1},  // shared stream, frontier-sparse
+				{-1, 2},  // per-node streams, dense
 			} {
 				scalar := wordRecordBytes(t, sc, false, mode.frontier, mode.p)
 				word := wordRecordBytes(t, sc, true, mode.frontier, mode.p)

@@ -127,7 +127,7 @@ const maxWitnesses = 8
 //   - The scan that first finds no bad node *promotes* it to incremental:
 //     per-node violation counters — unprotected incident edges and faulty
 //     neighbors — plus a not-good node count, maintained in O(deg v) per
-//     change, make every further check O(1) (O(P) sharded). The promotion
+//     change, make every further check O(1). The promotion
 //     is free: a good graph has every counter at zero, and zero is where the
 //     deferred regime leaves them. Fault bursts into a stabilized run are
 //     exactly the regime where the counters win by orders of magnitude (see
@@ -139,12 +139,6 @@ const maxWitnesses = 8
 // It implements sim.ConfigObserver: register it on an engine with
 // Engine.Observe and it sees every node state change (steps, SetState,
 // InjectFaults). Good() then always agrees with au.GraphGood(g, cfg).
-//
-// It also implements sim.ShardedObserver: its maintenance is
-// order-independent and per-node (deferred) or per-shard (incremental), so
-// on a sharded engine workers apply their shard's interior changes
-// concurrently — every slot touched when an interior node changes belongs
-// to that node's shard — and Good combines the per-shard counts in O(P).
 type GoodMonitor struct {
 	g *graph.Graph
 
@@ -161,10 +155,9 @@ type GoodMonitor struct {
 	witnesses []int // recently observed bad nodes (deferred mode only)
 
 	// Incremental-regime counters; all zero while deferred.
-	unprot  []int32 // number of unprotected incident edges per node
-	fnbrs   []int32 // number of faulty neighbors per node
-	bad     []int   // not-good node counts; one slot per shard (one total when unsharded)
-	shardOf []int32 // owner-shard table from AttachShards; nil when unsharded
+	unprot []int32 // number of unprotected incident edges per node
+	fnbrs  []int32 // number of faulty neighbors per node
+	bad    int     // number of not-good nodes
 
 	mx *obs.Metrics // nil unless Instrument attached a metric set
 }
@@ -175,8 +168,6 @@ type GoodMonitor struct {
 func (m *GoodMonitor) Instrument(mx *obs.Metrics) { m.mx = mx }
 
 // countTransition classifies a turn change by shape into the metric set.
-// Counter updates are atomic, so concurrent interior-shard Apply calls are
-// safe.
 func (m *GoodMonitor) countTransition(oldF, newF bool) {
 	switch {
 	case !oldF && !newF:
@@ -201,7 +192,6 @@ func NewGoodMonitor(au *AU, g *graph.Graph, cfg sa.Config) *GoodMonitor {
 		order:    int32(au.ls.Order()),
 		unprot:   make([]int32, n),
 		fnbrs:    make([]int32, n),
-		bad:      make([]int, 1),
 		deferred: true,
 	}
 	for q := range m.posOf {
@@ -240,29 +230,6 @@ func (m *GoodMonitor) ApplyWordBatch(changed []int, cfg sa.Config) {
 	}
 }
 
-// AttachShards implements sim.ShardedObserver: the monitor re-buckets its
-// not-good count into one slot per shard (indexed through the engine
-// partition's owner table), so concurrent workers touch only their own
-// shard's slot and Good combines the slots in O(nshards).
-func (m *GoodMonitor) AttachShards(shardOf []int32, nshards int) {
-	if nshards < 1 {
-		nshards = 1
-	}
-	m.shardOf = shardOf
-	m.bad = make([]int, nshards)
-	if !m.deferred {
-		m.recount()
-	}
-}
-
-// shard returns the bad-count slot of node v.
-func (m *GoodMonitor) shard(v int) int {
-	if m.shardOf == nil {
-		return 0
-	}
-	return int(m.shardOf[v])
-}
-
 // Reset reloads the monitor from cfg. Use it when the configuration was
 // rewritten wholesale outside the monitor's view. The current regime is
 // kept: an incremental monitor rebuilds its counters, a deferred one drops
@@ -275,11 +242,11 @@ func (m *GoodMonitor) Reset(cfg sa.Config) {
 	}
 }
 
-// recount rebuilds the violation counters and per-shard bad counts from the
-// raw mirror in one O(n·Δ) pass, for a counter layout that changed under an
-// incremental monitor (Reset, AttachShards, RestoreState).
+// recount rebuilds the violation counters and the not-good count from the
+// raw mirror in one O(n·Δ) pass, for an incremental monitor whose counters
+// no longer describe the mirror (Reset, RestoreState).
 func (m *GoodMonitor) recount() {
-	clear(m.bad)
+	m.bad = 0
 	for v := 0; v < m.g.N(); v++ {
 		pv := m.posOf[m.raw[v]]
 		var unprot, fnbrs int32
@@ -295,7 +262,7 @@ func (m *GoodMonitor) recount() {
 		m.unprot[v] = unprot
 		m.fnbrs[v] = fnbrs
 		if !m.nodeGood(v) {
-			m.bad[m.shard(v)]++
+			m.bad++
 		}
 	}
 }
@@ -306,14 +273,14 @@ func (m *GoodMonitor) nodeGood(v int) bool {
 	return !m.faultyOf[m.raw[v]] && m.unprot[v] == 0 && m.fnbrs[v] == 0
 }
 
-// rebucket moves node v between its shard's good and not-good tallies when
-// its counter-derived goodness differs from wasGood.
+// rebucket moves node v between the good and not-good tallies when its
+// counter-derived goodness differs from wasGood.
 func (m *GoodMonitor) rebucket(v int, wasGood bool) {
 	if good := m.nodeGood(v); good != wasGood {
 		if good {
-			m.bad[m.shard(v)]--
+			m.bad--
 		} else {
-			m.bad[m.shard(v)]++
+			m.bad++
 		}
 	}
 }
@@ -394,10 +361,6 @@ func (m *GoodMonitor) Apply(v int, q sa.State) {
 // patched in O(1): the edge contributes one unprotected-incident-edge unit
 // to each endpoint when their levels are not adjacent, and one
 // faulty-neighbor unit to the endpoint across from a faulty node.
-//
-// RewireEdge must run on the coordinator between steps (the engines apply
-// churn only there), so the per-shard bad slots of a sharded monitor may be
-// touched for both endpoints even when they live in different shards.
 func (m *GoodMonitor) RewireEdge(u, v int, added bool) {
 	if m.deferred {
 		return
@@ -424,7 +387,7 @@ func (m *GoodMonitor) RewireEdge(u, v int, added bool) {
 
 // Good reports whether the graph is good (every node good) — the AlgAU
 // stabilization condition. In the incremental regime (after the graph first
-// turned good) it is O(1) (O(P) per-shard combine when sharded). In the
+// turned good) it is O(1). In the
 // deferred regime it re-tests the cached bad witnesses in O(Δ) and only
 // scans — with early exit, refilling the witness cache — when all of them
 // have healed; the scan that finds no bad node is the promotion point.
@@ -432,12 +395,7 @@ func (m *GoodMonitor) Good() bool {
 	if m.deferred {
 		return m.goodDeferred()
 	}
-	for _, b := range m.bad {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
+	return m.bad == 0
 }
 
 // goodDeferred is the deferred-regime Good: witness check, then early-exit
@@ -487,9 +445,9 @@ func (m *GoodMonitor) goodDeferred() bool {
 }
 
 // BadNodes returns the current number of not-good nodes (a progress metric
-// for traces and campaigns). Incremental regime: an O(P) per-shard combine.
-// Deferred regime: a full O(n·Δ) recount — this is an oracle-priced
-// diagnostic there, not a hot-path primitive.
+// for traces and campaigns). Incremental regime: O(1). Deferred regime: a
+// full O(n·Δ) recount — this is an oracle-priced diagnostic there, not a
+// hot-path primitive.
 func (m *GoodMonitor) BadNodes() int {
 	if !m.deferred {
 		return m.BadNodesFast()
@@ -503,26 +461,22 @@ func (m *GoodMonitor) BadNodes() int {
 	return total
 }
 
-// BadNodesFast returns the not-good node count when it is cheap — the O(P)
-// per-shard combine of the incremental regime — and -1 in the deferred
-// regime, where an exact count would cost a full rescan. Step tracers use
-// it to enrich sampled snapshots without perturbing the hot path.
+// BadNodesFast returns the not-good node count when it is cheap — the
+// incremental regime's O(1) counter — and -1 in the deferred regime, where
+// an exact count would cost a full rescan. Step tracers use it to enrich
+// sampled snapshots without perturbing the hot path.
 func (m *GoodMonitor) BadNodesFast() int {
 	if m.deferred {
 		return -1
 	}
-	total := 0
-	for _, b := range m.bad {
-		total += b
-	}
-	return total
+	return m.bad
 }
 
 // CheckpointState serializes the monitor for a step-boundary snapshot: the
 // raw configuration mirror, the regime flag and the deferred-regime witness
 // cache in its exact order. The incremental counters — violation counts and
-// per-shard bad counts — are deliberately NOT serialized: they are a pure
-// function of (raw, current adjacency, shard attachment) and are rebuilt on
+// the not-good count — are deliberately NOT serialized: they are a pure
+// function of (raw, current adjacency) and are rebuilt on
 // restore, which both shrinks snapshots and makes a round-trip a
 // cross-check of the incremental maintenance.
 func (m *GoodMonitor) CheckpointState() []byte {

@@ -3,17 +3,16 @@
 // submit/attach/stream/cancel over a unix-domain socket with the
 // length-prefixed JSON protocol of internal/daemon/wire.
 //
-// Everything the repository built so far — sharded word-parallel engines,
+// Everything the repository built so far — word-parallel engines,
 // frontier sparsity, churn, checkpoint/restore, the chaos-hardened campaign
 // harness — runs in-process behind a CLI; the daemon turns that library into
 // a system. The design follows the daemon/thin-client split of the OCI
 // runtimes and kdo's deployless remote-run UX:
 //
-//   - Admission control: the fleet capacity (worker slots, default NumCPU —
-//     the same quantity that sizes intra-run shard pools) bounds how many
-//     runs execute concurrently; beyond MaxActive runs, submissions queue
-//     FIFO up to MaxQueue and are then rejected loudly ("busy"), never
-//     silently absorbed.
+//   - Admission control: the fleet capacity (worker slots, default NumCPU)
+//     bounds how many runs execute concurrently; beyond MaxActive runs,
+//     submissions queue FIFO up to MaxQueue and are then rejected loudly
+//     ("busy"), never silently absorbed.
 //   - Streaming with backpressure: attached clients replay the run's record
 //     log from any sequence number and then follow the live tail. Record
 //     events are retained and lossless (a slow or detached reader re-attaches
@@ -63,8 +62,7 @@ type Options struct {
 	// the daemon ephemeral: no persistence, no resume after restart.
 	StateDir string
 	// Fleet is the engine-fleet capacity in worker slots; <= 0 means
-	// runtime.NumCPU(). It bounds the total run-level fan-out and is the
-	// same idle-capacity quantity that sizes intra-run shard pools.
+	// runtime.NumCPU(). It bounds the total run-level fan-out.
 	Fleet int
 	// MaxActive bounds concurrently executing runs; <= 0 means Fleet.
 	MaxActive int
@@ -421,8 +419,9 @@ func (s *Server) admitLocked() {
 
 // runWorkers sizes one run's run-level fan-out: its requested worker count
 // clamped to the fleet, defaulting to the fleet capacity split across the
-// maximum concurrent runs — the same idle-share rule campaign.Runner uses to
-// size intra-run shard pools. Worker count never changes record bytes.
+// maximum concurrent runs. Worker count never changes record bytes; the
+// engines' coin source is fixed by each scenario's Parallelism (see
+// campaign.Scenario), not by the fleet.
 func (s *Server) runWorkers(requested int) int {
 	w := requested
 	if w <= 0 {

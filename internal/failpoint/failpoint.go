@@ -63,9 +63,6 @@ const (
 	// execution is active: FailError simulates a frontier bookkeeping
 	// violation, demoting the run to the dense path.
 	SimFrontierInvariant Site = "sim/frontier-invariant"
-	// ShardWorker fires in shard.Pool.Run on each shard call: FailPanic
-	// kills one shard worker mid-barrier to exercise pool recovery.
-	ShardWorker Site = "shard/worker"
 	// SnapshotWrite fires in snapshot.AtomicWriteFile: FailTorn persists
 	// only a prefix of the container payload before failing.
 	SnapshotWrite Site = "snapshot/write"
@@ -206,6 +203,16 @@ func (s *Schedule) Eval(site Site) Fire {
 	}
 	a.fired.Add(1)
 	return Fire{Site: site, Kind: a.rule.Kind, Hit: hit, Frac: a.rule.Frac, Stall: a.rule.Stall}
+}
+
+// Evals returns the number of times site has been evaluated since Arm, or 0
+// when the schedule does not arm it. An armed site with zero evaluations was
+// never reached, so its planned firings could not happen.
+func (s *Schedule) Evals(site Site) uint64 {
+	if a := s.sites[site]; a != nil {
+		return a.count.Load()
+	}
+	return 0
 }
 
 // Fired returns the total number of firings across all sites since Arm.

@@ -44,8 +44,33 @@ func TestScheduleFiresAtExactHits(t *testing.T) {
 		t.Fatalf("Fired() = %d, want 2", s.Fired())
 	}
 	// Sites not in the schedule never fire.
-	if f := Eval(ShardWorker); f.Kind != None {
+	if f := Eval(SnapshotWrite); f.Kind != None {
 		t.Fatalf("unarmed site fired: %+v", f)
+	}
+}
+
+// TestScheduleEvals pins the per-site evaluation count: it counts every
+// evaluation of an armed site, fired or not, and reads 0 for an armed site
+// that was never reached and for a site the schedule does not arm.
+func TestScheduleEvals(t *testing.T) {
+	s := New(1, []Rule{
+		{Site: SimStep, Kind: FailError, Hits: []uint64{2}},
+		{Site: CampaignPoll, Kind: FailStall, Hits: []uint64{1}},
+	})
+	Arm(s)
+	defer Disarm()
+	for i := 0; i < 3; i++ {
+		Eval(SimStep)
+	}
+	Eval(SnapshotWrite)
+	if got := s.Evals(SimStep); got != 3 {
+		t.Fatalf("Evals(SimStep) = %d, want 3", got)
+	}
+	if got := s.Evals(CampaignPoll); got != 0 {
+		t.Fatalf("Evals(CampaignPoll) = %d for a site never reached, want 0", got)
+	}
+	if got := s.Evals(SnapshotWrite); got != 0 {
+		t.Fatalf("Evals(SnapshotWrite) = %d for an unarmed site, want 0", got)
 	}
 }
 

@@ -4,133 +4,64 @@
 // their state or a neighbor's state changed since they were last certified
 // as a deterministic self-loop.
 //
-// The set is laid out as one word array per contiguous node shard (the
-// partition of internal/shard), so concurrent workers that only touch nodes
-// of distinct shards never share a word: no atomics, no false sharing, and
-// the sharded engines' determinism argument stays purely structural. A
-// single-shard set (New) is the sequential special case of the same layout.
-//
-// Enumeration (AppendTo, AppendRange) yields members in ascending node
-// order, which is exactly the canonical activation order the simulation
-// engines' observer contract is anchored on.
+// The set is one word array with one count. Enumeration (AppendTo) yields
+// members in ascending node order, which is exactly the canonical activation
+// order the simulation engines' observer contract is anchored on.
 package frontier
 
 import "math/bits"
 
 // Set is a dirty-node set over [0, n). The zero value is not usable; build
-// one with New or NewSharded.
-//
-// Concurrency contract: calls touching nodes of distinct shards may run
-// concurrently (each shard has its own word array and cardinality slot);
-// calls touching the same shard must be serialized by the caller. Len and
-// the enumeration methods require exclusive access to the whole set.
+// one with New. A Set is not safe for concurrent use.
 type Set struct {
-	n       int
-	starts  []int      // len P+1; shard s owns nodes [starts[s], starts[s+1])
-	shardOf []int32    // owner shard per node; nil means single shard
-	words   [][]uint64 // per shard, bit (v - starts[s])
-	count   []int      // per-shard cardinality
+	n     int
+	words []uint64 // bit v ↔ node v
+	count int
 }
 
-// New returns an empty set over [0, n) with a single shard.
+// New returns an empty set over [0, n).
 func New(n int) *Set {
-	return NewSharded(n, []int{0, n}, nil)
-}
-
-// NewSharded returns an empty set over [0, n) partitioned by starts (the
-// contiguous shard bounds of a shard.Partition, len P+1 with starts[0] = 0
-// and starts[P] = n). shardOf is the dense owner-shard table; it may be nil
-// when len(starts) == 2 (single shard). Both slices are retained, not
-// copied; they are owned by the partition and never mutated.
-func NewSharded(n int, starts []int, shardOf []int32) *Set {
-	p := len(starts) - 1
-	s := &Set{
-		n:       n,
-		starts:  starts,
-		shardOf: shardOf,
-		words:   make([][]uint64, p),
-		count:   make([]int, p),
-	}
-	for sh := 0; sh < p; sh++ {
-		s.words[sh] = make([]uint64, (starts[sh+1]-starts[sh]+63)/64)
-	}
-	return s
+	return &Set{n: n, words: make([]uint64, (n+63)/64)}
 }
 
 // N returns the size of the node domain.
 func (s *Set) N() int { return s.n }
 
-// shard returns the owner shard of node v.
-func (s *Set) shard(v int) int {
-	if s.shardOf == nil {
-		return 0
-	}
-	return int(s.shardOf[v])
-}
-
 // Add inserts node v (a no-op if already present).
 func (s *Set) Add(v int) {
-	sh := s.shard(v)
-	i := v - s.starts[sh]
-	w, b := i>>6, uint64(1)<<uint(i&63)
-	if s.words[sh][w]&b == 0 {
-		s.words[sh][w] |= b
-		s.count[sh]++
+	w, b := v>>6, uint64(1)<<uint(v&63)
+	if s.words[w]&b == 0 {
+		s.words[w] |= b
+		s.count++
 	}
 }
 
 // Remove deletes node v (a no-op if absent).
 func (s *Set) Remove(v int) {
-	sh := s.shard(v)
-	i := v - s.starts[sh]
-	w, b := i>>6, uint64(1)<<uint(i&63)
-	if s.words[sh][w]&b != 0 {
-		s.words[sh][w] &^= b
-		s.count[sh]--
+	w, b := v>>6, uint64(1)<<uint(v&63)
+	if s.words[w]&b != 0 {
+		s.words[w] &^= b
+		s.count--
 	}
 }
 
 // Contains reports whether node v is in the set.
 func (s *Set) Contains(v int) bool {
-	sh := s.shard(v)
-	i := v - s.starts[sh]
-	return s.words[sh][i>>6]&(1<<uint(i&63)) != 0
+	return s.words[v>>6]&(1<<uint(v&63)) != 0
 }
 
-// Len returns the cardinality, combining the per-shard counts in O(P).
-func (s *Set) Len() int {
-	total := 0
-	for _, c := range s.count {
-		total += c
-	}
-	return total
-}
+// Len returns the cardinality in O(1).
+func (s *Set) Len() int { return s.count }
 
 // Fill inserts every node of the domain.
 func (s *Set) Fill() {
-	for sh := range s.words {
-		lo, hi := s.starts[sh], s.starts[sh+1]
-		ws := s.words[sh]
-		for i := range ws {
-			ws[i] = ^uint64(0)
-		}
-		if tail := (hi - lo) & 63; tail != 0 {
-			ws[len(ws)-1] = (uint64(1) << uint(tail)) - 1
-		}
-		s.count[sh] = hi - lo
+	for i := range s.words {
+		s.words[i] = ^uint64(0)
 	}
-}
-
-// Rebuild returns a new set over the same node domain, laid out for the
-// given shard bounds (see NewSharded) and containing this set's members.
-// The sharded engines use it to migrate the dirty bits onto a fresh
-// partition after a churn-triggered repartition.
-func (s *Set) Rebuild(starts []int, shardOf []int32) *Set {
-	next := NewSharded(s.n, starts, shardOf)
-	for _, v := range s.AppendTo(nil) {
-		next.Add(v)
+	if tail := s.n & 63; tail != 0 {
+		s.words[len(s.words)-1] = (uint64(1) << uint(tail)) - 1
 	}
-	return next
+	s.count = s.n
 }
 
 // AppendTo appends all members to buf in ascending node order and returns
@@ -138,53 +69,13 @@ func (s *Set) Rebuild(starts []int, shardOf []int32) *Set {
 // occupancy, which is negligible next to even one skipped signal
 // computation per word.
 func (s *Set) AppendTo(buf []int) []int {
-	for sh := range s.words {
-		if s.count[sh] == 0 {
-			continue
-		}
-		buf = s.appendShard(buf, sh, s.starts[sh], s.starts[sh+1])
+	if s.count == 0 {
+		return buf
 	}
-	return buf
-}
-
-// AppendRange appends the members within [lo, hi) to buf in ascending node
-// order. The sharded engines use it with their own shard's bounds, so each
-// worker enumerates exactly the frontier slice it owns.
-func (s *Set) AppendRange(buf []int, lo, hi int) []int {
-	for sh := range s.words {
-		slo, shi := s.starts[sh], s.starts[sh+1]
-		if shi <= lo || slo >= hi {
-			continue
-		}
-		clo, chi := slo, shi
-		if clo < lo {
-			clo = lo
-		}
-		if chi > hi {
-			chi = hi
-		}
-		buf = s.appendShard(buf, sh, clo, chi)
-	}
-	return buf
-}
-
-// appendShard appends shard sh's members within [lo, hi) (absolute node
-// IDs, both inside the shard's range).
-func (s *Set) appendShard(buf []int, sh, lo, hi int) []int {
-	base := s.starts[sh]
-	ws := s.words[sh]
-	for wi := (lo - base) >> 6; wi <= (hi-base-1)>>6 && wi < len(ws); wi++ {
-		w := ws[wi]
+	for wi, w := range s.words {
 		for w != 0 {
-			v := base + wi<<6 + bits.TrailingZeros64(w)
+			buf = append(buf, wi<<6+bits.TrailingZeros64(w))
 			w &= w - 1
-			if v < lo {
-				continue
-			}
-			if v >= hi {
-				return buf
-			}
-			buf = append(buf, v)
 		}
 	}
 	return buf

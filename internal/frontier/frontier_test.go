@@ -20,9 +20,9 @@ func (r *reference) apply(op int, v int) {
 	}
 }
 
-func (r *reference) members(lo, hi int) []int {
+func (r *reference) members() []int {
 	var out []int
-	for v := lo; v < hi; v++ {
+	for v := 0; v < r.n; v++ {
 		if r.in[v] {
 			out = append(out, v)
 		}
@@ -43,57 +43,29 @@ func equalInts(a, b []int) bool {
 }
 
 // TestSetAgainstReference drives random Add/Remove sequences against the
-// oracle over single-shard and multi-shard layouts (including shard bounds
-// that are not word-aligned, the case the per-shard word arrays exist for),
-// checking Contains, Len, AppendTo and AppendRange after every operation
-// batch.
+// oracle over domains with and without a ragged tail word, checking
+// Contains, Len and AppendTo after every operation batch.
 func TestSetAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	layouts := map[string]func(n int) *Set{
-		"single": New,
-		"sharded": func(n int) *Set {
-			// Deliberately odd cuts: 3 shards at ragged offsets.
-			starts := []int{0, n/3 + 1, 2*n/3 - 1, n}
-			shardOf := make([]int32, n)
-			for v := range shardOf {
-				switch {
-				case v < starts[1]:
-					shardOf[v] = 0
-				case v < starts[2]:
-					shardOf[v] = 1
-				default:
-					shardOf[v] = 2
+	for _, n := range []int{5, 64, 129, 200} {
+		s := New(n)
+		ref := &reference{in: make([]bool, n), n: n}
+		for batch := 0; batch < 50; batch++ {
+			for i := 0; i < 20; i++ {
+				op, v := rng.Intn(2), rng.Intn(n)
+				s.apply(op, v)
+				ref.apply(op, v)
+			}
+			if s.Len() != len(ref.members()) {
+				t.Fatalf("n=%d: Len = %d, want %d", n, s.Len(), len(ref.members()))
+			}
+			for v := 0; v < n; v++ {
+				if s.Contains(v) != ref.in[v] {
+					t.Fatalf("n=%d: Contains(%d) = %v, want %v", n, v, s.Contains(v), ref.in[v])
 				}
 			}
-			return NewSharded(n, starts, shardOf)
-		},
-	}
-	for name, mk := range layouts {
-		for _, n := range []int{5, 64, 129, 200} {
-			s := mk(n)
-			ref := &reference{in: make([]bool, n), n: n}
-			for batch := 0; batch < 50; batch++ {
-				for i := 0; i < 20; i++ {
-					op, v := rng.Intn(2), rng.Intn(n)
-					s.apply(op, v)
-					ref.apply(op, v)
-				}
-				if s.Len() != len(ref.members(0, n)) {
-					t.Fatalf("%s n=%d: Len = %d, want %d", name, n, s.Len(), len(ref.members(0, n)))
-				}
-				for v := 0; v < n; v++ {
-					if s.Contains(v) != ref.in[v] {
-						t.Fatalf("%s n=%d: Contains(%d) = %v, want %v", name, n, v, s.Contains(v), ref.in[v])
-					}
-				}
-				if got, want := s.AppendTo(nil), ref.members(0, n); !equalInts(got, want) {
-					t.Fatalf("%s n=%d: AppendTo = %v, want %v", name, n, got, want)
-				}
-				lo := rng.Intn(n)
-				hi := lo + rng.Intn(n-lo+1)
-				if got, want := s.AppendRange(nil, lo, hi), ref.members(lo, hi); !equalInts(got, want) {
-					t.Fatalf("%s n=%d: AppendRange(%d,%d) = %v, want %v", name, n, lo, hi, got, want)
-				}
+			if got, want := s.AppendTo(nil), ref.members(); !equalInts(got, want) {
+				t.Fatalf("n=%d: AppendTo = %v, want %v", n, got, want)
 			}
 		}
 	}

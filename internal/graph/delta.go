@@ -8,8 +8,8 @@ import (
 // EdgeChange is one committed topology mutation: the undirected edge (U, V)
 // with U < V was added (Added) or removed. Delta.Apply reports the changes it
 // committed so engines can repair incremental state (frontier dirty bits,
-// GoodMonitor violation counters, shard boundary classification) edge by
-// edge instead of rebuilding it from scratch.
+// GoodMonitor violation counters) edge by edge instead of rebuilding it from
+// scratch.
 type EdgeChange struct {
 	U, V  NodeID
 	Added bool
@@ -31,7 +31,7 @@ var ErrCrashed = fmt.Errorf("graph: endpoint is crashed")
 // committing anything.
 //
 // Apply commits the staged batch by rebuilding the base graph's CSR arrays
-// IN PLACE: every holder of the *Graph — engines, monitors, partitions —
+// IN PLACE: every holder of the *Graph — engines, monitors —
 // observes the new topology through the pointer it already has, with no
 // re-plumbing. One Apply costs O(n + m + ops); batching b operations per
 // Apply amortizes the compaction to O((n + m)/b) per op. Apply must only run

@@ -9,11 +9,11 @@
 // steady step loop is allocation-free, the incremental stabilization monitor
 // (core.GoodMonitor) replaces the O(n·Δ) per-step GraphGood rescan with
 // O(|A_t|·Δ) bookkeeping — the full-scan variants exist solely to measure
-// that speedup — the sharded execution mode (internal/shard) scales a
-// single large run across cores, measured by the Sharded* scenarios at
-// P ∈ {1, 2, 4, 8}, and the frontier-sparse mode (sim.Options.Frontier)
-// makes near-quiescent steps O(|frontier|) instead of Θ(n), measured by the
-// QuiescentSteadyStep and FrontierRecovery dense/frontier pairs.
+// that speedup — the frontier-sparse mode (sim.Options.Frontier) makes
+// near-quiescent steps O(|frontier|) instead of Θ(n), measured by the
+// QuiescentSteadyStep and FrontierRecovery dense/frontier pairs, and the
+// word-parallel mode (sim.Options.WordParallel) evaluates dense steps in
+// batches, measured by the WordSteadyStep scalar/word pair.
 package hotpath
 
 import (
@@ -506,79 +506,5 @@ func WordSteadyStep(n int, word bool) func(b *testing.B) {
 				b.Fatal("stabilized instance left the good set")
 			}
 		}
-	}
-}
-
-// ShardName returns the canonical name of a shard-scaling scenario.
-func ShardName(scenario string, n, p int) string {
-	return fmt.Sprintf("%s/n=%d/p=%d", scenario, n, p)
-}
-
-// ShardedSteadyStep measures one sharded engine step plus the O(P)
-// stabilization combine on an already-stabilized n-node instance under the
-// synchronous scheduler, with the graph partitioned into p shards. The
-// series p ∈ {1, 2, 4, 8} is the shard-scaling curve of BENCH_hotpath.json:
-// p = 1 runs the identical sharded semantics inline, so the ratio isolates
-// the fan-out win (AlgAU ignores coin tosses, so every p walks the same
-// trajectory — and the same as the classic sequential engine).
-func ShardedSteadyStep(n, p int) func(b *testing.B) {
-	return func(b *testing.B) {
-		g, au, err := buildInstance(n, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng, err := sim.New(g, au, sim.Options{Seed: 2, Parallelism: p})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(eng.Close)
-		mon := core.NewGoodMonitor(au, g, eng.Config())
-		eng.Observe(mon)
-		cond := func(*sim.Engine) bool { return mon.Good() }
-		if _, err := eng.RunUntil(cond, budget.AU(au.K())); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := eng.Step(); err != nil {
-				b.Fatal(err)
-			}
-			if !cond(eng) {
-				b.Fatal("stabilized instance left the good set")
-			}
-		}
-	}
-}
-
-// ShardedStabilize measures one full AlgAU stabilization from a random
-// adversarial configuration on an n-node instance, sharded into p shards.
-// Early rounds change most nodes, so unlike ShardedSteadyStep this scenario
-// also exercises the merge (concurrent interior apply + sequential boundary
-// apply) under maximal change pressure.
-func ShardedStabilize(n, p int) func(b *testing.B) {
-	return func(b *testing.B) {
-		g, au, err := buildInstance(n, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		roundBudget := budget.AU(au.K())
-		total := 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng, err := sim.New(g, au, sim.Options{Seed: int64(i), Parallelism: p})
-			if err != nil {
-				b.Fatal(err)
-			}
-			mon := core.NewGoodMonitor(au, g, eng.Config())
-			eng.Observe(mon)
-			r, err := eng.RunUntil(func(*sim.Engine) bool { return mon.Good() }, roundBudget)
-			eng.Close()
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += r
-		}
-		b.ReportMetric(float64(total)/float64(b.N), "rounds/op")
 	}
 }

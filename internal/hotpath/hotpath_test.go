@@ -15,7 +15,6 @@ func TestNames(t *testing.T) {
 		{hotpath.Name("stabilize", 10, hotpath.FullScan), "stabilize/n=10/fullscan"},
 		{hotpath.FrontierName("quiescent-steady-step", 100000, true), "quiescent-steady-step/n=100000/frontier"},
 		{hotpath.FrontierName("churn-recovery", 1000, false), "churn-recovery/n=1000/dense"},
-		{hotpath.ShardName("steady-step-sharded", 100000, 8), "steady-step-sharded/n=100000/p=8"},
 	}
 	for _, c := range cases {
 		if c.got != c.want {
@@ -72,8 +71,6 @@ func TestScenarioTable(t *testing.T) {
 		{"frontier-recovery/frontier", hotpath.FrontierRecovery(n, 4, true)},
 		{"churn-recovery/dense", hotpath.ChurnRecovery(n, false)},
 		{"churn-recovery/frontier", hotpath.ChurnRecovery(n, true)},
-		{"sharded-steady-step/p2", hotpath.ShardedSteadyStep(n, 2)},
-		{"sharded-stabilize/p3", hotpath.ShardedStabilize(n, 3)},
 	}
 	for _, sc := range scenarios {
 		sc := sc

@@ -12,7 +12,8 @@
 //     (gated by the obs series in BENCH_hotpath.json).
 //   - Determinism. Sampling is keyed by step number only — never wall
 //     clock, never the rng — so attaching a tracer cannot perturb the
-//     byte-identity differentials (dense vs frontier, P=1 vs P=8, churn).
+//     byte-identity differentials (dense vs frontier, scalar vs word,
+//     churn, restore).
 package obs
 
 import (
@@ -22,8 +23,8 @@ import (
 
 // Metrics is a struct-of-atomics metric set for one engine run (or, when
 // aggregated with Add, a whole campaign). The zero value is ready to use.
-// Engines update it with unconditional atomic adds; sharded paths
-// accumulate per-shard tallies in locals and flush O(P) adds per step.
+// Engines update it with unconditional atomic adds, most of them once per
+// step from local tallies.
 //
 // Counters fall into two classes. Trajectory counters are pure functions
 // of the executed trajectory and therefore identical across engine modes
@@ -33,12 +34,10 @@ import (
 // legitimately differ between modes: Evaluated, FrontierSkips,
 // FrontierSize and Settled (dense evaluates every activated node and
 // tracks no settlement; frontier skips settled self-loopers), CoinDraws
-// (classic draws one stream, sharded draws per-(step,node) streams),
-// WordSteps (word-parallel only), BoundaryApplies and Repartitions
-// (sharded only). Anything derived from
-// Metrics that feeds a byte-compared record must be reduced to the
-// trajectory class first — see Snapshot.Trajectory and
-// campaign.Runner.EngineMetrics.
+// (the shared stream and the per-(step,node) streams draw differently) and
+// WordSteps (word-parallel only). Anything derived from Metrics that feeds
+// a byte-compared record must be reduced to the trajectory class first —
+// see Snapshot.Trajectory and campaign.Runner.EngineMetrics.
 type Metrics struct {
 	// Steps counts executed scheduler steps (sync engines: rounds).
 	Steps atomic.Uint64
@@ -59,8 +58,8 @@ type Metrics struct {
 	TransAF atomic.Uint64
 	TransFA atomic.Uint64
 	// CoinDraws counts pseudo-random draws consumed by schedulers and
-	// algorithms (mode-dependent: sharded runs reseed per-(step,node)
-	// streams and may draw more than the classic single stream).
+	// algorithms (mode-dependent: per-(step,node) streams are reseeded for
+	// every evaluation and may draw more than the shared stream).
 	CoinDraws atomic.Uint64
 	// Settled counts frontier settled-promotion events (a node proven
 	// permanently self-looping and excluded from future evaluation).
@@ -78,11 +77,6 @@ type Metrics struct {
 	// MonitorPromotions counts GoodMonitor regime switches
 	// (deferred → incremental, on the first good verdict).
 	MonitorPromotions atomic.Uint64
-	// BoundaryApplies counts boundary-node updates merged through the
-	// sharded coordinator (shard boundary traffic).
-	BoundaryApplies atomic.Uint64
-	// Repartitions counts shard-map rebuilds triggered by churn.
-	Repartitions atomic.Uint64
 	// ChurnApplied/ChurnSkipped count topology-churn operations
 	// applied and skipped (guard-rejected).
 	ChurnApplied atomic.Uint64
@@ -109,6 +103,10 @@ type Metrics struct {
 
 // Snapshot is a plain-value copy of a Metrics set, suitable for JSON
 // encoding (campaign records, expvar) and arithmetic.
+//
+// BoundaryApplies has no counter behind it and is always zero: it counted
+// the sharded engines' boundary-node merges, and the field stays only for
+// the benchmark module, which still reads it.
 type Snapshot struct {
 	Steps             uint64 `json:"steps,omitempty"`
 	Rounds            uint64 `json:"rounds,omitempty"`
@@ -125,7 +123,6 @@ type Snapshot struct {
 	WordSteps         uint64 `json:"word_steps,omitempty"`
 	MonitorPromotions uint64 `json:"monitor_promotions,omitempty"`
 	BoundaryApplies   uint64 `json:"boundary_applies,omitempty"`
-	Repartitions      uint64 `json:"repartitions,omitempty"`
 	ChurnApplied      uint64 `json:"churn_applied,omitempty"`
 	ChurnSkipped      uint64 `json:"churn_skipped,omitempty"`
 	Faults            uint64 `json:"faults,omitempty"`
@@ -153,8 +150,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		FrontierSize:      m.FrontierSize.Load(),
 		WordSteps:         m.WordSteps.Load(),
 		MonitorPromotions: m.MonitorPromotions.Load(),
-		BoundaryApplies:   m.BoundaryApplies.Load(),
-		Repartitions:      m.Repartitions.Load(),
 		ChurnApplied:      m.ChurnApplied.Load(),
 		ChurnSkipped:      m.ChurnSkipped.Load(),
 		Faults:            m.Faults.Load(),
@@ -186,8 +181,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		FrontierSize:      s.FrontierSize - prev.FrontierSize,
 		WordSteps:         s.WordSteps - prev.WordSteps,
 		MonitorPromotions: s.MonitorPromotions - prev.MonitorPromotions,
-		BoundaryApplies:   s.BoundaryApplies - prev.BoundaryApplies,
-		Repartitions:      s.Repartitions - prev.Repartitions,
 		ChurnApplied:      s.ChurnApplied - prev.ChurnApplied,
 		ChurnSkipped:      s.ChurnSkipped - prev.ChurnSkipped,
 		Faults:            s.Faults - prev.Faults,
@@ -202,10 +195,10 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 // Trajectory returns the snapshot with every mode-dependent counter zeroed,
 // keeping only the counters that are pure functions of the executed
 // trajectory. Differential suites byte-compare this reduction across
-// execution modes (dense vs frontier, classic vs sharded): equal runs must
+// execution modes (dense vs frontier, scalar vs word): equal runs must
 // produce equal trajectory counters, while Evaluated, FrontierSkips,
-// FrontierSize, Settled, CoinDraws, WordSteps, BoundaryApplies and
-// Repartitions measure how the mode did the work and are exempt. Harness
+// FrontierSize, Settled, CoinDraws and WordSteps measure how the mode did
+// the work and are exempt. Harness
 // counters (Demotions, WorkerPanics, WatchdogStalls, RunRetries) depend on
 // the fault schedule and retry policy, not the trajectory, and are zeroed
 // too — a chaos run that converges to the same trajectory must byte-match
@@ -217,8 +210,6 @@ func (s Snapshot) Trajectory() Snapshot {
 	s.Settled = 0
 	s.CoinDraws = 0
 	s.WordSteps = 0
-	s.BoundaryApplies = 0
-	s.Repartitions = 0
 	s.Demotions = 0
 	s.WorkerPanics = 0
 	s.WatchdogStalls = 0
@@ -227,7 +218,7 @@ func (s Snapshot) Trajectory() Snapshot {
 }
 
 // SnapshotWords is the number of counters in a Snapshot's flat word vector.
-const SnapshotWords = 24
+const SnapshotWords = 22
 
 // Words flattens the snapshot into a fixed-order word vector, the
 // serialization interchange form used by engine checkpoints. Keep the order
@@ -237,9 +228,8 @@ func (s Snapshot) Words() [SnapshotWords]uint64 {
 		s.Steps, s.Rounds, s.Activated, s.Evaluated, s.Changes,
 		s.TransAA, s.TransAF, s.TransFA, s.CoinDraws, s.Settled,
 		s.FrontierSkips, s.FrontierSize, s.WordSteps, s.MonitorPromotions,
-		s.BoundaryApplies, s.Repartitions, s.ChurnApplied, s.ChurnSkipped,
-		s.Faults, s.BudgetExhausted, s.Demotions, s.WorkerPanics,
-		s.WatchdogStalls, s.RunRetries,
+		s.ChurnApplied, s.ChurnSkipped, s.Faults, s.BudgetExhausted,
+		s.Demotions, s.WorkerPanics, s.WatchdogStalls, s.RunRetries,
 	}
 }
 
@@ -249,9 +239,8 @@ func SnapshotFromWords(w [SnapshotWords]uint64) Snapshot {
 		Steps: w[0], Rounds: w[1], Activated: w[2], Evaluated: w[3], Changes: w[4],
 		TransAA: w[5], TransAF: w[6], TransFA: w[7], CoinDraws: w[8], Settled: w[9],
 		FrontierSkips: w[10], FrontierSize: w[11], WordSteps: w[12], MonitorPromotions: w[13],
-		BoundaryApplies: w[14], Repartitions: w[15], ChurnApplied: w[16], ChurnSkipped: w[17],
-		Faults: w[18], BudgetExhausted: w[19], Demotions: w[20], WorkerPanics: w[21],
-		WatchdogStalls: w[22], RunRetries: w[23],
+		ChurnApplied: w[14], ChurnSkipped: w[15], Faults: w[16], BudgetExhausted: w[17],
+		Demotions: w[18], WorkerPanics: w[19], WatchdogStalls: w[20], RunRetries: w[21],
 	}
 }
 
@@ -273,8 +262,6 @@ func (m *Metrics) Add(s Snapshot) {
 	m.FrontierSize.Add(s.FrontierSize)
 	m.WordSteps.Add(s.WordSteps)
 	m.MonitorPromotions.Add(s.MonitorPromotions)
-	m.BoundaryApplies.Add(s.BoundaryApplies)
-	m.Repartitions.Add(s.Repartitions)
 	m.ChurnApplied.Add(s.ChurnApplied)
 	m.ChurnSkipped.Add(s.ChurnSkipped)
 	m.Faults.Add(s.Faults)

@@ -40,11 +40,10 @@ type Sample struct {
 	ClockSpread int64 `json:"clock_spread"`
 }
 
-// Sink receives sampled steps. Implementations used from sharded engines
-// are only ever called by the coordinator goroutine, so they need no
-// internal locking unless shared across concurrently running engines
-// (JSONL locks for exactly that reason: one campaign -trace-out file is
-// shared by all workers).
+// Sink receives sampled steps. An engine calls its sink from the goroutine
+// driving it, so a sink needs no internal locking unless shared across
+// concurrently running engines (JSONL locks for exactly that reason: one
+// campaign -trace-out file is shared by all workers).
 type Sink interface {
 	Emit(Sample) error
 }

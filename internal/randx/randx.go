@@ -1,7 +1,7 @@
 // Package randx holds small allocation-conscious randomness helpers shared
 // by the simulation engines: a partial Fisher–Yates shuffle for fault
-// sampling, the counter-based per-node random streams that make sharded
-// execution order-invariant (see internal/shard), and Source, math/rand's
+// sampling, the counter-based per-node random streams behind the engines'
+// order-independent coin source, and Source, math/rand's
 // generator with a state that checkpoints save and set directly, at a cost
 // independent of how long the stream has run (see source.go).
 package randx
@@ -25,10 +25,10 @@ func splitMix64(z uint64) uint64 {
 }
 
 // NodeSeed maps (run seed, step index, node ID) to a decorrelated stream
-// seed. Sharded engines draw every coin toss of node v at step t from a Seq
-// seeded with NodeSeed(seed, t, v), so a node's randomness is a pure function
-// of the run seed and its coordinates — independent of worker count,
-// scheduling order and goroutine interleaving. Two finalizer applications
+// seed. Engines with per-node coins draw every coin toss of node v at step t
+// from a Seq seeded with NodeSeed(seed, t, v), so a node's randomness is a
+// pure function of the run seed and its coordinates — independent of
+// evaluation order. Two finalizer applications
 // domain-separate the step and node dimensions.
 func NodeSeed(seed int64, step, node int) uint64 {
 	return splitMix64(splitMix64(uint64(seed)^0x5851f42d4c957f2d*uint64(step+1)) + uint64(node))
@@ -36,9 +36,9 @@ func NodeSeed(seed int64, step, node int) uint64 {
 
 // Seq is a splitmix64 sequence implementing rand.Source64. Unlike
 // rand.NewSource's lagged-Fibonacci generator (whose seeding walks a
-// 607-word table), reseeding a Seq is a single store, so sharded engines can
+// 607-word table), reseeding a Seq is a single store, so an engine can
 // switch to a fresh per-node stream before every transition at no cost.
-// Wrap it once per worker: rand.New(&Seq{}).
+// Wrap it once per engine: rand.New(&Seq{}).
 //
 // The zero value is a valid source (the all-zero stream); call Reseed before
 // drawing.

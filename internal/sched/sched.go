@@ -38,7 +38,7 @@ type Scheduler interface {
 // custom schedulers with unsorted or duplicated lists are copied, sorted
 // and deduplicated into buf. Both engines step the canonical set, so a
 // duplicated activation cannot apply (or draw coins for) a node twice, and
-// observers and the sharded lanes' merge see ascending node order.
+// observers see ascending node order.
 func Canonical(activated []int, buf *[]int) []int {
 	canonical := true
 	for i := 1; i < len(activated); i++ {

@@ -1,3 +1,9 @@
+// Package shard_test holds the campaign-level tests of the coin-source
+// contract of Scenario.Parallelism: every positive value draws the same
+// per-(step, node) streams, so records are byte-identical across positive
+// values, and AlgAU draws no coins, so its records match the shared stream
+// too. The directory has no non-test code; the tests keep their names and
+// place from when Parallelism also sharded each run over worker lanes.
 package shard_test
 
 import (
@@ -40,14 +46,15 @@ func differentialScenarios() []campaign.Scenario {
 	return campaign.Finalize(1234, scs)
 }
 
-// recordBytes executes sc with the given forced engine parallelism and
-// returns its record as canonical JSONL bytes (wall time zeroed, as the
-// runner does for reproducible output).
+// recordBytes executes sc with the given forced Parallelism and returns its
+// record as canonical JSONL bytes (wall time zeroed, as the runner does for
+// reproducible output).
 func recordBytes(t *testing.T, sc campaign.Scenario, parallelism int) []byte {
 	t.Helper()
 	sc.Parallelism = parallelism
 	// Canonical also reduces the engine block to its trajectory counters,
-	// which must agree across parallelism like every other record field.
+	// which must agree across positive Parallelism like every other record
+	// field.
 	rec := campaign.Execute(context.Background(), sc).Canonical()
 	var buf bytes.Buffer
 	if err := campaign.AppendJSONL(&buf, rec); err != nil {
@@ -56,11 +63,11 @@ func recordBytes(t *testing.T, sc campaign.Scenario, parallelism int) []byte {
 	return buf.Bytes()
 }
 
-// TestDifferentialCampaignRecords is the top-level differential harness of
-// the sharded execution mode: for every scenario in the family × scheduler ×
-// fault × algorithm matrix, the full JSONL record of a sharded run at P ∈
-// {2, 3, 8} must be byte-identical to the P=1 run of the same seed —
-// stabilization rounds, steps, recovery rounds, budgets and verdicts alike.
+// TestDifferentialCampaignRecords pins that positive Parallelism values are
+// interchangeable: for every scenario in the family × scheduler × fault ×
+// algorithm matrix, the full JSONL record at P ∈ {2, 3, 8} must be
+// byte-identical to the P=1 record of the same seed — stabilization rounds,
+// steps, recovery rounds, budgets and verdicts alike.
 func TestDifferentialCampaignRecords(t *testing.T) {
 	for _, sc := range differentialScenarios() {
 		ref := recordBytes(t, sc, 1)
@@ -78,32 +85,31 @@ func TestDifferentialCampaignRecords(t *testing.T) {
 	}
 }
 
-// TestDifferentialAUClassicParity pins the bridge between the two execution
-// modes: AlgAU ignores coin tosses, so for AU scenarios the sharded records
-// must also match the classic sequential engine (Parallelism < 0) byte for
-// byte. (For the coin-flipping MIS/LE programs the classic shared stream is
-// a different — equally valid — probability space, so no such parity is
+// TestDifferentialAUClassicParity pins the bridge between the two coin
+// sources: AlgAU ignores coin tosses, so for AU scenarios the per-node
+// stream records must also match the shared-stream ones (Parallelism < 0)
+// byte for byte. (For the coin-flipping MIS/LE programs the shared stream
+// is a different — equally valid — probability space, so no such parity is
 // expected there.)
 func TestDifferentialAUClassicParity(t *testing.T) {
 	for _, sc := range differentialScenarios() {
 		if sc.Algorithm != campaign.AlgAU {
 			continue
 		}
-		classic := recordBytes(t, sc, -1)
-		sharded := recordBytes(t, sc, 4)
-		if !bytes.Equal(classic, sharded) {
-			t.Errorf("scenario %d (%s/%s): sharded AU diverged from classic:\nclassic: %ssharded: %s",
-				sc.Index, sc.Family, sc.Scheduler.Name(), classic, sharded)
+		shared := recordBytes(t, sc, -1)
+		perNode := recordBytes(t, sc, 4)
+		if !bytes.Equal(shared, perNode) {
+			t.Errorf("scenario %d (%s/%s): per-node-stream AU diverged from shared-stream:\nshared:   %sper-node: %s",
+				sc.Index, sc.Family, sc.Scheduler.Name(), shared, perNode)
 		}
 	}
 }
 
 // TestShardTrajectoryCounterAggregation pins the telemetry side of the
-// sharded differential: worker-local counter tallies flushed through the
-// coordinator must aggregate to exactly the single-worker totals for every
-// trajectory counter. The byte-identity tests above already compare the
-// canonical engine block, but they would pass vacuously if Execute stopped
-// populating it — this test asserts the counters are present and non-trivial.
+// differential: the trajectory counters at P ∈ {2, 8} must equal those at
+// P=1. The byte-identity tests above already compare the canonical engine
+// block, but they would pass vacuously if Execute stopped populating it —
+// this test asserts the counters are present and non-trivial.
 func TestShardTrajectoryCounterAggregation(t *testing.T) {
 	for _, sc := range differentialScenarios() {
 		ref := execAt(t, sc, 1)
@@ -136,10 +142,9 @@ func execAt(t *testing.T, sc campaign.Scenario, parallelism int) obs.Snapshot {
 	return *rec.Engine
 }
 
-// TestRunnerAutoShardingDeterminism checks the run-level/intra-run
-// interplay: the same campaign run through runners with different worker
-// counts (hence different idle-capacity hints and different automatic shard
-// pool sizes) must emit byte-identical record streams.
+// TestRunnerAutoShardingDeterminism checks that the runner's worker count
+// never reaches the records: the same campaign run through runners with 1,
+// 2 and 7 workers must emit byte-identical record streams.
 func TestRunnerAutoShardingDeterminism(t *testing.T) {
 	scs := campaign.Concat(7, campaign.Matrix{
 		Families:   []graph.Family{graph.FamilyCycle, graph.FamilyStar},

@@ -11,12 +11,11 @@ import (
 )
 
 // TestSoakConcurrentShardedCampaigns drives several campaigns concurrently,
-// each of whose scenarios runs sharded engines (forced P=4), so run-level
-// and intra-run parallelism stack: campaign workers × shard workers × the
-// repeat loop. Under -race (the CI configuration for this package) it vets
-// the pool handoffs, the interior-merge writes and the per-shard monitor
-// counters; in any mode it asserts the record streams of all repeats are
-// byte-identical.
+// each of whose scenarios draws per-node coin streams (forced P=4), so
+// campaign workers and the repeat loop stack. Under -race (the CI
+// configuration for this package) it vets that concurrent runs share no
+// engine state; in any mode it asserts the record streams of all repeats
+// are byte-identical.
 func TestSoakConcurrentShardedCampaigns(t *testing.T) {
 	repeats, campaigns := 3, 4
 	if testing.Short() {
@@ -63,7 +62,7 @@ func TestSoakConcurrentShardedCampaigns(t *testing.T) {
 	}
 	for i := 1; i < len(outs); i++ {
 		if !bytes.Equal(outs[0], outs[i]) {
-			t.Fatalf("concurrent sharded campaign %d produced a different record stream", i)
+			t.Fatalf("concurrent campaign %d produced a different record stream", i)
 		}
 	}
 }

@@ -70,7 +70,7 @@ type ChurnEvent struct {
 // stochastic edge-flip process, or both. The stochastic stream draws from
 // its own rng (Seed), never from the engine's, so churn composes with every
 // execution mode — a churn run is byte-identical dense vs frontier-sparse
-// and at every Parallelism, exactly like a churn-free run.
+// and word vs scalar, exactly like a churn-free run.
 type ChurnSpec struct {
 	// Events are scripted mutations; they are applied in Step order.
 	Events []ChurnEvent
@@ -332,10 +332,8 @@ func (e *Engine) ChurnSkipped() int {
 
 // ApplyDelta commits a topology mutation batch at a step boundary and
 // repairs every incremental layer: the dirty frontier is seeded with each
-// touched endpoint's neighborhood, a TopologyObserver receives one
-// RewireEdge per change, and a sharded engine re-classifies the endpoints'
-// interior/boundary status (or repartitions outright once accumulated churn
-// weight crosses a threshold). The delta must wrap the engine's own graph.
+// touched endpoint's neighborhood, and a TopologyObserver receives one
+// RewireEdge per change. The delta must wrap the engine's own graph.
 //
 // It must be called between steps, on the goroutine driving the engine —
 // the same discipline as SetState and InjectFaults. The committed changes
@@ -380,36 +378,5 @@ func (e *Engine) ApplyDelta(d *graph.Delta) ([]graph.EdgeChange, error) {
 			topo.RewireEdge(c.U, c.V, c.Added)
 		}
 	}
-	if e.part != nil {
-		e.rewire(touched)
-	}
 	return changes, nil
-}
-
-// rewire repairs the partition after a committed topology batch via the
-// shared policy (shard.Partition.RewireAfterChurn): endpoint
-// re-classification in the common case, a threshold-triggered full
-// repartition once accumulated churn weight crosses the threshold — in
-// which case the frontier bitset migrates to the new layout and a
-// ShardedObserver's per-shard counters are re-attached (AttachShards
-// re-buckets and recounts).
-func (e *Engine) rewire(touched []int) {
-	next, rebuilt := e.part.RewireAfterChurn(&e.churnAccum, touched)
-	if !rebuilt {
-		return
-	}
-	e.mx.Repartitions.Add(1)
-	e.setPartition(next)
-	if e.fr != nil {
-		e.fr.set = e.fr.set.Rebuild(next.Starts(), next.ShardIndex())
-	}
-	if e.shObs != nil {
-		e.shObs.AttachShards(next.ShardIndex(), next.P())
-	}
-	if e.wr != nil {
-		// The goodness slabs are laid out per shard; re-carve them for the
-		// new bounds and refresh every bit from the current configuration
-		// (strictly fresher than the per-eval invariant requires).
-		e.wr.rebuildSlabs(e)
-	}
 }

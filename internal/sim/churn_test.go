@@ -23,8 +23,7 @@ func cloneGraph(t testing.TB, g *graph.Graph) *graph.Graph {
 }
 
 // churnSpec is the stochastic spec shared by the differential tests:
-// aggressive enough to force edge inserts, guarded deletes, and (under
-// sharding) boundary re-classification and threshold repartitions.
+// aggressive enough to force edge inserts and guarded deletes.
 func churnSpec() *sim.ChurnSpec {
 	return &sim.ChurnSpec{
 		Period:        3,
@@ -35,13 +34,13 @@ func churnSpec() *sim.ChurnSpec {
 }
 
 // TestChurnDifferential is the churn half of the differential harness: under
-// mid-run topology churn, every execution mode — classic dense, frontier-
-// sparse, sharded at P ∈ {1, 2, 3, 8}, sharded frontier, and word-parallel
+// mid-run topology churn, every execution mode — dense, frontier-sparse,
+// either at per-node coin streams (P ∈ {1, 2, 3, 8}), and word-parallel
 // dense or frontier at P ∈ {0, 1, 3} — must walk the configuration
-// trajectory of the classic dense engine byte for byte, while the GoodMonitor
-// verdict matches the full-scan GraphGood oracle at every step. The word
-// cells feed the monitor certified batches interleaved with churn rewires
-// and the fault burst. AlgAU ignores rng, so classic and sharded modes
+// trajectory of the shared-stream dense engine byte for byte, while the
+// GoodMonitor verdict matches the full-scan GraphGood oracle at every step.
+// The word cells feed the monitor certified batches interleaved with churn
+// rewires and the fault burst. AlgAU ignores rng, so both coin sources
 // coincide exactly; churn draws from its own stream, so it cannot skew any
 // of them.
 func TestChurnDifferential(t *testing.T) {
@@ -66,10 +65,10 @@ func TestChurnDifferential(t *testing.T) {
 			modes := []mode{
 				{"dense", 0, false, false},
 				{"frontier", 0, true, false},
-				{"sharded-p1", 1, false, false},
-				{"sharded-p3", 3, false, false},
-				{"sharded-frontier-p2", 2, true, false},
-				{"sharded-frontier-p8", 8, true, false},
+				{"p1", 1, false, false},
+				{"p3", 3, false, false},
+				{"frontier-p2", 2, true, false},
+				{"frontier-p8", 8, true, false},
 				{"word", 0, false, true},
 				{"word-frontier", 0, true, true},
 				{"word-p1", 1, false, true},
@@ -91,7 +90,6 @@ func TestChurnDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer e.Close()
 				if e.WordActive() != m.word {
 					t.Fatalf("%s: WordActive()=%v", m.name, e.WordActive())
 				}

@@ -8,6 +8,7 @@ import (
 
 	"thinunison/internal/core"
 	"thinunison/internal/graph"
+	"thinunison/internal/randx"
 	"thinunison/internal/sa"
 	"thinunison/internal/sched"
 	"thinunison/internal/sim"
@@ -15,14 +16,18 @@ import (
 
 // refStepper is the dense scalar reference: the paper's step rule written
 // out directly, sharing no code with the engine's step loop. One rng draws
-// the initial configuration and then every coin, in ascending node order;
-// signals come straight from g.Neighbors; all updates apply after every
-// activated node has read C_t, in ascending order.
+// the initial configuration and then every coin, in ascending node order —
+// or, with per-node coins, node v's coins at step t come from a stream
+// seeded by randx.NodeSeed(seed, t, v); signals come straight from
+// g.Neighbors; all updates apply after every activated node has read C_t,
+// in ascending order.
 type refStepper struct {
 	g       *graph.Graph
 	alg     sa.Algorithm
 	sched   sched.Scheduler
 	rng     *rand.Rand
+	seed    int64
+	seq     *randx.Seq // per-node coin stream; nil draws from rng
 	cfg     sa.Config
 	step    int
 	rounds  int
@@ -32,7 +37,7 @@ type refStepper struct {
 }
 
 func newRefStepper(g *graph.Graph, alg sa.Algorithm, s sched.Scheduler, seed int64) *refStepper {
-	r := &refStepper{g: g, alg: alg, sched: s, rng: rand.New(rand.NewSource(seed)),
+	r := &refStepper{g: g, alg: alg, sched: s, rng: rand.New(rand.NewSource(seed)), seed: seed,
 		cfg: make(sa.Config, g.N()), seen: make([]bool, g.N()), unseen: g.N()}
 	for v := range r.cfg {
 		r.cfg[v] = r.rng.Intn(alg.NumStates())
@@ -56,7 +61,12 @@ func (r *refStepper) Step() {
 		for _, u := range r.g.Neighbors(v) {
 			sig.Set(r.cfg[u])
 		}
-		next[v] = r.alg.Transition(r.cfg[v], sig, r.rng)
+		rng := r.rng
+		if r.seq != nil {
+			r.seq.Reseed(randx.NodeSeed(r.seed, r.step, v))
+			rng = rand.New(r.seq)
+		}
+		next[v] = r.alg.Transition(r.cfg[v], sig, rng)
 		if !r.seen[v] {
 			r.seen[v], r.unseen = true, r.unseen-1
 		}
@@ -163,8 +173,7 @@ func compareTraces(t *testing.T, name string, want, got cellTrace, deliveries bo
 }
 
 // latticeGraphs are the lattice's topologies: a small-diameter random graph
-// (mostly boundary nodes once sharded) and a grid (contiguous shards keep
-// most nodes interior, so the concurrent interior apply does real work).
+// and a grid.
 func latticeGraphs(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
 	bounded, err := graph.BoundedDiameter(48, 3, rand.New(rand.NewSource(12)))
@@ -179,13 +188,14 @@ func latticeGraphs(t *testing.T) map[string]*graph.Graph {
 }
 
 // TestLatticeMatchesReference runs the step loop in every cell of
-// {P ∈ 0,1,3,8} × {dense, frontier} × {scalar, word} × {synchronous,
+// {P ∈ 0,1,8} × {dense, frontier} × {scalar, word} × {synchronous,
 // round-robin, laggard, seeded random-subset} against the reference stepper:
 // per-step configurations and round counts must match, and a plain
-// observer's delivery sequence must too. Each cell runs three times — with
-// no observer (the concurrent interior apply when P ≥ 2), with a plain
-// recording observer, and with a core.GoodMonitor (sharded delivery and, on
-// word cells, batched applies), whose verdict is checked against a rescan.
+// observer's delivery sequence must too. AlgAU draws no coins, so every
+// coin source matches the one reference. Each cell runs three times — with
+// no observer, with a plain recording observer, and with a core.GoodMonitor
+// (on word cells, batched applies), whose verdict is checked against a
+// rescan.
 func TestLatticeMatchesReference(t *testing.T) {
 	const steps, seed = 60, 31
 	au, err := core.NewAU(3)
@@ -196,7 +206,7 @@ func TestLatticeMatchesReference(t *testing.T) {
 		for sname, mk := range refSchedulers() {
 			sname := gname + "/" + sname
 			want := traceRef(newRefStepper(g, au, mk(), seed), steps)
-			for _, p := range []int{0, 1, 3, 8} {
+			for _, p := range []int{0, 1, 8} {
 				for _, front := range []bool{false, true} {
 					for _, word := range []bool{false, true} {
 						for _, observer := range []string{"none", "plain", "monitor"} {
@@ -220,7 +230,6 @@ func TestLatticeMatchesReference(t *testing.T) {
 							if mon != nil && mon.Good() != au.GraphGood(g, e.Config()) {
 								t.Fatalf("%s: monitor verdict %v disagrees with a rescan", name, mon.Good())
 							}
-							e.Close()
 							compareTraces(t, name, want, got, rec != nil)
 						}
 					}
@@ -230,11 +239,13 @@ func TestLatticeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRandomizedMatchesReference pins the classic engine's coin-source plug:
-// at P = 0 a coin-hungry algorithm draws from the shared rng in ascending
-// activation order, exactly as the reference does, in every mode the
-// algorithm admits (it has neither a self-loop certificate nor a word kernel,
-// so frontier and word requests fall back to the dense scalar evaluator).
+// TestRandomizedMatchesReference scores the coin-source plug over its whole
+// axis: a coin-hungry algorithm draws from the shared rng in ascending
+// activation order at P = 0 and from per-(step, node) streams at P = 1 and
+// P = 8, exactly as the reference with the matching source does, in every
+// mode the algorithm admits (it has neither a self-loop certificate nor a
+// word kernel, so frontier and word requests fall back to the dense scalar
+// evaluator).
 func TestRandomizedMatchesReference(t *testing.T) {
 	const steps, seed = 60, 23
 	g, err := graph.BoundedDiameter(40, 3, rand.New(rand.NewSource(4)))
@@ -243,17 +254,24 @@ func TestRandomizedMatchesReference(t *testing.T) {
 	}
 	alg := randomizedAlg{}
 	for sname, mk := range refSchedulers() {
-		want := traceRef(newRefStepper(g, alg, mk(), seed), steps)
-		for _, front := range []bool{false, true} {
-			for _, word := range []bool{false, true} {
-				name := fmt.Sprintf("%s/frontier=%v/word=%v", sname, front, word)
-				e, err := sim.New(g, alg, sim.Options{Scheduler: mk(), Seed: seed, Frontier: front, WordParallel: word})
-				if err != nil {
-					t.Fatal(err)
+		for _, p := range []int{0, 1, 8} {
+			ref := newRefStepper(g, alg, mk(), seed)
+			if p >= 1 {
+				ref.seq = &randx.Seq{}
+			}
+			want := traceRef(ref, steps)
+			for _, front := range []bool{false, true} {
+				for _, word := range []bool{false, true} {
+					name := fmt.Sprintf("%s/p=%d/frontier=%v/word=%v", sname, p, front, word)
+					e, err := sim.New(g, alg, sim.Options{Scheduler: mk(), Seed: seed, Parallelism: p,
+						Frontier: front, WordParallel: word})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rec := &applyRecorder{}
+					e.Observe(rec)
+					compareTraces(t, name, want, traceEngine(t, e, rec, steps), true)
 				}
-				rec := &applyRecorder{}
-				e.Observe(rec)
-				compareTraces(t, name, want, traceEngine(t, e, rec, steps), true)
 			}
 		}
 	}
@@ -286,7 +304,6 @@ func TestChurnLatticeMatchesDenseScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer e.Close()
 		tr := traceEngine(t, e, nil, steps)
 		tr.steps = append(tr.steps, fmt.Sprintf("m=%d churn=%d", g.M(), e.ChurnOps()))
 		return tr
@@ -296,7 +313,7 @@ func TestChurnLatticeMatchesDenseScalar(t *testing.T) {
 		if last := want.steps[len(want.steps)-1]; strings.HasSuffix(last, " churn=0") {
 			t.Fatalf("%s: the reference churn cell never churned (%s)", sname, last)
 		}
-		for _, p := range []int{0, 1, 3, 8} {
+		for _, p := range []int{0, 1, 8} {
 			for _, front := range []bool{false, true} {
 				for _, word := range []bool{false, true} {
 					name := fmt.Sprintf("churn/%s/p=%d/frontier=%v/word=%v", sname, p, front, word)

@@ -17,13 +17,10 @@
 //     frontier holds the nodes whose δ on the current signal is not yet
 //     certified a coin-free self-loop (the algorithm's sa.SelfLooper
 //     capability), so a step costs O(|A_t ∩ frontier|·Δ).
-//   - Lanes. The classic engine has one lane over the whole graph; a
-//     sharded engine (Options.Parallelism >= 1) has one lane per contiguous
-//     shard of internal/shard, staged concurrently on a persistent worker
-//     pool when there are two or more. Sharded lanes draw coin tosses from
-//     counter-based per-(step, node) streams, so a sharded run is
-//     byte-identical at any worker count; the classic lane draws from the
-//     engine's single rng in ascending activation order.
+//   - Coin source. By default δ draws its coin tosses from the engine's
+//     single rng in ascending activation order; Options.Parallelism >= 1
+//     draws node v's coins at step t from a counter-based stream seeded by
+//     randx.NodeSeed(seed, t, v) instead.
 //   - Evaluator. The scalar δ, or the algorithm's word kernel
 //     (Options.WordParallel, see word.go), which also maintains a goodness
 //     plane that certifies full-refresh steps.
@@ -34,18 +31,18 @@
 //
 // The topology itself may churn mid-run: Options.Churn applies scripted or
 // stochastic graph.Delta mutations at step boundaries (cells die, divide
-// back, links rewire), repairing the frontier, the registered observer and
-// the shard classification in the same motion — see churn.go and
-// Engine.ApplyDelta. Churn draws from its own rng, so churn runs remain
-// byte-identical across all execution modes.
+// back, links rewire), repairing the frontier and the registered observer
+// in the same motion — see churn.go and Engine.ApplyDelta. Churn draws from
+// its own rng, so churn runs remain byte-identical across all execution
+// modes.
 //
 // Every mode combination is checkpointable: Engine.SaveState serializes the
 // full run state at a step boundary (configuration, churned topology,
-// frontier bitset, partition bounds, word slabs, round tracker, rng stream
-// states, churn bookkeeping, scheduler position) and Restore rebuilds an
-// engine in a fresh process that continues the run byte-identically — run K
-// steps, snapshot, restore, run K more ≡ an uninterrupted 2K-step run, in
-// every mode × parallelism × churn cell. See snapshot.go; the campaign
+// frontier bitset, goodness plane, round tracker, rng stream states, churn
+// bookkeeping, scheduler position) and Restore rebuilds an engine in a
+// fresh process that continues the run byte-identically — run K steps,
+// snapshot, restore, run K more ≡ an uninterrupted 2K-step run, in every
+// mode × coin source × churn cell. See snapshot.go; the campaign
 // -restore-check guard enforces the contract in CI.
 package sim
 
@@ -61,7 +58,6 @@ import (
 	"thinunison/internal/randx"
 	"thinunison/internal/sa"
 	"thinunison/internal/sched"
-	"thinunison/internal/shard"
 )
 
 // ErrBudgetExhausted is returned by RunUntil when the predicate did not hold
@@ -116,30 +112,11 @@ type Hook func(e *Engine) error
 // Ordering contract: within a step, the changes of the simultaneously
 // updating activation set are delivered one node at a time, in ascending
 // node order, each node at most once — regardless of the order (or
-// duplication) of the scheduler's activation list, and regardless of the
-// engine's Parallelism. SetState and InjectFaults deliver in call order.
-// Observers that additionally implement ShardedObserver opt out of the
-// ascending guarantee on sharded engines in exchange for concurrent
-// delivery; plain observers always receive the canonical sequential order.
+// duplication) of the scheduler's activation list. SetState and
+// InjectFaults deliver in call order.
 type ConfigObserver interface {
 	// Apply records that node v now holds state q.
 	Apply(v int, q sa.State)
-}
-
-// ShardedObserver extends ConfigObserver for observers whose Apply is
-// order-independent and safe to call concurrently for nodes owned by
-// distinct shards (all state touched when node v changes — v and its
-// neighbors — must be guarded by v's shard, which the engine guarantees by
-// only delivering interior nodes concurrently). core.GoodMonitor is the
-// canonical implementation: it keeps its violation counters per shard and
-// combines them in O(P).
-//
-// AttachShards is invoked by a sharded engine when the observer is
-// registered: shardOf is the dense owner-shard table (indexed by node, owned
-// by the engine's partition) and nshards the shard count.
-type ShardedObserver interface {
-	ConfigObserver
-	AttachShards(shardOf []int32, nshards int)
 }
 
 // Engine drives one execution of an sa.Algorithm.
@@ -159,24 +136,19 @@ type Engine struct {
 	faultBuf      []int // reusable permutation buffer for InjectFaults
 	actBuf        []int // canonicalization buffer for unsorted activation lists
 
-	// lanes are the step loop's staging units (see step.go): one over the
-	// whole graph in classic mode, one per shard of part when sharded. The
-	// pool and its phase bodies (built once, so steady steps allocate no
-	// closures) exist only with two or more lanes; a single lane always
-	// runs inline on the calling goroutine. Each lane's tallies are written
-	// by one worker per phase and summed by the coordinator after the pool
-	// barrier, so counter aggregation costs O(P) adds per step.
-	lanes   []lane
-	part    *shard.Partition // nil in classic mode
-	pool    *shard.Pool
-	stageFn func(s int)
-	applyFn func(s int)
-	shObs   ShardedObserver // obs, when sharded and it supports concurrent interior delivery
+	// Step-loop scratch (see step.go): the staged next states of the
+	// evaluation list, the nodes the last apply changed, and the scalar
+	// signal. All are reused across steps.
+	res     []sa.State
+	changed []int
+	sig     sa.Signal
 
-	// churnAccum is the accumulated topology-churn weight since the last
-	// (re)partition; crossing the repartition threshold triggers a full
-	// rebuild (see rewire).
-	churnAccum int
+	// Coin source of δ: coinRng is rng (the shared stream, nodeSeq nil), or
+	// a stream over nodeSeq reseeded per (step, node), whose draws nodeCoin
+	// counts.
+	coinRng  *rand.Rand
+	nodeSeq  *randx.Seq
+	nodeCoin *randx.Counting
 
 	fr     *frontierRuntime  // frontier-sparse runtime; nil in dense mode
 	churn  *churnRuntime     // topology-churn runtime; nil when Options.Churn is off
@@ -188,7 +160,7 @@ type Engine struct {
 	// branch-free atomic add. tracer is nil unless Options.Trace attached one.
 	mx     *obs.Metrics
 	tracer *obs.Tracer
-	src    *randx.Source   // the classic rng stream, checkpointed by its state
+	src    *randx.Source   // the shared rng stream, checkpointed by its state
 	coin   *randx.Counting // draw tally over src
 	seed   int64           // Options.Seed, retained for checkpointing
 
@@ -200,11 +172,11 @@ type Engine struct {
 }
 
 // frontierRuntime holds the frontier-sparse execution state of an engine:
-// the dirty set of unsettled nodes (per-shard word arrays when sharded) and
-// the algorithm's self-loop certifier. A node leaves the frontier when an
-// evaluation certifies its (state, signal) pair as a deterministic coin-free
-// self-loop, and re-enters — in O(deg v), the same CSR walk core.GoodMonitor
-// uses — whenever it or a neighbor changes state or suffers a fault.
+// the dirty set of unsettled nodes and the algorithm's self-loop certifier.
+// A node leaves the frontier when an evaluation certifies its (state,
+// signal) pair as a deterministic coin-free self-loop, and re-enters — in
+// O(deg v), the same CSR walk core.GoodMonitor uses — whenever it or a
+// neighbor changes state or suffers a fault.
 type frontierRuntime struct {
 	set     *frontier.Set
 	looper  sa.SelfLooper
@@ -234,24 +206,14 @@ type Options struct {
 	// nil, the initial configuration).
 	Seed int64
 
-	// Parallelism selects the sharded execution mode. P >= 1 partitions the
-	// graph into P contiguous shards (clamped to the node count) and runs
-	// each step's activation set across a persistent worker pool (a single
-	// shard runs inline, with no pool); call Close when done with the engine
-	// to release the workers.
-	//
-	// Sharded runs are byte-identical for equal seeds at ANY P: transition
-	// coin tosses come from counter-based per-(step, node) streams
-	// (randx.NodeSeed) instead of the engine's shared rng, so results do not
-	// depend on execution order. P = 1 runs the same semantics inline —
-	// compare it against higher P to validate sharding (the differential
-	// harness in internal/shard does exactly that). For algorithms that
-	// ignore rng (AlgAU), sharded runs are also byte-identical to classic
-	// sequential runs.
-	//
-	// P = 0 (the default) is the classic sequential engine: transition coin
-	// tosses are drawn from the engine's single rng stream in activation
-	// order.
+	// Parallelism selects the coin source of δ. P = 0 (the default) draws
+	// transition coin tosses from the engine's single rng stream in
+	// ascending activation order. P >= 1 draws node v's coins at step t
+	// from a counter-based stream seeded by randx.NodeSeed(seed, t, v),
+	// independent of execution order; every positive value means what 1
+	// means. For algorithms that ignore rng (AlgAU) both sources give
+	// byte-identical runs. The initial configuration and InjectFaults draw
+	// from the shared stream either way.
 	Parallelism int
 
 	// Frontier enables frontier-sparse execution: the engine maintains a
@@ -262,12 +224,12 @@ type Options struct {
 	// instead of O(|A_t|·Δ). Schedulers implementing sched.SparseActivator
 	// additionally stop materializing O(n) activation slices.
 	//
-	// Frontier runs are byte-identical to dense runs of the same seed at
-	// every Parallelism: a skipped node provably keeps its state and — by
+	// Frontier runs are byte-identical to dense runs of the same seed with
+	// either coin source: a skipped node provably keeps its state and — by
 	// the SelfLooper contract — would have consumed no randomness, so the
-	// classic engine's shared rng stream and the sharded engines'
-	// per-(step, node) streams are both undisturbed. The differential
-	// harness in internal/sim and internal/campaign enforces this.
+	// shared rng stream and the per-(step, node) streams are both
+	// undisturbed. The differential harness in internal/sim and
+	// internal/campaign enforces this.
 	//
 	// The option is ignored (dense execution) when the algorithm does not
 	// implement sa.SelfLooper.
@@ -280,12 +242,12 @@ type Options struct {
 	// precompiled masks, instead of the scalar per-node Signal construction
 	// and transition decoding. The kernel contract (deterministic, coin-free,
 	// next == cur ⟺ settled) makes word runs byte-identical to scalar runs
-	// of the same seed in every mode — dense or frontier, any Parallelism,
-	// with or without churn — which the differential suites and the campaign
-	// -plane-check guard enforce.
+	// of the same seed in every mode — dense or frontier, either coin
+	// source, with or without churn — which the differential suites and the
+	// campaign -plane-check guard enforce.
 	//
 	// The fused goodness plane additionally certifies full-refresh steps,
-	// and a sequential engine hands a certified step's changes to a
+	// and the engine hands a certified step's changes to a
 	// WordBatchObserver such as core.GoodMonitor in one call (see word.go)
 	// instead of n per-node Apply calls.
 	//
@@ -308,12 +270,12 @@ type Options struct {
 
 	// Churn enables mid-run topology churn: the spec's scripted events and
 	// stochastic edge flips are applied at step boundaries through
-	// ApplyDelta, so every incremental layer (frontier, observer counters,
-	// shard classification) is repaired in the same motion. nil (or an
-	// empty spec) freezes the topology, the classic behavior. Churn draws
-	// from its own rng (ChurnSpec.Seed), so churn runs remain
-	// byte-identical across execution modes (dense/frontier, any
-	// Parallelism) exactly like churn-free runs.
+	// ApplyDelta, so every incremental layer (frontier, observer counters)
+	// is repaired in the same motion. nil (or an empty spec) freezes the
+	// topology, the classic behavior. Churn draws from its own rng
+	// (ChurnSpec.Seed), so churn runs remain byte-identical across
+	// execution modes (dense/frontier, either coin source) exactly like
+	// churn-free runs.
 	Churn *ChurnSpec
 
 	// restoring is set only by Restore. A snapshot taken while churn crash
@@ -335,7 +297,7 @@ func New(g *graph.Graph, alg sa.Algorithm, opts Options) (*Engine, error) {
 	if s == nil {
 		s = sched.NewSynchronous()
 	}
-	// The classic stream is a randx.Source: it draws what rand.NewSource
+	// The shared stream is a randx.Source: it draws what rand.NewSource
 	// draws, and a checkpoint saves its state. The counting wrapper is a
 	// pass-through that tallies the draws for the CoinDraws counter.
 	src := randx.NewSource(opts.Seed)
@@ -367,6 +329,13 @@ func New(g *graph.Graph, alg sa.Algorithm, opts Options) (*Engine, error) {
 		src:     src,
 		coin:    coin,
 		seed:    opts.Seed,
+		sig:     sa.NewSignal(alg.NumStates()),
+		coinRng: rng,
+	}
+	if opts.Parallelism >= 1 {
+		e.nodeSeq = &randx.Seq{}
+		e.nodeCoin = randx.NewCounting(e.nodeSeq)
+		e.coinRng = rand.New(e.nodeCoin)
 	}
 	if e.mx == nil {
 		e.mx = &obs.Metrics{}
@@ -379,43 +348,8 @@ func New(g *graph.Graph, alg sa.Algorithm, opts Options) (*Engine, error) {
 			}
 		}
 	}
-	// Classic mode runs one lane drawing coins from the shared rng; sharded
-	// mode one lane per shard, each with a reseedable per-(step, node) stream.
-	var part *shard.Partition
-	if opts.Parallelism >= 1 {
-		part = shard.NewPartition(g, opts.Parallelism)
-		e.lanes = make([]lane, part.P())
-	} else {
-		e.lanes = make([]lane, 1)
-	}
-	for s := range e.lanes {
-		l := &e.lanes[s]
-		l.sig = sa.NewSignal(alg.NumStates())
-		l.rng = rng
-		if part != nil {
-			l.seq = &randx.Seq{}
-			l.coin = randx.NewCounting(l.seq)
-			l.rng = rand.New(l.coin)
-		}
-	}
-	e.setPartition(part)
-	if len(e.lanes) > 1 {
-		// The phase bodies read e.step and the lanes directly; both are
-		// written only by the coordinator between pool phases, and the
-		// pool's channel handoffs order those writes.
-		e.pool = shard.NewPool(len(e.lanes))
-		e.stageFn = func(s int) { e.stage(&e.lanes[s]) }
-		e.applyFn = func(s int) {
-			l := &e.lanes[s]
-			l.chg = e.applyLane(l, applyInterior, e.shObs)
-		}
-	}
 	if e.fr != nil {
-		if part != nil {
-			e.fr.set = frontier.NewSharded(g.N(), part.Starts(), part.ShardIndex())
-		} else {
-			e.fr.set = frontier.New(g.N())
-		}
+		e.fr.set = frontier.New(g.N())
 		e.fr.set.Fill() // nothing is certified yet: every node starts dirty
 	}
 	if opts.Churn.active() {
@@ -457,27 +391,10 @@ func (fr *frontierRuntime) invalidate(g *graph.Graph, v int) {
 	}
 }
 
-// setPartition installs the engine's partition (nil in classic mode) and
-// re-ranges the lanes onto its shards.
-func (e *Engine) setPartition(part *shard.Partition) {
-	e.part = part
-	for s := range e.lanes {
-		l := &e.lanes[s]
-		if part == nil {
-			l.lo, l.hi = 0, e.g.N()
-		} else {
-			l.lo, l.hi = part.Range(s)
-		}
-	}
-}
-
-// Close releases the worker goroutines of a sharded engine (Parallelism >=
-// 2). It is idempotent and a no-op for single-lane engines.
-func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.Close()
-	}
-}
+// Close is a no-op: the engine runs on its caller's goroutine and holds
+// nothing to release. It is kept so that existing callers, such as the
+// benchmark module, still build.
+func (e *Engine) Close() {}
 
 // AddHook registers a post-step hook.
 func (e *Engine) AddHook(h Hook) { e.hooks = append(e.hooks, h) }
@@ -485,20 +402,9 @@ func (e *Engine) AddHook(h Hook) { e.hooks = append(e.hooks, h) }
 // Observe registers the engine's configuration observer (at most one; nil
 // unregisters). The observer must already reflect the engine's current
 // configuration — construct it from Config(), e.g. core.NewGoodMonitor.
-//
-// On a sharded engine (Options.Parallelism >= 1), an observer implementing
-// ShardedObserver is attached to the engine's partition and, with two or
-// more shards, receives interior-node changes concurrently during the merge
-// phase; plain observers force the merge through the coordinator in
-// canonical ascending node order.
 func (e *Engine) Observe(o ConfigObserver) {
 	e.obs = o
 	e.wBatch, _ = o.(WordBatchObserver)
-	e.shObs = nil
-	if so, ok := o.(ShardedObserver); ok && e.part != nil {
-		so.AttachShards(e.part.ShardIndex(), e.part.P())
-		e.shObs = so
-	}
 }
 
 // Graph returns the underlying graph.
@@ -590,17 +496,14 @@ func (e *Engine) flushStats() error {
 	return nil
 }
 
-// flushCoins drains the rng draw counters (the classic stream plus every
-// sharded lane stream) into the CoinDraws counter: O(P) per flush.
+// flushCoins drains the rng draw counters (the shared stream, plus the
+// per-node streams when they are the coin source) into CoinDraws.
 func (e *Engine) flushCoins() {
 	if n := e.coin.Take(); n != 0 {
 		e.mx.CoinDraws.Add(n)
 	}
-	if e.part == nil {
-		return // the classic lane draws from e.coin's stream
-	}
-	for s := range e.lanes {
-		if n := e.lanes[s].coin.Take(); n != 0 {
+	if e.nodeCoin != nil {
+		if n := e.nodeCoin.Take(); n != 0 {
 			e.mx.CoinDraws.Add(n)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"thinunison/internal/randx"
 	"thinunison/internal/sa"
 	"thinunison/internal/sched"
-	"thinunison/internal/shard"
 	"thinunison/internal/snapshot"
 )
 
@@ -19,18 +18,18 @@ import (
 // that continues the run byte-identically — run K steps, snapshot, restore,
 // run K more, and the trajectory (configurations, rounds, churn, metrics,
 // coin streams) matches an uninterrupted 2K-step run exactly, in every
-// execution mode (dense/frontier/word, any Parallelism, with or without
+// execution mode (dense/frontier/word, either coin source, with or without
 // churn). The campaign -restore-check differential enforces the contract.
 //
 // Every rng the trajectory depends on and a checkpoint must carry — the
-// classic coin stream, the churn stream, a seeded scheduler's stream — is a
+// shared coin stream, the churn stream, a seeded scheduler's stream — is a
 // randx.Source, so a checkpoint stores each generator's state (607 words and
 // two indices) and restore sets it: the cost does not grow with the number
-// of draws since the seed. Sharded lanes need nothing: their streams are
+// of draws since the seed. Per-node coin streams need nothing: they are
 // reseeded per (step, node) from the run seed. Derived state that is a pure
-// function of the serialized state (self-words, partition classification
-// tables, signal scratch) is rebuilt rather than stored — the rebuild
-// doubles as a cross-check that the primary state round-tripped.
+// function of the serialized state (self-words, signal scratch) is rebuilt
+// rather than stored — the rebuild doubles as a cross-check that the
+// primary state round-tripped.
 
 // engineSection is the section name of the engine's own state inside the
 // snapshot container; caller extras must use different names.
@@ -80,7 +79,7 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 	enc.Ints(offsets)
 	enc.Ints(neighbors)
 
-	// Configuration and the classic rng stream with its untallied draws.
+	// Configuration and the shared rng stream with its untallied draws.
 	enc.IntsFunc(n, func(i int) int { return int(e.cfg[i]) })
 	enc.U64s(e.src.State())
 	enc.U64(e.coin.Pending())
@@ -90,30 +89,19 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 	enc.Blob(e.tracker.CheckpointState())
 
 	// Mode flags.
-	p := 0
-	if e.part != nil {
-		p = e.part.P()
-	}
 	enc.Bool(e.fr != nil)
-	enc.Int(p)
+	enc.Bool(e.nodeSeq != nil)
 	enc.Bool(e.wr != nil)
 	enc.Bool(e.churn != nil)
 
 	if e.fr != nil {
 		enc.Ints(e.fr.set.AppendTo(nil))
 	}
-	if e.part != nil {
-		enc.Ints(e.part.Starts())
-		enc.Int(e.churnAccum)
-	}
 	if e.wr != nil {
-		// The goodness slabs are serialized raw: stale bits of unevaluated
+		// The goodness plane is serialized raw: stale bits of unevaluated
 		// frontier nodes are trajectory-visible through certification, so
 		// they cannot be rebuilt from the configuration. Self-words can.
-		enc.Int(len(e.lanes))
-		for s := range e.lanes {
-			enc.U64s(e.lanes[s].slab)
-		}
+		enc.U64s(e.wr.plane)
 	}
 	if e.churn != nil {
 		if err := encodeChurn(&enc, e.churn); err != nil {
@@ -194,7 +182,7 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 	trackerState := d.Blob()
 
 	hasFr := d.Bool()
-	p := d.Int()
+	nodeCoins := d.Bool()
 	hasWord := d.Bool()
 	hasChurn := d.Bool()
 
@@ -202,22 +190,9 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 	if hasFr {
 		frMembers = d.Ints()
 	}
-	var starts []int
-	churnAccum := 0
-	if p >= 1 {
-		starts = d.Ints()
-		churnAccum = d.Int()
-	}
-	var slabs [][]uint64
+	var plane []uint64
 	if hasWord {
-		slabs = make([][]uint64, 0, 8)
-		nslabs := d.Int()
-		if d.Err() == nil && (nslabs < 0 || nslabs > n+1) {
-			return nil, nil, fmt.Errorf("sim: snapshot slab count %d out of range", nslabs)
-		}
-		for i := 0; i < nslabs && d.Err() == nil; i++ {
-			slabs = append(slabs, d.U64s())
-		}
+		plane = d.U64s()
 	}
 	var churnState *churnCheckpoint
 	if hasChurn {
@@ -252,6 +227,10 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 	if err := validateAliveCSR(g, crashed); err != nil {
 		return nil, nil, fmt.Errorf("sim: snapshot graph: %w", err)
 	}
+	p := 0
+	if nodeCoins {
+		p = 1
+	}
 	e, err := New(g, alg, Options{
 		Initial:      cfg,
 		Scheduler:    opts.Scheduler,
@@ -267,12 +246,6 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 	if err != nil {
 		return nil, nil, err
 	}
-	ok = false
-	defer func() {
-		if !ok {
-			e.Close()
-		}
-	}()
 
 	// Mode capabilities must have survived: a snapshot of a frontier (or
 	// word) run cannot continue on an algorithm lacking the capability.
@@ -299,28 +272,10 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 	}
 	e.tracker = tracker
 
-	if e.part != nil {
-		// The saved partition bounds are NOT derivable from the restored
-		// graph: a mid-run repartition reflects churn history. Rebuild the
-		// classification tables under the saved bounds.
-		part, err := shard.NewPartitionFromStarts(g, starts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sim: snapshot partition: %w", err)
-		}
-		if part.P() != e.part.P() {
-			return nil, nil, fmt.Errorf("sim: snapshot partition has %d shards, engine built %d", part.P(), e.part.P())
-		}
-		e.setPartition(part)
-		e.churnAccum = churnAccum
-	}
 	if e.fr != nil {
 		// New filled the frontier (fresh runs start all-dirty); rebuild it
-		// to hold exactly the saved members under the restored partition.
-		if e.part != nil {
-			e.fr.set = frontier.NewSharded(n, e.part.Starts(), e.part.ShardIndex())
-		} else {
-			e.fr.set = frontier.New(n)
-		}
+		// to hold exactly the saved members.
+		e.fr.set = frontier.New(n)
 		for _, v := range frMembers {
 			if v < 0 || v >= n {
 				return nil, nil, fmt.Errorf("sim: snapshot frontier member %d out of range", v)
@@ -329,20 +284,13 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 		}
 	}
 	if e.wr != nil {
-		// Re-carve the slabs for the restored partition, then overwrite the
-		// goodness bits with the saved plane (refreshSlab recomputed them
-		// from the configuration, which is stricter than the per-eval
+		// Overwrite the goodness bits with the saved plane (New computed
+		// them from the configuration, which is stricter than the per-eval
 		// invariant allows for unevaluated frontier nodes).
-		e.wr.rebuildSlabs(e)
-		if len(slabs) != len(e.lanes) {
-			return nil, nil, fmt.Errorf("sim: snapshot has %d word slabs, engine carved %d", len(slabs), len(e.lanes))
+		if len(plane) != len(e.wr.plane) {
+			return nil, nil, fmt.Errorf("sim: snapshot goodness plane has %d words, want %d", len(plane), len(e.wr.plane))
 		}
-		for s, slab := range slabs {
-			if len(slab) != len(e.lanes[s].slab) {
-				return nil, nil, fmt.Errorf("sim: snapshot word slab %d has %d words, engine carved %d", s, len(slab), len(e.lanes[s].slab))
-			}
-			copy(e.lanes[s].slab, slab)
-		}
+		copy(e.wr.plane, plane)
 	}
 	if churnState != nil {
 		if err := churnState.restoreInto(e.churn); err != nil {
@@ -350,8 +298,8 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 		}
 	}
 	if hasSched {
-		cp, okc := e.sched.(sched.Checkpointer)
-		if !okc {
+		cp, ok := e.sched.(sched.Checkpointer)
+		if !ok {
 			return nil, nil, fmt.Errorf("sim: snapshot has scheduler state but scheduler %T is not a sched.Checkpointer", e.sched)
 		}
 		if err := cp.RestoreState(schedState); err != nil {
@@ -361,7 +309,6 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 	e.mx.Add(obs.SnapshotFromWords([obs.SnapshotWords]uint64(mwords)))
 
 	delete(sections, engineSection)
-	ok = true
 	return e, sections, nil
 }
 

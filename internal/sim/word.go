@@ -11,10 +11,10 @@ import (
 // current across every state write, neighborhood signals built by a CSR
 // OR-scan (sa.BuildSignals), and δ evaluated 64-bits-at-a-time from
 // precompiled masks (sa.WordEval). The kernel is only the step loop's
-// evaluator plug (wordRuntime.stage); activation, lanes, certification and
-// apply are shared with the scalar path, so word runs are byte-identical to
-// scalar runs in every mode (dense/frontier, any Parallelism, churn), which
-// the differential suites enforce.
+// evaluator plug (wordRuntime.stage); activation, certification and apply
+// are shared with the scalar path, so word runs are byte-identical to scalar
+// runs in every mode (dense/frontier, either coin source, churn), which the
+// differential suites enforce.
 //
 // The kernel's fused goodness plane (WordEval.EvalGood) additionally
 // certifies steps in O(n/64): when a step provably refreshed the goodness bit
@@ -24,16 +24,16 @@ import (
 // an all-good configuration stays good under any set of fired transitions
 // (AF needs an unprotected or inward-faulty sense, FA needs a faulty node,
 // and AA's Λ ⊆ {ℓ, φℓ} guard preserves pairwise adjacency), the post-step
-// configuration is good too, and a single-lane engine hands the step's
-// changes to a WordBatchObserver in one call.
+// configuration is good too, and the engine hands the step's changes to a
+// WordBatchObserver in one call.
 
 // WordBatchObserver is an optional ConfigObserver extension taking a
-// certified step's changes as one batch. A sequential word engine skips the
-// per-node Apply stream of a certified step — whose O(deg) bookkeeping
-// dominates steady steps where every clock ticks — and delivers the changed
-// nodes plus the post-step configuration in a single call. The observer
-// receives certified steps only: both the pre- and post-step configurations
-// are graph-good (core.GoodMonitor therefore only refreshes its mirror and
+// certified step's changes as one batch. A word engine skips the per-node
+// Apply stream of a certified step — whose O(deg) bookkeeping dominates
+// steady steps where every clock ticks — and delivers the changed nodes plus
+// the post-step configuration in a single call. The observer receives
+// certified steps only: both the pre- and post-step configurations are
+// graph-good (core.GoodMonitor therefore only refreshes its mirror and
 // transition counters). Uncertified steps always use the per-node stream.
 type WordBatchObserver interface {
 	ConfigObserver
@@ -43,8 +43,8 @@ type WordBatchObserver interface {
 // wordRuntime holds the word-parallel execution state of an engine. The
 // scalar configuration e.cfg stays authoritative; the runtime mirrors it as
 // per-node self-words (self[v] = 1 << cfg[v], the one-word signal
-// contribution of v) maintained by every state write (Engine.write). The
-// goodness-plane slabs and gather buffers live in the lanes.
+// contribution of v) maintained by every state write (Engine.write), next to
+// the goodness plane and the gather buffers of sparse evaluation lists.
 type wordRuntime struct {
 	kern sa.WordEval
 
@@ -53,44 +53,38 @@ type wordRuntime struct {
 	offsets   []int
 	neighbors []int
 
-	self []uint64 // self[v] = 1 << cfg[v]
-	sws  []uint64 // node-indexed sense-word scratch of the contiguous path
+	self  []uint64 // self[v] = 1 << cfg[v]
+	sws   []uint64 // sense-word scratch: node-indexed when dense, gathered when sparse
+	plane []uint64 // goodness plane: bit v ↔ node v, tail bits 1
+
+	// Gather buffers of sparse evaluation lists, allocated on first use.
+	cur  []sa.State
+	good []uint64
 }
 
 // newWordRuntime builds the word runtime for an engine whose algorithm
 // offered a kernel. The self-words are materialized through the bit-plane
 // codec: pack the scalar configuration into sa.Planes, derive the one-hot
-// self-words, and maintain them incrementally from there.
+// self-words, and maintain them incrementally from there. Every goodness
+// bit is then computed from the current configuration.
 func newWordRuntime(e *Engine, kern sa.WordEval) *wordRuntime {
 	n := e.g.N()
 	wr := &wordRuntime{
-		kern: kern,
-		self: make([]uint64, n),
-		sws:  make([]uint64, n),
+		kern:  kern,
+		self:  make([]uint64, n),
+		sws:   make([]uint64, n),
+		plane: make([]uint64, sa.PlaneWords(n)),
 	}
 	wr.offsets, wr.neighbors = e.g.CSR()
 	planes := sa.NewPlanes(n, e.alg.NumStates())
 	planes.Pack(e.cfg)
 	planes.SelfWords(wr.self)
-	wr.rebuildSlabs(e)
+	e.res = growStates(e.res, n)
+	sa.BuildSignals(wr.self, wr.offsets, wr.neighbors, 0, n, wr.sws)
+	// The transition outputs land in the staging scratch and are discarded;
+	// only the goodness bits are kept.
+	kern.EvalGood(e.cfg, wr.sws, e.res, wr.plane)
 	return wr
-}
-
-// rebuildSlabs (re)carves one goodness slab per lane — each its own
-// allocation, so parallel workers never read-modify-write a shared word
-// (shard bounds are not 64-aligned) — and refreshes every bit from the
-// current configuration. Called at construction and after a churn-triggered
-// repartition (the lane ranges move, so the old slab layout is meaningless).
-func (wr *wordRuntime) rebuildSlabs(e *Engine) {
-	for s := range e.lanes {
-		l := &e.lanes[s]
-		l.slab = make([]uint64, sa.PlaneWords(l.hi-l.lo))
-		l.res = growStates(l.res, l.hi-l.lo)
-		sa.BuildSignals(wr.self, wr.offsets, wr.neighbors, l.lo, l.hi, wr.sws[l.lo:l.hi])
-		// The transition outputs land in the lane's scratch and are
-		// discarded; only the goodness bits are kept.
-		wr.kern.EvalGood(e.cfg[l.lo:l.hi], wr.sws[l.lo:l.hi], l.res, l.slab)
-	}
 }
 
 // growStates returns b resliced to length k, reallocating when too small.
@@ -108,43 +102,39 @@ func (wr *wordRuntime) refreshCSR(e *Engine) {
 	wr.offsets, wr.neighbors = e.g.CSR()
 }
 
-// slabsAllOnes reports whether the whole goodness plane reads good (slab
-// tails are forced 1, so this is the "every node good" test).
-func (e *Engine) slabsAllOnes() bool {
-	for s := range e.lanes {
-		for _, w := range e.lanes[s].slab {
-			if w != ^uint64(0) {
-				return false
-			}
+// planeAllOnes reports whether the whole goodness plane reads good (tail
+// bits are forced 1, so this is the "every node good" test).
+func (wr *wordRuntime) planeAllOnes() bool {
+	for _, w := range wr.plane {
+		if w != ^uint64(0) {
+			return false
 		}
 	}
 	return true
 }
 
-// stage is the word evaluator of the step loop: evaluate lane l's bucket
-// against the immutable C_t into l.res with the fused kernel, refreshing the
-// evaluated nodes' goodness bits. A bucket covering the lane's whole range
-// (every synchronous step) slices cfg and the node-indexed sense scratch
-// directly and lets the kernel write the slab in place; sparser buckets are
-// gathered into lane buffers and their goodness bits scattered back. On a
-// frontier engine, next == cur is the settled certificate (the kernel
+// stage is the word evaluator of the step loop: evaluate the ascending
+// evaluation list against the immutable C_t into e.res with the fused
+// kernel, refreshing the evaluated nodes' goodness bits. A list covering
+// every node (every synchronous step) slices cfg and the node-indexed sense
+// scratch directly and lets the kernel write the plane in place; sparser
+// lists are gathered into buffers and their goodness bits scattered back.
+// On a frontier engine, next == cur is the settled certificate (the kernel
 // contract), so those nodes are settle-cleared exactly as in the scalar
 // evaluator.
-func (wr *wordRuntime) stage(e *Engine, l *lane) {
-	k := len(l.bucket)
-	l.res = growStates(l.res, k)
-	if k == l.hi-l.lo {
-		sws := wr.sws[l.lo:l.hi]
-		sa.BuildSignals(wr.self, wr.offsets, wr.neighbors, l.lo, l.hi, sws)
-		wr.kern.EvalGood(e.cfg[l.lo:l.hi], sws, l.res, l.slab)
+func (wr *wordRuntime) stage(e *Engine, eval []int) {
+	n, k := e.g.N(), len(eval)
+	e.res = growStates(e.res, k)
+	if k == n {
+		sa.BuildSignals(wr.self, wr.offsets, wr.neighbors, 0, n, wr.sws)
+		wr.kern.EvalGood(e.cfg, wr.sws, e.res, wr.plane)
 	} else {
-		if cap(l.cur) < k {
-			l.cur = make([]sa.State, l.hi-l.lo)
-			l.sws = make([]uint64, l.hi-l.lo)
-			l.good = make([]uint64, sa.PlaneWords(l.hi-l.lo))
+		if cap(wr.cur) < k {
+			wr.cur = make([]sa.State, n)
+			wr.good = make([]uint64, sa.PlaneWords(n))
 		}
-		cur, sws, good := l.cur[:k], l.sws[:k], l.good[:sa.PlaneWords(k)]
-		for i, v := range l.bucket {
+		cur, sws, good := wr.cur[:k], wr.sws[:k], wr.good[:sa.PlaneWords(k)]
+		for i, v := range eval {
 			cur[i] = e.cfg[v]
 			sw := wr.self[v]
 			for _, u := range wr.neighbors[wr.offsets[v]:wr.offsets[v+1]] {
@@ -152,20 +142,19 @@ func (wr *wordRuntime) stage(e *Engine, l *lane) {
 			}
 			sws[i] = sw
 		}
-		wr.kern.EvalGood(cur, sws, l.res, good)
-		for i, v := range l.bucket {
-			b := v - l.lo
+		wr.kern.EvalGood(cur, sws, e.res, good)
+		for i, v := range eval {
 			if good[i>>6]&(1<<uint(i&63)) != 0 {
-				l.slab[b>>6] |= 1 << uint(b&63)
+				wr.plane[v>>6] |= 1 << uint(v&63)
 			} else {
-				l.slab[b>>6] &^= 1 << uint(b&63)
+				wr.plane[v>>6] &^= 1 << uint(v&63)
 			}
 		}
 	}
 	if fr := e.fr; fr != nil {
 		var settles uint64
-		for i, v := range l.bucket {
-			if l.res[i] == e.cfg[v] {
+		for i, v := range eval {
+			if e.res[i] == e.cfg[v] {
 				fr.set.Remove(v)
 				settles++
 			}

@@ -13,7 +13,7 @@ import (
 
 // TestWordMatchesScalarTrajectories is the engine-level differential harness
 // of word-parallel execution: for every graph × scheduler × frontier ×
-// parallelism ∈ {0 (classic), 1, 2, 8}, a word run must be byte-identical to
+// coin source P ∈ {0, 1, 2, 8}, a word run must be byte-identical to
 // the scalar run of the same seed at every step — configurations, round
 // counters and step counters alike — including across a mid-run fault burst.
 func TestWordMatchesScalarTrajectories(t *testing.T) {
@@ -135,10 +135,10 @@ func TestWordMonitorParity(t *testing.T) {
 }
 
 // TestWordMatchesScalarUnderChurn runs the stochastic churn process on word
-// and scalar engines (dense and frontier, sequential and sharded) and
-// demands byte-identical trajectories: churn re-compacts the CSR arrays the
-// word runtime scans and repartitions the goodness slabs, so this exercises
-// every repair path.
+// and scalar engines (dense and frontier, both coin sources) and demands
+// byte-identical trajectories: churn re-compacts the CSR arrays the word
+// runtime scans and leaves the rewired endpoints' goodness bits stale until
+// they are re-evaluated, so this exercises every repair path.
 func TestWordMatchesScalarUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g0, err := graph.BoundedDiameter(70, 3, rng)

@@ -4,8 +4,8 @@
 //
 // A snapshot is a sequence of named, length-prefixed sections behind a magic
 // header. Sections keep layers independent: each stateful layer (config,
-// rng states, round tracker, frontier, partition, word slabs, churn,
-// metrics, monitor) owns one section and encodes it with the primitives of
+// rng states, round tracker, frontier, goodness plane, churn, metrics,
+// monitor) owns one section and encodes it with the primitives of
 // Enc/Dec. Unknown sections are preserved by Read so callers can attach
 // their own (e.g. a monitor state or run metadata) without the container
 // caring.
@@ -47,7 +47,13 @@ import (
 // Version 5 retired the "syncsim" engine section: procedural programs run
 // on the asyncsim engine at every p, so its section gained p and, at
 // p >= 1, the shard starts and the churn weight.
-const Version = 5
+//
+// Version 6 retired intra-run sharding: both engine sections replace p, the
+// shard starts and the churn weight with one per-node-coins flag, the sim
+// section stores one goodness plane instead of a per-lane slab count and
+// slabs, and the metric word vector drops the boundary-apply and
+// repartition counters.
+const Version = 6
 
 // magic identifies a snapshot stream ("ThinUnison SNAPshot").
 var magic = [8]byte{'T', 'U', 'S', 'N', 'A', 'P', '0', '1'}

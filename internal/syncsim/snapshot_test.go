@@ -48,7 +48,6 @@ func TestSyncsimRestoreDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer ref.Close()
 		for i := 0; i < k; i++ {
 			ref.Step()
 		}
@@ -60,7 +59,6 @@ func TestSyncsimRestoreDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("p=%d: restore: %v", p, err)
 		}
-		defer restored.Close()
 		if restored.Rounds() != ref.Rounds() {
 			t.Fatalf("p=%d: restored round=%d, reference=%d", p, restored.Rounds(), ref.Rounds())
 		}
