@@ -18,32 +18,34 @@
 // per-(step, node) streams, negative values the shared stream, and 0 picks
 // by scenario size. AU scenarios run frontier-sparse by default (settled
 // nodes are skipped until their neighborhood changes); -frontier forces the
-// mode on or off, and -frontier-check runs the preset as a
-// dense-vs-frontier divergence guard. -word opts AU scenarios into
-// word-parallel (bit-planed batch) transition evaluation, and -plane-check
-// runs the preset as a scalar-vs-word divergence guard. -restore-check runs
-// the checkpoint/restore differential instead: every engine mode × coin
-// source × churn combination is run uninterrupted and checkpointed at the
-// halfway step, and the guard fails unless the restored continuation is
-// byte-identical to the uninterrupted run. -daemon-check runs the preset
-// both in-process and through an in-process unisond on a unix socket and
-// fails unless the streamed records are byte-identical — the guard that
-// keeps daemon mode transparent.
+// mode on or off, and -word opts AU scenarios into word-parallel
+// (bit-planed batch) transition evaluation. Neither changes record bytes.
+//
+// -check LIST runs the preset as a differential guard instead of a normal
+// campaign: campaign.Differential runs every scenario on the reference (the
+// engine's dense scalar path) and on each listed cell, with the GoodMonitor
+// full-scan oracle armed on every local side, and fails unless every
+// reference record is ok and every cell's records are byte-identical to the
+// reference's, naming the first differing field and the seed. The cells are
+// the engine modes frontier, word and frontier+word (-parallelism pins the
+// coin source on every side); remote, an in-process unisond on a unix
+// socket with -parallelism, -frontier and -word forwarded; chaos, a seeded
+// fault schedule (-chaos-seed) with a kill-and-resume; and restore, the
+// checkpoint/restore matrix over every engine mode × coin source × churn
+// combination (it ignores -preset).
 //
 // The campaign harness is itself self-stabilizing (see internal/failpoint):
 // workers are panic-isolated, -retries re-runs transient failures with
 // backoff, -watchdog cuts down stalled runs, -scenario-timeout bounds each
 // run deterministically, and -resume logs survive torn writes and bit rot
-// via a CRC sidecar. -chaos-check runs the preset under a seeded fault
-// schedule (-chaos-seed) with a kill-and-resume and fails unless the
-// surviving records are byte-identical to an undisturbed run.
+// via a CRC sidecar; the chaos cell holds the harness to that.
 //
 // Observability (see internal/obs): -progress paints a live throughput line
 // on stderr, -metrics keeps each record's engine-counter block, -debug-addr
 // serves expvar + pprof with live campaign-wide counters, -trace-every N
-// samples every Nth step of every run to -trace-out (deterministic — the
-// -*-check guards run with tracing attached to prove it never perturbs
-// records), and -flight dumps the last steps of every failed run.
+// samples every Nth step of every run to -trace-out (deterministic — -check
+// runs with tracing attached to prove it never perturbs records), and
+// -flight dumps the last steps of every failed run.
 package main
 
 import (
@@ -55,6 +57,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -65,167 +68,91 @@ import (
 	"thinunison/internal/obs"
 )
 
-// divergenceCheck runs every scenario under two forced variants and fails
-// if any record pair differs byte for byte — the differential-harness
-// invariant, enforced on real presets in CI. Returns a process exit code.
-func divergenceCheck(scenarios []campaign.Scenario, name, labelA, labelB string,
-	variantA, variantB func(*campaign.Scenario)) int {
+// modeCells are the engine-mode sides of -check, each a forced execution
+// mode scored against the dense scalar reference. The coin source is not a
+// cell: its sign shows in MIS/LE records, so -parallelism pins it on every
+// side instead.
+var modeCells = map[string]func(*campaign.Scenario){
+	"frontier":      func(sc *campaign.Scenario) { sc.Frontier, sc.WordParallel = 1, false },
+	"word":          func(sc *campaign.Scenario) { sc.Frontier, sc.WordParallel = -1, true },
+	"frontier+word": func(sc *campaign.Scenario) { sc.Frontier, sc.WordParallel = 1, true },
+}
+
+// checkCells lists every -check name, in help order.
+var checkCells = []string{"frontier", "word", "frontier+word", "remote", "chaos", "restore"}
+
+// check runs the -check differential: the scenarios run once on the dense
+// scalar reference and once per listed record cell, with the GoodMonitor
+// full-scan oracle armed on every local side, and every record must be ok
+// and byte-identical to the reference. The restore cell runs the
+// sim-level checkpoint matrix (campaign.RestoreCheck) instead. Returns a
+// process exit code.
+func check(cells []string, scenarios []campaign.Scenario, workers int, remote wire.SubmitSpec, chaosSeed int64) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	record := func(sc campaign.Scenario, variant func(*campaign.Scenario)) ([]byte, error) {
-		variant(&sc)
-		// Canonical keeps the engine block's trajectory counters in the
-		// diff (they must agree across modes too) and strips only the
-		// mode-dependent ones and wall time.
-		rec := campaign.Execute(ctx, sc).Canonical()
-		var buf bytes.Buffer
-		err := campaign.AppendJSONL(&buf, rec)
-		return buf.Bytes(), err
-	}
-	diverged := 0
-	for _, sc := range scenarios {
-		if ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "campaign: %s interrupted\n", name)
-			return 1
-		}
-		a, err := record(sc, variantA)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "campaign:", err)
-			return 1
-		}
-		b, err := record(sc, variantB)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "campaign:", err)
-			return 1
-		}
-		if !bytes.Equal(a, b) {
-			diverged++
-			fmt.Fprintf(os.Stderr, "campaign: %s: scenario %d diverged:\n  %s: %s  %s: %s",
-				name, sc.Index, labelA, a, labelB, b)
+	failures := 0
+	var sides []campaign.Side
+	for _, cell := range cells {
+		switch cell {
+		case "remote":
+			sides = append(sides, remoteSide(remote))
+		case "chaos":
+			sides = append(sides, campaign.ChaosSide(campaign.ChaosOptions{Seed: chaosSeed, Workers: workers}))
+		case "restore":
+			failures += campaign.RestoreCheck(os.Stderr)
+		default:
+			sides = append(sides, campaign.LocalSide(cell, workers, modeCells[cell]))
 		}
 	}
-	if diverged > 0 {
-		fmt.Fprintf(os.Stderr, "campaign: %s FAILED: %d of %d scenarios diverged between %s and %s\n",
-			name, diverged, len(scenarios), labelA, labelB)
+	if len(sides) > 0 {
+		for i := range scenarios {
+			scenarios[i].MonitorOracle = true
+		}
+		dense := campaign.LocalSide("dense", workers, func(sc *campaign.Scenario) {
+			sc.Frontier, sc.WordParallel = -1, false
+		})
+		failures += campaign.Differential(ctx, os.Stderr, scenarios, dense, sides...)
+	}
+	if failures > 0 {
+		fmt.Fprintf(os.Stderr, "campaign: -check FAILED: %d failure(s)\n", failures)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "campaign: %s OK: %d scenarios byte-identical at %s and %s\n",
-		name, len(scenarios), labelA, labelB)
 	return 0
 }
 
-// frontierCheck is the frontier-vs-dense divergence guard: forced frontier
-// and dense execution must agree (with whatever coin source the scenarios
-// carry — combine with -parallelism to pin it).
-func frontierCheck(scenarios []campaign.Scenario) int {
-	return divergenceCheck(scenarios, "frontier-check", "dense", "frontier",
-		func(sc *campaign.Scenario) { sc.Frontier = -1 },
-		func(sc *campaign.Scenario) { sc.Frontier = 1 })
-}
-
-// planeCheck is the word-parallel differential guard: forced scalar and
-// word-parallel execution must agree byte for byte (with whatever coin
-// source and frontier mode the scenarios carry — combine with -parallelism
-// and -frontier to pin them). Scenarios whose algorithm offers no word kernel
-// fall back to scalar on both sides, so the pair degenerates to a replay
-// check there.
-func planeCheck(scenarios []campaign.Scenario) int {
-	return divergenceCheck(scenarios, "plane-check", "scalar", "word",
-		func(sc *campaign.Scenario) { sc.WordParallel = false },
-		func(sc *campaign.Scenario) { sc.WordParallel = true })
-}
-
-// daemonCheck is the remote-vs-local differential guard: the preset runs
-// once in-process through the Runner and once through a real unisond — an
-// in-process daemon served on a throwaway unix socket, submitted and
-// streamed over the wire protocol — and the guard fails unless the two
-// JSONL record streams are byte-identical. This is the invariant that makes
-// daemon mode transparent: a client cannot tell (from the records) whether
-// a campaign ran locally or behind the socket.
-func daemonCheck(preset string, seed int64, workers int) int {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	// Local reference: pristine preset expansion, no execution-mode
-	// overrides — exactly what the daemon re-derives on its side.
-	scenarios, err := campaign.Preset(preset, seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	var local bytes.Buffer
-	runner := &campaign.Runner{
-		Workers: workers,
-		OnRecord: func(rec campaign.Record) {
-			if err == nil {
-				err = campaign.AppendJSONL(&local, rec)
-			}
-		},
-	}
-	if _, rerr := runner.Run(ctx, scenarios); rerr != nil {
-		fmt.Fprintln(os.Stderr, "campaign: daemon-check: local run:", rerr)
-		return 1
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "campaign: daemon-check:", err)
-		return 1
-	}
-
-	// Remote side: a real daemon on a unix socket (in a short-lived tempdir;
-	// socket paths have a ~100-byte limit, so not the work dir).
-	dir, err := os.MkdirTemp("", "unisond")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "campaign: daemon-check:", err)
-		return 1
-	}
-	defer os.RemoveAll(dir)
-	srv, err := daemon.New(daemon.Options{Fleet: workers})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "campaign: daemon-check:", err)
-		return 1
-	}
-	sock := filepath.Join(dir, "d.sock")
-	if err := srv.ListenAndServe(sock); err != nil {
-		fmt.Fprintln(os.Stderr, "campaign: daemon-check:", err)
-		return 1
-	}
-	defer srv.Kill()
-
-	var remote bytes.Buffer
-	spec := wire.SubmitSpec{Preset: preset, Seed: seed, Workers: workers}
-	info, err := daemonclient.New(sock).Run(ctx, spec, &remote)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "campaign: daemon-check:", err)
-		return 1
-	}
-	if info.State != wire.StateDone {
-		fmt.Fprintf(os.Stderr, "campaign: daemon-check: daemon run ended %s (%s)\n", info.State, info.Err)
-		return 1
-	}
-
-	if !bytes.Equal(local.Bytes(), remote.Bytes()) {
-		fmt.Fprintf(os.Stderr, "campaign: daemon-check FAILED: daemon stream differs from local run (%d vs %d bytes)\n",
-			remote.Len(), local.Len())
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "campaign: daemon-check OK: %d scenarios byte-identical locally and through unisond\n",
-		len(scenarios))
-	return 0
-}
-
-// churnCheck is the topology-churn differential guard: every scenario runs
-// once dense and once frontier-sparse, both with per-node coin streams
-// (P=1) and the GoodMonitor full-scan oracle enabled — so a divergence in
-// either the trajectory (records differ) or the incremental stabilization
-// verdict (oracle fails the record) turns the guard red. Run it on the
-// bio-churn preset, whose scenarios actually mutate topology mid-run.
-func churnCheck(scenarios []campaign.Scenario) int {
-	for i := range scenarios {
-		scenarios[i].MonitorOracle = true
-	}
-	return divergenceCheck(scenarios, "churn-check", "dense-P1", "frontier-P1",
-		func(sc *campaign.Scenario) { sc.Frontier = -1; sc.Parallelism = 1 },
-		func(sc *campaign.Scenario) { sc.Frontier = 1; sc.Parallelism = 1 })
+// remoteSide runs the submission through a real unisond — an in-process
+// daemon served on a throwaway unix socket, submitted and streamed over the
+// wire protocol — and returns the streamed records. Matching the reference
+// is what makes daemon mode transparent: a client cannot tell from the
+// records whether a campaign ran locally or behind the socket.
+func remoteSide(spec wire.SubmitSpec) campaign.Side {
+	return campaign.Side{Name: "remote", Run: func(ctx context.Context, _ []campaign.Scenario) ([]campaign.Record, error) {
+		// Socket paths have a ~100-byte limit, so a short-lived tempdir
+		// rather than the work dir.
+		dir, err := os.MkdirTemp("", "unisond")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(dir)
+		srv, err := daemon.New(daemon.Options{Fleet: spec.Workers})
+		if err != nil {
+			return nil, err
+		}
+		sock := filepath.Join(dir, "d.sock")
+		if err := srv.ListenAndServe(sock); err != nil {
+			return nil, err
+		}
+		defer srv.Kill()
+		var stream bytes.Buffer
+		info, err := daemonclient.New(sock).Run(ctx, spec, &stream)
+		if err != nil {
+			return nil, err
+		}
+		if info.State != wire.StateDone {
+			return nil, fmt.Errorf("daemon run ended %s (%s)", info.State, info.Err)
+		}
+		return campaign.ParseJSONL(stream.Bytes())
+	}}
 }
 
 func main() {
@@ -246,17 +173,12 @@ func run() int {
 		timeout = flag.Duration("timeout", 0, "abort the campaign after this duration (0 = none)")
 		par     = flag.Int("parallelism", 0, "engine coin source: any value >0 draws per-(step, node) coin streams (all positive values are interchangeable), <0 forces the shared stream, 0 picks per-node streams from campaign.ShardThreshold nodes; the sign shows in the records of coin-driven programs (MIS, LE)")
 		front   = flag.Int("frontier", 0, "frontier-sparse AU execution: >0 forces it on, <0 forces dense execution, 0 auto-enables (records are identical either way)")
-		fcheck  = flag.Bool("frontier-check", false, "divergence guard: run every scenario dense and frontier-sparse and fail if any record differs, instead of a normal campaign")
-		ccheck  = flag.Bool("churn-check", false, "churn differential guard: run every scenario dense and frontier-sparse, both at P=1, with the GoodMonitor full-scan oracle and fail on any divergence, instead of a normal campaign (pair with -preset bio-churn)")
-		pcheck  = flag.Bool("plane-check", false, "word-parallel differential guard: run every scenario scalar and word-parallel and fail if any record differs, instead of a normal campaign")
-		rcheck  = flag.Bool("restore-check", false, "checkpoint differential guard: for every engine mode x coin source x churn combination, fail unless a run checkpointed and restored at the halfway step is byte-identical to an uninterrupted run (ignores -preset)")
-		dcheck  = flag.Bool("daemon-check", false, "remote-vs-local differential guard: run the preset in-process and through an in-process unisond on a unix socket and fail unless the streamed records are byte-identical, instead of a normal campaign")
+		checks  = flag.String("check", "", "differential guard instead of a normal campaign: run every scenario on the dense scalar reference and on each listed cell, with the GoodMonitor full-scan oracle armed, and fail unless every record is ok and byte-identical to the reference; cells: "+strings.Join(checkCells, ", ")+" (restore runs the checkpoint/restore matrix, which ignores -preset)")
 		fork    = flag.String("fork", "", "fork mode: restore this unisonsim checkpoint into -fork-futures perturbed continuations (future f suffers f+1 transient faults) and emit one record per future (ignores -preset)")
 		futures = flag.Int("fork-futures", 8, "number of alternative futures -fork runs")
 		word    = flag.Bool("word", false, "force word-parallel (bit-planed batch) AU execution; falls back to scalar when the algorithm offers no word kernel (records are identical either way)")
 
-		chaos     = flag.Bool("chaos-check", false, "self-stabilization guard for the harness itself: run the preset undisturbed, then again under a seeded fault schedule (worker panics, injected engine errors, stalls, torn writes) with a kill-and-resume, and fail unless the surviving records are byte-identical, instead of a normal campaign")
-		chaosSeed = flag.Int64("chaos-seed", 1, "seed for the -chaos-check fault schedule; a failing run prints the seed that reproduces it")
+		chaosSeed = flag.Int64("chaos-seed", 1, "seed for the fault schedule of the -check chaos cell (worker panics, injected engine errors, stalls, torn writes, then a kill-and-resume); a failing run prints the seed that reproduces it")
 		retries   = flag.Int("retries", 0, "re-execute scenarios that fail transiently (worker panics, watchdog stalls, injected faults) up to this many times with exponential backoff")
 		watchdog  = flag.Duration("watchdog", 0, "per-scenario stall watchdog: fail (transiently, so -retries applies) any run making no step progress for this long (0 = off)")
 		scTimeout = flag.Duration("scenario-timeout", 0, "per-scenario deadline: fail (deterministically; never retried) any run exceeding it (0 = none)")
@@ -265,7 +187,7 @@ func run() int {
 		progress   = flag.Bool("progress", false, "live progress line on stderr (done/total, evals/s, ETA); never touches the JSONL stream")
 		debugAddr  = flag.String("debug-addr", "", "serve expvar + pprof on this address (e.g. localhost:6060) for the campaign's lifetime")
 		traceEvery = flag.Int("trace-every", 0, "emit every Nth step of every run as a trace sample (0 = off); deterministic, never perturbs records")
-		traceOut   = flag.String("trace-out", "", "trace-sample JSONL path (default: discard, which still exercises the tracer in -*-check modes)")
+		traceOut   = flag.String("trace-out", "", "trace-sample JSONL path (default: discard, which still exercises the tracer under -check)")
 		flight     = flag.String("flight", "", "flight-recorder path: dump the last steps of every failed run as JSONL")
 		flightRing = flag.Int("flight-ring", 0, "flight-recorder depth in steps (0 = default 64)")
 	)
@@ -284,8 +206,8 @@ func run() int {
 
 	// Observability spec shared by all scenarios (each run still builds its
 	// own tracer). The sink and flight writers are concurrency-safe, so the
-	// spec works at any worker count; in -*-check modes the spec rides along
-	// on both variants, proving the differentials hold with tracing attached.
+	// spec works at any worker count; under -check the spec rides along on
+	// every local side, proving the differentials hold with tracing attached.
 	var obsSpec *campaign.ObsSpec
 	var flushTrace func() error
 	if *traceEvery > 0 || *flight != "" {
@@ -332,32 +254,17 @@ func run() int {
 		scenarios[i].Watchdog = *watchdog
 	}
 
-	if *chaos {
-		if failures := campaign.ChaosCheck(os.Stderr, scenarios, campaign.ChaosOptions{
-			Seed:    *chaosSeed,
-			Workers: *workers,
-		}); failures > 0 {
-			return 1
+	if *checks != "" {
+		cells := strings.Split(*checks, ",")
+		for _, cell := range cells {
+			if !slices.Contains(checkCells, cell) {
+				fmt.Fprintf(os.Stderr, "campaign: unknown -check cell %q (valid: %s)\n", cell, strings.Join(checkCells, ", "))
+				return 2
+			}
 		}
-		return 0
-	}
-	if *fcheck {
-		return frontierCheck(scenarios)
-	}
-	if *ccheck {
-		return churnCheck(scenarios)
-	}
-	if *pcheck {
-		return planeCheck(scenarios)
-	}
-	if *rcheck {
-		if failures := campaign.RestoreCheck(os.Stderr); failures > 0 {
-			return 1
-		}
-		return 0
-	}
-	if *dcheck {
-		return daemonCheck(*preset, *seed, *workers)
+		remote := wire.SubmitSpec{Preset: *preset, Seed: *seed, Workers: *workers,
+			Parallelism: *par, Frontier: *front, WordParallel: *word}
+		return check(cells, scenarios, *workers, remote, *chaosSeed)
 	}
 	if *fork != "" {
 		jsonl := io.Writer(os.Stdout)

@@ -64,7 +64,7 @@ type frontierPoint struct {
 // steady step with per-node scalar transitions vs bit-planed batch
 // evaluation (CSR OR-scan + fused EvalGood pass + certified batched monitor
 // apply). The runs are byte-identical in results (the engine differential
-// suite and cmd/campaign -plane-check enforce it), so the ratio isolates
+// suite and cmd/campaign -check word enforce it), so the ratio isolates
 // the word-parallel win; -plane-gate pins it and the word side's
 // 0 allocs/op.
 type wordPoint struct {
@@ -239,7 +239,7 @@ func main() {
 	// unison clock every step — the worst case for sparse execution and the
 	// best case for batch evaluation) with scalar per-node transitions vs
 	// bit-planed word evaluation. The pairs walk byte-identical trajectories
-	// (engine differentials and cmd/campaign -plane-check enforce it), so
+	// (engine differentials and cmd/campaign -check word enforce it), so
 	// the ratio is the pure word-parallel win.
 	wordPair := func(n, iters int) wordPoint {
 		scalar := measure(hotpath.WordName("dense-steady-step", n, false), n, iters, hotpath.WordSteadyStep(n, false))

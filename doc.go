@@ -43,8 +43,8 @@
 //     (sa.SelfLooper) — invalidated in O(deg v) when a neighborhood changes,
 //     so a near-quiescent step costs O(|frontier|) instead of Θ(n) while
 //     staying byte-identical to dense runs with either coin source (the
-//     frontier differential harness and the cmd/campaign -frontier-check
-//     guard enforce it; see the frontier series of BENCH_hotpath.json for
+//     frontier differential harness and the frontier cell of cmd/campaign
+//     -check enforce it; see the frontier series of BENCH_hotpath.json for
 //     the quiescent-regime speedups);
 //   - live topology churn (graph.Delta, sim.Options.Churn, Engine.ApplyDelta
 //     on both engines, sim and asyncsim): the graph mutates mid-run at step
@@ -53,15 +53,15 @@
 //     in-place CSR re-compaction, with every incremental layer repaired in
 //     the same motion (frontier re-seeding, O(1) GoodMonitor counter repair
 //     via sim.TopologyObserver). Churn runs stay byte-identical
-//     across execution modes (the bio-churn preset and the cmd/campaign
-//     -churn-check guard enforce it), and internal/mc proves
+//     across execution modes (cmd/campaign -check frontier on the bio-churn
+//     preset enforces it), and internal/mc proves
 //     re-stabilization after every single-edge flip exhaustively on n <= 4
 //     instances;
 //   - zero-allocation engine telemetry (internal/obs, a std-lib-only leaf
 //     shared by every engine): struct-of-atomics counter sets, sampled step
 //     tracing keyed by the deterministic step number (so attaching a tracer
-//     cannot perturb a trajectory — the differential guards run traced in
-//     CI), and a last-N-steps flight recorder dumped with an attributing
+//     cannot perturb a trajectory — cmd/campaign -check runs traced in CI),
+//     and a last-N-steps flight recorder dumped with an attributing
 //     reason header when a run fails. Exposed as cmd/campaign -metrics /
 //     -progress / -trace-every / -flight / -debug-addr (expvar + pprof) and
 //     the equivalent cmd/unisonsim flags; the steady step stays 0 allocs/op
@@ -76,7 +76,7 @@
 //     pass with math/bits intrinsics; certified full steps feed the
 //     GoodMonitor one plain batch (a raw-mirror refresh) instead of n
 //     per-node updates. Word-parallel runs are byte-identical to scalar runs
-//     (the engine differentials and the cmd/campaign -plane-check guard
+//     (the engine differentials and the word cells of cmd/campaign -check
 //     enforce it), the dense steady step stays 0 allocs/op, and the
 //     word/scalar speedup at n = 10^5 is gated by hotpathbench -plane-gate
 //     (the word series of BENCH_hotpath.json); algorithms without a one-word
@@ -88,9 +88,9 @@
 //     graceful demotion of word/frontier modes on invariant violation, and
 //     crash-safe artifact IO — CRC-32C-verified snapshot containers written
 //     atomically (temp file + fsync + rename) and a torn-write-self-repairing
-//     resumable JSONL log with a CRC sidecar. The cmd/campaign -chaos-check
-//     differential pins it end to end: a preset under a seeded fault schedule
-//     with a kill-and-resume must produce records byte-identical to an
+//     resumable JSONL log with a CRC sidecar. The chaos cell of cmd/campaign
+//     -check pins it end to end: a preset under a seeded fault schedule with
+//     a kill-and-resume must produce records byte-identical to an
 //     undisturbed run;
 //   - a daemon mode (internal/daemon, served by cmd/unisond; thin client
 //     internal/daemonclient behind cmd/unisonctl and cmd/unisonsim -remote):
@@ -102,8 +102,8 @@
 //     counters, never block engines — and run state persists through the
 //     crash-safe resumable journal, so a killed daemon restarted on the
 //     same state dir resumes every in-flight run to records byte-identical
-//     to an uninterrupted one (the cmd/campaign -daemon-check guard and the
-//     kill-and-restart tests pin it).
+//     to an uninterrupted one (the remote cell of cmd/campaign -check and
+//     the kill-and-restart tests pin it).
 //
 // The engine-mode matrix, then, is: dense (the reference semantics),
 // frontier-sparse (Options.Frontier, near-quiescent workloads),
@@ -116,7 +116,9 @@
 // kernel) — so they compose freely and, for a given coin source, all
 // produce byte-identical trajectories for equal seeds. A
 // dense scalar reference stepper in the sim tests scores every combination,
-// and the differential guards in CI pin the same at campaign level.
+// and at campaign level campaign.Differential scores every mode, the daemon
+// and a fault-injected resume against the dense scalar path (cmd/campaign
+// -check, in CI).
 //
 // The root package is a high-level facade; the implementation lives in the
 // internal packages (internal/core is AlgAU itself). Quick start:

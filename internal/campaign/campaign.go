@@ -101,8 +101,8 @@ func (s SchedulerSpec) effective() SchedulerSpec {
 // randomness from seed. The stochastic schedulers use the SEEDED
 // constructors — byte-identical pass-throughs of their externally-seeded
 // twins that additionally implement sched.Checkpointer, so campaign runs are
-// checkpointable (restore-check, resumable runs) without changing a single
-// record byte.
+// checkpointable (the -check restore cell, resumable runs) without changing a
+// single record byte.
 func (s SchedulerSpec) Build(seed int64) (sched.Scheduler, error) {
 	s = s.effective()
 	switch s.Kind {
@@ -257,7 +257,7 @@ type Scenario struct {
 	// > 0 forces it on, < 0 forces dense execution, and 0 (the default)
 	// auto-enables it. Frontier runs are byte-identical to dense runs for
 	// equal seeds at every parallelism — enforced by the differential
-	// harness and by cmd/campaign -frontier-check — so the knob never
+	// harness and by cmd/campaign -check frontier — so the knob never
 	// changes record bytes, only wall time: near-quiescent schedules
 	// (round-robin, laggard) skip settled nodes wholesale instead of
 	// re-deriving Θ(n) no-op transitions per step.
@@ -265,7 +265,7 @@ type Scenario struct {
 	// WordParallel, when set, asks the AU engines for bit-planed batch
 	// transition evaluation (see sim.Options.WordParallel). Word-parallel
 	// runs are byte-identical to scalar runs for equal seeds — enforced by
-	// the engine differential suite and by cmd/campaign -plane-check — so
+	// the engine differential suite and by cmd/campaign -check word — so
 	// the knob never changes record bytes, only wall time. Default off:
 	// committed campaign records predate the word path and must stay
 	// stable. The engine silently falls back to scalar execution when the
@@ -274,9 +274,9 @@ type Scenario struct {
 	// MonitorOracle, when set, cross-checks the incremental GoodMonitor
 	// verdict against the full-scan GraphGood oracle at every stabilization
 	// poll, failing the record on divergence. It costs O(n·Δ) per step —
-	// it exists for the churn differential guard (cmd/campaign
-	// -churn-check), not for production sweeps — and never changes record
-	// bytes while the verdicts agree.
+	// it exists for the differential guard (cmd/campaign -check arms it on
+	// every local side), not for production sweeps — and never changes
+	// record bytes while the verdicts agree.
 	MonitorOracle bool
 	// Obs, when set, attaches sampled step tracing and flight recording
 	// to the run's engine. Sampling is keyed by step number, so records

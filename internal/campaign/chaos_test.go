@@ -3,7 +3,6 @@ package campaign_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -15,8 +14,8 @@ import (
 
 // chaosScenarios is the mixed workload of the chaos tests: the resume set
 // plus a per-node-coin (Parallelism 2) and a word+frontier AU scenario, so
-// the demotion sites have something to bite. ChaosCheck fails if any armed
-// site is never evaluated, so the workload must reach every one.
+// the demotion sites have something to bite. The chaos side fails if any
+// armed site is never evaluated, so the workload must reach every one.
 func chaosScenarios(seed int64) []campaign.Scenario {
 	base := []campaign.Scenario{
 		{Family: graph.FamilyCycle, N: 10, Scheduler: campaign.Synchronous, Algorithm: campaign.AlgAU},
@@ -31,22 +30,19 @@ func chaosScenarios(seed int64) []campaign.Scenario {
 	return campaign.Finalize(seed, base)
 }
 
-// TestChaosCheck is the chaos soak: the full differential — undisturbed run
-// vs seeded fault schedule with kill-and-resume — on a mixed workload. CI
-// runs it under -race; cmd/campaign -chaos-check is the same code over the
-// smoke preset.
+// TestChaosCheck is the chaos soak: the chaos side — a seeded fault
+// schedule with kill-and-resume — scored by Differential against the dense
+// scalar reference on a mixed workload. CI runs it under -race; cmd/campaign
+// -check chaos is the same side over the smoke preset.
 func TestChaosCheck(t *testing.T) {
 	var out bytes.Buffer
-	failures := campaign.ChaosCheck(&out, chaosScenarios(7), campaign.ChaosOptions{
-		Seed:    3,
-		Workers: 4,
-		Dir:     t.TempDir(),
-	})
-	if failures != 0 {
+	dense := campaign.LocalSide("dense", 4, func(sc *campaign.Scenario) { sc.Frontier, sc.WordParallel = -1, false })
+	chaos := campaign.ChaosSide(campaign.ChaosOptions{Seed: 3, Workers: 4, Dir: t.TempDir()})
+	if failures := campaign.Differential(context.Background(), &out, chaosScenarios(7), dense, chaos); failures != 0 {
 		t.Fatalf("chaos check failed:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "byte-identical under faults") {
-		t.Fatalf("unexpected chaos-check output:\n%s", out.String())
+	if !strings.Contains(out.String(), "chaos[-chaos-seed 3] OK") {
+		t.Fatalf("unexpected chaos side output:\n%s", out.String())
 	}
 }
 
@@ -82,39 +78,27 @@ func TestExecuteIsolatedQuarantine(t *testing.T) {
 // is invisible in the final record except for its Retries count — and
 // Canonical strips even that, restoring byte-identity.
 func TestRunnerRetriesTransient(t *testing.T) {
-	scenarios := chaosScenarios(7)[:2]
-
-	clean, err := (&campaign.Runner{Workers: 1}).Run(context.Background(), scenarios)
-	if err != nil {
-		t.Fatal(err)
+	var chaos []campaign.Record
+	retried := campaign.Side{Name: "retried", Run: func(ctx context.Context, scs []campaign.Scenario) ([]campaign.Record, error) {
+		failpoint.Arm(failpoint.New(1, []failpoint.Rule{
+			{Site: failpoint.CampaignWorker, Kind: failpoint.FailPanic, Hits: []uint64{1}},
+		}))
+		defer failpoint.Disarm()
+		return (&campaign.Runner{Workers: 1, Retry: campaign.RetryPolicy{Max: 2}}).Run(ctx, scs)
+	}}
+	var out bytes.Buffer
+	if campaign.Differential(context.Background(), &out, chaosScenarios(7)[:2],
+		campaign.LocalSide("clean", 1, nil), capture(retried, &chaos)) > 0 {
+		t.Fatalf("records diverged after retry:\n%s", out.String())
 	}
-
-	failpoint.Arm(failpoint.New(1, []failpoint.Rule{
-		{Site: failpoint.CampaignWorker, Kind: failpoint.FailPanic, Hits: []uint64{1}},
-	}))
-	defer failpoint.Disarm()
-	chaos, err := (&campaign.Runner{Workers: 1, Retry: campaign.RetryPolicy{Max: 2}}).
-		Run(context.Background(), scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(chaos) != len(clean) {
-		t.Fatalf("%d records, want %d", len(chaos), len(clean))
-	}
-	retried := 0
-	for i := range chaos {
-		if chaos[i].Retries > 0 {
-			retried++
-		}
-		a, _ := json.Marshal(clean[i].Canonical())
-		b, _ := json.Marshal(chaos[i].Canonical())
-		if !bytes.Equal(a, b) {
-			t.Fatalf("record %d diverged after retry:\n%s\nvs\n%s", i, a, b)
+	n := 0
+	for _, rec := range chaos {
+		if rec.Retries > 0 {
+			n++
 		}
 	}
-	if retried != 1 {
-		t.Fatalf("%d records retried, want exactly 1", retried)
+	if n != 1 {
+		t.Fatalf("%d records retried, want exactly 1", n)
 	}
 }
 
@@ -173,26 +157,25 @@ func TestScenarioTimeout(t *testing.T) {
 // demotion, and its canonical bytes match an undisturbed run (frontier mode
 // is byte-transparent).
 func TestDemotionLadder(t *testing.T) {
-	sc := chaosScenarios(7)[2] // random-subset AU: frontier-enabled by default
-	clean := campaign.Execute(context.Background(), sc)
-	if !clean.OK {
-		t.Fatalf("baseline run failed: %s", clean.Err)
+	// Random-subset AU: frontier-enabled by default.
+	scs := chaosScenarios(7)[2:3]
+	var demoted []campaign.Record
+	armed := campaign.Side{Name: "demoted", Run: func(ctx context.Context, scs []campaign.Scenario) ([]campaign.Record, error) {
+		failpoint.Arm(failpoint.New(1, []failpoint.Rule{
+			{Site: failpoint.SimFrontierInvariant, Kind: failpoint.FailError, Hits: []uint64{2}},
+		}))
+		defer failpoint.Disarm()
+		return (&campaign.Runner{Workers: 1}).Run(ctx, scs)
+	}}
+	var out bytes.Buffer
+	if campaign.Differential(context.Background(), &out, scs,
+		campaign.LocalSide("clean", 1, nil), capture(armed, &demoted)) > 0 {
+		t.Fatalf("demoted record diverged:\n%s", out.String())
 	}
-
-	failpoint.Arm(failpoint.New(1, []failpoint.Rule{
-		{Site: failpoint.SimFrontierInvariant, Kind: failpoint.FailError, Hits: []uint64{2}},
-	}))
-	defer failpoint.Disarm()
-	rec := campaign.Execute(context.Background(), sc)
-	if !rec.OK {
-		t.Fatalf("demoted run failed: %s", rec.Err)
+	if !demoted[0].OK {
+		t.Fatalf("demoted run failed: %s", demoted[0].Err)
 	}
-	if rec.Demotions != 1 {
-		t.Fatalf("Demotions = %d, want 1", rec.Demotions)
-	}
-	a, _ := json.Marshal(clean.Canonical())
-	b, _ := json.Marshal(rec.Canonical())
-	if !bytes.Equal(a, b) {
-		t.Fatalf("demoted record diverged:\n%s\nvs\n%s", a, b)
+	if demoted[0].Demotions != 1 {
+		t.Fatalf("Demotions = %d, want 1", demoted[0].Demotions)
 	}
 }

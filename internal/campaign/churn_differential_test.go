@@ -1,9 +1,8 @@
 package campaign_test
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
-	"reflect"
 	"testing"
 
 	"thinunison/internal/campaign"
@@ -31,38 +30,55 @@ func churnScenarios(t *testing.T) []campaign.Scenario {
 	return out
 }
 
-// TestChurnDifferentialAcrossModes is the in-tree twin of cmd/campaign
-// -churn-check: every small bio-churn scenario must produce byte-identical
-// records dense-P1 vs frontier-P8, with the GoodMonitor full-scan oracle
-// armed on both sides, and must actually commit churn.
+// churnSide runs every scenario in a forced mode with the GoodMonitor
+// full-scan oracle armed.
+func churnSide(name string, frontier, parallelism int, word bool) campaign.Side {
+	return campaign.LocalSide(name, 0, func(sc *campaign.Scenario) {
+		sc.MonitorOracle = true
+		sc.Frontier, sc.Parallelism, sc.WordParallel = frontier, parallelism, word
+	})
+}
+
+// TestChurnDifferentialAcrossModes is the in-tree twin of CI's cmd/campaign
+// -preset bio-churn -check frontier: every small bio-churn scenario must
+// produce byte-identical records dense-P1 vs frontier-P8, with the
+// GoodMonitor full-scan oracle armed on both sides, and must actually commit
+// churn. Two D = 2 churn scenarios add the word × churn cells that no preset
+// reaches: churn doubles the clock's D, so bio-churn's D = 3 runs at d = 6,
+// where |Q| = 78 exceeds a word; at D = 2 the kernel runs (d = 4, |Q| = 54),
+// and the word side must actually take word steps.
 func TestChurnDifferentialAcrossModes(t *testing.T) {
 	ctx := context.Background()
-	for _, sc := range churnScenarios(t) {
-		sc.MonitorOracle = true
-		a := sc
-		a.Frontier, a.Parallelism = -1, 1
-		b := sc
-		b.Frontier, b.Parallelism = 1, 8
-		// Canonical zeroes wall time and reduces the engine block to its
-		// trajectory counters, which must survive the mode diff.
-		ra := campaign.Execute(ctx, a).Canonical()
-		rb := campaign.Execute(ctx, b).Canonical()
-		ja, err := json.Marshal(&ra)
-		if err != nil {
-			t.Fatal(err)
+	var out bytes.Buffer
+	var refs []campaign.Record
+	dense := capture(churnSide("dense-P1", -1, 1, false), &refs)
+	if campaign.Differential(ctx, &out, churnScenarios(t), dense, churnSide("frontier-P8", 1, 8, false)) > 0 {
+		t.Fatalf("bio-churn diverged:\n%s", out.String())
+	}
+	for _, rec := range refs {
+		if !rec.OK {
+			t.Fatalf("scenario %d failed: %s", rec.Scenario, rec.Err)
 		}
-		jb, err := json.Marshal(&rb)
-		if err != nil {
-			t.Fatal(err)
+		if rec.ChurnOps == 0 {
+			t.Fatalf("scenario %d committed no churn (%s)", rec.Scenario, rec.Churn)
 		}
-		if !reflect.DeepEqual(ja, jb) {
-			t.Fatalf("scenario %d diverged:\n  dense-P1:    %s\n  frontier-P8: %s", sc.Index, ja, jb)
-		}
-		if !ra.OK {
-			t.Fatalf("scenario %d failed: %s", sc.Index, ra.Err)
-		}
-		if ra.ChurnOps == 0 {
-			t.Fatalf("scenario %d committed no churn (%s)", sc.Index, ra.Churn)
+	}
+
+	wordScs := campaign.Finalize(5, []campaign.Scenario{
+		{Family: graph.FamilyBoundedD, N: 64, D: 2, Scheduler: campaign.Synchronous, Algorithm: campaign.AlgAU,
+			Churn: campaign.ChurnSpec{Period: 8, Flips: 1, Events: 12}},
+		{Family: graph.FamilyBoundedD, N: 64, D: 2, Scheduler: campaign.RandomSubset, Algorithm: campaign.AlgAU,
+			Faults: campaign.FaultSpec{Count: 8, Bursts: 2, SoakRounds: 4},
+			Churn:  campaign.ChurnSpec{Period: 16, Flips: 2, Crash: 1, Events: 8}},
+	})
+	var words []campaign.Record
+	word := capture(churnSide("word", -1, 1, true), &words)
+	if campaign.Differential(ctx, &out, wordScs, churnSide("dense-P1", -1, 1, false), word, churnSide("frontier+word", 1, 1, true)) > 0 {
+		t.Fatalf("word × churn diverged:\n%s", out.String())
+	}
+	for _, rec := range words {
+		if rec.Engine == nil || rec.Engine.WordSteps == 0 || rec.ChurnOps == 0 {
+			t.Fatalf("scenario %d: word side ran no word steps or no churn: churn_ops=%d engine=%+v", rec.Scenario, rec.ChurnOps, rec.Engine)
 		}
 	}
 }

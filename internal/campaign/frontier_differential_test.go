@@ -8,21 +8,11 @@ import (
 	"thinunison/internal/campaign"
 )
 
-// frontierRecordBytes executes sc with the given forced frontier mode and
-// engine parallelism and returns its record as canonical JSONL bytes.
-func frontierRecordBytes(t *testing.T, sc campaign.Scenario, frontier, parallelism int) []byte {
-	t.Helper()
-	sc.Frontier = frontier
-	sc.Parallelism = parallelism
-	// Canonical keeps the trajectory counters of the engine block in the
-	// diff (they must match across modes too) and strips only the
-	// mode-dependent ones.
-	rec := campaign.Execute(context.Background(), sc).Canonical()
-	var buf bytes.Buffer
-	if err := campaign.AppendJSONL(&buf, rec); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// pinned returns a side that forces the frontier mode and the coin source.
+func pinned(name string, frontier, parallelism int) campaign.Side {
+	return campaign.LocalSide(name, 0, func(sc *campaign.Scenario) {
+		sc.Frontier, sc.Parallelism = frontier, parallelism
+	})
 }
 
 // frontierDifferentialScenarios selects the differential slice of a preset:
@@ -79,19 +69,12 @@ func TestDifferentialFrontierPresets(t *testing.T) {
 			cap = 1000
 		}
 		scs := frontierDifferentialScenarios(t, preset, cap)
-		for _, sc := range scs {
-			// P = -1 draws from the shared rng stream; P >= 1 from
-			// per-(step, node) streams.
-			for _, p := range []int{-1, 1, 2, 8} {
-				dense := frontierRecordBytes(t, sc, -1, p)
-				front := frontierRecordBytes(t, sc, 1, p)
-				if !bytes.Equal(dense, front) {
-					t.Errorf("%s scenario %d (%s/%s/%s) P=%d: frontier diverged from dense:\ndense:    %sfrontier: %s",
-						preset, sc.Index, sc.Family, sc.Algorithm, sc.Scheduler.Name(), p, dense, front)
-				}
-			}
-			if t.Failed() {
-				return
+		// P = -1 draws from the shared rng stream; P >= 1 from per-(step,
+		// node) streams.
+		for _, p := range []int{-1, 1, 2, 8} {
+			var out bytes.Buffer
+			if campaign.Differential(context.Background(), &out, scs, pinned("dense", -1, p), pinned("frontier", 1, p)) > 0 {
+				t.Fatalf("%s P=%d: frontier diverged from dense:\n%s", preset, p, out.String())
 			}
 		}
 	}

@@ -29,30 +29,25 @@ func obsScenarios(seed int64) []campaign.Scenario {
 // run of the same scenario. Sampling is keyed by step number only, so this
 // must hold exactly, not approximately.
 func TestTracingDoesNotPerturbRecords(t *testing.T) {
-	for _, sc := range obsScenarios(4242) {
-		plain := campaign.Execute(context.Background(), sc).Canonical()
-		traced := sc
-		sink := &obs.Mem{}
-		traced.Obs = &campaign.ObsSpec{TraceEvery: 1, Sink: sink, FlightRing: 32}
-		got := campaign.Execute(context.Background(), traced).Canonical()
-
-		var want, have bytes.Buffer
-		if err := campaign.AppendJSONL(&want, plain); err != nil {
-			t.Fatal(err)
-		}
-		if err := campaign.AppendJSONL(&have, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want.Bytes(), have.Bytes()) {
-			t.Errorf("scenario %d (%s/%s): traced record diverged from untraced:\nplain:  %straced: %s",
-				sc.Index, sc.Family, sc.Algorithm, want.Bytes(), have.Bytes())
-		}
+	scs := obsScenarios(4242)
+	sinks := make([]*obs.Mem, len(scs))
+	for i := range sinks {
+		sinks[i] = &obs.Mem{}
+	}
+	traced := campaign.LocalSide("traced", 0, func(sc *campaign.Scenario) {
+		sc.Obs = &campaign.ObsSpec{TraceEvery: 1, Sink: sinks[sc.Index], FlightRing: 32}
+	})
+	var out bytes.Buffer
+	if campaign.Differential(context.Background(), &out, scs, campaign.LocalSide("plain", 0, nil), traced) > 0 {
+		t.Fatalf("traced records diverged from untraced:\n%s", out.String())
+	}
+	for i, sink := range sinks {
 		if len(sink.Samples) == 0 {
-			t.Errorf("scenario %d: dense sink captured no samples", sc.Index)
+			t.Errorf("scenario %d: dense sink captured no samples", i)
 		}
 		for _, s := range sink.Samples {
-			if s.Run != int64(sc.Index) {
-				t.Fatalf("scenario %d: sample tagged run %d", sc.Index, s.Run)
+			if s.Run != int64(i) {
+				t.Fatalf("scenario %d: sample tagged run %d", i, s.Run)
 			}
 		}
 	}

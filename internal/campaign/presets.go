@@ -182,9 +182,9 @@ func presetScaleSweep(seed int64) []Scenario {
 // Every destructive op is guarded (connectivity, diameter drift within the
 // churn-margined clock parameter) and event counts are finite, so each run
 // ends on a stabilizable topology and records stay deterministic. The
-// preset doubles as the input of the cmd/campaign -churn-check differential
-// guard, which re-runs it dense-P1 vs frontier-P8 with the GoodMonitor
-// full-scan oracle enabled.
+// preset doubles as the input of CI's cmd/campaign -parallelism 1 -check
+// frontier guard, which re-runs it dense vs frontier-sparse, both at P=1,
+// with the GoodMonitor full-scan oracle enabled.
 func presetBioChurn(seed int64) []Scenario {
 	steady := Matrix{
 		Families:       []graph.Family{graph.FamilyBoundedD, graph.FamilyGrid},

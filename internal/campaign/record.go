@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -87,11 +88,11 @@ type Record struct {
 
 // Canonical returns the record reduced to its byte-comparable form: wall
 // time zeroed and the engine block cut down to its trajectory counters
-// (obs.Snapshot.Trajectory). The differential suites and the cmd/campaign
-// -*-check modes diff this form, so execution modes may differ in how they
-// worked (evaluations, coin draws, word steps) but never in what
-// happened — trajectory-counter divergence fails the diff like any other
-// field.
+// (obs.Snapshot.Trajectory). Differential — behind the differential tests
+// and cmd/campaign -check — diffs this form, so execution modes may differ
+// in how they worked (evaluations, coin draws, word steps) but never in
+// what happened — trajectory-counter divergence fails the diff like any
+// other field.
 func (r Record) Canonical() Record {
 	r.WallMS = 0
 	// Harness bookkeeping: a chaos run that was retried or demoted and
@@ -155,6 +156,25 @@ func WriteJSONL(w io.Writer, recs []Record) error {
 // AppendJSONL encodes a single record as one JSONL line (streaming form).
 func AppendJSONL(w io.Writer, rec Record) error {
 	return json.NewEncoder(w).Encode(&rec)
+}
+
+// ParseJSONL parses JSONL records, the inverse of WriteJSONL. A final line
+// without its newline is a torn write and an error.
+func ParseJSONL(data []byte) ([]Record, error) {
+	var recs []Record
+	for len(data) > 0 {
+		nl := bytes.IndexByte(data, '\n')
+		if nl < 0 {
+			return nil, fmt.Errorf("campaign: torn trailing line after record %d", len(recs))
+		}
+		var rec Record
+		if err := json.Unmarshal(data[:nl], &rec); err != nil {
+			return nil, fmt.Errorf("campaign: parse record %d: %w", len(recs), err)
+		}
+		recs = append(recs, rec)
+		data = data[nl+1:]
+	}
+	return recs, nil
 }
 
 // csvHeader is the fixed CSV column order.

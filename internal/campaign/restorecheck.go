@@ -14,17 +14,18 @@ import (
 	"thinunison/internal/sim"
 )
 
-// This file is the campaign-level restore differential: the CI guard behind
-// `cmd/campaign -restore-check`, sitting next to -frontier-check /
-// -churn-check / -plane-check in the determinism battery. For every engine
-// mode (dense / frontier / word) × coin source × churn combination it runs the
-// same seeded AU workload twice — once uninterrupted for 2K steps, once
-// checkpointed at step K via Engine.SaveState and continued in a freshly
-// restored engine — and fails unless the two trajectories are identical
-// step for step (configurations, round structure, churn commits, topology,
-// trajectory metrics). This is the persistence half of the repo's
-// determinism story: the in-memory differentials prove modes agree with
-// each other; this one proves a snapshot boundary is invisible.
+// This file is the campaign-level restore differential: the restore cell of
+// `cmd/campaign -check`. For every engine mode (dense / frontier / word) ×
+// coin source × churn combination it runs the same seeded AU workload twice
+// — once uninterrupted for 2K steps, once checkpointed at step K via
+// Engine.SaveState and continued in a freshly restored engine — and fails
+// unless the two trajectories are identical step for step (configurations,
+// round structure, churn commits, topology, trajectory metrics). This is
+// the persistence half of the repo's determinism story: Differential proves
+// every mode's records match the dense reference; this one proves a
+// snapshot boundary is invisible. It digests a sim engine's steps instead
+// of comparing records, so it is not a Differential side: restoring mid-run
+// inside Execute would add code to the run path.
 
 // restoreCheckCase is one cell of the restore-check matrix.
 type restoreCheckCase struct {

@@ -8,7 +8,7 @@ import (
 )
 
 // TestRestoreCheck runs the full checkpoint/restore differential matrix —
-// the same harness `cmd/campaign -restore-check` gates CI with — so a
+// the same harness `cmd/campaign -check restore` gates CI with — so a
 // restore regression fails plain `go test` too.
 func TestRestoreCheck(t *testing.T) {
 	var buf bytes.Buffer

@@ -259,7 +259,7 @@ func (m *progressMeter) paint(now time.Time) {
 // timeouts) are retried up to Retry.Max times with exponential backoff. The
 // final record carries the retry count; deterministic scenarios converge to
 // the same bytes as an undisturbed run once the fault clears, which is what
-// ChaosCheck pins.
+// ChaosSide pins.
 func (r *Runner) executeWithRetry(ctx context.Context, sc Scenario) Record {
 	rec := ExecuteIsolated(ctx, sc)
 	for attempt := 1; attempt <= r.Retry.Max && rec.Transient() && ctx.Err() == nil; attempt++ {

@@ -336,7 +336,8 @@ func (s *Server) handleSubmit(conn net.Conn, req wire.Request) {
 }
 
 // Submit validates, persists and admits one run submission. It is exported
-// for in-process embedding (tests, cmd/campaign -daemon-check).
+// for in-process embedding in tests; clients, the remote cell of
+// cmd/campaign -check included, reach it through the socket handler.
 func (s *Server) Submit(spec wire.SubmitSpec) (wire.RunInfo, error) {
 	scenarios, err := spec.Scenarios()
 	if err != nil {
@@ -456,8 +457,8 @@ func (s *Server) startRun(r *run) bool {
 		runner := &campaign.Runner{
 			Workers: s.runWorkers(r.spec.Workers),
 			// Timing stays off: daemon records must be byte-identical to an
-			// in-process campaign run (the -daemon-check invariant), and
-			// wall time is the one nondeterministic field.
+			// in-process campaign run (the invariant of campaign -check's
+			// remote cell), and wall time is the one nondeterministic field.
 			Timing: false,
 			// Engine blocks are folded into the run and daemon aggregates in
 			// appendRecord, then stripped before journaling/streaming —

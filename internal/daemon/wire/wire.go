@@ -21,7 +21,7 @@
 // Record events carry the exact JSONL line the daemon journaled, as a
 // json.RawMessage: the client re-emits Record + "\n" verbatim, which is what
 // makes daemon-streamed output byte-identical to an in-process campaign run
-// (the invariant cmd/campaign -daemon-check enforces in CI).
+// (the invariant the remote cell of cmd/campaign -check enforces in CI).
 package wire
 
 import (

@@ -317,9 +317,6 @@ func Disarm() { active.Store(nil) }
 // so hot paths can gate their site evaluations on it.
 func Armed() bool { return active.Load() != nil }
 
-// Active returns the installed schedule, or nil.
-func Active() *Schedule { return active.Load() }
-
 // Eval evaluates site against the global schedule. With no schedule armed it
 // returns the zero Fire at the cost of one atomic load and zero allocations.
 func Eval(site Site) Fire {

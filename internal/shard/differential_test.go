@@ -9,6 +9,7 @@ package shard_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -46,42 +47,26 @@ func differentialScenarios() []campaign.Scenario {
 	return campaign.Finalize(1234, scs)
 }
 
-// recordBytes executes sc with the given forced Parallelism and returns its
-// record as canonical JSONL bytes (wall time zeroed, as the runner does for
-// reproducible output).
-func recordBytes(t *testing.T, sc campaign.Scenario, parallelism int) []byte {
-	t.Helper()
-	sc.Parallelism = parallelism
-	// Canonical also reduces the engine block to its trajectory counters,
-	// which must agree across positive Parallelism like every other record
-	// field.
-	rec := campaign.Execute(context.Background(), sc).Canonical()
-	var buf bytes.Buffer
-	if err := campaign.AppendJSONL(&buf, rec); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// at returns a side that forces Parallelism. campaign.Differential scores
+// its canonical records, whose engine block keeps the trajectory counters,
+// which must agree across positive Parallelism like every other record
+// field.
+func at(parallelism int) campaign.Side {
+	return campaign.LocalSide(fmt.Sprintf("P=%d", parallelism), 0, func(sc *campaign.Scenario) {
+		sc.Parallelism = parallelism
+	})
 }
 
 // TestDifferentialCampaignRecords pins that positive Parallelism values are
 // interchangeable: for every scenario in the family × scheduler × fault ×
 // algorithm matrix, the full JSONL record at P ∈ {2, 3, 8} must be
 // byte-identical to the P=1 record of the same seed — stabilization rounds,
-// steps, recovery rounds, budgets and verdicts alike.
+// steps, recovery rounds, budgets and verdicts alike — and the P=1 record
+// must be ok (Differential fails a reference record that is not).
 func TestDifferentialCampaignRecords(t *testing.T) {
-	for _, sc := range differentialScenarios() {
-		ref := recordBytes(t, sc, 1)
-		if !bytes.Contains(ref, []byte(`"ok":true`)) {
-			t.Fatalf("scenario %d (%s/%s/%s) did not stabilize at P=1: %s",
-				sc.Index, sc.Family, sc.Algorithm, sc.Scheduler.Name(), ref)
-		}
-		for _, p := range []int{2, 3, 8} {
-			got := recordBytes(t, sc, p)
-			if !bytes.Equal(ref, got) {
-				t.Errorf("scenario %d (%s/%s/%s): P=%d record diverged from P=1:\nP=1: %sP=%d: %s",
-					sc.Index, sc.Family, sc.Algorithm, sc.Scheduler.Name(), p, ref, p, got)
-			}
-		}
+	var out bytes.Buffer
+	if campaign.Differential(context.Background(), &out, differentialScenarios(), at(1), at(2), at(3), at(8)) > 0 {
+		t.Fatalf("positive Parallelism values diverged:\n%s", out.String())
 	}
 }
 
@@ -92,16 +77,15 @@ func TestDifferentialCampaignRecords(t *testing.T) {
 // is a different — equally valid — probability space, so no such parity is
 // expected there.)
 func TestDifferentialAUClassicParity(t *testing.T) {
+	var au []campaign.Scenario
 	for _, sc := range differentialScenarios() {
-		if sc.Algorithm != campaign.AlgAU {
-			continue
+		if sc.Algorithm == campaign.AlgAU {
+			au = append(au, sc)
 		}
-		shared := recordBytes(t, sc, -1)
-		perNode := recordBytes(t, sc, 4)
-		if !bytes.Equal(shared, perNode) {
-			t.Errorf("scenario %d (%s/%s): per-node-stream AU diverged from shared-stream:\nshared:   %sper-node: %s",
-				sc.Index, sc.Family, sc.Scheduler.Name(), shared, perNode)
-		}
+	}
+	var out bytes.Buffer
+	if campaign.Differential(context.Background(), &out, au, at(-1), at(4)) > 0 {
+		t.Fatalf("per-node-stream AU diverged from shared-stream:\n%s", out.String())
 	}
 }
 

@@ -42,8 +42,8 @@
 // bookkeeping, scheduler position) and Restore rebuilds an engine in a
 // fresh process that continues the run byte-identically — run K steps,
 // snapshot, restore, run K more ≡ an uninterrupted 2K-step run, in every
-// mode × coin source × churn cell. See snapshot.go; the campaign
-// -restore-check guard enforces the contract in CI.
+// mode × coin source × churn cell. See snapshot.go; the restore cell of
+// campaign -check enforces the contract in CI.
 package sim
 
 import (
@@ -244,7 +244,7 @@ type Options struct {
 	// next == cur ⟺ settled) makes word runs byte-identical to scalar runs
 	// of the same seed in every mode — dense or frontier, either coin
 	// source, with or without churn — which the differential suites and the
-	// campaign -plane-check guard enforce.
+	// word cells of campaign -check enforce.
 	//
 	// The fused goodness plane additionally certifies full-refresh steps,
 	// and the engine hands a certified step's changes to a
@@ -530,10 +530,6 @@ func (e *Engine) StepCount() int { return e.step }
 
 // Rounds returns the number of completed rounds R(i) <= current time.
 func (e *Engine) Rounds() int { return e.tracker.Rounds() }
-
-// RoundBoundary returns R(i) in steps. Only the most recent boundaries are
-// retained (see sched.RoundTracker.Boundary).
-func (e *Engine) RoundBoundary(i int) int { return e.tracker.Boundary(i) }
 
 // LastActivated returns the activation set of the most recent step. On a
 // frontier engine whose scheduler summarized A_t instead of materializing

@@ -19,7 +19,7 @@ import (
 // run K more, and the trajectory (configurations, rounds, churn, metrics,
 // coin streams) matches an uninterrupted 2K-step run exactly, in every
 // execution mode (dense/frontier/word, either coin source, with or without
-// churn). The campaign -restore-check differential enforces the contract.
+// churn). The restore cell of campaign -check enforces the contract.
 //
 // Every rng the trajectory depends on and a checkpoint must carry — the
 // shared coin stream, the churn stream, a seeded scheduler's stream — is a

@@ -1,9 +1,6 @@
-// Package trace records per-round summary series of algorithm executions
-// and exports them as CSV for plotting. Recorder covers AlgAU (faulty-node
-// counts, protected-edge counts, clock spread, transition-type counts);
-// TaskRecorder covers the procedural tasks (AlgMIS, AlgLE) with per-round
-// local-stability, restart and output-weight series, so all three
-// algorithms of the paper produce per-round series. Round-edge detection is
+// Package trace records per-round summary series of AlgAU executions
+// (faulty-node counts, protected-edge counts, clock spread, transition-type
+// counts) and exports them as CSV for plotting. Round-edge detection is
 // shared with the engine-level samplers through obs.RoundGate; step-grained
 // engine telemetry lives in internal/obs.
 package trace
