@@ -14,12 +14,13 @@
 // -timing off (the default), output is byte-identical for equal seeds, so
 // campaign runs can serve as regression golden files.
 //
-// -parallelism picks the engines' coin source: positive values draw
-// per-(step, node) streams, negative values the shared stream, and 0 picks
-// by scenario size. AU scenarios run frontier-sparse by default (settled
-// nodes are skipped until their neighborhood changes); -frontier forces the
-// mode on or off, and -word opts AU scenarios into word-parallel
-// (bit-planed batch) transition evaluation. Neither changes record bytes.
+// -parallelism picks the coin source of the MIS/LE engine: positive values
+// draw per-(step, node) streams, negative values the shared stream, and 0
+// picks by scenario size. The AU engine has one coin stream and ignores it.
+// AU scenarios run frontier-sparse by default (settled nodes are skipped
+// until their neighborhood changes); -frontier forces the mode on or off,
+// and -word opts AU scenarios into word-parallel (bit-planed batch)
+// transition evaluation. Neither changes record bytes.
 //
 // -check LIST runs the preset as a differential guard instead of a normal
 // campaign: campaign.Differential runs every scenario on the reference (the
@@ -29,10 +30,11 @@
 // reference's, naming the first differing field and the seed. The cells are
 // the engine modes frontier, word and frontier+word (-parallelism pins the
 // coin source on every side); remote, an in-process unisond on a unix
-// socket with -parallelism, -frontier and -word forwarded; chaos, a seeded
-// fault schedule (-chaos-seed) with a kill-and-resume; and restore, the
-// checkpoint/restore matrix over every engine mode × coin source × churn
-// combination (it ignores -preset).
+// socket with -parallelism, -frontier and -word forwarded; and chaos, a
+// seeded fault schedule (-chaos-seed) with a kill-and-resume. The
+// checkpoint/restore matrix is no cell: it runs in the engine tests
+// (sim.TestRestoreDifferential, TestRestoreWithCrashVictimsDown and the
+// asyncsim and syncsim restore differentials).
 //
 // The campaign harness is itself self-stabilizing (see internal/failpoint):
 // workers are panic-isolated, -retries re-runs transient failures with
@@ -79,18 +81,15 @@ var modeCells = map[string]func(*campaign.Scenario){
 }
 
 // checkCells lists every -check name, in help order.
-var checkCells = []string{"frontier", "word", "frontier+word", "remote", "chaos", "restore"}
+var checkCells = []string{"frontier", "word", "frontier+word", "remote", "chaos"}
 
 // check runs the -check differential: the scenarios run once on the dense
-// scalar reference and once per listed record cell, with the GoodMonitor
-// full-scan oracle armed on every local side, and every record must be ok
-// and byte-identical to the reference. The restore cell runs the
-// sim-level checkpoint matrix (campaign.RestoreCheck) instead. Returns a
-// process exit code.
+// scalar reference and once per listed cell, with the GoodMonitor full-scan
+// oracle armed on every local side, and every record must be ok and
+// byte-identical to the reference. Returns a process exit code.
 func check(cells []string, scenarios []campaign.Scenario, workers int, remote wire.SubmitSpec, chaosSeed int64) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	failures := 0
 	var sides []campaign.Side
 	for _, cell := range cells {
 		switch cell {
@@ -98,22 +97,17 @@ func check(cells []string, scenarios []campaign.Scenario, workers int, remote wi
 			sides = append(sides, remoteSide(remote))
 		case "chaos":
 			sides = append(sides, campaign.ChaosSide(campaign.ChaosOptions{Seed: chaosSeed, Workers: workers}))
-		case "restore":
-			failures += campaign.RestoreCheck(os.Stderr)
 		default:
 			sides = append(sides, campaign.LocalSide(cell, workers, modeCells[cell]))
 		}
 	}
-	if len(sides) > 0 {
-		for i := range scenarios {
-			scenarios[i].MonitorOracle = true
-		}
-		dense := campaign.LocalSide("dense", workers, func(sc *campaign.Scenario) {
-			sc.Frontier, sc.WordParallel = -1, false
-		})
-		failures += campaign.Differential(ctx, os.Stderr, scenarios, dense, sides...)
+	for i := range scenarios {
+		scenarios[i].MonitorOracle = true
 	}
-	if failures > 0 {
+	dense := campaign.LocalSide("dense", workers, func(sc *campaign.Scenario) {
+		sc.Frontier, sc.WordParallel = -1, false
+	})
+	if failures := campaign.Differential(ctx, os.Stderr, scenarios, dense, sides...); failures > 0 {
 		fmt.Fprintf(os.Stderr, "campaign: -check FAILED: %d failure(s)\n", failures)
 		return 1
 	}
@@ -171,9 +165,9 @@ func run() int {
 		timing  = flag.Bool("timing", false, "include wall_ms in records (breaks byte-for-byte reproducibility)")
 		quiet   = flag.Bool("quiet", false, "suppress the aggregate table on stderr")
 		timeout = flag.Duration("timeout", 0, "abort the campaign after this duration (0 = none)")
-		par     = flag.Int("parallelism", 0, "engine coin source: any value >0 draws per-(step, node) coin streams (all positive values are interchangeable), <0 forces the shared stream, 0 picks per-node streams from campaign.ShardThreshold nodes; the sign shows in the records of coin-driven programs (MIS, LE)")
+		par     = flag.Int("parallelism", 0, "coin source of the MIS/LE engine: any value >0 draws per-(step, node) coin streams (all positive values are interchangeable), <0 forces the shared stream, 0 picks per-node streams from campaign.ShardThreshold nodes; the sign shows in MIS and LE records (the AU engine has one coin stream and ignores this flag)")
 		front   = flag.Int("frontier", 0, "frontier-sparse AU execution: >0 forces it on, <0 forces dense execution, 0 auto-enables (records are identical either way)")
-		checks  = flag.String("check", "", "differential guard instead of a normal campaign: run every scenario on the dense scalar reference and on each listed cell, with the GoodMonitor full-scan oracle armed, and fail unless every record is ok and byte-identical to the reference; cells: "+strings.Join(checkCells, ", ")+" (restore runs the checkpoint/restore matrix, which ignores -preset)")
+		checks  = flag.String("check", "", "differential guard instead of a normal campaign: run every scenario on the dense scalar reference and on each listed cell, with the GoodMonitor full-scan oracle armed, and fail unless every record is ok and byte-identical to the reference; cells: "+strings.Join(checkCells, ", ")+" (the checkpoint/restore matrix is no cell: it runs in go test, in sim.TestRestoreDifferential and the asyncsim and syncsim restore differentials)")
 		fork    = flag.String("fork", "", "fork mode: restore this unisonsim checkpoint into -fork-futures perturbed continuations (future f suffers f+1 transient faults) and emit one record per future (ignores -preset)")
 		futures = flag.Int("fork-futures", 8, "number of alternative futures -fork runs")
 		word    = flag.Bool("word", false, "force word-parallel (bit-planed batch) AU execution; falls back to scalar when the algorithm offers no word kernel (records are identical either way)")

@@ -1,8 +1,8 @@
 // Command hotpathbench measures the simulation hot path and writes the
 // BENCH_hotpath.json perf artifact: step throughput and allocation counts on
-// scale-sweep-sized AlgAU instances, stabilization and fault-storm recovery
-// wall times, the speedup of the incremental stabilization monitor over the
-// pre-incremental full-graph rescan, the frontier series (dense vs
+// scale-sweep-sized AlgAU instances, fault-storm recovery wall times, the
+// speedup of the incremental stabilization monitor over the pre-incremental
+// full-graph rescan, the frontier series (dense vs
 // frontier-sparse execution on the quiescent steady step and on post-fault
 // recovery; -frontier-gate fails the run if the quiescent speedup regresses
 // below the given ratio), the obs series
@@ -167,8 +167,8 @@ func main() {
 		})
 	}
 
-	// Stabilization from a random configuration, and fault-storm recovery,
-	// with both predicate modes: the ratio is the incremental monitor's win.
+	// Fault-storm recovery with both predicate modes: the ratio is the
+	// incremental monitor's win.
 	record := func(scenario string, n, iters int, fn func(mode hotpath.Mode) func(b *testing.B)) {
 		inc := measure(hotpath.Name(scenario, n, hotpath.Incremental), n, iters, fn(hotpath.Incremental))
 		full := measure(hotpath.Name(scenario, n, hotpath.FullScan), n, iters, fn(hotpath.FullScan))
@@ -178,13 +178,6 @@ func main() {
 			IncrementalNs: inc.NsPerOp,
 			FullScanNs:    full.NsPerOp,
 			Speedup:       full.NsPerOp / inc.NsPerOp,
-		})
-	}
-	for _, n := range []int{1000, 10000} {
-		// 20 iterations: the stabilize ratio compares two full stacks whose
-		// gap is tens of percent; 5 iterations left it noise-dominated.
-		record("stabilize", n, 20, func(m hotpath.Mode) func(b *testing.B) {
-			return hotpath.Stabilize(n, m)
 		})
 	}
 	const faults = 16

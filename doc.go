@@ -31,18 +31,20 @@
 //     per-step full-graph rescans, the graph substrate uses a CSR adjacency
 //     layout, and the steady step loop performs zero allocations (see
 //     BENCH_hotpath.json, regenerated by cmd/hotpathbench);
-//   - two coin sources for randomized programs (sim.Options.Parallelism,
-//     asyncsim.NewParallel): the engine's single rng stream drawn in
-//     ascending activation order, or counter-based per-(step, node) streams
-//     (randx.NodeSeed) that do not depend on execution order. Campaigns pick
-//     per-node streams from campaign.ShardThreshold nodes; AlgAU draws no
-//     coins, so its runs are the same under both;
+//   - two coin sources for the coin-driven MIS/LE programs, which run on
+//     the asyncsim engine (asyncsim.NewParallel): the engine's single rng
+//     stream drawn in ascending activation order, or counter-based
+//     per-(step, node) streams (randx.NodeSeed) that do not depend on
+//     execution order. Campaigns pick per-node streams from
+//     campaign.ShardThreshold nodes. The AU engine (internal/sim) has one
+//     coin stream and ignores sim.Options.Parallelism; AlgAU draws no coins
+//     anyway;
 //   - an event-driven frontier-sparse mode for AlgAU (sim.Options.Frontier,
 //     on by default in campaigns): the engine keeps a per-node settled flag
 //     — δ on the node's current signal is certified a coin-free self-loop
 //     (sa.SelfLooper) — invalidated in O(deg v) when a neighborhood changes,
 //     so a near-quiescent step costs O(|frontier|) instead of Θ(n) while
-//     staying byte-identical to dense runs with either coin source (the
+//     staying byte-identical to dense runs (the
 //     frontier differential harness and the frontier cell of cmd/campaign
 //     -check enforce it; see the frontier series of BENCH_hotpath.json for
 //     the quiescent-regime speedups);
@@ -88,10 +90,13 @@
 //     graceful demotion of word/frontier modes on invariant violation, and
 //     crash-safe artifact IO — CRC-32C-verified snapshot containers written
 //     atomically (temp file + fsync + rename) and a torn-write-self-repairing
-//     resumable JSONL log with a CRC sidecar. The chaos cell of cmd/campaign
-//     -check pins it end to end: a preset under a seeded fault schedule with
-//     a kill-and-resume must produce records byte-identical to an
-//     undisturbed run;
+//     resumable JSONL log with a CRC sidecar. Engine checkpoints restore
+//     byte-identically in every mode; the restore matrix runs in go test
+//     (sim.TestRestoreDifferential, TestRestoreWithCrashVictimsDown and the
+//     asyncsim and syncsim restore differentials). The chaos cell of
+//     cmd/campaign -check pins it end to end: a preset under a seeded fault
+//     schedule with a kill-and-resume must produce records byte-identical
+//     to an undisturbed run;
 //   - a daemon mode (internal/daemon, served by cmd/unisond; thin client
 //     internal/daemonclient behind cmd/unisonctl and cmd/unisonsim -remote):
 //     a long-lived server on a unix-domain socket speaking length-prefixed
@@ -108,13 +113,13 @@
 // The engine-mode matrix, then, is: dense (the reference semantics),
 // frontier-sparse (Options.Frontier, near-quiescent workloads),
 // word-parallel (Options.WordParallel, dense batch evaluation) and topology
-// churn (Options.Churn), each with either coin source (Options.Parallelism).
-// Every run executes on one goroutine; parallelism comes from running many
-// scenarios at once. In internal/sim the modes are not separate code paths
-// but plugs of one step loop — the activation source (A_t or
-// A_t ∩ frontier), the coin source and the evaluator (scalar δ or the word
-// kernel) — so they compose freely and, for a given coin source, all
-// produce byte-identical trajectories for equal seeds. A
+// churn (Options.Churn). Every run executes on one goroutine; parallelism
+// comes from running many scenarios at once. In internal/sim the modes are
+// not separate code paths but plugs of one step loop — the activation
+// source (A_t or A_t ∩ frontier) and the evaluator (scalar δ or the word
+// kernel), with δ drawing from the engine's one coin stream — so they
+// compose freely and all produce byte-identical trajectories for equal
+// seeds. A
 // dense scalar reference stepper in the sim tests scores every combination,
 // and at campaign level campaign.Differential scores every mode, the daemon
 // and a fault-injected resume against the dense scalar path (cmd/campaign

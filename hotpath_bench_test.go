@@ -47,14 +47,6 @@ func BenchmarkHotPathSteadyStepTraced(b *testing.B) {
 	}
 }
 
-func BenchmarkHotPathStabilize(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		for _, mode := range []hotpath.Mode{hotpath.Incremental, hotpath.FullScan} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, mode), hotpath.Stabilize(n, mode))
-		}
-	}
-}
-
 func BenchmarkHotPathRecovery(b *testing.B) {
 	const faults = 16
 	for _, n := range []int{1000, 10000} {

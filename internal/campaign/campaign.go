@@ -101,8 +101,7 @@ func (s SchedulerSpec) effective() SchedulerSpec {
 // randomness from seed. The stochastic schedulers use the SEEDED
 // constructors — byte-identical pass-throughs of their externally-seeded
 // twins that additionally implement sched.Checkpointer, so campaign runs are
-// checkpointable (the -check restore cell, resumable runs) without changing a
-// single record byte.
+// checkpointable without changing a single record byte.
 func (s SchedulerSpec) Build(seed int64) (sched.Scheduler, error) {
 	s = s.effective()
 	switch s.Kind {
@@ -243,15 +242,15 @@ type Scenario struct {
 	// configuration, coin tosses, scheduler); it is derived from the
 	// campaign seed and Index, so equal campaigns replay byte-identically.
 	Seed int64
-	// Parallelism selects the coin source of the AU/MIS/LE engines (see
-	// sim.Options.Parallelism). Positive values are interchangeable: each
+	// Parallelism selects the coin source of the MIS/LE engine (see
+	// asyncsim.NewParallel). Positive values are interchangeable: each
 	// draws node v's coins at step t from a per-(step, node) stream. A
 	// negative value forces the engine's shared stream. Zero (the default)
 	// picks by size: per-node streams when N >= ShardThreshold, the shared
 	// stream below it. The choice depends only on the scenario, so records
-	// stay machine-independent, but the sign shows in the records of
-	// coin-driven programs (MIS, LE); AlgAU draws no coins, so its records
-	// are the same under either source.
+	// stay machine-independent, but the sign shows in MIS and LE records.
+	// The AU engine has one coin stream and ignores it, so AU records are
+	// the same at every value.
 	Parallelism int
 	// Frontier selects the AU engine's frontier-sparse execution mode:
 	// > 0 forces it on, < 0 forces dense execution, and 0 (the default)
@@ -301,14 +300,15 @@ type Scenario struct {
 // frontierEnabled resolves the scenario's effective frontier mode.
 func (sc Scenario) frontierEnabled() bool { return sc.Frontier >= 0 }
 
-// ShardThreshold is the node count from which Execute draws a scenario's
-// coins from per-(step, node) streams by default (Scenario.Parallelism 0).
+// ShardThreshold is the node count from which Execute draws an MIS/LE
+// scenario's coins from per-(step, node) streams by default
+// (Scenario.Parallelism 0).
 // The name dates from the sharded engines, for which those streams made
 // every worker count byte-identical; the rule is kept so records stay the
 // same. It is a pure function of the scenario, never of the machine.
 const ShardThreshold = 50_000
 
-// coinSource resolves the engines' Parallelism argument from the scenario:
+// coinSource resolves the MIS/LE engine's p argument from the scenario:
 // 1 for per-(step, node) coin streams, 0 for the shared stream.
 func (sc Scenario) coinSource() int {
 	if sc.Parallelism > 0 || sc.Parallelism == 0 && sc.N >= ShardThreshold {

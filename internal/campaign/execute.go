@@ -51,9 +51,9 @@ const exactDiameterLimit = 512
 //
 // Each run executes on one goroutine; parallelism comes from the runner's
 // run-level fan-out. Scenario.Parallelism picks only the coin source of the
-// AU/MIS/LE engines (per-node streams at or above ShardThreshold nodes by
-// default); the synchronized sync-mis/sync-le drivers always draw from the
-// shared stream.
+// MIS/LE engines (per-node streams at or above ShardThreshold nodes by
+// default); the AU engine and the synchronized sync-mis/sync-le drivers
+// always draw from one shared stream.
 //
 // AU engines additionally run frontier-sparse by default (settled nodes are
 // skipped until their neighborhood changes; see sim.Options.Frontier),
@@ -376,7 +376,6 @@ func runAU(ctx context.Context, sc Scenario, g *graph.Graph, d int, rng *rand.Ra
 	eng, err := sim.New(g, au, sim.Options{
 		Scheduler:    scheduler,
 		Seed:         rng.Int63(),
-		Parallelism:  sc.coinSource(),
 		Frontier:     sc.frontierEnabled(),
 		WordParallel: sc.WordParallel,
 		Churn:        churn,
@@ -577,7 +576,7 @@ func leTask(d int, rec *Record) task[le.State] {
 }
 
 // runSyncTask drives a synchronous program (plain AlgMIS/AlgLE) under the
-// synchronous schedule, with the coin source the AU engines get.
+// synchronous schedule, with the scenario's coin source (Scenario.Parallelism).
 func runSyncTask[S comparable](ctx context.Context, sc Scenario, g *graph.Graph, d int, rng *rand.Rand, rec *Record, t task[S], mx *obs.Metrics, tracer *obs.Tracer) {
 	if t.step == nil {
 		return // constructor already failed the record

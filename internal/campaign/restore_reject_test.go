@@ -116,7 +116,8 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 	type engine struct {
 		name, section string
 		layout        string // of a dense, shared-stream, churn-free run over n int states
-		faultBuf      int    // field indices into layout; -1 when absent
+		neighbors     int    // field indices into layout; -1 when absent
+		faultBuf      int
 		tracker       int
 		sched         int
 		rng           int
@@ -140,8 +141,8 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 		t.Fatal(err)
 	}
 	engines = append(engines, engine{
-		name: "sim", section: "engine", layout: "iiiiiIIIUiIBbbbbbBU",
-		faultBuf: 10, tracker: 11, sched: 17, rng: 8, snap: bytes.Clone(buf.Bytes()),
+		name: "sim", section: "engine", layout: "iiiiIIIUiIBbbbbBU",
+		neighbors: 5, faultBuf: 9, tracker: 10, sched: 15, rng: 7, snap: bytes.Clone(buf.Bytes()),
 		restore: func(data []byte) error {
 			_, _, err := sim.Restore(bytes.NewReader(data), au, sim.RestoreOptions{Scheduler: mkSched()})
 			return err
@@ -165,7 +166,7 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 		}
 		eng := engine{
 			name: "asyncsim", section: "asyncsim", layout: "iiiiII" + strings.Repeat("i", n) + "UiIBbbBU",
-			faultBuf: n + 8, tracker: n + 9, sched: n + 12, rng: n + 6, snap: bytes.Clone(buf.Bytes()),
+			neighbors: 5, faultBuf: n + 8, tracker: n + 9, sched: n + 12, rng: n + 6, snap: bytes.Clone(buf.Bytes()),
 			restore: func(data []byte) error {
 				_, _, err := asyncsim.Restore(bytes.NewReader(data), decode, asyncsim.RestoreOptions[int]{Step: step, Scheduler: mkSched()})
 				return err
@@ -199,6 +200,9 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 			{"fault buffer node out of range", eng.faultBuf, editInts(func(p []int) []int { p[0] = n; return p })},
 			{"fault buffer negative node", eng.faultBuf, editInts(func(p []int) []int { p[0] = -1; return p })},
 			{"fault buffer shorter than n", eng.faultBuf, editInts(func(p []int) []int { return p[:n-1] })},
+			// The cycle's N(0) = {1, 11} becomes {1, 2}: sorted, in range and
+			// loop-free, but 2 does not list 0 and 11 lists 0 one-way.
+			{"asymmetric adjacency", eng.neighbors, editInts(func(p []int) []int { p[1] = 2; return p })},
 		}
 		if eng.tracker >= 0 {
 			edits = append(edits,

@@ -421,7 +421,7 @@ func (s *Server) admitLocked() {
 // runWorkers sizes one run's run-level fan-out: its requested worker count
 // clamped to the fleet, defaulting to the fleet capacity split across the
 // maximum concurrent runs. Worker count never changes record bytes; the
-// engines' coin source is fixed by each scenario's Parallelism (see
+// MIS/LE engine's coin source is fixed by each scenario's Parallelism (see
 // campaign.Scenario), not by the fleet.
 func (s *Server) runWorkers(requested int) int {
 	w := requested

@@ -121,11 +121,11 @@ type SubmitSpec struct {
 	// Parallelism, Frontier and WordParallel override the engines' execution
 	// mode for every scenario of the run (see campaign.Scenario). Frontier
 	// and WordParallel are byte-transparent to records. Parallelism is not:
-	// it picks the coin source. Positive values are interchangeable
-	// (per-(step, node) streams), a negative value forces the shared
-	// stream, and zero keeps each scenario's own rule (per-node streams from
-	// campaign.ShardThreshold nodes). The sign shows in the records of
-	// coin-driven programs (MIS, LE).
+	// it picks the coin source of the MIS/LE engine. Positive values are
+	// interchangeable (per-(step, node) streams), a negative value forces
+	// the shared stream, and zero keeps each scenario's own rule (per-node
+	// streams from campaign.ShardThreshold nodes). The sign shows in MIS and
+	// LE records; the AU engine has one coin stream and ignores it.
 	Parallelism  int  `json:"parallelism,omitempty"`
 	Frontier     int  `json:"frontier,omitempty"`
 	WordParallel bool `json:"word_parallel,omitempty"`
@@ -327,8 +327,9 @@ func (sp SubmitSpec) Scenarios() ([]campaign.Scenario, error) {
 	}
 	// Overrides apply only when set, so a plain preset submission executes
 	// with the preset's own modes. Frontier and WordParallel are
-	// byte-transparent to records; Parallelism picks the coin source, whose
-	// sign shows in MIS and LE records (see SubmitSpec.Parallelism).
+	// byte-transparent to records; Parallelism picks the MIS/LE coin
+	// source, whose sign shows in MIS and LE records (see
+	// SubmitSpec.Parallelism).
 	for i := range scs {
 		if sp.Parallelism != 0 {
 			scs[i].Parallelism = sp.Parallelism

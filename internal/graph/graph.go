@@ -138,22 +138,27 @@ func New(n int, edges [][2]NodeID) (*Graph, error) {
 }
 
 // FromCSR reconstructs a graph directly from its compressed-sparse-row
-// adjacency (the inverse of CSR), validating shape: offsets must be a
-// non-decreasing [0..2m] ramp of length n+1 and every adjacency list must be
-// sorted, self-loop-free and in range. It exists for checkpoint restore
-// (internal/snapshot), where a saved graph — possibly mutated mid-run by
-// Delta churn, so not reproducible from any family builder — must come back
-// byte-identical. The slices are copied; the caller keeps ownership.
+// adjacency (the inverse of CSR), validating it: offsets must be a
+// non-decreasing [0..2m] ramp of length n+1, every adjacency list must be
+// sorted, self-loop-free and in range, and the relation must be symmetric.
+// It exists for checkpoint restore (internal/snapshot), where a saved graph
+// — possibly mutated mid-run by Delta churn, so not reproducible from any
+// family builder — must come back byte-identical. The slices are copied;
+// the caller keeps ownership.
 //
-// Symmetry of the adjacency relation is the caller's contract (a snapshot
-// written from a real Graph always satisfies it); validating it here would
-// double restore cost for no new information.
+// Symmetry costs one linear pass: walking v in ascending order, each
+// w ∈ N(v) must find v at the next unconsumed slot of w's sorted list.
 func FromCSR(n int, offsets []int, neighbors []NodeID) (*Graph, error) {
 	if n <= 0 {
 		return nil, ErrEmptyGraph
 	}
 	if len(offsets) != n+1 || offsets[0] != 0 || offsets[n] != len(neighbors) || len(neighbors)%2 != 0 {
 		return nil, fmt.Errorf("graph: malformed CSR (%d offsets, %d adjacency entries)", len(offsets), len(neighbors))
+	}
+	for v := 0; v < n; v++ {
+		if offsets[v+1] < offsets[v] {
+			return nil, fmt.Errorf("graph: CSR offsets decrease at node %d", v)
+		}
 	}
 	g := &Graph{
 		n:         n,
@@ -163,10 +168,9 @@ func FromCSR(n int, offsets []int, neighbors []NodeID) (*Graph, error) {
 	}
 	copy(g.offsets, offsets)
 	copy(g.neighbors, neighbors)
+	next := make([]int, n) // next[w]: the first slot of N(w) no earlier v matched
+	copy(next, offsets[:n])
 	for v := 0; v < n; v++ {
-		if offsets[v+1] < offsets[v] {
-			return nil, fmt.Errorf("graph: CSR offsets decrease at node %d", v)
-		}
 		prev := -1
 		for _, w := range g.Neighbors(v) {
 			if w < 0 || w >= n {
@@ -179,6 +183,10 @@ func FromCSR(n int, offsets []int, neighbors []NodeID) (*Graph, error) {
 				return nil, fmt.Errorf("graph: adjacency of node %d unsorted or duplicated", v)
 			}
 			prev = w
+			if next[w] == offsets[w+1] || neighbors[next[w]] != v {
+				return nil, fmt.Errorf("graph: node %d lists %d, which does not list it", v, w)
+			}
+			next[w]++
 		}
 	}
 	return g, nil

@@ -3,6 +3,7 @@ package graph_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -283,4 +284,60 @@ func TestFromFamily(t *testing.T) {
 	if _, err := graph.FromFamily("nope", 5, 1, rng); err == nil {
 		t.Error("unknown family should fail")
 	}
+}
+
+// csrBytes packs a graph's CSR into the fuzz encoding of FuzzFromCSR, one
+// signed byte per entry.
+func csrBytes(g *graph.Graph) (offsets, neighbors []byte) {
+	off, nb := g.CSR()
+	for _, x := range off {
+		offsets = append(offsets, byte(int8(x)))
+	}
+	for _, x := range nb {
+		neighbors = append(neighbors, byte(int8(x)))
+	}
+	return offsets, neighbors
+}
+
+// FuzzFromCSR feeds arbitrary (n, offsets, neighbors) triples, one signed
+// byte per entry, to FromCSR. Whatever it accepts must be a graph: every
+// listed pair (v, w) has its reverse edge, and CSR returns the input.
+func FuzzFromCSR(f *testing.F) {
+	cycle, err := graph.Cycle(12)
+	if err != nil {
+		f.Fatal(err)
+	}
+	off, nb := csrBytes(cycle)
+	f.Add(12, off, nb)
+	// The one-way case: N(0) = {1, 11} rewritten to {1, 2}.
+	oneWay := append([]byte(nil), nb...)
+	oneWay[1] = 2
+	f.Add(12, off, oneWay)
+	// Offsets that rise past the adjacency array before they fall back.
+	f.Add(2, []byte{0, 4, 2}, []byte{1, 0})
+	f.Fuzz(func(t *testing.T, n int, offBytes, nbBytes []byte) {
+		ints := func(b []byte) []int {
+			out := make([]int, len(b))
+			for i, x := range b {
+				out[i] = int(int8(x))
+			}
+			return out
+		}
+		offsets, neighbors := ints(offBytes), ints(nbBytes)
+		g, err := graph.FromCSR(n, offsets, neighbors)
+		if err != nil {
+			return
+		}
+		for v := 0; v < g.N(); v++ {
+			for _, w := range g.Neighbors(v) {
+				if !g.HasEdge(w, v) {
+					t.Fatalf("accepted a one-way edge: %d lists %d, which does not list it", v, w)
+				}
+			}
+		}
+		gotOff, gotNb := g.CSR()
+		if !slices.Equal(gotOff, offsets) || !slices.Equal(gotNb, neighbors) || 2*g.M() != len(neighbors) {
+			t.Fatalf("CSR round trip changed the input: offsets %v → %v, neighbors %v → %v", offsets, gotOff, neighbors, gotNb)
+		}
+	})
 }

@@ -154,43 +154,6 @@ func SteadyStepTraced(n int) func(b *testing.B) {
 	}
 }
 
-// Stabilize measures one full AlgAU stabilization from a random adversarial
-// configuration on an n-node instance under the synchronous scheduler. The
-// mode selects the whole hot-path generation: Incremental is today's stack
-// (frontier-sparse execution plus the two-regime GoodMonitor, which runs
-// witness scans until the graph first turns good and only then switches to
-// its counters), FullScan is the legacy stack (dense execution, GraphGood
-// rescan per step). Both walk byte-identical trajectories — same rounds/op —
-// so the ratio is pure bookkeeping cost. This scenario is the incremental
-// machinery's worst case: under the synchronous schedule almost every node
-// changes every step, so there is little quiescence for the frontier to skip
-// and the monitor's witness scan can at best match the full scan's early
-// exit; the committed artifact has the incremental side slower (0.84x at
-// n = 10^3, 0.93x at n = 10^4).
-func Stabilize(n int, mode Mode) func(b *testing.B) {
-	return func(b *testing.B) {
-		g, au, err := buildInstance(n, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		roundBudget := budget.AU(au.K())
-		total := 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng, err := sim.New(g, au, sim.Options{Seed: int64(i), Frontier: mode == Incremental})
-			if err != nil {
-				b.Fatal(err)
-			}
-			r, err := eng.RunUntil(goodCond(mode, au, g, eng), roundBudget)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += r
-		}
-		b.ReportMetric(float64(total)/float64(b.N), "rounds/op")
-	}
-}
-
 // Recovery measures one fault-storm recovery: an n-node instance is
 // stabilized once, then each iteration injects faults random corruptions and
 // runs back to stabilization under the round-robin scheduler (n steps per

@@ -12,7 +12,7 @@ import (
 func TestNames(t *testing.T) {
 	cases := []struct{ got, want string }{
 		{hotpath.Name("steady-step", 1000, hotpath.Incremental), "steady-step/n=1000/incremental"},
-		{hotpath.Name("stabilize", 10, hotpath.FullScan), "stabilize/n=10/fullscan"},
+		{hotpath.Name("recovery", 10, hotpath.FullScan), "recovery/n=10/fullscan"},
 		{hotpath.FrontierName("quiescent-steady-step", 100000, true), "quiescent-steady-step/n=100000/frontier"},
 		{hotpath.FrontierName("churn-recovery", 1000, false), "churn-recovery/n=1000/dense"},
 	}
@@ -63,8 +63,6 @@ func TestScenarioTable(t *testing.T) {
 		fn   func(b *testing.B)
 	}{
 		{"steady-step", hotpath.SteadyStep(n)},
-		{"stabilize/incremental", hotpath.Stabilize(n, hotpath.Incremental)},
-		{"stabilize/fullscan", hotpath.Stabilize(n, hotpath.FullScan)},
 		{"recovery/incremental", hotpath.Recovery(n, 4, hotpath.Incremental)},
 		{"quiescent/dense", hotpath.QuiescentSteadyStep(n, false)},
 		{"quiescent/frontier", hotpath.QuiescentSteadyStep(n, true)},

@@ -35,14 +35,13 @@ func churnSpec() *sim.ChurnSpec {
 
 // TestChurnDifferential is the churn half of the differential harness: under
 // mid-run topology churn, every execution mode — dense, frontier-sparse,
-// either at per-node coin streams (P ∈ {1, 2, 3, 8}), and word-parallel
-// dense or frontier at P ∈ {0, 1, 3} — must walk the configuration
-// trajectory of the shared-stream dense engine byte for byte, while the
-// GoodMonitor verdict matches the full-scan GraphGood oracle at every step.
-// The word cells feed the monitor certified batches interleaved with churn
-// rewires and the fault burst. AlgAU ignores rng, so both coin sources
-// coincide exactly; churn draws from its own stream, so it cannot skew any
-// of them.
+// either at P ∈ {1, 2, 3, 8}, and word-parallel dense or frontier at
+// P ∈ {0, 1, 3} — must walk the configuration trajectory of the P = 0 dense
+// engine byte for byte, while the GoodMonitor verdict matches the full-scan
+// GraphGood oracle at every step. The word cells feed the monitor certified
+// batches interleaved with churn rewires and the fault burst. The engine
+// ignores P; churn draws from its own stream, so it cannot skew the coin
+// stream.
 func TestChurnDifferential(t *testing.T) {
 	const seed = 7
 	au, err := core.NewAU(4)

@@ -65,7 +65,7 @@ func runTrajectory(t *testing.T, e *sim.Engine, steps int) []string {
 
 // TestFrontierMatchesDenseTrajectories is the engine-level differential
 // harness of frontier-sparse execution: for every graph × scheduler ×
-// coin source P ∈ {0, 1, 2, 8}, a frontier run must be
+// P ∈ {0, 1, 2, 8} (which the engine ignores), a frontier run must be
 // byte-identical to the dense run of the same seed at every step —
 // configurations, round counters and step counters alike — including
 // across a mid-run fault burst.

@@ -8,7 +8,6 @@ import (
 
 	"thinunison/internal/core"
 	"thinunison/internal/graph"
-	"thinunison/internal/randx"
 	"thinunison/internal/sa"
 	"thinunison/internal/sched"
 	"thinunison/internal/sim"
@@ -16,18 +15,14 @@ import (
 
 // refStepper is the dense scalar reference: the paper's step rule written
 // out directly, sharing no code with the engine's step loop. One rng draws
-// the initial configuration and then every coin, in ascending node order —
-// or, with per-node coins, node v's coins at step t come from a stream
-// seeded by randx.NodeSeed(seed, t, v); signals come straight from
-// g.Neighbors; all updates apply after every activated node has read C_t,
-// in ascending order.
+// the initial configuration and then every coin, in ascending node order;
+// signals come straight from g.Neighbors; all updates apply after every
+// activated node has read C_t, in ascending order.
 type refStepper struct {
 	g       *graph.Graph
 	alg     sa.Algorithm
 	sched   sched.Scheduler
 	rng     *rand.Rand
-	seed    int64
-	seq     *randx.Seq // per-node coin stream; nil draws from rng
 	cfg     sa.Config
 	step    int
 	rounds  int
@@ -37,7 +32,7 @@ type refStepper struct {
 }
 
 func newRefStepper(g *graph.Graph, alg sa.Algorithm, s sched.Scheduler, seed int64) *refStepper {
-	r := &refStepper{g: g, alg: alg, sched: s, rng: rand.New(rand.NewSource(seed)), seed: seed,
+	r := &refStepper{g: g, alg: alg, sched: s, rng: rand.New(rand.NewSource(seed)),
 		cfg: make(sa.Config, g.N()), seen: make([]bool, g.N()), unseen: g.N()}
 	for v := range r.cfg {
 		r.cfg[v] = r.rng.Intn(alg.NumStates())
@@ -61,12 +56,7 @@ func (r *refStepper) Step() {
 		for _, u := range r.g.Neighbors(v) {
 			sig.Set(r.cfg[u])
 		}
-		rng := r.rng
-		if r.seq != nil {
-			r.seq.Reseed(randx.NodeSeed(r.seed, r.step, v))
-			rng = rand.New(r.seq)
-		}
-		next[v] = r.alg.Transition(r.cfg[v], sig, rng)
+		next[v] = r.alg.Transition(r.cfg[v], sig, r.rng)
 		if !r.seen[v] {
 			r.seen[v], r.unseen = true, r.unseen-1
 		}
@@ -191,8 +181,8 @@ func latticeGraphs(t *testing.T) map[string]*graph.Graph {
 // {P ∈ 0,1,8} × {dense, frontier} × {scalar, word} × {synchronous,
 // round-robin, laggard, seeded random-subset} against the reference stepper:
 // per-step configurations and round counts must match, and a plain
-// observer's delivery sequence must too. AlgAU draws no coins, so every
-// coin source matches the one reference. Each cell runs three times — with
+// observer's delivery sequence must too. P is ignored by the engine, so
+// every P must match the one reference. Each cell runs three times — with
 // no observer, with a plain recording observer, and with a core.GoodMonitor
 // (on word cells, batched applies), whose verdict is checked against a
 // rescan.
@@ -239,13 +229,11 @@ func TestLatticeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRandomizedMatchesReference scores the coin-source plug over its whole
-// axis: a coin-hungry algorithm draws from the shared rng in ascending
-// activation order at P = 0 and from per-(step, node) streams at P = 1 and
-// P = 8, exactly as the reference with the matching source does, in every
-// mode the algorithm admits (it has neither a self-loop certificate nor a
-// word kernel, so frontier and word requests fall back to the dense scalar
-// evaluator).
+// TestRandomizedMatchesReference scores the coin draws: a coin-hungry
+// algorithm draws from the engine's one rng in ascending activation order,
+// exactly as the reference does, at every P and in every mode the algorithm
+// admits (it has neither a self-loop certificate nor a word kernel, so
+// frontier and word requests fall back to the dense scalar evaluator).
 func TestRandomizedMatchesReference(t *testing.T) {
 	const steps, seed = 60, 23
 	g, err := graph.BoundedDiameter(40, 3, rand.New(rand.NewSource(4)))
@@ -254,12 +242,8 @@ func TestRandomizedMatchesReference(t *testing.T) {
 	}
 	alg := randomizedAlg{}
 	for sname, mk := range refSchedulers() {
+		want := traceRef(newRefStepper(g, alg, mk(), seed), steps)
 		for _, p := range []int{0, 1, 8} {
-			ref := newRefStepper(g, alg, mk(), seed)
-			if p >= 1 {
-				ref.seq = &randx.Seq{}
-			}
-			want := traceRef(ref, steps)
 			for _, front := range []bool{false, true} {
 				for _, word := range []bool{false, true} {
 					name := fmt.Sprintf("%s/p=%d/frontier=%v/word=%v", sname, p, front, word)

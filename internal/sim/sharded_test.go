@@ -45,12 +45,10 @@ func shardedTestGraphs(t *testing.T) map[string]*graph.Graph {
 	return gs
 }
 
-// TestShardedAUMatchesSequential is the engine-level coin-source
-// differential for AlgAU: for every graph family and scheduler, an engine
-// drawing per-node coin streams (P ∈ {1, 2, 3, 8}) must track the
-// shared-stream engine (P = 0) configuration-for-configuration through steps
-// and fault bursts — AlgAU ignores rng, so both sources coincide
-// byte-for-byte.
+// TestShardedAUMatchesSequential pins that Parallelism is ignored for
+// AlgAU: for every graph family and scheduler, an engine built with
+// P ∈ {1, 2, 3, 8} must track the P = 0 engine configuration-for-
+// configuration through steps and fault bursts.
 func TestShardedAUMatchesSequential(t *testing.T) {
 	const seed = 42
 	au, err := core.NewAU(3)
@@ -97,9 +95,9 @@ func TestShardedAUMatchesSequential(t *testing.T) {
 }
 
 // randomizedAlg is a test algorithm that draws from rng on every transition,
-// so it exposes any dependence of the per-node coin-toss streams on
-// anything but (seed, step, node): nodes flip between states based on a
-// coin and their signal.
+// so it exposes any change in which stream its coins come from or in what
+// order they are drawn: nodes flip between states based on a coin and their
+// signal.
 type randomizedAlg struct{}
 
 func (randomizedAlg) NumStates() int           { return 4 }
@@ -114,19 +112,19 @@ func (randomizedAlg) Transition(q sa.State, sig sa.Signal, rng *rand.Rand) sa.St
 }
 
 // TestShardedRandomizedByteIdentical pins, on an rng-hungry algorithm, that
-// positive Parallelism values are interchangeable: equal seeds give
-// byte-identical configurations at every P >= 1.
+// the engine has one coin source: equal seeds give byte-identical
+// configurations at every P >= 1 and at P = 0.
 func TestShardedRandomizedByteIdentical(t *testing.T) {
 	const seed = 99
 	alg := randomizedAlg{}
 	for gname, g := range shardedTestGraphs(t) {
 		for sname, mk := range shardedSchedulers(seed) {
-			ref, err := sim.New(g, alg, sim.Options{Scheduler: mk(), Seed: seed, Parallelism: 1})
+			ref, err := sim.New(g, alg, sim.Options{Scheduler: mk(), Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
 			engines := []*sim.Engine{}
-			ps := []int{2, 3, 8}
+			ps := []int{1, 2, 3, 8}
 			for _, p := range ps {
 				e, err := sim.New(g, alg, sim.Options{Scheduler: mk(), Seed: seed, Parallelism: p})
 				if err != nil {
@@ -149,7 +147,7 @@ func TestShardedRandomizedByteIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !ref.Config().Equal(e.Config()) {
-						t.Fatalf("%s/%s: step %d: P=%d diverged from P=1", gname, sname, i, ps[j])
+						t.Fatalf("%s/%s: step %d: P=%d diverged from P=0", gname, sname, i, ps[j])
 					}
 				}
 			}
@@ -158,8 +156,8 @@ func TestShardedRandomizedByteIdentical(t *testing.T) {
 }
 
 // TestShardedGoodMonitorParity checks the monitor's O(1) not-good count
-// under every coin source: the verdict and BadNodes must agree with the
-// oracle GraphGood rescan after every step and fault burst.
+// at every P: the verdict and BadNodes must agree with the oracle GraphGood
+// rescan after every step and fault burst.
 func TestShardedGoodMonitorParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g, err := graph.BoundedDiameter(120, 3, rng)
@@ -212,7 +210,7 @@ func (r *applyRecorder) Apply(v int, q sa.State) { r.applies = append(r.applies,
 // order, so a scripted scheduler emitting an unsorted or duplicated list
 // leaked that order — and double-applied duplicated nodes' transitions —
 // into observer deliveries. The engine now canonicalizes A_t (ascending,
-// deduplicated) before staging, with either coin source.
+// deduplicated) before staging, at every P.
 func TestObserverCanonicalOrder(t *testing.T) {
 	g, err := graph.Cycle(8)
 	if err != nil {

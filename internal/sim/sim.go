@@ -10,24 +10,23 @@
 // receive each node state change so stabilization predicates are maintained
 // in O(|A_t|·Δ) per step rather than rescanned over the whole graph.
 //
-// Every execution mode runs one step loop (step.go) with three plugs:
+// Every execution mode runs one step loop (step.go) with two plugs:
 //
 //   - Activation source. Dense engines evaluate A_t; frontier-sparse
 //     engines (Options.Frontier) evaluate only A_t ∩ frontier, where the
 //     frontier holds the nodes whose δ on the current signal is not yet
 //     certified a coin-free self-loop (the algorithm's sa.SelfLooper
 //     capability), so a step costs O(|A_t ∩ frontier|·Δ).
-//   - Coin source. By default δ draws its coin tosses from the engine's
-//     single rng in ascending activation order; Options.Parallelism >= 1
-//     draws node v's coins at step t from a counter-based stream seeded by
-//     randx.NodeSeed(seed, t, v) instead.
 //   - Evaluator. The scalar δ, or the algorithm's word kernel
 //     (Options.WordParallel, see word.go), which also maintains a goodness
 //     plane that certifies full-refresh steps.
 //
-// The modes compose freely and stay byte-identical to one another for
-// equal seeds; the dense scalar reference stepper in the package tests
-// scores every combination against the paper's step rule.
+// δ draws its coin tosses from the engine's one rng stream, in ascending
+// activation order, in every mode. (The per-(step, node) coin source of the
+// MIS/LE programs belongs to internal/asyncsim.) The modes compose freely
+// and stay byte-identical to one another for equal seeds; the dense scalar
+// reference stepper in the package tests scores every combination against
+// the paper's step rule.
 //
 // The topology itself may churn mid-run: Options.Churn applies scripted or
 // stochastic graph.Delta mutations at step boundaries (cells die, divide
@@ -42,8 +41,9 @@
 // bookkeeping, scheduler position) and Restore rebuilds an engine in a
 // fresh process that continues the run byte-identically — run K steps,
 // snapshot, restore, run K more ≡ an uninterrupted 2K-step run, in every
-// mode × coin source × churn cell. See snapshot.go; the restore cell of
-// campaign -check enforces the contract in CI.
+// mode × churn cell. See snapshot.go; the restore matrix runs in go test:
+// TestRestoreDifferential and TestRestoreWithCrashVictimsDown here, and the
+// asyncsim and syncsim restore differentials for the procedural engine.
 package sim
 
 import (
@@ -143,13 +143,6 @@ type Engine struct {
 	changed []int
 	sig     sa.Signal
 
-	// Coin source of δ: coinRng is rng (the shared stream, nodeSeq nil), or
-	// a stream over nodeSeq reseeded per (step, node), whose draws nodeCoin
-	// counts.
-	coinRng  *rand.Rand
-	nodeSeq  *randx.Seq
-	nodeCoin *randx.Counting
-
 	fr     *frontierRuntime  // frontier-sparse runtime; nil in dense mode
 	churn  *churnRuntime     // topology-churn runtime; nil when Options.Churn is off
 	wr     *wordRuntime      // word-parallel runtime; nil in scalar mode
@@ -160,9 +153,8 @@ type Engine struct {
 	// branch-free atomic add. tracer is nil unless Options.Trace attached one.
 	mx     *obs.Metrics
 	tracer *obs.Tracer
-	src    *randx.Source   // the shared rng stream, checkpointed by its state
+	src    *randx.Source   // the rng stream, checkpointed by its state
 	coin   *randx.Counting // draw tally over src
-	seed   int64           // Options.Seed, retained for checkpointing
 
 	// stepAct/stepEval/stepChg are the current step's tallies, filled by the
 	// step loop and flushed into mx (and the tracer sample) once per step.
@@ -206,14 +198,11 @@ type Options struct {
 	// nil, the initial configuration).
 	Seed int64
 
-	// Parallelism selects the coin source of δ. P = 0 (the default) draws
-	// transition coin tosses from the engine's single rng stream in
-	// ascending activation order. P >= 1 draws node v's coins at step t
-	// from a counter-based stream seeded by randx.NodeSeed(seed, t, v),
-	// independent of execution order; every positive value means what 1
-	// means. For algorithms that ignore rng (AlgAU) both sources give
-	// byte-identical runs. The initial configuration and InjectFaults draw
-	// from the shared stream either way.
+	// Parallelism is ignored: the engine runs on its caller's goroutine
+	// and δ always draws from the one rng stream. It is kept so that
+	// existing callers, such as the benchmark module, still build. The
+	// per-(step, node) coin source lives in internal/asyncsim, where the
+	// coin-driven MIS/LE programs run.
 	Parallelism int
 
 	// Frontier enables frontier-sparse execution: the engine maintains a
@@ -224,10 +213,9 @@ type Options struct {
 	// instead of O(|A_t|·Δ). Schedulers implementing sched.SparseActivator
 	// additionally stop materializing O(n) activation slices.
 	//
-	// Frontier runs are byte-identical to dense runs of the same seed with
-	// either coin source: a skipped node provably keeps its state and — by
-	// the SelfLooper contract — would have consumed no randomness, so the
-	// shared rng stream and the per-(step, node) streams are both
+	// Frontier runs are byte-identical to dense runs of the same seed: a
+	// skipped node provably keeps its state and — by the SelfLooper
+	// contract — would have consumed no randomness, so the rng stream is
 	// undisturbed. The differential harness in internal/sim and
 	// internal/campaign enforces this.
 	//
@@ -242,9 +230,9 @@ type Options struct {
 	// precompiled masks, instead of the scalar per-node Signal construction
 	// and transition decoding. The kernel contract (deterministic, coin-free,
 	// next == cur ⟺ settled) makes word runs byte-identical to scalar runs
-	// of the same seed in every mode — dense or frontier, either coin
-	// source, with or without churn — which the differential suites and the
-	// word cells of campaign -check enforce.
+	// of the same seed in every mode — dense or frontier, with or without
+	// churn — which the differential suites and the word cells of campaign
+	// -check enforce.
 	//
 	// The fused goodness plane additionally certifies full-refresh steps,
 	// and the engine hands a certified step's changes to a
@@ -274,7 +262,7 @@ type Options struct {
 	// is repaired in the same motion. nil (or an empty spec) freezes the
 	// topology, the classic behavior. Churn draws from its own rng
 	// (ChurnSpec.Seed), so churn runs remain byte-identical across
-	// execution modes (dense/frontier, either coin source) exactly like
+	// execution modes (dense/frontier, scalar/word) exactly like
 	// churn-free runs.
 	Churn *ChurnSpec
 
@@ -297,9 +285,9 @@ func New(g *graph.Graph, alg sa.Algorithm, opts Options) (*Engine, error) {
 	if s == nil {
 		s = sched.NewSynchronous()
 	}
-	// The shared stream is a randx.Source: it draws what rand.NewSource
-	// draws, and a checkpoint saves its state. The counting wrapper is a
-	// pass-through that tallies the draws for the CoinDraws counter.
+	// The stream is a randx.Source: it draws what rand.NewSource draws, and
+	// a checkpoint saves its state. The counting wrapper is a pass-through
+	// that tallies the draws for the CoinDraws counter.
 	src := randx.NewSource(opts.Seed)
 	coin := randx.NewCounting(src)
 	rng := rand.New(coin)
@@ -328,14 +316,7 @@ func New(g *graph.Graph, alg sa.Algorithm, opts Options) (*Engine, error) {
 		tracer:  opts.Trace,
 		src:     src,
 		coin:    coin,
-		seed:    opts.Seed,
 		sig:     sa.NewSignal(alg.NumStates()),
-		coinRng: rng,
-	}
-	if opts.Parallelism >= 1 {
-		e.nodeSeq = &randx.Seq{}
-		e.nodeCoin = randx.NewCounting(e.nodeSeq)
-		e.coinRng = rand.New(e.nodeCoin)
 	}
 	if e.mx == nil {
 		e.mx = &obs.Metrics{}
@@ -496,16 +477,10 @@ func (e *Engine) flushStats() error {
 	return nil
 }
 
-// flushCoins drains the rng draw counters (the shared stream, plus the
-// per-node streams when they are the coin source) into CoinDraws.
+// flushCoins drains the rng draw counter into CoinDraws.
 func (e *Engine) flushCoins() {
 	if n := e.coin.Take(); n != 0 {
 		e.mx.CoinDraws.Add(n)
-	}
-	if e.nodeCoin != nil {
-		if n := e.nodeCoin.Take(); n != 0 {
-			e.mx.CoinDraws.Add(n)
-		}
 	}
 }
 

@@ -17,19 +17,18 @@ import (
 // state at a step boundary and Restore rebuilds an engine in a fresh process
 // that continues the run byte-identically — run K steps, snapshot, restore,
 // run K more, and the trajectory (configurations, rounds, churn, metrics,
-// coin streams) matches an uninterrupted 2K-step run exactly, in every
-// execution mode (dense/frontier/word, either coin source, with or without
-// churn). The restore cell of campaign -check enforces the contract.
+// rng streams) matches an uninterrupted 2K-step run exactly, in every
+// execution mode (dense/frontier/word, with or without churn).
+// TestRestoreDifferential enforces the contract over the whole mode matrix.
 //
 // Every rng the trajectory depends on and a checkpoint must carry — the
-// shared coin stream, the churn stream, a seeded scheduler's stream — is a
+// engine's coin stream, the churn stream, a seeded scheduler's stream — is a
 // randx.Source, so a checkpoint stores each generator's state (607 words and
 // two indices) and restore sets it: the cost does not grow with the number
-// of draws since the seed. Per-node coin streams need nothing: they are
-// reseeded per (step, node) from the run seed. Derived state that is a pure
-// function of the serialized state (self-words, signal scratch) is rebuilt
-// rather than stored — the rebuild doubles as a cross-check that the
-// primary state round-tripped.
+// of draws since the seed. Derived state that is a pure function of the
+// serialized state (self-words, signal scratch) is rebuilt rather than
+// stored — the rebuild doubles as a cross-check that the primary state
+// round-tripped.
 
 // engineSection is the section name of the engine's own state inside the
 // snapshot container; caller extras must use different names.
@@ -71,7 +70,6 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 	enc.Int(e.g.M())
 	enc.Int(e.alg.NumStates())
 	enc.Int(e.step)
-	enc.I64(e.seed)
 
 	// Topology: the current CSR arrays (the graph may have churned away
 	// from whatever the caller originally built).
@@ -79,7 +77,7 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 	enc.Ints(offsets)
 	enc.Ints(neighbors)
 
-	// Configuration and the shared rng stream with its untallied draws.
+	// Configuration and the rng stream with its untallied draws.
 	enc.IntsFunc(n, func(i int) int { return int(e.cfg[i]) })
 	enc.U64s(e.src.State())
 	enc.U64(e.coin.Pending())
@@ -90,7 +88,6 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 
 	// Mode flags.
 	enc.Bool(e.fr != nil)
-	enc.Bool(e.nodeSeq != nil)
 	enc.Bool(e.wr != nil)
 	enc.Bool(e.churn != nil)
 
@@ -150,7 +147,6 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 	m := d.Int()
 	numStates := d.Int()
 	step := d.Int()
-	seed := d.I64()
 	offsets := d.Ints()
 	neighbors := d.Ints()
 	if err := d.Err(); err != nil {
@@ -182,7 +178,6 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 	trackerState := d.Blob()
 
 	hasFr := d.Bool()
-	nodeCoins := d.Bool()
 	hasWord := d.Bool()
 	hasChurn := d.Bool()
 
@@ -227,15 +222,11 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 	if err := validateAliveCSR(g, crashed); err != nil {
 		return nil, nil, fmt.Errorf("sim: snapshot graph: %w", err)
 	}
-	p := 0
-	if nodeCoins {
-		p = 1
-	}
+	// The seed is irrelevant: the saved generator state replaces the
+	// stream below, and the configuration is given.
 	e, err := New(g, alg, Options{
 		Initial:      cfg,
 		Scheduler:    opts.Scheduler,
-		Seed:         seed,
-		Parallelism:  p,
 		Frontier:     hasFr,
 		WordParallel: hasWord,
 		Metrics:      opts.Metrics,

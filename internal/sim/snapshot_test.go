@@ -47,6 +47,16 @@ type restoreMode struct {
 // pastWindowFaults is the per-step fault burst of the pastWindow cells.
 const pastWindowFaults = 10
 
+// restoreChurnSpec is the churn of the churn cells: every third step
+// revives the last victim, flips four node pairs and crashes one node, under
+// the connectivity and diameter guards (8 = 2D for the test's AU(4)). A
+// checkpoint can then land while a victim is down, between its crash and
+// its revival.
+func restoreChurnSpec() *sim.ChurnSpec {
+	return &sim.ChurnSpec{Period: 3, Flips: 4, Crashes: 1, Seed: 99,
+		KeepConnected: true, MaxDiameterUpper: 8}
+}
+
 func restoreModes() []restoreMode {
 	return []restoreMode{
 		{name: "dense"},
@@ -66,8 +76,9 @@ func restoreModes() []restoreMode {
 // restore in a fresh engine, run K more — the continuation must match the
 // uninterrupted 2K-step run byte for byte (configurations, rounds, churn
 // counters, trajectory metrics, monitor verdicts), in every execution mode
-// and under every checkpointable scheduler. A fault burst after the restore
-// point additionally pins the restored rng state and the fault-permutation
+// (dense, frontier, word, each with and without crash churn) and under every
+// checkpointable scheduler. A fault burst after the restore point
+// additionally pins the restored rng state and the fault-permutation
 // buffer.
 func TestRestoreDifferential(t *testing.T) {
 	const (
@@ -88,7 +99,7 @@ func TestRestoreDifferential(t *testing.T) {
 			t.Run(sname+"/"+m.name, func(t *testing.T) {
 				var churn *sim.ChurnSpec
 				if m.churn {
-					churn = churnSpec()
+					churn = restoreChurnSpec()
 				}
 				if m.pastWindow {
 					churn = &sim.ChurnSpec{Period: 1, Flips: pastWindowFaults, Seed: 99, KeepConnected: true}
@@ -109,6 +120,9 @@ func TestRestoreDifferential(t *testing.T) {
 				mon := core.NewGoodMonitor(au, g, ref.Config())
 				ref.Observe(mon)
 
+				// A crash victim sits isolated until its revival, so the
+				// full graph is disconnected exactly while one is down.
+				crashed := false
 				for i := 0; i < k; i++ {
 					if m.pastWindow {
 						ref.InjectFaults(pastWindowFaults)
@@ -116,6 +130,10 @@ func TestRestoreDifferential(t *testing.T) {
 					if err := ref.Step(); err != nil {
 						t.Fatalf("reference step %d: %v", i, err)
 					}
+					crashed = crashed || !ref.Graph().Connected()
+				}
+				if m.churn && !crashed {
+					t.Fatal("no crash victim was down before the checkpoint; strengthen the churn spec")
 				}
 
 				var buf bytes.Buffer

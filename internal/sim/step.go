@@ -4,19 +4,18 @@ import (
 	"fmt"
 
 	"thinunison/internal/failpoint"
-	"thinunison/internal/randx"
 	"thinunison/internal/sa"
 	"thinunison/internal/sched"
 )
 
 // This file is the engine's single step loop. Every execution mode — dense
-// or frontier-sparse, scalar or word-parallel, either coin source — runs the
-// same three phases, differing only in its plugs:
+// or frontier-sparse, scalar or word-parallel — runs the same three phases,
+// differing only in its plugs:
 //
 //   - activation source (activate): A_t canonicalized (sched.Canonical), or
 //     A_t ∩ frontier;
-//   - evaluator (stage): the scalar δ with a coin-source plug, or the word
-//     kernel.
+//   - evaluator (stage): the scalar δ, drawing its coins from the engine's
+//     rng in ascending node order, or the word kernel.
 //
 // Staging reads only C_t; the apply phase then writes C_{t+1}, so the
 // paper's simultaneous-update semantics hold by construction.
@@ -143,15 +142,12 @@ func (e *Engine) stage(eval []int) {
 	res := e.res[:len(eval)]
 	var settles uint64
 	for i, v := range eval {
-		if e.nodeSeq != nil {
-			e.nodeSeq.Reseed(randx.NodeSeed(e.seed, e.step, v))
-		}
 		e.SignalOf(v, &e.sig)
 		if fr == nil {
-			res[i] = e.alg.Transition(e.cfg[v], e.sig, e.coinRng)
+			res[i] = e.alg.Transition(e.cfg[v], e.sig, e.rng)
 			continue
 		}
-		q, settled := fr.evalNode(e, v, &e.sig, e.coinRng)
+		q, settled := fr.evalNode(e, v, &e.sig, e.rng)
 		res[i] = q
 		if settled {
 			fr.set.Remove(v)

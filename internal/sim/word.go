@@ -13,7 +13,7 @@ import (
 // precompiled masks (sa.WordEval). The kernel is only the step loop's
 // evaluator plug (wordRuntime.stage); activation, certification and apply
 // are shared with the scalar path, so word runs are byte-identical to scalar
-// runs in every mode (dense/frontier, either coin source, churn), which the
+// runs in every mode (dense/frontier, with or without churn), which the
 // differential suites enforce.
 //
 // The kernel's fused goodness plane (WordEval.EvalGood) additionally

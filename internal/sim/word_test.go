@@ -13,9 +13,10 @@ import (
 
 // TestWordMatchesScalarTrajectories is the engine-level differential harness
 // of word-parallel execution: for every graph × scheduler × frontier ×
-// coin source P ∈ {0, 1, 2, 8}, a word run must be byte-identical to
-// the scalar run of the same seed at every step — configurations, round
-// counters and step counters alike — including across a mid-run fault burst.
+// P ∈ {0, 1, 2, 8} (which the engine ignores), a word run must be
+// byte-identical to the scalar run of the same seed at every step —
+// configurations, round counters and step counters alike — including across
+// a mid-run fault burst.
 func TestWordMatchesScalarTrajectories(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	au, err := core.NewAU(3)
@@ -135,7 +136,7 @@ func TestWordMonitorParity(t *testing.T) {
 }
 
 // TestWordMatchesScalarUnderChurn runs the stochastic churn process on word
-// and scalar engines (dense and frontier, both coin sources) and demands
+// and scalar engines (dense and frontier, at P = 0 and P ≥ 1) and demands
 // byte-identical trajectories: churn re-compacts the CSR arrays the word
 // runtime scans and leaves the rewired endpoints' goodness bits stale until
 // they are re-evaluated, so this exercises every repair path.

@@ -53,7 +53,11 @@ import (
 // section stores one goodness plane instead of a per-lane slab count and
 // slabs, and the metric word vector drops the boundary-apply and
 // repartition counters.
-const Version = 6
+//
+// Version 7 gave the sim engine one coin stream: its section drops the run
+// seed and the per-node-coins flag, which only the retired per-(step, node)
+// reseed read. The asyncsim section is unchanged.
+const Version = 7
 
 // magic identifies a snapshot stream ("ThinUnison SNAPshot").
 var magic = [8]byte{'T', 'U', 'S', 'N', 'A', 'P', '0', '1'}
