@@ -1,6 +1,6 @@
 // Command unisond is the long-lived simulation daemon: it owns a bounded
 // fleet of campaign engines behind a unix-domain socket and serves
-// submit/attach/stream/cancel to thin clients (unisonctl, unisonsim -remote).
+// submit/attach/stream/cancel to thin clients (unisonctl).
 //
 //	unisond -socket /tmp/unison.sock -state /var/lib/unison &
 //	unisonctl -socket /tmp/unison.sock submit -preset smoke

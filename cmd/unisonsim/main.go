@@ -12,7 +12,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -20,14 +19,10 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"os/signal"
-	"syscall"
 
 	paperbudget "thinunison/internal/budget"
 	"thinunison/internal/campaign"
 	"thinunison/internal/core"
-	"thinunison/internal/daemon/wire"
-	"thinunison/internal/daemonclient"
 	"thinunison/internal/graph"
 	"thinunison/internal/obs"
 	"thinunison/internal/sched"
@@ -36,28 +31,18 @@ import (
 	"thinunison/internal/trace"
 )
 
-// runMeta is the "runmeta" snapshot section: the non-serializable recipe —
-// diameter bound (hence the AU state space), scheduler kind, and base seed —
-// a fresh process needs to reconstruct the algorithm and scheduler before
-// sim.Restore rewinds the engine itself.
-type runMeta struct {
-	D     int    `json:"d"`
-	Sched string `json:"sched"`
-	Seed  int64  `json:"seed"`
-}
-
 // saveCheckpoint writes the engine snapshot plus the runmeta section to path
 // and points the flight recorder at it, so a later failure dump names the
 // checkpoint that replays the window. The write is atomic (temp file, fsync,
 // rename): a crash mid-checkpoint never leaves a torn file, and any previous
 // checkpoint at path survives intact.
-func saveCheckpoint(path string, eng *sim.Engine, meta runMeta, tracer *obs.Tracer) error {
-	metaBytes, err := json.Marshal(meta)
+func saveCheckpoint(path string, eng *sim.Engine, meta campaign.RunMeta, tracer *obs.Tracer) error {
+	section, err := meta.Section()
 	if err != nil {
 		return err
 	}
 	err = snapshot.AtomicWriteFile(path, func(w io.Writer) error {
-		return eng.SaveState(w, snapshot.Section{Name: "runmeta", Data: metaBytes})
+		return eng.SaveState(w, section)
 	})
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
@@ -96,14 +81,8 @@ func run() error {
 		checkpointAt = flag.Int("checkpoint-at", 0, "take the -checkpoint snapshot after this many steps (0 = at stabilization)")
 		restorePath  = flag.String("restore", "", "resume a run from this snapshot instead of starting fresh")
 		replayFrom   = flag.String("replay-from", "", "like -restore, but with the round trace forced on: deterministic time-travel replay of the post-checkpoint window")
-
-		remote = flag.String("remote", "", "run on a unisond daemon at this socket instead of in-process (kdo-style deployless remote run)")
 	)
 	flag.Parse()
-
-	if *remote != "" {
-		return runRemote(*remote, *family, *n, *d, *schedName, *seed, *faults)
-	}
 
 	if *replayFrom != "" {
 		*restorePath = *replayFrom
@@ -144,7 +123,7 @@ func run() error {
 		eng  *sim.Engine
 		au   *core.AU
 		s    sched.Scheduler
-		meta runMeta
+		meta campaign.RunMeta
 	)
 	if *restorePath != "" {
 		data, err := os.ReadFile(*restorePath)
@@ -153,16 +132,8 @@ func run() error {
 		}
 		// Peek the runmeta section first: the algorithm and scheduler are
 		// rebuilt from the recipe before the engine restore rewinds them.
-		sections, err := snapshot.Read(bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		metaBytes, ok := sections["runmeta"]
-		if !ok {
-			return fmt.Errorf("%s has no runmeta section (not a unisonsim checkpoint)", *restorePath)
-		}
-		if err := json.Unmarshal(metaBytes, &meta); err != nil {
-			return fmt.Errorf("%s: runmeta: %w", *restorePath, err)
+		if meta, err = campaign.ReadRunMeta(data); err != nil {
+			return fmt.Errorf("%s: %w", *restorePath, err)
 		}
 		if au, err = core.NewAU(meta.D); err != nil {
 			return err
@@ -195,7 +166,7 @@ func run() error {
 		if s, err = sched.ByName(*schedName, *seed); err != nil {
 			return err
 		}
-		meta = runMeta{D: bound, Sched: *schedName, Seed: *seed}
+		meta = campaign.RunMeta{D: bound, Sched: *schedName, Seed: *seed}
 		eng, err = sim.New(g, au, sim.Options{Scheduler: s, Seed: *seed, Metrics: mx, Trace: tracer})
 		if err != nil {
 			return err
@@ -287,47 +258,6 @@ func run() error {
 			return err
 		}
 		fmt.Printf("engine metrics: %s\n", snap)
-	}
-	return nil
-}
-
-// runRemote ships the run to a unisond daemon: the same -graph/-n/-sched
-// knobs become a one-scenario submission, and the daemon streams back the
-// campaign record JSONL — byte-identical to an in-process campaign run.
-// The interactive round trace stays a local-only feature; remote runs are
-// about outcome records, not step-by-step watching.
-func runRemote(addr, family string, n, d int, schedName string, seed int64, faults int) error {
-	specs := map[string]campaign.SchedulerSpec{
-		"sync":     campaign.Synchronous,
-		"rr":       campaign.RoundRobin,
-		"random":   campaign.RandomSubset,
-		"laggard":  campaign.Laggard,
-		"permuted": campaign.Permuted,
-	}
-	schedSpec, ok := specs[schedName]
-	if !ok {
-		return fmt.Errorf("unknown scheduler %q (want sync|rr|random|laggard|permuted)", schedName)
-	}
-	spec := wire.SubmitSpec{
-		Seed: seed,
-		Scenario: &wire.ScenarioSpec{
-			Family:    family,
-			N:         n,
-			D:         d,
-			Scheduler: schedSpec,
-			Algorithm: "au",
-			Faults:    campaign.FaultSpec{Count: faults},
-			Trials:    1,
-		},
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	info, err := daemonclient.New(addr).Run(ctx, spec, os.Stdout)
-	if err != nil {
-		return err
-	}
-	if info.State != wire.StateDone {
-		return fmt.Errorf("remote run %s ended %s: %s", info.ID, info.State, info.Err)
 	}
 	return nil
 }

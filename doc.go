@@ -71,9 +71,8 @@
 //     gated by hotpathbench -obs-gate);
 //   - a word-parallel hot path (sim.Options.WordParallel, campaign -word):
 //     the hot state is one one-hot self-word per node plus one goodness
-//     plane (sa.Planes, one uint64 plane per state, is only the
-//     pack/inspect format), neighborhood signals come from a batched CSR
-//     OR-scan (sa.BuildSignals), and a precompiled transition table
+//     plane, neighborhood signals come from a batched CSR OR-scan
+//     (sa.BuildSignals), and a precompiled transition table
 //     (core.AU.Kernel) evaluates 64 nodes' transitions and goodness per word
 //     pass with math/bits intrinsics; certified full steps feed the
 //     GoodMonitor one plain batch (a raw-mirror refresh) instead of n
@@ -86,8 +85,7 @@
 //   - a self-stabilizing harness (internal/failpoint, a std-lib-only leaf):
 //     deterministic seeded fault injection at named sites (disarmed cost: one
 //     atomic load, 0 allocs) drives panic-isolated campaign workers with
-//     bounded retry/backoff, a per-scenario stall watchdog and deadline,
-//     graceful demotion of word/frontier modes on invariant violation, and
+//     bounded retry/backoff, a per-scenario stall watchdog and deadline, and
 //     crash-safe artifact IO — CRC-32C-verified snapshot containers written
 //     atomically (temp file + fsync + rename) and a torn-write-self-repairing
 //     resumable JSONL log with a CRC sidecar. Engine checkpoints restore
@@ -98,7 +96,7 @@
 //     schedule with a kill-and-resume must produce records byte-identical
 //     to an undisturbed run;
 //   - a daemon mode (internal/daemon, served by cmd/unisond; thin client
-//     internal/daemonclient behind cmd/unisonctl and cmd/unisonsim -remote):
+//     internal/daemonclient behind cmd/unisonctl):
 //     a long-lived server on a unix-domain socket speaking length-prefixed
 //     JSON frames (internal/daemon/wire, golden-pinned and fuzzed), running
 //     submissions on a bounded engine fleet with admission control.

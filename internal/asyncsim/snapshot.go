@@ -159,7 +159,7 @@ func Restore[S comparable](r io.Reader, decode syncsim.StateDecoder[S], opts Res
 		if !ok {
 			return nil, nil, fmt.Errorf("asyncsim: snapshot has scheduler state but scheduler %T is not a sched.Checkpointer", e.sch)
 		}
-		if err := cp.RestoreState(schedState); err != nil {
+		if err := cp.RestoreState(schedState, n); err != nil {
 			return nil, nil, fmt.Errorf("asyncsim: scheduler restore: %w", err)
 		}
 	}

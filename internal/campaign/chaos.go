@@ -44,9 +44,6 @@ func chaosSites() []failpoint.ChaosSite {
 		{Site: failpoint.CampaignWorker, Kind: failpoint.FailPanic, Count: 3, Window: 24},
 		// A couple of engine runs abort mid-flight with an injected error.
 		{Site: failpoint.SimStep, Kind: failpoint.FailError, Count: 2, Window: 4000},
-		// A frontier run trips its (injected) invariant and demotes to the
-		// dense path — byte-transparent, so the record must not change.
-		{Site: failpoint.SimFrontierInvariant, Kind: failpoint.FailError, Count: 2, Window: 2000},
 		// Two stabilization polls hang until the watchdog cuts them down.
 		{Site: failpoint.CampaignPoll, Kind: failpoint.FailStall, Count: 2, Window: 800, Stall: 30 * time.Second},
 		// Torn JSONL record writes and failed fsyncs (self-repairing log).
@@ -57,8 +54,8 @@ func chaosSites() []failpoint.ChaosSite {
 
 // ChaosSide is the self-stabilization side for the harness itself: the
 // scenarios run under a seeded fault schedule — worker panics, injected
-// engine errors, an invariant demotion, stalls cut down by the watchdog,
-// torn JSONL writes — with a kill at the halfway record and a resume, and
+// engine errors, stalls cut down by the watchdog, torn JSONL writes and
+// failed fsyncs — with a kill at the halfway record and a resume, and
 // the side's records are those the resumable log holds at the end.
 // Transient faults with deterministic retries converge to the exact same
 // outcome, so Differential must find them byte-identical to an undisturbed

@@ -13,9 +13,9 @@ import (
 )
 
 // chaosScenarios is the mixed workload of the chaos tests: the resume set
-// plus a per-node-coin (Parallelism 2) and a word+frontier AU scenario, so
-// the demotion sites have something to bite. The chaos side fails if any
-// armed site is never evaluated, so the workload must reach every one.
+// plus two more AU scenarios, one of them word+frontier, so injected engine
+// errors land on every AU execution mode. The chaos side fails if any armed
+// site is never evaluated, so the workload must reach every one.
 func chaosScenarios(seed int64) []campaign.Scenario {
 	base := []campaign.Scenario{
 		{Family: graph.FamilyCycle, N: 10, Scheduler: campaign.Synchronous, Algorithm: campaign.AlgAU},
@@ -149,33 +149,5 @@ func TestScenarioTimeout(t *testing.T) {
 	}
 	if rec.Transient() {
 		t.Fatal("scenario timeout wrongly classified transient")
-	}
-}
-
-// TestDemotionLadder: an injected frontier-invariant violation demotes the
-// run to the dense path inside Execute — the record is OK, counts the
-// demotion, and its canonical bytes match an undisturbed run (frontier mode
-// is byte-transparent).
-func TestDemotionLadder(t *testing.T) {
-	// Random-subset AU: frontier-enabled by default.
-	scs := chaosScenarios(7)[2:3]
-	var demoted []campaign.Record
-	armed := campaign.Side{Name: "demoted", Run: func(ctx context.Context, scs []campaign.Scenario) ([]campaign.Record, error) {
-		failpoint.Arm(failpoint.New(1, []failpoint.Rule{
-			{Site: failpoint.SimFrontierInvariant, Kind: failpoint.FailError, Hits: []uint64{2}},
-		}))
-		defer failpoint.Disarm()
-		return (&campaign.Runner{Workers: 1}).Run(ctx, scs)
-	}}
-	var out bytes.Buffer
-	if campaign.Differential(context.Background(), &out, scs,
-		campaign.LocalSide("clean", 1, nil), capture(armed, &demoted)) > 0 {
-		t.Fatalf("demoted record diverged:\n%s", out.String())
-	}
-	if !demoted[0].OK {
-		t.Fatalf("demoted run failed: %s", demoted[0].Err)
-	}
-	if demoted[0].Demotions != 1 {
-		t.Fatalf("Demotions = %d, want 1", demoted[0].Demotions)
 	}
 }

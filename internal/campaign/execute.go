@@ -27,17 +27,11 @@ var errCancelled = errors.New("campaign: run cancelled")
 
 // errStalled is the cancellation cause installed by the per-scenario
 // watchdog; errScenarioTimeout the cause installed by Scenario.Timeout.
-// executeGuarded rewrites the generic cancellation error into the specific
-// failure when one of these is the cause.
+// Execute rewrites the generic cancellation error into the specific failure
+// when one of these is the cause.
 var (
 	errStalled         = errors.New("campaign: watchdog stall")
 	errScenarioTimeout = errors.New("campaign: scenario timeout")
-)
-
-// Demotion targets of the graceful-degradation ladder (Record.degrade).
-const (
-	degradeWord     = "word"
-	degradeFrontier = "frontier"
 )
 
 // exactDiameterLimit is the largest node count for which Execute falls back
@@ -62,37 +56,10 @@ const exactDiameterLimit = 512
 // programs redraw coins every round, so their frontier would never empty.
 //
 // Execute layers the robustness harness on top of the run itself: a
-// per-scenario timeout and watchdog (Scenario.Timeout / Scenario.Watchdog),
-// and the graceful-degradation ladder — a run failing with
-// sim.ErrWordInvariant or sim.ErrFrontierInvariant is re-executed on the
-// scalar / dense oracle path (both modes are byte-transparent, so the
-// demoted record differs only in its Demotions count, which Canonical
-// zeroes). Panic isolation lives one level up, in ExecuteIsolated.
+// per-scenario timeout and watchdog (Scenario.Timeout / Scenario.Watchdog).
+// An engine error fails the run. Panic isolation lives one level up, in
+// ExecuteIsolated.
 func Execute(ctx context.Context, sc Scenario) Record {
-	rec := executeGuarded(ctx, sc)
-	// Degradation ladder: at most one word→scalar and one frontier→dense
-	// hop, so a run tripping both invariants ends on the plain dense
-	// sequential oracle path.
-	for hop := 0; hop < 2 && rec.degrade != ""; hop++ {
-		switch rec.degrade {
-		case degradeWord:
-			sc.WordParallel = false
-		case degradeFrontier:
-			sc.Frontier = -1
-		}
-		demotions := rec.Demotions + 1
-		rec = executeGuarded(ctx, sc)
-		rec.Demotions = demotions
-		if rec.Engine != nil {
-			rec.Engine.Demotions = uint64(demotions)
-		}
-	}
-	return rec
-}
-
-// executeGuarded is one attempt of Execute: the scenario run wrapped with
-// the per-scenario timeout and the stall watchdog.
-func executeGuarded(ctx context.Context, sc Scenario) Record {
 	mx := &obs.Metrics{}
 	if sc.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -179,7 +146,7 @@ func newRecord(sc Scenario) Record {
 }
 
 // executeOnce runs the scenario exactly once into mx, with no harness
-// wrapping (no ladder, no watchdog, no panic isolation).
+// wrapping (no timeout, no watchdog, no panic isolation).
 func executeOnce(ctx context.Context, sc Scenario, mx *obs.Metrics) Record {
 	start := time.Now()
 	rec := newRecord(sc)
@@ -320,19 +287,6 @@ func pollingCond(ctx context.Context, cancelled *bool, n int, inner func() bool)
 	}
 }
 
-// failRun records err on rec, first tagging demotable invariant violations
-// so Execute's degradation ladder can re-run the scenario on the
-// scalar/dense path.
-func failRun(rec *Record, err error) {
-	switch {
-	case errors.Is(err, sim.ErrWordInvariant):
-		rec.degrade = degradeWord
-	case errors.Is(err, sim.ErrFrontierInvariant):
-		rec.degrade = degradeFrontier
-	}
-	rec.fail(err)
-}
-
 // asyncTaskBudget adds the synchronizer's stabilization allowance to the
 // synchronous task budget.
 func asyncTaskBudget(d, n int) int {
@@ -465,7 +419,7 @@ func runAU(ctx context.Context, sc Scenario, g *graph.Graph, d int, rng *rand.Ra
 	}
 	failSoak := func() {
 		if soakErr != nil {
-			failRun(rec, soakErr)
+			rec.fail(soakErr)
 		} else {
 			rec.fail(errCancelled)
 		}
@@ -483,7 +437,7 @@ func runAU(ctx context.Context, sc Scenario, g *graph.Graph, d int, rng *rand.Ra
 		if errors.Is(err, sim.ErrBudgetExhausted) {
 			err = fmt.Errorf("AU did not stabilize within %d rounds", roundBudget)
 		}
-		failRun(rec, err)
+		rec.fail(err)
 		return
 	}
 	rec.OK = true
@@ -513,7 +467,7 @@ func runAU(ctx context.Context, sc Scenario, g *graph.Graph, d int, rng *rand.Ra
 			if errors.Is(err, sim.ErrBudgetExhausted) {
 				err = fmt.Errorf("AU did not recover from burst %d within %d rounds", burst, roundBudget)
 			}
-			failRun(rec, err)
+			rec.fail(err)
 			return
 		}
 		if !soak() {

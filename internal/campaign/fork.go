@@ -22,12 +22,41 @@ import (
 // exact mid-run state absorb?" that no fresh-seed campaign can ask, since a
 // fresh run never revisits the same intermediate configuration.
 
-// forkMeta mirrors the unisonsim "runmeta" section (cmd/unisonsim writes
-// it; the JSON keys are the contract).
-type forkMeta struct {
+// RunMeta is the "runmeta" checkpoint section that cmd/unisonsim writes
+// beside the engine section and Fork reads back: the recipe a fresh process
+// needs to rebuild the algorithm (the diameter bound D, hence the AU state
+// space) and the scheduler (a sched.ByName name and base seed) before
+// sim.Restore rewinds the engine itself. The JSON keys are the contract.
+type RunMeta struct {
 	D     int    `json:"d"`
 	Sched string `json:"sched"`
 	Seed  int64  `json:"seed"`
+}
+
+// runMetaSection names the RunMeta section in a checkpoint container.
+const runMetaSection = "runmeta"
+
+// Section encodes m as a checkpoint section, to pass to sim.Engine.SaveState.
+func (m RunMeta) Section() (snapshot.Section, error) {
+	data, err := json.Marshal(m)
+	return snapshot.Section{Name: runMetaSection, Data: data}, err
+}
+
+// ReadRunMeta decodes the RunMeta section of the checkpoint container data.
+func ReadRunMeta(data []byte) (RunMeta, error) {
+	var meta RunMeta
+	sections, err := snapshot.Read(bytes.NewReader(data))
+	if err != nil {
+		return meta, err
+	}
+	metaBytes, ok := sections[runMetaSection]
+	if !ok {
+		return meta, fmt.Errorf("no %s section (not a unisonsim checkpoint)", runMetaSection)
+	}
+	if err := json.Unmarshal(metaBytes, &meta); err != nil {
+		return meta, fmt.Errorf("%s: %w", runMetaSection, err)
+	}
+	return meta, nil
 }
 
 // ForkOptions configures Fork.
@@ -48,17 +77,9 @@ func Fork(snapPath string, opts ForkOptions, emit func(Record) error) error {
 	if err != nil {
 		return err
 	}
-	sections, err := snapshot.Read(bytes.NewReader(data))
+	meta, err := ReadRunMeta(data)
 	if err != nil {
-		return err
-	}
-	metaBytes, ok := sections["runmeta"]
-	if !ok {
-		return fmt.Errorf("campaign: %s has no runmeta section (not a unisonsim checkpoint)", snapPath)
-	}
-	var meta forkMeta
-	if err := json.Unmarshal(metaBytes, &meta); err != nil {
-		return fmt.Errorf("campaign: %s: runmeta: %w", snapPath, err)
+		return fmt.Errorf("campaign: %s: %w", snapPath, err)
 	}
 	for future := 0; future < opts.Futures; future++ {
 		rec, err := forkFuture(data, meta, future)
@@ -74,7 +95,7 @@ func Fork(snapPath string, opts ForkOptions, emit func(Record) error) error {
 
 // forkFuture restores one engine from the snapshot bytes and runs future
 // f's perturbation: inject f+1 transient faults, then run to recovery.
-func forkFuture(data []byte, meta forkMeta, future int) (Record, error) {
+func forkFuture(data []byte, meta RunMeta, future int) (Record, error) {
 	au, err := core.NewAU(meta.D)
 	if err != nil {
 		return Record{}, err

@@ -60,12 +60,9 @@ type Record struct {
 
 	// Retries is the number of times the scenario was re-executed after a
 	// transient harness failure (quarantined panic, injected fault,
-	// watchdog stall); Demotions the number of graceful-degradation
-	// re-runs after a word/frontier invariant violation. Both describe how
-	// the harness got the result, not the result itself, so Canonical
-	// zeroes them.
-	Retries   int `json:"retries,omitempty"`
-	Demotions int `json:"demotions,omitempty"`
+	// watchdog stall). It describes how the harness got the result, not the
+	// result itself, so Canonical zeroes it.
+	Retries int `json:"retries,omitempty"`
 
 	// Engine is the run's engine-telemetry snapshot (obs.Metrics counter
 	// catalog), populated by Execute. The Runner strips it unless its
@@ -79,11 +76,6 @@ type Record struct {
 	// burst) within budget; Err carries the failure otherwise.
 	OK  bool   `json:"ok"`
 	Err string `json:"error,omitempty"`
-
-	// degrade marks a run that failed with a demotable invariant violation
-	// (sim.ErrWordInvariant / sim.ErrFrontierInvariant); Execute's
-	// degradation ladder re-runs the scenario on the scalar/dense path.
-	degrade string
 }
 
 // Canonical returns the record reduced to its byte-comparable form: wall
@@ -95,10 +87,9 @@ type Record struct {
 // other field.
 func (r Record) Canonical() Record {
 	r.WallMS = 0
-	// Harness bookkeeping: a chaos run that was retried or demoted and
-	// converged to the same trajectory must byte-match an undisturbed run.
+	// Harness bookkeeping: a chaos run that was retried and converged to
+	// the same trajectory must byte-match an undisturbed run.
 	r.Retries = 0
-	r.Demotions = 0
 	if r.Engine != nil {
 		t := r.Engine.Trajectory()
 		r.Engine = &t

@@ -91,10 +91,11 @@ func inBlob(layout string, i int, edit fieldEdit) fieldEdit {
 // TestRestoreRejectsInconsistentState: a CRC-valid snapshot with one
 // inconsistent field must fail to restore with an error, not restore and
 // then index out of range or misbehave on the next step or fault burst.
-// Each case rewrites one field of a valid snapshot of the sim or asyncsim
-// engine (the latter with each coin source, p = 0 and p = 2) and writes the
-// container back through snapshot.Write, so the checksums hold and only the
-// field's own validation can catch it.
+// Each case rewrites one field of a valid snapshot of the sim engine (under
+// the Permuted and the RandomSubset scheduler) or the asyncsim engine (with
+// each coin source, p = 0 and p = 2) and writes the container back through
+// snapshot.Write, so the checksums hold and only the field's own validation
+// can catch it.
 func TestRestoreRejectsInconsistentState(t *testing.T) {
 	const n = 12
 	g, err := graph.Cycle(n)
@@ -110,6 +111,32 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 	encode := func(e *snapshot.Enc, s int) { e.Int(s) }
 	decode := func(d *snapshot.Dec) int { return d.Int() }
 	mkSched := func() sched.Scheduler { return sched.NewPermutedSeeded(5) }
+	mkSubset := func() sched.Scheduler { return sched.NewRandomSubsetSeeded(0.1, 6, 5) }
+
+	// Both checkpointable schedulers save (seed, rng state, per-node ints):
+	// the Permuted scheduler its permutation, the RandomSubset its gap vector.
+	type schedEdit struct {
+		name string
+		edit fieldEdit
+	}
+	const schedLayout = "iUI"
+	badTap := func(w []uint64) { w[len(w)-2] = 607 } // past the 607-word window
+	permEdits := []schedEdit{
+		{"scheduler rng tap out of range", inBlob(schedLayout, 1, editWords(badTap))},
+		{"permutation with a duplicate", inBlob(schedLayout, 2, editInts(func(p []int) []int { p[0] = p[1]; return p }))},
+		{"permutation node out of range", inBlob(schedLayout, 2, editInts(func(p []int) []int { p[0] = len(p); return p }))},
+		{"permutation of n-1 nodes", inBlob(schedLayout, 2, editInts(func([]int) []int {
+			id := make([]int, n-1)
+			for i := range id {
+				id[i] = i
+			}
+			return id
+		}))},
+	}
+	gapEdits := []schedEdit{
+		{"scheduler rng tap out of range", inBlob(schedLayout, 1, editWords(badTap))},
+		{"gap vector of n-1 nodes", inBlob(schedLayout, 2, editInts(func(p []int) []int { return p[:n-1] }))},
+	}
 
 	// Every engine steps (starting a round and the scheduler's permutation)
 	// and takes a fault burst (building the fault buffer) before it saves.
@@ -120,34 +147,43 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 		faultBuf      int
 		tracker       int
 		sched         int
+		schedEdits    []schedEdit
 		rng           int
 		snap          []byte
 		restore       func(data []byte) error
 	}
 	var engines []engine
 
-	se, err := sim.New(g, au, sim.Options{Scheduler: mkSched(), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := se.Step(); err != nil {
+	var buf bytes.Buffer
+	for _, sc := range []struct {
+		name  string
+		mk    func() sched.Scheduler
+		edits []schedEdit
+	}{{"sim", mkSched, permEdits}, {"sim-random-subset", mkSubset, gapEdits}} {
+		se, err := sim.New(g, au, sim.Options{Scheduler: sc.mk(), Seed: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < 5; i++ {
+			if err := se.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		se.InjectFaults(3)
+		buf.Reset()
+		if err := se.SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		mk := sc.mk
+		engines = append(engines, engine{
+			name: sc.name, section: "engine", layout: "iiiiIIIUiIBbbbbBU",
+			neighbors: 5, faultBuf: 9, tracker: 10, sched: 15, schedEdits: sc.edits, rng: 7, snap: bytes.Clone(buf.Bytes()),
+			restore: func(data []byte) error {
+				_, _, err := sim.Restore(bytes.NewReader(data), au, sim.RestoreOptions{Scheduler: mk()})
+				return err
+			},
+		})
 	}
-	se.InjectFaults(3)
-	var buf bytes.Buffer
-	if err := se.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	engines = append(engines, engine{
-		name: "sim", section: "engine", layout: "iiiiIIIUiIBbbbbBU",
-		neighbors: 5, faultBuf: 9, tracker: 10, sched: 15, rng: 7, snap: bytes.Clone(buf.Bytes()),
-		restore: func(data []byte) error {
-			_, _, err := sim.Restore(bytes.NewReader(data), au, sim.RestoreOptions{Scheduler: mkSched()})
-			return err
-		},
-	})
 
 	// The asyncsim engine at p = 0 (shared coin stream) and at p = 2
 	// (per-(step, node) coin streams); the two differ only in one flag.
@@ -166,7 +202,7 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 		}
 		eng := engine{
 			name: "asyncsim", section: "asyncsim", layout: "iiiiII" + strings.Repeat("i", n) + "UiIBbbBU",
-			neighbors: 5, faultBuf: n + 8, tracker: n + 9, sched: n + 12, rng: n + 6, snap: bytes.Clone(buf.Bytes()),
+			neighbors: 5, faultBuf: n + 8, tracker: n + 9, sched: n + 12, schedEdits: permEdits, rng: n + 6, snap: bytes.Clone(buf.Bytes()),
 			restore: func(data []byte) error {
 				_, _, err := asyncsim.Restore(bytes.NewReader(data), decode, asyncsim.RestoreOptions[int]{Step: step, Scheduler: mkSched()})
 				return err
@@ -178,13 +214,7 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 		engines = append(engines, eng)
 	}
 
-	// Layouts of the nested blobs: the round tracker and the Permuted
-	// scheduler.
-	const (
-		trackerLayout = "iiiiiII" // n, rounds, steps, remaining, pending, stamps, boundaries
-		permLayout    = "iUI"     // seed, rng state, permutation
-	)
-	badTap := func(w []uint64) { w[len(w)-2] = 607 } // past the 607-word window
+	const trackerLayout = "iiiiiII" // n, rounds, steps, remaining, pending, stamps, boundaries
 	for _, eng := range engines {
 		if err := eng.restore(eng.snap); err != nil {
 			t.Fatalf("%s: pristine snapshot rejected: %v", eng.name, err)
@@ -211,12 +241,8 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 				edit{"tracker pending node n", eng.tracker, inBlob(trackerLayout, 4, setInt(n))},
 			)
 		}
-		if eng.sched >= 0 {
-			edits = append(edits,
-				edit{"scheduler rng tap out of range", eng.sched, inBlob(permLayout, 1, editWords(badTap))},
-				edit{"permutation with a duplicate", eng.sched, inBlob(permLayout, 2, editInts(func(p []int) []int { p[0] = p[1]; return p }))},
-				edit{"permutation node out of range", eng.sched, inBlob(permLayout, 2, editInts(func(p []int) []int { p[0] = len(p); return p }))},
-			)
+		for _, se := range eng.schedEdits {
+			edits = append(edits, edit{se.name, eng.sched, se.edit})
 		}
 		for _, c := range edits {
 			sections, err := snapshot.Read(bytes.NewReader(eng.snap))

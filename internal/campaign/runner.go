@@ -283,7 +283,6 @@ func (r *Runner) executeWithRetry(ctx context.Context, sc Scenario) Record {
 			if rec.Engine != nil {
 				next.Engine.WorkerPanics += rec.Engine.WorkerPanics
 				next.Engine.WatchdogStalls += rec.Engine.WatchdogStalls
-				next.Engine.Demotions += rec.Engine.Demotions
 			}
 		}
 		rec = next

@@ -4,8 +4,8 @@
 //
 // The client is deliberately dumb — no retries, no caching, no state beyond
 // the address — in the kdo / kpod tradition of daemonless control binaries:
-// cmd/unisonctl, cmd/unisonsim -remote and the remote cell of cmd/campaign
-// -check are all just argument parsing around these calls.
+// cmd/unisonctl and the remote cell of cmd/campaign -check are both just
+// argument parsing around these calls.
 package daemonclient
 
 import (

@@ -55,14 +55,6 @@ const (
 	// SimStep fires at the top of sim.Engine.Step: FailError aborts the
 	// step, FailPanic kills it.
 	SimStep Site = "sim/step"
-	// SimWordInvariant fires in sim.Engine.Step when the word-parallel
-	// kernel is active: FailError simulates a kernel self-check violation,
-	// demoting the run to the scalar path.
-	SimWordInvariant Site = "sim/word-invariant"
-	// SimFrontierInvariant fires in sim.Engine.Step when frontier-sparse
-	// execution is active: FailError simulates a frontier bookkeeping
-	// violation, demoting the run to the dense path.
-	SimFrontierInvariant Site = "sim/frontier-invariant"
 	// SnapshotWrite fires in snapshot.AtomicWriteFile: FailTorn persists
 	// only a prefix of the container payload before failing.
 	SnapshotWrite Site = "snapshot/write"

@@ -85,10 +85,6 @@ type Metrics struct {
 	Faults atomic.Uint64
 	// BudgetExhausted counts RunUntil budget exhaustions.
 	BudgetExhausted atomic.Uint64
-	// Demotions counts graceful-degradation re-runs: a word-kernel or
-	// frontier invariant violation demoted the run to the scalar/dense
-	// oracle path (harness counter, zeroed by Trajectory).
-	Demotions atomic.Uint64
 	// WorkerPanics counts campaign worker panics quarantined into failed
 	// records (harness counter, zeroed by Trajectory).
 	WorkerPanics atomic.Uint64
@@ -127,7 +123,6 @@ type Snapshot struct {
 	ChurnSkipped      uint64 `json:"churn_skipped,omitempty"`
 	Faults            uint64 `json:"faults,omitempty"`
 	BudgetExhausted   uint64 `json:"budget_exhausted,omitempty"`
-	Demotions         uint64 `json:"demotions,omitempty"`
 	WorkerPanics      uint64 `json:"worker_panics,omitempty"`
 	WatchdogStalls    uint64 `json:"watchdog_stalls,omitempty"`
 	RunRetries        uint64 `json:"run_retries,omitempty"`
@@ -154,7 +149,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		ChurnSkipped:      m.ChurnSkipped.Load(),
 		Faults:            m.Faults.Load(),
 		BudgetExhausted:   m.BudgetExhausted.Load(),
-		Demotions:         m.Demotions.Load(),
 		WorkerPanics:      m.WorkerPanics.Load(),
 		WatchdogStalls:    m.WatchdogStalls.Load(),
 		RunRetries:        m.RunRetries.Load(),
@@ -185,7 +179,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		ChurnSkipped:      s.ChurnSkipped - prev.ChurnSkipped,
 		Faults:            s.Faults - prev.Faults,
 		BudgetExhausted:   s.BudgetExhausted - prev.BudgetExhausted,
-		Demotions:         s.Demotions - prev.Demotions,
 		WorkerPanics:      s.WorkerPanics - prev.WorkerPanics,
 		WatchdogStalls:    s.WatchdogStalls - prev.WatchdogStalls,
 		RunRetries:        s.RunRetries - prev.RunRetries,
@@ -198,11 +191,10 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 // execution modes (dense vs frontier, scalar vs word): equal runs must
 // produce equal trajectory counters, while Evaluated, FrontierSkips,
 // FrontierSize, Settled, CoinDraws and WordSteps measure how the mode did
-// the work and are exempt. Harness
-// counters (Demotions, WorkerPanics, WatchdogStalls, RunRetries) depend on
-// the fault schedule and retry policy, not the trajectory, and are zeroed
-// too — a chaos run that converges to the same trajectory must byte-match
-// an undisturbed one.
+// the work and are exempt. Harness counters (WorkerPanics, WatchdogStalls,
+// RunRetries) depend on the fault schedule and retry policy, not the
+// trajectory, and are zeroed too — a chaos run that converges to the same
+// trajectory must byte-match an undisturbed one.
 func (s Snapshot) Trajectory() Snapshot {
 	s.Evaluated = 0
 	s.FrontierSkips = 0
@@ -210,7 +202,6 @@ func (s Snapshot) Trajectory() Snapshot {
 	s.Settled = 0
 	s.CoinDraws = 0
 	s.WordSteps = 0
-	s.Demotions = 0
 	s.WorkerPanics = 0
 	s.WatchdogStalls = 0
 	s.RunRetries = 0
@@ -218,7 +209,7 @@ func (s Snapshot) Trajectory() Snapshot {
 }
 
 // SnapshotWords is the number of counters in a Snapshot's flat word vector.
-const SnapshotWords = 22
+const SnapshotWords = 21
 
 // Words flattens the snapshot into a fixed-order word vector, the
 // serialization interchange form used by engine checkpoints. Keep the order
@@ -229,7 +220,7 @@ func (s Snapshot) Words() [SnapshotWords]uint64 {
 		s.TransAA, s.TransAF, s.TransFA, s.CoinDraws, s.Settled,
 		s.FrontierSkips, s.FrontierSize, s.WordSteps, s.MonitorPromotions,
 		s.ChurnApplied, s.ChurnSkipped, s.Faults, s.BudgetExhausted,
-		s.Demotions, s.WorkerPanics, s.WatchdogStalls, s.RunRetries,
+		s.WorkerPanics, s.WatchdogStalls, s.RunRetries,
 	}
 }
 
@@ -240,7 +231,7 @@ func SnapshotFromWords(w [SnapshotWords]uint64) Snapshot {
 		TransAA: w[5], TransAF: w[6], TransFA: w[7], CoinDraws: w[8], Settled: w[9],
 		FrontierSkips: w[10], FrontierSize: w[11], WordSteps: w[12], MonitorPromotions: w[13],
 		ChurnApplied: w[14], ChurnSkipped: w[15], Faults: w[16], BudgetExhausted: w[17],
-		Demotions: w[18], WorkerPanics: w[19], WatchdogStalls: w[20], RunRetries: w[21],
+		WorkerPanics: w[18], WatchdogStalls: w[19], RunRetries: w[20],
 	}
 }
 
@@ -266,7 +257,6 @@ func (m *Metrics) Add(s Snapshot) {
 	m.ChurnSkipped.Add(s.ChurnSkipped)
 	m.Faults.Add(s.Faults)
 	m.BudgetExhausted.Add(s.BudgetExhausted)
-	m.Demotions.Add(s.Demotions)
 	m.WorkerPanics.Add(s.WorkerPanics)
 	m.WatchdogStalls.Add(s.WatchdogStalls)
 	m.RunRetries.Add(s.RunRetries)

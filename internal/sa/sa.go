@@ -191,7 +191,8 @@ type Settler interface {
 // state q is sensed), so δ can be evaluated with a handful of word ops per
 // node from precompiled masks instead of per-state probes and branchy
 // decoding. Engines obtain one via the WordKernel capability and feed it
-// batches built by the CSR OR-scan over per-node self-words (see Planes).
+// batches built by the CSR OR-scan over per-node self-words (see
+// BuildSignals).
 //
 // The contract mirrors sa.Settler, strengthened to batches: implementations
 // must be deterministic and coin-free on every (state, signal) pair — Eval
@@ -216,6 +217,27 @@ type WordEval interface {
 	// derive graph-wide stabilization verdicts by popcount instead of
 	// per-node monitor callbacks.
 	EvalGood(cur []State, sws []uint64, next []State, good []uint64)
+}
+
+// PlaneWords returns the number of uint64 words a bit-plane over n nodes
+// (one bit per node, such as a word engine's goodness plane) occupies.
+func PlaneWords(n int) int { return (n + 63) / 64 }
+
+// BuildSignals is the batched neighborhood-signal builder: an OR-scan over
+// the CSR adjacency rows of nodes lo..hi−1, producing each node's inclusive
+// one-word signal sws[v−lo] = self[v] | OR_{u ∈ N(v)} self[u]. self[v] must
+// be 1 << state(v), the one-word signal contribution of v; offsets/neighbors
+// are the raw CSR arrays (graph.Graph.CSR). One load+OR per incident edge
+// replaces the scalar path's Signal.Reset + per-neighbor Signal.Set, and the
+// result feeds WordEval.Eval directly.
+func BuildSignals(self []uint64, offsets, neighbors []int, lo, hi int, sws []uint64) {
+	for v := lo; v < hi; v++ {
+		sw := self[v]
+		for _, u := range neighbors[offsets[v]:offsets[v+1]] {
+			sw |= self[u]
+		}
+		sws[v-lo] = sw
+	}
 }
 
 // WordKernel is an optional extension of Algorithm enabling word-parallel

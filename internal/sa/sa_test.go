@@ -189,3 +189,71 @@ func TestIsOutputConfigAndString(t *testing.T) {
 		t.Errorf("StateName = %q", got)
 	}
 }
+
+// TestBuildSignalsMatchesScalarSignal is the property test for the batched
+// CSR OR-scan: over random graphs, configurations and node ranges, the
+// one-word signals must equal the scalar sa.Signal built the slow way.
+func TestBuildSignalsMatchesScalarSignal(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, states := range []int{2, 63, 64} {
+		for trial := 0; trial < 30; trial++ {
+			n := 1 + rng.Intn(150)
+			adj := make([][]int, n)
+			for v := 0; v < n; v++ {
+				for u := v + 1; u < n; u++ {
+					if rng.Float64() < 0.08 {
+						adj[v] = append(adj[v], u)
+						adj[u] = append(adj[u], v)
+					}
+				}
+			}
+			offsets := make([]int, n+1)
+			var neighbors []int
+			for v := 0; v < n; v++ {
+				offsets[v+1] = offsets[v] + len(adj[v])
+				neighbors = append(neighbors, adj[v]...)
+			}
+
+			cfg := sa.Random(n, states, rng)
+			self := make([]uint64, n)
+			for v, q := range cfg {
+				self[v] = 1 << uint(q)
+			}
+
+			lo := rng.Intn(n)
+			hi := lo + rng.Intn(n-lo+1)
+			sws := make([]uint64, hi-lo)
+			sa.BuildSignals(self, offsets, neighbors, lo, hi, sws)
+
+			for v := lo; v < hi; v++ {
+				sig := sa.NewSignal(states)
+				sig.Set(cfg[v])
+				for _, u := range adj[v] {
+					sig.Set(cfg[u])
+				}
+				if sws[v-lo] != sig.Words()[0] {
+					t.Fatalf("states=%d trial=%d: signal word of node %d = %#x, scalar %#x",
+						states, trial, v, sws[v-lo], sig.Words()[0])
+				}
+			}
+		}
+	}
+}
+
+// TestSubsetOfAllocs pins the guard-evaluation path: SubsetOf must not
+// allocate, even for multi-word signals.
+func TestSubsetOfAllocs(t *testing.T) {
+	sig := sa.NewSignal(130)
+	sig.Set(3)
+	sig.Set(70)
+	sig.Set(129)
+	allowed := []sa.State{3, 70, 129}
+	allocs := testing.AllocsPerRun(200, func() {
+		if !sig.SubsetOf(allowed...) {
+			t.Fatal("subset check failed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Signal.SubsetOf allocates %v times per call, want 0", allocs)
+	}
+}

@@ -125,8 +125,9 @@ type Checkpointer interface {
 
 	// RestoreState restores a payload from CheckpointState into this
 	// scheduler, which must have been constructed with the same parameters
-	// (including the seed) as the saved one.
-	RestoreState(data []byte) error
+	// (including the seed) as the saved one. n is the node count of the
+	// restored engine; per-node state sized for another graph is rejected.
+	RestoreState(data []byte, n int) error
 }
 
 // Synchronous activates every node at every step: A_t = V, so R(i) = i.
@@ -266,8 +267,11 @@ func (s *RandomSubset) CheckpointState() ([]byte, error) {
 }
 
 // RestoreState implements Checkpointer; the receiver must come from
-// NewRandomSubsetSeeded with the same seed as the saved scheduler.
-func (s *RandomSubset) RestoreState(data []byte) error {
+// NewRandomSubsetSeeded with the same seed as the saved scheduler. A gap
+// vector is empty before the first step and covers at least n nodes after
+// it; a shorter one would be padded with the current step on the next
+// step, silently leaving the checkpointed trajectory.
+func (s *RandomSubset) RestoreState(data []byte, n int) error {
 	if s.src == nil {
 		return fmt.Errorf("sched: random-subset built around an external rng is not restorable; use NewRandomSubsetSeeded")
 	}
@@ -280,6 +284,9 @@ func (s *RandomSubset) RestoreState(data []byte) error {
 	}
 	if seed != s.seed {
 		return fmt.Errorf("sched: random-subset snapshot for seed %d restored into seed %d", seed, s.seed)
+	}
+	if len(last) != 0 && len(last) < n {
+		return fmt.Errorf("sched: random-subset snapshot has gaps for %d nodes, want at least %d", len(last), n)
 	}
 	if err := s.src.SetState(state); err != nil {
 		return fmt.Errorf("sched: random-subset snapshot: %w", err)
@@ -488,8 +495,11 @@ func (s *Permuted) CheckpointState() ([]byte, error) {
 }
 
 // RestoreState implements Checkpointer; the receiver must come from
-// NewPermutedSeeded with the same seed as the saved scheduler.
-func (s *Permuted) RestoreState(data []byte) error {
+// NewPermutedSeeded with the same seed as the saved scheduler. The saved
+// permutation is empty before the first step and a permutation of the n
+// nodes after it; one of another length would be rebuilt and reshuffled on
+// the next step, silently leaving the checkpointed trajectory.
+func (s *Permuted) RestoreState(data []byte, n int) error {
 	if s.src == nil {
 		return fmt.Errorf("sched: permuted built around an external rng is not restorable; use NewPermutedSeeded")
 	}
@@ -503,7 +513,7 @@ func (s *Permuted) RestoreState(data []byte) error {
 	if seed != s.seed {
 		return fmt.Errorf("sched: permuted snapshot for seed %d restored into seed %d", seed, s.seed)
 	}
-	if err := randx.CheckPerm(perm, len(perm)); err != nil {
+	if err := randx.CheckPerm(perm, n); err != nil {
 		return fmt.Errorf("sched: permuted snapshot: %w", err)
 	}
 	if err := s.src.SetState(state); err != nil {

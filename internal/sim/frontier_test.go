@@ -189,39 +189,3 @@ func (coinAlg) Output(q int) int    { return q }
 func (coinAlg) Transition(q sa.State, _ sa.Signal, rng *rand.Rand) sa.State {
 	return rng.Intn(2)
 }
-
-// TestFrontierLastActivated: the lazily materialized LastActivated of a
-// frontier engine must match the dense engine's activation sets.
-func TestFrontierLastActivated(t *testing.T) {
-	g, err := graph.Star(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	au, err := core.NewAU(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for sname, mk := range frontierSchedulers(5) {
-		dense, err := sim.New(g, au, sim.Options{Scheduler: mk(), Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		front, err := sim.New(g, au, sim.Options{Scheduler: mk(), Seed: 3, Frontier: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 25; i++ {
-			if err := dense.Step(); err != nil {
-				t.Fatal(err)
-			}
-			if err := front.Step(); err != nil {
-				t.Fatal(err)
-			}
-			want := fmt.Sprintf("%v", dense.LastActivated())
-			got := fmt.Sprintf("%v", front.LastActivated())
-			if want != got {
-				t.Fatalf("%s step %d: LastActivated diverged: dense %s frontier %s", sname, i, want, got)
-			}
-		}
-	}
-}

@@ -64,37 +64,14 @@ import (
 // within the allotted number of rounds.
 var ErrBudgetExhausted = errors.New("sim: round budget exhausted before condition held")
 
-// ErrWordInvariant and ErrFrontierInvariant report a self-check violation in
-// the word-parallel kernel or the frontier bookkeeping. They are currently
-// raised only through the corresponding failpoint sites (the differentials
-// enforce the real invariants in CI), giving the campaign's graceful
-// degradation ladder a deterministic trigger: a run failing with one of
-// these is demoted to the scalar/dense oracle path and re-executed.
-var (
-	ErrWordInvariant     = errors.New("sim: word-parallel kernel invariant violated")
-	ErrFrontierInvariant = errors.New("sim: frontier invariant violated")
-)
-
-// evalFailpoints evaluates the engine's chaos sites at a step boundary. Only
-// called when a failpoint schedule is armed; the invariant sites fire only
-// when the corresponding execution mode is active, mirroring where a real
-// self-check would live.
+// evalFailpoints evaluates the engine's chaos site at a step boundary. Only
+// called when a failpoint schedule is armed.
 func (e *Engine) evalFailpoints() error {
 	if f := failpoint.Eval(failpoint.SimStep); f.Kind != failpoint.None {
 		if f.Kind == failpoint.FailPanic {
 			panic(f)
 		}
 		return fmt.Errorf("sim: step %d: %w", e.step, f.Err())
-	}
-	if e.wr != nil {
-		if f := failpoint.Eval(failpoint.SimWordInvariant); f.Kind != failpoint.None {
-			return fmt.Errorf("%w (injected at step %d, hit %d)", ErrWordInvariant, e.step, f.Hit)
-		}
-	}
-	if e.fr != nil {
-		if f := failpoint.Eval(failpoint.SimFrontierInvariant); f.Kind != failpoint.None {
-			return fmt.Errorf("%w (injected at step %d, hit %d)", ErrFrontierInvariant, e.step, f.Hit)
-		}
 	}
 	return nil
 }
@@ -132,9 +109,8 @@ type Engine struct {
 	hooks   []Hook
 	obs     ConfigObserver
 
-	lastActivated []int
-	faultBuf      []int // reusable permutation buffer for InjectFaults
-	actBuf        []int // canonicalization buffer for unsorted activation lists
+	faultBuf []int // reusable permutation buffer for InjectFaults
+	actBuf   []int // canonicalization buffer for unsorted activation lists
 
 	// Step-loop scratch (see step.go): the staged next states of the
 	// evaluation list, the nodes the last apply changed, and the scalar
@@ -175,12 +151,6 @@ type frontierRuntime struct {
 	settler sa.Settler // non-nil when the algorithm fuses δ and the certificate
 
 	evalBuf []int // A_t ∩ frontier scratch for non-sparse schedulers
-	lastBuf []int // lazy LastActivated materialization buffer
-
-	// lastFull / lastAllBut describe the most recent step's full activation
-	// set when a SparseActivator summarized it instead of materializing it.
-	lastFull   bool
-	lastAllBut int
 }
 
 // Options configures an Engine.
@@ -323,7 +293,7 @@ func New(g *graph.Graph, alg sa.Algorithm, opts Options) (*Engine, error) {
 	}
 	if opts.Frontier {
 		if lp, ok := alg.(sa.SelfLooper); ok {
-			e.fr = &frontierRuntime{looper: lp, lastAllBut: -1}
+			e.fr = &frontierRuntime{looper: lp}
 			if st, ok := alg.(sa.Settler); ok {
 				e.fr.settler = st
 			}
@@ -506,25 +476,6 @@ func (e *Engine) StepCount() int { return e.step }
 // Rounds returns the number of completed rounds R(i) <= current time.
 func (e *Engine) Rounds() int { return e.tracker.Rounds() }
 
-// LastActivated returns the activation set of the most recent step. On a
-// frontier engine whose scheduler summarized A_t instead of materializing
-// it, the set is materialized lazily here — the O(n) cost is paid only by
-// callers that actually inspect it.
-func (e *Engine) LastActivated() []int {
-	if e.fr != nil && (e.fr.lastFull || e.fr.lastAllBut >= 0) {
-		buf := e.fr.lastBuf[:0]
-		for v := 0; v < e.g.N(); v++ {
-			if v == e.fr.lastAllBut {
-				continue
-			}
-			buf = append(buf, v)
-		}
-		e.fr.lastBuf = buf
-		return buf
-	}
-	return e.lastActivated
-}
-
 // FrontierLen returns the number of unsettled nodes of a frontier-sparse
 // engine, or -1 when frontier mode is inactive (Options.Frontier unset, or
 // an algorithm without the sa.SelfLooper capability).
@@ -538,16 +489,6 @@ func (e *Engine) FrontierLen() int {
 // WordActive reports whether the engine executes on the word-parallel kernel
 // path (Options.WordParallel set and the algorithm offered a kernel).
 func (e *Engine) WordActive() bool { return e.wr != nil }
-
-// Planes materializes the bit-plane view of the current configuration: a
-// fresh sa.Planes packed from C_t. It is a checkpoint/inspection interchange
-// format (O(n·⌈log2|Q|⌉/64) to build), not a live view — the engine's hot
-// word state is the one-hot self-word array derived from it at construction.
-func (e *Engine) Planes() *sa.Planes {
-	p := sa.NewPlanes(e.g.N(), e.alg.NumStates())
-	p.Pack(e.cfg)
-	return p
-}
 
 // RunRounds executes steps until the given number of additional rounds have
 // completed.
@@ -579,54 +520,4 @@ func (e *Engine) RunUntil(cond func(e *Engine) bool, maxRounds int) (int, error)
 	}
 	e.mx.BudgetExhausted.Add(1)
 	return e.tracker.Rounds() - start, ErrBudgetExhausted
-}
-
-// StabilizationResult reports the outcome of RunToStabilization.
-type StabilizationResult struct {
-	// Rounds is the number of rounds until the stability condition first
-	// held (the paper's stabilization time), counted from the call. On
-	// error paths it reports the rounds actually consumed by the call.
-	Rounds int
-	// Steps is the corresponding number of scheduler steps, counted from
-	// the call. On error paths it reports the steps actually consumed.
-	Steps int
-}
-
-// RunToStabilization runs until cond holds and then verifies that it keeps
-// holding for confirmRounds further rounds (self-stabilization demands
-// closure, not just a lucky snapshot). If the condition is violated during
-// confirmation the search resumes. Returns the stabilization round count.
-// Every path — success, step error, budget exhaustion — reports the actual
-// progress made; the round budget never goes negative across a failed
-// confirmation.
-func (e *Engine) RunToStabilization(cond func(e *Engine) bool, confirmRounds, maxRounds int) (StabilizationResult, error) {
-	start := e.tracker.Rounds()
-	startSteps := e.step
-	progress := func() StabilizationResult {
-		return StabilizationResult{Rounds: e.tracker.Rounds() - start, Steps: e.step - startSteps}
-	}
-	for {
-		remaining := maxRounds - (e.tracker.Rounds() - start)
-		if remaining < 0 {
-			remaining = 0 // confirmation steps may have consumed rounds past the budget
-		}
-		if _, err := e.RunUntil(cond, remaining); err != nil {
-			return progress(), err
-		}
-		hitRounds := e.tracker.Rounds()
-		hitSteps := e.step
-		ok := true
-		for e.tracker.Rounds()-hitRounds < confirmRounds {
-			if err := e.Step(); err != nil {
-				return progress(), err
-			}
-			if !cond(e) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return StabilizationResult{Rounds: hitRounds - start, Steps: hitSteps - startSteps}, nil
-		}
-	}
 }

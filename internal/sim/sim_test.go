@@ -174,20 +174,18 @@ func TestInjectFaultsAndSetState(t *testing.T) {
 	}
 }
 
-func TestRunToStabilization(t *testing.T) {
+func TestRunUntilZeroBudgetReportsZeroRounds(t *testing.T) {
 	g := mustPath(t, 4)
-	eng, err := sim.New(g, flood{}, sim.Options{Initial: sa.Config{1, 0, 0, 0}})
+	eng, err := sim.New(g, flood{}, sim.Options{Initial: sa.Config{0, 0, 0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.RunToStabilization(func(e *sim.Engine) bool {
-		return e.Config().IsOutputConfig(flood{}) && e.Config()[3] == 1
-	}, 5, 100)
-	if err != nil {
-		t.Fatal(err)
+	r, err := eng.RunUntil(func(*sim.Engine) bool { return false }, 0)
+	if !errors.Is(err, sim.ErrBudgetExhausted) {
+		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
-	if res.Rounds != 3 {
-		t.Errorf("stabilized after %d rounds, want 3", res.Rounds)
+	if r != 0 {
+		t.Errorf("rounds = %d, want 0 (no step was taken)", r)
 	}
 }
 

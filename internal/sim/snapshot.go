@@ -293,7 +293,7 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 		if !ok {
 			return nil, nil, fmt.Errorf("sim: snapshot has scheduler state but scheduler %T is not a sched.Checkpointer", e.sched)
 		}
-		if err := cp.RestoreState(schedState); err != nil {
+		if err := cp.RestoreState(schedState, n); err != nil {
 			return nil, nil, fmt.Errorf("sim: scheduler restore: %w", err)
 		}
 	}

@@ -72,17 +72,14 @@ func (e *Engine) Step() error {
 	return nil
 }
 
-// activate draws A_t, feeds the round tracker and LastActivated, records the
-// step's activation/evaluation tallies, and returns the evaluation list: A_t
-// itself when dense, A_t ∩ frontier when sparse — via the scheduler's
+// activate draws A_t, feeds the round tracker, records the step's
+// activation/evaluation tallies, and returns the evaluation list: A_t itself
+// when dense, A_t ∩ frontier when sparse — via the scheduler's
 // SparseActivator fast path when it has one (round tracking then counts A_t
 // from an O(1) summary when it is V or V \ {v}), by filtering otherwise.
 func (e *Engine) activate() []int {
 	n := e.g.N()
 	fr := e.fr
-	if fr != nil {
-		fr.lastFull, fr.lastAllBut = false, -1
-	}
 	var eval []int
 	if sp, ok := e.sched.(sched.SparseActivator); ok && fr != nil {
 		raw, cov := sp.SparseActivations(e.step, n, fr.set)
@@ -90,23 +87,17 @@ func (e *Engine) activate() []int {
 		switch {
 		case cov.Full:
 			e.tracker.ObserveFull()
-			fr.lastFull = true
-			e.lastActivated = nil
 			e.stepAct = n
 		case cov.AllBut >= 0:
 			e.tracker.ObserveAllBut(cov.AllBut)
-			fr.lastAllBut = cov.AllBut
-			e.lastActivated = nil
 			e.stepAct = n - 1
 		default:
 			e.tracker.Observe(cov.List)
-			e.lastActivated = cov.List
 			e.stepAct = len(cov.List)
 		}
 	} else {
 		activated := sched.Canonical(e.sched.Activations(e.step, n), &e.actBuf)
 		e.tracker.Observe(activated)
-		e.lastActivated = activated
 		e.stepAct = len(activated)
 		eval = activated
 		if fr != nil {

@@ -63,10 +63,9 @@ type wordRuntime struct {
 }
 
 // newWordRuntime builds the word runtime for an engine whose algorithm
-// offered a kernel. The self-words are materialized through the bit-plane
-// codec: pack the scalar configuration into sa.Planes, derive the one-hot
-// self-words, and maintain them incrementally from there. Every goodness
-// bit is then computed from the current configuration.
+// offered a kernel. The one-hot self-words are set from the configuration
+// and maintained incrementally from there; every goodness bit is then
+// computed from the current configuration.
 func newWordRuntime(e *Engine, kern sa.WordEval) *wordRuntime {
 	n := e.g.N()
 	wr := &wordRuntime{
@@ -76,9 +75,9 @@ func newWordRuntime(e *Engine, kern sa.WordEval) *wordRuntime {
 		plane: make([]uint64, sa.PlaneWords(n)),
 	}
 	wr.offsets, wr.neighbors = e.g.CSR()
-	planes := sa.NewPlanes(n, e.alg.NumStates())
-	planes.Pack(e.cfg)
-	planes.SelfWords(wr.self)
+	for v, q := range e.cfg {
+		wr.self[v] = 1 << uint(q)
+	}
 	e.res = growStates(e.res, n)
 	sa.BuildSignals(wr.self, wr.offsets, wr.neighbors, 0, n, wr.sws)
 	// The transition outputs land in the staging scratch and are discarded;

@@ -244,32 +244,3 @@ func TestWordFallback(t *testing.T) {
 		t.Fatal("fallback engine counted WordSteps")
 	}
 }
-
-// TestEnginePlanes: the engine's bit-plane checkpoint view must round-trip
-// the live configuration.
-func TestEnginePlanes(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g, err := graph.BoundedDiameter(50, 3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	au, err := core.NewAU(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := sim.New(g, au, sim.Options{Seed: 2, WordParallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := e.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p := e.Planes()
-	for v, q := range e.Config() {
-		if p.Get(v) != q {
-			t.Fatalf("plane view of node %d = %d, want %d", v, p.Get(v), q)
-		}
-	}
-}

@@ -57,7 +57,11 @@ import (
 // Version 7 gave the sim engine one coin stream: its section drops the run
 // seed and the per-node-coins flag, which only the retired per-(step, node)
 // reseed read. The asyncsim section is unchanged.
-const Version = 7
+//
+// Version 8 dropped the demotion counter from the metric word vector of both
+// engine sections (obs.SnapshotWords 22 → 21), with the demotion ladder it
+// counted.
+const Version = 8
 
 // magic identifies a snapshot stream ("ThinUnison SNAPshot").
 var magic = [8]byte{'T', 'U', 'S', 'N', 'A', 'P', '0', '1'}
