@@ -33,8 +33,7 @@
 // socket with -parallelism, -frontier and -word forwarded; and chaos, a
 // seeded fault schedule (-chaos-seed) with a kill-and-resume. The
 // checkpoint/restore matrix is no cell: it runs in the engine tests
-// (sim.TestRestoreDifferential, TestRestoreWithCrashVictimsDown and the
-// asyncsim and syncsim restore differentials).
+// (sim.TestRestoreDifferential and TestRestoreWithCrashVictimsDown).
 //
 // The campaign harness is itself self-stabilizing (see internal/failpoint):
 // workers are panic-isolated, -retries re-runs transient failures with
@@ -167,7 +166,7 @@ func run() int {
 		timeout = flag.Duration("timeout", 0, "abort the campaign after this duration (0 = none)")
 		par     = flag.Int("parallelism", 0, "coin source of the MIS/LE engine: any value >0 draws per-(step, node) coin streams (all positive values are interchangeable), <0 forces the shared stream, 0 picks per-node streams from campaign.ShardThreshold nodes; the sign shows in MIS and LE records (the AU engine has one coin stream and ignores this flag)")
 		front   = flag.Int("frontier", 0, "frontier-sparse AU execution: >0 forces it on, <0 forces dense execution, 0 auto-enables (records are identical either way)")
-		checks  = flag.String("check", "", "differential guard instead of a normal campaign: run every scenario on the dense scalar reference and on each listed cell, with the GoodMonitor full-scan oracle armed, and fail unless every record is ok and byte-identical to the reference; cells: "+strings.Join(checkCells, ", ")+" (the checkpoint/restore matrix is no cell: it runs in go test, in sim.TestRestoreDifferential and the asyncsim and syncsim restore differentials)")
+		checks  = flag.String("check", "", "differential guard instead of a normal campaign: run every scenario on the dense scalar reference and on each listed cell, with the GoodMonitor full-scan oracle armed, and fail unless every record is ok and byte-identical to the reference; cells: "+strings.Join(checkCells, ", ")+" (the checkpoint/restore matrix is no cell: it runs in go test, in sim.TestRestoreDifferential)")
 		fork    = flag.String("fork", "", "fork mode: restore this unisonsim checkpoint into -fork-futures perturbed continuations (future f suffers f+1 transient faults) and emit one record per future (ignores -preset)")
 		futures = flag.Int("fork-futures", 8, "number of alternative futures -fork runs")
 		word    = flag.Bool("word", false, "force word-parallel (bit-planed batch) AU execution; falls back to scalar when the algorithm offers no word kernel (records are identical either way)")

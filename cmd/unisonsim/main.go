@@ -78,7 +78,7 @@ func run() error {
 		stats      = flag.Bool("stats", false, "print the engine's metric snapshot on exit")
 
 		checkpoint   = flag.String("checkpoint", "", "write an engine snapshot to this path (at -checkpoint-at steps, or at stabilization)")
-		checkpointAt = flag.Int("checkpoint-at", 0, "take the -checkpoint snapshot after this many steps (0 = at stabilization)")
+		checkpointAt = flag.Int("checkpoint-at", 0, "take the -checkpoint snapshot after this many steps, in any phase of the run; fails if the run never gets there (0 = at stabilization)")
 		restorePath  = flag.String("restore", "", "resume a run from this snapshot instead of starting fresh")
 		replayFrom   = flag.String("replay-from", "", "like -restore, but with the round trace forced on: deterministic time-travel replay of the post-checkpoint window")
 	)
@@ -191,17 +191,25 @@ func run() error {
 		g, g.Diameter(), meta.D, au.K(), au.NumStates(), s.Name())
 	fmt.Printf("initial: %s\n", eng.Config().String(au))
 
+	// -checkpoint-at K saves after step K, in whichever phase it falls:
+	// stabilization, pulses or fault recovery.
+	saved := false
+	if *checkpoint != "" && *checkpointAt > 0 {
+		eng.AddHook(func(e *sim.Engine) error {
+			if e.StepCount() != *checkpointAt {
+				return nil
+			}
+			saved = true
+			return saveCheckpoint(*checkpoint, e, meta, tracer)
+		})
+	}
+
 	k := au.K()
 	budget := paperbudget.AU(k)
 	lastRound := -1
 	for !au.GraphGood(g, eng.Config()) {
 		if err := eng.Step(); err != nil {
 			return err
-		}
-		if *checkpoint != "" && *checkpointAt > 0 && eng.StepCount() == *checkpointAt {
-			if err := saveCheckpoint(*checkpoint, eng, meta, tracer); err != nil {
-				return err
-			}
 		}
 		if *traceFlag && eng.Rounds() != lastRound {
 			lastRound = eng.Rounds()
@@ -239,6 +247,10 @@ func run() error {
 			return fail(fmt.Errorf("no recovery within %d rounds: %w", budget, err))
 		}
 		fmt.Printf("recovered after %d rounds: %s\n", rounds, eng.Config().String(au))
+	}
+	if *checkpoint != "" && *checkpointAt > 0 && !saved {
+		return fmt.Errorf("-checkpoint-at %d: the run ended at step %d without passing it; no checkpoint written",
+			*checkpointAt, eng.StepCount())
 	}
 
 	if rec != nil {

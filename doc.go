@@ -88,10 +88,12 @@
 //     bounded retry/backoff, a per-scenario stall watchdog and deadline, and
 //     crash-safe artifact IO — CRC-32C-verified snapshot containers written
 //     atomically (temp file + fsync + rename) and a torn-write-self-repairing
-//     resumable JSONL log with a CRC sidecar. Engine checkpoints restore
-//     byte-identically in every mode; the restore matrix runs in go test
-//     (sim.TestRestoreDifferential, TestRestoreWithCrashVictimsDown and the
-//     asyncsim and syncsim restore differentials). The chaos cell of
+//     resumable JSONL log with a CRC sidecar. The AU engine's checkpoint
+//     (sim.SaveState, the repo's one engine checkpoint) restores
+//     byte-identically in every mode and accepts only states a run can
+//     reach; the restore matrix runs in go test (sim.TestRestoreDifferential,
+//     TestRestoreWithCrashVictimsDown, TestRestoreRejectsInconsistentState
+//     and FuzzRestore). The chaos cell of
 //     cmd/campaign -check pins it end to end: a preset under a seeded fault
 //     schedule with a kill-and-resume must produce records byte-identical
 //     to an undisturbed run;

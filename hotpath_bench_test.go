@@ -16,8 +16,9 @@ package thinunison_test
 // completed round — one per step under the synchronous schedule — whose
 // amortized doubling growth billed ~29 bytes to every operation without
 // ever crossing the 0.5 allocs/op rounding threshold). The tracker now
-// keeps a fixed preallocated ring of the most recent boundaries, so the
-// steady step is genuinely allocation- and byte-free. The fullscan variants
+// keeps no boundary history at all — only the round count and the
+// current round's per-node stamps — so the steady step is genuinely
+// allocation- and byte-free. The fullscan variants
 // measure the pre-incremental O(n·Δ)-per-step predicate for the speedup
 // comparison.
 

@@ -17,6 +17,9 @@
 // from a counter-based stream seeded by randx.NodeSeed(seed, t, v) (under
 // the synchronous scheduler these are per-(round, node) streams). Every
 // positive p means what 1 means.
+//
+// The engine has no checkpoint; the AU engine's (internal/sim) is the
+// repo's one engine checkpoint.
 package asyncsim
 
 import (
@@ -56,9 +59,8 @@ type Engine[S comparable] struct {
 	mx       *obs.Metrics
 	tracer   *obs.Tracer
 	rng      *rand.Rand      // the shared stream: p = 0 coins and fault draws
-	src      *randx.Source   // rng's source, checkpointed by its state
-	coin     *randx.Counting // draw tally over src
-	seed     int64           // construction seed, retained for checkpointing
+	coin     *randx.Counting // draw tally over the shared stream
+	seed     int64           // construction seed, which the per-node streams derive from
 	traceErr error           // first sink error of the attached tracer
 }
 
@@ -85,10 +87,8 @@ func NewParallel[S comparable](g *graph.Graph, step syncsim.StepFunc[S], initial
 	}
 	states := make([]S, len(initial))
 	copy(states, initial)
-	// A randx.Source draws what rand.NewSource draws, and a checkpoint saves
-	// its state; the counting wrapper is a pass-through tallying the draws.
-	src := randx.NewSource(seed)
-	coin := randx.NewCounting(src)
+	// The counting wrapper is a pass-through tallying the draws.
+	coin := randx.NewCounting(randx.NewSource(seed))
 	e := &Engine[S]{
 		g:       g,
 		step:    step,
@@ -97,7 +97,6 @@ func NewParallel[S comparable](g *graph.Graph, step syncsim.StepFunc[S], initial
 		tracker: sched.NewRoundTracker(g.N()),
 		mx:      &obs.Metrics{},
 		rng:     rand.New(coin),
-		src:     src,
 		coin:    coin,
 		seed:    seed,
 	}

@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
-	"thinunison/internal/asyncsim"
 	"thinunison/internal/core"
 	"thinunison/internal/graph"
+	"thinunison/internal/sa"
 	"thinunison/internal/sched"
 	"thinunison/internal/sim"
 	"thinunison/internal/snapshot"
@@ -88,14 +87,31 @@ func inBlob(layout string, i int, edit fieldEdit) fieldEdit {
 	}
 }
 
+// edit is one named rewrite of an engine-section field.
+type edit struct {
+	name  string
+	field int
+	edit  fieldEdit
+}
+
+// savedEngine is a valid snapshot of an engine, the layout of its engine
+// section, the edits to try on it and how to restore it.
+type savedEngine struct {
+	name    string
+	layout  string
+	edits   []edit
+	snap    []byte
+	restore func(data []byte) error
+}
+
 // TestRestoreRejectsInconsistentState: a CRC-valid snapshot with one
 // inconsistent field must fail to restore with an error, not restore and
-// then index out of range or misbehave on the next step or fault burst.
-// Each case rewrites one field of a valid snapshot of the sim engine (under
-// the Permuted and the RandomSubset scheduler) or the asyncsim engine (with
-// each coin source, p = 0 and p = 2) and writes the container back through
-// snapshot.Write, so the checksums hold and only the field's own validation
-// can catch it.
+// then index out of range, misbehave or leave the checkpointed trajectory
+// on the next steps or fault burst. Each case rewrites one field of a valid
+// snapshot of the sim engine — on a 12-node cycle under the Permuted and
+// the RandomSubset scheduler, and frontier-sparse on a 400-node bounded-
+// diameter graph — and writes the container back through snapshot.Write,
+// so the checksums hold and only the field's own validation can catch it.
 func TestRestoreRejectsInconsistentState(t *testing.T) {
 	const n = 12
 	g, err := graph.Cycle(n)
@@ -106,161 +122,173 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	step := func(self int, _ []int, rng *rand.Rand) int { return (self + rng.Intn(2)) % 7 }
-	randomState := func(rng *rand.Rand) int { return rng.Intn(7) }
-	encode := func(e *snapshot.Enc, s int) { e.Int(s) }
-	decode := func(d *snapshot.Dec) int { return d.Int() }
-	mkSched := func() sched.Scheduler { return sched.NewPermutedSeeded(5) }
+	mkPerm := func() sched.Scheduler { return sched.NewPermutedSeeded(5) }
 	mkSubset := func() sched.Scheduler { return sched.NewRandomSubsetSeeded(0.1, 6, 5) }
 
-	// Both checkpointable schedulers save (seed, rng state, per-node ints):
-	// the Permuted scheduler its permutation, the RandomSubset its gap vector.
-	type schedEdit struct {
-		name string
-		edit fieldEdit
-	}
-	const schedLayout = "iUI"
+	// The engine section of a dense, churn-free run with a checkpointable
+	// scheduler; the round tracker saves (rounds, pending node, stamps), and
+	// both checkpointable schedulers save (seed, rng state, per-node ints):
+	// the Permuted scheduler its permutation, the RandomSubset its gap
+	// vector.
+	const (
+		layout        = "iiiiIIIUiIBbbbbBU"
+		neighbors     = 5
+		rngState      = 7
+		faultBuf      = 9
+		tracker       = 10
+		schedField    = 15
+		trackerLayout = "iiI"
+		schedLayout   = "iUI"
+	)
 	badTap := func(w []uint64) { w[len(w)-2] = 607 } // past the 607-word window
-	permEdits := []schedEdit{
-		{"scheduler rng tap out of range", inBlob(schedLayout, 1, editWords(badTap))},
-		{"permutation with a duplicate", inBlob(schedLayout, 2, editInts(func(p []int) []int { p[0] = p[1]; return p }))},
-		{"permutation node out of range", inBlob(schedLayout, 2, editInts(func(p []int) []int { p[0] = len(p); return p }))},
-		{"permutation of n-1 nodes", inBlob(schedLayout, 2, editInts(func([]int) []int {
-			id := make([]int, n-1)
-			for i := range id {
-				id[i] = i
-			}
-			return id
-		}))},
+	inSched := func(edit func([]int) []int) fieldEdit { return inBlob(schedLayout, 2, editInts(edit)) }
+	common := []edit{
+		{"rng tap out of range", rngState, editWords(badTap)},
+		{"fault buffer with a duplicate", faultBuf, editInts(func(p []int) []int { p[0] = p[1]; return p })},
+		{"fault buffer node out of range", faultBuf, editInts(func(p []int) []int { p[0] = n; return p })},
+		{"fault buffer negative node", faultBuf, editInts(func(p []int) []int { p[0] = -1; return p })},
+		{"fault buffer shorter than n", faultBuf, editInts(func(p []int) []int { return p[:n-1] })},
+		// The cycle's N(0) = {1, 11} becomes {1, 2}: sorted, in range and
+		// loop-free, but 2 does not list 0 and 11 lists 0 one-way.
+		{"asymmetric adjacency", neighbors, editInts(func(p []int) []int { p[1] = 2; return p })},
+		{"tracker negative rounds", tracker, inBlob(trackerLayout, 0, setInt(-1))},
+		{"tracker more rounds than steps", tracker, inBlob(trackerLayout, 0, setInt(1<<20))},
+		{"tracker pending below -1", tracker, inBlob(trackerLayout, 1, setInt(-2))},
+		{"tracker pending node n", tracker, inBlob(trackerLayout, 1, setInt(n))},
+		{"tracker stamp 2", tracker, inBlob(trackerLayout, 2, editInts(func(p []int) []int { p[0] = 2; return p }))},
+		{"scheduler rng tap out of range", schedField, inBlob(schedLayout, 1, editWords(badTap))},
 	}
-	gapEdits := []schedEdit{
-		{"scheduler rng tap out of range", inBlob(schedLayout, 1, editWords(badTap))},
-		{"gap vector of n-1 nodes", inBlob(schedLayout, 2, editInts(func(p []int) []int { return p[:n-1] }))},
+	permEdits := []edit{
+		{"permutation with a duplicate", schedField, inSched(func(p []int) []int { p[0] = p[1]; return p })},
+		{"permutation node out of range", schedField, inSched(func(p []int) []int { p[0] = len(p); return p })},
+		{"permutation of n-1 nodes", schedField, inSched(func(p []int) []int { return p[:n-1] })},
+		{"permutation emptied", schedField, inSched(func([]int) []int { return nil })},
+	}
+	gapEdits := []edit{
+		{"gap vector of n-1 nodes", schedField, inSched(func(p []int) []int { return p[:n-1] })},
+		{"gap vector emptied", schedField, inSched(func([]int) []int { return nil })},
+		{"gap entry 2^40", schedField, inSched(func(p []int) []int { p[3] = 1 << 40; return p })},
+	}
+	zeroGaps := []edit{
+		{"every gap entry 0", schedField, inSched(func(p []int) []int { clear(p); return p })},
 	}
 
-	// Every engine steps (starting a round and the scheduler's permutation)
+	var engines []savedEngine
+	// Every cycle engine steps (starting a round and the scheduler's state)
 	// and takes a fault burst (building the fault buffer) before it saves.
-	type engine struct {
-		name, section string
-		layout        string // of a dense, shared-stream, churn-free run over n int states
-		neighbors     int    // field indices into layout; -1 when absent
-		faultBuf      int
-		tracker       int
-		sched         int
-		schedEdits    []schedEdit
-		rng           int
-		snap          []byte
-		restore       func(data []byte) error
-	}
-	var engines []engine
-
-	var buf bytes.Buffer
-	for _, sc := range []struct {
+	for _, c := range []struct {
 		name  string
 		mk    func() sched.Scheduler
-		edits []schedEdit
-	}{{"sim", mkSched, permEdits}, {"sim-random-subset", mkSubset, gapEdits}} {
-		se, err := sim.New(g, au, sim.Options{Scheduler: sc.mk(), Seed: 1})
+		steps int
+		edits []edit
+	}{
+		{"permuted", mkPerm, 5, permEdits},
+		{"random-subset", mkSubset, 5, gapEdits},
+		{"random-subset-20", mkSubset, 20, zeroGaps},
+	} {
+		e, err := sim.New(g, au, sim.Options{Scheduler: c.mk(), Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 5; i++ {
-			if err := se.Step(); err != nil {
+		for i := 0; i < c.steps; i++ {
+			if err := e.Step(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		se.InjectFaults(3)
-		buf.Reset()
-		if err := se.SaveState(&buf); err != nil {
+		e.InjectFaults(3)
+		var buf bytes.Buffer
+		if err := e.SaveState(&buf); err != nil {
 			t.Fatal(err)
 		}
-		mk := sc.mk
-		engines = append(engines, engine{
-			name: sc.name, section: "engine", layout: "iiiiIIIUiIBbbbbBU",
-			neighbors: 5, faultBuf: 9, tracker: 10, sched: 15, schedEdits: sc.edits, rng: 7, snap: bytes.Clone(buf.Bytes()),
+		mk := c.mk
+		engines = append(engines, savedEngine{
+			name: c.name, layout: layout, edits: append(slices.Clone(common), c.edits...), snap: buf.Bytes(),
 			restore: func(data []byte) error {
 				_, _, err := sim.Restore(bytes.NewReader(data), au, sim.RestoreOptions{Scheduler: mk()})
 				return err
 			},
 		})
 	}
+	engines = append(engines, frontierEngine(t))
 
-	// The asyncsim engine at p = 0 (shared coin stream) and at p = 2
-	// (per-(step, node) coin streams); the two differ only in one flag.
-	for _, p := range []int{0, 2} {
-		ae, err := asyncsim.NewParallel(g, step, make([]int, n), mkSched(), 1, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 5; i++ {
-			ae.Step()
-		}
-		ae.InjectFaults(3, randomState)
-		buf.Reset()
-		if err := ae.SaveState(&buf, encode); err != nil {
-			t.Fatal(err)
-		}
-		eng := engine{
-			name: "asyncsim", section: "asyncsim", layout: "iiiiII" + strings.Repeat("i", n) + "UiIBbbBU",
-			neighbors: 5, faultBuf: n + 8, tracker: n + 9, sched: n + 12, schedEdits: permEdits, rng: n + 6, snap: bytes.Clone(buf.Bytes()),
-			restore: func(data []byte) error {
-				_, _, err := asyncsim.Restore(bytes.NewReader(data), decode, asyncsim.RestoreOptions[int]{Step: step, Scheduler: mkSched()})
-				return err
-			},
-		}
-		if p == 2 {
-			eng.name = "asyncsim-p2"
-		}
-		engines = append(engines, eng)
-	}
-
-	const trackerLayout = "iiiiiII" // n, rounds, steps, remaining, pending, stamps, boundaries
 	for _, eng := range engines {
 		if err := eng.restore(eng.snap); err != nil {
 			t.Fatalf("%s: pristine snapshot rejected: %v", eng.name, err)
 		}
-		type edit struct {
-			name  string
-			field int
-			edit  fieldEdit
-		}
-		edits := []edit{
-			{"rng tap out of range", eng.rng, editWords(badTap)},
-			{"fault buffer with a duplicate", eng.faultBuf, editInts(func(p []int) []int { p[0] = p[1]; return p })},
-			{"fault buffer node out of range", eng.faultBuf, editInts(func(p []int) []int { p[0] = n; return p })},
-			{"fault buffer negative node", eng.faultBuf, editInts(func(p []int) []int { p[0] = -1; return p })},
-			{"fault buffer shorter than n", eng.faultBuf, editInts(func(p []int) []int { return p[:n-1] })},
-			// The cycle's N(0) = {1, 11} becomes {1, 2}: sorted, in range and
-			// loop-free, but 2 does not list 0 and 11 lists 0 one-way.
-			{"asymmetric adjacency", eng.neighbors, editInts(func(p []int) []int { p[1] = 2; return p })},
-		}
-		if eng.tracker >= 0 {
-			edits = append(edits,
-				edit{"tracker negative rounds", eng.tracker, inBlob(trackerLayout, 1, setInt(-1))},
-				edit{"tracker pending below -1", eng.tracker, inBlob(trackerLayout, 4, setInt(-2))},
-				edit{"tracker pending node n", eng.tracker, inBlob(trackerLayout, 4, setInt(n))},
-			)
-		}
-		for _, se := range eng.schedEdits {
-			edits = append(edits, edit{se.name, eng.sched, se.edit})
-		}
-		for _, c := range edits {
+		for _, c := range eng.edits {
 			sections, err := snapshot.Read(bytes.NewReader(eng.snap))
 			if err != nil {
 				t.Fatal(err)
 			}
-			fields := splitFields(t, sections[eng.section], eng.layout)
+			fields := splitFields(t, sections["engine"], eng.layout)
 			if len(fields[len(fields)-1]) != 0 {
 				t.Fatalf("%s: layout %q leaves %d bytes unparsed", eng.name, eng.layout, len(fields[len(fields)-1]))
 			}
 			fields[c.field] = c.edit(t, slices.Clone(fields[c.field]))
 			var out bytes.Buffer
-			if err := snapshot.Write(&out, []snapshot.Section{{Name: eng.section, Data: bytes.Join(fields, nil)}}); err != nil {
+			if err := snapshot.Write(&out, []snapshot.Section{{Name: "engine", Data: bytes.Join(fields, nil)}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := eng.restore(out.Bytes()); err == nil {
 				t.Errorf("%s: %s: restored without error", eng.name, c.name)
 			}
 		}
+	}
+}
+
+// frontierEngine is a frontier-sparse run six steps in — bounded diameter
+// 4, n = 400, a seeded RandomSubset(0.3, 8) — with edits to its saved
+// frontier. Dropping a member whose δ would still move it leaves a list
+// that is sorted and in range, yet the restored run skips the node and
+// leaves the checkpointed trajectory at the next step that activates it.
+func frontierEngine(t *testing.T) savedEngine {
+	t.Helper()
+	const members = 14 // field index of the frontier in layout
+	g, err := graph.BoundedDiameter(400, 4, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	au, err := core.NewAU(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func() sched.Scheduler { return sched.NewRandomSubsetSeeded(0.3, 8, 5) }
+	e, err := sim.New(g, au, sim.Options{Scheduler: mk(), Seed: 1, Frontier: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := e.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sig := sa.NewSignal(au.NumStates())
+	unsettled := func(v int) bool {
+		e.SignalOf(v, &sig)
+		return !au.SelfLoop(e.Config()[v], sig)
+	}
+	return savedEngine{
+		name: "frontier", layout: "iiiiIIIUiIBbbbIbBU", snap: buf.Bytes(),
+		edits: []edit{
+			{"frontier without an unsettled node", members, editInts(func(p []int) []int {
+				for i, v := range p {
+					if unsettled(v) {
+						return slices.Delete(p, i, i+1)
+					}
+				}
+				t.Fatal("every frontier member is settled; step the run less")
+				return nil
+			})},
+			{"frontier members unsorted", members, editInts(func(p []int) []int { p[0], p[1] = p[1], p[0]; return p })},
+			{"frontier member repeated", members, editInts(func(p []int) []int { p[1] = p[0]; return p })},
+		},
+		restore: func(data []byte) error {
+			_, _, err := sim.Restore(bytes.NewReader(data), au, sim.RestoreOptions{Scheduler: mk()})
+			return err
+		},
 	}
 }

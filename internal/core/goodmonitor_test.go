@@ -1,16 +1,13 @@
 package core_test
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
 	"thinunison/internal/core"
 	"thinunison/internal/graph"
-	"thinunison/internal/sa"
 	"thinunison/internal/sched"
 	"thinunison/internal/sim"
-	"thinunison/internal/snapshot"
 )
 
 // TestGoodMonitorMatchesGraphGood cross-checks the incremental stabilization
@@ -217,131 +214,6 @@ func toggleEdges(t *testing.T, g *graph.Graph, rng *rand.Rand, ops int, mons ...
 	for _, c := range changes {
 		for _, mon := range mons {
 			mon.RewireEdge(c.U, c.V, c.Added)
-		}
-	}
-}
-
-// TestGoodMonitorCheckpointRegimes round-trips CheckpointState/RestoreState
-// in both regimes — deferred (with a populated witness cache) and
-// incremental — and verifies the restored monitor is behaviorally
-// indistinguishable: byte-identical re-checkpoint, matching BadNodes, and
-// matching verdicts against the full-scan oracle through a post-restore
-// churn + Apply continuation.
-func TestGoodMonitorCheckpointRegimes(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g, err := graph.RandomConnected(14, 0.3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	au, err := core.NewAU(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	able := au.MustState(core.Turn{Level: 1})
-
-	goodCfg := func() sa.Config {
-		cfg := make(sa.Config, g.N())
-		for v := range cfg {
-			cfg[v] = able
-		}
-		return cfg
-	}
-
-	roundTrip := func(t *testing.T, mon *core.GoodMonitor) *core.GoodMonitor {
-		t.Helper()
-		state := mon.CheckpointState()
-		restored := core.NewGoodMonitor(au, g, goodCfg())
-		if err := restored.RestoreState(state); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-		if !bytes.Equal(restored.CheckpointState(), state) {
-			t.Fatal("re-checkpoint of restored monitor is not byte-identical")
-		}
-		if got, want := restored.BadNodes(), mon.BadNodes(); got != want {
-			t.Fatalf("restored BadNodes()=%d, original=%d", got, want)
-		}
-		return restored
-	}
-
-	// A continuation both monitors run in lockstep after the round-trip:
-	// churn, then random state changes through Apply, then verdicts — all
-	// against the oracle.
-	continuation := func(t *testing.T, a, b *core.GoodMonitor, cfg sa.Config, seed int64) {
-		t.Helper()
-		r := rand.New(rand.NewSource(seed))
-		toggleEdges(t, g, r, 3, a, b)
-		for i := 0; i < 2; i++ {
-			v := r.Intn(g.N())
-			cfg[v] = r.Intn(au.NumStates())
-			a.Apply(v, cfg[v])
-			b.Apply(v, cfg[v])
-		}
-		want := au.GraphGood(g, cfg)
-		if got := a.Good(); got != want {
-			t.Fatalf("original continuation: Good()=%v, GraphGood=%v", got, want)
-		}
-		if got := b.Good(); got != want {
-			t.Fatalf("restored continuation: Good()=%v, GraphGood=%v", got, want)
-		}
-	}
-
-	t.Run("deferred", func(t *testing.T) {
-		r := rand.New(rand.NewSource(5))
-		cfg := make(sa.Config, g.N())
-		for v := range cfg {
-			cfg[v] = r.Intn(au.NumStates())
-		}
-		mon := core.NewGoodMonitor(au, g, cfg)
-		if mon.Good() {
-			t.Skip("random config happened to be good; pick another seed")
-		}
-		// The failed verdict populated the witness cache; it must survive the
-		// round-trip in its exact order.
-		restored := roundTrip(t, mon)
-		continuation(t, mon, restored, cfg, 51)
-	})
-
-	t.Run("incremental", func(t *testing.T) {
-		cfg := goodCfg()
-		mon := core.NewGoodMonitor(au, g, cfg)
-		if !mon.Good() || mon.BadNodesFast() != 0 {
-			t.Fatal("uniform able configuration did not promote the monitor")
-		}
-		for i := 0; i < 4; i++ {
-			v := rng.Intn(g.N())
-			cfg[v] = rng.Intn(au.NumStates())
-			mon.Apply(v, cfg[v])
-		}
-		restored := roundTrip(t, mon)
-		continuation(t, mon, restored, cfg, 52)
-	})
-}
-
-// TestGoodMonitorRestoreRejectsBadState: a monitor snapshot whose raw mirror
-// holds a state outside [0, |Q|) must fail to restore with an error — the
-// per-state tables would otherwise be indexed out of range.
-func TestGoodMonitorRestoreRejectsBadState(t *testing.T) {
-	g, err := graph.Cycle(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	au, err := core.NewAU(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []int{-1, au.NumStates()} {
-		var e snapshot.Enc
-		e.IntsFunc(g.N(), func(v int) int {
-			if v == 3 {
-				return bad
-			}
-			return 0
-		})
-		e.Bool(false)
-		e.Ints(nil)
-		mon := core.NewGoodMonitor(au, g, make(sa.Config, g.N()))
-		if err := mon.RestoreState(e.Bytes()); err == nil {
-			t.Fatalf("state %d restored without error", bad)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"thinunison/internal/graph"
 	"thinunison/internal/obs"
 	"thinunison/internal/sa"
-	"thinunison/internal/snapshot"
 )
 
 // Monitor checks, online, the run-time guarantees of AlgAU: the monotone
@@ -244,7 +243,7 @@ func (m *GoodMonitor) Reset(cfg sa.Config) {
 
 // recount rebuilds the violation counters and the not-good count from the
 // raw mirror in one O(n·Δ) pass, for an incremental monitor whose counters
-// no longer describe the mirror (Reset, RestoreState).
+// no longer describe the mirror (Reset).
 func (m *GoodMonitor) recount() {
 	m.bad = 0
 	for v := 0; v < m.g.N(); v++ {
@@ -470,57 +469,4 @@ func (m *GoodMonitor) BadNodesFast() int {
 		return -1
 	}
 	return m.bad
-}
-
-// CheckpointState serializes the monitor for a step-boundary snapshot: the
-// raw configuration mirror, the regime flag and the deferred-regime witness
-// cache in its exact order. The incremental counters — violation counts and
-// the not-good count — are deliberately NOT serialized: they are a pure
-// function of (raw, current adjacency) and are rebuilt on
-// restore, which both shrinks snapshots and makes a round-trip a
-// cross-check of the incremental maintenance.
-func (m *GoodMonitor) CheckpointState() []byte {
-	var e snapshot.Enc
-	e.IntsFunc(len(m.raw), func(v int) int { return int(m.raw[v]) })
-	e.Bool(m.deferred)
-	e.Ints(m.witnesses)
-	return e.Bytes()
-}
-
-// RestoreState restores a CheckpointState payload into a freshly constructed
-// monitor for the same algorithm and (restored) graph, whose counters are
-// still all zero. An incremental-regime monitor rebuilds its counters from
-// the raw mirror against the current adjacency.
-func (m *GoodMonitor) RestoreState(data []byte) error {
-	d := snapshot.NewDec(data)
-	bad := -1 // first node whose saved state is out of range
-	n := d.IntsFunc(func(v, q int) {
-		if v < len(m.raw) && q >= 0 && q < len(m.posOf) {
-			m.raw[v] = sa.State(q)
-		} else if bad < 0 {
-			bad = v
-		}
-	})
-	deferred := d.Bool()
-	witnesses := d.Ints()
-	if err := d.Done(); err != nil {
-		return err
-	}
-	if n != len(m.raw) {
-		return fmt.Errorf("core: monitor snapshot for %d nodes restored into %d", n, len(m.raw))
-	}
-	if bad >= 0 {
-		return fmt.Errorf("core: monitor snapshot state of node %d out of range [0,%d)", bad, len(m.posOf))
-	}
-	for _, w := range witnesses {
-		if w < 0 || w >= len(m.raw) {
-			return fmt.Errorf("core: monitor snapshot witness %d out of range [0,%d)", w, len(m.raw))
-		}
-	}
-	m.deferred = deferred
-	m.witnesses = witnesses
-	if !m.deferred {
-		m.recount()
-	}
-	return nil
 }

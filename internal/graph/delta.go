@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -359,6 +360,10 @@ func (d *Delta) CheckpointCrashes() (crashed []NodeID, saved [][]NodeID) {
 // RestoreCrashes is the inverse of CheckpointCrashes: it reinstates the
 // crash bookkeeping (crashed set, saved adjacency, lifetime applied counter)
 // into a fresh delta over the restored — already crash-compacted — graph.
+// It accepts only what CheckpointCrashes writes over such a graph: strictly
+// ascending node lists in range, crashed nodes without edges, no node
+// saving itself, no edge saved by both of its crashed endpoints (the second
+// to crash no longer had it), and a non-negative counter.
 func (d *Delta) RestoreCrashes(crashed []NodeID, saved [][]NodeID, applied int) error {
 	if len(d.crashed) != 0 || d.Pending() != 0 || d.applied != 0 {
 		return fmt.Errorf("graph: RestoreCrashes on a non-fresh delta")
@@ -366,14 +371,47 @@ func (d *Delta) RestoreCrashes(crashed []NodeID, saved [][]NodeID, applied int) 
 	if len(saved) != len(crashed) {
 		return fmt.Errorf("graph: %d saved lists for %d crashed nodes", len(saved), len(crashed))
 	}
+	if applied < 0 {
+		return fmt.Errorf("graph: negative applied-change count %d", applied)
+	}
+	if err := CheckNodeSet(crashed, d.g.n); err != nil {
+		return fmt.Errorf("graph: crashed nodes: %w", err)
+	}
 	for i, v := range crashed {
-		if v < 0 || v >= d.g.n {
-			return &OutOfRangeError{ID: v, N: d.g.n}
+		if err := CheckNodeSet(saved[i], d.g.n); err != nil {
+			return fmt.Errorf("graph: saved adjacency of crashed node %d: %w", v, err)
+		}
+		if deg := len(d.g.Neighbors(v)); deg != 0 {
+			return fmt.Errorf("graph: crashed node %d still has %d edges", v, deg)
 		}
 		d.crashed[v] = true
 		d.saved[v] = append([]NodeID(nil), saved[i]...)
 	}
+	for _, v := range crashed {
+		for _, u := range d.saved[v] {
+			if u == v {
+				return fmt.Errorf("graph: crashed node %d saves a self-loop", v)
+			}
+			if _, twice := slices.BinarySearch(d.saved[u], v); twice {
+				return fmt.Errorf("graph: edge (%d, %d) saved by both crashed endpoints", v, u)
+			}
+		}
+	}
 	d.applied = applied
+	return nil
+}
+
+// CheckNodeSet checks that ids lists a set of nodes of an n-node graph in
+// canonical form: strictly ascending within [0, n).
+func CheckNodeSet(ids []NodeID, n int) error {
+	for i, v := range ids {
+		if v < 0 || v >= n {
+			return &OutOfRangeError{ID: v, N: n}
+		}
+		if i > 0 && v <= ids[i-1] {
+			return fmt.Errorf("node %d is unsorted or repeated", v)
+		}
+	}
 	return nil
 }
 

@@ -126,8 +126,10 @@ type Checkpointer interface {
 	// RestoreState restores a payload from CheckpointState into this
 	// scheduler, which must have been constructed with the same parameters
 	// (including the seed) as the saved one. n is the node count of the
-	// restored engine; per-node state sized for another graph is rejected.
-	RestoreState(data []byte, n int) error
+	// restored engine and step the number of steps it has run; per-node
+	// state sized for another graph, or out of reach after step steps, is
+	// rejected.
+	RestoreState(data []byte, n, step int) error
 }
 
 // Synchronous activates every node at every step: A_t = V, so R(i) = i.
@@ -267,11 +269,13 @@ func (s *RandomSubset) CheckpointState() ([]byte, error) {
 }
 
 // RestoreState implements Checkpointer; the receiver must come from
-// NewRandomSubsetSeeded with the same seed as the saved scheduler. A gap
-// vector is empty before the first step and covers at least n nodes after
-// it; a shorter one would be padded with the current step on the next
-// step, silently leaving the checkpointed trajectory.
-func (s *RandomSubset) RestoreState(data []byte, n int) error {
+// NewRandomSubsetSeeded with the same seed as the saved scheduler. The gap
+// vector is empty before the first step. After it, the first n entries
+// hold each node's last activation, which Activations keeps within the
+// last maxGap steps; any other vector would be padded or force-activate
+// nodes differently on the next step, silently leaving the checkpointed
+// trajectory.
+func (s *RandomSubset) RestoreState(data []byte, n, step int) error {
 	if s.src == nil {
 		return fmt.Errorf("sched: random-subset built around an external rng is not restorable; use NewRandomSubsetSeeded")
 	}
@@ -285,8 +289,14 @@ func (s *RandomSubset) RestoreState(data []byte, n int) error {
 	if seed != s.seed {
 		return fmt.Errorf("sched: random-subset snapshot for seed %d restored into seed %d", seed, s.seed)
 	}
-	if len(last) != 0 && len(last) < n {
-		return fmt.Errorf("sched: random-subset snapshot has gaps for %d nodes, want at least %d", len(last), n)
+	if step == 0 && len(last) != 0 || step > 0 && len(last) < n {
+		return fmt.Errorf("sched: random-subset snapshot after %d steps has gaps for %d of %d nodes", step, len(last), n)
+	}
+	for v := 0; v < n && step > 0; v++ {
+		if last[v] < step-s.maxGap || last[v] >= step {
+			return fmt.Errorf("sched: random-subset snapshot has node %d last activated at step %d, outside [%d, %d)",
+				v, last[v], step-s.maxGap, step)
+		}
 	}
 	if err := s.src.SetState(state); err != nil {
 		return fmt.Errorf("sched: random-subset snapshot: %w", err)
@@ -497,9 +507,9 @@ func (s *Permuted) CheckpointState() ([]byte, error) {
 // RestoreState implements Checkpointer; the receiver must come from
 // NewPermutedSeeded with the same seed as the saved scheduler. The saved
 // permutation is empty before the first step and a permutation of the n
-// nodes after it; one of another length would be rebuilt and reshuffled on
-// the next step, silently leaving the checkpointed trajectory.
-func (s *Permuted) RestoreState(data []byte, n int) error {
+// nodes after it; any other would be rebuilt and reshuffled on the next
+// step, silently leaving the checkpointed trajectory.
+func (s *Permuted) RestoreState(data []byte, n, step int) error {
 	if s.src == nil {
 		return fmt.Errorf("sched: permuted built around an external rng is not restorable; use NewPermutedSeeded")
 	}
@@ -513,6 +523,9 @@ func (s *Permuted) RestoreState(data []byte, n int) error {
 	if seed != s.seed {
 		return fmt.Errorf("sched: permuted snapshot for seed %d restored into seed %d", seed, s.seed)
 	}
+	if (step == 0) != (len(perm) == 0) {
+		return fmt.Errorf("sched: permuted snapshot after %d steps has a permutation of %d nodes", step, len(perm))
+	}
 	if err := randx.CheckPerm(perm, n); err != nil {
 		return fmt.Errorf("sched: permuted snapshot: %w", err)
 	}
@@ -523,25 +536,15 @@ func (s *Permuted) RestoreState(data []byte, n int) error {
 	return nil
 }
 
-// boundaryWindow is the number of recent round boundaries a RoundTracker
-// retains. The history used to grow without bound — one int per completed
-// round, which under the synchronous schedule is one append per step: the
-// phantom ~29 B/op the "allocation-free" steady-step benchmarks kept
-// reporting was exactly this slice's amortized doubling. A fixed ring keeps
-// Boundary available for every realistic query (tests and experiments look
-// back a few hundred rounds at most) while making million-round runs truly
-// allocation-free and O(1)-memory in the tracker.
-const boundaryWindow = 4096
-
-// RoundTracker incrementally computes the round operator ϱ and the round
-// boundaries R(0) = 0 < R(1) < R(2) < ... from an observed activation
-// sequence. Feed it each step's activation set in order.
+// RoundTracker incrementally computes the round operator ϱ from an observed
+// activation sequence: Rounds is the largest i with R(i) <= the steps
+// observed, where R(0) = 0 < R(1) < R(2) < ... are the round boundaries.
+// Feed it each step's activation set in order; a caller that needs the
+// boundaries themselves records the step at which Rounds grows.
 //
-// Tracking is allocation-free on the steady path: instead of a rebuilt
-// pending set per round it stamps each node with the round in which it was
-// last seen, so a round completes when the per-round seen counter reaches n.
-// Only the most recent boundaryWindow boundaries are retained (see
-// Boundary).
+// Tracking is allocation-free: instead of a rebuilt pending set per round
+// it stamps each node with the round in which it was last seen, so a round
+// completes when the per-round seen counter reaches n.
 type RoundTracker struct {
 	n         int
 	seen      []int // seen[v] = stamp of the round v was last activated in
@@ -549,28 +552,22 @@ type RoundTracker struct {
 	remaining int   // nodes not yet activated in the current round
 	pending   int   // >= 0: exactly this node is missing from the current round
 	rounds    int
-	boundary  []int // ring: boundary[i % boundaryWindow] = R(i)
-	stepsSeen int
 }
 
 // NewRoundTracker returns a tracker for n nodes. R(0) = 0 is implicit.
 func NewRoundTracker(n int) *RoundTracker {
-	t := &RoundTracker{
+	return &RoundTracker{
 		n:         n,
 		seen:      make([]int, n),
 		stamp:     1,
 		remaining: n,
 		pending:   -1,
-		boundary:  make([]int, boundaryWindow),
 	}
-	t.boundary[0] = 0 // R(0)
-	return t
 }
 
 // completeRound closes the current round at the current step count.
 func (t *RoundTracker) completeRound() {
 	t.rounds++
-	t.boundary[t.rounds%boundaryWindow] = t.stepsSeen
 	t.stamp++
 	t.remaining = t.n
 	t.pending = -1
@@ -579,7 +576,6 @@ func (t *RoundTracker) completeRound() {
 // Observe records the activation set of the current step. It must be called
 // once per step, in order.
 func (t *RoundTracker) Observe(activated []int) {
-	t.stepsSeen++
 	if t.pending >= 0 {
 		// Every node but t.pending has already been activated this round.
 		for _, v := range activated {
@@ -605,7 +601,6 @@ func (t *RoundTracker) Observe(activated []int) {
 // completes at this step. Sparse engines use it so the synchronous schedule
 // never materializes (or scans) an O(n) activation slice.
 func (t *RoundTracker) ObserveFull() {
-	t.stepsSeen++
 	t.completeRound()
 }
 
@@ -613,7 +608,6 @@ func (t *RoundTracker) ObserveFull() {
 // completes iff v was already activated earlier in the round; otherwise v
 // becomes the round's only missing node.
 func (t *RoundTracker) ObserveAllBut(v int) {
-	t.stepsSeen++
 	if t.pending >= 0 {
 		if t.pending != v {
 			t.completeRound()
@@ -631,37 +625,18 @@ func (t *RoundTracker) ObserveAllBut(v int) {
 // R(i) <= steps observed.
 func (t *RoundTracker) Rounds() int { return t.rounds }
 
-// Boundary returns R(i), the step index at which round i completed.
-// Boundary(0) = 0. It panics if round i has not completed yet or has been
-// evicted from the bounded history (only the most recent boundaryWindow
-// boundaries are retained).
-func (t *RoundTracker) Boundary(i int) int {
-	if i > t.rounds {
-		panic("sched: Boundary of an uncompleted round")
-	}
-	if i < t.rounds-boundaryWindow+1 {
-		panic("sched: Boundary evicted from the bounded history")
-	}
-	return t.boundary[i%boundaryWindow]
-}
-
-// Steps returns the number of steps observed so far.
-func (t *RoundTracker) Steps() int { return t.stepsSeen }
-
-// CheckpointState serializes the tracker — round count, step count, the
-// in-progress round's activation stamps, and the retained boundary ring —
-// so a restored tracker continues the round operator exactly where the
-// saved one stopped, including Boundary queries over the retained window.
+// CheckpointState serializes the tracker — the round count, the pending
+// node and the in-progress round's activation stamps — so a restored
+// tracker continues the round operator exactly where the saved one
+// stopped.
 //
 // The per-node stamps are normalized to booleans (activated in the current
 // round or not), which is the only property Observe reads; the absolute
-// stamp value is an implementation detail of the zero-free reset.
+// stamp value is an implementation detail of the zero-free reset, and the
+// count of nodes still missing is derived from the stamps on restore.
 func (t *RoundTracker) CheckpointState() []byte {
 	var e snapshot.Enc
-	e.Int(t.n)
 	e.Int(t.rounds)
-	e.Int(t.stepsSeen)
-	e.Int(t.remaining)
 	e.Int(t.pending)
 	e.IntsFunc(t.n, func(v int) int {
 		if t.seen[v] == t.stamp {
@@ -669,36 +644,49 @@ func (t *RoundTracker) CheckpointState() []byte {
 		}
 		return 0
 	})
-	e.Ints(t.boundary)
 	return e.Bytes()
 }
 
-// RestoreRoundTracker rebuilds a tracker for n nodes from CheckpointState.
-func RestoreRoundTracker(n int, data []byte) (*RoundTracker, error) {
+// RestoreRoundTracker rebuilds a tracker for n nodes from CheckpointState,
+// saved after step steps. It rejects a state no run reaches: more rounds
+// than steps, a stamp other than 0 or 1, a pending node out of range or
+// already stamped, a round with every node stamped and none pending
+// (which would have completed), or any activation before the first step.
+// The count of missing nodes is derived from
+// the stamps; it is exact when no node is pending, and otherwise unread
+// until the round completes and resets it.
+func RestoreRoundTracker(n, step int, data []byte) (*RoundTracker, error) {
 	d := snapshot.NewDec(data)
-	if sn := d.Int(); sn != n && d.Err() == nil {
-		return nil, fmt.Errorf("sched: tracker snapshot for %d nodes restored into %d", sn, n)
-	}
 	t := NewRoundTracker(n)
 	t.rounds = d.Int()
-	t.stepsSeen = d.Int()
-	t.remaining = d.Int()
 	t.pending = d.Int()
+	bad := -1 // first node whose stamp is neither 0 nor 1
 	got := d.IntsFunc(func(v, on int) {
-		if v < n && on != 0 {
+		switch {
+		case v >= n:
+		case on == 1:
 			t.seen[v] = t.stamp
+			t.remaining--
+		case on != 0 && bad < 0:
+			bad = v
 		}
 	})
-	boundary := d.Ints()
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	if got != n || len(boundary) != boundaryWindow {
-		return nil, fmt.Errorf("sched: corrupt tracker snapshot (%d stamps, %d boundaries)", got, len(boundary))
+	switch {
+	case got != n:
+		return nil, fmt.Errorf("sched: tracker snapshot has %d stamps for %d nodes", got, n)
+	case bad >= 0:
+		return nil, fmt.Errorf("sched: tracker snapshot stamp of node %d is neither 0 nor 1", bad)
+	case t.rounds < 0 || t.rounds > step:
+		return nil, fmt.Errorf("sched: tracker snapshot has %d rounds after %d steps", t.rounds, step)
+	case t.pending < -1 || t.pending >= n:
+		return nil, fmt.Errorf("sched: tracker snapshot pending node %d out of range [-1, %d)", t.pending, n)
+	case t.pending >= 0 && t.seen[t.pending] == t.stamp, t.pending < 0 && t.remaining == 0,
+		step == 0 && (t.pending >= 0 || t.remaining != n):
+		return nil, fmt.Errorf("sched: tracker snapshot with pending node %d and %d of %d nodes stamped is unreachable after %d steps",
+			t.pending, n-t.remaining, n, step)
 	}
-	if t.rounds < 0 || t.pending < -1 || t.pending >= n {
-		return nil, fmt.Errorf("sched: corrupt tracker snapshot (rounds %d, pending node %d of %d)", t.rounds, t.pending, n)
-	}
-	copy(t.boundary, boundary)
 	return t, nil
 }

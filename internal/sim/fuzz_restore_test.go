@@ -1,0 +1,413 @@
+package sim_test
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"thinunison/internal/core"
+	"thinunison/internal/graph"
+	"thinunison/internal/sched"
+	"thinunison/internal/sim"
+	"thinunison/internal/snapshot"
+)
+
+// FuzzRestore holds sim.Restore to its contract on structured edits: each
+// input picks one of a matrix of valid snapshots, edits one decoded field of
+// its engine section (or keeps it), and writes the container back with
+// valid checksums. Either Restore rejects the result, or the restored
+// engine must
+//
+//   - save back to the same engine-section bytes, so every accepted
+//     encoding is canonical;
+//   - run 64 steps and one fault burst without a panic or a step error;
+//   - keep a GoodMonitor, built fresh from the restored configuration, in
+//     agreement with the full-scan GraphGood after every step.
+//
+// The snapshots span dense, frontier, word and frontier+word engines, with
+// churn off and on, under the synchronous scheduler and the seeded
+// Permuted and RandomSubset schedulers, saved before the first step and
+// mid-run.
+func FuzzRestore(f *testing.F) {
+	seeds := restoreSeeds(f)
+	for i := range seeds {
+		f.Add(uint8(i), uint16(0), uint8(0), uint16(0), int64(0)) // unedited
+		f.Add(uint8(i), uint16(7*i+3), uint8(i%5+1), uint16(i), int64(i-3))
+	}
+	f.Fuzz(func(t *testing.T, seed uint8, field uint16, op uint8, index uint16, value int64) {
+		s := seeds[int(seed)%len(seeds)]
+		fields, err := splitEngine(s.section)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		leaves := leafFields(fields)
+		at := int(field) % len(leaves)
+		leaf := leaves[at]
+		leaf.raw = editField(leaf.kind, leaf.raw, op, int(index), value)
+		s.name = fmt.Sprintf("%s, field %d (%c) edit %d", s.name, at, leaf.kind, op)
+		section := joinFields(fields)
+		var buf bytes.Buffer
+		if err := snapshot.Write(&buf, []snapshot.Section{{Name: "engine", Data: section}}); err != nil {
+			t.Fatal(err)
+		}
+		e, _, err := sim.Restore(bytes.NewReader(buf.Bytes()), s.au, sim.RestoreOptions{Scheduler: s.mk()})
+		if err != nil {
+			return
+		}
+		checkRestored(t, s, e, section)
+	})
+}
+
+// checkRestored is FuzzRestore's property for an accepted snapshot whose
+// engine section is section.
+func checkRestored(t *testing.T, s restoreSeed, e *sim.Engine, section []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.SaveState(&buf); err != nil {
+		t.Fatalf("%s: re-save: %v", s.name, err)
+	}
+	sections, err := snapshot.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sections["engine"]; !bytes.Equal(got, section) {
+		i := 0
+		for i < len(got) && i < len(section) && got[i] == section[i] {
+			i++
+		}
+		t.Fatalf("%s: the restored engine re-saves %d bytes that differ at byte %d from the %d it was restored from",
+			s.name, len(got), i, len(section))
+	}
+	mon := core.NewGoodMonitor(s.au, e.Graph(), e.Config())
+	e.Observe(mon)
+	for i := 0; i < 64; i++ {
+		if i == 32 {
+			e.InjectFaults(3)
+		}
+		if err := e.Step(); err != nil {
+			t.Fatalf("%s: continuation step %d: %v", s.name, i, err)
+		}
+		if got, want := mon.Good(), s.au.GraphGood(e.Graph(), e.Config()); got != want {
+			t.Fatalf("%s: continuation step %d: monitor Good=%v, GraphGood=%v", s.name, i, got, want)
+		}
+	}
+}
+
+// restoreSeed is one valid engine section of FuzzRestore's matrix and the
+// recipe its restore needs.
+type restoreSeed struct {
+	name    string
+	section []byte
+	au      *core.AU
+	mk      func() sched.Scheduler
+}
+
+var (
+	restoreSeedsOnce sync.Once
+	restoreSeedList  []restoreSeed
+	restoreSeedsErr  error
+)
+
+// restoreSeeds builds FuzzRestore's snapshots once per process.
+func restoreSeeds(tb testing.TB) []restoreSeed {
+	tb.Helper()
+	restoreSeedsOnce.Do(func() { restoreSeedList, restoreSeedsErr = buildRestoreSeeds() })
+	if restoreSeedsErr != nil {
+		tb.Fatal(restoreSeedsErr)
+	}
+	return restoreSeedList
+}
+
+func buildRestoreSeeds() ([]restoreSeed, error) {
+	au, err := core.NewAU(4)
+	if err != nil {
+		return nil, err
+	}
+	base, err := graph.RandomConnected(24, 0.2, rand.New(rand.NewSource(5)))
+	if err != nil {
+		return nil, err
+	}
+	scheds := []struct {
+		name string
+		mk   func() sched.Scheduler
+	}{
+		{"synchronous", func() sched.Scheduler { return sched.NewSynchronous() }},
+		{"permuted", func() sched.Scheduler { return sched.NewPermutedSeeded(3) }},
+		{"random-subset", func() sched.Scheduler { return sched.NewRandomSubsetSeeded(0.3, 6, 4) }},
+	}
+	var seeds []restoreSeed
+	for _, mode := range []struct {
+		name           string
+		frontier, word bool
+	}{{"dense", false, false}, {"frontier", true, false}, {"word", false, true}, {"frontier+word", true, true}} {
+		for _, churn := range []bool{false, true} {
+			for _, sc := range scheds {
+				for _, steps := range []int{0, 12} {
+					var spec *sim.ChurnSpec
+					if churn {
+						spec = restoreChurnSpec()
+					}
+					g, err := graph.New(base.N(), base.Edges())
+					if err != nil {
+						return nil, err
+					}
+					e, err := sim.New(g, au, sim.Options{Scheduler: sc.mk(), Seed: 9, Frontier: mode.frontier,
+						WordParallel: mode.word, Churn: spec})
+					if err != nil {
+						return nil, err
+					}
+					for i := 0; i < steps; i++ {
+						if i == steps/2 {
+							e.InjectFaults(4)
+						}
+						if err := e.Step(); err != nil {
+							return nil, err
+						}
+					}
+					var buf bytes.Buffer
+					if err := e.SaveState(&buf); err != nil {
+						return nil, err
+					}
+					sections, err := snapshot.Read(&buf)
+					if err != nil {
+						return nil, err
+					}
+					seeds = append(seeds, restoreSeed{
+						name:    fmt.Sprintf("%s/churn=%v/%s/step %d", mode.name, churn, sc.name, steps),
+						section: sections["engine"],
+						au:      au,
+						mk:      sc.mk,
+					})
+				}
+			}
+		}
+	}
+	return seeds, nil
+}
+
+// field is one encoded field of an engine section: a fixed-width int ('i'),
+// a bool ('b'), an int sequence ('I'), a word sequence ('U'), or a blob
+// ('B') split into the fields of its own layout.
+type field struct {
+	kind byte
+	raw  []byte
+	sub  []*field
+}
+
+// fieldReader cuts a payload into fields. A field's extent is the length
+// of re-encoding what a decoder reads from it, which is exact because
+// every encoding is canonical.
+type fieldReader struct {
+	rest []byte
+	err  error
+}
+
+func (r *fieldReader) take(kind byte) *field {
+	d := snapshot.NewDec(r.rest)
+	var e snapshot.Enc
+	switch kind {
+	case 'i':
+		e.Int(d.Int())
+	case 'b':
+		e.Bool(d.Bool())
+	case 'I':
+		e.Ints(d.Ints())
+	case 'U':
+		e.U64s(d.U64s())
+	}
+	if err := d.Err(); err != nil && r.err == nil {
+		r.err = fmt.Errorf("field %c: %w", kind, err)
+	}
+	if r.err != nil {
+		return &field{kind: kind}
+	}
+	n := len(e.Bytes())
+	f := &field{kind: kind, raw: r.rest[:n]}
+	r.rest = r.rest[n:]
+	return f
+}
+
+// blob takes a blob field whose payload has the given layout.
+func (r *fieldReader) blob(layout string) *field {
+	d := snapshot.NewDec(r.rest)
+	payload := d.Blob()
+	if err := d.Err(); err != nil && r.err == nil {
+		r.err = fmt.Errorf("blob: %w", err)
+	}
+	if r.err != nil {
+		return &field{kind: 'B'}
+	}
+	var e snapshot.Enc
+	e.Blob(payload)
+	r.rest = r.rest[len(e.Bytes()):]
+	sub := &fieldReader{rest: payload}
+	f := &field{kind: 'B'}
+	for i := range layout {
+		f.sub = append(f.sub, sub.take(layout[i]))
+	}
+	if sub.err == nil && len(sub.rest) != 0 {
+		sub.err = fmt.Errorf("blob layout %q leaves %d bytes", layout, len(sub.rest))
+	}
+	if sub.err != nil && r.err == nil {
+		r.err = sub.err
+	}
+	return f
+}
+
+// splitEngine cuts a valid sim engine section into its fields, following
+// the layout SaveState writes.
+func splitEngine(section []byte) ([]*field, error) {
+	r := &fieldReader{rest: section}
+	var fs []*field
+	put := func(kinds string) {
+		for i := range kinds {
+			fs = append(fs, r.take(kinds[i]))
+		}
+	}
+	// n, m, |Q|, step, CSR, configuration, rng state and pending draws,
+	// fault buffer, round tracker (rounds, pending node, stamps).
+	put("iiiiIIIUiI")
+	fs = append(fs, r.blob("iiI"))
+	var flags [3]bool
+	for i := range flags {
+		f := r.take('b')
+		flags[i] = snapshot.NewDec(f.raw).Bool()
+		fs = append(fs, f)
+	}
+	if flags[0] {
+		put("I") // frontier members
+	}
+	if flags[1] {
+		put("U") // goodness plane
+	}
+	if flags[2] {
+		fs = append(fs, splitChurn(r)...)
+	}
+	f := r.take('b')
+	fs = append(fs, f)
+	if snapshot.NewDec(f.raw).Bool() {
+		fs = append(fs, r.blob("iUI")) // seed, rng state, permutation or gap vector
+	}
+	put("U") // metric words
+	if r.err == nil && len(r.rest) != 0 {
+		r.err = fmt.Errorf("engine layout leaves %d bytes", len(r.rest))
+	}
+	return fs, r.err
+}
+
+// splitChurn cuts the churn fields: the spec's events and knobs, the
+// runtime cursors and stream, and the crash bookkeeping.
+func splitChurn(r *fieldReader) []*field {
+	var fs []*field
+	take := func(kind byte) *field {
+		f := r.take(kind)
+		fs = append(fs, f)
+		return f
+	}
+	count := func() int { return snapshot.NewDec(take('i').raw).Int() }
+	for ev, nev := 0, count(); ev < nev && r.err == nil; ev++ {
+		take('i') // step
+		for op, nops := 0, count(); op < nops && r.err == nil; op++ {
+			take('i')
+			take('i')
+			take('i')
+		}
+	}
+	for _, k := range "iiiiibiiiiIUiI" {
+		take(byte(k))
+	}
+	for i, nsaved := 0, count(); i < nsaved && r.err == nil; i++ {
+		take('I')
+	}
+	return fs
+}
+
+// leafFields lists the editable fields, blob contents included.
+func leafFields(fs []*field) []*field {
+	var out []*field
+	for _, f := range fs {
+		if f.kind == 'B' {
+			out = append(out, leafFields(f.sub)...)
+		} else {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// joinFields re-encodes a field list.
+func joinFields(fs []*field) []byte {
+	var out []byte
+	for _, f := range fs {
+		if f.kind == 'B' {
+			var e snapshot.Enc
+			e.Blob(joinFields(f.sub))
+			out = append(out, e.Bytes()...)
+		} else {
+			out = append(out, f.raw...)
+		}
+	}
+	return out
+}
+
+// editField applies edit op (0 keeps the field) to one encoded field,
+// at position index of a sequence, with operand value.
+func editField(kind byte, raw []byte, op uint8, index int, value int64) []byte {
+	if op == 0 {
+		return raw
+	}
+	var e snapshot.Enc
+	d := snapshot.NewDec(raw)
+	switch kind {
+	case 'i':
+		switch v := d.Int(); op % 3 {
+		case 0:
+			e.Int(int(value))
+		case 1:
+			e.Int(v + int(value))
+		default:
+			e.Int(-v)
+		}
+	case 'b':
+		if op%2 == 0 {
+			return []byte{byte(value)}
+		}
+		e.Bool(!d.Bool())
+	case 'I':
+		e.Ints(editSeq(d.Ints(), op, index, int(value)))
+	case 'U':
+		w := d.U64s()
+		if op%6 == 5 && len(w) > 0 {
+			w[index%len(w)] ^= 1 << (uint64(value) % 64)
+			e.U64s(w)
+			break
+		}
+		e.U64s(editSeq(w, op, index, uint64(value)))
+	}
+	return e.Bytes()
+}
+
+// editSeq applies one of five sequence edits: set, add to, delete or
+// insert an element, or truncate.
+func editSeq[T int | uint64](s []T, op uint8, index int, value T) []T {
+	if len(s) == 0 {
+		return append(s, value)
+	}
+	i := index % len(s)
+	switch op % 5 {
+	case 0:
+		s[i] = value
+	case 1:
+		s[i] += value
+	case 2:
+		s = slices.Delete(s, i, i+1)
+	case 3:
+		s = slices.Insert(s, i, value)
+	default:
+		s = s[:i]
+	}
+	return s
+}

@@ -37,13 +37,15 @@
 //
 // Every mode combination is checkpointable: Engine.SaveState serializes the
 // full run state at a step boundary (configuration, churned topology,
-// frontier bitset, goodness plane, round tracker, rng stream states, churn
+// frontier members, goodness plane, round tracker, rng stream states, churn
 // bookkeeping, scheduler position) and Restore rebuilds an engine in a
 // fresh process that continues the run byte-identically — run K steps,
 // snapshot, restore, run K more ≡ an uninterrupted 2K-step run, in every
-// mode × churn cell. See snapshot.go; the restore matrix runs in go test:
-// TestRestoreDifferential and TestRestoreWithCrashVictimsDown here, and the
-// asyncsim and syncsim restore differentials for the procedural engine.
+// mode × churn cell. It is the repo's one engine checkpoint, and Restore
+// accepts only states a run can reach. See snapshot.go; the restore matrix
+// runs in go test: TestRestoreDifferential, TestRestoreWithCrashVictimsDown
+// and FuzzRestore here, and TestRestoreRejectsInconsistentState in
+// internal/campaign.
 package sim
 
 import (
@@ -236,11 +238,12 @@ type Options struct {
 	// churn-free runs.
 	Churn *ChurnSpec
 
-	// restoring is set only by Restore. A snapshot taken while churn crash
-	// victims are down carries a CSR with those victims isolated — a graph
-	// the engine handles fine mid-run (KeepConnected guards alive-subgraph
-	// connectivity only) but full-graph Validate would reject. Restore
-	// validates the alive subgraph against the crash set itself.
+	// restoring is set only by Restore, for a snapshot with churn state. A
+	// snapshot taken while churn crash victims are down carries a CSR with
+	// those victims isolated — a graph the engine handles fine mid-run
+	// (KeepConnected guards alive-subgraph connectivity only) but full-graph
+	// Validate would reject. Restore validates the alive subgraph against
+	// the crash set itself.
 	restoring bool
 }
 

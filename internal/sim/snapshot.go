@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"io"
+	"math/bits"
+	"sort"
 
 	"thinunison/internal/frontier"
 	"thinunison/internal/graph"
@@ -26,9 +28,14 @@ import (
 // randx.Source, so a checkpoint stores each generator's state (607 words and
 // two indices) and restore sets it: the cost does not grow with the number
 // of draws since the seed. Derived state that is a pure function of the
-// serialized state (self-words, signal scratch) is rebuilt rather than
-// stored — the rebuild doubles as a cross-check that the primary state
-// round-tripped.
+// serialized state (self-words, signal scratch, the round tracker's count
+// of missing nodes) is rebuilt rather than stored.
+//
+// A checkpoint is read back from disk, so Restore accepts only a state the
+// run could have reached: each layer's decoder checks its fields against
+// the primary state (node count, step, configuration), and FuzzRestore
+// holds every accepted encoding to a canonical re-save and a clean
+// continuation.
 
 // engineSection is the section name of the engine's own state inside the
 // snapshot container; caller extras must use different names.
@@ -57,8 +64,8 @@ type RestoreOptions struct {
 }
 
 // SaveState writes a restorable checkpoint of the engine to w, plus any
-// caller-provided extra sections (e.g. a core.GoodMonitor's CheckpointState
-// under its own name). It must be called between steps, on the goroutine
+// caller-provided extra sections (e.g. campaign.RunMeta's "runmeta"
+// section). It must be called between steps, on the goroutine
 // driving the engine — the same discipline as SetState — so the staged
 // scratch is empty and every rng stream sits at a step boundary.
 func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
@@ -128,10 +135,18 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 // Restore reads a checkpoint written by SaveState and rebuilds the engine:
 // same algorithm, same topology, same configuration, every rng stream set to
 // its saved state. The returned extras map holds the caller sections passed
-// to SaveState (the engine's own section removed), so callers can rebuild
-// observers — e.g. a core.GoodMonitor from the restored configuration plus
-// its saved CheckpointState — and re-register them via Observe before
-// stepping.
+// to SaveState (the engine's own section removed). Observers are not part
+// of the checkpoint: rebuild them from the restored configuration — e.g.
+// core.NewGoodMonitor(alg, e.Graph(), e.Config()) — and register them via
+// Observe before stepping.
+//
+// Restore rejects a CRC-valid snapshot that no run reaches, among others:
+// a one-way or out-of-range adjacency; a fault buffer, scheduler
+// permutation or gap vector that is not what the saved step implies; a
+// round tracker with more rounds than steps; a frontier member list that
+// is unsorted or repeats a node; and a frontier that omits a node whose
+// restored signal does not make it a settled self-loop (or, on a word
+// engine, whose goodness bit disagrees with its configuration).
 func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[string][]byte, error) {
 	sections, err := snapshot.Read(r)
 	if err != nil {
@@ -210,17 +225,8 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 	}
 
 	var spec *ChurnSpec
-	var crashed []graph.NodeID
 	if churnState != nil {
 		spec = &churnState.spec
-		crashed = churnState.crashed
-	}
-	// A snapshot taken while churn crash victims are down is legitimately
-	// disconnected — the victims sit isolated in the CSR until revival, and
-	// the KeepConnected guard only ever protected the alive subgraph. So
-	// validate connectivity over the alive nodes, not the whole graph.
-	if err := validateAliveCSR(g, crashed); err != nil {
-		return nil, nil, fmt.Errorf("sim: snapshot graph: %w", err)
 	}
 	// The seed is irrelevant: the saved generator state replaces the
 	// stream below, and the configuration is given.
@@ -232,7 +238,7 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 		Metrics:      opts.Metrics,
 		Trace:        opts.Trace,
 		Churn:        spec,
-		restoring:    true,
+		restoring:    spec != nil,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -257,35 +263,33 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 	e.step = step
 	e.faultBuf = faultBuf
 
-	tracker, err := sched.RestoreRoundTracker(n, trackerState)
+	tracker, err := sched.RestoreRoundTracker(n, step, trackerState)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sim: snapshot round tracker: %w", err)
 	}
 	e.tracker = tracker
 
 	if e.fr != nil {
-		// New filled the frontier (fresh runs start all-dirty); rebuild it
-		// to hold exactly the saved members.
-		e.fr.set = frontier.New(n)
-		for _, v := range frMembers {
-			if v < 0 || v >= n {
-				return nil, nil, fmt.Errorf("sim: snapshot frontier member %d out of range", v)
-			}
-			e.fr.set.Add(v)
+		if err := e.restoreFrontier(frMembers); err != nil {
+			return nil, nil, err
 		}
 	}
 	if e.wr != nil {
-		// Overwrite the goodness bits with the saved plane (New computed
-		// them from the configuration, which is stricter than the per-eval
-		// invariant allows for unevaluated frontier nodes).
-		if len(plane) != len(e.wr.plane) {
-			return nil, nil, fmt.Errorf("sim: snapshot goodness plane has %d words, want %d", len(plane), len(e.wr.plane))
+		if err := e.restorePlane(plane); err != nil {
+			return nil, nil, err
 		}
-		copy(e.wr.plane, plane)
 	}
 	if churnState != nil {
-		if err := churnState.restoreInto(e.churn); err != nil {
+		if err := churnState.restoreInto(e.churn, step); err != nil {
 			return nil, nil, err
+		}
+		// A snapshot taken while churn crash victims are down is
+		// legitimately disconnected — the victims sit isolated in the CSR
+		// until revival, and the KeepConnected guard only ever protected the
+		// alive subgraph — so New skipped validation, and only the alive
+		// nodes must be connected.
+		if !e.churn.delta.Connected() {
+			return nil, nil, fmt.Errorf("sim: snapshot graph: %w", graph.ErrDisconnected)
 		}
 	}
 	if hasSched {
@@ -293,7 +297,7 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 		if !ok {
 			return nil, nil, fmt.Errorf("sim: snapshot has scheduler state but scheduler %T is not a sched.Checkpointer", e.sched)
 		}
-		if err := cp.RestoreState(schedState, n); err != nil {
+		if err := cp.RestoreState(schedState, n, step); err != nil {
 			return nil, nil, fmt.Errorf("sim: scheduler restore: %w", err)
 		}
 	}
@@ -303,52 +307,55 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 	return e, sections, nil
 }
 
-// validateAliveCSR checks the restored topology the way the running engine
-// maintains it: crash victims must be fully detached, and the subgraph
-// induced by the alive nodes must be connected.
-func validateAliveCSR(g *graph.Graph, crashed []graph.NodeID) error {
-	n := g.N()
-	down := make([]bool, n)
-	for _, v := range crashed {
-		if v < 0 || v >= n {
-			return fmt.Errorf("crashed node %d out of range [0, %d)", v, n)
-		}
-		if len(g.Neighbors(v)) != 0 {
-			return fmt.Errorf("crashed node %d still has %d edges", v, len(g.Neighbors(v)))
-		}
-		down[v] = true
+// restoreFrontier replaces the all-dirty frontier New built with the saved
+// members, which must be strictly ascending node IDs. A run removes a node
+// from the frontier only when its (state, signal) pair is certified a
+// coin-free self-loop, and re-adds it whenever that signal may change, so
+// every node outside a reachable frontier passes SelfLoop on the restored
+// configuration; one pass over the non-members checks it.
+func (e *Engine) restoreFrontier(members []int) error {
+	n := e.g.N()
+	if err := graph.CheckNodeSet(members, n); err != nil {
+		return fmt.Errorf("sim: snapshot frontier: %w", err)
 	}
-	root := -1
-	alive := 0
+	e.fr.set = frontier.New(n)
+	for _, v := range members {
+		e.fr.set.Add(v)
+	}
 	for v := 0; v < n; v++ {
-		if !down[v] {
-			alive++
-			if root < 0 {
-				root = v
+		if e.fr.set.Contains(v) {
+			continue
+		}
+		e.SignalOf(v, &e.sig)
+		if !e.fr.looper.SelfLoop(e.cfg[v], e.sig) {
+			return fmt.Errorf("sim: snapshot frontier omits node %d, which is not a settled self-loop", v)
+		}
+	}
+	return nil
+}
+
+// restorePlane overwrites the goodness bits New computed from the
+// configuration with the saved plane: a frontier node's bit may be stale,
+// and a stale bit is trajectory-visible through certification. A settled
+// node's bit is not stale — its signal has not changed since the
+// evaluation that settled it — so on a frontier engine every bit outside
+// the frontier, tail bits included, must equal New's. (A dense engine
+// refreshes the whole plane before any step it certifies.)
+func (e *Engine) restorePlane(plane []uint64) error {
+	fresh := e.wr.plane
+	if len(plane) != len(fresh) {
+		return fmt.Errorf("sim: snapshot goodness plane has %d words, want %d", len(plane), len(fresh))
+	}
+	if e.fr != nil {
+		for i := range plane {
+			for diff := plane[i] ^ fresh[i]; diff != 0; diff &= diff - 1 {
+				if v := i<<6 + bits.TrailingZeros64(diff); v >= e.g.N() || !e.fr.set.Contains(v) {
+					return fmt.Errorf("sim: snapshot goodness bit %d of a settled node disagrees with the configuration", v)
+				}
 			}
 		}
 	}
-	if root < 0 {
-		return fmt.Errorf("all %d nodes are crashed", n)
-	}
-	seen := make([]bool, n)
-	seen[root] = true
-	queue := []int{root}
-	reached := 1
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Neighbors(v) {
-			if !seen[w] {
-				seen[w] = true
-				reached++
-				queue = append(queue, w)
-			}
-		}
-	}
-	if reached != alive {
-		return graph.ErrDisconnected
-	}
+	copy(fresh, plane)
 	return nil
 }
 
@@ -456,10 +463,26 @@ func decodeChurn(d *snapshot.Dec) (*churnCheckpoint, error) {
 }
 
 // restoreInto rewinds a freshly constructed churn runtime (built by New from
-// the decoded spec) to the checkpointed cursors and stream state.
-func (c *churnCheckpoint) restoreInto(cr *churnRuntime) error {
+// the decoded spec) to the checkpointed cursors and stream state. Both
+// cursors are functions of the spec and the step: a run has applied every
+// scripted event due before step and fired one stochastic event per
+// period boundary in [1, step), capped one past MaxEvents.
+func (c *churnCheckpoint) restoreInto(cr *churnRuntime, step int) error {
 	if cr == nil {
 		return fmt.Errorf("sim: snapshot has churn state but engine built no churn runtime")
+	}
+	s := &cr.spec
+	next := sort.Search(len(s.Events), func(i int) bool { return s.Events[i].Step >= step })
+	events := 0
+	if s.Period > 0 && (s.Flips > 0 || s.Crashes > 0) && step > 0 {
+		events = (step - 1) / s.Period
+		if s.MaxEvents > 0 {
+			events = min(events, s.MaxEvents+1)
+		}
+	}
+	if c.next != next || c.events != events || c.skipped < 0 {
+		return fmt.Errorf("sim: snapshot churn cursors (event %d, %d stochastic events, %d skipped) after %d steps, want (%d, %d, >= 0)",
+			c.next, c.events, c.skipped, step, next, events)
 	}
 	cr.next = c.next
 	cr.events = c.events

@@ -3,12 +3,11 @@
 // byte-identically in a fresh process (see sim.SaveState / sim.Restore).
 //
 // A snapshot is a sequence of named, length-prefixed sections behind a magic
-// header. Sections keep layers independent: each stateful layer (config,
-// rng states, round tracker, frontier, goodness plane, churn, metrics,
-// monitor) owns one section and encodes it with the primitives of
-// Enc/Dec. Unknown sections are preserved by Read so callers can attach
-// their own (e.g. a monitor state or run metadata) without the container
-// caring.
+// header. The engine writes its whole state (config, rng states, round
+// tracker, frontier, goodness plane, churn, scheduler, metrics) into one
+// section with the primitives of Enc/Dec. Unknown sections are preserved by
+// Read so callers can attach their own (e.g. run metadata) without the
+// container caring.
 //
 // The format favors simplicity and restore speed over size: scalars and
 // word slices are fixed-width little-endian, int sequences are zigzag
@@ -61,7 +60,13 @@ import (
 // Version 8 dropped the demotion counter from the metric word vector of both
 // engine sections (obs.SnapshotWords 22 → 21), with the demotion ladder it
 // counted.
-const Version = 8
+//
+// Version 9 left the sim section as the one engine checkpoint (the asyncsim
+// section and the GoodMonitor section were retired with their codecs) and
+// cut its round-tracker blob to (rounds, pending node, stamps): the
+// 4096-entry boundary ring, the step count and the missing-node count are
+// gone, the last derived from the stamps on restore.
+const Version = 9
 
 // magic identifies a snapshot stream ("ThinUnison SNAPshot").
 var magic = [8]byte{'T', 'U', 'S', 'N', 'A', 'P', '0', '1'}
@@ -268,24 +273,10 @@ func zigzag(d int) uint64 {
 	return uint64(int64(d)<<1) ^ uint64(int64(d)>>63)
 }
 
-// Int32s appends a length-prefixed []int32.
-func (e *Enc) Int32s(v []int32) {
-	e.Int(len(v))
-	for _, x := range v {
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(x))
-	}
-}
-
 // Blob appends a length-prefixed byte blob.
 func (e *Enc) Blob(v []byte) {
 	e.Int(len(v))
 	e.buf = append(e.buf, v...)
-}
-
-// String appends a length-prefixed string.
-func (e *Enc) String(s string) {
-	e.Int(len(s))
-	e.buf = append(e.buf, s...)
 }
 
 // Dec reads back what Enc wrote. Errors are sticky: after the first
@@ -337,15 +328,19 @@ func (d *Dec) I64() int64 { return int64(d.U64()) }
 // Int reads one int-sized word.
 func (d *Dec) Int() int { return int(d.I64()) }
 
-// Bool reads one boolean byte.
+// Bool reads one boolean byte, which must be 0 or 1 (what Enc.Bool writes).
 func (d *Dec) Bool() bool {
 	if d.err != nil || d.off >= len(d.buf) {
 		d.fail()
 		return false
 	}
 	b := d.buf[d.off]
+	if b > 1 {
+		d.err = fmt.Errorf("snapshot: boolean byte %d at offset %d", b, d.off)
+		return false
+	}
 	d.off++
-	return b != 0
+	return b == 1
 }
 
 // length reads a non-negative length prefix bounded by the remaining bytes
@@ -435,24 +430,6 @@ func (d *Dec) uvarint() (uint64, bool) {
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int { return int(int64(u>>1) ^ -int64(u&1)) }
 
-// Int32s reads a length-prefixed []int32.
-func (d *Dec) Int32s() []int32 {
-	n := d.length(4)
-	if d.err != nil {
-		return nil
-	}
-	v := make([]int32, n)
-	for i := range v {
-		if d.off+4 > len(d.buf) {
-			d.fail()
-			return nil
-		}
-		v[i] = int32(binary.LittleEndian.Uint32(d.buf[d.off:]))
-		d.off += 4
-	}
-	return v
-}
-
 // Blob reads a length-prefixed byte blob (a copy).
 func (d *Dec) Blob() []byte {
 	n := d.length(1)
@@ -463,15 +440,4 @@ func (d *Dec) Blob() []byte {
 	copy(v, d.buf[d.off:])
 	d.off += n
 	return v
-}
-
-// String reads a length-prefixed string.
-func (d *Dec) String() string {
-	n := d.length(1)
-	if d.err != nil {
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
-	return s
 }

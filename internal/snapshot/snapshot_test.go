@@ -106,15 +106,13 @@ func TestCodecRoundTrip(t *testing.T) {
 			b    bool
 			us   []uint64
 			is   []int
-			i32s []int32
 			blob []byte
-			s    string
 		}
 		nOps := 1 + rng.Intn(20)
 		ops := make([]op, nOps)
 		var e snapshot.Enc
 		for k := range ops {
-			o := op{kind: rng.Intn(8)}
+			o := op{kind: rng.Intn(7)}
 			switch o.kind {
 			case 0:
 				o.u = rng.Uint64()
@@ -141,12 +139,6 @@ func TestCodecRoundTrip(t *testing.T) {
 				}
 				e.Ints(o.is)
 			case 6:
-				o.i32s = make([]int32, rng.Intn(5))
-				for j := range o.i32s {
-					o.i32s[j] = int32(rng.Uint32())
-				}
-				e.Int32s(o.i32s)
-			case 7:
 				o.blob = make([]byte, rng.Intn(9))
 				rng.Read(o.blob)
 				e.Blob(o.blob)
@@ -193,16 +185,6 @@ func TestCodecRoundTrip(t *testing.T) {
 					}
 				}
 			case 6:
-				got := d.Int32s()
-				if len(got) != len(o.i32s) {
-					t.Fatalf("trial %d op %d: Int32s len %d != %d", trial, k, len(got), len(o.i32s))
-				}
-				for j := range got {
-					if got[j] != o.i32s[j] {
-						t.Fatalf("trial %d op %d: Int32s[%d]", trial, k, j)
-					}
-				}
-			case 7:
 				if got := d.Blob(); !bytes.Equal(got, o.blob) {
 					t.Fatalf("trial %d op %d: Blob %x != %x", trial, k, got, o.blob)
 				}
@@ -368,7 +350,7 @@ func FuzzDec(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
 	// Varint sequences at the Ints and IntsFunc getters: cut mid-element,
 	// and with an element over 64 bits.
-	for _, getter := range []int{5, 8} {
+	for _, getter := range []int{5, 7} {
 		for _, bad := range [][]byte{
 			{0x80},
 			{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02},
@@ -403,7 +385,6 @@ var fuzzGetters = []struct {
 	{func(d *snapshot.Dec) { d.Bool() }, func(e *snapshot.Enc) { e.Bool(false) }},
 	{func(d *snapshot.Dec) { d.U64s() }, func(e *snapshot.Enc) { e.U64s(nil) }},
 	{func(d *snapshot.Dec) { d.Ints() }, func(e *snapshot.Enc) { e.Ints(nil) }},
-	{func(d *snapshot.Dec) { d.Int32s() }, func(e *snapshot.Enc) { e.Int32s(nil) }},
 	{func(d *snapshot.Dec) { d.Blob() }, func(e *snapshot.Enc) { e.Blob(nil) }},
 	{func(d *snapshot.Dec) { d.IntsFunc(func(int, int) {}) }, func(e *snapshot.Enc) { e.IntsFunc(0, nil) }},
 }

@@ -2,8 +2,7 @@
 // AlgMIS and AlgLE of Sec. 3 are presented in this style, for the
 // synchronous schedule (A_t = V for all t, so rounds and steps coincide):
 // the node-program signature StepFunc, the sensing helpers Sensed and
-// MinSensed, the state codec pair a checkpoint needs, and the dirty-set
-// stability Checker. The engine that runs these programs, under the
+// MinSensed, and the dirty-set stability Checker. The engine that runs these programs, under the
 // synchronous schedule (its nil scheduler) or any other, is
 // asyncsim.Engine.
 //
@@ -15,11 +14,7 @@
 // program never sees node IDs or n).
 package syncsim
 
-import (
-	"math/rand"
-
-	"thinunison/internal/snapshot"
-)
+import "math/rand"
 
 // StepFunc is a node program: given the node's current state and the
 // deduplicated set of states sensed in its inclusive neighborhood, it returns
@@ -29,15 +24,6 @@ import (
 // for determinism, but programs must treat it as an unordered set: the SA
 // model reveals neither order, nor multiplicity, nor identity.
 type StepFunc[S comparable] func(self S, sensed []S, rng *rand.Rand) S
-
-// StateEncoder appends one node state to a checkpoint stream. State types
-// are arbitrary comparables an engine cannot introspect, so callers supply
-// the codec pair; it must round-trip exactly (decode(encode(s)) == s).
-type StateEncoder[S comparable] func(*snapshot.Enc, S)
-
-// StateDecoder reads one node state back; decoding errors surface through
-// the Dec's sticky error.
-type StateDecoder[S comparable] func(*snapshot.Dec) S
 
 // Sensed is a helper for node programs: it reports whether any sensed state
 // satisfies pred.
