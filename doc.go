@@ -48,10 +48,10 @@
 //     frontier differential harness and the frontier cell of cmd/campaign
 //     -check enforce it; see the frontier series of BENCH_hotpath.json for
 //     the quiescent-regime speedups);
-//   - live topology churn (graph.Delta, sim.Options.Churn, Engine.ApplyDelta
-//     on both engines, sim and asyncsim): the graph mutates mid-run at step
-//     boundaries — edge flips, cell crash/revive, scripted or stochastic
-//     with connectivity and diameter-drift guards — through one amortized
+//   - live topology churn in the AU engine (graph.Delta, sim.Options.Churn,
+//     sim.Engine.ApplyDelta): the graph mutates mid-run at step boundaries
+//     — stochastic edge flips and cell crash/revive, with connectivity and
+//     diameter-drift guards — through one amortized
 //     in-place CSR re-compaction, with every incremental layer repaired in
 //     the same motion (frontier re-seeding, O(1) GoodMonitor counter repair
 //     via sim.TopologyObserver). Churn runs stay byte-identical

@@ -130,19 +130,6 @@ func (e *Engine[S]) TraceErr() error { return e.traceErr }
 // Graph returns the underlying graph.
 func (e *Engine[S]) Graph() *graph.Graph { return e.g }
 
-// ApplyDelta commits a topology mutation batch between steps: the delta
-// (which must wrap the engine's own graph) is compacted in place and the
-// touched endpoints returned, so callers can recheck dirty-set stability
-// (syncsim.Checker.Recheck) over the affected neighborhoods. Like SetState
-// it must run between steps, on the driving goroutine.
-func (e *Engine[S]) ApplyDelta(d *graph.Delta) ([]int, error) {
-	if d.Graph() != e.g {
-		return nil, fmt.Errorf("asyncsim: delta wraps a different graph")
-	}
-	_, touched := d.Apply()
-	return touched, nil
-}
-
 // Rounds returns the number of completed rounds (round operator ϱ).
 func (e *Engine[S]) Rounds() int { return e.tracker.Rounds() }
 

@@ -2,6 +2,7 @@ package baseline_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"thinunison/internal/baseline"
@@ -79,7 +80,7 @@ func TestMinRuleSaturationIsBroken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := sim.New(g, b, sim.Options{Initial: sa.Uniform(3, 3)})
+	eng, err := sim.New(g, b, sim.Options{Initial: slices.Repeat(sa.Config{3}, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,21 +162,6 @@ func (n *Network) PulseCounts(rounds int) ([]int, error) {
 	return counts, nil
 }
 
-// Phases returns the current clock value of every cell, or -1 for cells in
-// faulty turns (for visualization).
-func (n *Network) Phases() []int {
-	cfg := n.eng.Config()
-	out := make([]int, len(cfg))
-	for v, q := range cfg {
-		if n.au.IsOutput(q) {
-			out[v] = n.au.Output(q)
-		} else {
-			out[v] = -1
-		}
-	}
-	return out
-}
-
 // Churn rewires the topology in place: it removes and adds random chords
 // while keeping the graph connected and within the diameter bound. The cell
 // states, the engine, the scheduler and the rng stream all carry over —

@@ -5,11 +5,12 @@
 // per-run records (stabilization rounds, steps, wall time, fault-recovery
 // rounds, budget headroom) for JSONL/CSV export and statistical aggregation.
 //
-// It is the repository's single entry point for sweeps: the experiment
-// harness (internal/experiments) and the cmd/campaign CLI both run their
-// workloads through it. Every run is reproducible — the campaign seed and the
-// scenario's position determine all randomness, independent of the worker
-// count and goroutine interleaving.
+// It is the repository's entry point for sweeps: the cmd/campaign CLI runs
+// its workloads through it, and so do experiments E1–E3 of the experiment
+// harness (internal/experiments); E4–E9 drive the engines directly. Every
+// run is reproducible — the campaign seed and the scenario's position
+// determine all randomness, independent of the worker count and goroutine
+// interleaving.
 package campaign
 
 import (
@@ -98,10 +99,9 @@ func (s SchedulerSpec) effective() SchedulerSpec {
 }
 
 // Build instantiates a fresh scheduler for one run, seeding any internal
-// randomness from seed. The stochastic schedulers use the SEEDED
-// constructors — byte-identical pass-throughs of their externally-seeded
-// twins that additionally implement sched.Checkpointer, so campaign runs are
-// checkpointable without changing a single record byte.
+// randomness from seed. The stochastic schedulers use the seeded
+// constructors, which own their rng and implement sched.Checkpointer, so
+// campaign runs are checkpointable.
 func (s SchedulerSpec) Build(seed int64) (sched.Scheduler, error) {
 	s = s.effective()
 	switch s.Kind {

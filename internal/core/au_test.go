@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"thinunison/internal/core"
@@ -83,7 +84,7 @@ func schedulersFor(seed int64) []sched.Scheduler {
 		sched.NewRoundRobin(),
 		sched.NewRandomSubset(0.35, 16, rand.New(rand.NewSource(seed))),
 		sched.NewLaggard(0, 5),
-		sched.NewPermuted(rand.New(rand.NewSource(seed + 1))),
+		sched.NewPermutedSeeded(seed + 1),
 	}
 }
 
@@ -174,7 +175,7 @@ func TestStabilizationFromGood(t *testing.T) {
 	}
 	au := mustAU(t, g.Diameter())
 	q := au.MustState(core.Turn{Level: 1})
-	eng, err := sim.New(g, au, sim.Options{Initial: sa.Uniform(g.N(), q), Seed: 1})
+	eng, err := sim.New(g, au, sim.Options{Initial: slices.Repeat(sa.Config{q}, g.N()), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -249,49 +249,30 @@ func (t *auTable) classifySig(q sa.State, sig sa.Signal, s *tscratch) (Transitio
 }
 
 // wordEval adapts the precompiled table to the sa.WordEval batch contract.
-// AlgAU is deterministic and coin-free, so Eval draws nothing from any rng
-// stream and next[i] == cur[i] is exactly the Table 1 None verdict — the
-// settled certificate the frontier machinery relies on.
+// AlgAU is deterministic and coin-free, so EvalGood draws nothing from any
+// rng stream and next[i] == cur[i] is exactly the Table 1 None verdict —
+// the settled certificate the frontier machinery relies on.
 type wordEval struct {
 	t *auTable
 }
 
 var _ sa.WordEval = (*wordEval)(nil)
 
-// Eval implements sa.WordEval. The protected-able fast path mirrors
-// EvalGood's: a node that is able, senses no faulty turn and has every
-// incident edge protected can only fire AA or None (AF needs an unprotected
-// edge or an inward faulty turn, both absent), decided by one more mask
-// test — the dominant case in the dense steady regime, where the full
-// classifyWord call (not inlinable) would otherwise bound throughput.
-func (w *wordEval) Eval(cur []sa.State, sws []uint64, next []sa.State) {
-	t := w.t
-	sh := uint(t.order)
-	for i, q := range cur {
-		sw := sws[i]
-		if q < t.order && sw>>sh == 0 && sw&^t.adjW[q] == 0 {
-			if sw&^t.aaW[q] == 0 {
-				next[i] = sa.State(t.aaNext[q])
-			} else {
-				next[i] = q
-			}
-			continue
-		}
-		_, nx := t.classifyWord(q, sw)
-		next[i] = nx
-	}
-}
-
-// EvalGood implements sa.WordEval: Eval fused with the good-node predicate,
-// writing one goodness bit per slot (tail bits forced to 1).
+// EvalGood implements sa.WordEval: the transition fused with the good-node
+// predicate, writing one goodness bit per slot (tail bits forced to 1).
 func (w *wordEval) EvalGood(cur []sa.State, sws []uint64, next []sa.State, good []uint64) {
 	t := w.t
 	sh := uint(t.order)
 	var acc uint64
 	for i, q := range cur {
 		sw := sws[i]
-		// Protected-able fast path (see Eval): the node is good by
-		// definition and the verdict collapses to AA-or-None.
+		// Protected-able fast path: a node that is able, senses no faulty
+		// turn and has every incident edge protected is good by definition
+		// and can only fire AA or None (AF needs an unprotected edge or an
+		// inward faulty turn, both absent), decided by one more mask test —
+		// the dominant case in the dense steady regime, where the full
+		// classifyWord call (not inlinable) would otherwise bound
+		// throughput.
 		if q < t.order && sw>>sh == 0 && sw&^t.adjW[q] == 0 {
 			acc |= 1 << uint(i&63)
 			if sw&^t.aaW[q] == 0 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"thinunison/internal/sa"
 )
@@ -28,17 +27,6 @@ func Table1() []Table1Row {
 		{Type: AF, Pre: "ℓ, 2 ≤ |ℓ| ≤ k", Post: "ℓ̂", Condition: "v ∉ V_p or v senses turn ψ−1(ℓ)-hat"},
 		{Type: FA, Pre: "ℓ̂, 2 ≤ |ℓ| ≤ k", Post: "ψ−1(ℓ)", Condition: "Λ ∩ Ψ>(ℓ) = ∅"},
 	}
-}
-
-// RenderTable1 renders Table 1 as fixed-width text (the cmd/experiments T1
-// artifact).
-func RenderTable1() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-5s %-18s %-10s %s\n", "Type", "Pre-transition", "Post", "Condition")
-	for _, r := range Table1() {
-		fmt.Fprintf(&b, "%-5s %-18s %-10s %s\n", r.Type, r.Pre, r.Post, r.Condition)
-	}
-	return b.String()
 }
 
 // ReferenceClassify is the independent, deliberately literal transcription

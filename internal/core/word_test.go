@@ -36,9 +36,10 @@ func signalOf(au *core.AU, states ...sa.State) (sa.Signal, uint64) {
 	return sig, sig.Words()[0]
 }
 
-// TestKernelEvalMatchesTransition cross-checks the batched word kernel
-// against the scalar transition function over random inclusive signals (the
-// only kind engines build: a node always senses itself).
+// TestKernelEvalMatchesTransition cross-checks the transitions of the
+// batched word kernel against the scalar transition function over random
+// inclusive signals (the only kind engines build: a node always senses
+// itself).
 func TestKernelEvalMatchesTransition(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, au := range kernelAUs(t) {
@@ -48,6 +49,7 @@ func TestKernelEvalMatchesTransition(t *testing.T) {
 		cur := make([]sa.State, batch)
 		sws := make([]uint64, batch)
 		next := make([]sa.State, batch)
+		good := make([]uint64, sa.PlaneWords(batch))
 		sigs := make([]sa.Signal, batch)
 		for trial := 0; trial < 20; trial++ {
 			for i := range cur {
@@ -59,11 +61,11 @@ func TestKernelEvalMatchesTransition(t *testing.T) {
 				sig, sw := signalOf(au, states...)
 				cur[i], sws[i], sigs[i] = q, sw, sig
 			}
-			kern.Eval(cur, sws, next)
+			kern.EvalGood(cur, sws, next, good)
 			for i := range cur {
 				want := au.Transition(cur[i], sigs[i], nil)
 				if next[i] != want {
-					t.Fatalf("AU(%d) trial %d slot %d: Eval(%d, %#x) = %d, Transition = %d",
+					t.Fatalf("AU(%d) trial %d slot %d: EvalGood(%d, %#x) = %d, Transition = %d",
 						au.D(), trial, i, cur[i], sws[i], next[i], want)
 				}
 				// next == cur must coincide with the settled certificate.
@@ -119,7 +121,7 @@ func TestKernelEvalGoodMatchesNodeGood(t *testing.T) {
 	}
 }
 
-// TestKernelEvalAllocs pins the batch paths to zero allocations per call.
+// TestKernelEvalAllocs pins the batch path to zero allocations per call.
 func TestKernelEvalAllocs(t *testing.T) {
 	au, err := core.NewAU(3)
 	if err != nil {
@@ -136,9 +138,6 @@ func TestKernelEvalAllocs(t *testing.T) {
 		q := rng.Intn(au.NumStates())
 		cur[i] = q
 		sws[i] = 1<<uint(q) | 1<<uint(rng.Intn(au.NumStates()))
-	}
-	if n := testing.AllocsPerRun(100, func() { kern.Eval(cur, sws, next) }); n != 0 {
-		t.Fatalf("Eval allocates %v times per call, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { kern.EvalGood(cur, sws, next, good) }); n != 0 {
 		t.Fatalf("EvalGood allocates %v times per call, want 0", n)
@@ -159,7 +158,7 @@ func TestKernelFuzzAgainstReferenceClassify(t *testing.T) {
 				_, want := au.ReferenceClassify(q, sig)
 				cur := []sa.State{q}
 				next := []sa.State{0}
-				kern.Eval(cur, []uint64{sw}, next)
+				kern.EvalGood(cur, []uint64{sw}, next, make([]uint64, 1))
 				if next[0] != want {
 					t.Fatalf("AU(%d): kernel(%s | %s) = %s, reference %s", au.D(),
 						au.StateName(q), au.StateName(s), au.StateName(next[0]), au.StateName(want))

@@ -111,22 +111,6 @@ func CompleteBinaryTree(n int) (*Graph, error) {
 	return b.Build(), nil
 }
 
-// RandomTree returns a uniformly random labeled tree on n nodes, generated
-// from a random Prüfer-like attachment (each node i >= 1 attaches to a
-// uniformly random earlier node).
-func RandomTree(n int, rng *rand.Rand) (*Graph, error) {
-	b, err := NewBuilder(n)
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < n; i++ {
-		if err := b.AddEdge(i, rng.Intn(i)); err != nil {
-			return nil, err
-		}
-	}
-	return b.Build(), nil
-}
-
 // RandomConnected returns a connected Erdős–Rényi-style graph: a random
 // spanning tree plus each remaining pair independently with probability p.
 func RandomConnected(n int, p float64, rng *rand.Rand) (*Graph, error) {
@@ -223,29 +207,6 @@ func BoundedDiameter(n, d int, rng *rand.Rand) (*Graph, error) {
 		return nil, fmt.Errorf("graph: bounded-diameter construction certifies only diameter <= %d, want %d", top1+top2, d)
 	}
 	return g, nil
-}
-
-// Hypercube returns the dim-dimensional hypercube (n = 2^dim, diameter dim).
-func Hypercube(dim int) (*Graph, error) {
-	if dim < 0 || dim > 20 {
-		return nil, fmt.Errorf("graph: hypercube dimension %d out of range [0,20]", dim)
-	}
-	n := 1 << uint(dim)
-	b, err := NewBuilder(n)
-	if err != nil {
-		return nil, err
-	}
-	for v := 0; v < n; v++ {
-		for bit := 0; bit < dim; bit++ {
-			u := v ^ (1 << uint(bit))
-			if v < u {
-				if err := b.AddEdge(v, u); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return b.Build(), nil
 }
 
 // Family identifies a named graph family used by the experiment sweeps.

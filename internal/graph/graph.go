@@ -288,9 +288,6 @@ func (g *Graph) BFS(src NodeID) []int {
 	return dist
 }
 
-// Distance returns the hop distance between u and v, or -1 if disconnected.
-func (g *Graph) Distance(u, v NodeID) int { return g.BFS(u)[v] }
-
 // Eccentricity returns the maximum BFS distance from v to any node, or -1 if
 // the graph is disconnected.
 func (g *Graph) Eccentricity(v NodeID) int {
@@ -352,40 +349,6 @@ func (g *Graph) DiameterBounds() (lower, upper int) {
 		upper = lower
 	}
 	return lower, upper
-}
-
-// ShortestPath returns one shortest path from u to v (inclusive of both
-// endpoints), or nil if v is unreachable from u.
-func (g *Graph) ShortestPath(u, v NodeID) []NodeID {
-	dist := g.BFS(u)
-	if dist[v] == -1 {
-		return nil
-	}
-	path := make([]NodeID, dist[v]+1)
-	path[dist[v]] = v
-	cur := v
-	for d := dist[v] - 1; d >= 0; d-- {
-		for _, w := range g.Neighbors(cur) {
-			if dist[w] == d {
-				cur = w
-				break
-			}
-		}
-		path[d] = cur
-	}
-	return path
-}
-
-// Ball returns all nodes within hop distance at most r from v, sorted.
-func (g *Graph) Ball(v NodeID, r int) []NodeID {
-	dist := g.BFS(v)
-	var out []NodeID
-	for u, d := range dist {
-		if d >= 0 && d <= r {
-			out = append(out, u)
-		}
-	}
-	return out
 }
 
 // IsIndependentSet reports whether the given node set is independent.

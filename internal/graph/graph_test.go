@@ -60,7 +60,7 @@ func TestValidateConnectivity(t *testing.T) {
 	if g.Diameter() != -1 {
 		t.Errorf("disconnected diameter = %d, want -1", g.Diameter())
 	}
-	if g.Distance(0, 3) != -1 {
+	if g.BFS(0)[3] != -1 {
 		t.Error("cross-component distance should be -1")
 	}
 }
@@ -79,7 +79,7 @@ func TestFamilyDiameters(t *testing.T) {
 		{"k4", func() (*graph.Graph, error) { return graph.Complete(4) }, 4, 1},
 		{"grid3x4", func() (*graph.Graph, error) { return graph.Grid(3, 4) }, 12, 5},
 		{"tree7", func() (*graph.Graph, error) { return graph.CompleteBinaryTree(7) }, 7, 4},
-		{"hyper3", func() (*graph.Graph, error) { return graph.Hypercube(3) }, 8, 3},
+		{"hyper3", func() (*graph.Graph, error) { return hypercube(3) }, 8, 3},
 		{"single", func() (*graph.Graph, error) { return graph.Path(1) }, 1, 0},
 	}
 	for _, c := range cases {
@@ -102,9 +102,40 @@ func TestFamilyDiameters(t *testing.T) {
 	if _, err := graph.Cycle(2); err == nil {
 		t.Error("Cycle(2) should fail")
 	}
-	if _, err := graph.Hypercube(25); err == nil {
-		t.Error("Hypercube(25) should fail")
+}
+
+// hypercube returns the dim-dimensional hypercube (n = 2^dim, diameter dim).
+func hypercube(dim int) (*graph.Graph, error) {
+	n := 1 << uint(dim)
+	b, err := graph.NewBuilder(n)
+	if err != nil {
+		return nil, err
 	}
+	for v := 0; v < n; v++ {
+		for bit := 0; bit < dim; bit++ {
+			if u := v ^ (1 << uint(bit)); v < u {
+				if err := b.AddEdge(v, u); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	return b.Build(), nil
+}
+
+// randomTree returns a random labeled tree on n nodes: each node i >= 1
+// attaches to a uniformly random earlier node.
+func randomTree(n int, rng *rand.Rand) (*graph.Graph, error) {
+	b, err := graph.NewBuilder(n)
+	if err != nil {
+		return nil, err
+	}
+	for i := 1; i < n; i++ {
+		if err := b.AddEdge(i, rng.Intn(i)); err != nil {
+			return nil, err
+		}
+	}
+	return b.Build(), nil
 }
 
 func TestRandomFamiliesConnected(t *testing.T) {
@@ -117,12 +148,12 @@ func TestRandomFamiliesConnected(t *testing.T) {
 		if !g.Connected() {
 			t.Fatal("RandomConnected produced a disconnected graph")
 		}
-		tr, err := graph.RandomTree(2+rng.Intn(30), rng)
+		tr, err := randomTree(2+rng.Intn(30), rng)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !tr.Connected() || tr.M() != tr.N()-1 {
-			t.Fatalf("RandomTree not a tree: n=%d m=%d", tr.N(), tr.M())
+			t.Fatalf("randomTree not a tree: n=%d m=%d", tr.N(), tr.M())
 		}
 	}
 }
@@ -146,14 +177,47 @@ func TestBoundedDiameter(t *testing.T) {
 	}
 }
 
+// shortestPath returns one shortest path from u to v (inclusive of both
+// endpoints), or nil if v is unreachable from u.
+func shortestPath(g *graph.Graph, u, v int) []int {
+	dist := g.BFS(u)
+	if dist[v] == -1 {
+		return nil
+	}
+	path := make([]int, dist[v]+1)
+	path[dist[v]] = v
+	cur := v
+	for d := dist[v] - 1; d >= 0; d-- {
+		for _, w := range g.Neighbors(cur) {
+			if dist[w] == d {
+				cur = w
+				break
+			}
+		}
+		path[d] = cur
+	}
+	return path
+}
+
+// ball returns all nodes within hop distance at most r from v, sorted.
+func ball(g *graph.Graph, v, r int) []int {
+	var out []int
+	for u, d := range g.BFS(v) {
+		if d >= 0 && d <= r {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
 func TestShortestPathAndBall(t *testing.T) {
 	g, err := graph.Grid(3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := g.ShortestPath(0, 8)
-	if len(p) != g.Distance(0, 8)+1 {
-		t.Fatalf("path length %d, want %d", len(p)-1, g.Distance(0, 8))
+	p := shortestPath(g, 0, 8)
+	if d := g.BFS(0)[8]; len(p) != d+1 {
+		t.Fatalf("path length %d, want %d", len(p)-1, d)
 	}
 	if p[0] != 0 || p[len(p)-1] != 8 {
 		t.Errorf("path endpoints %d..%d", p[0], p[len(p)-1])
@@ -163,12 +227,11 @@ func TestShortestPathAndBall(t *testing.T) {
 			t.Errorf("path step %d-%d is not an edge", p[i], p[i+1])
 		}
 	}
-	ball := g.Ball(4, 1) // center of the grid
-	if len(ball) != 5 {
-		t.Errorf("Ball(center,1) = %v, want 5 nodes", ball)
+	if got := ball(g, 4, 1); len(got) != 5 { // center of the grid
+		t.Errorf("ball(center,1) = %v, want 5 nodes", got)
 	}
-	if got := g.Ball(0, 0); len(got) != 1 || got[0] != 0 {
-		t.Errorf("Ball(0,0) = %v", got)
+	if got := ball(g, 0, 0); len(got) != 1 || got[0] != 0 {
+		t.Errorf("ball(0,0) = %v", got)
 	}
 }
 
@@ -222,7 +285,7 @@ func TestBFSProperties(t *testing.T) {
 			}
 		}
 		for v := 0; v < n; v++ {
-			p := g.ShortestPath(0, v)
+			p := shortestPath(g, 0, v)
 			if len(p)-1 != dist[v] {
 				return false
 			}

@@ -39,9 +39,6 @@ func NewSignal(numStates int) Signal {
 // Set marks state q as sensed.
 func (s Signal) Set(q State) { s.bits[q>>6] |= 1 << uint(q&63) }
 
-// Clear unmarks state q.
-func (s Signal) Clear(q State) { s.bits[q>>6] &^= 1 << uint(q&63) }
-
 // Has reports whether state q is sensed.
 func (s Signal) Has(q State) bool { return s.bits[q>>6]&(1<<uint(q&63)) != 0 }
 
@@ -50,16 +47,6 @@ func (s Signal) Reset() {
 	for i := range s.bits {
 		s.bits[i] = 0
 	}
-}
-
-// HasAny reports whether any of the given states is sensed.
-func (s Signal) HasAny(qs ...State) bool {
-	for _, q := range qs {
-		if s.Has(q) {
-			return true
-		}
-	}
-	return false
 }
 
 // SubsetOf reports whether every sensed state is among the allowed states.
@@ -195,24 +182,22 @@ type Settler interface {
 // BuildSignals).
 //
 // The contract mirrors sa.Settler, strengthened to batches: implementations
-// must be deterministic and coin-free on every (state, signal) pair — Eval
-// draws nothing from any rng stream, and next[i] == cur[i] certifies that
-// δ(cur[i], sws[i]) is the self-loop {cur[i]}, so equality doubles as the
-// settled certificate frontier-sparse execution needs. A verdict that
-// disagrees with Algorithm.Transition breaks the word/scalar byte-identity
-// the differential harnesses enforce.
+// must be deterministic and coin-free on every (state, signal) pair —
+// EvalGood draws nothing from any rng stream, and next[i] == cur[i]
+// certifies that δ(cur[i], sws[i]) is the self-loop {cur[i]}, so equality
+// doubles as the settled certificate frontier-sparse execution needs. A
+// verdict that disagrees with Algorithm.Transition breaks the word/scalar
+// byte-identity the differential harnesses enforce.
 type WordEval interface {
-	// Eval computes next[i] = δ(cur[i], sws[i]) for every slot of the batch.
-	// len(sws) and len(next) must equal len(cur); slices may alias only as
-	// cur == next. It must not allocate.
-	Eval(cur []State, sws []uint64, next []State)
-
-	// EvalGood is Eval fused with the algorithm's local legitimacy predicate
-	// (for AlgAU: the good-node predicate — able, no faulty turn sensed, all
+	// EvalGood computes next[i] = δ(cur[i], sws[i]) for every slot of the
+	// batch, fused with the algorithm's local legitimacy predicate (for
+	// AlgAU: the good-node predicate — able, no faulty turn sensed, all
 	// sensed levels adjacent): bit i of good (good[i>>6], bit i&63) is set
-	// iff slot i satisfies the predicate under (cur[i], sws[i]). good must
-	// have (len(cur)+63)/64 words; every touched word is fully overwritten,
-	// with tail bits beyond the batch set to 1 so an all-good batch reads as
+	// iff slot i satisfies the predicate under (cur[i], sws[i]).
+	// len(sws) and len(next) must equal len(cur); slices may alias only as
+	// cur == next, and it must not allocate. good must have
+	// (len(cur)+63)/64 words; every touched word is fully overwritten, with
+	// tail bits beyond the batch set to 1 so an all-good batch reads as
 	// all-ones. Engines maintain a goodness bit-plane from these words and
 	// derive graph-wide stabilization verdicts by popcount instead of
 	// per-node monitor callbacks.
@@ -229,7 +214,7 @@ func PlaneWords(n int) int { return (n + 63) / 64 }
 // be 1 << state(v), the one-word signal contribution of v; offsets/neighbors
 // are the raw CSR arrays (graph.Graph.CSR). One load+OR per incident edge
 // replaces the scalar path's Signal.Reset + per-neighbor Signal.Set, and the
-// result feeds WordEval.Eval directly.
+// result feeds WordEval.EvalGood directly.
 func BuildSignals(self []uint64, offsets, neighbors []int, lo, hi int, sws []uint64) {
 	for v := lo; v < hi; v++ {
 		sw := self[v]
@@ -287,15 +272,6 @@ func (c Config) Equal(d Config) bool {
 	return true
 }
 
-// Uniform returns a configuration assigning state q to all n nodes.
-func Uniform(n int, q State) Config {
-	c := make(Config, n)
-	for i := range c {
-		c[i] = q
-	}
-	return c
-}
-
 // Random returns a configuration drawing each node's state uniformly from
 // [0, numStates). This is the standard adversarial-initialization proxy for
 // self-stabilization experiments.
@@ -305,16 +281,6 @@ func Random(n, numStates int, rng *rand.Rand) Config {
 		c[i] = rng.Intn(numStates)
 	}
 	return c
-}
-
-// IsOutputConfig reports whether every node resides in an output state.
-func (c Config) IsOutputConfig(alg Algorithm) bool {
-	for _, q := range c {
-		if !alg.IsOutput(q) {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the configuration with the algorithm's state names.

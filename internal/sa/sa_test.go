@@ -2,6 +2,7 @@ package sa_test
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -23,14 +24,27 @@ func TestSignalBasicOps(t *testing.T) {
 	if got := s.Count(); got != 8 {
 		t.Errorf("Count = %d, want 8", got)
 	}
-	s.Clear(64)
+	clearState(s, 64)
 	if s.Has(64) {
-		t.Error("Clear(64) not effective")
+		t.Error("clearing 64 through Words not effective")
 	}
 	s.Reset()
 	if s.Count() != 0 {
 		t.Error("Reset not effective")
 	}
+}
+
+// clearState unmarks state q through the signal's word view.
+func clearState(s sa.Signal, q sa.State) { s.Words()[q>>6] &^= 1 << uint(q&63) }
+
+// hasAny reports whether any of the given states is sensed.
+func hasAny(s sa.Signal, qs ...sa.State) bool {
+	for _, q := range qs {
+		if s.Has(q) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestSignalStatesSorted(t *testing.T) {
@@ -65,11 +79,11 @@ func TestSignalSubsetOf(t *testing.T) {
 	if !empty.SubsetOf() {
 		t.Error("empty signal is a subset of anything")
 	}
-	if !s.HasAny(99, 65) {
-		t.Error("HasAny should find 65")
+	if !hasAny(s, 99, 65) {
+		t.Error("hasAny should find 65")
 	}
-	if s.HasAny(2, 3) {
-		t.Error("HasAny false positive")
+	if hasAny(s, 2, 3) {
+		t.Error("hasAny false positive")
 	}
 }
 
@@ -131,12 +145,7 @@ func TestSignalSetHasProperty(t *testing.T) {
 }
 
 func TestConfigHelpers(t *testing.T) {
-	c := sa.Uniform(4, 7)
-	for _, q := range c {
-		if q != 7 {
-			t.Fatal("Uniform broken")
-		}
-	}
+	c := slices.Repeat(sa.Config{7}, 4)
 	d := c.Clone()
 	d[0] = 1
 	if c[0] != 7 {
@@ -145,10 +154,10 @@ func TestConfigHelpers(t *testing.T) {
 	if c.Equal(d) {
 		t.Error("Equal false positive")
 	}
-	if !c.Equal(sa.Uniform(4, 7)) {
+	if !c.Equal(slices.Repeat(sa.Config{7}, 4)) {
 		t.Error("Equal false negative")
 	}
-	if c.Equal(sa.Uniform(5, 7)) {
+	if c.Equal(slices.Repeat(sa.Config{7}, 5)) {
 		t.Error("length mismatch should be unequal")
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -174,12 +183,22 @@ func (parityAlg) Transition(q int, sig sa.Signal, _ *rand.Rand) int {
 	return q
 }
 
+// isOutputConfig reports whether every node resides in an output state.
+func isOutputConfig(c sa.Config, alg sa.Algorithm) bool {
+	for _, q := range c {
+		if !alg.IsOutput(q) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestIsOutputConfigAndString(t *testing.T) {
 	alg := parityAlg{}
-	if !sa.Uniform(3, 1).IsOutputConfig(alg) {
+	if !isOutputConfig(sa.Config{1, 1, 1}, alg) {
 		t.Error("all-1 config should be output config")
 	}
-	if (sa.Config{1, 0, 1}).IsOutputConfig(alg) {
+	if isOutputConfig(sa.Config{1, 0, 1}, alg) {
 		t.Error("config containing 0 is not an output config")
 	}
 	if s := (sa.Config{0, 1}).String(alg); s != "[q0 q1]" {

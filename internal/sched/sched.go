@@ -112,10 +112,10 @@ type SparseActivator interface {
 // Stateless schedulers (Synchronous, RoundRobin, Laggard, Scripted — whose
 // activations are pure functions of the step index and construction
 // parameters) deliberately do not implement the interface; engines simply
-// skip the scheduler section for them. The stateful schedulers implement it
-// only when built through their seeded constructors (NewRandomSubsetSeeded,
-// NewPermutedSeeded), because an externally supplied *rand.Rand cannot be
-// serialized without reaching into the generator's internals.
+// skip the scheduler section for them. The stateful schedulers checkpoint
+// only when they own their rng (NewRandomSubsetSeeded, NewPermutedSeeded),
+// because an externally supplied *rand.Rand cannot be serialized without
+// reaching into the generator's internals.
 type Checkpointer interface {
 	Scheduler
 
@@ -420,14 +420,11 @@ type Permuted struct {
 	perm []int
 	buf  [1]int
 
-	// seed/src are set by NewPermutedSeeded only: the internally owned
-	// source whose saved state makes the scheduler checkpointable.
+	// The scheduler owns its rng: a source whose saved state makes it
+	// checkpointable.
 	seed int64
 	src  *randx.Source
 }
-
-// NewPermuted returns the per-round random permutation scheduler.
-func NewPermuted(rng *rand.Rand) *Permuted { return &Permuted{rng: rng} }
 
 // ByName builds the named CLI scheduler from a base seed — the recipe book
 // shared by the unisonsim checkpoint path and campaign fork mode. A
@@ -453,11 +450,9 @@ func ByName(name string, seed int64) (Scheduler, error) {
 	}
 }
 
-// NewPermutedSeeded is the checkpointable variant of NewPermuted: the
-// scheduler owns its rng, a randx.Source seeded from seed whose state
-// checkpoints record. The source draws what rand.NewSource draws, so the
-// activation sequence is byte-identical to
-// NewPermuted(rand.New(rand.NewSource(seed))).
+// NewPermutedSeeded returns the per-round random permutation scheduler. It
+// owns its rng, a randx.Source seeded from seed whose state checkpoints
+// record; the source draws what rand.NewSource(seed) draws.
 func NewPermutedSeeded(seed int64) *Permuted {
 	s := &Permuted{seed: seed, src: randx.NewSource(seed)}
 	s.rng = rand.New(s.src)
@@ -491,12 +486,9 @@ func (s *Permuted) reshuffle() {
 // Name implements Scheduler.
 func (s *Permuted) Name() string { return "permuted" }
 
-// CheckpointState implements Checkpointer for seeded schedulers: it records
-// the rng state and the current mid-cycle permutation.
+// CheckpointState implements Checkpointer: it records the rng state and the
+// current mid-cycle permutation.
 func (s *Permuted) CheckpointState() ([]byte, error) {
-	if s.src == nil {
-		return nil, fmt.Errorf("sched: permuted built around an external rng is not checkpointable; use NewPermutedSeeded")
-	}
 	var e snapshot.Enc
 	e.I64(s.seed)
 	e.U64s(s.src.State())
@@ -510,9 +502,6 @@ func (s *Permuted) CheckpointState() ([]byte, error) {
 // nodes after it; any other would be rebuilt and reshuffled on the next
 // step, silently leaving the checkpointed trajectory.
 func (s *Permuted) RestoreState(data []byte, n, step int) error {
-	if s.src == nil {
-		return fmt.Errorf("sched: permuted built around an external rng is not restorable; use NewPermutedSeeded")
-	}
 	d := snapshot.NewDec(data)
 	seed := d.I64()
 	state := d.U64s()

@@ -78,8 +78,7 @@ func TestLaggardFair(t *testing.T) {
 }
 
 func TestPermutedFair(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	checkFair(t, sched.NewPermuted(rng), 8, 400, 16) // worst case: last of one perm, first... 2n-1
+	checkFair(t, sched.NewPermutedSeeded(3), 8, 400, 16) // worst case: last of one perm, first... 2n-1
 }
 
 func TestScriptedReplayAndFallback(t *testing.T) {
@@ -112,7 +111,7 @@ func TestSchedulerNames(t *testing.T) {
 	for _, s := range []sched.Scheduler{
 		sched.NewSynchronous(), sched.NewRoundRobin(),
 		sched.NewRandomSubset(0.5, 8, rng), sched.NewLaggard(0, 2),
-		sched.NewScripted(nil, false), sched.NewPermuted(rng),
+		sched.NewScripted(nil, false), sched.NewPermutedSeeded(4),
 	} {
 		if s.Name() == "" {
 			t.Errorf("%T has empty name", s)

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"thinunison/internal/graph"
 	"thinunison/internal/randx"
@@ -29,59 +28,19 @@ type TopologyObserver interface {
 	RewireEdge(u, v int, added bool)
 }
 
-// ChurnOpKind selects a topology mutation of a ChurnOp.
-type ChurnOpKind int
-
-const (
-	// ChurnInsert adds the edge (U, V); a no-op if present.
-	ChurnInsert ChurnOpKind = iota
-	// ChurnDelete removes the edge (U, V); a no-op if absent. Subject to the
-	// spec's admissibility guards (connectivity, diameter drift).
-	ChurnDelete
-	// ChurnFlip toggles the edge (U, V): insert if absent, delete if
-	// present (deletions guarded).
-	ChurnFlip
-	// ChurnCrash removes every edge incident to node U (guarded), modeling
-	// cell death; the node keeps its state and its saved adjacency.
-	ChurnCrash
-	// ChurnRevive restores the saved adjacency of crashed node U, modeling
-	// cell division back into the tissue.
-	ChurnRevive
-)
-
-// ChurnOp is one scripted topology mutation. Crash/Revive use U only.
-type ChurnOp struct {
-	Kind ChurnOpKind
-	U, V int
-}
-
-// ChurnEvent is a batch of scripted mutations applied at the boundary of
-// one step: all ops of the event commit in a single CSR re-compaction,
-// before the scheduler's activation set for that step is drawn.
-type ChurnEvent struct {
-	// Step is the engine step index the event fires at (the event applies
-	// before step Step executes). Events with Step below the engine's
-	// current step apply at the next boundary.
-	Step int
-	Ops  []ChurnOp
-}
-
-// ChurnSpec configures mid-run topology churn: scripted events, a
-// stochastic edge-flip process, or both. The stochastic stream draws from
-// its own rng (Seed), never from the engine's, so churn composes with every
-// execution mode — a churn run is byte-identical dense vs frontier-sparse
-// and word vs scalar, exactly like a churn-free run.
+// ChurnSpec configures mid-run topology churn: a stochastic stream of
+// edge flips, cell deaths and revivals. The stream draws from its own rng
+// (Seed), never from the engine's, so churn composes with every execution
+// mode — a churn run is byte-identical dense vs frontier-sparse and word vs
+// scalar, exactly like a churn-free run.
 type ChurnSpec struct {
-	// Events are scripted mutations; they are applied in Step order.
-	Events []ChurnEvent
-
 	// Period, Flips and Crashes configure stochastic churn: every Period
 	// steps (at steps Period, 2·Period, ...) the engine revives the
 	// previous event's crash victims, toggles Flips random node pairs —
 	// inserting the edge if absent, deleting it (guarded) if present — and
 	// crashes Crashes random nodes (guarded), modeling cells dying and
 	// dividing back into the tissue. Period <= 0, or Flips and Crashes
-	// both <= 0, disables the stochastic stream.
+	// both <= 0, disables churn.
 	Period  int
 	Flips   int
 	Crashes int
@@ -112,55 +71,24 @@ type ChurnSpec struct {
 
 // active reports whether the spec mutates anything.
 func (s *ChurnSpec) active() bool {
-	return s != nil && (len(s.Events) > 0 || (s.Period > 0 && (s.Flips > 0 || s.Crashes > 0)))
+	return s != nil && s.Period > 0 && (s.Flips > 0 || s.Crashes > 0)
 }
 
-// validate range-checks the scripted events against an n-node graph.
-func (s *ChurnSpec) validate(n int) error {
-	for i, ev := range s.Events {
-		for j, op := range ev.Ops {
-			switch op.Kind {
-			case ChurnInsert, ChurnDelete, ChurnFlip:
-				if op.U == op.V {
-					return fmt.Errorf("sim: churn event %d op %d: self loop on node %d", i, j, op.U)
-				}
-				if op.U < 0 || op.U >= n || op.V < 0 || op.V >= n {
-					return fmt.Errorf("sim: churn event %d op %d: endpoint out of range [0, %d)", i, j, n)
-				}
-			case ChurnCrash, ChurnRevive:
-				if op.U < 0 || op.U >= n {
-					return fmt.Errorf("sim: churn event %d op %d: node %d out of range [0, %d)", i, j, op.U, n)
-				}
-			default:
-				return fmt.Errorf("sim: churn event %d op %d: unknown kind %d", i, j, op.Kind)
-			}
-		}
-	}
-	return nil
-}
-
-// churnRuntime drives a ChurnSpec against an engine: it stages the events
-// due at each step boundary into a Delta, guards the destructive ops, and
-// commits the batch through the engine's invalidation path (ApplyDelta).
+// churnRuntime drives a ChurnSpec against an engine: it stages the
+// stochastic event due at each step boundary into a Delta, guards the
+// destructive ops, and commits the batch through the engine's invalidation
+// path (ApplyDelta).
 type churnRuntime struct {
 	spec    ChurnSpec
 	delta   *graph.Delta
 	rng     *rand.Rand
 	src     *randx.Source // the stochastic stream, checkpointed by its state
-	next    int           // index of the next unapplied scripted event
 	events  int           // stochastic events fired so far
 	victims []int         // crash victims of the last stochastic event, revived next
 	skipped int           // ops cancelled by the admissibility guards
 }
 
-func newChurnRuntime(g *graph.Graph, spec ChurnSpec) (*churnRuntime, error) {
-	if err := spec.validate(g.N()); err != nil {
-		return nil, err
-	}
-	events := make([]ChurnEvent, len(spec.Events))
-	copy(events, spec.Events)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Step < events[j].Step })
-	spec.Events = events
+func newChurnRuntime(g *graph.Graph, spec ChurnSpec) *churnRuntime {
 	// A randx.Source draws what rand.NewSource draws, and a checkpoint saves
 	// and sets its state (see snapshot.go).
 	src := randx.NewSource(spec.Seed)
@@ -169,7 +97,7 @@ func newChurnRuntime(g *graph.Graph, spec ChurnSpec) (*churnRuntime, error) {
 		delta: graph.NewDelta(g),
 		rng:   rand.New(src),
 		src:   src,
-	}, nil
+	}
 }
 
 // admissible reports whether the currently staged batch passes the spec's
@@ -224,29 +152,6 @@ func (cr *churnRuntime) stageCrash(v int) {
 	}
 }
 
-func (cr *churnRuntime) stageOp(op ChurnOp) {
-	switch op.Kind {
-	case ChurnInsert:
-		if err := cr.delta.InsertEdge(op.U, op.V); err != nil {
-			cr.skipped++ // crashed endpoint
-		}
-	case ChurnDelete:
-		cr.stageDelete(op.U, op.V)
-	case ChurnFlip:
-		if cr.delta.HasEdge(op.U, op.V) {
-			cr.stageDelete(op.U, op.V)
-		} else if err := cr.delta.InsertEdge(op.U, op.V); err != nil {
-			cr.skipped++
-		}
-	case ChurnCrash:
-		cr.stageCrash(op.U)
-	case ChurnRevive:
-		if err := cr.delta.Revive(op.U); err != nil {
-			cr.skipped++
-		}
-	}
-}
-
 // stageRandomFlip stages one stochastic edge flip. The rng draw pattern is
 // fixed (two draws per flip) regardless of the op's fate, so the stream
 // stays aligned across execution modes by construction. A single-node
@@ -259,26 +164,25 @@ func (cr *churnRuntime) stageRandomFlip(n int) {
 	if v >= u {
 		v++
 	}
-	cr.stageOp(ChurnOp{Kind: ChurnFlip, U: u, V: v})
+	if cr.delta.HasEdge(u, v) {
+		cr.stageDelete(u, v)
+	} else if err := cr.delta.InsertEdge(u, v); err != nil {
+		cr.skipped++ // crashed endpoint
+	}
 }
 
 // applyChurn stages and commits the churn due at the boundary of the
 // engine's current step.
 func (e *Engine) applyChurn() error {
 	cr := e.churn
-	for cr.next < len(cr.spec.Events) && cr.spec.Events[cr.next].Step <= e.step {
-		for _, op := range cr.spec.Events[cr.next].Ops {
-			cr.stageOp(op)
-		}
-		cr.next++
-	}
-	if cr.spec.Period > 0 && (cr.spec.Flips > 0 || cr.spec.Crashes > 0) &&
-		e.step > 0 && e.step%cr.spec.Period == 0 &&
+	if e.step > 0 && e.step%cr.spec.Period == 0 &&
 		(cr.spec.MaxEvents <= 0 || cr.events <= cr.spec.MaxEvents) {
 		// One extra tick past MaxEvents runs revive-only, so the last
 		// event's crash victims rejoin the tissue before churn ends.
 		for _, v := range cr.victims {
-			cr.stageOp(ChurnOp{Kind: ChurnRevive, U: v})
+			if err := cr.delta.Revive(v); err != nil {
+				cr.skipped++
+			}
 		}
 		cr.victims = cr.victims[:0]
 		if cr.spec.MaxEvents <= 0 || cr.events < cr.spec.MaxEvents {

@@ -135,107 +135,57 @@ func TestChurnDifferential(t *testing.T) {
 	}
 }
 
-// TestScriptedChurnEvents pins the scripted path: events fire at their step
-// boundary (before the step executes), crash/revive round-trips restore the
-// topology, and ChurnOps counts committed mutations.
-func TestScriptedChurnEvents(t *testing.T) {
-	g, err := graph.Cycle(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	au, err := core.NewAU(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := &sim.ChurnSpec{
-		Events: []sim.ChurnEvent{
-			{Step: 1, Ops: []sim.ChurnOp{{Kind: sim.ChurnInsert, U: 0, V: 4}}},
-			{Step: 3, Ops: []sim.ChurnOp{{Kind: sim.ChurnCrash, U: 2}}},
-			{Step: 5, Ops: []sim.ChurnOp{{Kind: sim.ChurnRevive, U: 2}}},
-			{Step: 7, Ops: []sim.ChurnOp{{Kind: sim.ChurnFlip, U: 0, V: 4}}},
-		},
-	}
-	e, err := sim.New(g, au, sim.Options{Seed: 3, Churn: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantM := []int{8, 9, 9, 7, 7, 9, 9, 8} // m after step i (crash of 2 drops two cycle edges)
-	for i := 0; i < len(wantM); i++ {
-		if err := e.Step(); err != nil {
-			t.Fatal(err)
-		}
-		if g.M() != wantM[i] {
-			t.Fatalf("after step %d: m=%d, want %d", i, g.M(), wantM[i])
-		}
-	}
-	// insert + crash(2 edges) + revive(2 edges) + flip-delete = 6 ops.
-	if got := e.ChurnOps(); got != 6 {
-		t.Fatalf("ChurnOps = %d, want 6", got)
-	}
-	if got := e.ChurnSkipped(); got != 0 {
-		t.Fatalf("ChurnSkipped = %d, want 0", got)
-	}
+// rewireCounter is a TopologyObserver that counts the RewireEdge calls it
+// receives.
+type rewireCounter struct {
+	*core.GoodMonitor
+	rewires int
 }
 
-// TestChurnGuards pins the admissibility guards: on a tree with
-// KeepConnected every deletion is a bridge and must be cancelled, and a
-// small MaxDiameterUpper cancels deletions that would stretch the graph.
-func TestChurnGuards(t *testing.T) {
+func (c *rewireCounter) RewireEdge(u, v int, added bool) {
+	c.rewires++
+	c.GoodMonitor.RewireEdge(u, v, added)
+}
+
+// TestChurnOpsCountsRewires pins ChurnOps on the stochastic stream: it
+// counts the committed mutations, so after every step it equals the number
+// of RewireEdge calls the observer received — through flips, crashes and
+// the revival of the last event's victims after MaxEvents.
+func TestChurnOpsCountsRewires(t *testing.T) {
+	g, err := graph.RandomConnected(40, 0.15, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	au, err := core.NewAU(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Run("keep-connected", func(t *testing.T) {
-		g, err := graph.Star(8) // every edge is a bridge
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := &sim.ChurnSpec{
-			Events: []sim.ChurnEvent{
-				{Step: 0, Ops: []sim.ChurnOp{{Kind: sim.ChurnDelete, U: 0, V: 3}}},
-				{Step: 1, Ops: []sim.ChurnOp{{Kind: sim.ChurnCrash, U: 0}}}, // crashing the hub isolates everyone
-			},
-			KeepConnected: true,
-		}
-		e, err := sim.New(g, au, sim.Options{Seed: 1, Churn: spec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			if err := e.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if g.M() != 7 || e.ChurnOps() != 0 {
-			t.Fatalf("guarded ops committed: m=%d, ops=%d", g.M(), e.ChurnOps())
-		}
-		if e.ChurnSkipped() != 2 {
-			t.Fatalf("ChurnSkipped = %d, want 2", e.ChurnSkipped())
-		}
-	})
-	t.Run("max-diameter", func(t *testing.T) {
-		g, err := graph.Cycle(12) // deleting any edge doubles the diameter
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := &sim.ChurnSpec{
-			Events: []sim.ChurnEvent{
-				{Step: 0, Ops: []sim.ChurnOp{{Kind: sim.ChurnDelete, U: 0, V: 1}}},
-			},
-			KeepConnected:    true,
-			MaxDiameterUpper: 6, // cycle's own double-sweep bound stays within 2·6
-		}
-		e, err := sim.New(g, au, sim.Options{Seed: 1, Churn: spec})
-		if err != nil {
-			t.Fatal(err)
-		}
+	e, err := sim.New(g, au, sim.Options{Seed: 3, Churn: &sim.ChurnSpec{
+		Period: 2, Flips: 3, Crashes: 2, MaxEvents: 20, Seed: 5, KeepConnected: true,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := &rewireCounter{GoodMonitor: core.NewGoodMonitor(au, g, e.Config())}
+	e.Observe(obs)
+	crashed := false // a crash victim sits isolated until its revival
+	for step := 0; step < 60; step++ {
 		if err := e.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if g.M() != 12 || e.ChurnSkipped() != 1 {
-			t.Fatalf("diameter guard failed: m=%d, skipped=%d", g.M(), e.ChurnSkipped())
+		if e.ChurnOps() != obs.rewires {
+			t.Fatalf("step %d: ChurnOps = %d, RewireEdge calls = %d", step, e.ChurnOps(), obs.rewires)
 		}
-	})
+		for v := 0; v < g.N(); v++ {
+			crashed = crashed || len(g.Neighbors(v)) == 0
+		}
+	}
+	if e.ChurnOps() == 0 || !crashed {
+		t.Fatalf("the stream committed %d ops, crashed a node: %v", e.ChurnOps(), crashed)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("every victim revived, yet: %v", err)
+	}
 }
 
 // TestApplyDeltaMonitorRepair drives ApplyDelta directly against a promoted

@@ -10,6 +10,17 @@ import (
 	"thinunison/internal/sched"
 )
 
+// FrontierLen returns the number of unsettled nodes of a frontier-sparse
+// engine, or -1 when frontier mode is inactive (Options.Frontier unset, or
+// an algorithm without the sa.SelfLooper capability). The package's
+// external tests read it.
+func (e *Engine) FrontierLen() int {
+	if e.fr == nil {
+		return -1
+	}
+	return e.fr.set.Len()
+}
+
 // TestFrontierSettledOracle is the settled-flag property test: after every
 // step, the engine's frontier must exactly match a brute-force oracle that
 // re-derives the settled set from first principles —

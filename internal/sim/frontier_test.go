@@ -22,7 +22,7 @@ func frontierSchedulers(seed int64) map[string]func() sched.Scheduler {
 		"round-robin":   func() sched.Scheduler { return sched.NewRoundRobin() },
 		"laggard":       func() sched.Scheduler { return sched.NewLaggard(2, 3) },
 		"random-subset": func() sched.Scheduler { return sched.NewRandomSubset(0.4, 8, rand.New(rand.NewSource(seed))) },
-		"permuted":      func() sched.Scheduler { return sched.NewPermuted(rand.New(rand.NewSource(seed))) },
+		"permuted":      func() sched.Scheduler { return sched.NewPermutedSeeded(seed) },
 		"scripted": func() sched.Scheduler {
 			return sched.NewScripted([][]int{{0, 1}, {3, 2, 2, 1}, {}, {4, 0}}, false)
 		},

@@ -38,27 +38,40 @@ func FuzzRestore(f *testing.F) {
 		f.Add(uint8(i), uint16(7*i+3), uint8(i%5+1), uint16(i), int64(i-3))
 	}
 	f.Fuzz(func(t *testing.T, seed uint8, field uint16, op uint8, index uint16, value int64) {
-		s := seeds[int(seed)%len(seeds)]
-		fields, err := splitEngine(s.section)
-		if err != nil {
-			t.Fatalf("%s: %v", s.name, err)
-		}
-		leaves := leafFields(fields)
-		at := int(field) % len(leaves)
-		leaf := leaves[at]
-		leaf.raw = editField(leaf.kind, leaf.raw, op, int(index), value)
-		s.name = fmt.Sprintf("%s, field %d (%c) edit %d", s.name, at, leaf.kind, op)
-		section := joinFields(fields)
-		var buf bytes.Buffer
-		if err := snapshot.Write(&buf, []snapshot.Section{{Name: "engine", Data: section}}); err != nil {
-			t.Fatal(err)
-		}
-		e, _, err := sim.Restore(bytes.NewReader(buf.Bytes()), s.au, sim.RestoreOptions{Scheduler: s.mk()})
+		s, _, section := editSeed(t, seeds, fuzzInput{seed, field, op, index, value})
+		e, err := s.restore(section)
 		if err != nil {
 			return
 		}
 		checkRestored(t, s, e, section)
 	})
+}
+
+// fuzzInput is one FuzzRestore input: which seed snapshot, which leaf field
+// (by position, modulo the seed's leaf count), and the edit to apply.
+type fuzzInput struct {
+	seed  uint8
+	field uint16
+	op    uint8
+	index uint16
+	value int64
+}
+
+// editSeed applies in to its seed snapshot and returns the seed, renamed
+// after the edit, the edited leaf and the edited engine section.
+func editSeed(t *testing.T, seeds []restoreSeed, in fuzzInput) (restoreSeed, *field, []byte) {
+	t.Helper()
+	s := seeds[int(in.seed)%len(seeds)]
+	fields, err := splitEngine(s.section)
+	if err != nil {
+		t.Fatalf("%s: %v", s.name, err)
+	}
+	leaves := leafFields(fields)
+	at := int(in.field) % len(leaves)
+	f := leaves[at]
+	f.raw = editField(f.kind, f.raw, in.op, int(in.index), in.value)
+	s.name = fmt.Sprintf("%s, field %d (%s) edit %d", s.name, at, f.name, in.op)
+	return s, f, joinFields(fields)
 }
 
 // checkRestored is FuzzRestore's property for an accepted snapshot whose
@@ -103,6 +116,30 @@ type restoreSeed struct {
 	section []byte
 	au      *core.AU
 	mk      func() sched.Scheduler
+}
+
+// restore wraps section in a container with valid checksums and restores
+// it with the seed's recipe.
+func (s restoreSeed) restore(section []byte) (*sim.Engine, error) {
+	var buf bytes.Buffer
+	if err := snapshot.Write(&buf, []snapshot.Section{{Name: "engine", Data: section}}); err != nil {
+		return nil, err
+	}
+	e, _, err := sim.Restore(&buf, s.au, sim.RestoreOptions{Scheduler: s.mk()})
+	return e, err
+}
+
+// engineSection saves e and returns its engine section.
+func engineSection(e *sim.Engine) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := e.SaveState(&buf); err != nil {
+		return nil, err
+	}
+	sections, err := snapshot.Read(&buf)
+	if err != nil {
+		return nil, err
+	}
+	return sections["engine"], nil
 }
 
 var (
@@ -167,17 +204,13 @@ func buildRestoreSeeds() ([]restoreSeed, error) {
 							return nil, err
 						}
 					}
-					var buf bytes.Buffer
-					if err := e.SaveState(&buf); err != nil {
-						return nil, err
-					}
-					sections, err := snapshot.Read(&buf)
+					section, err := engineSection(e)
 					if err != nil {
 						return nil, err
 					}
 					seeds = append(seeds, restoreSeed{
 						name:    fmt.Sprintf("%s/churn=%v/%s/step %d", mode.name, churn, sc.name, steps),
-						section: sections["engine"],
+						section: section,
 						au:      au,
 						mk:      sc.mk,
 					})
@@ -190,9 +223,12 @@ func buildRestoreSeeds() ([]restoreSeed, error) {
 
 // field is one encoded field of an engine section: a fixed-width int ('i'),
 // a bool ('b'), an int sequence ('I'), a word sequence ('U'), or a blob
-// ('B') split into the fields of its own layout.
+// ('B') split into the fields of its own layout. name says which field of
+// SaveState's layout it holds; a blob's fields carry the blob's name as a
+// prefix.
 type field struct {
 	kind byte
+	name string
 	raw  []byte
 	sub  []*field
 }
@@ -205,7 +241,9 @@ type fieldReader struct {
 	err  error
 }
 
-func (r *fieldReader) take(kind byte) *field {
+// take takes the field spec describes: its kind letter, a space, its name.
+func (r *fieldReader) take(spec string) *field {
+	kind, name := spec[0], spec[2:]
 	d := snapshot.NewDec(r.rest)
 	var e snapshot.Enc
 	switch kind {
@@ -219,37 +257,37 @@ func (r *fieldReader) take(kind byte) *field {
 		e.U64s(d.U64s())
 	}
 	if err := d.Err(); err != nil && r.err == nil {
-		r.err = fmt.Errorf("field %c: %w", kind, err)
+		r.err = fmt.Errorf("field %s: %w", name, err)
 	}
 	if r.err != nil {
-		return &field{kind: kind}
+		return &field{kind: kind, name: name}
 	}
 	n := len(e.Bytes())
-	f := &field{kind: kind, raw: r.rest[:n]}
+	f := &field{kind: kind, name: name, raw: r.rest[:n]}
 	r.rest = r.rest[n:]
 	return f
 }
 
-// blob takes a blob field whose payload has the given layout.
-func (r *fieldReader) blob(layout string) *field {
+// blob takes a blob field whose payload holds the fields specs describe.
+func (r *fieldReader) blob(name string, specs ...string) *field {
 	d := snapshot.NewDec(r.rest)
 	payload := d.Blob()
 	if err := d.Err(); err != nil && r.err == nil {
-		r.err = fmt.Errorf("blob: %w", err)
+		r.err = fmt.Errorf("blob %s: %w", name, err)
 	}
+	f := &field{kind: 'B', name: name}
 	if r.err != nil {
-		return &field{kind: 'B'}
+		return f
 	}
 	var e snapshot.Enc
 	e.Blob(payload)
 	r.rest = r.rest[len(e.Bytes()):]
 	sub := &fieldReader{rest: payload}
-	f := &field{kind: 'B'}
-	for i := range layout {
-		f.sub = append(f.sub, sub.take(layout[i]))
+	for _, spec := range specs {
+		f.sub = append(f.sub, sub.take(spec[:2]+name+" "+spec[2:]))
 	}
 	if sub.err == nil && len(sub.rest) != 0 {
-		sub.err = fmt.Errorf("blob layout %q leaves %d bytes", layout, len(sub.rest))
+		sub.err = fmt.Errorf("blob %s leaves %d bytes", name, len(sub.rest))
 	}
 	if sub.err != nil && r.err == nil {
 		r.err = sub.err
@@ -258,71 +296,56 @@ func (r *fieldReader) blob(layout string) *field {
 }
 
 // splitEngine cuts a valid sim engine section into its fields, following
-// the layout SaveState writes.
+// the layout SaveState writes. It is the tests' one model of that layout.
 func splitEngine(section []byte) ([]*field, error) {
 	r := &fieldReader{rest: section}
 	var fs []*field
-	put := func(kinds string) {
-		for i := range kinds {
-			fs = append(fs, r.take(kinds[i]))
+	put := func(specs ...string) *field {
+		for _, spec := range specs {
+			fs = append(fs, r.take(spec))
+		}
+		return fs[len(fs)-1]
+	}
+	flag := func(spec string) bool { return snapshot.NewDec(put(spec).raw).Bool() }
+	put("i n", "i m", "i states", "i step", "I offsets", "I neighbors", "I configuration",
+		"U rng state", "i rng pending", "I fault buffer")
+	fs = append(fs, r.blob("tracker", "i rounds", "i pending", "I stamps"))
+	hasFr := flag("b frontier flag")
+	flag("b word flag")
+	hasChurn := flag("b churn flag")
+	if hasFr {
+		put("I frontier")
+	}
+	if hasChurn {
+		put("i churn period", "i churn flips", "i churn crashes", "i churn max events", "i churn seed",
+			"b churn keep-connected", "i churn max diameter", "i churn events", "i churn skipped",
+			"I churn victims", "U churn rng state", "i churn applied", "I churn crashed")
+		n := snapshot.NewDec(put("i churn saved count").raw).Int()
+		for i := 0; i < n && r.err == nil; i++ {
+			put(fmt.Sprintf("I churn saved %d", i))
 		}
 	}
-	// n, m, |Q|, step, CSR, configuration, rng state and pending draws,
-	// fault buffer, round tracker (rounds, pending node, stamps).
-	put("iiiiIIIUiI")
-	fs = append(fs, r.blob("iiI"))
-	var flags [3]bool
-	for i := range flags {
-		f := r.take('b')
-		flags[i] = snapshot.NewDec(f.raw).Bool()
-		fs = append(fs, f)
+	if flag("b scheduler flag") {
+		// Seed, rng state, and the permutation or gap vector.
+		fs = append(fs, r.blob("scheduler", "i seed", "U rng state", "I nodes"))
 	}
-	if flags[0] {
-		put("I") // frontier members
-	}
-	if flags[1] {
-		put("U") // goodness plane
-	}
-	if flags[2] {
-		fs = append(fs, splitChurn(r)...)
-	}
-	f := r.take('b')
-	fs = append(fs, f)
-	if snapshot.NewDec(f.raw).Bool() {
-		fs = append(fs, r.blob("iUI")) // seed, rng state, permutation or gap vector
-	}
-	put("U") // metric words
+	put("U metrics")
 	if r.err == nil && len(r.rest) != 0 {
 		r.err = fmt.Errorf("engine layout leaves %d bytes", len(r.rest))
 	}
 	return fs, r.err
 }
 
-// splitChurn cuts the churn fields: the spec's events and knobs, the
-// runtime cursors and stream, and the crash bookkeeping.
-func splitChurn(r *fieldReader) []*field {
-	var fs []*field
-	take := func(kind byte) *field {
-		f := r.take(kind)
-		fs = append(fs, f)
-		return f
-	}
-	count := func() int { return snapshot.NewDec(take('i').raw).Int() }
-	for ev, nev := 0, count(); ev < nev && r.err == nil; ev++ {
-		take('i') // step
-		for op, nops := 0, count(); op < nops && r.err == nil; op++ {
-			take('i')
-			take('i')
-			take('i')
+// leaf returns the leaf field named name.
+func leaf(t *testing.T, fs []*field, name string) *field {
+	t.Helper()
+	for _, f := range leafFields(fs) {
+		if f.name == name {
+			return f
 		}
 	}
-	for _, k := range "iiiiibiiiiIUiI" {
-		take(byte(k))
-	}
-	for i, nsaved := 0, count(); i < nsaved && r.err == nil; i++ {
-		take('I')
-	}
-	return fs
+	t.Fatalf("the engine section has no field %q", name)
+	return nil
 }
 
 // leafFields lists the editable fields, blob contents included.

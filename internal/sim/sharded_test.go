@@ -21,7 +21,7 @@ func shardedSchedulers(seed int64) map[string]func() sched.Scheduler {
 		"round-robin":   func() sched.Scheduler { return sched.NewRoundRobin() },
 		"random-subset": func() sched.Scheduler { return sched.NewRandomSubset(0.4, 8, rand.New(rand.NewSource(seed))) },
 		"laggard":       func() sched.Scheduler { return sched.NewLaggard(1, 3) },
-		"permuted":      func() sched.Scheduler { return sched.NewPermuted(rand.New(rand.NewSource(seed))) },
+		"permuted":      func() sched.Scheduler { return sched.NewPermutedSeeded(seed) },
 	}
 }
 

@@ -28,24 +28,24 @@
 // reference stepper in the package tests scores every combination against
 // the paper's step rule.
 //
-// The topology itself may churn mid-run: Options.Churn applies scripted or
-// stochastic graph.Delta mutations at step boundaries (cells die, divide
+// The topology itself may churn mid-run: Options.Churn applies a stochastic
+// stream of graph.Delta mutations at step boundaries (cells die, divide
 // back, links rewire), repairing the frontier and the registered observer
-// in the same motion — see churn.go and Engine.ApplyDelta. Churn draws from
-// its own rng, so churn runs remain byte-identical across all execution
-// modes.
+// in the same motion — see churn.go and Engine.ApplyDelta, which a caller
+// may also drive with its own delta between steps (internal/bio does).
+// Churn draws from its own rng, so churn runs remain byte-identical across
+// all execution modes. sim is the one engine with churn.
 //
 // Every mode combination is checkpointable: Engine.SaveState serializes the
 // full run state at a step boundary (configuration, churned topology,
-// frontier members, goodness plane, round tracker, rng stream states, churn
-// bookkeeping, scheduler position) and Restore rebuilds an engine in a
-// fresh process that continues the run byte-identically — run K steps,
-// snapshot, restore, run K more ≡ an uninterrupted 2K-step run, in every
-// mode × churn cell. It is the repo's one engine checkpoint, and Restore
-// accepts only states a run can reach. See snapshot.go; the restore matrix
-// runs in go test: TestRestoreDifferential, TestRestoreWithCrashVictimsDown
-// and FuzzRestore here, and TestRestoreRejectsInconsistentState in
-// internal/campaign.
+// frontier members, round tracker, rng stream states, churn bookkeeping,
+// scheduler position) and Restore rebuilds an engine in a fresh process
+// that continues the run byte-identically — run K steps, snapshot, restore,
+// run K more ≡ an uninterrupted 2K-step run, in every mode × churn cell.
+// It is the repo's one engine checkpoint, and Restore accepts only states a
+// run can reach. See snapshot.go; the restore matrix runs in go test here:
+// TestRestoreDifferential, TestRestoreWithCrashVictimsDown,
+// TestRestoreRejectsInconsistentState and FuzzRestore.
 package sim
 
 import (
@@ -228,8 +228,8 @@ type Options struct {
 	// so traced runs stay byte-identical to untraced ones in every mode.
 	Trace *obs.Tracer
 
-	// Churn enables mid-run topology churn: the spec's scripted events and
-	// stochastic edge flips are applied at step boundaries through
+	// Churn enables mid-run topology churn: the spec's stochastic edge
+	// flips, crashes and revivals are applied at step boundaries through
 	// ApplyDelta, so every incremental layer (frontier, observer counters)
 	// is repaired in the same motion. nil (or an empty spec) freezes the
 	// topology, the classic behavior. Churn draws from its own rng
@@ -307,11 +307,7 @@ func New(g *graph.Graph, alg sa.Algorithm, opts Options) (*Engine, error) {
 		e.fr.set.Fill() // nothing is certified yet: every node starts dirty
 	}
 	if opts.Churn.active() {
-		cr, err := newChurnRuntime(g, *opts.Churn)
-		if err != nil {
-			return nil, err
-		}
-		e.churn = cr
+		e.churn = newChurnRuntime(g, *opts.Churn)
 	}
 	if opts.WordParallel {
 		if wk, ok := alg.(sa.WordKernel); ok {
@@ -478,16 +474,6 @@ func (e *Engine) StepCount() int { return e.step }
 
 // Rounds returns the number of completed rounds R(i) <= current time.
 func (e *Engine) Rounds() int { return e.tracker.Rounds() }
-
-// FrontierLen returns the number of unsettled nodes of a frontier-sparse
-// engine, or -1 when frontier mode is inactive (Options.Frontier unset, or
-// an algorithm without the sa.SelfLooper capability).
-func (e *Engine) FrontierLen() int {
-	if e.fr == nil {
-		return -1
-	}
-	return e.fr.set.Len()
-}
 
 // WordActive reports whether the engine executes on the word-parallel kernel
 // path (Options.WordParallel set and the algorithm offered a kernel).

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"thinunison/internal/graph"
@@ -106,7 +107,7 @@ func TestRoundRobinSequentialSemantics(t *testing.T) {
 
 func TestRunUntilBudget(t *testing.T) {
 	g := mustPath(t, 4)
-	eng, err := sim.New(g, flood{}, sim.Options{Initial: sa.Uniform(4, 0)})
+	eng, err := sim.New(g, flood{}, sim.Options{Initial: slices.Repeat(sa.Config{0}, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestRunUntilBudget(t *testing.T) {
 
 func TestHooksAbortRun(t *testing.T) {
 	g := mustPath(t, 3)
-	eng, err := sim.New(g, flood{}, sim.Options{Initial: sa.Uniform(3, 0)})
+	eng, err := sim.New(g, flood{}, sim.Options{Initial: slices.Repeat(sa.Config{0}, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestHooksAbortRun(t *testing.T) {
 
 func TestInjectFaultsAndSetState(t *testing.T) {
 	g := mustPath(t, 6)
-	eng, err := sim.New(g, flood{}, sim.Options{Initial: sa.Uniform(6, 0), Seed: 4})
+	eng, err := sim.New(g, flood{}, sim.Options{Initial: slices.Repeat(sa.Config{0}, 6), Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

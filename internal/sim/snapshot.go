@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"io"
-	"math/bits"
-	"sort"
 
 	"thinunison/internal/frontier"
 	"thinunison/internal/graph"
@@ -28,8 +26,8 @@ import (
 // randx.Source, so a checkpoint stores each generator's state (607 words and
 // two indices) and restore sets it: the cost does not grow with the number
 // of draws since the seed. Derived state that is a pure function of the
-// serialized state (self-words, signal scratch, the round tracker's count
-// of missing nodes) is rebuilt rather than stored.
+// serialized state (self-words, the goodness plane, signal scratch, the
+// round tracker's count of missing nodes) is rebuilt rather than stored.
 //
 // A checkpoint is read back from disk, so Restore accepts only a state the
 // run could have reached: each layer's decoder checks its fields against
@@ -93,19 +91,16 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 	// Round tracking.
 	enc.Blob(e.tracker.CheckpointState())
 
-	// Mode flags.
+	// Mode flags. A word engine saves no goodness plane: Step reads the
+	// plane only after refreshing every bit that may be stale (all n when
+	// dense, the whole frontier when sparse), and every other bit is what
+	// New computes from the configuration.
 	enc.Bool(e.fr != nil)
 	enc.Bool(e.wr != nil)
 	enc.Bool(e.churn != nil)
 
 	if e.fr != nil {
 		enc.Ints(e.fr.set.AppendTo(nil))
-	}
-	if e.wr != nil {
-		// The goodness plane is serialized raw: stale bits of unevaluated
-		// frontier nodes are trajectory-visible through certification, so
-		// they cannot be rebuilt from the configuration. Self-words can.
-		enc.U64s(e.wr.plane)
 	}
 	if e.churn != nil {
 		if err := encodeChurn(&enc, e.churn); err != nil {
@@ -144,9 +139,9 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 // a one-way or out-of-range adjacency; a fault buffer, scheduler
 // permutation or gap vector that is not what the saved step implies; a
 // round tracker with more rounds than steps; a frontier member list that
-// is unsorted or repeats a node; and a frontier that omits a node whose
-// restored signal does not make it a settled self-loop (or, on a word
-// engine, whose goodness bit disagrees with its configuration).
+// is unsorted or repeats a node; a frontier that omits a node whose
+// restored signal does not make it a settled self-loop; and churn counters
+// that are not what the spec and the step imply.
 func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[string][]byte, error) {
 	sections, err := snapshot.Read(r)
 	if err != nil {
@@ -199,10 +194,6 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 	var frMembers []int
 	if hasFr {
 		frMembers = d.Ints()
-	}
-	var plane []uint64
-	if hasWord {
-		plane = d.U64s()
 	}
 	var churnState *churnCheckpoint
 	if hasChurn {
@@ -274,11 +265,6 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 			return nil, nil, err
 		}
 	}
-	if e.wr != nil {
-		if err := e.restorePlane(plane); err != nil {
-			return nil, nil, err
-		}
-	}
 	if churnState != nil {
 		if err := churnState.restoreInto(e.churn, step); err != nil {
 			return nil, nil, err
@@ -334,36 +320,10 @@ func (e *Engine) restoreFrontier(members []int) error {
 	return nil
 }
 
-// restorePlane overwrites the goodness bits New computed from the
-// configuration with the saved plane: a frontier node's bit may be stale,
-// and a stale bit is trajectory-visible through certification. A settled
-// node's bit is not stale — its signal has not changed since the
-// evaluation that settled it — so on a frontier engine every bit outside
-// the frontier, tail bits included, must equal New's. (A dense engine
-// refreshes the whole plane before any step it certifies.)
-func (e *Engine) restorePlane(plane []uint64) error {
-	fresh := e.wr.plane
-	if len(plane) != len(fresh) {
-		return fmt.Errorf("sim: snapshot goodness plane has %d words, want %d", len(plane), len(fresh))
-	}
-	if e.fr != nil {
-		for i := range plane {
-			for diff := plane[i] ^ fresh[i]; diff != 0; diff &= diff - 1 {
-				if v := i<<6 + bits.TrailingZeros64(diff); v >= e.g.N() || !e.fr.set.Contains(v) {
-					return fmt.Errorf("sim: snapshot goodness bit %d of a settled node disagrees with the configuration", v)
-				}
-			}
-		}
-	}
-	copy(fresh, plane)
-	return nil
-}
-
-// churnCheckpoint is the decoded churn section: the full spec (events are
-// already in the runtime's sorted order) plus the runtime cursors.
+// churnCheckpoint is the decoded churn section: the spec plus the runtime's
+// counters, stream state and crash bookkeeping.
 type churnCheckpoint struct {
 	spec    ChurnSpec
-	next    int
 	events  int
 	skipped int
 	victims []int
@@ -382,16 +342,6 @@ func encodeChurn(enc *snapshot.Enc, cr *churnRuntime) error {
 		return fmt.Errorf("sim: cannot checkpoint with %d staged churn changes", cr.delta.Pending())
 	}
 	s := &cr.spec
-	enc.Int(len(s.Events))
-	for _, ev := range s.Events {
-		enc.Int(ev.Step)
-		enc.Int(len(ev.Ops))
-		for _, op := range ev.Ops {
-			enc.Int(int(op.Kind))
-			enc.Int(op.U)
-			enc.Int(op.V)
-		}
-	}
 	enc.Int(s.Period)
 	enc.Int(s.Flips)
 	enc.Int(s.Crashes)
@@ -400,7 +350,6 @@ func encodeChurn(enc *snapshot.Enc, cr *churnRuntime) error {
 	enc.Bool(s.KeepConnected)
 	enc.Int(s.MaxDiameterUpper)
 
-	enc.Int(cr.next)
 	enc.Int(cr.events)
 	enc.Int(cr.skipped)
 	enc.Ints(cr.victims)
@@ -418,21 +367,6 @@ func encodeChurn(enc *snapshot.Enc, cr *churnRuntime) error {
 
 func decodeChurn(d *snapshot.Dec) (*churnCheckpoint, error) {
 	var c churnCheckpoint
-	nev := d.Int()
-	if d.Err() == nil && (nev < 0 || nev > 1<<24) {
-		return nil, fmt.Errorf("sim: snapshot churn event count %d out of range", nev)
-	}
-	for i := 0; i < nev && d.Err() == nil; i++ {
-		ev := ChurnEvent{Step: d.Int()}
-		nops := d.Int()
-		if d.Err() == nil && (nops < 0 || nops > 1<<24) {
-			return nil, fmt.Errorf("sim: snapshot churn op count %d out of range", nops)
-		}
-		for j := 0; j < nops && d.Err() == nil; j++ {
-			ev.Ops = append(ev.Ops, ChurnOp{Kind: ChurnOpKind(d.Int()), U: d.Int(), V: d.Int()})
-		}
-		c.spec.Events = append(c.spec.Events, ev)
-	}
 	c.spec.Period = d.Int()
 	c.spec.Flips = d.Int()
 	c.spec.Crashes = d.Int()
@@ -441,7 +375,6 @@ func decodeChurn(d *snapshot.Dec) (*churnCheckpoint, error) {
 	c.spec.KeepConnected = d.Bool()
 	c.spec.MaxDiameterUpper = d.Int()
 
-	c.next = d.Int()
 	c.events = d.Int()
 	c.skipped = d.Int()
 	c.victims = d.Ints()
@@ -463,28 +396,25 @@ func decodeChurn(d *snapshot.Dec) (*churnCheckpoint, error) {
 }
 
 // restoreInto rewinds a freshly constructed churn runtime (built by New from
-// the decoded spec) to the checkpointed cursors and stream state. Both
-// cursors are functions of the spec and the step: a run has applied every
-// scripted event due before step and fired one stochastic event per
+// the decoded spec) to the checkpointed counters and stream state. The event
+// count is a function of the spec and the step: a run fires one event per
 // period boundary in [1, step), capped one past MaxEvents.
 func (c *churnCheckpoint) restoreInto(cr *churnRuntime, step int) error {
 	if cr == nil {
 		return fmt.Errorf("sim: snapshot has churn state but engine built no churn runtime")
 	}
 	s := &cr.spec
-	next := sort.Search(len(s.Events), func(i int) bool { return s.Events[i].Step >= step })
 	events := 0
-	if s.Period > 0 && (s.Flips > 0 || s.Crashes > 0) && step > 0 {
+	if step > 0 {
 		events = (step - 1) / s.Period
 		if s.MaxEvents > 0 {
 			events = min(events, s.MaxEvents+1)
 		}
 	}
-	if c.next != next || c.events != events || c.skipped < 0 {
-		return fmt.Errorf("sim: snapshot churn cursors (event %d, %d stochastic events, %d skipped) after %d steps, want (%d, %d, >= 0)",
-			c.next, c.events, c.skipped, step, next, events)
+	if c.events != events || c.skipped < 0 {
+		return fmt.Errorf("sim: snapshot churn counters (%d events, %d skipped) after %d steps, want (%d, >= 0)",
+			c.events, c.skipped, step, events)
 	}
-	cr.next = c.next
 	cr.events = c.events
 	cr.skipped = c.skipped
 	cr.victims = append(cr.victims[:0], c.victims...)

@@ -4,10 +4,9 @@
 //
 // A snapshot is a sequence of named, length-prefixed sections behind a magic
 // header. The engine writes its whole state (config, rng states, round
-// tracker, frontier, goodness plane, churn, scheduler, metrics) into one
-// section with the primitives of Enc/Dec. Unknown sections are preserved by
-// Read so callers can attach their own (e.g. run metadata) without the
-// container caring.
+// tracker, frontier, churn, scheduler, metrics) into one section with the
+// primitives of Enc/Dec. Unknown sections are preserved by Read so callers
+// can attach their own (e.g. run metadata) without the container caring.
 //
 // The format favors simplicity and restore speed over size: scalars and
 // word slices are fixed-width little-endian, int sequences are zigzag
@@ -66,7 +65,12 @@ import (
 // cut its round-tracker blob to (rounds, pending node, stamps): the
 // 4096-entry boundary ring, the step count and the missing-node count are
 // gone, the last derived from the stamps on restore.
-const Version = 9
+//
+// Version 10 dropped derived and dead state from the sim section: a word
+// engine's goodness plane (rebuilt from the configuration on restore) and
+// the churn section's scripted event list and its cursor (the scripted
+// churn language is gone; churn is the stochastic stream only).
+const Version = 10
 
 // magic identifies a snapshot stream ("ThinUnison SNAPshot").
 var magic = [8]byte{'T', 'U', 'S', 'N', 'A', 'P', '0', '1'}

@@ -112,20 +112,3 @@ func (sy *Synchronizer[S]) Step(self State[S], sensed []State[S], rng *rand.Rand
 	p := sy.step(self.Cur, piSensed, rng)
 	return State[S]{Cur: p, Prev: self.Cur, Turn: nextTurn}
 }
-
-// Pulses returns the number of completed simulated rounds of Π encoded in a
-// trace of per-node clock advances; helper for tests and experiments: given
-// the per-node advance counts it returns the minimum (the globally completed
-// pulse count).
-func Pulses(advances []int) int {
-	if len(advances) == 0 {
-		return 0
-	}
-	min := advances[0]
-	for _, a := range advances[1:] {
-		if a < min {
-			min = a
-		}
-	}
-	return min
-}

@@ -3,6 +3,7 @@ package synchronizer_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"thinunison/internal/asyncsim"
@@ -119,7 +120,8 @@ func TestLockstepSimulation(t *testing.T) {
 							}
 						}
 					}
-					if synchronizer.Pulses(advances) >= pulses {
+					// The globally completed pulse count.
+					if slices.Min(advances) >= pulses {
 						break
 					}
 					if step > 100000 {

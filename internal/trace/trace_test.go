@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestClockSpreadUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := au.MustState(core.Turn{Level: 1})
-	eng, err := sim.New(g, au, sim.Options{Initial: sa.Uniform(4, q), Seed: 1})
+	eng, err := sim.New(g, au, sim.Options{Initial: slices.Repeat(sa.Config{q}, 4), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

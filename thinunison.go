@@ -66,7 +66,6 @@ type options struct {
 	d     int
 	seed  int64
 	sched sched.Scheduler
-	dense bool
 }
 
 // WithDiameterBound fixes the diameter bound D the algorithm is
@@ -80,13 +79,6 @@ func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
 // WithScheduler selects the activation scheduler; the default is the
 // synchronous one.
 func WithScheduler(s Scheduler) Option { return func(o *options) { o.sched = s } }
-
-// WithDenseExecution disables the unison engine's frontier-sparse execution
-// (on by default): with it, every activated node re-derives its signal and
-// transition each step even when provably settled. Results are
-// byte-identical either way — the knob only trades wall time, and exists
-// for measurement and debugging.
-func WithDenseExecution() Option { return func(o *options) { o.dense = true } }
 
 func buildOptions(g *Graph, opts []Option) (options, error) {
 	o := options{}
@@ -125,7 +117,7 @@ func NewUnison(g *Graph, opts ...Option) (*Unison, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := sim.New(g, au, sim.Options{Scheduler: o.sched, Seed: o.seed, Frontier: !o.dense})
+	eng, err := sim.New(g, au, sim.Options{Scheduler: o.sched, Seed: o.seed, Frontier: true})
 	if err != nil {
 		return nil, err
 	}
