@@ -36,6 +36,24 @@ func (s *Set) Add(v int) {
 	}
 }
 
+// AddClosed inserts v and every node of nbrs — the closed neighbourhood
+// N[v] when nbrs is N(v) — with one count update. Each insert ORs its bit
+// into the word array and tallies whether the bit was clear, so the loop
+// has no data-dependent branch; nodes already present and repeats in nbrs
+// count once.
+func (s *Set) AddClosed(v int, nbrs []int) {
+	words := s.words
+	old := words[v>>6]
+	words[v>>6] = old | 1<<uint(v&63)
+	added := int(^old >> uint(v&63) & 1)
+	for _, u := range nbrs {
+		old = words[u>>6]
+		words[u>>6] = old | 1<<uint(u&63)
+		added += int(^old >> uint(u&63) & 1)
+	}
+	s.count += added
+}
+
 // Remove deletes node v (a no-op if absent).
 func (s *Set) Remove(v int) {
 	w, b := v>>6, uint64(1)<<uint(v&63)

@@ -11,12 +11,17 @@ type reference struct {
 	n  int
 }
 
-func (r *reference) apply(op int, v int) {
+func (r *reference) apply(op int, v int, nbrs []int) {
 	switch op {
 	case 0:
 		r.in[v] = true
 	case 1:
 		r.in[v] = false
+	case 2:
+		r.in[v] = true
+		for _, u := range nbrs {
+			r.in[u] = true
+		}
 	}
 }
 
@@ -42,9 +47,11 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TestSetAgainstReference drives random Add/Remove sequences against the
-// oracle over domains with and without a ragged tail word, checking
-// Contains, Len and AppendTo after every operation batch.
+// TestSetAgainstReference drives random Add/Remove/AddClosed sequences
+// against the oracle over domains with and without a ragged tail word,
+// checking Contains, Len and AppendTo after every operation batch. An
+// AddClosed list repeats a node and may hold v itself, both sides of the
+// 63/64 word boundary and the last node, present or not.
 func TestSetAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{5, 64, 129, 200} {
@@ -52,9 +59,20 @@ func TestSetAgainstReference(t *testing.T) {
 		ref := &reference{in: make([]bool, n), n: n}
 		for batch := 0; batch < 50; batch++ {
 			for i := 0; i < 20; i++ {
-				op, v := rng.Intn(2), rng.Intn(n)
-				s.apply(op, v)
-				ref.apply(op, v)
+				op, v := rng.Intn(3), rng.Intn(n)
+				var nbrs []int
+				if op == 2 {
+					nbrs = []int{rng.Intn(n)}
+					for _, u := range []int{v, 63, 64, n - 1} {
+						if u < n && rng.Intn(2) == 0 {
+							nbrs = append(nbrs, u)
+						}
+					}
+					nbrs = append(nbrs, nbrs[rng.Intn(len(nbrs))])
+					rng.Shuffle(len(nbrs), func(i, j int) { nbrs[i], nbrs[j] = nbrs[j], nbrs[i] })
+				}
+				s.apply(op, v, nbrs)
+				ref.apply(op, v, nbrs)
 			}
 			if s.Len() != len(ref.members()) {
 				t.Fatalf("n=%d: Len = %d, want %d", n, s.Len(), len(ref.members()))
@@ -71,11 +89,14 @@ func TestSetAgainstReference(t *testing.T) {
 	}
 }
 
-func (s *Set) apply(op, v int) {
-	if op == 0 {
+func (s *Set) apply(op, v int, nbrs []int) {
+	switch op {
+	case 0:
 		s.Add(v)
-	} else {
+	case 1:
 		s.Remove(v)
+	case 2:
+		s.AddClosed(v, nbrs)
 	}
 }
 

@@ -140,11 +140,12 @@ func RandomConnected(n int, p float64, rng *rand.Rand) (*Graph, error) {
 }
 
 // BoundedDiameter returns a connected graph on n nodes whose diameter is
-// exactly d (requires 1 <= d < n). The construction is a path of length d
-// (realizing the diameter) with the remaining n-d-1 nodes attached to path
-// node min(1, d-1)... specifically to the path's second node, plus random
-// chords that never increase the diameter. This is the "almost complete but
-// for some broken links" family the paper motivates.
+// exactly d (requires 1 <= d < n). The construction is a path 0-1-...-d of
+// length d (realizing the diameter) with each of the remaining n-d-1 nodes
+// attached to the path's midpoint d/2, plus random chords among those
+// cluster nodes, which never increase the diameter. The midpoint is then a
+// hub of degree n-d+1. This is the "almost complete but for some broken
+// links" family the paper motivates.
 func BoundedDiameter(n, d int, rng *rand.Rand) (*Graph, error) {
 	switch {
 	case n <= 0:
@@ -171,8 +172,8 @@ func BoundedDiameter(n, d int, rng *rand.Rand) (*Graph, error) {
 		}
 	}
 	// Remaining nodes cluster around the spine's midpoint so they cannot
-	// stretch the diameter: each attaches to the mid node and a random spine
-	// neighbor of it.
+	// stretch the diameter: each attaches to the mid node and, with
+	// probability 1/2, to a random earlier cluster node.
 	mid := d / 2
 	for v := d + 1; v < n; v++ {
 		if err := b.AddEdge(v, mid); err != nil {

@@ -13,6 +13,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -63,11 +64,15 @@ type Graph struct {
 	neighbors []NodeID // concatenated sorted adjacency lists; len 2m
 }
 
-// Builder incrementally assembles a Graph. It deduplicates edges and rejects
-// self loops. The zero value is not usable; use NewBuilder.
+// Builder incrementally assembles a Graph. It rejects self loops and
+// out-of-range endpoints; repeated edges are allowed and count once. The
+// edges are kept in a plain slice in the order they were added, and Build
+// turns them into CSR with a counting sort, so assembling a graph costs
+// O(n + m) plus the per-node sorts. The zero value is not usable; use
+// NewBuilder.
 type Builder struct {
 	n     int
-	edges map[[2]NodeID]struct{}
+	edges [][2]NodeID // (u, v) with u < v, in insertion order, repeats kept
 }
 
 // NewBuilder returns a Builder for a graph on n nodes.
@@ -75,7 +80,7 @@ func NewBuilder(n int) (*Builder, error) {
 	if n <= 0 {
 		return nil, ErrEmptyGraph
 	}
-	return &Builder{n: n, edges: make(map[[2]NodeID]struct{})}, nil
+	return &Builder{n: n}, nil
 }
 
 // AddEdge records the undirected edge (u, v). Adding an existing edge is a
@@ -92,35 +97,54 @@ func (b *Builder) AddEdge(u, v NodeID) error {
 	if u > v {
 		u, v = v, u
 	}
-	b.edges[[2]NodeID{u, v}] = struct{}{}
+	b.edges = append(b.edges, [2]NodeID{u, v})
 	return nil
 }
 
 // Build freezes the builder into an immutable CSR Graph. It does not require
 // connectivity; call Graph.Validate if the graph must be connected.
+//
+// A counting sort scatters both orientations of every recorded edge into
+// their endpoints' lists; each list is then sorted and its repeats dropped
+// in place, compacting the whole array toward the front. The result is the
+// canonical CSR (sorted, duplicate-free lists) whatever the insertion order.
 func (b *Builder) Build() *Graph {
-	offsets := make([]int, b.n+1)
-	for e := range b.edges {
+	n := b.n
+	offsets := make([]int, n+1)
+	for _, e := range b.edges {
 		offsets[e[0]+1]++
 		offsets[e[1]+1]++
 	}
-	for v := 0; v < b.n; v++ {
+	for v := 0; v < n; v++ {
 		offsets[v+1] += offsets[v]
 	}
 	neighbors := make([]NodeID, 2*len(b.edges))
-	fill := make([]int, b.n)
-	copy(fill, offsets[:b.n])
-	for e := range b.edges {
+	fill := make([]int, n)
+	copy(fill, offsets[:n])
+	for _, e := range b.edges {
 		neighbors[fill[e[0]]] = e[1]
 		fill[e[0]]++
 		neighbors[fill[e[1]]] = e[0]
 		fill[e[1]]++
 	}
-	g := &Graph{n: b.n, m: len(b.edges), offsets: offsets, neighbors: neighbors}
-	for v := 0; v < b.n; v++ {
-		sort.Ints(g.Neighbors(v))
+	// Compact: w never passes the read position, so the writes land on
+	// entries already read.
+	w := 0
+	for v := 0; v < n; v++ {
+		l := neighbors[offsets[v]:offsets[v+1]]
+		slices.Sort(l)
+		offsets[v] = w
+		prev := -1
+		for _, u := range l {
+			if u != prev {
+				neighbors[w] = u
+				w++
+				prev = u
+			}
+		}
 	}
-	return g
+	offsets[n] = w
+	return &Graph{n: n, m: w / 2, offsets: offsets, neighbors: neighbors[:w]}
 }
 
 // New constructs a graph on n nodes from an explicit edge list.

@@ -404,3 +404,65 @@ func FuzzFromCSR(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBuild feeds n and a list of endpoint pairs, one signed byte per
+// endpoint, to a Builder: repeats, both orientations, self loops and
+// out-of-range nodes included. AddEdge must reject exactly the self loops
+// and the out-of-range pairs, and Build must give, for the pairs AddEdge
+// accepted, the sorted duplicate-free adjacency of an adjacency-matrix
+// reference, M() the number of distinct edges, and a CSR that FromCSR
+// accepts.
+func FuzzBuild(f *testing.F) {
+	f.Add(uint8(3), []byte{0, 1, 1, 0, 0, 1, 1, 2}) // TestEdgeDeduplication's list
+	// Both sides of a word boundary, a self loop, an out-of-range and a
+	// negative endpoint, and N(0) arriving as 5, 3, 1.
+	f.Add(uint8(70), []byte{63, 64, 2, 2, 64, 63, 69, 70, 0xff, 1, 5, 0, 0, 3, 1, 0})
+	f.Fuzz(func(t *testing.T, n uint8, pairs []byte) {
+		b, err := graph.NewBuilder(int(n))
+		if n == 0 {
+			if !errors.Is(err, graph.ErrEmptyGraph) {
+				t.Fatalf("NewBuilder(0) = %v, want ErrEmptyGraph", err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := int(n)
+		adj := make([][]bool, size)
+		for v := range adj {
+			adj[v] = make([]bool, size)
+		}
+		for i := 0; i+1 < len(pairs); i += 2 {
+			u, v := int(int8(pairs[i])), int(int8(pairs[i+1]))
+			valid := u != v && u >= 0 && u < size && v >= 0 && v < size
+			if err := b.AddEdge(u, v); (err == nil) != valid {
+				t.Fatalf("AddEdge(%d, %d) on %d nodes = %v", u, v, size, err)
+			}
+			if valid {
+				adj[u][v], adj[v][u] = true, true
+			}
+		}
+		g := b.Build()
+		degSum := 0
+		for v := 0; v < size; v++ {
+			var want []int
+			for w, ok := range adj[v] {
+				if ok {
+					want = append(want, w)
+				}
+			}
+			degSum += len(want)
+			if got := g.Neighbors(v); !slices.Equal(got, want) {
+				t.Fatalf("N(%d) = %v, want %v", v, got, want)
+			}
+		}
+		if g.N() != size || 2*g.M() != degSum {
+			t.Fatalf("N, M = %d, %d, want %d, %d", g.N(), g.M(), size, degSum/2)
+		}
+		off, nb := g.CSR()
+		if _, err := graph.FromCSR(size, off, nb); err != nil {
+			t.Fatalf("FromCSR rejects the built graph: %v", err)
+		}
+	})
+}

@@ -212,9 +212,9 @@ func PlaneWords(n int) int { return (n + 63) / 64 }
 // the CSR adjacency rows of nodes lo..hi−1, producing each node's inclusive
 // one-word signal sws[v−lo] = self[v] | OR_{u ∈ N(v)} self[u]. self[v] must
 // be 1 << state(v), the one-word signal contribution of v; offsets/neighbors
-// are the raw CSR arrays (graph.Graph.CSR). One load+OR per incident edge
-// replaces the scalar path's Signal.Reset + per-neighbor Signal.Set, and the
-// result feeds WordEval.EvalGood directly.
+// are the raw CSR arrays (graph.Graph.CSR). It costs one load+OR per
+// incident edge and builds no per-node Signal; the result feeds
+// WordEval.EvalGood directly.
 func BuildSignals(self []uint64, offsets, neighbors []int, lo, hi int, sws []uint64) {
 	for v := lo; v < hi; v++ {
 		sw := self[v]

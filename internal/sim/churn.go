@@ -274,7 +274,7 @@ func (e *Engine) ApplyDelta(d *graph.Delta) ([]graph.EdgeChange, error) {
 		// the neighborhoods too keeps this path on the same invariant as
 		// state changes, at negligible cost.)
 		for _, v := range touched {
-			e.fr.invalidate(e.g, v)
+			e.fr.set.AddClosed(v, e.g.Neighbors(v))
 		}
 	}
 	if topo != nil {

@@ -151,14 +151,39 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 		})
 	}
 	engines = append(engines, frontierEngine(t))
-	// The churn counters are functions of the spec and the step.
+	// The churn counters are functions of the spec and the step, and the
+	// victims list holds exactly the crashed nodes, each once.
+	victimCases := 0
 	for _, s := range restoreSeeds(t) {
-		if strings.Contains(s.name, "churn=true") && strings.HasSuffix(s.name, "step 12") {
-			engines = append(engines, rejectCase{s, []fieldEdit{
-				{"churn events one more", "churn events", editInt(func(v int) int { return v + 1 })},
-				{"churn skipped negative", "churn skipped", setInt(-1)},
-			}})
+		if !strings.Contains(s.name, "churn=true") || !strings.HasSuffix(s.name, "step 12") {
+			continue
 		}
+		edits := []fieldEdit{
+			{"churn events one more", "churn events", editInt(func(v int) int { return v + 1 })},
+			{"churn skipped negative", "churn skipped", setInt(-1)},
+		}
+		fields, err := splitEngine(s.section)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if len(snapshot.NewDec(leaf(t, fields, "churn crashed").raw).Ints()) > 0 {
+			victimCases++
+			edits = append(edits,
+				fieldEdit{"churn victims emptied", "churn victims", editInts(func([]int) []int { return nil })},
+				fieldEdit{"churn victim repeated", "churn victims", editInts(func(p []int) []int { return append(p, p[0]) })},
+				fieldEdit{"churn alive node appended", "churn victims", editInts(func(p []int) []int {
+					v := 0
+					for slices.Contains(p, v) {
+						v++
+					}
+					return append(p, v)
+				})},
+			)
+		}
+		engines = append(engines, rejectCase{s, edits})
+	}
+	if victimCases == 0 {
+		t.Fatal("no churn seed has a crashed node at step 12; the victims edits test nothing")
 	}
 
 	for _, eng := range engines {

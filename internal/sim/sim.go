@@ -144,9 +144,10 @@ type Engine struct {
 // frontierRuntime holds the frontier-sparse execution state of an engine:
 // the dirty set of unsettled nodes and the algorithm's self-loop certifier.
 // A node leaves the frontier when an evaluation certifies its (state,
-// signal) pair as a deterministic coin-free self-loop, and re-enters — in
-// O(deg v), the same CSR walk core.GoodMonitor uses — whenever it or a
-// neighbor changes state or suffers a fault.
+// signal) pair as a deterministic coin-free self-loop, and re-enters
+// whenever it or a neighbor changes state or suffers a fault: the write
+// walks v's CSR list once and ORs N[v] into the set (frontier.Set.AddClosed),
+// in O(deg v) with one count update.
 type frontierRuntime struct {
 	set     *frontier.Set
 	looper  sa.SelfLooper
@@ -332,15 +333,6 @@ func (fr *frontierRuntime) evalNode(e *Engine, v int, sig *sa.Signal, rng *rand.
 	return q, q == e.cfg[v] && fr.looper.SelfLoop(e.cfg[v], *sig)
 }
 
-// invalidate re-dirties node v and its neighbors: v's state changed, so the
-// settled certificates of everything sensing v are void.
-func (fr *frontierRuntime) invalidate(g *graph.Graph, v int) {
-	fr.set.Add(v)
-	for _, u := range g.Neighbors(v) {
-		fr.set.Add(u)
-	}
-}
-
 // Close is a no-op: the engine runs on its caller's goroutine and holds
 // nothing to release. It is kept so that existing callers, such as the
 // benchmark module, still build.
@@ -460,12 +452,24 @@ func (e *Engine) Metrics() *obs.Metrics { return e.mx }
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
 // SignalOf computes the signal of node v under the current configuration
-// into sig (which is reset first).
+// into sig, overwriting what it held. A signal of one word (|Q| <= 64, as
+// for AlgAU with D <= 4) is ORed together in a local word, one 1 << state
+// per node of N[v], and stored once; a wider one is reset and set state by
+// state.
 func (e *Engine) SignalOf(v int, sig *sa.Signal) {
+	cfg := e.cfg
+	if w := sig.Words(); len(w) == 1 {
+		x := uint64(1) << uint(cfg[v])
+		for _, u := range e.g.Neighbors(v) {
+			x |= 1 << uint(cfg[u])
+		}
+		w[0] = x
+		return
+	}
 	sig.Reset()
-	sig.Set(e.cfg[v])
+	sig.Set(cfg[v])
 	for _, u := range e.g.Neighbors(v) {
-		sig.Set(e.cfg[u])
+		sig.Set(cfg[u])
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"thinunison/internal/frontier"
 	"thinunison/internal/graph"
@@ -140,8 +141,9 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 // permutation or gap vector that is not what the saved step implies; a
 // round tracker with more rounds than steps; a frontier member list that
 // is unsorted or repeats a node; a frontier that omits a node whose
-// restored signal does not make it a settled self-loop; and churn counters
-// that are not what the spec and the step imply.
+// restored signal does not make it a settled self-loop; churn counters
+// that are not what the spec and the step imply; and churn victims that are
+// not the crashed nodes, each once.
 func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[string][]byte, error) {
 	sections, err := snapshot.Read(r)
 	if err != nil {
@@ -423,6 +425,14 @@ func (c *churnCheckpoint) restoreInto(cr *churnRuntime, step int) error {
 	}
 	if err := cr.delta.RestoreCrashes(c.crashed, c.saved, c.applied); err != nil {
 		return fmt.Errorf("sim: snapshot churn crashes: %w", err)
+	}
+	// At a step boundary the victims are the crashed nodes, each once:
+	// applyChurn records every crash it stages, and the next event revives
+	// them all (Revive cannot fail for an in-range node) before it crashes
+	// anew. c.crashed passed RestoreCrashes, so it is strictly ascending.
+	if victims := slices.Sorted(slices.Values(c.victims)); !slices.Equal(victims, c.crashed) {
+		return fmt.Errorf("sim: snapshot churn victims are not the crashed nodes, each once (%d victims, %d crashed)",
+			len(c.victims), len(c.crashed))
 	}
 	return nil
 }

@@ -184,7 +184,7 @@ func (e *Engine) apply(eval []int, certified bool) int {
 	changed = changed[:k]
 	if fr := e.fr; fr != nil {
 		for _, v := range changed {
-			fr.invalidate(e.g, v)
+			fr.set.AddClosed(v, e.g.Neighbors(v))
 		}
 	}
 	switch {
@@ -207,6 +207,6 @@ func (e *Engine) write(v int, q sa.State) {
 		e.wr.self[v] = 1 << uint(q)
 	}
 	if e.fr != nil {
-		e.fr.invalidate(e.g, v)
+		e.fr.set.AddClosed(v, e.g.Neighbors(v))
 	}
 }
