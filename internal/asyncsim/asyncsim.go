@@ -54,9 +54,11 @@ type Engine[S comparable] struct {
 	nodeSeq  *randx.Seq
 	nodeCoin *randx.Counting
 
-	// mx is always non-nil (allocated at New; replaceable via Instrument)
-	// so metric updates are unconditional. tracer is attached via Trace.
+	// mx is always non-nil (allocated at New; replaceable via Instrument).
+	// The step loop counts into tally, which publish moves into mx (see
+	// obs.Tally for when). tracer is attached via Trace.
 	mx       *obs.Metrics
+	tally    obs.Tally
 	tracer   *obs.Tracer
 	rng      *rand.Rand      // the shared stream: p = 0 coins and fault draws
 	coin     *randx.Counting // draw tally over the shared stream
@@ -112,10 +114,23 @@ func NewParallel[S comparable](g *graph.Graph, step syncsim.StepFunc[S], initial
 // Instrument replaces the engine's metric set with mx (call before the
 // first Step). The engine always maintains a metric set — Instrument only
 // redirects where the counters land.
+//
+// The step counters are published at call boundaries (obs.Tally): the set
+// is exact whenever no engine call is running. Read from inside a RunUntil
+// cond or from another goroutine, Steps trails the engine's Steps() by less
+// than obs.PublishSteps, and every counter only grows.
 func (e *Engine[S]) Instrument(mx *obs.Metrics) { e.mx = mx }
 
-// Metrics returns the engine's metric set (never nil).
-func (e *Engine[S]) Metrics() *obs.Metrics { return e.mx }
+// Metrics publishes the tally and returns the engine's metric set (never
+// nil), exact at this call. Call it on the goroutine driving the engine;
+// another goroutine may read the returned set at any time.
+func (e *Engine[S]) Metrics() *obs.Metrics {
+	e.publish()
+	return e.mx
+}
+
+// publish moves the tally into the metric set.
+func (e *Engine[S]) publish() { e.tally.Publish(e.mx) }
 
 // Trace attaches a sampled step tracer / flight recorder; nil detaches.
 // Sink errors are sticky and reported by TraceErr.
@@ -174,19 +189,26 @@ func (e *Engine[S]) InjectFaults(count int, random func(rng *rand.Rand) S) []int
 		e.states[v] = random(e.rng)
 	}
 	e.mx.Faults.Add(uint64(len(hit)))
-	e.flushCoins()
+	e.takeCoins()
+	e.publish()
 	return hit
 }
 
 // RunUntil runs until cond holds or maxRounds elapse; reports rounds
 // consumed and whether cond held.
+//
+// The step counters are exact in the metric set when RunUntil returns.
+// While it runs they are published every obs.PublishSteps steps or n
+// activations, whichever comes first; a cond that needs exact counts calls
+// e.Metrics().
 func (e *Engine[S]) RunUntil(cond func(e *Engine[S]) bool, maxRounds int) (int, bool) {
+	defer e.publish()
 	start := e.tracker.Rounds()
 	if cond(e) {
 		return 0, true
 	}
 	for e.tracker.Rounds()-start < maxRounds {
-		e.Step()
+		e.advance()
 		if cond(e) {
 			return e.tracker.Rounds() - start, true
 		}
@@ -196,10 +218,11 @@ func (e *Engine[S]) RunUntil(cond func(e *Engine[S]) bool, maxRounds int) (int, 
 }
 
 // RunRounds executes steps until the given number of additional rounds have
-// completed.
+// completed. It publishes the step counters as RunUntil does.
 func (e *Engine[S]) RunRounds(rounds int) {
+	defer e.publish()
 	target := e.tracker.Rounds() + rounds
 	for e.tracker.Rounds() < target {
-		e.Step()
+		e.advance()
 	}
 }

@@ -19,8 +19,16 @@ import (
 //
 // The steady step is allocation-free: new states are staged in reusable
 // scratch (no O(n) configuration copy per step) and written back only after
-// every activated node has sensed C_t.
+// every activated node has sensed C_t. The step's counters are published
+// into the metric set before Step returns.
 func (e *Engine[S]) Step() {
+	e.advance()
+	e.publish()
+}
+
+// advance is Step without the closing publish: the run loops call it and
+// publish only when the tally is due (obs.Tally.Due) and on return.
+func (e *Engine[S]) advance() {
 	act := sched.Canonical(e.sch.Activations(e.stepNum, e.g.N()), &e.actBuf)
 	res := e.res[:0]
 	for _, v := range act {
@@ -40,7 +48,7 @@ func (e *Engine[S]) Step() {
 	}
 	e.tracker.Observe(act)
 	e.stepNum++
-	e.flushStep(len(act))
+	e.tallyStep(len(act))
 }
 
 // sense returns the deduplicated state set of N+(v), self first and then
@@ -65,17 +73,21 @@ func (e *Engine[S]) sense(v int) []S {
 	return b
 }
 
-// flushStep folds one completed step's tallies into the metric set and, if
-// a tracer is attached, records the step sample (one allocation-free ring
-// write; sink errors are sticky in traceErr).
-func (e *Engine[S]) flushStep(act int) {
-	m := e.mx
-	m.Steps.Add(1)
-	m.Rounds.Store(uint64(e.tracker.Rounds()))
-	m.Activated.Add(uint64(act))
-	m.Evaluated.Add(uint64(act))
-	m.Changes.Add(uint64(len(e.changed)))
-	e.flushCoins()
+// tallyStep adds one completed step's counts to the tally, publishes it
+// when due, and, if a tracer is attached, records the step sample (one
+// allocation-free ring write; sink errors are sticky in traceErr).
+func (e *Engine[S]) tallyStep(act int) {
+	t := &e.tally
+	t.Steps++
+	t.Rounds = uint64(e.tracker.Rounds())
+	t.Activated += uint64(act)
+	t.Evaluated += uint64(act)
+	t.Changes += uint64(len(e.changed))
+	t.FrontierSize = -1
+	e.takeCoins()
+	if t.Due(e.g.N()) {
+		e.publish()
+	}
 	if e.tracer != nil {
 		err := e.tracer.Observe(obs.Sample{
 			Step:        int64(e.stepNum),
@@ -93,15 +105,11 @@ func (e *Engine[S]) flushStep(act int) {
 	}
 }
 
-// flushCoins drains the draw tallies — the shared stream and, at p >= 1,
-// the per-node streams — into CoinDraws.
-func (e *Engine[S]) flushCoins() {
-	if n := e.coin.Take(); n != 0 {
-		e.mx.CoinDraws.Add(n)
-	}
+// takeCoins drains the draw counts — the shared stream and, at p >= 1, the
+// per-node streams — into the tally's CoinDraws.
+func (e *Engine[S]) takeCoins() {
+	e.tally.CoinDraws += e.coin.Take()
 	if e.nodeCoin != nil {
-		if n := e.nodeCoin.Take(); n != 0 {
-			e.mx.CoinDraws.Add(n)
-		}
+		e.tally.CoinDraws += e.nodeCoin.Take()
 	}
 }

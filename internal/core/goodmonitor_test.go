@@ -118,9 +118,10 @@ func TestGoodMonitorReset(t *testing.T) {
 
 // TestGoodMonitorAdaptiveRegimes pins the deferred→incremental life cycle:
 // the monitor starts deferred (witness scans), promotes on the first good
-// verdict — the clean scan itself, with no recount — and must stay exact
-// across every interleaving of verdicts and changes around the promotion
-// point, in particular a fault burst landing right after it.
+// verdict — the clean scan itself, with no recount — and must stay exact:
+// against the full scan after every step of the deferred phase, and across
+// every interleaving of verdicts and changes around the promotion point, in
+// particular a fault burst landing right after it.
 func TestGoodMonitorAdaptiveRegimes(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g, err := graph.BoundedDiameter(40, 3, rng)
@@ -151,6 +152,9 @@ func TestGoodMonitorAdaptiveRegimes(t *testing.T) {
 			t.Fatal(err)
 		}
 		good = mon.Good()
+		if want := au.GraphGood(g, eng.Config()); good != want {
+			t.Fatalf("deferred step %d: Good()=%v, GraphGood=%v", i, good, want)
+		}
 	}
 	if !good {
 		t.Fatal("did not stabilize")

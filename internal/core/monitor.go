@@ -386,10 +386,11 @@ func (m *GoodMonitor) RewireEdge(u, v int, added bool) {
 
 // Good reports whether the graph is good (every node good) — the AlgAU
 // stabilization condition. In the incremental regime (after the graph first
-// turned good) it is O(1). In the
-// deferred regime it re-tests the cached bad witnesses in O(Δ) and only
-// scans — with early exit, refilling the witness cache — when all of them
-// have healed; the scan that finds no bad node is the promotion point.
+// turned good) it is O(1). In the deferred regime it re-tests the cached
+// bad witnesses in order, O(Δ) each, and answers false at the first one
+// still bad; only when all of them have healed does it scan — with early
+// exit, refilling the witness cache. The scan that finds no bad node is the
+// promotion point.
 func (m *GoodMonitor) Good() bool {
 	if m.deferred {
 		return m.goodDeferred()
@@ -400,16 +401,17 @@ func (m *GoodMonitor) Good() bool {
 // goodDeferred is the deferred-regime Good: witness check, then early-exit
 // scan, then promotion when the scan comes up clean.
 func (m *GoodMonitor) goodDeferred() bool {
-	keep := m.witnesses[:0]
-	for _, w := range m.witnesses {
+	// The first witness still bad settles the verdict. The healed ones
+	// before it are dropped; it and the untested ones after it stay cached.
+	for i, w := range m.witnesses {
 		if !m.nodeGoodScan(w) {
-			keep = append(keep, w)
+			if i > 0 {
+				m.witnesses = m.witnesses[:copy(m.witnesses, m.witnesses[i:])]
+			}
+			return false
 		}
 	}
-	m.witnesses = keep
-	if len(m.witnesses) > 0 {
-		return false
-	}
+	m.witnesses = m.witnesses[:0]
 	// Early-exit scan: stop at the first bad node, collecting a few extra
 	// witnesses within a bounded overscan so endgame phases (few, scattered
 	// bad nodes) do not rescan from scratch every step.

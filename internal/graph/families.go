@@ -7,7 +7,7 @@ import (
 
 // Path returns the path graph P_n (diameter n-1).
 func Path(n int) (*Graph, error) {
-	b, err := NewBuilder(n)
+	b, err := newBuilder(n, n-1)
 	if err != nil {
 		return nil, err
 	}
@@ -24,7 +24,7 @@ func Cycle(n int) (*Graph, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("graph: cycle needs n >= 3, got %d", n)
 	}
-	b, err := NewBuilder(n)
+	b, err := newBuilder(n, n)
 	if err != nil {
 		return nil, err
 	}
@@ -39,7 +39,7 @@ func Cycle(n int) (*Graph, error) {
 // Star returns the star graph on n nodes with node 0 at the center
 // (diameter 2 for n >= 3).
 func Star(n int) (*Graph, error) {
-	b, err := NewBuilder(n)
+	b, err := newBuilder(n, n-1)
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +55,7 @@ func Star(n int) (*Graph, error) {
 // graphs are the paper's motivating special case: bounded-diameter graphs are
 // "a natural extension of complete graphs".
 func Complete(n int) (*Graph, error) {
-	b, err := NewBuilder(n)
+	b, err := newBuilder(n, n*(n-1)/2)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +74,7 @@ func Grid(rows, cols int) (*Graph, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, ErrEmptyGraph
 	}
-	b, err := NewBuilder(rows * cols)
+	b, err := newBuilder(rows*cols, rows*(cols-1)+cols*(rows-1))
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +99,7 @@ func Grid(rows, cols int) (*Graph, error) {
 // CompleteBinaryTree returns a complete binary tree on n nodes where node i
 // has children 2i+1 and 2i+2.
 func CompleteBinaryTree(n int) (*Graph, error) {
-	b, err := NewBuilder(n)
+	b, err := newBuilder(n, n-1)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +161,9 @@ func BoundedDiameter(n, d int, rng *rand.Rand) (*Graph, error) {
 	if d == 1 {
 		return Complete(n) // diameter 1 forces the complete graph
 	}
-	b, err := NewBuilder(n)
+	// d spine edges, one hub edge per cluster node and at most one chord
+	// per cluster node.
+	b, err := newBuilder(n, d+2*(n-d-1))
 	if err != nil {
 		return nil, err
 	}

@@ -76,11 +76,16 @@ type Builder struct {
 }
 
 // NewBuilder returns a Builder for a graph on n nodes.
-func NewBuilder(n int) (*Builder, error) {
+func NewBuilder(n int) (*Builder, error) { return newBuilder(n, 0) }
+
+// newBuilder is NewBuilder with room for m edges. The constructors of this
+// package that know their edge count (or a bound on it) up front use it, so
+// the edge list is allocated once instead of grown by append.
+func newBuilder(n, m int) (*Builder, error) {
 	if n <= 0 {
 		return nil, ErrEmptyGraph
 	}
-	return &Builder{n: n}, nil
+	return &Builder{n: n, edges: make([][2]NodeID, 0, m)}, nil
 }
 
 // AddEdge records the undirected edge (u, v). Adding an existing edge is a
@@ -149,7 +154,7 @@ func (b *Builder) Build() *Graph {
 
 // New constructs a graph on n nodes from an explicit edge list.
 func New(n int, edges [][2]NodeID) (*Graph, error) {
-	b, err := NewBuilder(n)
+	b, err := newBuilder(n, len(edges))
 	if err != nil {
 		return nil, err
 	}

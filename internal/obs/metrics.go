@@ -6,10 +6,12 @@
 // library so every engine layer (core, sim, asyncsim, campaign)
 // can import it. Two properties are load-bearing:
 //
-//   - Zero allocations on the hot path. Counter updates are single atomic
-//     adds; ring writes reuse a preallocated slice. The steady-step
-//     0 allocs/op pin holds with counters and the ring tracer enabled
-//     (gated by the obs series in BENCH_hotpath.json).
+//   - Zero allocations on the hot path, and no atomic write per step for
+//     the step counters: an engine counts its steps into a plain Tally and
+//     publishes it into its Metrics at call boundaries, one atomic add per
+//     non-zero counter. Ring writes reuse a preallocated slice. The
+//     steady-step 0 allocs/op pin holds with counters and the ring tracer
+//     enabled (gated by the obs series in BENCH_hotpath.json).
 //   - Determinism. Sampling is keyed by step number only — never wall
 //     clock, never the rng — so attaching a tracer cannot perturb the
 //     byte-identity differentials (dense vs frontier, scalar vs word,
@@ -23,8 +25,10 @@ import (
 
 // Metrics is a struct-of-atomics metric set for one engine run (or, when
 // aggregated with Add, a whole campaign). The zero value is ready to use.
-// Engines update it with unconditional atomic adds, most of them once per
-// step from local tallies.
+// Engines publish their step counters into it from a Tally (see there for
+// when they are exact); the other counters — faults, budget exhaustions,
+// churn, and the GoodMonitor's transitions and promotions — are atomic adds
+// or stores made where they happen.
 //
 // Counters fall into two classes. Trajectory counters are pure functions
 // of the executed trajectory and therefore identical across engine modes

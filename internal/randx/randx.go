@@ -65,9 +65,9 @@ func (s *Seq) Int63() int64 { return int64(s.Uint64() >> 1) }
 // Counting wraps a rand.Source64 and counts draws. It is a pass-through —
 // wrapping a source changes nothing about the produced stream, so counted
 // engines stay byte-identical to uncounted ones — and the count lives in a
-// plain (non-atomic) field: each engine goroutine owns its own Counting and
-// the coordinator drains them with Take once per step, turning per-draw
-// bookkeeping into an O(P) flush.
+// plain (non-atomic) field: each engine owns its own Counting and drains it
+// with Take once per step into its plain step tally (obs.Tally), so per-draw
+// bookkeeping costs no atomic.
 type Counting struct {
 	src rand.Source64
 	n   uint64

@@ -154,9 +154,19 @@ func (s *Synchronous) Activations(_ int, n int) []int {
 
 // SparseActivations implements SparseActivator: A_t = V, so the evaluation
 // set is exactly the frontier — O(|frontier|) instead of O(n).
-func (s *Synchronous) SparseActivations(_ int, _ int, f Frontier) ([]int, Coverage) {
-	s.sbuf = f.AppendTo(s.sbuf[:0])
+func (s *Synchronous) SparseActivations(_ int, n int, f Frontier) ([]int, Coverage) {
+	s.sbuf = f.AppendTo(sparseBuf(s.sbuf, n))
 	return s.sbuf, Coverage{Full: true, AllBut: -1}
+}
+
+// sparseBuf returns buf emptied, with room for all n nodes: a frontier
+// holds at most n, so the buffer is allocated once rather than grown by
+// append in every run.
+func sparseBuf(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, 0, n)
+	}
+	return buf[:0]
 }
 
 // Name implements Scheduler.
@@ -354,7 +364,7 @@ func (s *Laggard) Activations(t int, n int) []int {
 // expressible to the round tracker without materializing the slice.
 func (s *Laggard) SparseActivations(t, n int, f Frontier) ([]int, Coverage) {
 	vic := s.victim % n
-	s.sbuf = f.AppendTo(s.sbuf[:0])
+	s.sbuf = f.AppendTo(sparseBuf(s.sbuf, n))
 	if t%s.period == s.period-1 {
 		return s.sbuf, Coverage{Full: true, AllBut: -1}
 	}

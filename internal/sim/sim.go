@@ -127,15 +127,17 @@ type Engine struct {
 	wBatch WordBatchObserver // obs, when it takes certified steps as one batch
 
 	// mx is the engine's metric set — always non-nil (allocated at New when
-	// Options.Metrics is nil) so every update site is an unconditional
-	// branch-free atomic add. tracer is nil unless Options.Trace attached one.
+	// Options.Metrics is nil). The step loop counts into tally, which
+	// publish moves into mx (see obs.Tally for when). tracer is nil unless
+	// Options.Trace attached one.
 	mx     *obs.Metrics
+	tally  obs.Tally
 	tracer *obs.Tracer
 	src    *randx.Source   // the rng stream, checkpointed by its state
 	coin   *randx.Counting // draw tally over src
 
-	// stepAct/stepEval/stepChg are the current step's tallies, filled by the
-	// step loop and flushed into mx (and the tracer sample) once per step.
+	// stepAct/stepEval/stepChg are the current step's counts, filled by the
+	// step loop and added to the tally (and the tracer sample) once per step.
 	stepAct  int
 	stepEval int
 	stepChg  int
@@ -220,6 +222,11 @@ type Options struct {
 	// for the catalog). When nil the engine allocates a private set —
 	// counters are always maintained, so instrumented and uninstrumented
 	// runs execute identical code — reachable via Engine.Metrics.
+	//
+	// The step counters are published at call boundaries (obs.Tally): the
+	// set is exact whenever no engine call is running. Read from inside a
+	// RunUntil cond, a hook or another goroutine, Steps trails StepCount by
+	// less than obs.PublishSteps, and every counter only grows.
 	Metrics *obs.Metrics
 
 	// Trace attaches a sampled step tracer / flight recorder. After every
@@ -393,33 +400,37 @@ func (e *Engine) InjectFaults(count int) []int {
 		}
 	}
 	e.mx.Faults.Add(uint64(len(hit)))
-	e.flushCoins()
+	e.tally.CoinDraws += e.coin.Take()
+	e.publish()
 	return hit
 }
 
-// flushStats folds the completed step's tallies into the metric set and, if
-// a tracer is attached, records the step sample. It runs once per step: the
-// hot path pays a handful of atomic adds plus one allocation-free ring
-// write, independent of n.
-func (e *Engine) flushStats() error {
-	m := e.mx
-	m.Steps.Add(1)
-	m.Rounds.Store(uint64(e.tracker.Rounds()))
-	m.Activated.Add(uint64(e.stepAct))
-	m.Evaluated.Add(uint64(e.stepEval))
-	m.Changes.Add(uint64(e.stepChg))
+// tallyStep adds the completed step's counts to the tally, publishes it
+// when due, and, if a tracer is attached, records the step sample. It runs
+// once per step: the hot path pays a few plain adds plus one
+// allocation-free ring write, independent of n.
+func (e *Engine) tallyStep() error {
+	t := &e.tally
+	t.Steps++
+	t.Rounds = uint64(e.tracker.Rounds())
+	t.Activated += uint64(e.stepAct)
+	t.Evaluated += uint64(e.stepEval)
+	t.Changes += uint64(e.stepChg)
 	if skip := e.stepAct - e.stepEval; skip > 0 {
-		m.FrontierSkips.Add(uint64(skip))
+		t.FrontierSkips += uint64(skip)
 	}
 	frLen := int64(-1)
 	if e.fr != nil {
 		frLen = int64(e.fr.set.Len())
-		m.FrontierSize.Store(uint64(frLen))
 	}
+	t.FrontierSize = frLen
 	if e.wr != nil {
-		m.WordSteps.Add(1)
+		t.WordSteps++
 	}
-	e.flushCoins()
+	t.CoinDraws += e.coin.Take()
+	if t.Due(e.g.N()) {
+		e.publish()
+	}
 	if e.tracer != nil {
 		s := obs.Sample{
 			Step:        int64(e.step),
@@ -438,15 +449,17 @@ func (e *Engine) flushStats() error {
 	return nil
 }
 
-// flushCoins drains the rng draw counter into CoinDraws.
-func (e *Engine) flushCoins() {
-	if n := e.coin.Take(); n != 0 {
-		e.mx.CoinDraws.Add(n)
-	}
-}
+// publish moves the tally into the metric set.
+func (e *Engine) publish() { e.tally.Publish(e.mx) }
 
-// Metrics returns the engine's metric set (never nil).
-func (e *Engine) Metrics() *obs.Metrics { return e.mx }
+// Metrics publishes the tally and returns the engine's metric set (never
+// nil), exact at this call. Like every engine method it must be called on
+// the goroutine driving the engine; another goroutine may read the returned
+// set at any time (see Options.Metrics).
+func (e *Engine) Metrics() *obs.Metrics {
+	e.publish()
+	return e.mx
+}
 
 // Tracer returns the attached step tracer, or nil.
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
@@ -484,11 +497,12 @@ func (e *Engine) Rounds() int { return e.tracker.Rounds() }
 func (e *Engine) WordActive() bool { return e.wr != nil }
 
 // RunRounds executes steps until the given number of additional rounds have
-// completed.
+// completed. It publishes the step counters as RunUntil does.
 func (e *Engine) RunRounds(rounds int) error {
+	defer e.publish()
 	target := e.tracker.Rounds() + rounds
 	for e.tracker.Rounds() < target {
-		if err := e.Step(); err != nil {
+		if err := e.advance(); err != nil {
 			return err
 		}
 	}
@@ -498,13 +512,20 @@ func (e *Engine) RunRounds(rounds int) error {
 // RunUntil executes steps until cond holds (checked after every step) or
 // maxRounds rounds elapse, returning the number of rounds consumed. If the
 // budget is exhausted it returns ErrBudgetExhausted.
+//
+// The step counters are exact in the metric set when RunUntil returns.
+// While it runs they are published every obs.PublishSteps steps or n
+// activations, whichever comes first, so a cond (or another goroutine)
+// reading the set directly sees Steps trail StepCount by less than
+// obs.PublishSteps; a cond that needs exact counts calls e.Metrics().
 func (e *Engine) RunUntil(cond func(e *Engine) bool, maxRounds int) (int, error) {
+	defer e.publish()
 	start := e.tracker.Rounds()
 	if cond(e) {
 		return 0, nil
 	}
 	for e.tracker.Rounds()-start < maxRounds {
-		if err := e.Step(); err != nil {
+		if err := e.advance(); err != nil {
 			return e.tracker.Rounds() - start, err
 		}
 		if cond(e) {

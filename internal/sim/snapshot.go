@@ -121,7 +121,7 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 		enc.Bool(false)
 	}
 
-	words := e.mx.Snapshot().Words()
+	words := e.Metrics().Snapshot().Words()
 	enc.U64s(words[:])
 
 	sections := append([]snapshot.Section{{Name: engineSection, Data: enc.Bytes()}}, extras...)

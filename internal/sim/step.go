@@ -22,12 +22,21 @@ import (
 
 // Step executes one step: it queries the scheduler for A_t, computes the
 // signal of each evaluated node under C_t, applies δ simultaneously, and
-// advances to C_{t+1}.
+// advances to C_{t+1}. The step's counters are published into the metric
+// set before Step returns.
 //
 // The hot path is allocation-free: new states are staged in reusable scratch
 // (no O(n) configuration copy per step) and written back only after every
 // evaluated node has read C_t.
 func (e *Engine) Step() error {
+	err := e.advance()
+	e.publish()
+	return err
+}
+
+// advance is Step without the closing publish: the run loops call it and
+// publish only when the tally is due (obs.Tally.Due) and on return.
+func (e *Engine) advance() error {
 	if failpoint.Armed() {
 		if err := e.evalFailpoints(); err != nil {
 			return err
@@ -61,7 +70,7 @@ func (e *Engine) Step() error {
 		e.stepChg = e.apply(eval, certified)
 	}
 	e.step++
-	if err := e.flushStats(); err != nil {
+	if err := e.tallyStep(); err != nil {
 		return err
 	}
 	for _, h := range e.hooks {
@@ -145,9 +154,7 @@ func (e *Engine) stage(eval []int) {
 			settles++
 		}
 	}
-	if settles != 0 {
-		e.mx.Settled.Add(settles)
-	}
+	e.tally.Settled += settles
 }
 
 // apply commits the changed staged states of eval and returns their number

@@ -158,8 +158,6 @@ func (wr *wordRuntime) stage(e *Engine, eval []int) {
 				settles++
 			}
 		}
-		if settles != 0 {
-			e.mx.Settled.Add(settles)
-		}
+		e.tally.Settled += settles
 	}
 }
