@@ -13,7 +13,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"thinunison"
 )
@@ -73,7 +72,7 @@ func run() error {
 	}
 	res, err = thinunison.SolveLeaderElection(ring,
 		thinunison.WithSeed(1234),
-		thinunison.WithScheduler(thinunison.RandomSubset(0.4, 16, rand.New(rand.NewSource(5)))),
+		thinunison.WithScheduler(thinunison.RandomSubset(0.4, 16, 5)),
 	)
 	if err != nil {
 		return err

@@ -40,7 +40,7 @@ func run() error {
 	// every step.
 	swarm, err := thinunison.NewUnison(g,
 		thinunison.WithSeed(7),
-		thinunison.WithScheduler(thinunison.RandomSubset(0.5, 16, rand.New(rand.NewSource(8)))),
+		thinunison.WithScheduler(thinunison.RandomSubset(0.5, 16, 8)),
 	)
 	if err != nil {
 		return err

@@ -14,7 +14,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"thinunison"
 )
@@ -50,7 +49,7 @@ func run() error {
 	// work unchanged.
 	res, err = thinunison.SolveMIS(field,
 		thinunison.WithSeed(9),
-		thinunison.WithScheduler(thinunison.RandomSubset(0.5, 16, rand.New(rand.NewSource(4)))),
+		thinunison.WithScheduler(thinunison.RandomSubset(0.5, 16, 4)),
 	)
 	if err != nil {
 		return err

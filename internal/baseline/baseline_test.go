@@ -107,7 +107,7 @@ func TestMinRuleUnderAsynchrony(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, err := sim.New(g, b, sim.Options{
-		Scheduler: sched.NewRandomSubset(0.4, 8, rand.New(rand.NewSource(2))),
+		Scheduler: sched.NewRandomSubsetSeeded(0.4, 8, 2),
 		Seed:      3,
 	})
 	if err != nil {

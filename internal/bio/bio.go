@@ -78,7 +78,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	s := cfg.Scheduler
 	if s == nil {
-		s = sched.NewRandomSubset(0.5, 16, rand.New(rand.NewSource(cfg.Seed+1)))
+		s = sched.NewRandomSubsetSeeded(0.5, 16, cfg.Seed+1)
 	}
 	eng, err := sim.New(g, au, sim.Options{Scheduler: s, Seed: cfg.Seed + 2})
 	if err != nil {

@@ -398,40 +398,56 @@ func (m Matrix) Expand(seed int64) []Scenario {
 }
 
 // Concat expands several matrices into one campaign with globally unique
-// indices and seeds (presets that sweep heterogeneous axes use this).
+// indices and seeds (presets that sweep heterogeneous axes use this). It
+// counts the scenarios first, so the list is allocated once.
 func Concat(seed int64, ms ...Matrix) []Scenario {
-	var out []Scenario
+	total := 0
 	for _, m := range ms {
-		m = m.withDefaults()
-		for _, f := range m.Families {
-			for _, n := range m.Sizes {
-				bounds := m.DiameterBounds
-				if f != graph.FamilyBoundedD {
-					// Only bounded-diameter construction consumes the bound;
-					// expanding other families once per bound would duplicate
-					// identical scenarios.
-					bounds = []int{0}
-				}
-				for _, d := range bounds {
-					for _, s := range m.Schedulers {
-						for _, a := range m.Algorithms {
-							for _, fl := range m.Faults {
-								for _, ch := range m.Churns {
-									for trial := 0; trial < m.Trials; trial++ {
-										if !valid(f, n, d, s, a, ch) {
-											continue
-										}
-										out = append(out, Scenario{
-											Index:     len(out),
-											Family:    f,
-											N:         n,
-											D:         d,
-											Scheduler: s,
-											Algorithm: a,
-											Faults:    fl,
-											Churn:     ch,
-											Trial:     trial,
-										})
+		for range m.withDefaults().scenarios {
+			total++
+		}
+	}
+	out := make([]Scenario, 0, total)
+	for _, m := range ms {
+		for sc := range m.withDefaults().scenarios {
+			out = append(out, sc)
+		}
+	}
+	return Finalize(seed, out)
+}
+
+// scenarios yields the executable points of m's cross product in campaign
+// order, without index or seed (Finalize assigns both).
+func (m Matrix) scenarios(yield func(Scenario) bool) {
+	for _, f := range m.Families {
+		for _, n := range m.Sizes {
+			bounds := m.DiameterBounds
+			if f != graph.FamilyBoundedD {
+				// Only bounded-diameter construction consumes the bound;
+				// expanding other families once per bound would duplicate
+				// identical scenarios.
+				bounds = []int{0}
+			}
+			for _, d := range bounds {
+				for _, s := range m.Schedulers {
+					for _, a := range m.Algorithms {
+						for _, fl := range m.Faults {
+							for _, ch := range m.Churns {
+								if !valid(f, n, d, s, a, ch) {
+									continue
+								}
+								for trial := 0; trial < m.Trials; trial++ {
+									if !yield(Scenario{
+										Family:    f,
+										N:         n,
+										D:         d,
+										Scheduler: s,
+										Algorithm: a,
+										Faults:    fl,
+										Churn:     ch,
+										Trial:     trial,
+									}) {
+										return
 									}
 								}
 							}
@@ -441,7 +457,6 @@ func Concat(seed int64, ms ...Matrix) []Scenario {
 			}
 		}
 	}
-	return Finalize(seed, out)
 }
 
 // Finalize assigns indices and derived seeds to hand-crafted scenario lists

@@ -246,6 +246,9 @@ func TestPresetsExpand(t *testing.T) {
 		if len(scs) == 0 {
 			t.Errorf("%s: empty preset", name)
 		}
+		if cap(scs) != len(scs) {
+			t.Errorf("%s: %d scenarios in a list of capacity %d, want one exact allocation", name, len(scs), cap(scs))
+		}
 	}
 	if _, err := Preset("bogus", 1); err == nil {
 		t.Error("unknown preset did not error")

@@ -82,7 +82,7 @@ func schedulersFor(seed int64) []sched.Scheduler {
 	return []sched.Scheduler{
 		sched.NewSynchronous(),
 		sched.NewRoundRobin(),
-		sched.NewRandomSubset(0.35, 16, rand.New(rand.NewSource(seed))),
+		sched.NewRandomSubsetSeeded(0.35, 16, seed),
 		sched.NewLaggard(0, 5),
 		sched.NewPermutedSeeded(seed + 1),
 	}

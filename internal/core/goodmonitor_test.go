@@ -37,7 +37,7 @@ func TestGoodMonitorMatchesGraphGood(t *testing.T) {
 			func() sched.Scheduler { return sched.NewSynchronous() },
 			func() sched.Scheduler { return sched.NewRoundRobin() },
 			func() sched.Scheduler {
-				return sched.NewRandomSubset(0.4, 8, rand.New(rand.NewSource(5)))
+				return sched.NewRandomSubsetSeeded(0.4, 8, 5)
 			},
 		} {
 			t.Run(name+"/"+mk().Name(), func(t *testing.T) {

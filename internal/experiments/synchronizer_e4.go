@@ -42,7 +42,7 @@ func E4(cfg Config) (Result, error) {
 				case "round-robin":
 					s = sched.NewRoundRobin()
 				case "random-subset":
-					s = sched.NewRandomSubset(0.5, 8, rand.New(rand.NewSource(rng.Int63())))
+					s = sched.NewRandomSubsetSeeded(0.5, 8, rng.Int63())
 				case "laggard":
 					s = sched.NewLaggard(trial%n, 3)
 				}

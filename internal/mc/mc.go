@@ -43,6 +43,7 @@ type System struct {
 	// size is numStates^n (total configurations) when exhaustive; when
 	// built from roots, configs are indexed densely via ids.
 	ids     map[string]int
+	key     []byte // intern's reused key buffer: two bytes per state
 	configs []sa.Config
 	// succ[c][m] is the successor configuration index of configs[c] under
 	// activation-set mask m+1 (masks run 1..2^n-1).
@@ -63,7 +64,10 @@ func Build(g *graph.Graph, alg sa.Algorithm) (*System, error) {
 		return nil, fmt.Errorf("mc: %v configurations exceed the exhaustive cap %d; use BuildReachable",
 			total, maxExhaustiveConfigs)
 	}
-	s := newSystem(g, alg)
+	s, err := newSystem(g, alg)
+	if err != nil {
+		return nil, err
+	}
 	// Enumerate all configurations as roots; reachability closure then
 	// covers everything (successors are configurations too).
 	cfg := make(sa.Config, n)
@@ -93,7 +97,10 @@ func BuildReachable(g *graph.Graph, alg sa.Algorithm, roots []sa.Config, maxConf
 	if maxConfigs <= 0 {
 		maxConfigs = maxExhaustiveConfigs
 	}
-	s := newSystem(g, alg)
+	s, err := newSystem(g, alg)
+	if err != nil {
+		return nil, err
+	}
 	queue := make([]int, 0, len(roots))
 	for _, r := range roots {
 		if len(r) != g.N() {
@@ -132,26 +139,34 @@ func BuildReachable(g *graph.Graph, alg sa.Algorithm, roots []sa.Config, maxConf
 	return s, nil
 }
 
-func newSystem(g *graph.Graph, alg sa.Algorithm) *System {
+func newSystem(g *graph.Graph, alg sa.Algorithm) (*System, error) {
+	if q := alg.NumStates(); q > 1<<16 {
+		return nil, fmt.Errorf("mc: %d states do not fit the two-byte configuration key", q)
+	}
 	return &System{
 		g:         g,
 		alg:       alg,
 		n:         g.N(),
 		numStates: alg.NumStates(),
 		ids:       make(map[string]int),
-	}
+		key:       make([]byte, 0, 2*g.N()),
+	}, nil
 }
 
-func key(c sa.Config) string { return fmt.Sprint([]int(c)) }
-
-// intern registers a configuration and returns its index.
+// intern registers a configuration and returns its index. Its key is the
+// configuration at two bytes per state, written into a reused buffer; a
+// lookup converts it without allocating, and only a new configuration's
+// key is copied into the map.
 func (s *System) intern(c sa.Config) int {
-	k := key(c)
-	if id, ok := s.ids[k]; ok {
+	s.key = s.key[:0]
+	for _, q := range c {
+		s.key = append(s.key, byte(q), byte(q>>8))
+	}
+	if id, ok := s.ids[string(s.key)]; ok {
 		return id
 	}
 	id := len(s.configs)
-	s.ids[k] = id
+	s.ids[string(s.key)] = id
 	s.configs = append(s.configs, c.Clone())
 	s.succ = append(s.succ, nil)
 	return id

@@ -145,7 +145,17 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := mc.BuildReachable(g, au, []sa.Config{{0, 0}}, 1); err == nil {
 		t.Error("cap of 1 should be exceeded")
 	}
+	// A configuration key holds two bytes per state.
+	if _, err := mc.BuildReachable(g, wideAlg{}, nil, 0); err == nil {
+		t.Error("an algorithm with more than 2^16 states should be refused")
+	}
 }
+
+// wideAlg has more states than a configuration key can hold; the checker
+// must refuse it before calling anything but NumStates.
+type wideAlg struct{ sa.Algorithm }
+
+func (wideAlg) NumStates() int { return 1<<16 + 1 }
 
 // TestReachableMatchesSimulation: the reachable system's successor function
 // agrees with a direct transition computation.

@@ -1,7 +1,6 @@
 package sched_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"thinunison/internal/sched"
@@ -17,7 +16,7 @@ func TestRandomSubsetHonorsMaxGap(t *testing.T) {
 		maxGap = 7
 		steps  = 5000
 	)
-	s := sched.NewRandomSubset(0.01, maxGap, rand.New(rand.NewSource(42)))
+	s := sched.NewRandomSubsetSeeded(0.01, maxGap, 42)
 	last := make([]int, n)
 	for v := range last {
 		last[v] = -1
@@ -44,7 +43,7 @@ func TestRandomSubsetHonorsMaxGap(t *testing.T) {
 // TestRandomSubsetDefaultMaxGap checks the documented maxGap<=0 fallback.
 func TestRandomSubsetDefaultMaxGap(t *testing.T) {
 	const n = 5
-	s := sched.NewRandomSubset(0.0, 0, rand.New(rand.NewSource(7)))
+	s := sched.NewRandomSubsetSeeded(0.0, 0, 7)
 	last := make([]int, n)
 	for v := range last {
 		last[v] = -1
@@ -129,7 +128,7 @@ func TestRandomSubsetGapSurvivesResize(t *testing.T) {
 	const maxGap = 4
 	// p=0: nodes are only ever activated by the force rule (or the
 	// non-empty-step fallback), which makes the gap bound sharp.
-	s := sched.NewRandomSubset(0, maxGap, rand.New(rand.NewSource(11)))
+	s := sched.NewRandomSubsetSeeded(0, maxGap, 11)
 	last := make(map[int]int)
 	check := func(step, n int) {
 		for _, v := range s.Activations(step, n) {

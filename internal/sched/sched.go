@@ -112,15 +112,15 @@ type SparseActivator interface {
 // Stateless schedulers (Synchronous, RoundRobin, Laggard, Scripted — whose
 // activations are pure functions of the step index and construction
 // parameters) deliberately do not implement the interface; engines simply
-// skip the scheduler section for them. The stateful schedulers checkpoint
-// only when they own their rng (NewRandomSubsetSeeded, NewPermutedSeeded),
-// because an externally supplied *rand.Rand cannot be serialized without
-// reaching into the generator's internals.
+// skip the scheduler section for them. The stateful ones, RandomSubset and
+// Permuted, own their rng (a randx.Source, whose state is a plain value), so
+// both always checkpoint.
 type Checkpointer interface {
 	Scheduler
 
-	// CheckpointState serializes the scheduler's mutable state. It fails if
-	// the scheduler was built around an external rng it cannot reposition.
+	// CheckpointState serializes the scheduler's mutable state. The
+	// built-in schedulers never fail; an implementation whose state cannot
+	// be serialized returns an error, and sim.SaveState refuses to save.
 	CheckpointState() ([]byte, error)
 
 	// RestoreState restores a payload from CheckpointState into this
@@ -201,44 +201,36 @@ func (s *RoundRobin) Name() string { return "round-robin" }
 
 // RandomSubset activates each node independently with probability p each
 // step, but closes every round within maxGap steps by force-activating nodes
-// that have starved, keeping the schedule fair with bounded rounds.
+// that have starved, keeping the schedule fair with bounded rounds. It owns
+// its rng, a randx.Source whose state checkpoints record.
 type RandomSubset struct {
 	p      float64
 	maxGap int
-	rng    *rand.Rand
+	seed   int64
+	src    *randx.Source
+	rng    *rand.Rand // src behind math/rand's Intn, for the empty-step fallback
 	last   []int
 	buf    []int
-
-	// seed/src are set by NewRandomSubsetSeeded only: the internally owned
-	// source whose saved state makes the scheduler checkpointable.
-	seed int64
-	src  *randx.Source
 }
 
-// NewRandomSubset returns a random-subset scheduler with inclusion
+// NewRandomSubsetSeeded returns a random-subset scheduler with inclusion
 // probability p, force-activating any node that has not run for maxGap
-// steps. maxGap <= 0 defaults to 64.
-func NewRandomSubset(p float64, maxGap int, rng *rand.Rand) *RandomSubset {
+// steps (maxGap <= 0 defaults to 64). It is the one way to build a
+// RandomSubset. Its rng is a randx.Source seeded from seed, which draws what
+// rand.NewSource(seed) draws; every step consumes it like a loop calling
+// rand.New(rand.NewSource(seed)).Float64 once per node in ascending order,
+// then Intn(n) if that activated no node.
+func NewRandomSubsetSeeded(p float64, maxGap int, seed int64) *RandomSubset {
 	if maxGap <= 0 {
 		maxGap = 64
 	}
-	return &RandomSubset{p: p, maxGap: maxGap, rng: rng}
+	src := randx.NewSource(seed)
+	return &RandomSubset{p: p, maxGap: maxGap, seed: seed, src: src, rng: rand.New(src)}
 }
 
-// NewRandomSubsetSeeded is the checkpointable variant of NewRandomSubset:
-// the scheduler owns its rng, a randx.Source seeded from seed whose state
-// checkpoints record. The source draws what rand.NewSource draws, so the
-// activation sequence is byte-identical to
-// NewRandomSubset(p, maxGap, rand.New(rand.NewSource(seed))).
-func NewRandomSubsetSeeded(p float64, maxGap int, seed int64) *RandomSubset {
-	s := NewRandomSubset(p, maxGap, nil)
-	s.seed = seed
-	s.src = randx.NewSource(seed)
-	s.rng = rand.New(s.src)
-	return s
-}
-
-// Activations implements Scheduler.
+// Activations implements Scheduler. Each node costs one draw and no
+// data-dependent branch: the node is always written at the next free slot,
+// and the coin and starvation tests together advance the slot by 0 or 1.
 func (s *RandomSubset) Activations(t int, n int) []int {
 	// Grow the starvation-gap state without wiping history: nodes first
 	// seen now start their gap at t, existing nodes keep their recorded
@@ -247,30 +239,52 @@ func (s *RandomSubset) Activations(t int, n int) []int {
 	for len(s.last) < n {
 		s.last = append(s.last, t)
 	}
-	s.buf = s.buf[:0]
-	for v := 0; v < n; v++ {
-		if s.rng.Float64() < s.p || t-s.last[v] >= s.maxGap {
-			s.buf = append(s.buf, v)
-			s.last[v] = t
+	if cap(s.buf) < n {
+		s.buf = make([]int, n)
+	}
+	buf, last, src := s.buf[:n], s.last[:n], s.src
+	p, stale := s.p, t-s.maxGap // node v is starved when last[v] <= stale
+	k := 0
+	for v := range last {
+		// math/rand's Float64: 63 random bits scaled to [0, 1], drawn
+		// again in the rare case that rounding gives exactly 1.
+		f := float64(src.Int63()) / (1 << 63)
+		for f == 1 {
+			f = float64(src.Int63()) / (1 << 63)
 		}
+		on := bit(f < p) | bit(last[v] <= stale)
+		buf[k] = v
+		lv := last[v]
+		if on != 0 {
+			lv = t
+		}
+		last[v] = lv
+		k += on
 	}
-	if len(s.buf) == 0 { // never emit an empty step
+	if k == 0 { // never emit an empty step
 		v := s.rng.Intn(n)
-		s.buf = append(s.buf, v)
-		s.last[v] = t
+		buf[0] = v
+		last[v] = t
+		k = 1
 	}
-	return s.buf
+	return buf[:k]
+}
+
+// bit is 1 for true and 0 for false, without a branch.
+func bit(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // Name implements Scheduler.
 func (s *RandomSubset) Name() string { return fmt.Sprintf("random-subset(p=%.2f)", s.p) }
 
-// CheckpointState implements Checkpointer for seeded schedulers: it records
-// the rng state and the per-node starvation gaps.
+// CheckpointState implements Checkpointer: it records the seed, the rng
+// state and the per-node starvation gaps.
 func (s *RandomSubset) CheckpointState() ([]byte, error) {
-	if s.src == nil {
-		return nil, fmt.Errorf("sched: random-subset built around an external rng is not checkpointable; use NewRandomSubsetSeeded")
-	}
 	var e snapshot.Enc
 	e.I64(s.seed)
 	e.U64s(s.src.State())
@@ -278,17 +292,13 @@ func (s *RandomSubset) CheckpointState() ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// RestoreState implements Checkpointer; the receiver must come from
-// NewRandomSubsetSeeded with the same seed as the saved scheduler. The gap
-// vector is empty before the first step. After it, the first n entries
-// hold each node's last activation, which Activations keeps within the
-// last maxGap steps; any other vector would be padded or force-activate
-// nodes differently on the next step, silently leaving the checkpointed
-// trajectory.
+// RestoreState implements Checkpointer; the receiver must be built with the
+// same parameters and seed as the saved scheduler. The gap vector is empty
+// before the first step. After it, the first n entries hold each node's
+// last activation, which Activations keeps within the last maxGap steps;
+// any other vector would be padded or force-activate nodes differently on
+// the next step, silently leaving the checkpointed trajectory.
 func (s *RandomSubset) RestoreState(data []byte, n, step int) error {
-	if s.src == nil {
-		return fmt.Errorf("sched: random-subset built around an external rng is not restorable; use NewRandomSubsetSeeded")
-	}
 	d := snapshot.NewDec(data)
 	seed := d.I64()
 	state := d.U64s()

@@ -46,13 +46,11 @@ func TestRoundRobinFair(t *testing.T) {
 }
 
 func TestRandomSubsetFair(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	checkFair(t, sched.NewRandomSubset(0.2, 10, rng), 9, 500, 11)
+	checkFair(t, sched.NewRandomSubsetSeeded(0.2, 10, 1), 9, 500, 11)
 }
 
 func TestRandomSubsetNeverEmpty(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	s := sched.NewRandomSubset(0.0, 0, rng) // p=0: only forced activations
+	s := sched.NewRandomSubsetSeeded(0.0, 0, 2) // p=0: only forced activations
 	for step := 0; step < 100; step++ {
 		if len(s.Activations(step, 5)) == 0 {
 			t.Fatal("empty activation set")
@@ -107,10 +105,9 @@ func TestScriptedReplayAndFallback(t *testing.T) {
 }
 
 func TestSchedulerNames(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
 	for _, s := range []sched.Scheduler{
 		sched.NewSynchronous(), sched.NewRoundRobin(),
-		sched.NewRandomSubset(0.5, 8, rng), sched.NewLaggard(0, 2),
+		sched.NewRandomSubsetSeeded(0.5, 8, 4), sched.NewLaggard(0, 2),
 		sched.NewScripted(nil, false), sched.NewPermutedSeeded(4),
 	} {
 		if s.Name() == "" {
@@ -175,9 +172,8 @@ func TestRoundTrackerSynchronous(t *testing.T) {
 // every node has been activated since the previous boundary.
 func TestRoundTrackerProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(6)
-		s := sched.NewRandomSubset(0.3, 8, rng)
+		n := 2 + int(uint64(seed)%6)
+		s := sched.NewRandomSubsetSeeded(0.3, 8, seed)
 		var acts [][]int
 		got := boundaries(t, sched.NewRoundTracker(n), 300, func(step int) []int {
 			a := append([]int(nil), s.Activations(step, n)...)

@@ -201,15 +201,16 @@ func (e *Engine) applyChurn() error {
 			}
 		}
 		cr.events++
+		// A gauge, not an add: skipped is cumulative, and only an event
+		// changes it.
+		e.mx.ChurnSkipped.Store(uint64(cr.skipped))
 	}
-	// Gauges, not adds: delta.Applied and skipped are already cumulative.
-	e.mx.ChurnSkipped.Store(uint64(cr.skipped))
 	if cr.delta.Pending() == 0 {
 		return nil
 	}
 	_, err := e.ApplyDelta(cr.delta)
 	if err == nil {
-		e.mx.ChurnApplied.Store(uint64(cr.delta.Applied()))
+		e.mx.ChurnApplied.Store(uint64(cr.delta.Applied())) // cumulative too
 	}
 	return err
 }

@@ -46,7 +46,7 @@ func TestFrontierSettledOracle(t *testing.T) {
 		"synchronous":   func() sched.Scheduler { return sched.NewSynchronous() },
 		"laggard":       func() sched.Scheduler { return sched.NewLaggard(1, 3) },
 		"round-robin":   func() sched.Scheduler { return sched.NewRoundRobin() },
-		"random-subset": func() sched.Scheduler { return sched.NewRandomSubset(0.5, 8, rand.New(rand.NewSource(8))) },
+		"random-subset": func() sched.Scheduler { return sched.NewRandomSubsetSeeded(0.5, 8, 8) },
 	} {
 		// The oracle needs each step's A_t without perturbing the engine's
 		// (possibly stateful) scheduler, so it drives a mirror instance built

@@ -14,12 +14,12 @@ import (
 
 // shardedSchedulers returns fresh scheduler instances per call (schedulers
 // are stateful), each built from the same seed so two engines see identical
-// activation streams.
+// activation streams. Every entry survives a checkpoint/restore cycle.
 func shardedSchedulers(seed int64) map[string]func() sched.Scheduler {
 	return map[string]func() sched.Scheduler{
 		"synchronous":   func() sched.Scheduler { return sched.NewSynchronous() },
 		"round-robin":   func() sched.Scheduler { return sched.NewRoundRobin() },
-		"random-subset": func() sched.Scheduler { return sched.NewRandomSubset(0.4, 8, rand.New(rand.NewSource(seed))) },
+		"random-subset": func() sched.Scheduler { return sched.NewRandomSubsetSeeded(0.4, 8, seed) },
 		"laggard":       func() sched.Scheduler { return sched.NewLaggard(1, 3) },
 		"permuted":      func() sched.Scheduler { return sched.NewPermutedSeeded(seed) },
 	}

@@ -214,7 +214,7 @@ func TestDeterminism(t *testing.T) {
 	mk := func() *sim.Engine {
 		e, err := sim.New(g, flood{}, sim.Options{
 			Seed:      42,
-			Scheduler: sched.NewRandomSubset(0.4, 8, rand.New(rand.NewSource(9))),
+			Scheduler: sched.NewRandomSubsetSeeded(0.4, 8, 9),
 		})
 		if err != nil {
 			t.Fatal(err)

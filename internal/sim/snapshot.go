@@ -46,10 +46,9 @@ type RestoreOptions struct {
 	// Scheduler must be constructed exactly as the checkpointed engine's
 	// scheduler was (same kind, same parameters, same seed). Stateless
 	// schedulers (Synchronous, RoundRobin, Laggard, Scripted) need nothing
-	// more; stateful ones must implement sched.Checkpointer — use the
-	// seeded constructors (sched.NewRandomSubsetSeeded, NewPermutedSeeded)
-	// — and are rewound to their checkpointed stream position. nil selects
-	// the synchronous scheduler, matching New.
+	// more; stateful ones implement sched.Checkpointer, as RandomSubset and
+	// Permuted do, and are rewound to their checkpointed stream position.
+	// nil selects the synchronous scheduler, matching New.
 	Scheduler sched.Scheduler
 
 	// Metrics, when non-nil, receives the engine's counters; the saved

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -11,20 +12,6 @@ import (
 	"thinunison/internal/sim"
 	"thinunison/internal/snapshot"
 )
-
-// checkpointableSchedulers mirrors shardedSchedulers but uses the seeded
-// constructors for the stateful schedulers, so every entry survives a
-// checkpoint/restore cycle (the externally-seeded variants refuse to
-// checkpoint by design).
-func checkpointableSchedulers(seed int64) map[string]func() sched.Scheduler {
-	return map[string]func() sched.Scheduler{
-		"synchronous":   func() sched.Scheduler { return sched.NewSynchronous() },
-		"round-robin":   func() sched.Scheduler { return sched.NewRoundRobin() },
-		"random-subset": func() sched.Scheduler { return sched.NewRandomSubsetSeeded(0.4, 8, seed) },
-		"laggard":       func() sched.Scheduler { return sched.NewLaggard(1, 3) },
-		"permuted":      func() sched.Scheduler { return sched.NewPermutedSeeded(seed) },
-	}
-}
 
 // restoreMode is one engine configuration of the restore differential.
 type restoreMode struct {
@@ -93,7 +80,7 @@ func TestRestoreDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for sname, mk := range checkpointableSchedulers(seed + 1) {
+	for sname, mk := range shardedSchedulers(seed + 1) {
 		for _, m := range restoreModes() {
 			t.Run(sname+"/"+m.name, func(t *testing.T) {
 				var churn *sim.ChurnSpec
@@ -210,11 +197,20 @@ func TestRestoreDifferential(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsExternalRNGScheduler pins the guard rail: a scheduler
-// built on a caller-owned rand.Rand has no recoverable stream position, so
-// SaveState must refuse rather than silently produce a snapshot that cannot
-// continue the run.
-func TestRestoreRejectsExternalRNGScheduler(t *testing.T) {
+// failingCheckpointer is a stateful scheduler whose state cannot be
+// serialized: synchronous activations behind a CheckpointState that fails.
+type failingCheckpointer struct{ *sched.Synchronous }
+
+var errNotSerializable = errors.New("scheduler state not serializable")
+
+func (failingCheckpointer) CheckpointState() ([]byte, error) { return nil, errNotSerializable }
+
+func (failingCheckpointer) RestoreState([]byte, int, int) error { return errNotSerializable }
+
+// TestSaveStateRefusesFailingCheckpointer pins the guard rail: when a
+// scheduler cannot serialize its state, SaveState must fail with that error
+// rather than write a snapshot that cannot continue the run.
+func TestSaveStateRefusesFailingCheckpointer(t *testing.T) {
 	au, err := core.NewAU(3)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +220,7 @@ func TestRestoreRejectsExternalRNGScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, err := sim.New(g, au, sim.Options{
-		Scheduler: sched.NewRandomSubset(0.5, 4, rand.New(rand.NewSource(1))),
+		Scheduler: failingCheckpointer{sched.NewSynchronous()},
 		Seed:      1,
 	})
 	if err != nil {
@@ -235,8 +231,11 @@ func TestRestoreRejectsExternalRNGScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := e.SaveState(&buf); err == nil {
-		t.Fatal("SaveState accepted an externally-seeded RandomSubset")
+	if err := e.SaveState(&buf); !errors.Is(err, errNotSerializable) {
+		t.Fatalf("SaveState with a failing Checkpointer: err = %v, want %v", err, errNotSerializable)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("SaveState wrote %d bytes before failing", buf.Len())
 	}
 }
 

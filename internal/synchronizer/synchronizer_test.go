@@ -92,7 +92,7 @@ func TestLockstepSimulation(t *testing.T) {
 				case "round-robin":
 					s = sched.NewRoundRobin()
 				case "random-subset":
-					s = sched.NewRandomSubset(0.4, 8, rand.New(rand.NewSource(4)))
+					s = sched.NewRandomSubsetSeeded(0.4, 8, 4)
 				case "laggard":
 					s = sched.NewLaggard(1, 4)
 				}
@@ -185,7 +185,7 @@ func TestAsynchronousMIS(t *testing.T) {
 
 	schedulers := []sched.Scheduler{
 		sched.NewRoundRobin(),
-		sched.NewRandomSubset(0.5, 8, rand.New(rand.NewSource(5))),
+		sched.NewRandomSubsetSeeded(0.5, 8, 5),
 		sched.NewLaggard(2, 3),
 	}
 	for si, s := range schedulers {
@@ -253,7 +253,7 @@ func TestAsynchronousLE(t *testing.T) {
 		}
 	}
 	eng, err := asyncsim.New(g, sy.Step, initial,
-		sched.NewRandomSubset(0.5, 8, rand.New(rand.NewSource(6))), 11)
+		sched.NewRandomSubsetSeeded(0.5, 8, 6), 11)
 	if err != nil {
 		t.Fatal(err)
 	}

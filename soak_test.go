@@ -35,7 +35,7 @@ func TestSoakAU200Nodes(t *testing.T) {
 	k := au.K()
 	for _, s := range []sched.Scheduler{
 		sched.NewSynchronous(),
-		sched.NewRandomSubset(0.3, 32, rand.New(rand.NewSource(2))),
+		sched.NewRandomSubsetSeeded(0.3, 32, 2),
 	} {
 		eng, err := sim.New(g, au, sim.Options{Scheduler: s, Seed: 7})
 		if err != nil {

@@ -53,8 +53,9 @@ var (
 	// RoundRobin activates one node per step in cyclic order.
 	RoundRobin = sched.NewRoundRobin
 	// RandomSubset activates each node with probability p per step
-	// (force-activating nodes that starve for maxGap steps).
-	RandomSubset = sched.NewRandomSubset
+	// (force-activating nodes that starve for maxGap steps), drawing its
+	// coins from an rng seeded with seed.
+	RandomSubset = sched.NewRandomSubsetSeeded
 	// Laggard starves one node to a single activation per period.
 	Laggard = sched.NewLaggard
 )

@@ -142,7 +142,7 @@ func TestSolveLeaderElectionAsync(t *testing.T) {
 	}
 	res, err := thinunison.SolveLeaderElection(g,
 		thinunison.WithSeed(8),
-		thinunison.WithScheduler(thinunison.RandomSubset(0.5, 8, rand.New(rand.NewSource(9)))))
+		thinunison.WithScheduler(thinunison.RandomSubset(0.5, 8, 9)))
 	if err != nil {
 		t.Fatal(err)
 	}
