@@ -168,7 +168,7 @@ func run() int {
 		front   = flag.Int("frontier", 0, "frontier-sparse AU execution: >0 forces it on, <0 forces dense execution, 0 auto-enables (records are identical either way)")
 		checks  = flag.String("check", "", "differential guard instead of a normal campaign: run every scenario on the dense scalar reference and on each listed cell, with the GoodMonitor full-scan oracle armed, and fail unless every record is ok and byte-identical to the reference; cells: "+strings.Join(checkCells, ", ")+" (the checkpoint/restore matrix is no cell: it runs in go test, in sim.TestRestoreDifferential)")
 		fork    = flag.String("fork", "", "fork mode: restore this unisonsim checkpoint into -fork-futures perturbed continuations (future f suffers f+1 transient faults) and emit one record per future (ignores -preset)")
-		futures = flag.Int("fork-futures", 8, "number of alternative futures -fork runs")
+		futures = flag.Int("fork-futures", 8, "number of alternative futures -fork runs; they restore from one decoded checkpoint and run on GOMAXPROCS workers, one engine each, and their records come out in future order")
 		word    = flag.Bool("word", false, "force word-parallel (bit-planed batch) AU execution; falls back to scalar when the algorithm offers no word kernel (records are identical either way)")
 
 		chaosSeed = flag.Int64("chaos-seed", 1, "seed for the fault schedule of the -check chaos cell (worker panics, injected engine errors, stalls, torn writes, then a kill-and-resume); a failing run prints the seed that reproduces it")

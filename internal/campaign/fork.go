@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"thinunison/internal/budget"
 	"thinunison/internal/core"
@@ -44,11 +47,16 @@ func (m RunMeta) Section() (snapshot.Section, error) {
 
 // ReadRunMeta decodes the RunMeta section of the checkpoint container data.
 func ReadRunMeta(data []byte) (RunMeta, error) {
-	var meta RunMeta
 	sections, err := snapshot.Read(bytes.NewReader(data))
 	if err != nil {
-		return meta, err
+		return RunMeta{}, err
 	}
+	return runMetaOf(sections)
+}
+
+// runMetaOf decodes the RunMeta section of a checkpoint's sections.
+func runMetaOf(sections map[string][]byte) (RunMeta, error) {
+	var meta RunMeta
 	metaBytes, ok := sections[runMetaSection]
 	if !ok {
 		return meta, fmt.Errorf("no %s section (not a unisonsim checkpoint)", runMetaSection)
@@ -69,33 +77,110 @@ type ForkOptions struct {
 // perturbed continuations of it, calling emit with one record per future in
 // order. Record identity: Scenario is the future index, Trial the fault
 // count injected, Seed the checkpointed run's base seed.
+//
+// The file is read and decoded once (sim.ReadCheckpoint), and every future
+// restores its engine from that one checkpoint, sharing its graph. A future
+// is a deterministic function of (checkpoint, f), so the futures run
+// concurrently: min(GOMAXPROCS, Futures) worker goroutines take them in
+// index order, each holding one engine at a time. emit runs on the caller's
+// goroutine, in future order and never concurrently, so the records are
+// the same at any GOMAXPROCS. The first error, from a future or from emit,
+// stops new futures from starting, and Fork returns it once every worker
+// has exited. A panic in a future is re-raised on the caller's goroutine.
 func Fork(snapPath string, opts ForkOptions, emit func(Record) error) error {
 	if opts.Futures < 1 {
 		return fmt.Errorf("campaign: fork needs at least 1 future, got %d", opts.Futures)
 	}
-	data, err := os.ReadFile(snapPath)
+	f, err := os.Open(snapPath)
 	if err != nil {
 		return err
 	}
-	meta, err := ReadRunMeta(data)
+	ck, extras, err := sim.ReadCheckpoint(f)
+	f.Close()
 	if err != nil {
 		return fmt.Errorf("campaign: %s: %w", snapPath, err)
 	}
-	for future := 0; future < opts.Futures; future++ {
-		rec, err := forkFuture(data, meta, future)
+	meta, err := runMetaOf(extras)
+	if err != nil {
+		return fmt.Errorf("campaign: %s: %w", snapPath, err)
+	}
+	return forkFutures(ck, meta, opts.Futures, emit)
+}
+
+// forkResult is one future's outcome, handed from its worker to Fork's
+// caller: the record, the error, or the recovered panic value.
+type forkResult struct {
+	rec      Record
+	err      error
+	panicked any
+}
+
+// forkFutures runs the futures on the worker pool and emits their records
+// in order (see Fork).
+func forkFutures(ck *sim.Checkpoint, meta RunMeta, futures int, emit func(Record) error) error {
+	// One buffered slot per future: a worker never blocks on a result the
+	// caller has stopped reading.
+	results := make([]chan forkResult, futures)
+	for i := range results {
+		results[i] = make(chan forkResult, 1)
+	}
+	var (
+		next atomic.Int64 // the next future to start
+		stop atomic.Bool  // set by the first error: start no more futures
+		wg   sync.WaitGroup
+	)
+	run := func(future int) (res forkResult) {
+		defer func() {
+			if v := recover(); v != nil {
+				res = forkResult{panicked: v}
+			}
+		}()
+		rec, err := forkFuture(ck, meta, future)
 		if err != nil {
-			return fmt.Errorf("campaign: fork future %d: %w", future, err)
+			err = fmt.Errorf("campaign: fork future %d: %w", future, err)
 		}
-		if err := emit(rec); err != nil {
+		return forkResult{rec: rec, err: err}
+	}
+	workers := min(runtime.GOMAXPROCS(0), futures)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				future := int(next.Add(1) - 1)
+				if future >= futures {
+					return
+				}
+				res := run(future)
+				if res.err != nil || res.panicked != nil {
+					stop.Store(true)
+				}
+				results[future] <- res
+			}
+		}()
+	}
+	// On every way out, a panic included: stop the workers, then wait for
+	// them (deferred calls run last-in first-out).
+	defer wg.Wait()
+	defer stop.Store(true)
+	for _, ch := range results {
+		res := <-ch
+		if res.panicked != nil {
+			panic(res.panicked)
+		}
+		if res.err != nil {
+			return res.err
+		}
+		if err := emit(res.rec); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// forkFuture restores one engine from the snapshot bytes and runs future
-// f's perturbation: inject f+1 transient faults, then run to recovery.
-func forkFuture(data []byte, meta RunMeta, future int) (Record, error) {
+// forkFuture restores one engine from the checkpoint and runs future f's
+// perturbation: inject f+1 transient faults, then run to recovery.
+func forkFuture(ck *sim.Checkpoint, meta RunMeta, future int) (Record, error) {
 	au, err := core.NewAU(meta.D)
 	if err != nil {
 		return Record{}, err
@@ -104,7 +189,7 @@ func forkFuture(data []byte, meta RunMeta, future int) (Record, error) {
 	if err != nil {
 		return Record{}, err
 	}
-	eng, _, err := sim.Restore(bytes.NewReader(data), au, sim.RestoreOptions{Scheduler: s})
+	eng, err := ck.Restore(au, sim.RestoreOptions{Scheduler: s})
 	if err != nil {
 		return Record{}, err
 	}

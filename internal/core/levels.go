@@ -83,9 +83,13 @@ func (ls Levels) Index(l Level) int {
 	return int(l) + ls.k - 1
 }
 
-// FromIndex is the inverse of Index.
+// FromIndex is the inverse of Index. An index outside [0, 2k) is first
+// reduced modulo 2k; every call from Turn is already in range and pays no
+// division.
 func (ls Levels) FromIndex(i int) Level {
-	i = ((i % ls.Order()) + ls.Order()) % ls.Order()
+	if uint(i) >= uint(ls.Order()) {
+		i = ((i % ls.Order()) + ls.Order()) % ls.Order()
+	}
 	if i < ls.k {
 		return Level(i - ls.k)
 	}

@@ -108,6 +108,15 @@ func TestIndexRoundTrip(t *testing.T) {
 	if ls.FromIndex(-1) != ls.FromIndex(ls.Order()-1) {
 		t.Error("FromIndex(-1) should wrap")
 	}
+	// Within three turns of the clock either way, FromIndex(i) is the level
+	// at the double-modulo position of i.
+	order := ls.Order()
+	for i := -3 * order; i < 3*order; i++ {
+		want := ls.FromIndex(((i % order) + order) % order)
+		if got := ls.FromIndex(i); got != want {
+			t.Errorf("FromIndex(%d) = %d, want %d", i, got, want)
+		}
+	}
 }
 
 func TestDistMetricAxioms(t *testing.T) {

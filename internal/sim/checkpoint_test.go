@@ -1,0 +1,152 @@
+package sim_test
+
+import (
+	"bytes"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"thinunison/internal/core"
+	"thinunison/internal/graph"
+	"thinunison/internal/sched"
+	"thinunison/internal/sim"
+)
+
+// TestCheckpointRestoresIndependentEngines: engines restored from one
+// Checkpoint write nothing the others read. Two engines are restored from
+// one ReadCheckpoint, on two goroutines at once, and stepped interleaved
+// with faults injected into the first only; after every step each must
+// save the same engine section as an engine from its own sim.Restore of
+// the same bytes, stepped alike. The saved section covers the
+// configuration, the topology, the rng streams, the fault buffer, the
+// round tracker, the frontier, the churn state and the metric words. A
+// closing burst into the second engine pins that its fault buffer is its
+// own. Without churn the engines share the checkpoint's graph; with churn
+// each has its own, and the first engine's churn, run alone for a while,
+// must leave the second's topology as checkpointed.
+func TestCheckpointRestoresIndependentEngines(t *testing.T) {
+	const (
+		seed = 21
+		k    = 40
+	)
+	au, err := core.NewAU(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := graph.RandomConnected(48, 0.15, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func() sched.Scheduler { return sched.NewRandomSubsetSeeded(0.4, 8, seed+1) }
+	for _, m := range restoreModes() {
+		if m.pastWindow {
+			continue
+		}
+		t.Run(m.name, func(t *testing.T) {
+			var churn *sim.ChurnSpec
+			if m.churn {
+				churn = restoreChurnSpec()
+			}
+			src, err := sim.New(cloneGraph(t, base), au, sim.Options{
+				Scheduler: mk(), Seed: seed, Frontier: m.frontier, WordParallel: m.word, Churn: churn,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < k; i++ {
+				if i == k/2 {
+					// The checkpoint then holds a fault buffer, which a
+					// burst into either engine shuffles further.
+					src.InjectFaults(3)
+				}
+				if err := src.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var buf bytes.Buffer
+			if err := src.SaveState(&buf); err != nil {
+				t.Fatal(err)
+			}
+			data := buf.Bytes()
+
+			ck, _, err := sim.ReadCheckpoint(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				engines [2]*sim.Engine
+				refs    [2]*sim.Engine
+				errs    [2]error
+				wg      sync.WaitGroup
+			)
+			for i := range engines {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					engines[i], errs[i] = ck.Restore(au, sim.RestoreOptions{Scheduler: mk()})
+				}()
+			}
+			wg.Wait()
+			for i := range refs {
+				if errs[i] != nil {
+					t.Fatalf("checkpoint restore %d: %v", i, errs[i])
+				}
+				if refs[i], _, err = sim.Restore(bytes.NewReader(data), au, sim.RestoreOptions{Scheduler: mk()}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if shared := engines[0].Graph() == engines[1].Graph(); shared == m.churn {
+				t.Fatalf("engines share their graph: %v, want %v", shared, !m.churn)
+			}
+
+			// step advances engine i and its reference and compares their
+			// saved sections.
+			step := func(i int, faults int) {
+				t.Helper()
+				for _, e := range []*sim.Engine{engines[i], refs[i]} {
+					if faults > 0 {
+						e.InjectFaults(faults)
+					}
+					if err := e.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got, err := engineSection(engines[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := engineSection(refs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("engine %d at step %d saves a different state than its own restore", i, engines[i].StepCount())
+				}
+			}
+
+			if m.churn {
+				for i := 0; i < 4*restoreChurnSpec().Period; i++ {
+					step(0, 0)
+				}
+				if engines[0].ChurnOps() == 0 {
+					t.Fatal("the first engine's churn changed nothing; strengthen the churn spec")
+				}
+				off, nbr := engines[1].Graph().CSR()
+				wantOff, wantNbr := refs[1].Graph().CSR()
+				if !slices.Equal(off, wantOff) || !slices.Equal(nbr, wantNbr) {
+					t.Fatal("the first engine's churn reached the second engine's graph")
+				}
+			}
+			for i := 0; i < k; i++ {
+				faults := 0
+				if i%8 == 3 {
+					faults = 5
+				}
+				step(0, faults)
+				step(1, 0)
+			}
+			step(1, 5)
+		})
+	}
+}

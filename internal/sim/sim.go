@@ -115,11 +115,10 @@ type Engine struct {
 	actBuf   []int // canonicalization buffer for unsorted activation lists
 
 	// Step-loop scratch (see step.go): the staged next states of the
-	// evaluation list, the nodes the last apply changed, and the scalar
-	// signal. All are reused across steps.
-	res     []sa.State
-	changed []int
-	sig     sa.Signal
+	// evaluation list, which apply overwrites with the nodes it changed,
+	// and the scalar signal. Both are reused across steps.
+	res []sa.State
+	sig sa.Signal
 
 	fr     *frontierRuntime  // frontier-sparse runtime; nil in dense mode
 	churn  *churnRuntime     // topology-churn runtime; nil when Options.Churn is off
@@ -246,12 +245,13 @@ type Options struct {
 	// churn-free runs.
 	Churn *ChurnSpec
 
-	// restoring is set only by Restore, for a snapshot with churn state. A
-	// snapshot taken while churn crash victims are down carries a CSR with
-	// those victims isolated — a graph the engine handles fine mid-run
-	// (KeepConnected guards alive-subgraph connectivity only) but full-graph
-	// Validate would reject. Restore validates the alive subgraph against
-	// the crash set itself.
+	// restoring is set only by Checkpoint.Restore, which checks
+	// connectivity itself: ReadCheckpoint checked a churn-free topology
+	// once for all its engines, and a churn checkpoint taken while crash
+	// victims are down carries a CSR with those victims isolated — a graph
+	// the engine handles fine mid-run (KeepConnected guards alive-subgraph
+	// connectivity only) but full-graph Validate would reject — so Restore
+	// validates the alive subgraph against the crash set.
 	restoring bool
 }
 

@@ -135,6 +135,11 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 // core.NewGoodMonitor(alg, e.Graph(), e.Config()) — and register them via
 // Observe before stepping.
 //
+// Restore is ReadCheckpoint followed by Checkpoint.Restore; the engine is
+// the checkpoint's only one, so it may mutate its graph (ApplyDelta). A
+// caller building several engines from one checkpoint makes the two calls
+// itself and reads and checks the container once.
+//
 // Restore rejects a CRC-valid snapshot that no run reaches, among others:
 // a one-way or out-of-range adjacency; a fault buffer, scheduler
 // permutation or gap vector that is not what the saved step implies; a
@@ -144,6 +149,44 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 // that are not what the spec and the step imply; and churn victims that are
 // not the crashed nodes, each once.
 func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[string][]byte, error) {
+	ck, extras, err := ReadCheckpoint(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	e, err := ck.Restore(alg, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e, extras, nil
+}
+
+// Checkpoint is an engine checkpoint decoded once, from which Restore
+// builds any number of engines. The engines share its graph unless it has
+// churn, and only read its other fields.
+type Checkpoint struct {
+	g           *graph.Graph
+	numStates   int
+	step        int
+	cfg         sa.Config
+	coinState   []uint64
+	coinPending uint64
+	faultBuf    []int
+	tracker     []byte
+	frontier    bool
+	word        bool
+	frMembers   []int
+	churn       *churnCheckpoint // nil without churn
+	hasSched    bool
+	sched       []byte
+	metrics     [obs.SnapshotWords]uint64
+}
+
+// ReadCheckpoint reads a checkpoint written by SaveState and runs every
+// check that depends on neither the algorithm nor the scheduler: the CSR
+// topology (graph.FromCSR) and its edge count, the configuration's length,
+// the fault buffer (randx.CheckPerm), each field's encoding and, without
+// churn, connectivity. The extras map is Restore's.
+func ReadCheckpoint(r io.Reader) (*Checkpoint, map[string][]byte, error) {
 	sections, err := snapshot.Read(r)
 	if err != nil {
 		return nil, nil, err
@@ -153,60 +196,51 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 		return nil, nil, fmt.Errorf("sim: snapshot has no %q section", engineSection)
 	}
 	d := snapshot.NewDec(data)
+	ck := &Checkpoint{}
 
 	n := d.Int()
 	m := d.Int()
-	numStates := d.Int()
-	step := d.Int()
+	ck.numStates = d.Int()
+	ck.step = d.Int()
 	offsets := d.Ints()
 	neighbors := d.Ints()
 	if err := d.Err(); err != nil {
 		return nil, nil, fmt.Errorf("sim: snapshot header: %w", err)
 	}
-	if numStates != alg.NumStates() {
-		return nil, nil, fmt.Errorf("sim: snapshot has %d states but algorithm has %d", numStates, alg.NumStates())
-	}
-	g, err := graph.FromCSR(n, offsets, neighbors)
-	if err != nil {
+	if ck.g, err = graph.FromCSR(n, offsets, neighbors); err != nil {
 		return nil, nil, fmt.Errorf("sim: snapshot graph: %w", err)
 	}
-	if g.M() != m {
-		return nil, nil, fmt.Errorf("sim: snapshot graph has %d edges, header says %d", g.M(), m)
+	if ck.g.M() != m {
+		return nil, nil, fmt.Errorf("sim: snapshot graph has %d edges, header says %d", ck.g.M(), m)
 	}
 
-	cfg := make(sa.Config, n)
+	ck.cfg = make(sa.Config, n)
 	got := d.IntsFunc(func(i, v int) {
 		if i < n {
-			cfg[i] = sa.State(v)
+			ck.cfg[i] = sa.State(v)
 		}
 	})
 	if got != n && d.Err() == nil {
 		return nil, nil, fmt.Errorf("sim: snapshot configuration has %d states for %d nodes", got, n)
 	}
-	coinState := d.U64s()
-	coinPending := d.U64()
-	faultBuf := d.Ints()
-	trackerState := d.Blob()
+	ck.coinState = d.U64s()
+	ck.coinPending = d.U64()
+	ck.faultBuf = d.Ints()
+	ck.tracker = d.Blob()
 
-	hasFr := d.Bool()
-	hasWord := d.Bool()
+	ck.frontier = d.Bool()
+	ck.word = d.Bool()
 	hasChurn := d.Bool()
-
-	var frMembers []int
-	if hasFr {
-		frMembers = d.Ints()
+	if ck.frontier {
+		ck.frMembers = d.Ints()
 	}
-	var churnState *churnCheckpoint
 	if hasChurn {
-		churnState, err = decodeChurn(d)
-		if err != nil {
+		if ck.churn, err = decodeChurn(d); err != nil {
 			return nil, nil, err
 		}
 	}
-	hasSched := d.Bool()
-	var schedState []byte
-	if hasSched {
-		schedState = d.Blob()
+	if ck.hasSched = d.Bool(); ck.hasSched {
+		ck.sched = d.Blob()
 	}
 	mwords := d.U64s()
 	if d.Err() == nil && len(mwords) != obs.SnapshotWords {
@@ -215,83 +249,107 @@ func Restore(r io.Reader, alg sa.Algorithm, opts RestoreOptions) (*Engine, map[s
 	if err := d.Done(); err != nil {
 		return nil, nil, fmt.Errorf("sim: snapshot engine section: %w", err)
 	}
+	ck.metrics = [obs.SnapshotWords]uint64(mwords)
 
+	if err := randx.CheckPerm(ck.faultBuf, n); err != nil {
+		return nil, nil, fmt.Errorf("sim: snapshot fault buffer: %w", err)
+	}
+	// A churn checkpoint taken while crash victims are down is
+	// legitimately disconnected; Restore checks its alive subgraph.
+	if ck.churn == nil && !ck.g.Connected() {
+		return nil, nil, fmt.Errorf("sim: snapshot graph: %w", graph.ErrDisconnected)
+	}
+	delete(sections, engineSection)
+	return ck, sections, nil
+}
+
+// Restore builds an engine from the checkpoint and runs the checks that
+// depend on alg and opts.Scheduler: the state count, the mode
+// capabilities, the rng state, the round tracker, the frontier, the churn
+// counters and victims, and the scheduler stream.
+//
+// Without churn, every engine of one checkpoint shares its graph, so none
+// may mutate it (ApplyDelta); with churn, each engine gets its own copy of
+// the CSR, which its churn rewrites in place. Restore only reads the
+// checkpoint, so several goroutines may call it at once.
+func (ck *Checkpoint) Restore(alg sa.Algorithm, opts RestoreOptions) (*Engine, error) {
+	if ck.numStates != alg.NumStates() {
+		return nil, fmt.Errorf("sim: snapshot has %d states but algorithm has %d", ck.numStates, alg.NumStates())
+	}
+	g := ck.g
 	var spec *ChurnSpec
-	if churnState != nil {
-		spec = &churnState.spec
+	if ck.churn != nil {
+		g = g.Clone()
+		spec = &ck.churn.spec
 	}
 	// The seed is irrelevant: the saved generator state replaces the
 	// stream below, and the configuration is given.
 	e, err := New(g, alg, Options{
-		Initial:      cfg,
+		Initial:      ck.cfg,
 		Scheduler:    opts.Scheduler,
-		Frontier:     hasFr,
-		WordParallel: hasWord,
+		Frontier:     ck.frontier,
+		WordParallel: ck.word,
 		Metrics:      opts.Metrics,
 		Trace:        opts.Trace,
 		Churn:        spec,
-		restoring:    spec != nil,
+		restoring:    true,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Mode capabilities must have survived: a snapshot of a frontier (or
 	// word) run cannot continue on an algorithm lacking the capability.
-	if hasFr && e.fr == nil {
-		return nil, nil, fmt.Errorf("sim: snapshot is frontier-sparse but algorithm lacks sa.SelfLooper")
+	if ck.frontier && e.fr == nil {
+		return nil, fmt.Errorf("sim: snapshot is frontier-sparse but algorithm lacks sa.SelfLooper")
 	}
-	if hasWord && e.wr == nil {
-		return nil, nil, fmt.Errorf("sim: snapshot is word-parallel but algorithm offers no kernel")
+	if ck.word && e.wr == nil {
+		return nil, fmt.Errorf("sim: snapshot is word-parallel but algorithm offers no kernel")
 	}
 
-	if err := e.src.SetState(coinState); err != nil {
-		return nil, nil, fmt.Errorf("sim: snapshot rng: %w", err)
+	if err := e.src.SetState(ck.coinState); err != nil {
+		return nil, fmt.Errorf("sim: snapshot rng: %w", err)
 	}
-	e.coin.SetPending(coinPending)
-	if err := randx.CheckPerm(faultBuf, n); err != nil {
-		return nil, nil, fmt.Errorf("sim: snapshot fault buffer: %w", err)
-	}
-	e.step = step
-	e.faultBuf = faultBuf
+	e.coin.SetPending(ck.coinPending)
+	e.step = ck.step
+	// InjectFaults shuffles the buffer in place.
+	e.faultBuf = slices.Clone(ck.faultBuf)
 
-	tracker, err := sched.RestoreRoundTracker(n, step, trackerState)
+	n := g.N()
+	tracker, err := sched.RestoreRoundTracker(n, ck.step, ck.tracker)
 	if err != nil {
-		return nil, nil, fmt.Errorf("sim: snapshot round tracker: %w", err)
+		return nil, fmt.Errorf("sim: snapshot round tracker: %w", err)
 	}
 	e.tracker = tracker
 
 	if e.fr != nil {
-		if err := e.restoreFrontier(frMembers); err != nil {
-			return nil, nil, err
+		if err := e.restoreFrontier(ck.frMembers); err != nil {
+			return nil, err
 		}
 	}
-	if churnState != nil {
-		if err := churnState.restoreInto(e.churn, step); err != nil {
-			return nil, nil, err
+	if ck.churn != nil {
+		if err := ck.churn.restoreInto(e.churn, ck.step); err != nil {
+			return nil, err
 		}
 		// A snapshot taken while churn crash victims are down is
 		// legitimately disconnected — the victims sit isolated in the CSR
 		// until revival, and the KeepConnected guard only ever protected the
-		// alive subgraph — so New skipped validation, and only the alive
-		// nodes must be connected.
+		// alive subgraph — so only the alive nodes must be connected.
 		if !e.churn.delta.Connected() {
-			return nil, nil, fmt.Errorf("sim: snapshot graph: %w", graph.ErrDisconnected)
+			return nil, fmt.Errorf("sim: snapshot graph: %w", graph.ErrDisconnected)
 		}
 	}
-	if hasSched {
+	if ck.hasSched {
 		cp, ok := e.sched.(sched.Checkpointer)
 		if !ok {
-			return nil, nil, fmt.Errorf("sim: snapshot has scheduler state but scheduler %T is not a sched.Checkpointer", e.sched)
+			return nil, fmt.Errorf("sim: snapshot has scheduler state but scheduler %T is not a sched.Checkpointer", e.sched)
 		}
-		if err := cp.RestoreState(schedState, n, step); err != nil {
-			return nil, nil, fmt.Errorf("sim: scheduler restore: %w", err)
+		if err := cp.RestoreState(ck.sched, n, ck.step); err != nil {
+			return nil, fmt.Errorf("sim: scheduler restore: %w", err)
 		}
 	}
-	e.mx.Add(obs.SnapshotFromWords([obs.SnapshotWords]uint64(mwords)))
-
-	delete(sections, engineSection)
-	return e, sections, nil
+	e.mx.Add(obs.SnapshotFromWords(ck.metrics))
+	return e, nil
 }
 
 // restoreFrontier replaces the all-dirty frontier New built with the saved

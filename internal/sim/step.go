@@ -159,10 +159,10 @@ func (e *Engine) stage(eval []int) {
 
 // apply commits the changed staged states of eval and returns their number
 // k. It runs in two passes: a tight one writing the states (configuration
-// and word self-word) and collecting the changed nodes in e.changed[:k],
-// then one propagating them — re-dirtying the frontier and feeding the
-// observer in ascending order. A certified word step with a batch-taking
-// observer hands the changed nodes over in one ApplyWordBatch call instead.
+// and word self-word) and collecting the changed nodes in res[:k], then one
+// propagating them — re-dirtying the frontier and feeding the observer in
+// ascending order. A certified word step with a batch-taking observer hands
+// the changed nodes over in one ApplyWordBatch call instead.
 func (e *Engine) apply(eval []int, certified bool) int {
 	cfg := e.cfg
 	res := e.res[:len(eval)]
@@ -170,11 +170,9 @@ func (e *Engine) apply(eval []int, certified bool) int {
 	if e.wr != nil {
 		self = e.wr.self
 	}
-	if cap(e.changed) < len(eval) {
-		e.changed = make([]int, e.g.N())
-	}
 	// The write pass makes no calls, so its loop state stays in registers.
-	changed := e.changed[:len(eval)]
+	// It overwrites the staged states with the changed nodes: slot k <= i
+	// is written only after res[i] was read.
 	k := 0
 	for i, v := range eval {
 		q := res[i]
@@ -185,10 +183,10 @@ func (e *Engine) apply(eval []int, certified bool) int {
 		if self != nil {
 			self[v] = 1 << uint(q)
 		}
-		changed[k] = v
+		res[k] = v
 		k++
 	}
-	changed = changed[:k]
+	changed := res[:k]
 	if fr := e.fr; fr != nil {
 		for _, v := range changed {
 			fr.set.AddClosed(v, e.g.Neighbors(v))

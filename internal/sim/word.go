@@ -35,6 +35,8 @@ import (
 // certified steps only: both the pre- and post-step configurations are
 // graph-good (core.GoodMonitor therefore only refreshes its mirror and
 // transition counters). Uncertified steps always use the per-node stream.
+// The changed slice is the engine's step scratch, valid only during the
+// call; an observer that keeps the nodes copies them.
 type WordBatchObserver interface {
 	ConfigObserver
 	ApplyWordBatch(changed []int, cfg sa.Config)
