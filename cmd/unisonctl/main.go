@@ -140,7 +140,7 @@ func submit(c *daemonclient.Client, args []string) error {
 		trials  = fs.Int("trials", 1, "trials of the scenario")
 		seed    = fs.Int64("seed", 1, "campaign seed")
 		id      = fs.String("id", "", "client-chosen run id (default daemon-assigned)")
-		workers = fs.Int("workers", 0, "run-level worker fan-out (0 = daemon default)")
+		workers = fs.Int("workers", 0, "most fleet slots the run may hold at once (0 = the whole fleet)")
 		follow  = fs.Bool("follow", false, "attach and stream records until the run ends")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -28,8 +28,8 @@ func main() {
 	var (
 		socket       = flag.String("socket", "unison.sock", "unix-domain socket path to serve on")
 		state        = flag.String("state", "", "state directory for crash-safe run persistence (empty = ephemeral)")
-		fleet        = flag.Int("fleet", 0, "engine-fleet capacity in worker slots (0 = NumCPU)")
-		maxActive    = flag.Int("max-active", 0, "max concurrently executing runs (0 = fleet)")
+		fleet        = flag.Int("fleet", 0, "engine-fleet capacity in worker slots: scenarios executing at once, shared by all active runs (0 = NumCPU)")
+		maxActive    = flag.Int("max-active", 0, "max runs admitted at once; their workers share the fleet's slots (0 = fleet)")
 		maxQueue     = flag.Int("queue", 0, "max queued submissions beyond max-active (0 = 4*max-active, -1 = none)")
 		retries      = flag.Int("retries", 0, "retries for transiently failing scenarios")
 		debugAddr    = flag.String("debug-addr", "", "serve expvar+pprof on this address (e.g. localhost:6060)")

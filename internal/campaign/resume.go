@@ -15,8 +15,9 @@ import (
 )
 
 // This file makes campaign JSONL output crash- and cancel-safe. Records are
-// appended one fsynced line at a time, with a CRC-32C per record kept in a
-// sidecar file (path + ".crc"), so an interrupted campaign (SIGKILL, power
+// appended in fsynced groups of whole lines (one record per group through
+// Append, any number through AppendBatch), with a CRC-32C per record kept in
+// a sidecar file (path + ".crc"), so an interrupted campaign (SIGKILL, power
 // loss, ^C mid-write) — or any later corruption of the file, not just clean
 // truncation — is detected on reopen. OpenResumable salvages the longest
 // verified prefix of complete records, truncates the rest, and hands the
@@ -53,7 +54,6 @@ type ResumableLog struct {
 	next    int   // scenario index the next durable record must carry
 	size    int64 // main-file length at the last record boundary
 	crcSize int64 // sidecar length at the last record boundary
-	skipped int   // cancelled records dropped this session (see Append)
 
 	// Recovered is the number of complete records salvaged from the
 	// previous run; TruncatedBytes is the length of the tail dropped to get
@@ -185,8 +185,31 @@ func (l *ResumableLog) Done(sc Scenario) bool {
 	return l.done[resumeKey{index: sc.Index, seed: sc.Seed}]
 }
 
-// Append writes rec as one JSONL line, fsyncs it, and records its checksum
-// in the sidecar. Two classes of record are not durable:
+// Append makes rec durable on its own: AppendBatch of one record.
+func (l *ResumableLog) Append(rec Record) error {
+	_, err := l.AppendBatch([]Record{rec})
+	return err
+}
+
+// DurablePrefix returns how many leading records of recs extend a durable
+// prefix whose next scenario index is next: it stops at the first record
+// that is cancelled or does not carry the next index. A ResumableLog makes
+// exactly these records durable, and a log without a file (the daemon
+// without a state directory) publishes exactly these.
+func DurablePrefix(next int, recs []Record) int {
+	for i, rec := range recs {
+		if rec.Cancelled() || rec.Scenario != next+i {
+			return i
+		}
+	}
+	return len(recs)
+}
+
+// AppendBatch makes a group of records durable, in index order: one write
+// and fsync for all their JSONL lines, then one for all their checksums in
+// the sidecar. It returns how many leading records of recs are durable;
+// the file and the sidecar end byte-identical to one Append per record.
+// Two classes of record are not durable:
 //
 //   - Cancelled records (campaign shutdown mid-scenario) are skipped, so the
 //     scenario is re-run on -resume and the file keeps the append-only
@@ -196,57 +219,59 @@ func (l *ResumableLog) Done(sc Scenario) bool {
 //     skipped too — persisting them would break the prefix, and -resume
 //     re-runs them anyway.
 //
-// An append *behind* the durable prefix is a hard error: it means the log
-// belongs to a different campaign (e.g. another -seed), and splicing would
-// corrupt both.
-func (l *ResumableLog) Append(rec Record) error {
-	if rec.Cancelled() {
-		l.skipped++
-		return nil
+// Either stops the group there (DurablePrefix): every later record lies
+// past the gap. A record *behind* the durable prefix is a hard error and
+// the group is refused: it means the log belongs to a different campaign
+// (e.g. another -seed), and splicing would corrupt both.
+func (l *ResumableLog) AppendBatch(recs []Record) (int, error) {
+	n := DurablePrefix(l.next, recs)
+	if n < len(recs) && !recs[n].Cancelled() && recs[n].Scenario < l.next+n {
+		return 0, fmt.Errorf("campaign: record %d out of order in %s (next is %d; different campaign seed? use a fresh -out file)",
+			recs[n].Scenario, l.path, l.next+n)
 	}
-	if rec.Scenario != l.next {
-		if rec.Scenario > l.next {
-			l.skipped++
-			return nil
+	if n == 0 {
+		return 0, nil
+	}
+	var lines, sums bytes.Buffer
+	for _, rec := range recs[:n] {
+		start := lines.Len()
+		if err := AppendJSONL(&lines, rec); err != nil {
+			return 0, err
 		}
-		return fmt.Errorf("campaign: record %d out of order in %s (next is %d; different campaign seed? use a fresh -out file)",
-			rec.Scenario, l.path, l.next)
+		fmt.Fprintf(&sums, "%08x\n", crc32.Checksum(lines.Bytes()[start:], resumeCRCTable))
 	}
-	var buf bytes.Buffer
-	if err := AppendJSONL(&buf, rec); err != nil {
-		return err
+	first, last := recs[0].Scenario, recs[n-1].Scenario
+	if err := appendDurable(l.f, &l.size, lines.Bytes()); err != nil {
+		return 0, fmt.Errorf("campaign: append records %d-%d: %w", first, last, err)
 	}
-	line := buf.Bytes()
-	if err := appendDurable(l.f, &l.size, line); err != nil {
-		return fmt.Errorf("campaign: append record %d: %w", rec.Scenario, err)
+	for _, rec := range recs[:n] {
+		l.done[resumeKey{index: rec.Scenario, seed: rec.Seed}] = true
 	}
-	sum := fmt.Sprintf("%08x\n", crc32.Checksum(line, resumeCRCTable))
-	if err := appendDurable(l.crc, &l.crcSize, []byte(sum)); err != nil {
-		// The record itself is durable; a failed sidecar write costs only
-		// the CRC check for this record on a later resume (the sidecar is
+	l.next += n
+	if err := appendDurable(l.crc, &l.crcSize, sums.Bytes()); err != nil {
+		// The records themselves are durable; a failed sidecar write costs
+		// only the CRC check for them on a later resume (the sidecar is
 		// advisory and heals on reopen). Still surface the fault.
-		return fmt.Errorf("campaign: append crc for record %d: %w", rec.Scenario, err)
+		return n, fmt.Errorf("campaign: append crcs for records %d-%d: %w", first, last, err)
 	}
-	l.done[resumeKey{index: rec.Scenario, seed: rec.Seed}] = true
-	l.next++
-	return nil
+	return n, nil
 }
 
-// appendDurable writes line at the saved boundary *size and fsyncs,
+// appendDurable writes lines at the saved boundary *size and fsyncs,
 // self-repairing torn writes: on failure (injected via the
 // campaign/append-record and campaign/append-fsync failpoint sites, or a
 // real short write) the file is truncated back to the boundary and the write
-// retried, so the log never carries a torn line forward. The boundary is
-// advanced only on success.
-func appendDurable(f *os.File, size *int64, line []byte) error {
+// retried, so the log never carries a torn line forward: a group of lines
+// lands whole or not at all. The boundary is advanced only on success.
+func appendDurable(f *os.File, size *int64, lines []byte) error {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		err := func() error {
 			if fp := failpoint.Eval(failpoint.CampaignAppend); fp.Kind == failpoint.FailTorn {
-				f.Write(line[:fp.CutAt(len(line))])
+				f.Write(lines[:fp.CutAt(len(lines))])
 				return fp.Err()
 			}
-			if _, err := f.Write(line); err != nil {
+			if _, err := f.Write(lines); err != nil {
 				return err
 			}
 			if fp := failpoint.Eval(failpoint.CampaignFsync); fp.Kind == failpoint.FailError {
@@ -255,13 +280,13 @@ func appendDurable(f *os.File, size *int64, line []byte) error {
 			return f.Sync()
 		}()
 		if err == nil {
-			*size += int64(len(line))
+			*size += int64(len(lines))
 			return nil
 		}
 		lastErr = err
 		// Cut the torn bytes back to the last record boundary before
 		// retrying (or giving up): crash-safety demands the on-disk tail is
-		// always a record boundary or a single torn line, never two.
+		// always a record boundary or a single torn group, never two.
 		if terr := f.Truncate(*size); terr != nil {
 			return fmt.Errorf("%w (and truncate failed: %v)", err, terr)
 		}

@@ -49,6 +49,14 @@ type Runner struct {
 	// quarantined panics, injected faults, watchdog stalls) with bounded
 	// exponential backoff. The zero value never retries.
 	Retry RetryPolicy
+	// Slots, when set, gates execution across every Runner that shares it:
+	// a worker sends a token into it before each ExecuteIsolated attempt
+	// and takes it back after, so at most cap(Slots) scenarios execute at
+	// once however many workers wait. No token is held across a retry
+	// backoff, and a worker whose context ends while it waits for a token
+	// emits the scenario's cancelled record without executing it. nil means
+	// no gate.
+	Slots chan struct{}
 }
 
 // RetryPolicy bounds the Runner's transient-failure retries.
@@ -261,7 +269,7 @@ func (m *progressMeter) paint(now time.Time) {
 // the same bytes as an undisturbed run once the fault clears, which is what
 // ChaosSide pins.
 func (r *Runner) executeWithRetry(ctx context.Context, sc Scenario) Record {
-	rec := ExecuteIsolated(ctx, sc)
+	rec := r.attempt(ctx, sc)
 	for attempt := 1; attempt <= r.Retry.Max && rec.Transient() && ctx.Err() == nil; attempt++ {
 		if d := r.Retry.delay(attempt); d > 0 {
 			t := time.NewTimer(d)
@@ -272,7 +280,7 @@ func (r *Runner) executeWithRetry(ctx context.Context, sc Scenario) Record {
 				return rec
 			}
 		}
-		next := ExecuteIsolated(ctx, sc)
+		next := r.attempt(ctx, sc)
 		next.Retries = attempt
 		if next.Engine != nil {
 			next.Engine.RunRetries = uint64(attempt)
@@ -288,6 +296,22 @@ func (r *Runner) executeWithRetry(ctx context.Context, sc Scenario) Record {
 		rec = next
 	}
 	return rec
+}
+
+// attempt is one ExecuteIsolated attempt, holding a Slots token while it
+// runs when the Runner has a gate.
+func (r *Runner) attempt(ctx context.Context, sc Scenario) Record {
+	if r.Slots != nil {
+		select {
+		case r.Slots <- struct{}{}:
+			defer func() { <-r.Slots }()
+		case <-ctx.Done():
+			rec := newRecord(sc)
+			rec.fail(errCancelled)
+			return rec
+		}
+	}
+	return ExecuteIsolated(ctx, sc)
 }
 
 // RunMatrix expands the matrix with the given campaign seed and runs it.

@@ -10,9 +10,12 @@
 // runtimes and kdo's deployless remote-run UX:
 //
 //   - Admission control: the fleet capacity (worker slots, default NumCPU)
-//     bounds how many runs execute concurrently; beyond MaxActive runs,
-//     submissions queue FIFO up to MaxQueue and are then rejected loudly
-//     ("busy"), never silently absorbed.
+//     bounds how many scenarios execute at once across all runs — a slot is
+//     a token every active run's workers share, held for one scenario
+//     attempt — so a lone run spreads over every idle slot. MaxActive
+//     bounds the runs admitted at once; beyond it, submissions queue FIFO
+//     up to MaxQueue and are then rejected loudly ("busy"), never silently
+//     absorbed.
 //   - Streaming with backpressure: attached clients replay the run's record
 //     log from any sequence number and then follow the live tail. Record
 //     events are retained and lossless (a slow or detached reader re-attaches
@@ -22,11 +25,19 @@
 //     reader in either case.
 //   - Crash-safe run state: with a state directory, every submission persists
 //     its manifest atomically (snapshot.AtomicWriteFile) and journals records
-//     through campaign.OpenResumable — fsync per record, CRC sidecar, torn
-//     tails truncated. A restarted daemon re-expands each manifest, salvages
+//     through campaign.OpenResumable — CRC sidecar, torn tails truncated. A
+//     journal goroutine per run makes records durable in groups (one
+//     write+fsync for a group's lines, one for their checksums: whatever
+//     finished while the previous group was syncing), so scenarios never
+//     wait on the disk. A restarted daemon re-expands each manifest, salvages
 //     the journal prefix, resumes incomplete runs to completion and reports
 //     finished ones, and the combined journal is byte-identical to an
 //     uninterrupted run (the kill-and-restart test pins this).
+//   - Durable before visible: a run's event log holds exactly its durable
+//     contiguous record prefix — event seq k carries scenario k−1, and a
+//     group joins the log only after its fsyncs return — so an attached
+//     client never sees a record the journal does not hold. Without a state
+//     directory the same prefix rule applies (campaign.DurablePrefix).
 //   - Bounded shutdown: Shutdown stops admissions, cancels (or drains) active
 //     runs, closes every connection, and waits for every goroutine within a
 //     context deadline, so start/shutdown cycles leak nothing (goroutine pin
@@ -62,9 +73,12 @@ type Options struct {
 	// the daemon ephemeral: no persistence, no resume after restart.
 	StateDir string
 	// Fleet is the engine-fleet capacity in worker slots; <= 0 means
-	// runtime.NumCPU(). It bounds the total run-level fan-out.
+	// runtime.NumCPU(). It bounds how many scenarios execute at once,
+	// summed over every active run: the slots are shared, so a lone run
+	// executes on all of them.
 	Fleet int
-	// MaxActive bounds concurrently executing runs; <= 0 means Fleet.
+	// MaxActive bounds the runs admitted at once (their workers share the
+	// fleet's slots); <= 0 means Fleet.
 	MaxActive int
 	// MaxQueue bounds submissions queued beyond MaxActive; < 0 means 0
 	// (reject immediately when saturated), 0 means 4*MaxActive.
@@ -91,6 +105,7 @@ type Server struct {
 
 	wg      sync.WaitGroup // accept loop + connection handlers + run loops
 	metrics *obs.Metrics   // daemon-wide engine-counter aggregate
+	slots   chan struct{}  // the fleet: one token per executing scenario
 
 	shutdownReq  chan struct{}
 	shutdownOnce sync.Once
@@ -118,6 +133,7 @@ func New(opt Options) (*Server, error) {
 		runs:        make(map[string]*run),
 		conns:       make(map[net.Conn]struct{}),
 		metrics:     &obs.Metrics{},
+		slots:       make(chan struct{}, opt.Fleet),
 		shutdownReq: make(chan struct{}),
 	}
 	if opt.StateDir != "" {
@@ -401,7 +417,7 @@ func validRunID(id string) bool {
 	return true
 }
 
-// admitLocked starts queued runs while fleet slots are free. Caller holds
+// admitLocked starts queued runs while fewer than MaxActive run. Caller holds
 // s.mu. Runs admitted before Serve (restored state) stay queued until the
 // listener is up, so a crashed-and-restarted daemon begins resuming exactly
 // when it begins serving.
@@ -418,23 +434,16 @@ func (s *Server) admitLocked() {
 	}
 }
 
-// runWorkers sizes one run's run-level fan-out: its requested worker count
-// clamped to the fleet, defaulting to the fleet capacity split across the
-// maximum concurrent runs. Worker count never changes record bytes; the
-// MIS/LE engine's coin source is fixed by each scenario's Parallelism (see
-// campaign.Scenario), not by the fleet.
+// runWorkers sizes one run's worker pool: its requested worker count
+// clamped to [1, Fleet], the whole fleet by default. Workers only bound how
+// many of the fleet's shared slots the run can hold at once. Worker count
+// never changes record bytes; the MIS/LE engine's coin source is fixed by
+// each scenario's Parallelism (see campaign.Scenario), not by the fleet.
 func (s *Server) runWorkers(requested int) int {
-	w := requested
-	if w <= 0 {
-		w = s.opt.Fleet / s.opt.MaxActive
+	if requested <= 0 || requested > s.opt.Fleet {
+		return s.opt.Fleet
 	}
-	if w < 1 {
-		w = 1
-	}
-	if w > s.opt.Fleet {
-		w = s.opt.Fleet
-	}
-	return w
+	return requested
 }
 
 // startRun launches one run's executor goroutine; it reports false for a run
@@ -454,8 +463,14 @@ func (s *Server) startRun(r *run) bool {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
+		journaled := make(chan struct{})
+		go func() {
+			defer close(journaled)
+			r.journalLoop()
+		}()
 		runner := &campaign.Runner{
 			Workers: s.runWorkers(r.spec.Workers),
+			Slots:   s.slots,
 			// Timing stays off: daemon records must be byte-identical to an
 			// in-process campaign run (the invariant of campaign -check's
 			// remote cell), and wall time is the one nondeterministic field.
@@ -472,33 +487,30 @@ func (s *Server) startRun(r *run) bool {
 			OnRecord: func(rec campaign.Record) { s.appendRecord(r, rec) },
 		}
 		_, runErr := runner.Run(ctx, r.remaining)
+		// The last group's fsyncs come before the terminal state, the EOF
+		// event and the journal close.
+		r.closeQueue()
+		<-journaled
 		s.finishRun(r, runErr)
 	}()
 	return true
 }
 
-// appendRecord is the single place a run's outcome becomes durable and
-// visible: called on the Runner's results goroutine, in scenario-index
-// order. The engine-counter block is folded into the run's and the daemon's
-// aggregates and stripped; the record is journaled (fsynced, checksummed)
-// and appended to the in-memory event log; every subscriber is offered the
-// fresh metrics snapshot (lossy) and woken (lossless log tail).
+// appendRecord hands one record to the run's journal goroutine: called on
+// the Runner's results goroutine, in scenario-index order, it folds the
+// engine-counter block into the run's and the daemon's aggregates, strips
+// it, and queues the record — it never waits on the disk. The journal
+// goroutine (run.journalLoop) makes it durable and visible.
 func (s *Server) appendRecord(r *run, rec campaign.Record) {
 	if rec.Engine != nil {
 		r.metrics.Add(*rec.Engine)
 		s.metrics.Add(*rec.Engine)
 		rec.Engine = nil
 	}
-	// Cancelled records carry no durable outcome: the journal skips them and
-	// the scenario re-runs on resume, so streaming them would hand clients
-	// records the daemon does not stand behind.
-	if rec.Cancelled() {
-		return
-	}
-	r.append(rec)
+	r.enqueue(rec)
 }
 
-// finishRun resolves the run's terminal state, releases its fleet slot and
+// finishRun resolves the run's terminal state, releases its admission and
 // admits the next queued run.
 func (s *Server) finishRun(r *run, runErr error) {
 	r.finalize(runErr)
@@ -693,7 +705,7 @@ func (s *Server) Shutdown(ctx context.Context, drain bool) error {
 // Kill hard-stops the daemon: listener closed, every run cancelled
 // immediately, every connection cut, all goroutines joined. It is the
 // in-process stand-in for SIGKILL in crash tests — no drain, no final
-// flushes beyond what each fsynced journal append already made durable.
+// flushes beyond what each fsynced journal group already made durable.
 func (s *Server) Kill() {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

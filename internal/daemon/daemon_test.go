@@ -215,22 +215,25 @@ func TestDaemonFailedRunReported(t *testing.T) {
 	}
 }
 
-// stallNextRun arms the campaign/poll failpoint so the next scenario poll
-// blocks (interruptibly) for up to stall — a deterministic way to hold a run
-// in the running state.
-func stallNextRun(t *testing.T, stall time.Duration) {
+// stallPolls arms the campaign/poll failpoint so the scenario polls at the
+// given 1-based hits block (interruptibly) for up to a minute — a
+// deterministic way to hold a run in the running state — and returns the
+// schedule, whose Evals show how many polls have been reached.
+func stallPolls(t *testing.T, hits ...uint64) *failpoint.Schedule {
 	t.Helper()
-	failpoint.Arm(failpoint.New(0, []failpoint.Rule{
-		{Site: failpoint.CampaignPoll, Kind: failpoint.FailStall, Hits: []uint64{1}, Stall: stall},
-	}))
+	schedule := failpoint.New(0, []failpoint.Rule{
+		{Site: failpoint.CampaignPoll, Kind: failpoint.FailStall, Hits: hits, Stall: time.Minute},
+	})
+	failpoint.Arm(schedule)
 	t.Cleanup(failpoint.Disarm)
+	return schedule
 }
 
 // TestDaemonAdmissionControl: with one active slot and no queue, a second
 // submission while the first run executes is rejected with the busy error,
 // and a cancel frees the slot.
 func TestDaemonAdmissionControl(t *testing.T) {
-	stallNextRun(t, time.Minute)
+	stallPolls(t, 1)
 	_, c := startDaemon(t, daemon.Options{Fleet: 1, MaxActive: 1, MaxQueue: -1})
 
 	held, err := c.Submit(tinySpec(1, 7))
@@ -263,7 +266,7 @@ func TestDaemonAdmissionControl(t *testing.T) {
 // TestDaemonCancelQueued: cancelling a run that never left the queue settles
 // it cancelled without executing anything.
 func TestDaemonCancelQueued(t *testing.T) {
-	stallNextRun(t, time.Minute)
+	stallPolls(t, 1)
 	_, c := startDaemon(t, daemon.Options{Fleet: 1, MaxActive: 1})
 	held, err := c.Submit(tinySpec(1, 7))
 	if err != nil {
@@ -579,7 +582,7 @@ func TestDaemonSoak(t *testing.T) {
 // deliberately stalled scenario and still returns well within its deadline —
 // the run's context cut interrupts the stall — and the daemon stops serving.
 func TestDaemonShutdownCancelsActive(t *testing.T) {
-	stallNextRun(t, time.Minute)
+	stallPolls(t, 1)
 	s, c := startDaemon(t, daemon.Options{Fleet: 1, MaxActive: 1})
 	if _, err := c.Submit(tinySpec(1, 7)); err != nil {
 		t.Fatal(err)

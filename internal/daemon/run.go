@@ -30,9 +30,17 @@ type run struct {
 	journal   *campaign.ResumableLog
 	metrics   obs.Metrics // per-run engine-counter aggregate
 
+	// The journal queue: records the Runner finished that the journal
+	// goroutine has not taken yet. It holds records only while the run
+	// executes.
+	qmu     sync.Mutex
+	queue   []campaign.Record
+	qclosed bool
+	qkick   chan struct{} // cap 1: wake the journal goroutine
+
 	mu        sync.Mutex
 	state     string
-	log       []wire.Event // durable record events, seq 1..len(log)
+	log       []wire.Event // durable record prefix, seq k = scenario k-1
 	failures  int
 	recovered int // records salvaged from the journal on restore
 	errMsg    string
@@ -91,6 +99,7 @@ func (s *Server) newRun(id string, spec wire.SubmitSpec, scenarios []campaign.Sc
 		spec:      spec,
 		scenarios: scenarios,
 		remaining: scenarios,
+		qkick:     make(chan struct{}, 1),
 		state:     wire.StateQueued,
 		subs:      make(map[*subscriber]struct{}),
 		finished:  make(chan struct{}),
@@ -145,6 +154,7 @@ func (s *Server) restoreRun(id string) (*run, error) {
 		spec:      spec,
 		scenarios: scenarios,
 		journal:   journal,
+		qkick:     make(chan struct{}, 1),
 		state:     wire.StateQueued,
 		subs:      make(map[*subscriber]struct{}),
 		finished:  make(chan struct{}),
@@ -263,38 +273,116 @@ func (r *run) unsubscribe(sub *subscriber) {
 	r.mu.Unlock()
 }
 
-// append makes one record durable and visible: journal first (fsync + CRC
-// sidecar — the record is not streamed unless it is durable), then the event
-// log, then every subscriber is offered the fresh per-run metrics snapshot
-// and woken. Called on the Runner's results goroutine, in scenario-index
-// order, which is exactly the append-only prefix the journal demands.
-func (r *run) append(rec campaign.Record) {
-	var buf bytes.Buffer
-	if err := campaign.AppendJSONL(&buf, rec); err != nil {
-		r.failRun(err)
-		return
+// enqueue hands one finished record to the journal goroutine without
+// waiting for it. Called on the Runner's results goroutine, in
+// scenario-index order.
+func (r *run) enqueue(rec campaign.Record) {
+	r.qmu.Lock()
+	r.queue = append(r.queue, rec)
+	r.qmu.Unlock()
+	select {
+	case r.qkick <- struct{}{}:
+	default:
 	}
-	if r.journal != nil {
-		if err := r.journal.Append(rec); err != nil {
-			r.failRun(err)
+}
+
+// closeQueue tells the journal goroutine that no record follows the queued
+// ones. Called once the Runner has returned.
+func (r *run) closeQueue() {
+	r.qmu.Lock()
+	r.qclosed = true
+	r.qmu.Unlock()
+	select {
+	case r.qkick <- struct{}{}:
+	default:
+	}
+}
+
+// journalLoop is the run's journal goroutine: it takes whatever the Runner
+// queued while the previous group was being committed, commits it as one
+// group, and returns once the queue is closed and drained. The queue and
+// the group swap two buffers. After a journal fault it stops committing:
+// the run is failed, and the harness cannot stand behind further records
+// once durability is gone.
+func (r *run) journalLoop() {
+	var batch []campaign.Record
+	ok := true
+	for {
+		r.qmu.Lock()
+		r.queue, batch = batch[:0], r.queue
+		closed := r.qclosed
+		r.qmu.Unlock()
+		if len(batch) > 0 {
+			if ok {
+				ok = r.commit(batch)
+			}
+			clear(batch)
+			continue
+		}
+		if closed {
+			// Runs outlive their execution: drop the queue's buffer.
+			r.qmu.Lock()
+			r.queue = nil
+			r.qmu.Unlock()
 			return
 		}
+		<-r.qkick
 	}
-	line := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+}
+
+// commit makes one group durable and then visible: the journal appends the
+// group's lines with one fsync and their checksums with another
+// (campaign.ResumableLog.AppendBatch), and only the records it reports
+// durable join the event log — without a journal, the same contiguous
+// prefix (campaign.DurablePrefix). Then every subscriber is offered the
+// fresh per-run metrics snapshot (lossy) and woken (lossless log tail). It
+// reports false after failing the run.
+func (r *run) commit(batch []campaign.Record) bool {
+	n := len(batch)
+	var err error
+	if r.journal != nil {
+		n, err = r.journal.AppendBatch(batch)
+	} else {
+		r.mu.Lock()
+		next := len(r.log)
+		r.mu.Unlock()
+		n = campaign.DurablePrefix(next, batch)
+	}
+	var buf bytes.Buffer
+	for i, rec := range batch[:n] {
+		if encErr := campaign.AppendJSONL(&buf, rec); encErr != nil {
+			n, err = i, encErr
+			break
+		}
+	}
+	// The events keep their lines for the daemon's lifetime: one exact-size
+	// copy per group, not the buffer's doubling slack.
+	lines := bytes.Clone(buf.Bytes())
 	snap := r.metrics.Snapshot()
 	r.mu.Lock()
-	r.log = append(r.log, wire.Event{
-		Seq:    uint64(len(r.log) + 1),
-		Type:   wire.EventRecord,
-		Record: json.RawMessage(line),
-	})
-	if !rec.OK {
-		r.failures++
+	for _, rec := range batch[:n] {
+		nl := bytes.IndexByte(lines, '\n')
+		r.log = append(r.log, wire.Event{
+			Seq:    uint64(len(r.log) + 1),
+			Type:   wire.EventRecord,
+			Record: json.RawMessage(lines[:nl:nl]),
+		})
+		lines = lines[nl+1:]
+		if !rec.OK {
+			r.failures++
+		}
 	}
-	for sub := range r.subs {
-		sub.offer(snap)
+	if n > 0 {
+		for sub := range r.subs {
+			sub.offer(snap)
+		}
 	}
 	r.mu.Unlock()
+	if err != nil {
+		r.failRun(err)
+		return false
+	}
+	return true
 }
 
 // failRun records a run-level fault (journal write failure, encoding

@@ -114,9 +114,10 @@ type SubmitSpec struct {
 	// Seed is the campaign seed; per-scenario seeds derive from it, so equal
 	// specs replay byte-identically.
 	Seed int64 `json:"seed"`
-	// Workers requests a run-level worker count; 0 lets the daemon size the
-	// run by its fleet share, and any value is clamped to the fleet capacity.
-	// Records are worker-count independent either way.
+	// Workers caps how many of the daemon's fleet slots the run may hold at
+	// once (the slots are shared by every active run, one per executing
+	// scenario); 0, or any value above the fleet capacity, means the whole
+	// fleet. Records are worker-count independent either way.
 	Workers int `json:"workers,omitempty"`
 	// Parallelism, Frontier and WordParallel override the engines' execution
 	// mode for every scenario of the run (see campaign.Scenario). Frontier

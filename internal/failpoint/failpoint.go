@@ -46,11 +46,13 @@ const (
 	// CampaignPoll fires in the campaign stabilization poll: FailStall
 	// blocks the poll (interruptibly) to exercise the watchdog.
 	CampaignPoll Site = "campaign/poll"
-	// CampaignAppend fires in ResumableLog.Append: FailTorn persists only a
-	// prefix of the record line, exercising torn-write self-repair.
+	// CampaignAppend fires in every ResumableLog write of a group of lines
+	// (Append writes a group of one, AppendBatch any number, and the CRC
+	// sidecar gets a write of its own): FailTorn persists only a prefix of
+	// the group, exercising torn-write self-repair.
 	CampaignAppend Site = "campaign/append-record"
-	// CampaignFsync fires after a ResumableLog record write: FailError makes
-	// the durability fsync fail.
+	// CampaignFsync fires after each such ResumableLog write: FailError
+	// makes the durability fsync fail.
 	CampaignFsync Site = "campaign/append-fsync"
 	// SimStep fires at the top of sim.Engine.Step: FailError aborts the
 	// step, FailPanic kills it.

@@ -251,7 +251,9 @@ type Options struct {
 	// victims are down carries a CSR with those victims isolated — a graph
 	// the engine handles fine mid-run (KeepConnected guards alive-subgraph
 	// connectivity only) but full-graph Validate would reject — so Restore
-	// validates the alive subgraph against the crash set.
+	// validates the alive subgraph against the crash set. Restore also
+	// brings the round tracker (sched.RestoreRoundTracker), so New leaves
+	// it nil rather than build n ints that are replaced at once.
 	restoring bool
 }
 
@@ -287,20 +289,22 @@ func New(g *graph.Graph, alg sa.Algorithm, opts Options) (*Engine, error) {
 		cfg = cfg.Clone()
 	}
 	e := &Engine{
-		g:       g,
-		alg:     alg,
-		sched:   s,
-		rng:     rng,
-		cfg:     cfg,
-		tracker: sched.NewRoundTracker(g.N()),
-		mx:      opts.Metrics,
-		tracer:  opts.Trace,
-		src:     src,
-		coin:    coin,
-		sig:     sa.NewSignal(alg.NumStates()),
+		g:      g,
+		alg:    alg,
+		sched:  s,
+		rng:    rng,
+		cfg:    cfg,
+		mx:     opts.Metrics,
+		tracer: opts.Trace,
+		src:    src,
+		coin:   coin,
+		sig:    sa.NewSignal(alg.NumStates()),
 	}
 	if e.mx == nil {
 		e.mx = &obs.Metrics{}
+	}
+	if !opts.restoring {
+		e.tracker = sched.NewRoundTracker(g.N())
 	}
 	if opts.Frontier {
 		if lp, ok := alg.(sa.SelfLooper); ok {
