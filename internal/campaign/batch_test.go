@@ -48,6 +48,29 @@ func readLog(t *testing.T, path string) (data, crc []byte) {
 	return data, crc
 }
 
+// appendGroup is log.AppendBatch(recs) on the journal at path, holding the
+// lines AppendBatch hands back to what they must be: exactly the bytes the
+// journal gained, appended after what the caller's buffer already held.
+func appendGroup(t *testing.T, log *campaign.ResumableLog, path string, recs []campaign.Record) (int, error) {
+	t.Helper()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const held = "held\n"
+	lines := bytes.NewBufferString(held)
+	n, appendErr := log.AppendBatch(lines, recs)
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, kept := bytes.CutPrefix(lines.Bytes(), []byte(held))
+	if want := after[len(before):]; !kept || !bytes.Equal(got, want) {
+		t.Fatalf("AppendBatch handed back %q; the journal gained %q", got, want)
+	}
+	return n, appendErr
+}
+
 // appendEach writes recs into a fresh log at path with one Append per
 // record, the reference for AppendBatch.
 func appendEach(t *testing.T, path string, recs []campaign.Record) (data, crc []byte) {
@@ -80,7 +103,7 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := log.AppendBatch(recs)
+		n, err := appendGroup(t, log, path, recs)
 		if err != nil || n != k {
 			t.Fatalf("k=%d: AppendBatch = %d, %v; want %d, nil", k, n, err, k)
 		}
@@ -124,14 +147,14 @@ func TestAppendBatchTornGroup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n, err := log.AppendBatch(recs[:4]); err != nil || n != 4 {
+			if n, err := appendGroup(t, log, path, recs[:4]); err != nil || n != 4 {
 				t.Fatalf("first group: %d, %v", n, err)
 			}
 			schedule := failpoint.New(1, []failpoint.Rule{
 				{Site: failpoint.CampaignAppend, Kind: failpoint.FailTorn, Hits: tc.hits, Frac: 0.6},
 			})
 			failpoint.Arm(schedule)
-			n, err := log.AppendBatch(recs[4:])
+			n, err := appendGroup(t, log, path, recs[4:])
 			failpoint.Disarm()
 			if n != tc.durable || (err == nil) != (tc.durable > 0) {
 				t.Fatalf("torn group: AppendBatch = %d, %v; want %d durable", n, err, tc.durable)
@@ -159,7 +182,7 @@ func TestAppendBatchTornGroup(t *testing.T) {
 			if log.Recovered != 4 || log.TruncatedBytes != 0 {
 				t.Fatalf("reopen: recovered %d, truncated %d; want 4, 0", log.Recovered, log.TruncatedBytes)
 			}
-			if n, err := log.AppendBatch(recs[4:]); err != nil || n != 6 {
+			if n, err := appendGroup(t, log, path, recs[4:]); err != nil || n != 6 {
 				t.Fatalf("resumed group: %d, %v", n, err)
 			}
 			if err := log.Close(); err != nil {
@@ -196,7 +219,7 @@ func TestAppendBatchStopsAtGap(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer log.Close()
-			if n, err := log.AppendBatch(tc.group); err != nil || n != 2 {
+			if n, err := appendGroup(t, log, path, tc.group); err != nil || n != 2 {
 				t.Fatalf("AppendBatch = %d, %v; want 2 durable records", n, err)
 			}
 			if got := campaign.DurablePrefix(0, tc.group); got != 2 {
@@ -209,10 +232,10 @@ func TestAppendBatchStopsAtGap(t *testing.T) {
 				t.Fatalf("log holds %q, want the two records before the gap (%v)", data, err)
 			}
 			// The gap fills, and the group after it lands.
-			if n, err := log.AppendBatch(recs[2:]); err != nil || n != 4 {
+			if n, err := appendGroup(t, log, path, recs[2:]); err != nil || n != 4 {
 				t.Fatalf("group after the gap: %d, %v", n, err)
 			}
-			if n, err := log.AppendBatch(recs[5:]); err == nil || n != 0 {
+			if n, err := appendGroup(t, log, path, recs[5:]); err == nil || n != 0 {
 				t.Fatalf("group behind the prefix: %d, %v; want a refusal", n, err)
 			}
 		})

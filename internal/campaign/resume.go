@@ -187,7 +187,8 @@ func (l *ResumableLog) Done(sc Scenario) bool {
 
 // Append makes rec durable on its own: AppendBatch of one record.
 func (l *ResumableLog) Append(rec Record) error {
-	_, err := l.AppendBatch([]Record{rec})
+	var lines bytes.Buffer
+	_, err := l.AppendBatch(&lines, []Record{rec})
 	return err
 }
 
@@ -207,9 +208,11 @@ func DurablePrefix(next int, recs []Record) int {
 
 // AppendBatch makes a group of records durable, in index order: one write
 // and fsync for all their JSONL lines, then one for all their checksums in
-// the sidecar. It returns how many leading records of recs are durable;
-// the file and the sidecar end byte-identical to one Append per record.
-// Two classes of record are not durable:
+// the sidecar. It returns how many leading records of recs are durable and
+// appends their lines to lines, which then gains exactly the bytes the file
+// gained, so a caller that also publishes the records need not encode them
+// again; the file and the sidecar end byte-identical to one Append per
+// record. Two classes of record are not durable:
 //
 //   - Cancelled records (campaign shutdown mid-scenario) are skipped, so the
 //     scenario is re-run on -resume and the file keeps the append-only
@@ -223,7 +226,7 @@ func DurablePrefix(next int, recs []Record) int {
 // past the gap. A record *behind* the durable prefix is a hard error and
 // the group is refused: it means the log belongs to a different campaign
 // (e.g. another -seed), and splicing would corrupt both.
-func (l *ResumableLog) AppendBatch(recs []Record) (int, error) {
+func (l *ResumableLog) AppendBatch(lines *bytes.Buffer, recs []Record) (int, error) {
 	n := DurablePrefix(l.next, recs)
 	if n < len(recs) && !recs[n].Cancelled() && recs[n].Scenario < l.next+n {
 		return 0, fmt.Errorf("campaign: record %d out of order in %s (next is %d; different campaign seed? use a fresh -out file)",
@@ -232,16 +235,19 @@ func (l *ResumableLog) AppendBatch(recs []Record) (int, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	var lines, sums bytes.Buffer
+	base := lines.Len()
+	var sums bytes.Buffer
 	for _, rec := range recs[:n] {
 		start := lines.Len()
-		if err := AppendJSONL(&lines, rec); err != nil {
+		if err := AppendJSONL(lines, rec); err != nil {
+			lines.Truncate(base)
 			return 0, err
 		}
 		fmt.Fprintf(&sums, "%08x\n", crc32.Checksum(lines.Bytes()[start:], resumeCRCTable))
 	}
 	first, last := recs[0].Scenario, recs[n-1].Scenario
-	if err := appendDurable(l.f, &l.size, lines.Bytes()); err != nil {
+	if err := appendDurable(l.f, &l.size, lines.Bytes()[base:]); err != nil {
+		lines.Truncate(base)
 		return 0, fmt.Errorf("campaign: append records %d-%d: %w", first, last, err)
 	}
 	for _, rec := range recs[:n] {

@@ -333,26 +333,29 @@ func (r *run) journalLoop() {
 // commit makes one group durable and then visible: the journal appends the
 // group's lines with one fsync and their checksums with another
 // (campaign.ResumableLog.AppendBatch), and only the records it reports
-// durable join the event log — without a journal, the same contiguous
-// prefix (campaign.DurablePrefix). Then every subscriber is offered the
-// fresh per-run metrics snapshot (lossy) and woken (lossless log tail). It
-// reports false after failing the run.
+// durable join the event log, carrying the lines it wrote. Without a
+// journal, the same contiguous prefix (campaign.DurablePrefix) is encoded
+// here. Then every subscriber is offered the fresh per-run metrics
+// snapshot (lossy) and woken (lossless log tail). It reports false after
+// failing the run.
 func (r *run) commit(batch []campaign.Record) bool {
-	n := len(batch)
-	var err error
+	var (
+		buf bytes.Buffer
+		n   int
+		err error
+	)
 	if r.journal != nil {
-		n, err = r.journal.AppendBatch(batch)
+		n, err = r.journal.AppendBatch(&buf, batch)
 	} else {
 		r.mu.Lock()
 		next := len(r.log)
 		r.mu.Unlock()
 		n = campaign.DurablePrefix(next, batch)
-	}
-	var buf bytes.Buffer
-	for i, rec := range batch[:n] {
-		if encErr := campaign.AppendJSONL(&buf, rec); encErr != nil {
-			n, err = i, encErr
-			break
+		for i, rec := range batch[:n] {
+			if encErr := campaign.AppendJSONL(&buf, rec); encErr != nil {
+				n, err = i, encErr
+				break
+			}
 		}
 	}
 	// The events keep their lines for the daemon's lifetime: one exact-size

@@ -645,14 +645,10 @@ func (t *RoundTracker) Rounds() int { return t.rounds }
 // count of nodes still missing is derived from the stamps on restore.
 func (t *RoundTracker) CheckpointState() []byte {
 	var e snapshot.Enc
+	e.Grow(3*8 + t.n) // two ints, the stamps' length and a byte per stamp
 	e.Int(t.rounds)
 	e.Int(t.pending)
-	e.IntsFunc(t.n, func(v int) int {
-		if t.seen[v] == t.stamp {
-			return 1
-		}
-		return 0
-	})
+	e.Flags(t.seen, t.stamp)
 	return e.Bytes()
 }
 
@@ -666,28 +662,25 @@ func (t *RoundTracker) CheckpointState() []byte {
 // until the round completes and resets it.
 func RestoreRoundTracker(n, step int, data []byte) (*RoundTracker, error) {
 	d := snapshot.NewDec(data)
-	t := NewRoundTracker(n)
-	t.rounds = d.Int()
-	t.pending = d.Int()
-	bad := -1 // first node whose stamp is neither 0 nor 1
-	got := d.IntsFunc(func(v, on int) {
-		switch {
-		case v >= n:
-		case on == 1:
-			t.seen[v] = t.stamp
-			t.remaining--
-		case on != 0 && bad < 0:
-			bad = v
-		}
-	})
+	rounds := d.Int()
+	pending := d.Int()
+	stamps := d.Ints()
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
+	if len(stamps) != n {
+		return nil, fmt.Errorf("sched: tracker snapshot has %d stamps for %d nodes", len(stamps), n)
+	}
+	// With the current round's stamp at 1, the decoded 0/1 stamps are the
+	// tracker's seen array as they stand.
+	t := &RoundTracker{n: n, seen: stamps, stamp: 1, remaining: n, pending: pending, rounds: rounds}
+	for v, on := range stamps {
+		if on != 0 && on != 1 {
+			return nil, fmt.Errorf("sched: tracker snapshot stamp of node %d is neither 0 nor 1", v)
+		}
+		t.remaining -= on
+	}
 	switch {
-	case got != n:
-		return nil, fmt.Errorf("sched: tracker snapshot has %d stamps for %d nodes", got, n)
-	case bad >= 0:
-		return nil, fmt.Errorf("sched: tracker snapshot stamp of node %d is neither 0 nor 1", bad)
 	case t.rounds < 0 || t.rounds > step:
 		return nil, fmt.Errorf("sched: tracker snapshot has %d rounds after %d steps", t.rounds, step)
 	case t.pending < -1 || t.pending >= n:

@@ -237,8 +237,10 @@ func (e *Engine) ChurnSkipped() int {
 
 // ApplyDelta commits a topology mutation batch at a step boundary and
 // repairs every incremental layer: the dirty frontier is seeded with each
-// touched endpoint's neighborhood, and a TopologyObserver receives one
-// RewireEdge per change. The delta must wrap the engine's own graph.
+// touched endpoint's neighborhood, a TopologyObserver receives one
+// RewireEdge per change, and a batch that commits a change drops
+// SaveState's encoded topology, so the next save encodes the new CSR. The
+// delta must wrap the engine's own graph.
 //
 // It must be called between steps, on the goroutine driving the engine —
 // the same discipline as SetState and InjectFaults. The committed changes
@@ -259,6 +261,8 @@ func (e *Engine) ApplyDelta(d *graph.Delta) ([]graph.EdgeChange, error) {
 	if len(changes) == 0 {
 		return nil, nil
 	}
+	// SaveState's copy of the encoded topology no longer matches the CSR.
+	e.topoEnc = nil
 	if e.wr != nil {
 		// The commit re-compacted the CSR arrays (possibly replacing the
 		// backing storage); re-fetch the word runtime's adjacency views.

@@ -140,6 +140,13 @@ type Engine struct {
 	stepAct  int
 	stepEval int
 	stepChg  int
+
+	// topoEnc is SaveState's memo of the encoded CSR arrays (a copy, not
+	// the arrays), reused until ApplyDelta commits a change; nil before the
+	// first save. saveSize is the previous save's engine-section length,
+	// which sizes the next one's buffer.
+	topoEnc  []byte
+	saveSize int
 }
 
 // frontierRuntime holds the frontier-sparse execution state of an engine:

@@ -66,8 +66,16 @@ type RestoreOptions struct {
 // section). It must be called between steps, on the goroutine
 // driving the engine — the same discipline as SetState — so the staged
 // scratch is empty and every rng stream sits at a step boundary.
+//
+// The engine encodes its topology, two thirds of a snapshot's bytes, on
+// its first save and keeps a copy of those bytes, which later saves append
+// verbatim until ApplyDelta commits a change to the graph; the graph must
+// change through ApplyDelta only, as every churn path does. An engine from
+// Restore starts without the copy. The section's buffer is sized from the
+// previous save's.
 func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 	var enc snapshot.Enc
+	enc.Grow(e.saveSize + e.saveSize/8)
 
 	// Identity and position.
 	n := e.g.N()
@@ -78,12 +86,18 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 
 	// Topology: the current CSR arrays (the graph may have churned away
 	// from whatever the caller originally built).
-	offsets, neighbors := e.g.CSR()
-	enc.Ints(offsets)
-	enc.Ints(neighbors)
+	if e.topoEnc == nil {
+		start := len(enc.Bytes())
+		offsets, neighbors := e.g.CSR()
+		enc.Ints(offsets)
+		enc.Ints(neighbors)
+		e.topoEnc = slices.Clone(enc.Bytes()[start:])
+	} else {
+		enc.Raw(e.topoEnc)
+	}
 
 	// Configuration and the rng stream with its untallied draws.
-	enc.IntsFunc(n, func(i int) int { return int(e.cfg[i]) })
+	enc.Ints(e.cfg)
 	enc.U64s(e.src.State())
 	enc.U64(e.coin.Pending())
 	enc.Ints(e.faultBuf)
@@ -122,6 +136,7 @@ func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 
 	words := e.Metrics().Snapshot().Words()
 	enc.U64s(words[:])
+	e.saveSize = len(enc.Bytes())
 
 	sections := append([]snapshot.Section{{Name: engineSection, Data: enc.Bytes()}}, extras...)
 	return snapshot.Write(w, sections)
@@ -214,14 +229,9 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, map[string][]byte, error) {
 		return nil, nil, fmt.Errorf("sim: snapshot graph has %d edges, header says %d", ck.g.M(), m)
 	}
 
-	ck.cfg = make(sa.Config, n)
-	got := d.IntsFunc(func(i, v int) {
-		if i < n {
-			ck.cfg[i] = sa.State(v)
-		}
-	})
-	if got != n && d.Err() == nil {
-		return nil, nil, fmt.Errorf("sim: snapshot configuration has %d states for %d nodes", got, n)
+	ck.cfg = d.Ints()
+	if len(ck.cfg) != n && d.Err() == nil {
+		return nil, nil, fmt.Errorf("sim: snapshot configuration has %d states for %d nodes", len(ck.cfg), n)
 	}
 	ck.coinState = d.U64s()
 	ck.coinPending = d.U64()

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -16,10 +17,10 @@ import (
 // TestSnapshotLargeGraphUnderASecond pins the checkpoint cost envelope: a
 // 10^5-node engine must SaveState and Restore in under a second combined
 // (the serialization is one varint-delta pass over the CSR arrays and the
-// configuration, flat copies of plane words, and a fixed-size state per rng
-// stream — nothing per-edge beyond the CSR itself, and nothing that grows
-// with the step count). The bound is relaxed under the race detector, whose
-// instrumentation taxes every word copy.
+// configuration, a byte per node of round-tracker stamps, and a fixed-size
+// state per rng stream — nothing per-edge beyond the CSR itself, and
+// nothing that grows with the step count). The bound is relaxed under the
+// race detector, whose instrumentation taxes every word copy.
 func TestSnapshotLargeGraphUnderASecond(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10^5-node instance; skipped with -short")
@@ -74,6 +75,44 @@ func TestSnapshotLargeGraphUnderASecond(t *testing.T) {
 		t.Fatal("large-graph restore diverged")
 	}
 	t.Logf("save+restore of %d nodes: %v, snapshot %d bytes", n, elapsed, buf.Len())
+}
+
+// BenchmarkSaveState times one SaveState of an engine shaped like the
+// checkpoint-fork benchmark's: a bounded-diameter graph of 10^5 nodes with
+// D = 4, dense scalar AlgAU under the "random" scheduler, a few steps in.
+// The staging buffer is reused, so the time is the encoder's.
+func BenchmarkSaveState(b *testing.B) {
+	au, err := core.NewAU(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := graph.BoundedDiameter(100_000, 4, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := sched.ByName("random", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := sim.New(g, au, sim.Options{Scheduler: s, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	for i := 0; i < 20; i++ {
+		if err := eng.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	for b.Loop() {
+		buf.Reset()
+		if err := eng.SaveState(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len()), "bytes/save")
 }
 
 // TestSteadyStepZeroAllocsCheckpointArmed: arming a run for checkpointing —

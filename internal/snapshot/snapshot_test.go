@@ -239,7 +239,7 @@ func TestDecStickyErrors(t *testing.T) {
 
 // TestIntsVarintExtremes: varint-delta sequences round-trip the extremes of
 // int, where the deltas between neighbors wrap around and decoding must
-// wrap back, through both Ints and IntsFunc.
+// wrap back.
 func TestIntsVarintExtremes(t *testing.T) {
 	alternating := make([]int, 64)
 	for i := range alternating {
@@ -255,17 +255,13 @@ func TestIntsVarintExtremes(t *testing.T) {
 		{0, math.MinInt64, math.MaxInt64, 0, -1, 1},
 		alternating,
 		{math.MinInt64, math.MinInt64 + 1, math.MaxInt64 - 1, math.MaxInt64},
+		{0, 127, -64, 63, 8191, -8192, 1 << 40},
 	} {
 		var e snapshot.Enc
 		e.Ints(v)
-		e.IntsFunc(len(v), func(i int) int { return v[i] })
 		d := snapshot.NewDec(e.Bytes())
 		if got := d.Ints(); !slices.Equal(got, v) {
 			t.Fatalf("Ints round trip: %v, want %v", got, v)
-		}
-		var got []int
-		if n := d.IntsFunc(func(i, x int) { got = append(got, x) }); n != len(v) || !slices.Equal(got, v) {
-			t.Fatalf("IntsFunc round trip: %d elements %v, want %v", n, got, v)
 		}
 		if err := d.Done(); err != nil {
 			t.Fatal(err)
@@ -273,8 +269,38 @@ func TestIntsVarintExtremes(t *testing.T) {
 	}
 }
 
+// TestFlagsAreIntsOfZerosAndOnes: Flags writes, byte for byte, what Ints
+// writes for its flags as 0s and 1s, and Ints reads them back.
+func TestFlagsAreIntsOfZerosAndOnes(t *testing.T) {
+	const mark = 7
+	for _, v := range [][]int{
+		{},
+		{0},
+		{mark},
+		{mark, mark, 0, 6, mark, 8, mark, mark, mark},
+		{-mark, mark, 1, mark, mark + 1, mark},
+	} {
+		want := make([]int, len(v))
+		for i, s := range v {
+			if s == mark {
+				want[i] = 1
+			}
+		}
+		var ints, flags snapshot.Enc
+		ints.Ints(want)
+		flags.Flags(v, mark)
+		if !bytes.Equal(flags.Bytes(), ints.Bytes()) {
+			t.Fatalf("Flags(%v, %d) wrote % x, Ints(%v) wrote % x", v, mark, flags.Bytes(), want, ints.Bytes())
+		}
+		d := snapshot.NewDec(flags.Bytes())
+		if got := d.Ints(); !slices.Equal(got, want) || d.Done() != nil {
+			t.Fatalf("Ints read Flags(%v, %d) back as %v, want %v (%v)", v, mark, got, want, d.Done())
+		}
+	}
+}
+
 // TestIntsRejectsBadVarints: a sequence whose varints run past the payload
-// or encode more than 64 bits fails loudly, through Ints and IntsFunc.
+// or encode more than 64 bits fails loudly.
 func TestIntsRejectsBadVarints(t *testing.T) {
 	seq := func(n int, body ...byte) []byte {
 		var e snapshot.Enc
@@ -292,10 +318,6 @@ func TestIntsRejectsBadVarints(t *testing.T) {
 		d := snapshot.NewDec(data)
 		if v := d.Ints(); v != nil || d.Err() == nil {
 			t.Fatalf("%s: Ints returned %v, err %v", name, v, d.Err())
-		}
-		d = snapshot.NewDec(data)
-		if n := d.IntsFunc(func(int, int) {}); n != 0 || d.Err() == nil {
-			t.Fatalf("%s: IntsFunc returned %d, err %v", name, n, d.Err())
 		}
 	}
 }
@@ -348,8 +370,8 @@ func FuzzDec(f *testing.F) {
 	e.Blob([]byte("x"))
 	f.Add(e.Bytes())
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
-	// Varint sequences at the Ints and IntsFunc getters: cut mid-element,
-	// and with an element over 64 bits.
+	// Varint sequences at the two Ints getters: cut mid-element, and with
+	// an element over 64 bits.
 	for _, getter := range []int{5, 7} {
 		for _, bad := range [][]byte{
 			{0x80},
@@ -386,5 +408,6 @@ var fuzzGetters = []struct {
 	{func(d *snapshot.Dec) { d.U64s() }, func(e *snapshot.Enc) { e.U64s(nil) }},
 	{func(d *snapshot.Dec) { d.Ints() }, func(e *snapshot.Enc) { e.Ints(nil) }},
 	{func(d *snapshot.Dec) { d.Blob() }, func(e *snapshot.Enc) { e.Blob(nil) }},
-	{func(d *snapshot.Dec) { d.IntsFunc(func(int, int) {}) }, func(e *snapshot.Enc) { e.IntsFunc(0, nil) }},
+	// A second Ints getter, whose seeds write a Flags sequence.
+	{func(d *snapshot.Dec) { d.Ints() }, func(e *snapshot.Enc) { e.Flags(nil, 0) }},
 }
