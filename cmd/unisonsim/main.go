@@ -25,6 +25,7 @@ import (
 	"thinunison/internal/core"
 	"thinunison/internal/graph"
 	"thinunison/internal/obs"
+	"thinunison/internal/randx"
 	"thinunison/internal/sched"
 	"thinunison/internal/sim"
 	"thinunison/internal/snapshot"
@@ -148,7 +149,7 @@ func run() error {
 		tracer.SetSnapshotRef(*restorePath)
 		fmt.Printf("restored %s: step %d, round %d\n", *restorePath, eng.StepCount(), eng.Rounds())
 	} else {
-		rng := rand.New(rand.NewSource(*seed))
+		rng := rand.New(randx.NewSource(*seed))
 		g, err := graph.FromFamily(graph.Family(*family), *n, maxInt(*d, 1), rng)
 		if err != nil {
 			return err

@@ -18,6 +18,7 @@ import (
 
 	"thinunison/internal/core"
 	"thinunison/internal/graph"
+	"thinunison/internal/randx"
 	"thinunison/internal/sched"
 	"thinunison/internal/sim"
 )
@@ -60,7 +61,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.EdgeDensity == 0 {
 		cfg.EdgeDensity = 0.2
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(randx.NewSource(cfg.Seed))
 	g, err := graph.RandomConnected(cfg.Cells, cfg.EdgeDensity, rng)
 	if err != nil {
 		return nil, err

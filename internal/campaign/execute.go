@@ -15,6 +15,7 @@ import (
 	"thinunison/internal/le"
 	"thinunison/internal/mis"
 	"thinunison/internal/obs"
+	"thinunison/internal/randx"
 	"thinunison/internal/restart"
 	"thinunison/internal/sim"
 	"thinunison/internal/stats"
@@ -154,7 +155,7 @@ func executeOnce(ctx context.Context, sc Scenario, mx *obs.Metrics) Record {
 		rec.fail(fmt.Errorf("campaign: topology churn requires algorithm %q, got %q", AlgAU, sc.Algorithm))
 		return rec
 	}
-	rng := rand.New(rand.NewSource(sc.Seed))
+	rng := rand.New(randx.NewSource(sc.Seed))
 	g, err := graph.FromFamily(sc.Family, sc.N, sc.D, rng)
 	if err != nil {
 		rec.fail(fmt.Errorf("build graph: %w", err))

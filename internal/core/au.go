@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"thinunison/internal/graph"
 	"thinunison/internal/sa"
 )
 
@@ -60,10 +61,11 @@ func (t Turn) String() string {
 type AU struct {
 	d       int
 	ls      Levels
-	variant Variant   // zero value = the paper's algorithm; see variant.go
-	pool    sync.Pool // *tscratch buffers, so the wide Classify path is allocation-free
-	tab     *auTable  // precompiled Table 1 masks; see table.go
-	kern    *wordEval // sa.WordEval over tab, nil when |Q| > 64
+	variant Variant    // zero value = the paper's algorithm; see variant.go
+	pool    sync.Pool  // *tscratch buffers, so the pooled Classify path (D ≥ 11) is allocation-free
+	tab     *auTable   // precompiled Table 1 masks; see table.go
+	kern    *wordEval  // sa.WordEval over tab, nil when |Q| > 64
+	turns   turnTables // per-state level positions and faulty flags; see GraphGood
 }
 
 var (
@@ -88,13 +90,65 @@ func NewAU(d int) (*AU, error) {
 }
 
 // finish precompiles the transition table (and, when the state space fits in
-// a machine word, the word kernel) for a constructed instance.
+// a machine word, the word kernel) and the per-state turn tables for a
+// constructed instance.
 func (a *AU) finish() {
 	a.pool.New = func() any { return new(tscratch) }
 	a.tab = buildAUTable(a)
 	if a.tab.single {
 		a.kern = &wordEval{t: a.tab}
 	}
+	nq := a.NumStates()
+	a.turns = turnTables{
+		posOf:    make([]int32, nq),
+		faultyOf: make([]bool, nq),
+		order:    int32(a.ls.Order()),
+	}
+	for q := range nq {
+		t := a.Turn(q)
+		a.turns.posOf[q] = int32(a.ls.Index(t.Level))
+		a.turns.faultyOf[q] = t.Faulty
+	}
+}
+
+// turnTables are the per-state tables, O(|Q|), that the goodness predicate
+// reads instead of decoding turns: the position of q's level on the φ-cycle
+// (Levels.Index) and whether q is a faulty turn. Two levels are adjacent
+// when their positions differ by 0, ±1 or ±(order−1). An AU builds them
+// once; every GoodMonitor of the instance shares them.
+type turnTables struct {
+	posOf    []int32
+	faultyOf []bool
+	order    int32
+}
+
+// adjacent reports whether the levels at φ-cycle positions a and b are
+// adjacent (Levels.Adjacent).
+func (tt *turnTables) adjacent(a, b int32) bool {
+	d := a - b
+	if d < 0 {
+		d = -d
+	}
+	return d <= 1 || d == tt.order-1
+}
+
+// goodIn reports whether node v of g is good under the configuration cfg:
+// able, with every neighbor able at an adjacent level. It is NodeGood in
+// O(deg v) table reads, the per-node test of GraphGood and of a deferred
+// GoodMonitor's scans.
+func (tt *turnTables) goodIn(g *graph.Graph, cfg []sa.State, v int) bool {
+	qv := cfg[v]
+	if tt.faultyOf[qv] {
+		return false
+	}
+	pv := tt.posOf[qv]
+	for _, u := range g.Neighbors(v) {
+		qu := cfg[u]
+		if tt.faultyOf[qu] || !tt.adjacent(pv, tt.posOf[qu]) {
+			return false
+		}
+	}
+	return true
 }
 
 // D returns the diameter bound the instance was built for.
@@ -179,12 +233,21 @@ func (a *AU) StateName(q sa.State) string { return a.Turn(q).String() }
 // AF inward-faulty sense, the AA Λ ⊆ {ℓ, φ(ℓ)} subset test, the FA outward
 // guard (with the EagerFA/DisableFaultPropagation ablations folded in at
 // construction) — is a precompiled mask test against the signal words
-// (table.go). When the state space fits in one machine word the whole
-// classification runs scratch-free on the single-word rows; wider instances
-// take the pooled stride-word path.
+// (table.go). The single-word rows are built whenever the 2k level
+// positions fit in one machine word (order ≤ 64, D ≤ 10), so a signal of
+// one or two words is classified in registers, scratch-free; wider
+// instances take the pooled stride-word path.
 func (a *AU) Classify(q sa.State, sig sa.Signal) (TransitionType, sa.State) {
 	if a.tab.single {
 		return a.tab.classifyWord(q, sig.Words()[0])
+	}
+	if t := a.tab; t.rows {
+		// Two words: the faulty ordinals are the bits of the pair from
+		// position order up, shifted down into one word. At order = 64 the
+		// first shift yields 0 and the second shifts by 0, leaving w[1].
+		w := sig.Words()
+		sh := uint(t.order)
+		return t.classifyMasks(q, w[0], w[0]>>sh|w[1]<<(64-sh))
 	}
 	s, ok := a.pool.Get().(*tscratch)
 	if !ok {

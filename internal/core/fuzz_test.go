@@ -9,20 +9,27 @@ import (
 
 // FuzzClassifyAgainstReference cross-checks the production transition
 // function against the independent Table 1 transcription on fuzzer-chosen
-// (D, state, signal) inputs. Run with
+// (D, state, signal) inputs for D = 1 … 12: one-word signals (D ≤ 4),
+// two-word ones (D = 5 … 10) and the pooled path (D ≥ 11). The two signal
+// words give the sensed states mod 128. Run with
 //
-//	go test -fuzz=FuzzClassifyAgainstReference ./internal/core
+//	go test -run '^$' -fuzz '^FuzzClassifyAgainstReference$' ./internal/core
 //
 // to explore beyond the seed corpus; in normal test runs the corpus below
 // is executed deterministically.
 func FuzzClassifyAgainstReference(f *testing.F) {
-	f.Add(uint8(1), uint8(0), uint64(0))
-	f.Add(uint8(2), uint8(7), uint64(0xdeadbeef))
-	f.Add(uint8(3), uint8(41), uint64(0xffffffffffffffff))
-	f.Add(uint8(4), uint8(12), uint64(1)<<53)
+	f.Add(uint8(1), uint8(0), uint64(0), uint64(0))
+	f.Add(uint8(2), uint8(7), uint64(0xdeadbeef), uint64(0))
+	f.Add(uint8(3), uint8(41), uint64(0xffffffffffffffff), uint64(0))
+	f.Add(uint8(4), uint8(12), uint64(1)<<53, uint64(0))
+	// dRaw is D − 1: D = 5, D = 10 (order 64) and D = 11 (pooled path).
+	f.Add(uint8(4), uint8(40), uint64(1)<<35|1<<2, uint64(1)<<1)
+	f.Add(uint8(9), uint8(70), uint64(1)<<63|1<<1, uint64(1)<<61|1<<3)
+	f.Add(uint8(9), uint8(125), uint64(1)<<62, uint64(1)<<60)
+	f.Add(uint8(10), uint8(137), uint64(0x0f0f0f0f0f0f0f0f), uint64(0xf0f0f0f0f0f0f0f0))
 
-	f.Fuzz(func(t *testing.T, dRaw, qRaw uint8, bits uint64) {
-		d := 1 + int(dRaw)%4
+	f.Fuzz(func(t *testing.T, dRaw, qRaw uint8, bits0, bits1 uint64) {
+		d := 1 + int(dRaw)%12
 		au, err := core.NewAU(d)
 		if err != nil {
 			t.Fatal(err)
@@ -30,8 +37,9 @@ func FuzzClassifyAgainstReference(f *testing.F) {
 		q := int(qRaw) % au.NumStates()
 		sig := sa.NewSignal(au.NumStates())
 		sig.Set(q) // nodes always sense themselves
-		for s := 0; s < au.NumStates() && s < 64; s++ {
-			if bits&(1<<uint(s)) != 0 {
+		words := [2]uint64{bits0, bits1}
+		for s := 0; s < au.NumStates(); s++ {
+			if words[s>>6&1]&(1<<uint(s&63)) != 0 {
 				sig.Set(s)
 			}
 		}

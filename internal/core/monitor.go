@@ -133,7 +133,8 @@ const maxWitnesses = 8
 //     the recovery series of BENCH_hotpath.json).
 //
 // The only per-node state besides the counters is the raw configuration
-// mirror; a node's level and faulty flag are looked up in per-state tables.
+// mirror; a node's level and faulty flag are looked up in the AU's
+// per-state tables, which every monitor of the instance shares.
 //
 // It implements sim.ConfigObserver: register it on an engine with
 // Engine.Observe and it sees every node state change (steps, SetState,
@@ -143,12 +144,7 @@ type GoodMonitor struct {
 
 	raw []sa.State // mirror of the configuration
 
-	// Per-state tables, O(|Q|): the position of q's level on the φ-cycle
-	// (Levels.Index) and whether q is a faulty turn. Two levels are adjacent
-	// when their positions differ by 0, ±1 or ±(order−1).
-	posOf    []int32
-	faultyOf []bool
-	order    int32
+	turnTables // the AU's per-state tables, shared
 
 	deferred  bool  // true until a scan first finds the graph good
 	witnesses []int // recently observed bad nodes (deferred mode only)
@@ -179,37 +175,19 @@ func (m *GoodMonitor) countTransition(oldF, newF bool) {
 }
 
 // NewGoodMonitor returns a monitor initialized from cfg. It starts in the
-// deferred regime: an O(n) raw copy plus the O(|Q|) per-state tables, no
-// counter scan.
+// deferred regime: an O(n) raw copy, no counter scan.
 func NewGoodMonitor(au *AU, g *graph.Graph, cfg sa.Config) *GoodMonitor {
-	n, nq := g.N(), au.NumStates()
+	n := g.N()
 	m := &GoodMonitor{
-		g:        g,
-		raw:      make([]sa.State, n),
-		posOf:    make([]int32, nq),
-		faultyOf: make([]bool, nq),
-		order:    int32(au.ls.Order()),
-		unprot:   make([]int32, n),
-		fnbrs:    make([]int32, n),
-		deferred: true,
-	}
-	for q := range m.posOf {
-		t := au.Turn(q)
-		m.posOf[q] = int32(au.ls.Index(t.Level))
-		m.faultyOf[q] = t.Faulty
+		g:          g,
+		raw:        make([]sa.State, n),
+		turnTables: au.turns,
+		unprot:     make([]int32, n),
+		fnbrs:      make([]int32, n),
+		deferred:   true,
 	}
 	copy(m.raw, cfg)
 	return m
-}
-
-// adjacent reports whether the levels at φ-cycle positions a and b are
-// adjacent (Levels.Adjacent).
-func (m *GoodMonitor) adjacent(a, b int32) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d <= 1 || d == m.order-1
 }
 
 // ApplyWordBatch implements sim.WordBatchObserver: a word-parallel engine
@@ -285,21 +263,9 @@ func (m *GoodMonitor) rebucket(v int, wasGood bool) {
 }
 
 // nodeGoodScan re-derives NodeGood from the raw mirror in O(deg v),
-// without counters — the deferred regime's primitive.
-func (m *GoodMonitor) nodeGoodScan(v int) bool {
-	qv := m.raw[v]
-	if m.faultyOf[qv] {
-		return false
-	}
-	pv := m.posOf[qv]
-	for _, u := range m.g.Neighbors(v) {
-		qu := m.raw[u]
-		if m.faultyOf[qu] || !m.adjacent(pv, m.posOf[qu]) {
-			return false
-		}
-	}
-	return true
-}
+// without counters — the deferred regime's primitive, GraphGood's per-node
+// test.
+func (m *GoodMonitor) nodeGoodScan(v int) bool { return m.goodIn(m.g, m.raw, v) }
 
 // Apply implements sim.ConfigObserver: node v changed its state to q. In
 // the deferred regime it is a single raw-mirror store; in the incremental

@@ -76,9 +76,12 @@ func (a *AU) GraphProtected(g *graph.Graph, cfg sa.Config) bool {
 // GraphGood reports whether every node is good under cfg. By Lem. 2.10 and
 // 2.11, a good graph stays good forever and satisfies the AU task from that
 // time on — so "good graph" is exactly the stabilization condition of AlgAU.
+// Each node is tested from the instance's per-state tables, not through
+// NodeGood's turn decoding, since fork futures and the stabilization loops
+// scan whole 10⁵-node graphs with it.
 func (a *AU) GraphGood(g *graph.Graph, cfg sa.Config) bool {
 	for v := 0; v < g.N(); v++ {
-		if !a.NodeGood(g, cfg, v) {
+		if !a.turns.goodIn(g, cfg, v) {
 			return false
 		}
 	}

@@ -81,6 +81,78 @@ func TestNodeGood(t *testing.T) {
 	}
 }
 
+// TestGraphGoodMatchesNodeGood: the per-node test from per-state tables,
+// which GraphGood and a deferred GoodMonitor's scans share, agrees with
+// NodeGood for D = 1 … 12 — GraphGood with NodeGood over every node, and a
+// deferred monitor's BadNodes count with NodeGood's — on configurations that
+// are good or one corrupted node away from good (so both verdicts occur,
+// across the seam of the φ-cycle too), including a churned graph whose
+// crashed nodes are isolated.
+func TestGraphGoodMatchesNodeGood(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	cycle, err := graph.Cycle(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	random, err := graph.RandomConnected(20, 0.2, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := graph.BoundedDiameter(30, 3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := graph.NewDelta(base)
+	for _, v := range []int{0, 7, 19} {
+		if err := delta.Crash(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := delta.InsertEdge(3, 25); err != nil {
+		t.Fatal(err)
+	}
+	delta.Apply()
+	churned := delta.Graph()
+	if churned.Degree(7) != 0 {
+		t.Fatalf("crashed node 7 keeps degree %d", churned.Degree(7))
+	}
+	graphs := map[string]*graph.Graph{"cycle": cycle, "random": random, "churned": churned}
+	for d := 1; d <= maxClassifyD; d++ {
+		au := mustAU(t, d)
+		ls := au.Levels()
+		for name, g := range graphs {
+			verdicts := map[bool]int{}
+			cfg := make(sa.Config, g.N())
+			for range 200 {
+				p := rng.Intn(ls.Order())
+				for v := range cfg {
+					cfg[v] = au.MustState(core.Turn{Level: ls.FromIndex(p + rng.Intn(2))})
+				}
+				if rng.Intn(4) != 0 {
+					cfg[rng.Intn(g.N())] = rng.Intn(au.NumStates())
+				}
+				bad := 0
+				for v := range g.N() {
+					if !au.NodeGood(g, cfg, v) {
+						bad++
+					}
+				}
+				got := au.GraphGood(g, cfg)
+				if want := bad == 0; got != want {
+					t.Fatalf("D=%d %s: GraphGood %v, NodeGood over every node %v", d, name, got, want)
+				}
+				if n := core.NewGoodMonitor(au, g, cfg).BadNodes(); n != bad {
+					t.Fatalf("D=%d %s: deferred monitor counts %d bad nodes, NodeGood %d", d, name, n, bad)
+				}
+				verdicts[got]++
+			}
+			if len(verdicts) != 2 {
+				t.Fatalf("D=%d %s: verdicts %v, want both", d, name, verdicts)
+			}
+		}
+	}
+}
+
 func TestOutProtected(t *testing.T) {
 	g := pathGraph(t, 2)
 	au := mustAU(t, 2)

@@ -14,14 +14,18 @@ import (
 // and (possibly ablated) variant, and is immutable afterwards.
 //
 // Masks come in two parallel forms: the general stride-word rows serve any
-// state space, and when |Q| ≤ 64 (so a whole signal fits in one machine
-// word) the single-word rows additionally power classifyWord — the inner
-// loop of the word-parallel kernel and of the allocation-free scalar
-// Classify fast path.
+// state space, and when the 2k level positions fit in one machine word
+// (order ≤ 64, i.e. D ≤ 10) the single-word rows additionally power the
+// register-only mask tests of classifyMasks. Their two entries are
+// classifyWord, for a signal of one word (|Q| ≤ 64, D ≤ 4: the inner loop
+// of the word-parallel kernel and the scalar Classify fast path), and
+// Classify's two-word branch (D = 5 … 10). Only wider instances take the
+// pooled stride-word path.
 type auTable struct {
 	k, order, numStates int
-	stride              int // words per level-index mask row
-	single              bool
+	stride              int  // words per level-index mask row
+	single              bool // |Q| ≤ 64: a signal is one word
+	rows                bool // order ≤ 64: the single-word rows are built
 
 	// General stride-word rows, flat at row*stride.
 	adj     []uint64 // able q: levels adjacent to λ(q); protection test
@@ -34,10 +38,11 @@ type auTable struct {
 	fmap    []int32  // faulty ordinal o: Index(λ)
 	tail    uint64   // mask of the level-index bits in the last stride word
 
-	// Single-word rows (valid iff single): signals are one uint64 with bit q
-	// = state q sensed; faulty sense bits are remapped into level-index
-	// space by a shift-and-mask (ordinals < k−1 stay in place, the rest
-	// move up by two — the able levels ±1 have no faulty turns).
+	// Single-word rows (valid iff rows): a level-index mask is one uint64;
+	// the faulty sense bits, gathered into one word of faulty ordinals, are
+	// remapped into level-index space by a shift-and-mask (ordinals < k−1
+	// stay in place, the rest move up by two — the able levels ±1 have no
+	// faulty turns).
 	ableW uint64 // low 2k bits of the signal word
 	lowF  uint64 // faulty ordinals that map to their own level index
 	adjW  []uint64
@@ -56,6 +61,7 @@ func buildAUTable(a *AU) *auTable {
 		k: k, order: order, numStates: numStates,
 		stride: stride,
 		single: numStates <= 64,
+		rows:   order <= 64,
 		adj:    make([]uint64, order*stride),
 		aa:     make([]uint64, order*stride),
 		inF:    make([]int32, order),
@@ -105,7 +111,7 @@ func buildAUTable(a *AU) *auTable {
 		}
 	}
 
-	if t.single {
+	if t.rows {
 		t.ableW = 1<<uint(order) - 1
 		t.lowF = 1<<uint(k-1) - 1
 		t.adjW = make([]uint64, order)
@@ -126,9 +132,10 @@ func buildAUTable(a *AU) *auTable {
 	return t
 }
 
-// faultyLevels remaps the faulty sense bits of a one-word signal into
-// level-index space: ordinal o maps to bit o for o < k−1 and to bit o+2
-// otherwise (λ = ±1 has no faulty turn, leaving a two-bit gap).
+// faultyLevels remaps a word of faulty ordinals (bit o: faulty state
+// order+o sensed) into level-index space: ordinal o maps to bit o for
+// o < k−1 and to bit o+2 otherwise (λ = ±1 has no faulty turn, leaving a
+// two-bit gap).
 func (t *auTable) faultyLevels(fBits uint64) uint64 {
 	return fBits&t.lowF | fBits>>uint(t.k-1)<<uint(t.k+1)
 }
@@ -136,8 +143,15 @@ func (t *auTable) faultyLevels(fBits uint64) uint64 {
 // classifyWord is the Table 1 decision procedure over a one-word signal:
 // bit q of sw reports that state q is sensed. Valid only when t.single.
 func (t *auTable) classifyWord(q sa.State, sw uint64) (TransitionType, sa.State) {
-	fLvl := t.faultyLevels(sw >> uint(t.order))
-	lm := sw&t.ableW | fLvl
+	return t.classifyMasks(q, sw, sw>>uint(t.order))
+}
+
+// classifyMasks runs the Table 1 mask tests of a node in state q that
+// senses the able levels of able (bit i: able state i; bits from order up
+// are ignored) and the faulty ordinals of fBits. Valid only when t.rows.
+func (t *auTable) classifyMasks(q sa.State, able, fBits uint64) (TransitionType, sa.State) {
+	fLvl := t.faultyLevels(fBits)
+	lm := able&t.ableW | fLvl
 	if q >= t.order { // faulty turn: FA iff nothing outwards is sensed
 		o := q - t.order
 		if lm&t.outW[o] != 0 {

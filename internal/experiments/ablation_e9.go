@@ -7,6 +7,7 @@ import (
 	"thinunison/internal/budget"
 	"thinunison/internal/core"
 	"thinunison/internal/graph"
+	"thinunison/internal/randx"
 	"thinunison/internal/sim"
 	"thinunison/internal/stats"
 )
@@ -27,7 +28,7 @@ import (
 // stabilize always.
 func E9(cfg Config) (Result, error) {
 	cfg.defaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 9))
+	rng := rand.New(randx.NewSource(cfg.Seed + 9))
 	res := Result{ID: "E9 (ablation: why k=3D+2, fault propagation, cautious FA)", OK: true}
 
 	d := 3

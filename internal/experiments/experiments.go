@@ -33,6 +33,7 @@ import (
 	"thinunison/internal/core"
 	"thinunison/internal/graph"
 	"thinunison/internal/naive"
+	"thinunison/internal/randx"
 	"thinunison/internal/sa"
 	"thinunison/internal/sched"
 	"thinunison/internal/sim"
@@ -327,7 +328,7 @@ func E3(cfg Config) (Result, error) {
 // within the O(D) bound.
 func E5(cfg Config) (Result, error) {
 	cfg.defaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 5))
+	rng := rand.New(randx.NewSource(cfg.Seed + 5))
 	res := Result{ID: "E5 (Thm 3.1: Restart exits concurrently within O(D))", OK: true}
 	tbl := stats.NewTable("Restart exit sweep", "D", "graphs", "trials", "median exit", "max exit", "bound 6D+4", "all concurrent")
 	maxD := 6
@@ -369,7 +370,7 @@ func E5(cfg Config) (Result, error) {
 // min-rule baseline, and their stabilization times.
 func E6(cfg Config) (Result, error) {
 	cfg.defaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 6))
+	rng := rand.New(randx.NewSource(cfg.Seed + 6))
 	res := Result{ID: "E6 (Sec. 5: AlgAU vs min-rule unison baseline)", OK: true}
 
 	states := stats.NewTable("State space for a given execution horizon H (independent of n for AlgAU)",

@@ -7,6 +7,7 @@ import (
 	"thinunison/internal/graph"
 	"thinunison/internal/le"
 	"thinunison/internal/mis"
+	"thinunison/internal/randx"
 	"thinunison/internal/restart"
 	"thinunison/internal/sched"
 	"thinunison/internal/stats"
@@ -18,7 +19,7 @@ import (
 // the predicted additive O(D³) overhead and O(D·|Q|²) state space.
 func E4(cfg Config) (Result, error) {
 	cfg.defaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 4))
+	rng := rand.New(randx.NewSource(cfg.Seed + 4))
 	res := Result{ID: "E4 (Cor 1.2: synchronizer lifts AlgLE/AlgMIS to asynchrony)", OK: true}
 
 	tbl := stats.NewTable("Asynchronous stabilization rounds (bounded-diameter family, D=2)",

@@ -26,6 +26,7 @@ import (
 	"thinunison/internal/core"
 	"thinunison/internal/graph"
 	"thinunison/internal/obs"
+	"thinunison/internal/randx"
 	"thinunison/internal/sa"
 	"thinunison/internal/sched"
 	"thinunison/internal/sim"
@@ -56,7 +57,7 @@ func (m Mode) String() string {
 const diameterBound = 4
 
 func buildInstance(n int, seed int64) (*graph.Graph, *core.AU, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(randx.NewSource(seed))
 	g, err := graph.BoundedDiameter(n, diameterBound, rng)
 	if err != nil {
 		return nil, nil, err

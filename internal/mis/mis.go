@@ -103,7 +103,8 @@ func (p *Params) defaults() error {
 	return nil
 }
 
-// Alg is AlgMIS: the module composition wrapped in Restart.
+// Alg is AlgMIS: the module composition wrapped in Restart. Like its
+// restart.Module, an Alg serves one engine at a time.
 type Alg struct {
 	p   Params
 	mod *restart.Module[State]

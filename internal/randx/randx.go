@@ -3,7 +3,10 @@
 // sampling, the counter-based per-node random streams behind the engines'
 // order-independent coin source, and Source, math/rand's
 // generator with a state that checkpoints save and set directly, at a cost
-// independent of how long the stream has run (see source.go).
+// independent of how long the stream has run. A Source also seeds from a
+// table of multiplier powers instead of walking the seed sequence, in about
+// a third of rand.NewSource's time, so run paths seed their streams with
+// NewSource and draw what rand.NewSource would (see source.go).
 package randx
 
 import (

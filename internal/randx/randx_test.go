@@ -101,6 +101,31 @@ func TestSourceMatchesMathRand(t *testing.T) {
 	}
 }
 
+// TestNewSourceSeedsLikeMathRand: over 1,000 seeds from a fixed stream (half
+// of them full 64-bit values, half below 2^31 in magnitude) and the edge
+// seeds, a Source's first two windows of draws are rand.NewSource's: the
+// first 607 draws read every seeded word, the next 607 their sums.
+func TestNewSourceSeedsLikeMathRand(t *testing.T) {
+	pick := rand.New(rand.NewSource(2024))
+	seeds := slices.Clone(sourceSeeds)
+	for i := range 1000 {
+		seed := int64(pick.Uint64())
+		if i%2 == 1 {
+			seed >>= 33
+		}
+		seeds = append(seeds, seed)
+	}
+	for _, seed := range seeds {
+		got := randx.NewSource(seed)
+		want := rand.NewSource(seed).(rand.Source64)
+		for i := range 2 * 607 {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d draw %d: %#x, want %#x", seed, i, g, w)
+			}
+		}
+	}
+}
+
 // TestSourceStateRoundTrip: a state saved at any position — inside the
 // seeded window, at its edge, past it and deep into the stream — sets a
 // differently seeded Source to continue the original stream exactly.
@@ -164,9 +189,9 @@ func TestSourceSetStateRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestNewSourceAllocatesAtMostOnce: building a stream costs what
-// rand.NewSource costs — the seeding walk and at most one allocation —
-// since campaigns build one to three streams per short scenario.
+// TestNewSourceAllocatesAtMostOnce: building a stream costs at most one
+// allocation, the Source itself, since campaigns build two to four streams
+// per short scenario.
 func TestNewSourceAllocatesAtMostOnce(t *testing.T) {
 	var keep []*randx.Source
 	got := testing.AllocsPerRun(100, func() { keep = append(keep[:0], randx.NewSource(5)) })

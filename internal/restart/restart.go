@@ -40,6 +40,11 @@ func (s State[S]) String() string {
 }
 
 // Module wires the Restart rules around a wrapped synchronous algorithm.
+//
+// A Module serves one engine at a time: Step hands the wrapped step its
+// sensed states in a buffer the Module owns and reuses, so it must not be
+// called concurrently, and the wrapped step must not keep the slice past
+// its return. Callers build one Module (one MIS/LE Alg) per engine.
 type Module[S comparable] struct {
 	d int
 	// Init returns the uniform initial state q*0 installed on exit.
@@ -48,6 +53,8 @@ type Module[S comparable] struct {
 	// true makes the node enter Restart (move to σ(0)) instead of adopting
 	// the returned state.
 	step func(self S, sensed []S, rng *rand.Rand) (next S, detect bool)
+	// sensed is Step's buffer of the wrapped states it hands to step.
+	sensed []S
 }
 
 // NewModule returns a Restart module for diameter bound d >= 1 wrapping the
@@ -118,10 +125,11 @@ func (m *Module[S]) Step(self State[S], sensed []State[S], rng *rand.Rand) State
 
 	// Entirely outside Restart: run the wrapped algorithm; a detection
 	// enters Restart.
-	sensedAlg := make([]S, len(sensed))
-	for i, s := range sensed {
-		sensedAlg[i] = s.Alg
+	sensedAlg := m.sensed[:0]
+	for _, s := range sensed {
+		sensedAlg = append(sensedAlg, s.Alg)
 	}
+	m.sensed = sensedAlg
 	next, detect := m.step(self.Alg, sensedAlg, rng)
 	if detect {
 		return m.Enter()

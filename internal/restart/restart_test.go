@@ -167,6 +167,38 @@ func TestNoSpuriousRestart(t *testing.T) {
 	}
 }
 
+// TestStepOutsideRestartAllocatesNothing: a step outside Restart hands the
+// wrapped step the sensed algorithm states without allocating, and hands
+// the right ones.
+func TestStepOutsideRestartAllocatesNothing(t *testing.T) {
+	var sum int
+	mod, err := restart.NewModule[counter](
+		2,
+		func() counter { return counter{} },
+		func(self counter, sensed []counter, _ *rand.Rand) (counter, bool) {
+			sum = 0
+			for _, s := range sensed {
+				sum += s.N
+			}
+			return counter{N: self.N + 1}, false
+		},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sensed := make([]restart.State[counter], 12)
+	for i := range sensed {
+		sensed[i] = restart.State[counter]{Alg: counter{N: i}}
+	}
+	self := restart.State[counter]{Alg: counter{N: 4}}
+	if n := testing.AllocsPerRun(100, func() { self = mod.Step(self, sensed, nil) }); n != 0 {
+		t.Fatalf("Step allocates %v times per call, want 0", n)
+	}
+	if sum != 66 || self.InRestart {
+		t.Fatalf("wrapped step saw a sum of %d, want 66; state %v", sum, self)
+	}
+}
+
 // TestDetectionTriggersGlobalReset checks the wrapper integration: a wrapped
 // algorithm that detects a fault at one node resets the entire graph.
 func TestDetectionTriggersGlobalReset(t *testing.T) {

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"thinunison/internal/graph"
+	"thinunison/internal/randx"
 	"thinunison/internal/sa"
 )
 
@@ -47,7 +48,7 @@ func New(g *graph.Graph, alg sa.Algorithm, initial sa.Config, seed int64) (*Runt
 		return nil, err
 	}
 	if initial == nil {
-		initial = sa.Random(g.N(), alg.NumStates(), rand.New(rand.NewSource(seed)))
+		initial = sa.Random(g.N(), alg.NumStates(), rand.New(randx.NewSource(seed)))
 	}
 	if len(initial) != g.N() {
 		return nil, fmt.Errorf("runtime: %d initial states for %d nodes", len(initial), g.N())
@@ -74,7 +75,7 @@ func (r *Runtime) Start() error {
 	for v := 0; v < r.g.N(); v++ {
 		v := v
 		r.done.Add(1)
-		go r.nodeLoop(v, rand.New(rand.NewSource(r.seed+int64(v)+1)))
+		go r.nodeLoop(v, rand.New(randx.NewSource(r.seed+int64(v)+1)))
 	}
 	return nil
 }

@@ -478,16 +478,30 @@ func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 // SignalOf computes the signal of node v under the current configuration
 // into sig, overwriting what it held. A signal of one word (|Q| <= 64, as
 // for AlgAU with D <= 4) is ORed together in a local word, one 1 << state
-// per node of N[v], and stored once; a wider one is reset and set state by
-// state.
+// per node of N[v], and stored once; one of two words (|Q| <= 128, AlgAU
+// with D <= 10) likewise in a local pair, each state setting its bit in
+// one word and shifting out of the other (Go shifts a uint64 by 64 or more
+// to 0, and q−64 wraps around for q < 64). A wider one is reset and set
+// state by state.
 func (e *Engine) SignalOf(v int, sig *sa.Signal) {
 	cfg := e.cfg
-	if w := sig.Words(); len(w) == 1 {
+	switch w := sig.Words(); len(w) {
+	case 1:
 		x := uint64(1) << uint(cfg[v])
 		for _, u := range e.g.Neighbors(v) {
 			x |= 1 << uint(cfg[u])
 		}
 		w[0] = x
+		return
+	case 2:
+		q := uint(cfg[v])
+		x0, x1 := uint64(1)<<q, uint64(1)<<(q-64)
+		for _, u := range e.g.Neighbors(v) {
+			q := uint(cfg[u])
+			x0 |= 1 << q
+			x1 |= 1 << (q - 64)
+		}
+		w[0], w[1] = x0, x1
 		return
 	}
 	sig.Reset()

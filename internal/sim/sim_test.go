@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"thinunison/internal/core"
 	"thinunison/internal/graph"
 	"thinunison/internal/sa"
 	"thinunison/internal/sched"
@@ -204,6 +205,45 @@ func TestSignalOfIncludesSelf(t *testing.T) {
 	eng.SignalOf(2, &sig)
 	if sig.Has(1) {
 		t.Error("node 2 should not sense state 1 (two hops away)")
+	}
+}
+
+// TestSignalOfTwoWords: on AlgAU engines whose signals take two words
+// (D = 6, |Q| = 78; D = 10, |Q| = 126), SignalOf yields, for every node,
+// the signal built state by state with Set. Every state occurs, among them
+// state 125, bit 61 of word 1.
+func TestSignalOfTwoWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, d := range []int{6, 10} {
+		au, err := core.NewAU(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nq := au.NumStates()
+		g, err := graph.RandomConnected(2*nq, 0.05, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		initial := make(sa.Config, g.N())
+		for v := range initial {
+			initial[v] = v % nq
+		}
+		eng, err := sim.New(g, au, sim.Options{Initial: initial})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := sa.NewSignal(nq), sa.NewSignal(nq)
+		for v := range g.N() {
+			eng.SignalOf(v, &got)
+			want.Reset()
+			want.Set(initial[v])
+			for _, u := range g.Neighbors(v) {
+				want.Set(initial[u])
+			}
+			if !got.Equal(want) {
+				t.Fatalf("D=%d node %d: SignalOf senses %v, want %v", d, v, got.States(), want.States())
+			}
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package snapshot
 
 import (
-	"bytes"
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -11,22 +11,18 @@ import (
 )
 
 // AtomicWriteFile durably replaces path with the bytes produced by write,
-// using the temp-file + fsync + rename protocol: the payload is staged in a
-// temp file in the same directory, synced, renamed over path, and the
-// directory synced. A crash (or injected fault) at any point leaves either
-// the old file or the new one — never a half-written artifact — so a
-// -checkpoint interrupted mid-write can never clobber a good older snapshot
-// with a torn TUSNAP01 container.
+// using the temp-file + fsync + rename protocol: write streams the payload
+// through a buffered writer straight into a temp file in the same
+// directory, which is synced, renamed over path, and the directory synced.
+// A crash (or injected fault) at any point leaves either the old file or
+// the new one — never a half-written artifact — so a -checkpoint
+// interrupted mid-write can never clobber a good older snapshot with a torn
+// TUSNAP01 container. An error from write removes the temp file and is
+// returned as is.
 //
 // The failpoint sites snapshot/write (torn payload) and snapshot/fsync
 // (failed sync) let chaos schedules exercise both crash windows.
 func AtomicWriteFile(path string, write func(w io.Writer) error) (err error) {
-	var buf bytes.Buffer
-	if err := write(&buf); err != nil {
-		return err
-	}
-	payload := buf.Bytes()
-
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -42,14 +38,20 @@ func AtomicWriteFile(path string, write func(w io.Writer) error) (err error) {
 		}
 	}()
 
-	if f := failpoint.Eval(failpoint.SnapshotWrite); f.Kind == failpoint.FailTorn {
-		// Persist a torn prefix, then fail: the temp file is discarded and
-		// path is untouched, which is exactly the crash-safety contract.
-		tmp.Write(payload[:f.CutAt(len(payload))])
-		return fmt.Errorf("snapshot: write %s: %w", path, f.Err())
+	bw := bufio.NewWriter(tmp)
+	if err := write(bw); err != nil {
+		return err
 	}
-	if _, err := tmp.Write(payload); err != nil {
+	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("snapshot: write %s: %w", path, err)
+	}
+	if f := failpoint.Eval(failpoint.SnapshotWrite); f.Kind == failpoint.FailTorn {
+		// Keep a torn prefix, then fail: the temp file is discarded and
+		// path is untouched, which is exactly the crash-safety contract.
+		if size, err := tmp.Seek(0, io.SeekCurrent); err == nil {
+			tmp.Truncate(int64(f.CutAt(int(size))))
+		}
+		return fmt.Errorf("snapshot: write %s: %w", path, f.Err())
 	}
 	if f := failpoint.Eval(failpoint.SnapshotFsync); f.Kind == failpoint.FailError {
 		return fmt.Errorf("snapshot: sync %s: %w", path, f.Err())

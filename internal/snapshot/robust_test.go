@@ -155,3 +155,29 @@ func TestAtomicWriteFile(t *testing.T) {
 		t.Fatal("callback error not propagated")
 	}
 }
+
+// TestAtomicWriteFileCallbackError: the write callback streams into the temp
+// file, so an error it returns part-way comes back as is, leaves the old
+// file byte-identical and removes the temp file.
+func TestAtomicWriteFileCallbackError(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt.tusnap")
+	if err := snapshot.AtomicWriteFile(path, func(w io.Writer) error { _, err := w.Write([]byte("v1")); return err }); err != nil {
+		t.Fatal(err)
+	}
+	err := snapshot.AtomicWriteFile(path, func(w io.Writer) error {
+		if _, err := w.Write(bytes.Repeat([]byte("x"), 10_000)); err != nil {
+			return err
+		}
+		return io.ErrClosedPipe
+	})
+	if err != io.ErrClosedPipe {
+		t.Fatalf("err = %v, want the callback's io.ErrClosedPipe", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "v1" {
+		t.Fatalf("after a failed callback file = %q, want v1", got)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("directory holds %d entries, want only the old file", len(ents))
+	}
+}

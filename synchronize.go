@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"thinunison/internal/asyncsim"
+	"thinunison/internal/randx"
 	"thinunison/internal/synchronizer"
 )
 
@@ -43,7 +44,7 @@ func NewSynchronized[S comparable](g *Graph, program SyncProgram[S], initial []S
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(o.seed))
+	rng := rand.New(randx.NewSource(o.seed))
 	states := make([]synchronizer.State[S], g.N())
 	for v := range states {
 		states[v] = synchronizer.State[S]{

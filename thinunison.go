@@ -10,6 +10,7 @@ import (
 	"thinunison/internal/graph"
 	"thinunison/internal/le"
 	"thinunison/internal/mis"
+	"thinunison/internal/randx"
 	"thinunison/internal/restart"
 	"thinunison/internal/sched"
 	"thinunison/internal/sim"
@@ -216,7 +217,7 @@ func SolveMIS(g *Graph, opts ...Option) (MISResult, error) {
 	if err != nil {
 		return MISResult{}, err
 	}
-	rng := rand.New(rand.NewSource(o.seed))
+	rng := rand.New(randx.NewSource(o.seed))
 	roundBudget := taskBudget(o.d, g.N())
 
 	if o.sched == nil {
@@ -292,7 +293,7 @@ func SolveLeaderElection(g *Graph, opts ...Option) (LEResult, error) {
 	if err != nil {
 		return LEResult{}, err
 	}
-	rng := rand.New(rand.NewSource(o.seed))
+	rng := rand.New(randx.NewSource(o.seed))
 	roundBudget := taskBudget(o.d, g.N())
 
 	leEval := func(s restart.State[le.State]) (bool, int) {
