@@ -36,12 +36,7 @@ func TestF2(t *testing.T) { run(t, "F2", experiments.F2) }
 func TestE1(t *testing.T) { run(t, "E1", experiments.E1) }
 func TestE2(t *testing.T) { run(t, "E2", experiments.E2) }
 func TestE3(t *testing.T) { run(t, "E3", experiments.E3) }
-func TestE4(t *testing.T) {
-	if testing.Short() {
-		t.Skip("E4 is the slowest experiment; skipped with -short")
-	}
-	run(t, "E4", experiments.E4)
-}
+func TestE4(t *testing.T) { run(t, "E4", experiments.E4) }
 func TestE5(t *testing.T) { run(t, "E5", experiments.E5) }
 func TestE6(t *testing.T) { run(t, "E6", experiments.E6) }
 func TestE7(t *testing.T) { run(t, "E7", experiments.E7) }
