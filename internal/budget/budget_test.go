@@ -30,6 +30,7 @@ func TestTaskFormula(t *testing.T) {
 	cases := []struct{ d, n, want int }{
 		{3, 2, 17000},  // log2(2) = 1
 		{3, 16, 89000}, // log2(16) = 4
+		{3, 64, 3000*(3+6)*6 + 5000},
 		{1, 1024, 335000},
 	}
 	for _, c := range cases {
@@ -72,6 +73,9 @@ func TestSaturation(t *testing.T) {
 	if got := budget.Task(math.MaxInt, math.MaxInt); got != math.MaxInt {
 		t.Errorf("Task(MaxInt, MaxInt) = %d, want MaxInt", got)
 	}
+	if got := budget.Task(math.MaxInt/2, 1<<20); got != math.MaxInt {
+		t.Errorf("Task(MaxInt/2, 2^20) = %d, want MaxInt", got)
+	}
 	// MaxInt-adjacent k: k³ alone overflows 64-bit.
 	if got := budget.AU(math.MaxInt); got != math.MaxInt {
 		t.Errorf("AU(MaxInt) = %d, want MaxInt", got)
@@ -98,6 +102,16 @@ func TestMonotone(t *testing.T) {
 			}
 			prev = got
 		}
+	}
+	// Task must grow strictly in D: the sweeps rely on a larger diameter
+	// bound getting a larger allowance.
+	prev = 0
+	for d := 1; d < 2000; d *= 3 {
+		got := budget.Task(d, 128)
+		if got <= prev {
+			t.Fatalf("Task not increasing in d at d=%d: %d <= %d", d, got, prev)
+		}
+		prev = got
 	}
 	prev = 0
 	for d := 1; d < 3000; d += 17 {

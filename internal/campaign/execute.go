@@ -7,20 +7,14 @@ import (
 	"math/rand"
 	"time"
 
-	"thinunison/internal/asyncsim"
 	"thinunison/internal/budget"
 	"thinunison/internal/core"
 	"thinunison/internal/failpoint"
 	"thinunison/internal/graph"
-	"thinunison/internal/le"
-	"thinunison/internal/mis"
 	"thinunison/internal/obs"
 	"thinunison/internal/randx"
-	"thinunison/internal/restart"
+	"thinunison/internal/sched"
 	"thinunison/internal/sim"
-	"thinunison/internal/stats"
-	"thinunison/internal/synchronizer"
-	"thinunison/internal/syncsim"
 )
 
 // errCancelled marks runs aborted by context cancellation.
@@ -180,14 +174,10 @@ func executeOnce(ctx context.Context, sc Scenario, mx *obs.Metrics) Record {
 	switch sc.Algorithm {
 	case AlgAU:
 		runAU(ctx, sc, g, d, rng, &rec, mx, tracer)
-	case AlgMIS:
-		runSyncTask(ctx, sc, g, d, rng, &rec, misTask(d, &rec), mx, tracer)
-	case AlgLE:
-		runSyncTask(ctx, sc, g, d, rng, &rec, leTask(d, &rec), mx, tracer)
-	case AlgSyncMIS:
-		runAsyncTask(ctx, sc, g, d, rng, &rec, misTask(d, &rec), mx, tracer)
-	case AlgSyncLE:
-		runAsyncTask(ctx, sc, g, d, rng, &rec, leTask(d, &rec), mx, tracer)
+	case AlgMIS, AlgSyncMIS:
+		runTask(ctx, sc, g, d, rng, &rec, MISTask, mx, tracer)
+	case AlgLE, AlgSyncLE:
+		runTask(ctx, sc, g, d, rng, &rec, LETask, mx, tracer)
 	default:
 		rec.fail(fmt.Errorf("campaign: unknown algorithm %q", sc.Algorithm))
 	}
@@ -288,12 +278,6 @@ func pollingCond(ctx context.Context, cancelled *bool, n int, inner func() bool)
 	}
 }
 
-// asyncTaskBudget adds the synchronizer's stabilization allowance to the
-// synchronous task budget.
-func asyncTaskBudget(d, n int) int {
-	return stats.SatAdd(budget.Task(d, n), budget.Synchronizer(d))
-}
-
 // churnDiameterMargin sizes the AU clock of a churn scenario: the algorithm
 // parameter is doubled so the guarded topology drift (the double-sweep
 // upper bound is held within 2d, and the double sweep never under-reports
@@ -301,8 +285,8 @@ func asyncTaskBudget(d, n int) int {
 // Theorem 1.1 needs k >= 3·diam + 2 at every point of the run.
 func churnDiameterMargin(d int) int { return 2 * d }
 
-// runAU drives AlgAU (the pulse clock itself) under the scenario's scheduler
-// and optional topology churn, then injects and recovers from fault bursts.
+// runAU builds AlgAU (the pulse clock itself) under the scenario's
+// scheduler and optional topology churn, and drives it with DriveAU.
 func runAU(ctx context.Context, sc Scenario, g *graph.Graph, d int, rng *rand.Rand, rec *Record, mx *obs.Metrics, tracer *obs.Tracer) {
 	var churn *sim.ChurnSpec
 	if sc.Churn.active() {
@@ -341,6 +325,18 @@ func runAU(ctx context.Context, sc Scenario, g *graph.Graph, d int, rng *rand.Ra
 		rec.fail(err)
 		return
 	}
+	DriveAU(ctx, sc, au, eng, rec)
+}
+
+// DriveAU runs a built AlgAU engine the way campaign runs a scenario: until
+// the graph is good, then through the scenario's soak and fault bursts,
+// each phase within budget.AU(au.K()) rounds, with the scenario's
+// MonitorOracle. It reads the graph, the metric set and the tracer from
+// eng, so each caller keeps its own sim.Options; au may be any
+// core.NewAUVariant. A caller that wants only the stabilization verdict
+// passes Scenario{N: g.N()} and reads rec.OK and rec.Rounds.
+func DriveAU(ctx context.Context, sc Scenario, au *core.AU, eng *sim.Engine, rec *Record) {
+	g, mx, tracer := eng.Graph(), eng.Metrics(), eng.Tracer()
 	roundBudget := budget.AU(au.K())
 	rec.Budget = roundBudget
 	defer func() {
@@ -481,134 +477,45 @@ func runAU(ctx context.Context, sc Scenario, g *graph.Graph, d int, rng *rand.Ra
 	}
 }
 
-// task bundles the algorithm-specific pieces of a synchronous stone age
-// program (AlgMIS/AlgLE) so the synchronous and synchronized drivers can be
-// written once. Stability is phrased incrementally: eval is the node-local
-// condition (plus weight) fed to a dirty-set syncsim.Checker, and stable the
-// O(1) verdict over the checker.
-type task[S comparable] struct {
-	step   syncsim.StepFunc[restart.State[S]]
-	random func(*rand.Rand) restart.State[S]
-	eval   func(g *graph.Graph, states []restart.State[S], v int) (ok bool, weight int)
-	stable func(c *syncsim.Checker) bool
-}
-
-func misTask(d int, rec *Record) task[mis.State] {
-	alg, err := mis.New(mis.Params{D: d})
-	if err != nil {
-		rec.fail(err)
-		return task[mis.State]{}
-	}
-	return task[mis.State]{
-		step:   alg.Step,
-		random: alg.RandomState,
-		eval: func(g *graph.Graph, states []restart.State[mis.State], v int) (bool, int) {
-			return mis.LocalStable(g, states, v), 0
-		},
-		stable: func(c *syncsim.Checker) bool { return c.AllOK() },
-	}
-}
-
-func leTask(d int, rec *Record) task[le.State] {
-	alg, err := le.New(le.Params{D: d})
-	if err != nil {
-		rec.fail(err)
-		return task[le.State]{}
-	}
-	return task[le.State]{
-		step:   alg.Step,
-		random: alg.RandomState,
-		eval: func(_ *graph.Graph, states []restart.State[le.State], v int) (bool, int) {
-			ok, leader := le.LocalStable(states[v])
-			w := 0
-			if leader {
-				w = 1
-			}
-			return ok, w
-		},
-		stable: func(c *syncsim.Checker) bool { return c.AllOK() && c.Sum() == 1 },
-	}
-}
-
-// runSyncTask drives a synchronous program (plain AlgMIS/AlgLE) under the
-// synchronous schedule, with the scenario's coin source (Scenario.Parallelism).
-func runSyncTask[S comparable](ctx context.Context, sc Scenario, g *graph.Graph, d int, rng *rand.Rand, rec *Record, t task[S], mx *obs.Metrics, tracer *obs.Tracer) {
-	if t.step == nil {
-		return // constructor already failed the record
-	}
-	if !sc.Scheduler.IsSynchronous() {
-		rec.fail(fmt.Errorf("campaign: algorithm %q requires the synchronous scheduler (use the sync-* variant)", sc.Algorithm))
-		return
-	}
-	initial := make([]restart.State[S], g.N())
-	for v := range initial {
-		initial[v] = t.random(rng)
-	}
-	eng, err := asyncsim.NewParallel(g, t.step, initial, nil, rng.Int63(), sc.coinSource())
+// runTask builds the scenario's MIS or LE run, synchronous for the plain
+// algorithms and through the synchronizer for the sync-* variants, and
+// drives it. The synchronous run takes the scenario's coin source
+// (Scenario.Parallelism); the synchronized one draws its scheduler's seed
+// first.
+func runTask[S comparable](ctx context.Context, sc Scenario, g *graph.Graph, d int, rng *rand.Rand, rec *Record,
+	newTask func(d int) (Task[S], error), mx *obs.Metrics, tracer *obs.Tracer) {
+	t, err := newTask(d)
 	if err != nil {
 		rec.fail(err)
 		return
 	}
-	// Dirty-set stability: after each round only the changed nodes and their
-	// neighbors are rechecked; the verdict itself is O(1). The engine's View
-	// avoids the per-check configuration copy.
-	chk := syncsim.NewChecker(g, func(v int) (bool, int) {
-		return t.eval(g, eng.View(), v)
-	})
-	driveTask(ctx, sc, rec, eng, mx, tracer, budget.Task(d, g.N()),
-		chk.Recheck, func() bool { return t.stable(chk) }, t.random)
-}
-
-// runAsyncTask drives a synchronous program through the Corollary 1.2
-// synchronizer under the scenario's (arbitrary) scheduler.
-func runAsyncTask[S comparable](ctx context.Context, sc Scenario, g *graph.Graph, d int, rng *rand.Rand, rec *Record, t task[S], mx *obs.Metrics, tracer *obs.Tracer) {
-	if t.step == nil {
-		return // constructor already failed the record
-	}
-	sy, err := synchronizer.New[restart.State[S]](d, t.step)
-	if err != nil {
-		rec.fail(err)
-		return
-	}
-	scheduler, err := sc.Scheduler.Build(rng.Int63())
-	if err != nil {
-		rec.fail(err)
-		return
-	}
-	randomState := func(rng *rand.Rand) synchronizer.State[restart.State[S]] {
-		return synchronizer.State[restart.State[S]]{
-			Cur:  t.random(rng),
-			Prev: t.random(rng),
-			Turn: rng.Intn(sy.AU().NumStates()),
+	var run *TaskRun[S]
+	switch sc.Algorithm {
+	case AlgMIS, AlgLE:
+		if !sc.Scheduler.IsSynchronous() {
+			rec.fail(fmt.Errorf("campaign: algorithm %q requires the synchronous scheduler (use the sync-* variant)", sc.Algorithm))
+			return
+		}
+		run, err = t.Sync(g, rng, rng.Int63, sc.coinSource())
+	default:
+		var scheduler sched.Scheduler
+		if scheduler, err = sc.Scheduler.Build(rng.Int63()); err == nil {
+			run, err = t.Synchronized(g, scheduler, rng, rng.Int63)
 		}
 	}
-	initial := make([]synchronizer.State[restart.State[S]], g.N())
-	for v := range initial {
-		initial[v] = randomState(rng)
-	}
-	eng, err := asyncsim.New(g, sy.Step, initial, scheduler, rng.Int63())
 	if err != nil {
 		rec.fail(err)
 		return
 	}
-	// Dirty-set stability over the π(Cur) projection of the synchronizer
-	// product states; only changed nodes are re-projected and rechecked, so
-	// the per-step check allocates nothing.
-	prj := syncsim.NewProjected(g, eng.View,
-		func(st synchronizer.State[restart.State[S]]) restart.State[S] { return st.Cur },
-		func(pi []restart.State[S], v int) (bool, int) { return t.eval(g, pi, v) })
-	driveTask(ctx, sc, rec, eng, mx, tracer, asyncTaskBudget(d, g.N()),
-		prj.Update, func() bool { return t.stable(prj.Checker()) }, randomState)
+	driveTask(ctx, sc, rec, run, mx, tracer)
 }
 
-// driveTask is the loop both task drivers share: step eng until the task is
-// stable, then through each of the scenario's fault bursts until it is
-// stable again, each phase within roundBudget rounds. recheck feeds a dirty
-// set to the stability state — the engine's Changed after a step, the
-// victims after a burst — and stable reads its O(1) verdict; random draws
-// a corrupted state.
-func driveTask[S comparable](ctx context.Context, sc Scenario, rec *Record, eng *asyncsim.Engine[S], mx *obs.Metrics, tracer *obs.Tracer,
-	roundBudget int, recheck func(changed []int), stable func() bool, random func(*rand.Rand) S) {
+// driveTask steps run until the task is stable, then through each of the
+// scenario's fault bursts until it is stable again, each phase within the
+// run's budget, polling for cancellation and recording into rec, mx and
+// tracer.
+func driveTask[S comparable](ctx context.Context, sc Scenario, rec *Record, run *TaskRun[S], mx *obs.Metrics, tracer *obs.Tracer) {
+	eng := run.eng
 	eng.Instrument(mx)
 	eng.Trace(tracer)
 	// Sink errors in the engine are sticky, not propagated through the run
@@ -618,28 +525,24 @@ func driveTask[S comparable](ctx context.Context, sc Scenario, rec *Record, eng 
 			rec.fail(err)
 		}
 	}()
-	rec.Budget = roundBudget
+	rec.Budget = run.budget
 	cancelled := false
-	poll := pollingCond(ctx, &cancelled, sc.N, func() bool {
-		recheck(eng.Changed())
-		return stable()
-	})
-	until := func(*asyncsim.Engine[S]) bool { return poll() }
-	rounds, ok := eng.RunUntil(until, roundBudget)
+	poll := pollingCond(ctx, &cancelled, sc.N, run.Stable)
+	rounds, ok := run.runUntil(poll, run.budget)
 	rec.Rounds, rec.Steps = rounds, eng.Steps()
 	if cancelled {
 		rec.fail(errCancelled)
 		return
 	}
 	if !ok {
-		rec.fail(fmt.Errorf("%s did not stabilize within %d rounds", sc.Algorithm, roundBudget))
+		rec.fail(fmt.Errorf("%s did not stabilize within %d rounds", sc.Algorithm, run.budget))
 		return
 	}
 	rec.OK = true
 
 	for burst := 0; burst < faultBursts(sc.Faults); burst++ {
-		recheck(eng.InjectFaults(sc.Faults.Count, random))
-		recovery, ok := eng.RunUntil(until, roundBudget)
+		run.InjectFaults(sc.Faults.Count)
+		recovery, ok := run.runUntil(poll, run.budget)
 		rec.Steps = eng.Steps()
 		if recovery > rec.RecoveryRounds {
 			rec.RecoveryRounds = recovery
@@ -649,7 +552,7 @@ func driveTask[S comparable](ctx context.Context, sc Scenario, rec *Record, eng 
 			return
 		}
 		if !ok {
-			rec.fail(fmt.Errorf("%s did not recover from burst %d within %d rounds", sc.Algorithm, burst, roundBudget))
+			rec.fail(fmt.Errorf("%s did not recover from burst %d within %d rounds", sc.Algorithm, burst, run.budget))
 			return
 		}
 	}

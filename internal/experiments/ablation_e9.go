@@ -1,10 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
-	"thinunison/internal/budget"
+	"thinunison/internal/campaign"
 	"thinunison/internal/core"
 	"thinunison/internal/graph"
 	"thinunison/internal/randx"
@@ -35,55 +36,28 @@ func E9(cfg Config) (Result, error) {
 	if cfg.Quick {
 		d = 2
 	}
-	variants := []core.Variant{
-		{},                              // the paper's algorithm
-		{KOverride: d + 2},              // thin detour
-		{DisableFaultPropagation: true}, // no AF condition (2)
-		{EagerFA: true},                 // incautious FA
-	}
-
 	tbl := stats.NewTable(fmt.Sprintf("Ablation sweep (D=%d, adversarial instances)", d),
 		"variant", "states", "runs", "stabilized", "rate", "median rounds (stabilized)")
 
-	for _, v := range variants {
+	for _, v := range e9Variants(d) {
 		au, err := core.NewAUVariant(d, v)
 		if err != nil {
 			return res, err
 		}
-		k := au.K()
-		roundBudget := budget.AU(k)
-		runs, okRuns := 0, 0
+		recs, err := e9Runs(cfg, d, au, rng, campaign.Scenario{})
+		if err != nil {
+			return res, err
+		}
 		var rounds []int
-		for _, gs := range e1Graphs(d, 14) {
-			g, err := graph.FromFamily(gs.family, gs.n, d, rng)
-			if err != nil {
-				return res, err
-			}
-			for _, spec := range e1Schedulers() {
-				s, err := spec.Build(rng.Int63())
-				if err != nil {
-					return res, err
-				}
-				for trial := 0; trial < cfg.Trials; trial++ {
-					eng, err := sim.New(g, au, sim.Options{Scheduler: s, Seed: rng.Int63()})
-					if err != nil {
-						return res, err
-					}
-					runs++
-					r, err := eng.RunUntil(func(e *sim.Engine) bool {
-						return au.GraphGood(g, e.Config())
-					}, roundBudget)
-					if err == nil {
-						okRuns++
-						rounds = append(rounds, r)
-					}
-				}
+		for _, rec := range recs {
+			if rec.OK {
+				rounds = append(rounds, rec.Rounds)
 			}
 		}
-		rate := float64(okRuns) / float64(runs)
+		rate := float64(len(rounds)) / float64(len(recs))
 		med := stats.SummarizeInts(rounds).Median
-		tbl.AddRow(v.Name(), au.NumStates(), runs, okRuns, rate, med)
-		if v.IsPaper() && okRuns != runs {
+		tbl.AddRow(v.Name(), au.NumStates(), len(recs), len(rounds), rate, med)
+		if v.IsPaper() && len(rounds) != len(recs) {
 			res.OK = false
 		}
 	}
@@ -95,4 +69,45 @@ func E9(cfg Config) (Result, error) {
 		res.Note = "E9 FAILED: the paper variant itself missed its budget"
 	}
 	return res, nil
+}
+
+// e9Variants is E9's variant set at diameter bound d, in table order.
+func e9Variants(d int) []core.Variant {
+	return []core.Variant{
+		{},                              // the paper's algorithm
+		{KOverride: d + 2},              // thin detour
+		{DisableFaultPropagation: true}, // no AF condition (2)
+		{EagerFA: true},                 // incautious FA
+	}
+}
+
+// e9Runs runs one variant's share of E9's sweep: every e1Graphs(d, 14)
+// instance under every e1Schedulers scheduler, cfg.Trials times, each
+// through campaign.DriveAU with scenario sc (its N set per graph). It draws
+// from rng in E9's order and returns one record per run.
+func e9Runs(cfg Config, d int, au *core.AU, rng *rand.Rand, sc campaign.Scenario) ([]campaign.Record, error) {
+	var recs []campaign.Record
+	for _, gs := range e1Graphs(d, 14) {
+		g, err := graph.FromFamily(gs.family, gs.n, d, rng)
+		if err != nil {
+			return nil, err
+		}
+		sc.N = g.N()
+		for _, spec := range e1Schedulers() {
+			s, err := spec.Build(rng.Int63())
+			if err != nil {
+				return nil, err
+			}
+			for trial := 0; trial < cfg.Trials; trial++ {
+				eng, err := sim.New(g, au, sim.Options{Scheduler: s, Seed: rng.Int63()})
+				if err != nil {
+					return nil, err
+				}
+				var rec campaign.Record
+				campaign.DriveAU(context.Background(), sc, au, eng, &rec)
+				recs = append(recs, rec)
+			}
+		}
+	}
+	return recs, nil
 }

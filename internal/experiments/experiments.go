@@ -222,22 +222,20 @@ func F2(cfg Config) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	k := au.K()
-	auRounds, auErr := eng.RunUntil(func(e *sim.Engine) bool {
-		return au.GraphGood(li.Graph, e.Config())
-	}, 50*k*k*k)
+	var auRec campaign.Record
+	campaign.DriveAU(context.Background(), campaign.Scenario{N: li.Graph.N()}, au, eng, &auRec)
 
 	cmp := stats.NewTable("Head-to-head on the live-lock instance (C8, D=2)",
 		"algorithm", "outcome")
 	cmp.AddRow("Appendix A (reset-based)", fmt.Sprintf("live-lock: period %d sweeps from sweep %d, never legitimate", rep.Period, rep.PeriodStart))
-	if auErr == nil {
-		cmp.AddRow("AlgAU", fmt.Sprintf("stabilized after %d rounds", auRounds))
+	if auRec.OK {
+		cmp.AddRow("AlgAU", fmt.Sprintf("stabilized after %d rounds", auRec.Rounds))
 	} else {
 		cmp.AddRow("AlgAU", "FAILED to stabilize")
 	}
 	res.Tables = append(res.Tables, cmp)
 
-	res.OK = rep.Period > 0 && !rep.LegitimateSeen && auErr == nil
+	res.OK = rep.Period > 0 && !rep.LegitimateSeen && auRec.OK
 	res.Note = "reset-based attempt live-locks forever; AlgAU stabilizes on the same instance"
 	if !res.OK {
 		res.Note = "live-lock reproduction FAILED"
@@ -393,7 +391,6 @@ func E6(cfg Config) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		k := au.K()
 		var auR, blR []int
 		for _, g := range sweepGraphsExactD(d, rng) {
 			for trial := 0; trial < cfg.Trials; trial++ {
@@ -401,13 +398,12 @@ func E6(cfg Config) (Result, error) {
 				if err != nil {
 					return res, err
 				}
-				r, err := eng.RunUntil(func(e *sim.Engine) bool {
-					return au.GraphGood(g, e.Config())
-				}, budget.AU(k))
-				if err != nil {
+				var rec campaign.Record
+				campaign.DriveAU(context.Background(), campaign.Scenario{N: g.N()}, au, eng, &rec)
+				if !rec.OK {
 					res.OK = false
 				}
-				auR = append(auR, r)
+				auR = append(auR, rec.Rounds)
 
 				horizon := 20 * (d + 2)
 				bl, err := baseline.NewMinUnison(64 + horizon)
@@ -422,7 +418,7 @@ func E6(cfg Config) (Result, error) {
 				if err != nil {
 					return res, err
 				}
-				r, err = beng.RunUntil(func(e *sim.Engine) bool {
+				r, err := beng.RunUntil(func(e *sim.Engine) bool {
 					return bl.SafetyHolds(g, e.Config())
 				}, horizon)
 				if err != nil {
@@ -532,7 +528,7 @@ func E8(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// All runs every experiment (E4 is in synchronizer_exp.go).
+// All runs every experiment (E4 is in synchronizer_e4.go).
 func All(cfg Config) ([]Result, error) {
 	runs := []func(Config) (Result, error){T1, F1, F2, E1, E2, E3, E4, E5, E6, E7, E8, E9, V1}
 	out := make([]Result, 0, len(runs))

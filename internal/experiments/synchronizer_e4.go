@@ -3,12 +3,9 @@ package experiments
 import (
 	"math/rand"
 
-	"thinunison/internal/asyncsim"
+	"thinunison/internal/campaign"
 	"thinunison/internal/graph"
-	"thinunison/internal/le"
-	"thinunison/internal/mis"
 	"thinunison/internal/randx"
-	"thinunison/internal/restart"
 	"thinunison/internal/sched"
 	"thinunison/internal/stats"
 	"thinunison/internal/synchronizer"
@@ -47,21 +44,19 @@ func E4(cfg Config) (Result, error) {
 				case "laggard":
 					s = sched.NewLaggard(trial%n, 3)
 				}
-				logn := stats.Log2(n)
-				k := 3*d + 2
-				budget := 80*k*k*k + 2000*(d+logn)*logn + 8000
-
 				var r int
 				var ok bool
 				switch task {
 				case "MIS":
-					r, ok = runAsyncMIS(g, d, s, rng, budget)
+					r, ok, err = runSynchronized(campaign.MISTask, g, d, s, rng)
 				case "LE":
-					r, ok = runAsyncLE(g, d, s, rng, budget)
+					r, ok, err = runSynchronized(campaign.LETask, g, d, s, rng)
+				}
+				if err != nil {
+					return res, err
 				}
 				if !ok {
 					res.OK = false
-					r = budget
 				}
 				rounds = append(rounds, r)
 			}
@@ -89,64 +84,18 @@ func E4(cfg Config) (Result, error) {
 	return res, nil
 }
 
-func runAsyncMIS(g *graph.Graph, d int, s sched.Scheduler, rng *rand.Rand, budget int) (int, bool) {
-	malg, err := mis.New(mis.Params{D: d})
+// runSynchronized runs a task through the synchronizer under s, drawing
+// the initial states and then the engine seed from rng. A run that misses
+// its budget reports the budget as its rounds.
+func runSynchronized[S comparable](newTask func(d int) (campaign.Task[S], error), g *graph.Graph, d int, s sched.Scheduler, rng *rand.Rand) (int, bool, error) {
+	t, err := newTask(d)
 	if err != nil {
-		return budget, false
+		return 0, false, err
 	}
-	sy, err := synchronizer.New[restart.State[mis.State]](d, malg.Step)
+	run, err := t.Synchronized(g, s, rng, rng.Int63)
 	if err != nil {
-		return budget, false
+		return 0, false, err
 	}
-	initial := make([]synchronizer.State[restart.State[mis.State]], g.N())
-	for v := range initial {
-		initial[v] = synchronizer.State[restart.State[mis.State]]{
-			Cur:  malg.RandomState(rng),
-			Prev: malg.RandomState(rng),
-			Turn: rng.Intn(sy.AU().NumStates()),
-		}
-	}
-	eng, err := asyncsim.New(g, sy.Step, initial, s, rng.Int63())
-	if err != nil {
-		return budget, false
-	}
-	return eng.RunUntil(func(e *asyncsim.Engine[synchronizer.State[restart.State[mis.State]]]) bool {
-		states := e.States()
-		pi := make([]restart.State[mis.State], len(states))
-		for v, st := range states {
-			pi[v] = st.Cur
-		}
-		return mis.Stable(g, pi)
-	}, budget)
-}
-
-func runAsyncLE(g *graph.Graph, d int, s sched.Scheduler, rng *rand.Rand, budget int) (int, bool) {
-	lalg, err := le.New(le.Params{D: d})
-	if err != nil {
-		return budget, false
-	}
-	sy, err := synchronizer.New[restart.State[le.State]](d, lalg.Step)
-	if err != nil {
-		return budget, false
-	}
-	initial := make([]synchronizer.State[restart.State[le.State]], g.N())
-	for v := range initial {
-		initial[v] = synchronizer.State[restart.State[le.State]]{
-			Cur:  lalg.RandomState(rng),
-			Prev: lalg.RandomState(rng),
-			Turn: rng.Intn(sy.AU().NumStates()),
-		}
-	}
-	eng, err := asyncsim.New(g, sy.Step, initial, s, rng.Int63())
-	if err != nil {
-		return budget, false
-	}
-	return eng.RunUntil(func(e *asyncsim.Engine[synchronizer.State[restart.State[le.State]]]) bool {
-		states := e.States()
-		pi := make([]restart.State[le.State], len(states))
-		for v, st := range states {
-			pi[v] = st.Cur
-		}
-		return le.Stable(pi)
-	}, budget)
+	rounds, ok := run.RunUntilStable()
+	return rounds, ok, nil
 }

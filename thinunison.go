@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"thinunison/internal/asyncsim"
 	"thinunison/internal/budget"
+	"thinunison/internal/campaign"
 	"thinunison/internal/core"
 	"thinunison/internal/graph"
 	"thinunison/internal/le"
@@ -14,9 +14,6 @@ import (
 	"thinunison/internal/restart"
 	"thinunison/internal/sched"
 	"thinunison/internal/sim"
-	"thinunison/internal/stats"
-	"thinunison/internal/synchronizer"
-	"thinunison/internal/syncsim"
 )
 
 // Graph is a finite simple connected undirected graph (see the builders
@@ -213,63 +210,15 @@ func SolveMIS(g *Graph, opts ...Option) (MISResult, error) {
 	if err != nil {
 		return MISResult{}, err
 	}
-	alg, err := mis.New(mis.Params{D: o.d})
+	t, err := campaign.MISTask(o.d)
 	if err != nil {
 		return MISResult{}, err
 	}
-	rng := rand.New(randx.NewSource(o.seed))
-	roundBudget := taskBudget(o.d, g.N())
-
-	if o.sched == nil {
-		initial := make([]restart.State[mis.State], g.N())
-		for v := range initial {
-			initial[v] = alg.RandomState(rng)
-		}
-		eng, err := asyncsim.New(g, alg.Step, initial, nil, o.seed)
-		if err != nil {
-			return MISResult{}, err
-		}
-		chk := syncsim.NewChecker(g, func(v int) (bool, int) {
-			return mis.LocalStable(g, eng.View(), v), 0
-		})
-		rounds, ok := eng.RunUntil(func(e *asyncsim.Engine[restart.State[mis.State]]) bool {
-			chk.Recheck(e.Changed())
-			return chk.AllOK()
-		}, roundBudget)
-		if !ok {
-			return MISResult{}, fmt.Errorf("thinunison: MIS did not stabilize within %d rounds", roundBudget)
-		}
-		return MISResult{InSet: mis.InSet(eng.States()), Rounds: rounds}, nil
-	}
-
-	sy, err := synchronizer.New[restart.State[mis.State]](o.d, alg.Step)
+	states, rounds, err := solve(g, o, t, "MIS")
 	if err != nil {
 		return MISResult{}, err
 	}
-	initial := make([]synchronizer.State[restart.State[mis.State]], g.N())
-	for v := range initial {
-		initial[v] = synchronizer.State[restart.State[mis.State]]{
-			Cur:  alg.RandomState(rng),
-			Prev: alg.RandomState(rng),
-			Turn: rng.Intn(sy.AU().NumStates()),
-		}
-	}
-	eng, err := asyncsim.New(g, sy.Step, initial, o.sched, o.seed)
-	if err != nil {
-		return MISResult{}, err
-	}
-	roundBudget = stats.SatAdd(roundBudget, budget.Synchronizer(o.d))
-	prj := syncsim.NewProjected(g, eng.View,
-		func(st synchronizer.State[restart.State[mis.State]]) restart.State[mis.State] { return st.Cur },
-		func(pi []restart.State[mis.State], v int) (bool, int) { return mis.LocalStable(g, pi, v), 0 })
-	rounds, ok := eng.RunUntil(func(e *asyncsim.Engine[synchronizer.State[restart.State[mis.State]]]) bool {
-		prj.Update(e.Changed())
-		return prj.Checker().AllOK()
-	}, roundBudget)
-	if !ok {
-		return MISResult{}, fmt.Errorf("thinunison: asynchronous MIS did not stabilize within %d rounds", roundBudget)
-	}
-	return MISResult{InSet: mis.InSet(prj.States()), Rounds: rounds}, nil
+	return MISResult{InSet: mis.InSet(states), Rounds: rounds}, nil
 }
 
 // LEResult is the output of SolveLeaderElection.
@@ -289,75 +238,38 @@ func SolveLeaderElection(g *Graph, opts ...Option) (LEResult, error) {
 	if err != nil {
 		return LEResult{}, err
 	}
-	alg, err := le.New(le.Params{D: o.d})
+	t, err := campaign.LETask(o.d)
 	if err != nil {
 		return LEResult{}, err
 	}
-	rng := rand.New(randx.NewSource(o.seed))
-	roundBudget := taskBudget(o.d, g.N())
-
-	leEval := func(s restart.State[le.State]) (bool, int) {
-		ok, leader := le.LocalStable(s)
-		if leader {
-			return ok, 1
-		}
-		return ok, 0
-	}
-	if o.sched == nil {
-		initial := make([]restart.State[le.State], g.N())
-		for v := range initial {
-			initial[v] = alg.RandomState(rng)
-		}
-		eng, err := asyncsim.New(g, alg.Step, initial, nil, o.seed)
-		if err != nil {
-			return LEResult{}, err
-		}
-		chk := syncsim.NewChecker(g, func(v int) (bool, int) {
-			return leEval(eng.View()[v])
-		})
-		rounds, ok := eng.RunUntil(func(e *asyncsim.Engine[restart.State[le.State]]) bool {
-			chk.Recheck(e.Changed())
-			return chk.AllOK() && chk.Sum() == 1
-		}, roundBudget)
-		if !ok {
-			return LEResult{}, fmt.Errorf("thinunison: LE did not stabilize within %d rounds", roundBudget)
-		}
-		return LEResult{Leader: le.Leaders(eng.States())[0], Rounds: rounds}, nil
-	}
-
-	sy, err := synchronizer.New[restart.State[le.State]](o.d, alg.Step)
+	states, rounds, err := solve(g, o, t, "LE")
 	if err != nil {
 		return LEResult{}, err
 	}
-	initial := make([]synchronizer.State[restart.State[le.State]], g.N())
-	for v := range initial {
-		initial[v] = synchronizer.State[restart.State[le.State]]{
-			Cur:  alg.RandomState(rng),
-			Prev: alg.RandomState(rng),
-			Turn: rng.Intn(sy.AU().NumStates()),
-		}
-	}
-	eng, err := asyncsim.New(g, sy.Step, initial, o.sched, o.seed)
-	if err != nil {
-		return LEResult{}, err
-	}
-	roundBudget = stats.SatAdd(roundBudget, budget.Synchronizer(o.d))
-	prj := syncsim.NewProjected(g, eng.View,
-		func(st synchronizer.State[restart.State[le.State]]) restart.State[le.State] { return st.Cur },
-		func(pi []restart.State[le.State], v int) (bool, int) { return leEval(pi[v]) })
-	rounds, ok := eng.RunUntil(func(e *asyncsim.Engine[synchronizer.State[restart.State[le.State]]]) bool {
-		prj.Update(e.Changed())
-		c := prj.Checker()
-		return c.AllOK() && c.Sum() == 1
-	}, roundBudget)
-	if !ok {
-		return LEResult{}, fmt.Errorf("thinunison: asynchronous LE did not stabilize within %d rounds", roundBudget)
-	}
-	return LEResult{Leader: le.Leaders(prj.States())[0], Rounds: rounds}, nil
+	return LEResult{Leader: le.Leaders(states)[0], Rounds: rounds}, nil
 }
 
-// taskBudget is the generous Theorem 1.3/1.4 round budget, saturating at
-// math.MaxInt for degenerate (huge-D) inputs instead of wrapping negative.
-func taskBudget(d, n int) int {
-	return budget.Task(d, n)
+// solve runs task t on g until its output is stable: synchronously, or
+// through the synchronizer when a scheduler option is given. The initial
+// states come from randx.NewSource(seed), and the engine is seeded with
+// the seed itself.
+func solve[S comparable](g *Graph, o options, t campaign.Task[S], name string) ([]restart.State[S], int, error) {
+	rng := rand.New(randx.NewSource(o.seed))
+	seed := func() int64 { return o.seed }
+	var run *campaign.TaskRun[S]
+	var err error
+	if o.sched == nil {
+		run, err = t.Sync(g, rng, seed, 0)
+	} else {
+		name = "asynchronous " + name
+		run, err = t.Synchronized(g, o.sched, rng, seed)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	rounds, ok := run.RunUntilStable()
+	if !ok {
+		return nil, 0, fmt.Errorf("thinunison: %s did not stabilize within %d rounds", name, run.Budget())
+	}
+	return run.States(), rounds, nil
 }
