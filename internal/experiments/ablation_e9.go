@@ -94,11 +94,15 @@ func e9Runs(cfg Config, d int, au *core.AU, rng *rand.Rand, sc campaign.Scenario
 		}
 		sc.N = g.N()
 		for _, spec := range e1Schedulers() {
-			s, err := spec.Build(rng.Int63())
-			if err != nil {
-				return nil, err
-			}
+			// Every trial gets a fresh scheduler from the spec's one seed: a
+			// random-subset scheduler carries its stream and per-node gaps
+			// from one engine into the next.
+			schedSeed := rng.Int63()
 			for trial := 0; trial < cfg.Trials; trial++ {
+				s, err := spec.Build(schedSeed)
+				if err != nil {
+					return nil, err
+				}
 				eng, err := sim.New(g, au, sim.Options{Scheduler: s, Seed: rng.Int63()})
 				if err != nil {
 					return nil, err
