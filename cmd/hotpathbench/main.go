@@ -13,6 +13,11 @@
 // -plane-gate fails the run if the word path allocates or its speedup at the
 // largest measured n falls below the given ratio).
 //
+// Each gated pair (the three series' n = 10^5 points) is measured
+// gateRepeats times, alternating which side runs first. Its gate reads the
+// median ratio, every ratio is printed, and the allocation checks read
+// every sample.
+//
 // Regenerate the committed artifact with
 //
 //	go run ./cmd/hotpathbench -out BENCH_hotpath.json
@@ -26,6 +31,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"thinunison/internal/hotpath"
@@ -68,12 +75,13 @@ type frontierPoint struct {
 // the word-parallel win; -plane-gate pins it and the word side's
 // 0 allocs/op.
 type wordPoint struct {
-	Scenario   string  `json:"scenario"`
-	N          int     `json:"n"`
-	ScalarNs   float64 `json:"scalar_ns_per_op"`
-	WordNs     float64 `json:"word_ns_per_op"`
-	Speedup    float64 `json:"speedup"`
-	WordAllocs int64   `json:"word_allocs_per_op"`
+	Scenario string  `json:"scenario"`
+	N        int     `json:"n"`
+	ScalarNs float64 `json:"scalar_ns_per_op"`
+	WordNs   float64 `json:"word_ns_per_op"`
+	Speedup  float64 `json:"speedup"`
+	// WordAllocs is the largest allocs/op of any word sample.
+	WordAllocs int64 `json:"word_allocs_per_op"`
 }
 
 // obsPoint is one off/on pair of the observability series: the steady step
@@ -88,7 +96,8 @@ type obsPoint struct {
 	OffNs    float64 `json:"off_ns_per_op"`
 	OnNs     float64 `json:"on_ns_per_op"`
 	Ratio    float64 `json:"ratio"`
-	OnAllocs int64   `json:"on_allocs_per_op"`
+	// OnAllocs is the largest allocs/op of any traced sample.
+	OnAllocs int64 `json:"on_allocs_per_op"`
 }
 
 type artifact struct {
@@ -132,6 +141,45 @@ func measure(name string, n, iters int, fn func(b *testing.B)) entry {
 	return e
 }
 
+// gateRepeats is how many times each gated pair is measured. One sample
+// per side is not enough: single-sample ratios at n = 10^5 have crossed
+// the obs and plane bounds on noise alone.
+const gateRepeats = 5
+
+// pairSample is one measurement of both sides of a series point; ratio is
+// the point's figure of merit, a's time over b's.
+type pairSample struct{ a, b entry }
+
+func (p pairSample) ratio() float64 { return p.a.NsPerOp / p.b.NsPerOp }
+
+// measurePair measures sides a and b of one series point reps times,
+// alternating which side runs first, prints every ratio of a repeated
+// point, and returns the sample with the median ratio and the largest
+// allocs/op each side reported. The series record the median sample.
+func measurePair(reps, n, iters int, nameA string, fnA func(*testing.B), nameB string, fnB func(*testing.B)) (med pairSample, allocsA, allocsB int64) {
+	samples := make([]pairSample, reps)
+	for i := range samples {
+		if i%2 == 0 {
+			samples[i].a = measure(nameA, n, iters, fnA)
+			samples[i].b = measure(nameB, n, iters, fnB)
+		} else {
+			samples[i].b = measure(nameB, n, iters, fnB)
+			samples[i].a = measure(nameA, n, iters, fnA)
+		}
+		allocsA = max(allocsA, samples[i].a.AllocsPerOp)
+		allocsB = max(allocsB, samples[i].b.AllocsPerOp)
+	}
+	if reps > 1 {
+		shown := make([]string, reps)
+		for i, s := range samples {
+			shown[i] = fmt.Sprintf("%.2fx", s.ratio())
+		}
+		fmt.Fprintf(os.Stderr, "%s / %s ratios: %s\n", nameA, nameB, strings.Join(shown, " "))
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i].ratio() < samples[j].ratio() })
+	return samples[reps/2], allocsA, allocsB
+}
+
 func main() {
 	out := flag.String("out", "BENCH_hotpath.json", "output path for the JSON artifact")
 	quick := flag.Bool("quick", false, "skip the slowest (n=10000 full-scan) measurements and shrink the iteration counts")
@@ -150,20 +198,22 @@ func main() {
 	// (engine counters are always on) and fully traced. Each pair becomes a
 	// point of the obs series.
 	for _, n := range []int{1000, 10000, 100000} {
-		iters := 2000
+		iters, reps := 2000, 1
 		if n >= 100000 {
-			iters = 100
+			iters, reps = 100, gateRepeats
 		}
-		off := measure(hotpath.Name("steady-step", n, hotpath.Incremental), n, iters, hotpath.SteadyStep(n))
-		on := measure(fmt.Sprintf("steady-step-traced/n=%d", n), n, iters, hotpath.SteadyStepTraced(n))
+		med, onAllocs, _ := measurePair(reps, n, iters,
+			fmt.Sprintf("steady-step-traced/n=%d", n), hotpath.SteadyStepTraced(n),
+			hotpath.Name("steady-step", n, hotpath.Incremental), hotpath.SteadyStep(n))
+		on, off := med.a, med.b
 		a.Benchmarks = append(a.Benchmarks, off, on)
 		a.ObsSeries = append(a.ObsSeries, obsPoint{
 			Scenario: "steady-step",
 			N:        n,
 			OffNs:    off.NsPerOp,
 			OnNs:     on.NsPerOp,
-			Ratio:    on.NsPerOp / off.NsPerOp,
-			OnAllocs: on.AllocsPerOp,
+			Ratio:    med.ratio(),
+			OnAllocs: onAllocs,
 		})
 	}
 
@@ -196,16 +246,18 @@ func main() {
 	// steady step (the regime self-stabilization workloads spend most of
 	// their life in) and on post-fault-burst recovery. The pairs walk
 	// byte-identical trajectories, so the ratio is pure execution-mode win.
-	frontierPair := func(scenario string, n, iters int, fn func(front bool) func(b *testing.B)) frontierPoint {
-		dense := measure(hotpath.FrontierName(scenario, n, false), n, iters, fn(false))
-		front := measure(hotpath.FrontierName(scenario, n, true), n, iters, fn(true))
+	frontierPair := func(scenario string, n, iters, reps int, fn func(front bool) func(b *testing.B)) frontierPoint {
+		med, _, _ := measurePair(reps, n, iters,
+			hotpath.FrontierName(scenario, n, false), fn(false),
+			hotpath.FrontierName(scenario, n, true), fn(true))
+		dense, front := med.a, med.b
 		a.Benchmarks = append(a.Benchmarks, dense, front)
 		fp := frontierPoint{
 			Scenario:   scenario,
 			N:          n,
 			DenseNs:    dense.NsPerOp,
 			FrontierNs: front.NsPerOp,
-			Speedup:    dense.NsPerOp / front.NsPerOp,
+			Speedup:    med.ratio(),
 		}
 		a.FrontierSeries = append(a.FrontierSeries, fp)
 		return fp
@@ -214,17 +266,17 @@ func main() {
 	if *quick {
 		quiesceIters = 10
 	}
-	frontierPair("quiescent-steady-step", 10000, quiesceIters*4, func(front bool) func(b *testing.B) {
+	frontierPair("quiescent-steady-step", 10000, quiesceIters*4, 1, func(front bool) func(b *testing.B) {
 		return hotpath.QuiescentSteadyStep(10000, front)
 	})
-	headline := frontierPair("quiescent-steady-step", 100000, quiesceIters, func(front bool) func(b *testing.B) {
+	headline := frontierPair("quiescent-steady-step", 100000, quiesceIters, gateRepeats, func(front bool) func(b *testing.B) {
 		return hotpath.QuiescentSteadyStep(100000, front)
 	})
 	recoveryIters := 10
 	if *quick {
 		recoveryIters = 3
 	}
-	frontierPair("post-fault-recovery", 10000, recoveryIters, func(front bool) func(b *testing.B) {
+	frontierPair("post-fault-recovery", 10000, recoveryIters, 1, func(front bool) func(b *testing.B) {
 		return hotpath.FrontierRecovery(10000, faults, front)
 	})
 
@@ -234,17 +286,19 @@ func main() {
 	// bit-planed word evaluation. The pairs walk byte-identical trajectories
 	// (engine differentials and cmd/campaign -check word enforce it), so
 	// the ratio is the pure word-parallel win.
-	wordPair := func(n, iters int) wordPoint {
-		scalar := measure(hotpath.WordName("dense-steady-step", n, false), n, iters, hotpath.WordSteadyStep(n, false))
-		word := measure(hotpath.WordName("dense-steady-step", n, true), n, iters, hotpath.WordSteadyStep(n, true))
+	wordPair := func(n, iters, reps int) wordPoint {
+		med, _, wordAllocs := measurePair(reps, n, iters,
+			hotpath.WordName("dense-steady-step", n, false), hotpath.WordSteadyStep(n, false),
+			hotpath.WordName("dense-steady-step", n, true), hotpath.WordSteadyStep(n, true))
+		scalar, word := med.a, med.b
 		a.Benchmarks = append(a.Benchmarks, scalar, word)
 		wp := wordPoint{
 			Scenario:   "dense-steady-step",
 			N:          n,
 			ScalarNs:   scalar.NsPerOp,
 			WordNs:     word.NsPerOp,
-			Speedup:    scalar.NsPerOp / word.NsPerOp,
-			WordAllocs: word.AllocsPerOp,
+			Speedup:    med.ratio(),
+			WordAllocs: wordAllocs,
 		}
 		a.WordSeries = append(a.WordSeries, wp)
 		return wp
@@ -253,8 +307,8 @@ func main() {
 	if *quick {
 		wordIters = 30
 	}
-	wordPair(10000, wordIters*5)
-	wordHeadline := wordPair(100000, wordIters)
+	wordPair(10000, wordIters*5, 1)
+	wordHeadline := wordPair(100000, wordIters, gateRepeats)
 
 	// Churn series: one crash → drift → revive topology-churn cycle per op.
 	churnPair := func(n, iters int) {
@@ -277,18 +331,19 @@ func main() {
 	churnPair(10000, churnIters)
 
 	if *gate > 0 && headline.Speedup < *gate {
-		fmt.Fprintf(os.Stderr, "frontier gate FAILED: quiescent-steady-step/n=%d speedup %.2fx < required %.2fx (steady steps regressed toward Θ(n))\n",
+		fmt.Fprintf(os.Stderr, "frontier gate FAILED: quiescent-steady-step/n=%d median speedup %.2fx < required %.2fx (steady steps regressed toward Θ(n))\n",
 			headline.N, headline.Speedup, *gate)
 		os.Exit(1)
 	}
 	if *gate > 0 {
-		fmt.Fprintf(os.Stderr, "frontier gate OK: quiescent-steady-step/n=%d speedup %.2fx >= %.2fx\n",
+		fmt.Fprintf(os.Stderr, "frontier gate OK: quiescent-steady-step/n=%d median speedup %.2fx >= %.2fx\n",
 			headline.N, headline.Speedup, *gate)
 	}
 
 	if *obsGate > 0 {
-		// Allocation pin on every point; ratio pin on the largest n, where a
-		// single step is long enough that the ratio is noise-free.
+		// Allocation pin on every sample of every point; ratio pin on the
+		// median of the largest n's repeated samples, the longest steps and
+		// so the least noisy ratio.
 		for _, p := range a.ObsSeries {
 			if p.OnAllocs > 0 {
 				fmt.Fprintf(os.Stderr, "obs gate FAILED: steady-step-traced/n=%d allocates %d allocs/op (tracing must stay allocation-free)\n",
@@ -298,11 +353,11 @@ func main() {
 		}
 		last := a.ObsSeries[len(a.ObsSeries)-1]
 		if last.Ratio > *obsGate {
-			fmt.Fprintf(os.Stderr, "obs gate FAILED: steady-step/n=%d traced/untraced ratio %.2fx > allowed %.2fx\n",
+			fmt.Fprintf(os.Stderr, "obs gate FAILED: steady-step/n=%d median traced/untraced ratio %.2fx > allowed %.2fx\n",
 				last.N, last.Ratio, *obsGate)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "obs gate OK: tracing allocation-free, steady-step/n=%d ratio %.2fx <= %.2fx\n",
+		fmt.Fprintf(os.Stderr, "obs gate OK: tracing allocation-free, steady-step/n=%d median ratio %.2fx <= %.2fx\n",
 			last.N, last.Ratio, *obsGate)
 	}
 
@@ -315,11 +370,11 @@ func main() {
 			}
 		}
 		if wordHeadline.Speedup < *planeGate {
-			fmt.Fprintf(os.Stderr, "plane gate FAILED: %s/n=%d word/scalar speedup %.2fx < required %.2fx\n",
+			fmt.Fprintf(os.Stderr, "plane gate FAILED: %s/n=%d median word/scalar speedup %.2fx < required %.2fx\n",
 				wordHeadline.Scenario, wordHeadline.N, wordHeadline.Speedup, *planeGate)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "plane gate OK: word path allocation-free, %s/n=%d speedup %.2fx >= %.2fx\n",
+		fmt.Fprintf(os.Stderr, "plane gate OK: word path allocation-free, %s/n=%d median speedup %.2fx >= %.2fx\n",
 			wordHeadline.Scenario, wordHeadline.N, wordHeadline.Speedup, *planeGate)
 	}
 
