@@ -13,11 +13,6 @@
 // -plane-gate fails the run if the word path allocates or its speedup at the
 // largest measured n falls below the given ratio).
 //
-// Each gated pair (the three series' n = 10^5 points) is measured
-// gateRepeats times, alternating which side runs first. Its gate reads the
-// median ratio, every ratio is printed, and the allocation checks read
-// every sample.
-//
 // Regenerate the committed artifact with
 //
 //	go run ./cmd/hotpathbench -out BENCH_hotpath.json
@@ -73,15 +68,14 @@ type frontierPoint struct {
 // apply). The runs are byte-identical in results (the engine differential
 // suite and cmd/campaign -check word enforce it), so the ratio isolates
 // the word-parallel win; -plane-gate pins it and the word side's
-// 0 allocs/op.
+// 0 allocs/op (WordAllocs is the largest over the point's samples).
 type wordPoint struct {
-	Scenario string  `json:"scenario"`
-	N        int     `json:"n"`
-	ScalarNs float64 `json:"scalar_ns_per_op"`
-	WordNs   float64 `json:"word_ns_per_op"`
-	Speedup  float64 `json:"speedup"`
-	// WordAllocs is the largest allocs/op of any word sample.
-	WordAllocs int64 `json:"word_allocs_per_op"`
+	Scenario   string  `json:"scenario"`
+	N          int     `json:"n"`
+	ScalarNs   float64 `json:"scalar_ns_per_op"`
+	WordNs     float64 `json:"word_ns_per_op"`
+	Speedup    float64 `json:"speedup"`
+	WordAllocs int64   `json:"word_allocs_per_op"`
 }
 
 // obsPoint is one off/on pair of the observability series: the steady step
@@ -89,15 +83,15 @@ type wordPoint struct {
 // vs the fully traced step — instrumented GoodMonitor, flight-recorder ring,
 // sampled JSONL sink every 64th step. Both walk identical trajectories
 // (sampling is keyed by step number), so the ratio is the cost of full
-// telemetry; -obs-gate pins it and the traced side's 0 allocs/op.
+// telemetry; -obs-gate pins it and the traced side's 0 allocs/op (OnAllocs
+// is the largest over the point's samples).
 type obsPoint struct {
 	Scenario string  `json:"scenario"`
 	N        int     `json:"n"`
 	OffNs    float64 `json:"off_ns_per_op"`
 	OnNs     float64 `json:"on_ns_per_op"`
 	Ratio    float64 `json:"ratio"`
-	// OnAllocs is the largest allocs/op of any traced sample.
-	OnAllocs int64 `json:"on_allocs_per_op"`
+	OnAllocs int64   `json:"on_allocs_per_op"`
 }
 
 type artifact struct {
@@ -141,9 +135,9 @@ func measure(name string, n, iters int, fn func(b *testing.B)) entry {
 	return e
 }
 
-// gateRepeats is how many times each gated pair is measured. One sample
-// per side is not enough: single-sample ratios at n = 10^5 have crossed
-// the obs and plane bounds on noise alone.
+// gateRepeats is how many times each gated (n = 10^5) pair is measured; its
+// gate reads the median ratio. Single-sample ratios have crossed the obs
+// and plane bounds on noise alone.
 const gateRepeats = 5
 
 // pairSample is one measurement of both sides of a series point; ratio is
@@ -158,22 +152,20 @@ func (p pairSample) ratio() float64 { return p.a.NsPerOp / p.b.NsPerOp }
 // allocs/op each side reported. The series record the median sample.
 func measurePair(reps, n, iters int, nameA string, fnA func(*testing.B), nameB string, fnB func(*testing.B)) (med pairSample, allocsA, allocsB int64) {
 	samples := make([]pairSample, reps)
+	var shown []string
 	for i := range samples {
+		s := &samples[i]
 		if i%2 == 0 {
-			samples[i].a = measure(nameA, n, iters, fnA)
-			samples[i].b = measure(nameB, n, iters, fnB)
+			s.a = measure(nameA, n, iters, fnA)
+			s.b = measure(nameB, n, iters, fnB)
 		} else {
-			samples[i].b = measure(nameB, n, iters, fnB)
-			samples[i].a = measure(nameA, n, iters, fnA)
+			s.b = measure(nameB, n, iters, fnB)
+			s.a = measure(nameA, n, iters, fnA)
 		}
-		allocsA = max(allocsA, samples[i].a.AllocsPerOp)
-		allocsB = max(allocsB, samples[i].b.AllocsPerOp)
+		allocsA, allocsB = max(allocsA, s.a.AllocsPerOp), max(allocsB, s.b.AllocsPerOp)
+		shown = append(shown, fmt.Sprintf("%.2fx", s.ratio()))
 	}
 	if reps > 1 {
-		shown := make([]string, reps)
-		for i, s := range samples {
-			shown[i] = fmt.Sprintf("%.2fx", s.ratio())
-		}
 		fmt.Fprintf(os.Stderr, "%s / %s ratios: %s\n", nameA, nameB, strings.Join(shown, " "))
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i].ratio() < samples[j].ratio() })
@@ -342,8 +334,7 @@ func main() {
 
 	if *obsGate > 0 {
 		// Allocation pin on every sample of every point; ratio pin on the
-		// median of the largest n's repeated samples, the longest steps and
-		// so the least noisy ratio.
+		// median of the largest n's samples, whose steps are the longest.
 		for _, p := range a.ObsSeries {
 			if p.OnAllocs > 0 {
 				fmt.Fprintf(os.Stderr, "obs gate FAILED: steady-step-traced/n=%d allocates %d allocs/op (tracing must stay allocation-free)\n",

@@ -330,11 +330,10 @@ func runAU(ctx context.Context, sc Scenario, g *graph.Graph, d int, rng *rand.Ra
 
 // DriveAU runs a built AlgAU engine the way campaign runs a scenario: until
 // the graph is good, then through the scenario's soak and fault bursts,
-// each phase within budget.AU(au.K()) rounds, with the scenario's
-// MonitorOracle. It reads the graph, the metric set and the tracer from
-// eng, so each caller keeps its own sim.Options; au may be any
-// core.NewAUVariant. A caller that wants only the stabilization verdict
-// passes Scenario{N: g.N()} and reads rec.OK and rec.Rounds.
+// each phase within budget.AU(au.K()) rounds, with its MonitorOracle. It
+// reads the graph, metrics and tracer from eng, so callers keep their own
+// sim.Options and may pass any core.NewAUVariant. A caller that wants only
+// the verdict passes Scenario{N: g.N()} and reads rec.OK and rec.Rounds.
 func DriveAU(ctx context.Context, sc Scenario, au *core.AU, eng *sim.Engine, rec *Record) {
 	g, mx, tracer := eng.Graph(), eng.Metrics(), eng.Tracer()
 	roundBudget := budget.AU(au.K())
@@ -477,11 +476,9 @@ func DriveAU(ctx context.Context, sc Scenario, au *core.AU, eng *sim.Engine, rec
 	}
 }
 
-// runTask builds the scenario's MIS or LE run, synchronous for the plain
-// algorithms and through the synchronizer for the sync-* variants, and
-// drives it. The synchronous run takes the scenario's coin source
-// (Scenario.Parallelism); the synchronized one draws its scheduler's seed
-// first.
+// runTask builds the scenario's MIS or LE run and drives it: the plain
+// algorithms synchronously with the scenario's coin source, the sync-*
+// variants through the synchronizer after drawing the scheduler's seed.
 func runTask[S comparable](ctx context.Context, sc Scenario, g *graph.Graph, d int, rng *rand.Rand, rec *Record,
 	newTask func(d int) (Task[S], error), mx *obs.Metrics, tracer *obs.Tracer) {
 	t, err := newTask(d)
@@ -541,7 +538,7 @@ func driveTask[S comparable](ctx context.Context, sc Scenario, rec *Record, run 
 	rec.OK = true
 
 	for burst := 0; burst < faultBursts(sc.Faults); burst++ {
-		run.InjectFaults(sc.Faults.Count)
+		run.recheck(run.inject(sc.Faults.Count))
 		recovery, ok := run.runUntil(poll, run.budget)
 		rec.Steps = eng.Steps()
 		if recovery > rec.RecoveryRounds {

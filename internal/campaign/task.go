@@ -20,9 +20,8 @@ import (
 // (Theorem 1.4) or AlgLE (Theorem 1.3), for diameter bound D. Stability is
 // phrased incrementally: eval is the node-local condition (plus weight) fed
 // to a dirty-set syncsim.Checker, and stable the O(1) verdict over the
-// checker. A Task builds runs: Sync runs the program as it is, Synchronized
-// through the Corollary 1.2 synchronizer. Campaign scenarios, the root
-// facade's solvers and experiment E4 all run MIS and LE this way.
+// checker. Campaign scenarios, the root facade's solvers and experiment E4
+// all run MIS and LE through a Task's Sync or Synchronized runs.
 type Task[S comparable] struct {
 	d      int
 	step   syncsim.StepFunc[restart.State[S]]
@@ -75,11 +74,7 @@ func LETask(d int) (Task[le.State], error) {
 // Sync builds a run of the program under the synchronous schedule, on an
 // engine with coin source p (see asyncsim.NewParallel). It draws the initial
 // states from rng, then the engine seed from seed. The run's budget is
-// budget.Task.
-//
-// The checker is dirty-set: after each round only the changed nodes and
-// their neighbors are rechecked, and the engine's View spares the
-// per-check configuration copy.
+// budget.Task. Its checker reads the engine's View, sparing a copy per check.
 func (t Task[S]) Sync(g *graph.Graph, rng *rand.Rand, seed func() int64, p int) (*TaskRun[S], error) {
 	initial := make([]restart.State[S], g.N())
 	for v := range initial {
@@ -99,12 +94,9 @@ func (t Task[S]) Sync(g *graph.Graph, rng *rand.Rand, seed func() int64, p int) 
 // Synchronized builds a run of the program through the Corollary 1.2
 // synchronizer under scheduler s (nil means synchronous), drawing every
 // coin from the engine's one stream. It draws each node's (Cur, Prev, Turn)
-// from rng, then the engine seed from seed. The run's budget is
-// budget.Task plus budget.Synchronizer.
-//
-// Stability is checked over the π(Cur) projection of the product states;
-// only changed nodes are re-projected and rechecked, so a check allocates
-// nothing.
+// from rng, then the engine seed from seed. The run's budget is budget.Task
+// plus budget.Synchronizer. Stability is checked over the π(Cur) projection
+// of the product states, re-projecting only changed nodes.
 func (t Task[S]) Synchronized(g *graph.Graph, s sched.Scheduler, rng *rand.Rand, seed func() int64) (*TaskRun[S], error) {
 	sy, err := synchronizer.New[restart.State[S]](t.d, t.step)
 	if err != nil {
@@ -183,10 +175,6 @@ func (r *TaskRun[S]) Stable() bool {
 // RunUntilStable steps the run until Stable holds or the budget is spent,
 // returning the rounds taken and whether the output stabilized.
 func (r *TaskRun[S]) RunUntilStable() (int, bool) { return r.runUntil(r.Stable, r.budget) }
-
-// InjectFaults corrupts count random nodes (clamped to [0, n]) to random
-// states, a transient fault burst, and rechecks them.
-func (r *TaskRun[S]) InjectFaults(count int) { r.recheck(r.inject(count)) }
 
 // States returns the task's node states, the π(Cur) projection when the
 // run is synchronized. The slice belongs to the run and is valid until the

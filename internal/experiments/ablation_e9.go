@@ -39,15 +39,7 @@ func E9(cfg Config) (Result, error) {
 	tbl := stats.NewTable(fmt.Sprintf("Ablation sweep (D=%d, adversarial instances)", d),
 		"variant", "states", "runs", "stabilized", "rate", "median rounds (stabilized)")
 
-	for _, v := range e9Variants(d) {
-		au, err := core.NewAUVariant(d, v)
-		if err != nil {
-			return res, err
-		}
-		recs, err := e9Runs(cfg, d, au, rng, campaign.Scenario{})
-		if err != nil {
-			return res, err
-		}
+	err := e9Sweep(cfg, d, rng, campaign.Scenario{}, func(v core.Variant, au *core.AU, recs []campaign.Record) {
 		var rounds []int
 		for _, rec := range recs {
 			if rec.OK {
@@ -60,6 +52,9 @@ func E9(cfg Config) (Result, error) {
 		if v.IsPaper() && len(rounds) != len(recs) {
 			res.OK = false
 		}
+	})
+	if err != nil {
+		return res, err
 	}
 	res.Tables = append(res.Tables, tbl)
 	res.Note = "dropping AF fault propagation deadlocks about half of the adversarial space; " +
@@ -71,47 +66,50 @@ func E9(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// e9Variants is E9's variant set at diameter bound d, in table order.
-func e9Variants(d int) []core.Variant {
-	return []core.Variant{
+// e9Sweep runs E9's sweep at diameter bound d. For the paper's AlgAU and
+// each ablation, in table order, it runs every e1Graphs(d, 14) instance
+// under every e1Schedulers scheduler, cfg.Trials times, each through
+// campaign.DriveAU with scenario sc (its N set per graph), and hands the
+// variant's records to visit. It draws from rng in E9's order.
+func e9Sweep(cfg Config, d int, rng *rand.Rand, sc campaign.Scenario, visit func(v core.Variant, au *core.AU, recs []campaign.Record)) error {
+	for _, v := range []core.Variant{
 		{},                              // the paper's algorithm
 		{KOverride: d + 2},              // thin detour
 		{DisableFaultPropagation: true}, // no AF condition (2)
 		{EagerFA: true},                 // incautious FA
-	}
-}
-
-// e9Runs runs one variant's share of E9's sweep: every e1Graphs(d, 14)
-// instance under every e1Schedulers scheduler, cfg.Trials times, each
-// through campaign.DriveAU with scenario sc (its N set per graph). It draws
-// from rng in E9's order and returns one record per run.
-func e9Runs(cfg Config, d int, au *core.AU, rng *rand.Rand, sc campaign.Scenario) ([]campaign.Record, error) {
-	var recs []campaign.Record
-	for _, gs := range e1Graphs(d, 14) {
-		g, err := graph.FromFamily(gs.family, gs.n, d, rng)
+	} {
+		au, err := core.NewAUVariant(d, v)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		sc.N = g.N()
-		for _, spec := range e1Schedulers() {
-			// Every trial gets a fresh scheduler from the spec's one seed: a
-			// random-subset scheduler carries its stream and per-node gaps
-			// from one engine into the next.
-			schedSeed := rng.Int63()
-			for trial := 0; trial < cfg.Trials; trial++ {
-				s, err := spec.Build(schedSeed)
-				if err != nil {
-					return nil, err
+		var recs []campaign.Record
+		for _, gs := range e1Graphs(d, 14) {
+			g, err := graph.FromFamily(gs.family, gs.n, d, rng)
+			if err != nil {
+				return err
+			}
+			sc.N = g.N()
+			for _, spec := range e1Schedulers() {
+				// Every trial gets a fresh scheduler from the spec's one seed:
+				// a random-subset scheduler carries its stream and per-node
+				// gaps from one engine into the next.
+				schedSeed := rng.Int63()
+				for trial := 0; trial < cfg.Trials; trial++ {
+					s, err := spec.Build(schedSeed)
+					if err != nil {
+						return err
+					}
+					eng, err := sim.New(g, au, sim.Options{Scheduler: s, Seed: rng.Int63()})
+					if err != nil {
+						return err
+					}
+					var rec campaign.Record
+					campaign.DriveAU(context.Background(), sc, au, eng, &rec)
+					recs = append(recs, rec)
 				}
-				eng, err := sim.New(g, au, sim.Options{Scheduler: s, Seed: rng.Int63()})
-				if err != nil {
-					return nil, err
-				}
-				var rec campaign.Record
-				campaign.DriveAU(context.Background(), sc, au, eng, &rec)
-				recs = append(recs, rec)
 			}
 		}
+		visit(v, au, recs)
 	}
-	return recs, nil
+	return nil
 }

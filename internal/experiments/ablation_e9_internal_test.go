@@ -20,16 +20,7 @@ func TestE9MonitorOracle(t *testing.T) {
 	cfg := Config{Seed: 1, Quick: true}
 	cfg.defaults()
 	rng := rand.New(randx.NewSource(cfg.Seed + 9))
-	const d = 2
-	for _, v := range e9Variants(d) {
-		au, err := core.NewAUVariant(d, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, err := e9Runs(cfg, d, au, rng, campaign.Scenario{MonitorOracle: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+	err := e9Sweep(cfg, 2, rng, campaign.Scenario{MonitorOracle: true}, func(v core.Variant, _ *core.AU, recs []campaign.Record) {
 		missed := 0
 		for i, rec := range recs {
 			switch {
@@ -41,5 +32,8 @@ func TestE9MonitorOracle(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d runs, %d missed the budget", v.Name(), len(recs), missed)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -206,15 +206,7 @@ type MISResult struct {
 // asynchronous scheduler option is given, the algorithm runs through the
 // synchronizer of Corollary 1.2; otherwise it runs synchronously.
 func SolveMIS(g *Graph, opts ...Option) (MISResult, error) {
-	o, err := buildOptions(g, opts)
-	if err != nil {
-		return MISResult{}, err
-	}
-	t, err := campaign.MISTask(o.d)
-	if err != nil {
-		return MISResult{}, err
-	}
-	states, rounds, err := solve(g, o, t, "MIS")
+	states, rounds, err := solve(g, opts, campaign.MISTask, "MIS")
 	if err != nil {
 		return MISResult{}, err
 	}
@@ -234,30 +226,29 @@ type LEResult struct {
 // With an asynchronous scheduler option the algorithm runs through the
 // synchronizer of Corollary 1.2.
 func SolveLeaderElection(g *Graph, opts ...Option) (LEResult, error) {
-	o, err := buildOptions(g, opts)
-	if err != nil {
-		return LEResult{}, err
-	}
-	t, err := campaign.LETask(o.d)
-	if err != nil {
-		return LEResult{}, err
-	}
-	states, rounds, err := solve(g, o, t, "LE")
+	states, rounds, err := solve(g, opts, campaign.LETask, "LE")
 	if err != nil {
 		return LEResult{}, err
 	}
 	return LEResult{Leader: le.Leaders(states)[0], Rounds: rounds}, nil
 }
 
-// solve runs task t on g until its output is stable: synchronously, or
-// through the synchronizer when a scheduler option is given. The initial
-// states come from randx.NewSource(seed), and the engine is seeded with
-// the seed itself.
-func solve[S comparable](g *Graph, o options, t campaign.Task[S], name string) ([]restart.State[S], int, error) {
+// solve runs the task newTask builds for the diameter bound on g until its
+// output is stable: synchronously, or through the synchronizer when a
+// scheduler option is given. The initial states come from
+// randx.NewSource(seed), and the engine is seeded with the seed itself.
+func solve[S comparable](g *Graph, opts []Option, newTask func(d int) (campaign.Task[S], error), name string) ([]restart.State[S], int, error) {
+	o, err := buildOptions(g, opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	t, err := newTask(o.d)
+	if err != nil {
+		return nil, 0, err
+	}
 	rng := rand.New(randx.NewSource(o.seed))
 	seed := func() int64 { return o.seed }
 	var run *campaign.TaskRun[S]
-	var err error
 	if o.sched == nil {
 		run, err = t.Sync(g, rng, seed, 0)
 	} else {
