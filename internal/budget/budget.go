@@ -1,9 +1,9 @@
 // Package budget centralizes the concrete round-budget formulas derived from
-// the paper's theorems. The facade (package thinunison) and the campaign
-// runner (internal/campaign) both enforce stabilization against these
-// budgets; keeping them in one place guarantees the two stay in sync when a
-// constant is tightened. All formulas saturate at math.MaxInt instead of
-// overflowing for degenerate (huge-D) inputs.
+// the paper's theorems. Campaign's drivers (internal/campaign), and through
+// them the facade's solvers and experiments E4, E6, E9 and F2, enforce
+// stabilization against these budgets, as do the facade's Unison and E7 and
+// E8. All formulas saturate at math.MaxInt instead of overflowing for
+// degenerate (huge-D) inputs.
 package budget
 
 import "thinunison/internal/stats"

@@ -7,10 +7,13 @@
 //
 // It is the repository's entry point for sweeps: the cmd/campaign CLI runs
 // its workloads through it, and so do experiments E1–E3 of the experiment
-// harness (internal/experiments); E4–E9 drive the engines directly. Every
-// run is reproducible — the campaign seed and the scenario's position
-// determine all randomness, independent of the worker count and goroutine
-// interleaving.
+// harness (internal/experiments). It also holds the one driver of each
+// algorithm: MISTask and LETask build MIS and LE runs, plain or through the
+// synchronizer, and DriveAU drives a built AlgAU engine. The root facade's
+// solvers and experiments E4, E6, E9 and F2 run through them; E5, E7 and E8
+// drive the engines directly. Every run is reproducible — the campaign seed
+// and the scenario's position determine all randomness, independent of the
+// worker count and goroutine interleaving.
 package campaign
 
 import (
