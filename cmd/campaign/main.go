@@ -33,7 +33,7 @@
 // socket with -parallelism, -frontier and -word forwarded; and chaos, a
 // seeded fault schedule (-chaos-seed) with a kill-and-resume. The
 // checkpoint/restore matrix is no cell: it runs in the engine tests
-// (sim.TestRestoreDifferential and TestRestoreWithCrashVictimsDown).
+// (sim.TestRestoreDifferential).
 //
 // The campaign harness is itself self-stabilizing (see internal/failpoint):
 // workers are panic-isolated, -retries re-runs transient failures with

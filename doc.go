@@ -90,9 +90,9 @@
 //     atomically (temp file + fsync + rename) and a torn-write-self-repairing
 //     resumable JSONL log with a CRC sidecar. The AU engine's checkpoint
 //     (sim.SaveState, the repo's one engine checkpoint) restores
-//     byte-identically in every mode and accepts only states a run can
-//     reach; the restore matrix runs in go test (sim.TestRestoreDifferential,
-//     TestRestoreWithCrashVictimsDown, TestRestoreRejectsInconsistentState
+//     byte-identically in every mode, refuses an engine with churn and
+//     accepts only states a run can reach; the restore matrix runs in go
+//     test (sim.TestRestoreDifferential, TestRestoreRejectsInconsistentState
 //     and FuzzRestore). The chaos cell of
 //     cmd/campaign -check pins it end to end: a preset under a seeded fault
 //     schedule with a kill-and-resume must produce records byte-identical

@@ -202,7 +202,7 @@ func forkFuture(ck *sim.Checkpoint, meta RunMeta, future int) (Record, error) {
 		N:           g.N(),
 		M:           g.M(),
 		D:           meta.D,
-		Diameter:    -1, // crash victims may be down; the full diameter is undefined
+		Diameter:    -1, // Fork computes no diameter
 		Scheduler:   s.Name(),
 		Algorithm:   string(AlgAU),
 		Trial:       faults,
@@ -227,11 +227,6 @@ func forkFuture(ck *sim.Checkpoint, meta RunMeta, future int) (Record, error) {
 	rec.RecoveryRounds = recovery
 	rec.Rounds = eng.Rounds()
 	rec.Headroom = float64(rec.Budget-recovery) / float64(rec.Budget)
-	if eng.ChurnOps() > 0 || eng.ChurnSkipped() > 0 {
-		rec.Churn = "inherited"
-		rec.ChurnOps = eng.ChurnOps()
-		rec.ChurnSkipped = eng.ChurnSkipped()
-	}
 	rec.OK = true
 	return rec, nil
 }

@@ -26,9 +26,8 @@ import (
 // writeForkSnapshot produces a unisonsim-shaped checkpoint: an engine run
 // for a while, saved with the runmeta recipe section. A fault burst before
 // the save leaves a fault buffer in the checkpoint, which every future's
-// burst shuffles further. A non-nil churn spec gives the engine topology
-// churn, which every future inherits.
-func writeForkSnapshot(t *testing.T, dir string, seed int64, churn *sim.ChurnSpec) string {
+// burst shuffles further.
+func writeForkSnapshot(t *testing.T, dir string, seed int64) string {
 	t.Helper()
 	const d = 3
 	au, err := core.NewAU(d)
@@ -44,7 +43,7 @@ func writeForkSnapshot(t *testing.T, dir string, seed int64, churn *sim.ChurnSpe
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := sim.New(g, au, sim.Options{Scheduler: s, Seed: seed, Churn: churn})
+	eng, err := sim.New(g, au, sim.Options{Scheduler: s, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +77,7 @@ func writeForkSnapshot(t *testing.T, dir string, seed int64, churn *sim.ChurnSpe
 // whole matrix is deterministic (a re-fork emits identical records).
 func TestForkFutures(t *testing.T) {
 	const seed = 7
-	snap := writeForkSnapshot(t, t.TempDir(), seed, nil)
+	snap := writeForkSnapshot(t, t.TempDir(), seed)
 
 	collect := func() []campaign.Record {
 		var recs []campaign.Record
@@ -128,13 +127,6 @@ func TestForkRejectsNonCheckpoint(t *testing.T) {
 	if err := campaign.Fork(path, campaign.ForkOptions{Futures: 1}, nil); err == nil {
 		t.Fatal("fork accepted garbage bytes")
 	}
-}
-
-// forkChurn is the churn the churn checkpoint of the fork tests inherits:
-// an event every third step, flipping two node pairs and crashing one node
-// under the connectivity guard.
-func forkChurn() *sim.ChurnSpec {
-	return &sim.ChurnSpec{Period: 3, Flips: 2, Crashes: 1, Seed: 5, KeepConnected: true}
 }
 
 // forkReference runs the futures of the checkpoint at snap one after
@@ -193,11 +185,6 @@ func forkReference(t *testing.T, snap string, futures int) []campaign.Record {
 		rec.RecoveryRounds = recovery
 		rec.Rounds = eng.Rounds()
 		rec.Headroom = float64(rec.Budget-recovery) / float64(rec.Budget)
-		if eng.ChurnOps() > 0 || eng.ChurnSkipped() > 0 {
-			rec.Churn = "inherited"
-			rec.ChurnOps = eng.ChurnOps()
-			rec.ChurnSkipped = eng.ChurnSkipped()
-		}
 		rec.OK = true
 		recs = append(recs, rec)
 	}
@@ -221,38 +208,25 @@ func forkRecords(t *testing.T, snap string, futures int) []campaign.Record {
 // TestForkMatchesIndependentRestores: Fork's futures, restored from one
 // decoded checkpoint and run concurrently, emit exactly the records of
 // futures restored one after another from the bytes, at every GOMAXPROCS.
-// The churn checkpoint catches a CSR shared by mistake: every future's
-// churn rewrites its topology in place.
 func TestForkMatchesIndependentRestores(t *testing.T) {
 	const futures = 8
-	for _, tc := range []struct {
-		name  string
-		churn *sim.ChurnSpec
-	}{
-		{"plain", nil},
-		{"churn", forkChurn()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			snap := writeForkSnapshot(t, t.TempDir(), 7, tc.churn)
-			want := forkReference(t, snap, futures)
-			if tc.churn != nil && !slices.ContainsFunc(want, func(r campaign.Record) bool { return r.ChurnOps > 0 }) {
-				t.Fatal("no future changed its topology; strengthen the churn spec")
+	t.Run("plain", func(t *testing.T) {
+		snap := writeForkSnapshot(t, t.TempDir(), 7)
+		want := forkReference(t, snap, futures)
+		for _, procs := range []int{1, 2, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			got := forkRecords(t, snap, futures)
+			runtime.GOMAXPROCS(prev)
+			if len(got) != len(want) {
+				t.Fatalf("GOMAXPROCS %d: Fork emitted %d records, want %d", procs, len(got), len(want))
 			}
-			for _, procs := range []int{1, 2, 8} {
-				prev := runtime.GOMAXPROCS(procs)
-				got := forkRecords(t, snap, futures)
-				runtime.GOMAXPROCS(prev)
-				if len(got) != len(want) {
-					t.Fatalf("GOMAXPROCS %d: Fork emitted %d records, want %d", procs, len(got), len(want))
-				}
-				for i := range want {
-					if !reflect.DeepEqual(got[i], want[i]) {
-						t.Fatalf("GOMAXPROCS %d: future %d: Fork emitted\n%+v\nwant\n%+v", procs, i, got[i], want[i])
-					}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("GOMAXPROCS %d: future %d: Fork emitted\n%+v\nwant\n%+v", procs, i, got[i], want[i])
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestForkStopsOnFirstError: an error stops the futures not yet started,
@@ -262,7 +236,7 @@ func TestForkMatchesIndependentRestores(t *testing.T) {
 func TestForkStopsOnFirstError(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	dir := t.TempDir()
-	snap := writeForkSnapshot(t, dir, 7, nil)
+	snap := writeForkSnapshot(t, dir, 7)
 	base := runtime.NumGoroutine()
 
 	errEmit := errors.New("emit refused")
@@ -323,7 +297,7 @@ func TestForkStopsOnFirstError(t *testing.T) {
 // failpoint panics at the fifth engine step, counted over all futures.
 func TestForkReraisesFuturePanic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	snap := writeForkSnapshot(t, t.TempDir(), 7, nil)
+	snap := writeForkSnapshot(t, t.TempDir(), 7)
 	base := runtime.NumGoroutine()
 	failpoint.Arm(failpoint.New(1, []failpoint.Rule{{Site: failpoint.SimStep, Kind: failpoint.FailPanic, Hits: []uint64{5}}}))
 	defer failpoint.Disarm()

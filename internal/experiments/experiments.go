@@ -300,7 +300,7 @@ func E1(cfg Config) (Result, error) {
 	_, exp, ok := stats.FitPowerLaw(ds, maxs)
 	note := "all instances stabilized within the O(D^3) budget"
 	if ok {
-		note += fmt.Sprintf("; worst-case growth fits D^%.2f (theorem allows up to D^3)", exp)
+		note += fmt.Sprintf("; sampled maxima fit D^%.2f (theorem allows up to D^3)", exp)
 		if exp > 3.3 {
 			res.OK = false
 		}

@@ -53,7 +53,7 @@ func leMisSweep(cfg Config, id string, alg campaign.Algorithm) (Result, error) {
 	_, exp, ok := stats.FitPowerLaw(ns, maxs)
 	res.Note = "all instances stabilized within the theorem budget"
 	if ok {
-		res.Note += fmt.Sprintf("; worst-case growth fits n^%.2f (polylog expected: exponent near 0)", exp)
+		res.Note += fmt.Sprintf("; sampled maxima fit n^%.2f (polylog expected: exponent near 0)", exp)
 	}
 	if !res.OK {
 		res.Note = "sweep FAILED: some instance missed its budget"

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -331,75 +330,6 @@ func (d *Delta) DiameterBounds() (lower, upper int) {
 // Applied returns the total number of edge changes committed by Apply calls
 // over the delta's lifetime.
 func (d *Delta) Applied() int { return d.applied }
-
-// CheckpointCrashes exports the crash bookkeeping for snapshots: the sorted
-// crashed node set and, aligned with it, each crashed node's saved adjacency
-// (sorted). The saved lists are semantically sets — Revive re-stages each
-// saved edge through the symmetric override map — so sorting them changes
-// nothing about a restored delta's behavior while making snapshots
-// deterministic. The delta must have no staged operations (snapshots are
-// taken at step boundaries, after Apply); CheckpointCrashes panics
-// otherwise, because staged overrides are deliberately not serialized.
-func (d *Delta) CheckpointCrashes() (crashed []NodeID, saved [][]NodeID) {
-	if d.Pending() != 0 {
-		panic("graph: CheckpointCrashes with staged operations")
-	}
-	crashed = make([]NodeID, 0, len(d.crashed))
-	for v := range d.crashed {
-		crashed = append(crashed, v)
-	}
-	sort.Ints(crashed)
-	saved = make([][]NodeID, len(crashed))
-	for i, v := range crashed {
-		saved[i] = append([]NodeID(nil), d.saved[v]...)
-		sort.Ints(saved[i])
-	}
-	return crashed, saved
-}
-
-// RestoreCrashes is the inverse of CheckpointCrashes: it reinstates the
-// crash bookkeeping (crashed set, saved adjacency, lifetime applied counter)
-// into a fresh delta over the restored — already crash-compacted — graph.
-// It accepts only what CheckpointCrashes writes over such a graph: strictly
-// ascending node lists in range, crashed nodes without edges, no node
-// saving itself, no edge saved by both of its crashed endpoints (the second
-// to crash no longer had it), and a non-negative counter.
-func (d *Delta) RestoreCrashes(crashed []NodeID, saved [][]NodeID, applied int) error {
-	if len(d.crashed) != 0 || d.Pending() != 0 || d.applied != 0 {
-		return fmt.Errorf("graph: RestoreCrashes on a non-fresh delta")
-	}
-	if len(saved) != len(crashed) {
-		return fmt.Errorf("graph: %d saved lists for %d crashed nodes", len(saved), len(crashed))
-	}
-	if applied < 0 {
-		return fmt.Errorf("graph: negative applied-change count %d", applied)
-	}
-	if err := CheckNodeSet(crashed, d.g.n); err != nil {
-		return fmt.Errorf("graph: crashed nodes: %w", err)
-	}
-	for i, v := range crashed {
-		if err := CheckNodeSet(saved[i], d.g.n); err != nil {
-			return fmt.Errorf("graph: saved adjacency of crashed node %d: %w", v, err)
-		}
-		if deg := len(d.g.Neighbors(v)); deg != 0 {
-			return fmt.Errorf("graph: crashed node %d still has %d edges", v, deg)
-		}
-		d.crashed[v] = true
-		d.saved[v] = append([]NodeID(nil), saved[i]...)
-	}
-	for _, v := range crashed {
-		for _, u := range d.saved[v] {
-			if u == v {
-				return fmt.Errorf("graph: crashed node %d saves a self-loop", v)
-			}
-			if _, twice := slices.BinarySearch(d.saved[u], v); twice {
-				return fmt.Errorf("graph: edge (%d, %d) saved by both crashed endpoints", v, u)
-			}
-		}
-	}
-	d.applied = applied
-	return nil
-}
 
 // CheckNodeSet checks that ids lists a set of nodes of an n-node graph in
 // canonical form: strictly ascending within [0, n).

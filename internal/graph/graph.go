@@ -248,12 +248,6 @@ func (g *Graph) CSR() (offsets []int, neighbors []NodeID) {
 	return g.offsets, g.neighbors
 }
 
-// Clone returns a copy of g with its own CSR storage, so a Delta applied
-// to one leaves the other as it was.
-func (g *Graph) Clone() *Graph {
-	return &Graph{n: g.n, m: g.m, offsets: slices.Clone(g.offsets), neighbors: slices.Clone(g.neighbors)}
-}
-
 // HasEdge reports whether the edge (u, v) is present.
 func (g *Graph) HasEdge(u, v NodeID) bool {
 	l := g.Neighbors(u)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -22,11 +21,9 @@ import (
 // save the same engine section as an engine from its own sim.Restore of
 // the same bytes, stepped alike. The saved section covers the
 // configuration, the topology, the rng streams, the fault buffer, the
-// round tracker, the frontier, the churn state and the metric words. A
-// closing burst into the second engine pins that its fault buffer is its
-// own. Without churn the engines share the checkpoint's graph; with churn
-// each has its own, and the first engine's churn, run alone for a while,
-// must leave the second's topology as checkpointed.
+// round tracker, the frontier and the metric words. A closing burst into
+// the second engine pins that its fault buffer is its own. Engines of one
+// checkpoint share its graph.
 func TestCheckpointRestoresIndependentEngines(t *testing.T) {
 	const (
 		seed = 21
@@ -46,12 +43,8 @@ func TestCheckpointRestoresIndependentEngines(t *testing.T) {
 			continue
 		}
 		t.Run(m.name, func(t *testing.T) {
-			var churn *sim.ChurnSpec
-			if m.churn {
-				churn = restoreChurnSpec()
-			}
-			src, err := sim.New(cloneGraph(t, base), au, sim.Options{
-				Scheduler: mk(), Seed: seed, Frontier: m.frontier, WordParallel: m.word, Churn: churn,
+			src, err := sim.New(base, au, sim.Options{
+				Scheduler: mk(), Seed: seed, Frontier: m.frontier, WordParallel: m.word,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -98,8 +91,8 @@ func TestCheckpointRestoresIndependentEngines(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if shared := engines[0].Graph() == engines[1].Graph(); shared == m.churn {
-				t.Fatalf("engines share their graph: %v, want %v", shared, !m.churn)
+			if engines[0].Graph() != engines[1].Graph() {
+				t.Fatal("engines of one checkpoint do not share its graph")
 			}
 
 			// step advances engine i and its reference and compares their
@@ -127,19 +120,6 @@ func TestCheckpointRestoresIndependentEngines(t *testing.T) {
 				}
 			}
 
-			if m.churn {
-				for i := 0; i < 4*restoreChurnSpec().Period; i++ {
-					step(0, 0)
-				}
-				if engines[0].ChurnOps() == 0 {
-					t.Fatal("the first engine's churn changed nothing; strengthen the churn spec")
-				}
-				off, nbr := engines[1].Graph().CSR()
-				wantOff, wantNbr := refs[1].Graph().CSR()
-				if !slices.Equal(off, wantOff) || !slices.Equal(nbr, wantNbr) {
-					t.Fatal("the first engine's churn reached the second engine's graph")
-				}
-			}
 			for i := 0; i < k; i++ {
 				faults := 0
 				if i%8 == 3 {
@@ -156,9 +136,8 @@ func TestCheckpointRestoresIndependentEngines(t *testing.T) {
 // TestCheckpointRestoreAllocatesOneTracker: Checkpoint.Restore builds the
 // round tracker from the checkpoint and no other. Its n-sized allocations
 // are the configuration and that tracker, one int per node each; a
-// throwaway tracker from New would be a third. Measured on a churn-free,
-// fault-free star without frontier or word mode, where nothing else
-// scales with n.
+// throwaway tracker from New would be a third. Measured on a fault-free
+// star without frontier or word mode, where nothing else scales with n.
 func TestCheckpointRestoreAllocatesOneTracker(t *testing.T) {
 	const n = 1 << 14
 	g, err := graph.Star(n)

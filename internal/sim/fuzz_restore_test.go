@@ -27,51 +27,38 @@ import (
 //   - keep a GoodMonitor, built fresh from the restored configuration, in
 //     agreement with the full-scan GraphGood after every step.
 //
-// The snapshots span dense, frontier, word and frontier+word engines, with
-// churn off and on, under the synchronous scheduler and the seeded
-// Permuted and RandomSubset schedulers, saved before the first step and
-// mid-run.
+// The snapshots span dense, frontier, word and frontier+word engines under
+// the synchronous scheduler and the seeded Permuted and RandomSubset
+// schedulers, saved before the first step and mid-run. Each is seeded
+// unedited and with three edits.
 func FuzzRestore(f *testing.F) {
 	seeds := restoreSeeds(f)
 	for i := range seeds {
 		f.Add(uint8(i), uint16(0), uint8(0), uint16(0), int64(0)) // unedited
-		f.Add(uint8(i), uint16(7*i+3), uint8(i%5+1), uint16(i), int64(i-3))
+		for k := 3 * i; k < 3*i+3; k++ {
+			f.Add(uint8(i), uint16(7*k+3), uint8(k%5+1), uint16(k), int64(k-3))
+		}
 	}
+	// An input picks a seed snapshot, a leaf field by position (modulo the
+	// seed's leaf count) and the edit to apply to it.
 	f.Fuzz(func(t *testing.T, seed uint8, field uint16, op uint8, index uint16, value int64) {
-		s, _, section := editSeed(t, seeds, fuzzInput{seed, field, op, index, value})
+		s := seeds[int(seed)%len(seeds)]
+		fields, err := splitEngine(s.section)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		leaves := leafFields(fields)
+		at := int(field) % len(leaves)
+		l := leaves[at]
+		l.raw = editField(l.kind, l.raw, op, int(index), value)
+		s.name = fmt.Sprintf("%s, field %d (%s) edit %d", s.name, at, l.name, op)
+		section := joinFields(fields)
 		e, err := s.restore(section)
 		if err != nil {
 			return
 		}
 		checkRestored(t, s, e, section)
 	})
-}
-
-// fuzzInput is one FuzzRestore input: which seed snapshot, which leaf field
-// (by position, modulo the seed's leaf count), and the edit to apply.
-type fuzzInput struct {
-	seed  uint8
-	field uint16
-	op    uint8
-	index uint16
-	value int64
-}
-
-// editSeed applies in to its seed snapshot and returns the seed, renamed
-// after the edit, the edited leaf and the edited engine section.
-func editSeed(t *testing.T, seeds []restoreSeed, in fuzzInput) (restoreSeed, *field, []byte) {
-	t.Helper()
-	s := seeds[int(in.seed)%len(seeds)]
-	fields, err := splitEngine(s.section)
-	if err != nil {
-		t.Fatalf("%s: %v", s.name, err)
-	}
-	leaves := leafFields(fields)
-	at := int(in.field) % len(leaves)
-	f := leaves[at]
-	f.raw = editField(f.kind, f.raw, in.op, int(in.index), in.value)
-	s.name = fmt.Sprintf("%s, field %d (%s) edit %d", s.name, at, f.name, in.op)
-	return s, f, joinFields(fields)
 }
 
 // checkRestored is FuzzRestore's property for an accepted snapshot whose
@@ -180,41 +167,31 @@ func buildRestoreSeeds() ([]restoreSeed, error) {
 		name           string
 		frontier, word bool
 	}{{"dense", false, false}, {"frontier", true, false}, {"word", false, true}, {"frontier+word", true, true}} {
-		for _, churn := range []bool{false, true} {
-			for _, sc := range scheds {
-				for _, steps := range []int{0, 12} {
-					var spec *sim.ChurnSpec
-					if churn {
-						spec = restoreChurnSpec()
-					}
-					g, err := graph.New(base.N(), base.Edges())
-					if err != nil {
-						return nil, err
-					}
-					e, err := sim.New(g, au, sim.Options{Scheduler: sc.mk(), Seed: 9, Frontier: mode.frontier,
-						WordParallel: mode.word, Churn: spec})
-					if err != nil {
-						return nil, err
-					}
-					for i := 0; i < steps; i++ {
-						if i == steps/2 {
-							e.InjectFaults(4)
-						}
-						if err := e.Step(); err != nil {
-							return nil, err
-						}
-					}
-					section, err := engineSection(e)
-					if err != nil {
-						return nil, err
-					}
-					seeds = append(seeds, restoreSeed{
-						name:    fmt.Sprintf("%s/churn=%v/%s/step %d", mode.name, churn, sc.name, steps),
-						section: section,
-						au:      au,
-						mk:      sc.mk,
-					})
+		for _, sc := range scheds {
+			for _, steps := range []int{0, 12} {
+				e, err := sim.New(base, au, sim.Options{Scheduler: sc.mk(), Seed: 9, Frontier: mode.frontier,
+					WordParallel: mode.word})
+				if err != nil {
+					return nil, err
 				}
+				for i := 0; i < steps; i++ {
+					if i == steps/2 {
+						e.InjectFaults(4)
+					}
+					if err := e.Step(); err != nil {
+						return nil, err
+					}
+				}
+				section, err := engineSection(e)
+				if err != nil {
+					return nil, err
+				}
+				seeds = append(seeds, restoreSeed{
+					name:    fmt.Sprintf("%s/%s/step %d", mode.name, sc.name, steps),
+					section: section,
+					au:      au,
+					mk:      sc.mk,
+				})
 			}
 		}
 	}
@@ -311,19 +288,9 @@ func splitEngine(section []byte) ([]*field, error) {
 		"U rng state", "i rng pending", "I fault buffer")
 	fs = append(fs, r.blob("tracker", "i rounds", "i pending", "I stamps"))
 	hasFr := flag("b frontier flag")
-	flag("b word flag")
-	hasChurn := flag("b churn flag")
+	put("b word flag", "b churn flag")
 	if hasFr {
 		put("I frontier")
-	}
-	if hasChurn {
-		put("i churn period", "i churn flips", "i churn crashes", "i churn max events", "i churn seed",
-			"b churn keep-connected", "i churn max diameter", "i churn events", "i churn skipped",
-			"I churn victims", "U churn rng state", "i churn applied", "I churn crashed")
-		n := snapshot.NewDec(put("i churn saved count").raw).Int()
-		for i := 0; i < n && r.err == nil; i++ {
-			put(fmt.Sprintf("I churn saved %d", i))
-		}
 	}
 	if flag("b scheduler flag") {
 		// Seed, rng state, and the permutation or gap vector.

@@ -2,11 +2,7 @@ package sim_test
 
 import (
 	"math/rand"
-	"os"
-	"path/filepath"
 	"slices"
-	"strconv"
-	"strings"
 	"testing"
 
 	"thinunison/internal/core"
@@ -67,9 +63,8 @@ type rejectCase struct {
 // in splitEngine, of a valid engine section and writes the container back
 // through snapshot.Write, so the checksums hold and only the field's own
 // validation can catch it. The sections come from a 12-node cycle under
-// the Permuted and the RandomSubset scheduler, a frontier-sparse run on a
-// 400-node bounded-diameter graph, and FuzzRestore's churn seeds; the
-// committed FuzzRestore regression inputs are replayed by name.
+// the Permuted and the RandomSubset scheduler and a frontier-sparse run on
+// a 400-node bounded-diameter graph.
 func TestRestoreRejectsInconsistentState(t *testing.T) {
 	const n = 12
 	g, err := graph.Cycle(n)
@@ -102,6 +97,7 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 		{"tracker pending node n", "tracker pending", setInt(n)},
 		{"tracker stamp 2", "tracker stamps", editInts(func(p []int) []int { p[0] = 2; return p })},
 		{"scheduler rng tap out of range", "scheduler rng state", editWords(badTap)},
+		{"churn flag set", "churn flag", func([]byte) []byte { return []byte{1} }},
 	}
 	permEdits := []fieldEdit{
 		{"permutation with a duplicate", "scheduler nodes", editInts(func(p []int) []int { p[0] = p[1]; return p })},
@@ -151,40 +147,6 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 		})
 	}
 	engines = append(engines, frontierEngine(t))
-	// The churn counters are functions of the spec and the step, and the
-	// victims list holds exactly the crashed nodes, each once.
-	victimCases := 0
-	for _, s := range restoreSeeds(t) {
-		if !strings.Contains(s.name, "churn=true") || !strings.HasSuffix(s.name, "step 12") {
-			continue
-		}
-		edits := []fieldEdit{
-			{"churn events one more", "churn events", editInt(func(v int) int { return v + 1 })},
-			{"churn skipped negative", "churn skipped", setInt(-1)},
-		}
-		fields, err := splitEngine(s.section)
-		if err != nil {
-			t.Fatalf("%s: %v", s.name, err)
-		}
-		if len(snapshot.NewDec(leaf(t, fields, "churn crashed").raw).Ints()) > 0 {
-			victimCases++
-			edits = append(edits,
-				fieldEdit{"churn victims emptied", "churn victims", editInts(func([]int) []int { return nil })},
-				fieldEdit{"churn victim repeated", "churn victims", editInts(func(p []int) []int { return append(p, p[0]) })},
-				fieldEdit{"churn alive node appended", "churn victims", editInts(func(p []int) []int {
-					v := 0
-					for slices.Contains(p, v) {
-						v++
-					}
-					return append(p, v)
-				})},
-			)
-		}
-		engines = append(engines, rejectCase{s, edits})
-	}
-	if victimCases == 0 {
-		t.Fatal("no churn seed has a crashed node at step 12; the victims edits test nothing")
-	}
 
 	for _, eng := range engines {
 		if _, err := eng.seed.restore(eng.seed.section); err != nil {
@@ -200,22 +162,6 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 			if _, err := eng.seed.restore(joinFields(fields)); err == nil {
 				t.Errorf("%s: %s: restored without error", eng.seed.name, c.name)
 			}
-		}
-	}
-
-	// FuzzRestore's committed regression inputs address their field by
-	// position, so a layout change retargets them without an error: each
-	// must still edit the field it was found in, and still be rejected.
-	for _, c := range []struct{ input, field string }{
-		{"bool-byte-5", "churn keep-connected"},
-		{"crash-saved-neighbor-out-of-range", "churn saved 0"},
-	} {
-		s, f, section := editSeed(t, restoreSeeds(t), readFuzzInput(t, c.input))
-		if f.name != c.field {
-			t.Errorf("%s edits %q, want %q: re-derive it for the current layout", c.input, f.name, c.field)
-		}
-		if _, err := s.restore(section); err == nil {
-			t.Errorf("%s (%s): restored without error", c.input, s.name)
 		}
 	}
 }
@@ -267,32 +213,4 @@ func frontierEngine(t *testing.T) rejectCase {
 		{"frontier members unsorted", "frontier", editInts(func(p []int) []int { p[0], p[1] = p[1], p[0]; return p })},
 		{"frontier member repeated", "frontier", editInts(func(p []int) []int { p[1] = p[0]; return p })},
 	}}
-}
-
-// readFuzzInput reads the committed FuzzRestore input called name.
-func readFuzzInput(t *testing.T, name string) fuzzInput {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRestore", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 6 || lines[0] != "go test fuzz v1" {
-		t.Fatalf("%s is not a FuzzRestore input", name)
-	}
-	var v [5]int64
-	for i, line := range lines[1:] {
-		lit := line[strings.IndexByte(line, '(')+1 : len(line)-1]
-		if lit[0] == '\'' {
-			var c rune
-			c, _, _, err = strconv.UnquoteChar(lit[1:len(lit)-1], '\'')
-			v[i] = int64(c)
-		} else {
-			v[i], err = strconv.ParseInt(lit, 10, 64)
-		}
-		if err != nil {
-			t.Fatalf("%s: %q: %v", name, line, err)
-		}
-	}
-	return fuzzInput{uint8(v[0]), uint16(v[1]), uint8(v[2]), uint16(v[3]), v[4]}
 }

@@ -17,8 +17,7 @@ import (
 )
 
 // pinnedRun is one fixed run of TestSaveStateMatchesPinnedBytes: an engine
-// recipe and the steps after which it is saved. A churn run counts its
-// steps from the first step boundary with a crash victim down.
+// recipe and the steps after which it is saved.
 type pinnedRun struct {
 	name  string
 	opts  func() sim.Options
@@ -35,10 +34,6 @@ func pinnedRuns() []pinnedRun {
 		}},
 		{name: "round-robin", saves: []int{10, 60}, opts: func() sim.Options {
 			return sim.Options{Scheduler: sched.NewRoundRobin(), Seed: 9, Frontier: true}
-		}},
-		{name: "churn-victims-down", saves: []int{0, 7}, opts: func() sim.Options {
-			return sim.Options{Scheduler: sched.NewRandomSubsetSeeded(0.5, 8, 32), Seed: 31,
-				Churn: &sim.ChurnSpec{Period: 2, Flips: 2, Crashes: 2, Seed: 33, KeepConnected: true}}
 		}},
 	}
 }
@@ -58,30 +53,16 @@ func pinnedSnapshots(t *testing.T) map[string][]byte {
 	}
 	out := map[string][]byte{}
 	for _, r := range pinnedRuns() {
-		opts := r.opts()
-		e, err := sim.New(cloneGraph(t, base), au, opts)
+		e, err := sim.New(base, au, r.opts())
 		if err != nil {
 			t.Fatal(err)
 		}
 		e.InjectFaults(6)
-		step := func() {
-			if err := e.Step(); err != nil {
-				t.Fatalf("%s: step %d: %v", r.name, e.StepCount(), err)
-			}
-		}
-		from := 0
-		if opts.Churn != nil {
-			for e.Graph().Connected() {
-				if e.StepCount() == 200 {
-					t.Fatalf("%s: no crash victim down within 200 steps", r.name)
-				}
-				step()
-			}
-			from = e.StepCount()
-		}
 		for _, at := range r.saves {
-			for e.StepCount() < from+at {
-				step()
+			for e.StepCount() < at {
+				if err := e.Step(); err != nil {
+					t.Fatalf("%s: step %d: %v", r.name, e.StepCount(), err)
+				}
 			}
 			var buf bytes.Buffer
 			meta := snapshot.Section{Name: "runmeta", Data: []byte(`{"run":"` + r.name + `"}`)}
@@ -99,10 +80,8 @@ func pinnedSnapshots(t *testing.T) map[string][]byte {
 // snapshots committed under testdata/pinned for a few fixed runs, so a
 // faster encoder cannot change the format behind snapshot.Version. The
 // runs cover dense scalar under random-subset, frontier+word under
-// permuted, round-robin, and a churn run saved while crash victims are
-// down. Each engine saves twice, so the second save of a run without
-// churn reuses the first save's topology bytes, and the churn run's second
-// save follows committed topology changes.
+// permuted, and round-robin. Each engine saves twice, so the second save
+// reuses the first save's topology bytes.
 func TestSaveStateMatchesPinnedBytes(t *testing.T) {
 	got := pinnedSnapshots(t)
 	files, err := filepath.Glob(filepath.Join("testdata", "pinned", "*.snap"))
@@ -146,10 +125,9 @@ func decodedTopology(t *testing.T, snap []byte, au *core.AU, s sched.Scheduler) 
 
 // TestSaveStateFollowsCommittedTopology: SaveState reuses its encoded
 // topology only while the graph is unchanged. Two saves with no step
-// between them write the same bytes; after ApplyDelta commits a change —
-// through the engine's own churn, or through an explicit graph.Delta as
-// internal/bio commits its rewiring — the next snapshot decodes to the live
-// CSR.
+// between them write the same bytes; after ApplyDelta commits a change
+// through an explicit graph.Delta, as internal/bio commits its rewiring,
+// the next snapshot decodes to the live CSR.
 func TestSaveStateFollowsCommittedTopology(t *testing.T) {
 	au, err := core.NewAU(4)
 	if err != nil {
@@ -181,26 +159,6 @@ func TestSaveStateFollowsCommittedTopology(t *testing.T) {
 				how, len(neighbors)/2, e.Graph().M())
 		}
 	}
-
-	t.Run("churn", func(t *testing.T) {
-		e, err := sim.New(cloneGraph(t, base), au, sim.Options{Scheduler: mk(), Seed: 7,
-			Churn: &sim.ChurnSpec{Period: 3, Flips: 3, Seed: 8, KeepConnected: true}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		checkLive(t, e, "before churn")
-		for events := 0; events < 3; {
-			ops := e.ChurnOps()
-			if err := e.Step(); err != nil {
-				t.Fatal(err)
-			}
-			if e.ChurnOps() != ops {
-				events++
-				checkLive(t, e, fmt.Sprintf("after churn at step %d", e.StepCount()))
-			}
-		}
-	})
 
 	t.Run("delta", func(t *testing.T) {
 		g := cloneGraph(t, base)

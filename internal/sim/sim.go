@@ -36,16 +36,17 @@
 // Churn draws from its own rng, so churn runs remain byte-identical across
 // all execution modes. sim is the one engine with churn.
 //
-// Every mode combination is checkpointable: Engine.SaveState serializes the
-// full run state at a step boundary (configuration, churned topology,
-// frontier members, round tracker, rng stream states, churn bookkeeping,
-// scheduler position) and Restore rebuilds an engine in a fresh process
-// that continues the run byte-identically — run K steps, snapshot, restore,
-// run K more ≡ an uninterrupted 2K-step run, in every mode × churn cell.
-// It is the repo's one engine checkpoint, and Restore accepts only states a
-// run can reach. See snapshot.go; the restore matrix runs in go test here:
-// TestRestoreDifferential, TestRestoreWithCrashVictimsDown,
-// TestRestoreRejectsInconsistentState and FuzzRestore.
+// Every combination of the frontier and word modes is checkpointable:
+// Engine.SaveState serializes the full run state at a step boundary
+// (configuration, topology, frontier members, round tracker, rng stream
+// states, scheduler position) and Restore rebuilds an engine in a fresh
+// process that continues the run byte-identically — run K steps,
+// snapshot, restore, run K more ≡ an uninterrupted 2K-step run. An engine
+// with churn is not checkpointable: no program saves one, and SaveState
+// refuses it. This is the repo's one engine checkpoint, and Restore
+// accepts only states a run can reach. See snapshot.go; the restore matrix runs in go test here:
+// TestRestoreDifferential, TestRestoreRejectsInconsistentState and
+// FuzzRestore.
 package sim
 
 import (
@@ -249,18 +250,14 @@ type Options struct {
 	// topology, the classic behavior. Churn draws from its own rng
 	// (ChurnSpec.Seed), so churn runs remain byte-identical across
 	// execution modes (dense/frontier, scalar/word) exactly like
-	// churn-free runs.
+	// churn-free runs. SaveState refuses an engine with churn.
 	Churn *ChurnSpec
 
-	// restoring is set only by Checkpoint.Restore, which checks
-	// connectivity itself: ReadCheckpoint checked a churn-free topology
-	// once for all its engines, and a churn checkpoint taken while crash
-	// victims are down carries a CSR with those victims isolated — a graph
-	// the engine handles fine mid-run (KeepConnected guards alive-subgraph
-	// connectivity only) but full-graph Validate would reject — so Restore
-	// validates the alive subgraph against the crash set. Restore also
-	// brings the round tracker (sched.RestoreRoundTracker), so New leaves
-	// it nil rather than build n ints that are replaced at once.
+	// restoring is set only by Checkpoint.Restore: ReadCheckpoint already
+	// validated the topology once for all its engines, so New skips
+	// Validate, and Restore brings the round tracker
+	// (sched.RestoreRoundTracker), so New leaves it nil rather than build n
+	// ints that are replaced at once.
 	restoring bool
 }
 

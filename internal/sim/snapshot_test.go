@@ -18,30 +18,17 @@ type restoreMode struct {
 	name     string
 	frontier bool
 	word     bool
-	churn    bool
 
-	// pastWindow drives the engine and churn rng streams past the 607 draws
-	// of their seeded window before the checkpoint, so both restore from a
-	// state deep in the generator: a burst of pastWindowFaults faults before
-	// every step draws at least 2·pastWindowFaults engine values (victims
-	// and their states), and pastWindowFaults churn flips every step draw at
-	// least two churn values each — over the 40 steps before the checkpoint,
-	// at least 800 and 780 draws.
+	// pastWindow drives the engine's rng stream past the 607 draws of its
+	// seeded window before the checkpoint, so it restores from a state deep
+	// in the generator: a burst of pastWindowFaults faults before every
+	// step draws at least 2·pastWindowFaults values (victims and their
+	// states), at least 800 over the 40 steps before the checkpoint.
 	pastWindow bool
 }
 
-// pastWindowFaults is the per-step fault burst of the pastWindow cells.
+// pastWindowFaults is the per-step fault burst of the pastWindow cell.
 const pastWindowFaults = 10
-
-// restoreChurnSpec is the churn of the churn cells: every third step
-// revives the last victim, flips four node pairs and crashes one node, under
-// the connectivity and diameter guards (8 = 2D for the test's AU(4)). A
-// checkpoint can then land while a victim is down, between its crash and
-// its revival.
-func restoreChurnSpec() *sim.ChurnSpec {
-	return &sim.ChurnSpec{Period: 3, Flips: 4, Crashes: 1, Seed: 99,
-		KeepConnected: true, MaxDiameterUpper: 8}
-}
 
 func restoreModes() []restoreMode {
 	return []restoreMode{
@@ -49,21 +36,18 @@ func restoreModes() []restoreMode {
 		{name: "frontier", frontier: true},
 		{name: "word", word: true},
 		{name: "frontier-word", frontier: true, word: true},
-		{name: "dense-churn", churn: true},
-		{name: "frontier-churn", frontier: true, churn: true},
-		{name: "word-churn", word: true, churn: true},
-		{name: "dense-churn-past-window", pastWindow: true},
+		{name: "dense-past-window", pastWindow: true},
 	}
 }
 
 // TestRestoreDifferential is the checkpoint contract: run K steps, snapshot,
 // restore in a fresh engine, run K more — the continuation must match the
-// uninterrupted 2K-step run byte for byte (configurations, rounds, churn
-// counters, trajectory metrics, monitor verdicts), in every execution mode
-// (dense, frontier, word, each with and without crash churn) and under every
-// checkpointable scheduler. The restored run's GoodMonitor is rebuilt from
-// the restored configuration, as every checkpoint consumer does, and must
-// agree with the uninterrupted run's at every step. A fault burst after
+// uninterrupted 2K-step run byte for byte (configurations, rounds,
+// trajectory metrics, monitor verdicts), in every execution mode (dense,
+// frontier, word, frontier+word) and under every checkpointable scheduler.
+// The restored run's GoodMonitor is rebuilt from the restored
+// configuration, as every checkpoint consumer does, and must agree with
+// the uninterrupted run's at every step. A fault burst after
 // the restore point additionally pins the restored rng state and the
 // fault-permutation buffer.
 func TestRestoreDifferential(t *testing.T) {
@@ -83,31 +67,19 @@ func TestRestoreDifferential(t *testing.T) {
 	for sname, mk := range shardedSchedulers(seed + 1) {
 		for _, m := range restoreModes() {
 			t.Run(sname+"/"+m.name, func(t *testing.T) {
-				var churn *sim.ChurnSpec
-				if m.churn {
-					churn = restoreChurnSpec()
-				}
-				if m.pastWindow {
-					churn = &sim.ChurnSpec{Period: 1, Flips: pastWindowFaults, Seed: 99, KeepConnected: true}
-				}
-				g := cloneGraph(t, base)
-				ref, err := sim.New(g, au, sim.Options{
+				ref, err := sim.New(base, au, sim.Options{
 					Scheduler:    mk(),
 					Seed:         seed,
 					Frontier:     m.frontier,
 					WordParallel: m.word,
-					Churn:        churn,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer ref.Close()
-				mon := core.NewGoodMonitor(au, g, ref.Config())
+				mon := core.NewGoodMonitor(au, base, ref.Config())
 				ref.Observe(mon)
 
-				// A crash victim sits isolated until its revival, so the
-				// full graph is disconnected exactly while one is down.
-				crashed := false
 				for i := 0; i < k; i++ {
 					if m.pastWindow {
 						ref.InjectFaults(pastWindowFaults)
@@ -115,10 +87,6 @@ func TestRestoreDifferential(t *testing.T) {
 					if err := ref.Step(); err != nil {
 						t.Fatalf("reference step %d: %v", i, err)
 					}
-					crashed = crashed || !ref.Graph().Connected()
-				}
-				if m.churn && !crashed {
-					t.Fatal("no crash victim was down before the checkpoint; strengthen the churn spec")
 				}
 
 				var buf bytes.Buffer
@@ -179,12 +147,6 @@ func TestRestoreDifferential(t *testing.T) {
 					if restored.Rounds() != ref.Rounds() {
 						t.Fatalf("continuation step %d: rounds %d vs %d", i, restored.Rounds(), ref.Rounds())
 					}
-					if restored.ChurnOps() != ref.ChurnOps() || restored.ChurnSkipped() != ref.ChurnSkipped() {
-						t.Fatalf("continuation step %d: churn counters diverged", i)
-					}
-					if restored.Graph().M() != ref.Graph().M() {
-						t.Fatalf("continuation step %d: edge counts diverged", i)
-					}
 					if got, want := rmon.Good(), mon.Good(); got != want {
 						t.Fatalf("continuation step %d: restored monitor Good=%v, reference %v", i, got, want)
 					}
@@ -239,6 +201,96 @@ func TestSaveStateRefusesFailingCheckpointer(t *testing.T) {
 	}
 }
 
+// TestSaveStateRefusesChurn: an engine with churn cannot be checkpointed.
+// SaveState fails before it writes a byte, after a churn event has rewired
+// the graph as well as before the first one.
+func TestSaveStateRefusesChurn(t *testing.T) {
+	au, err := core.NewAU(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.RandomConnected(24, 0.2, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := sim.New(g, au, sim.Options{Seed: 1, Churn: churnSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	refuse := func() {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := e.SaveState(&buf, snapshot.Section{Name: "runmeta", Data: []byte("{}")}); err == nil {
+			t.Fatalf("SaveState of a churn engine at step %d succeeded", e.StepCount())
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("SaveState of a churn engine at step %d wrote %d bytes", e.StepCount(), buf.Len())
+		}
+	}
+	refuse()
+	for e.ChurnOps() == 0 {
+		if e.StepCount() == 100 {
+			t.Fatal("churn changed nothing in 100 steps; strengthen the spec")
+		}
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refuse()
+}
+
+// TestRestoreRejectsSchedulerStateMismatch: a snapshot holds a scheduler
+// stream exactly when its scheduler is a sched.Checkpointer, and Restore
+// refuses a scheduler on the other side of that line. A stateful scheduler
+// over a snapshot without a stream would start fresh mid-run, and a stream
+// without a stateful scheduler would be dropped.
+func TestRestoreRejectsSchedulerStateMismatch(t *testing.T) {
+	au, err := core.NewAU(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.Cycle(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name          string
+		saved, resume func() sched.Scheduler
+	}{
+		{"synchronous to random-subset",
+			func() sched.Scheduler { return sched.NewSynchronous() },
+			func() sched.Scheduler { return sched.NewRandomSubsetSeeded(0.3, 6, 5) }},
+		{"round-robin to permuted",
+			func() sched.Scheduler { return sched.NewRoundRobin() },
+			func() sched.Scheduler { return sched.NewPermutedSeeded(5) }},
+		{"permuted to round-robin",
+			func() sched.Scheduler { return sched.NewPermutedSeeded(5) },
+			func() sched.Scheduler { return sched.NewRoundRobin() }},
+	} {
+		e, err := sim.New(g, au, sim.Options{Scheduler: c.saved(), Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 30; i++ {
+			if err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := e.SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		snap := buf.Bytes()
+		if _, _, err := sim.Restore(bytes.NewReader(snap), au, sim.RestoreOptions{Scheduler: c.saved()}); err != nil {
+			t.Fatalf("%s: restore under the saved scheduler: %v", c.name, err)
+		}
+		if _, _, err := sim.Restore(bytes.NewReader(snap), au, sim.RestoreOptions{Scheduler: c.resume()}); err == nil {
+			t.Errorf("%s: restored without error", c.name)
+		}
+	}
+}
+
 // TestRestoreFreshProcessShape simulates the fresh-process path: everything
 // the restoring side knows is the snapshot bytes plus the construction
 // recipe (algorithm parameters and scheduler seed), exactly what a CLI
@@ -259,7 +311,6 @@ func TestRestoreFreshProcessShape(t *testing.T) {
 		Scheduler: sched.NewPermutedSeeded(seed + 2),
 		Seed:      seed,
 		Frontier:  true,
-		Churn:     churnSpec(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -302,95 +353,5 @@ func TestRestoreFreshProcessShape(t *testing.T) {
 	}
 	if restored.StepCount() != ref.StepCount() || restored.Rounds() != ref.Rounds() {
 		t.Fatal("fresh-process restore position diverged")
-	}
-}
-
-// TestRestoreWithCrashVictimsDown pins a bug the restore differential
-// flushed out: a snapshot taken while churn crash victims are down carries a
-// CSR with those victims isolated, and Restore used to reject it with
-// ErrDisconnected even though the running engine handles exactly that
-// topology (KeepConnected guards alive-subgraph connectivity only). The
-// checkpoint must restore and continue byte-identically through the victims'
-// revival.
-func TestRestoreWithCrashVictimsDown(t *testing.T) {
-	const seed = 31
-	au, err := core.NewAU(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	base, err := graph.RandomConnected(40, 0.2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func() (*sim.Engine, error) {
-		return sim.New(cloneGraph(t, base), au, sim.Options{
-			Scheduler: sched.NewRandomSubsetSeeded(0.5, 8, seed+1),
-			Seed:      seed,
-			Frontier:  true,
-			Churn: &sim.ChurnSpec{
-				Period:        2,
-				Flips:         2,
-				Crashes:       2,
-				Seed:          seed + 2,
-				KeepConnected: true,
-			},
-		})
-	}
-	ref, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-
-	// Step until a crash victim is actually down at a step boundary — the
-	// full graph is then disconnected, the shape Restore used to refuse.
-	down := false
-	for i := 0; i < 200; i++ {
-		if err := ref.Step(); err != nil {
-			t.Fatal(err)
-		}
-		if !ref.Graph().Connected() {
-			down = true
-			break
-		}
-	}
-	if !down {
-		t.Fatal("churn never left a crash victim down at a step boundary; strengthen the spec")
-	}
-	checkpointStep := ref.StepCount()
-
-	var buf bytes.Buffer
-	if err := ref.SaveState(&buf); err != nil {
-		t.Fatalf("save with crash victims down: %v", err)
-	}
-	restored, _, err := sim.Restore(bytes.NewReader(buf.Bytes()), au, sim.RestoreOptions{
-		Scheduler: sched.NewRandomSubsetSeeded(0.5, 8, seed+1),
-	})
-	if err != nil {
-		t.Fatalf("restore with crash victims down: %v", err)
-	}
-	defer restored.Close()
-	if restored.StepCount() != checkpointStep {
-		t.Fatalf("restored at step %d, checkpoint was at %d", restored.StepCount(), checkpointStep)
-	}
-
-	// Continue both through several churn periods (revivals included).
-	for i := 0; i < 40; i++ {
-		if err := ref.Step(); err != nil {
-			t.Fatalf("reference step %d: %v", i, err)
-		}
-		if err := restored.Step(); err != nil {
-			t.Fatalf("restored step %d: %v", i, err)
-		}
-		if !restored.Config().Equal(ref.Config()) {
-			t.Fatalf("continuation step %d: configurations diverged", i)
-		}
-		if restored.Graph().M() != ref.Graph().M() {
-			t.Fatalf("continuation step %d: edge counts diverged", i)
-		}
-		if restored.ChurnOps() != ref.ChurnOps() || restored.ChurnSkipped() != ref.ChurnSkipped() {
-			t.Fatalf("continuation step %d: churn counters diverged", i)
-		}
 	}
 }

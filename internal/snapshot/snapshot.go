@@ -4,7 +4,7 @@
 //
 // A snapshot is a sequence of named, length-prefixed sections behind a magic
 // header. The engine writes its whole state (config, rng states, round
-// tracker, frontier, churn, scheduler, metrics) into one section with the
+// tracker, frontier, scheduler, metrics) into one section with the
 // primitives of Enc/Dec. Unknown sections are preserved by Read so callers
 // can attach their own (e.g. run metadata) without the container caring.
 //
@@ -72,7 +72,11 @@ import (
 // Version 10 dropped derived and dead state from the sim section: a word
 // engine's goodness plane (rebuilt from the configuration on restore) and
 // the churn section's scripted event list and its cursor (the scripted
-// churn language is gone; churn is the stochastic stream only).
+// churn language is gone; churn is the stochastic stream only). Within
+// version 10 the churn section was retired without a bump: SaveState
+// refuses an engine with churn, so the engine section's churn flag is
+// always 0, Restore rejects a set one, and every snapshot a program writes
+// keeps its bytes.
 const Version = 10
 
 // magic identifies a snapshot stream ("ThinUnison SNAPshot").
